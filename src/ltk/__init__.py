@@ -25,24 +25,25 @@ from .exprlang import compile_fn, parse
 from .geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
                        PhasePoint, TangentVector, alpha, best_chart, beta,
                        dehomogenize, euler_residual, homogenize,
-                       normalize_costate, project, scale_costate)
+                       normalize_costate, project, sample_phase_points,
+                       scale_costate)
 from .submanifold import (GeneratingFunction, GibbsDuhemReport,
-                          SubmanifoldSample, gibbs_duhem_check, legendre_point,
+                          gibbs_duhem_check, legendre_point,
                           lift_generating_function, lift_phase_fn,
-                          liouville_point, liouville_sample,
+                          liouville_point, membership_norm,
                           membership_residual, reduced_point, specific_form,
                           tangent_basis)
 from .dynamics import (HamiltonianSpec, Trajectory, TransportReport,
                        commutator_residual, contact_field, contact_rhs,
                        flow_transport_check, hamiltonian_field, integrate,
-                       lie_bracket_fd, phase_rhs, project_contact,
-                       project_reduced, reduced_field, reduced_rhs, rk4_step,
+                       lie_bracket_fd, phase_rhs, project_reduced,
+                       reduced_field, reduced_rhs, rk4_step,
                        scaling_commutation_check, validate_degree)
 from .brackets import (BracketReport, correspondence_residual, degree_check,
                        jacobi, jacobi_fn, jacobi_identity_residual,
                        leibniz_defect, poisson, poisson_fn)
 from .portsys import (BUILTIN_SYSTEMS, PortSignal, PortSystem,
-                      SimulationResult, ValidationReport, assemble_K, builtin,
+                      SimulationResult, ValidationReport, builtin,
                       energy_balance, entropy_balance, gas_piston_damper,
                       heat_compartment, heat_exchanger, ideal_gas_SVN,
                       interconnect, outputs, simulate, validate)

@@ -33,7 +33,7 @@ import numpy as np
 from .diffkit import ScalarFn, grad
 from .dynamics import lie_bracket_fd, phase_rhs
 from .geometry import (ContactPoint, EulerFieldKind, PhasePoint, dehomogenize,
-                       euler_residual, homogenize)
+                       euler_residual, homogenize, sample_phase_points)
 
 __all__ = [
     "BracketReport",
@@ -118,17 +118,6 @@ def jacobi(K1hat: ScalarFn, K2hat: ScalarFn, cpt: ContactPoint) -> float:
     return float(jacobi_fn(K1hat, K2hat, cpt.chart)(cpt.packed()))
 
 
-def _sample_points(dim: int, n_samples: int, seed: int):
-    m = dim // 2
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_samples):
-        q = rng.uniform(0.6, 1.4, m)
-        p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
-        out.append(PhasePoint(q, p))
-    return out
-
-
 def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
                  points=None, n_samples: int = 40, seed: int = 5) -> BracketReport:
     """Check the homogeneity statement for the bracket of K1 and K2.
@@ -139,14 +128,16 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
     is how degree-0 observables arise here).  The operands' own declared
     degrees are verified alongside and reported as ``max_input_residual``.
     Residuals are relative: Euler residuals are divided by 1 + |value|, and
-    the (0,0) bracket value by 1 + |K1 K2| at the point.  Points where an
-    operand is undefined are skipped.
+    the (0,0) bracket value by 1 + |K1 K2| at the point.  ``points``
+    defaults to ``n_samples`` draws of
+    :func:`~ltk.geometry.sample_phase_points`; points where an operand is
+    undefined are skipped.
     """
     if {degree1, degree2} - {0, 1}:
         raise ValueError("degree_check handles fiber degrees 0 and 1")
     B = poisson_fn(K1, K2)
     if points is None:
-        points = _sample_points(K1.dim, n_samples, seed)
+        points = sample_phase_points(K1.dim // 2, n_samples, seed)
     worst = 0.0
     worst_input = 0.0
     used = 0

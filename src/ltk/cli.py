@@ -44,7 +44,7 @@ from .brackets import degree_check, poisson
 from .diffkit import ScalarFn
 from .dynamics import flow_transport_check
 from .exprlang import ExprError, compile_fn, free_names, parse
-from .geometry import PhasePoint
+from .geometry import sample_phase_points
 from .portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal, PortSystem,
                       _sample_surface_params, builtin, simulate, validate)
 from .submanifold import (GeneratingFunction, gibbs_duhem_check,
@@ -71,9 +71,9 @@ class RunConfig:
     expression, the energy/entropy partition and drift/port generator
     expressions.  ``input`` is a signal spec (``zero``, ``constant``,
     ``sinusoid`` or expressions in ``t``).  The remaining fields cover
-    integration, monitor selection, output paths, chart selection and the
-    sampling seed; ``k1``/``k2``/``degree1``/``degree2``/``dimensions`` feed
-    the ``bracket`` subcommand and ``at`` feeds ``reduce``.
+    integration, monitor selection, output paths and the sampling seed;
+    ``k1``/``k2``/``degree1``/``degree2``/``dimensions`` feed the
+    ``bracket`` subcommand and ``at`` feeds ``reduce``.
     """
 
     command: str = ""
@@ -85,7 +85,6 @@ class RunConfig:
     initial: tuple = None
     output: str = None
     report: str = None
-    chart: int = 0
     seed: int = 0
     samples: int = 25
     k1: str = None
@@ -115,7 +114,6 @@ class RunConfig:
         try:
             self.t_end = float(self.t_end)
             self.dt = float(self.dt)
-            self.chart = int(self.chart)
             self.seed = int(self.seed)
             self.samples = int(self.samples)
             self.degree1 = int(self.degree1)
@@ -129,8 +127,6 @@ class RunConfig:
             raise ConfigError("dt must be positive")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
-        if self.chart < 0:
-            raise ConfigError("chart must be a nonnegative coordinate index")
         if self.dimensions < 1:
             raise ConfigError("dimensions must be at least 1")
         if {self.degree1, self.degree2} - {0, 1}:
@@ -331,8 +327,13 @@ def _check(max_residual: float, tolerance: float) -> dict:
 
 
 def _report_exit(path, checks: dict) -> int:
+    """Write the report; exit 1 if a check failed.
+
+    Entries without a ``pass`` verdict (such as reduce's ``reduced_point``)
+    carry data, not a check.
+    """
     _write_report(path, checks)
-    failed = [name for name, c in checks.items() if not c["pass"]]
+    failed = [name for name, c in checks.items() if not c.get("pass", True)]
     if failed:
         log.error("failed checks: %s", ", ".join(failed))
         return 1
@@ -395,14 +396,10 @@ def _bracket_operands(cfg: RunConfig):
 
 def _cmd_bracket(cfg: RunConfig) -> int:
     K1, K2, deg1, deg2 = _bracket_operands(cfg)
-    degree_report = degree_check(deg1, deg2, K1, K2,
-                                 n_samples=cfg.samples, seed=cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    m = K1.dim // 2
+    points = sample_phase_points(K1.dim // 2, cfg.samples, cfg.seed)
+    degree_report = degree_check(deg1, deg2, K1, K2, points=points)
     antisym = 0.0
-    for _ in range(cfg.samples):
-        pt = PhasePoint(rng.uniform(0.6, 1.4, m),
-                        rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m))
+    for pt in points:
         try:
             antisym = max(antisym, abs(poisson(K1, K2, pt)
                                        + poisson(K2, K1, pt)))
@@ -435,7 +432,6 @@ def _cmd_reduce(cfg: RunConfig) -> int:
         "gibbs_duhem": _check(gd.max_beta, 1e-9),
         "scaling_tangency": _check(gd.max_w_membership, 1e-9),
     }
-    failed = [name for name, check in checks.items() if not check["pass"]]
     if cfg.at is not None:
         try:
             point = reduced_point(gf, cfg.at)
@@ -443,11 +439,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
             raise ConfigError(f"cannot reduce at {list(cfg.at)}: {err}") from None
         checks["reduced_point"] = {"at": list(cfg.at),
                                    "point": [float(v) for v in point]}
-    _write_report(cfg.report, checks)
-    if failed:
-        log.error("failed checks: %s", ", ".join(failed))
-        return 1
-    return 0
+    return _report_exit(cfg.report, checks)
 
 
 def _cmd_flowcheck(cfg: RunConfig) -> int:
@@ -582,7 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="system parameter override (repeatable)")
         p.add_argument("--seed", type=int, help="sampling seed")
         p.add_argument("--report", help="JSON report path (default: stdout)")
-        p.add_argument("--chart", type=int, help="chart coordinate index")
 
     p = sub.add_parser("simulate", help="integrate a system and write a CSV")
     common(p)
@@ -632,7 +623,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         mapping = dict(mapping)
     mapping["command"] = args.command
 
-    plain = {"seed", "report", "chart", "t_end", "dt", "initial", "monitors",
+    plain = {"seed", "report", "t_end", "dt", "initial", "monitors",
              "output", "samples", "k1", "k2", "degree1", "degree2",
              "dimensions", "at"}
     for key in plain:

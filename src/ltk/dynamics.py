@@ -17,12 +17,17 @@ returning the tangent at one point, and a right-hand-side builder
 callable ``f(t, x) -> ndarray`` over packed state vectors for use with
 :func:`integrate`.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.
+:func:`integrate` is the package's one integration loop; port-system
+simulation (:func:`ltk.portsys.simulate`) runs on it, recording its guard,
+inputs, outputs and monitors as per-step monitor channels.
 
 Packing conventions (m = n + 1 coordinates):
 
 * phase:    ``x = [q_0..q_n, p_0..p_n]``                       (dim 2m)
 * contact:  ``x = [q_0..q_n, gamma_j ascending, j != chart]``  (dim 2n+1)
+  — ``ltk.geometry.project(pt, chart).packed()``
 * reduced:  ``x = [eps_0, eps_2..eps_n, gamma_1..gamma_n]``    (dim 2n)
+  — :func:`project_reduced`
 """
 
 from __future__ import annotations
@@ -33,8 +38,9 @@ import numpy as np
 
 from .diffkit import ScalarFn, grad
 from .geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
-                       PhasePoint, TangentVector, euler_residual)
-from .submanifold import GeneratingFunction, liouville_point, membership_residual
+                       PhasePoint, TangentVector, euler_residual,
+                       sample_phase_points)
+from .submanifold import GeneratingFunction, liouville_point, membership_norm
 
 __all__ = [
     "HamiltonianSpec",
@@ -53,7 +59,6 @@ __all__ = [
     "lie_bracket_fd",
     "flow_transport_check",
     "scaling_commutation_check",
-    "project_contact",
     "project_reduced",
 ]
 
@@ -118,21 +123,16 @@ def validate_degree(K, degree: int = 1, n_samples: int = 50,
                     seed: int = 3, wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """Max relative Euler residual of K over random sample points.
 
-    Points are drawn with q in (0.6, 1.4) and |p_i| in (0.2, 1.0) so that
-    chart divisions stay well-conditioned; points where K is undefined are
-    skipped.  Raises if fewer than half the samples are evaluable.
+    Points come from :func:`~ltk.geometry.sample_phase_points`; points where
+    K is undefined are skipped.  Raises if fewer than half the samples are
+    evaluable.
     """
     K = _scalar_fn(K)
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
-    m = K.dim // 2
-    rng = np.random.default_rng(seed)
     worst = 0.0
     evaluated = 0
-    for _ in range(n_samples):
-        q = rng.uniform(0.6, 1.4, m)
-        p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
-        pt = PhasePoint(q, p)
+    for pt in sample_phase_points(K.dim // 2, n_samples, seed):
         try:
             r = euler_residual(K, pt, degree, wrt=wrt)
             val = float(K(pt.packed()))
@@ -283,8 +283,10 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     ``t_end`` must be an integer multiple of ``dt`` (the grid is t_i = i*dt).
     ``monitors`` is an iterable of (name, fn) pairs with ``fn(t, x)`` scalar,
-    recorded at every grid point including t = 0.  A non-finite state aborts
-    with the offending time in the message.
+    recorded in order at every grid point including t = 0; a monitor that
+    raises aborts the run, which is how :func:`ltk.portsys.simulate` guards
+    surface membership.  A non-finite state aborts with the offending time
+    in the message.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -389,8 +391,7 @@ def flow_transport_check(gf: GeneratingFunction, K, t_end: float,
         params = [float(v) for v in params]
         base = flow_from(params)
         for x in base.x:
-            res = membership_residual(gf, PhasePoint(x[:m], x[m:]))
-            drift = max(drift, float(np.max(np.abs(res))))
+            drift = max(drift, membership_norm(gf, x))
 
         xf = base.final
         for k, v in enumerate(params):
@@ -427,18 +428,6 @@ def scaling_commutation_check(K, pt: PhasePoint, lam: float,
     x0[m:] *= lam
     b = integrate(f, x0, t_end, dt).final   # scale, then flow
     return float(np.max(np.abs(a - b)))
-
-
-def project_contact(x: np.ndarray, chart: int) -> np.ndarray:
-    """Pack a phase vector into chart coordinates [q, gamma (j != chart)]."""
-    x = np.asarray(x, dtype=float)
-    m = x.size // 2
-    q, p = x[:m], x[m:]
-    pc = p[chart]
-    if abs(pc) < 1e-12 * float(np.max(np.abs(p))):
-        raise ChartDegenerateError(chart, int(np.argmax(np.abs(p))))
-    gamma = np.array([p[j] / -pc for j in range(m) if j != chart])
-    return np.concatenate([q, gamma])
 
 
 def project_reduced(x: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ __all__ = [
     "beta",
     "euler_residual",
     "project",
+    "sample_phase_points",
     "scale_costate",
     "normalize_costate",
     "homogenize",
@@ -206,6 +207,22 @@ def project(pt: PhasePoint, chart: int) -> ContactPoint:
         raise ChartDegenerateError(chart, best_chart(pt))
     gamma = np.array([pt.p[j] / (-pc) for j in range(len(pt.p)) if j != chart])
     return ContactPoint(chart, pt.q.copy(), gamma)
+
+
+def sample_phase_points(m: int, n_samples: int, seed: int) -> list:
+    """Random phase points with q_i in (0.6, 1.4) and |p_i| in (0.2, 1.0).
+
+    The ranges keep chart divisions well-conditioned; the costate signs are
+    drawn independently.  The points come from one ``default_rng(seed)``
+    stream, so every check sampling with the same seed sees the same points.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_samples):
+        q = rng.uniform(0.6, 1.4, m)
+        p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
+        out.append(PhasePoint(q, p))
+    return out
 
 
 def scale_costate(pt: PhasePoint, lam: float) -> PhasePoint:

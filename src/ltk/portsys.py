@@ -23,6 +23,9 @@ the two laws: with designated energy and entropy coordinates,
 :func:`validate` measures all of these on sampled surface points and
 :func:`interconnect` composes two systems through a static feedback law
 between their outputs, rejecting compositions that break the second law.
+:func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, recording
+the surface-membership guard, inputs, outputs and monitors as per-step
+channels.
 """
 
 from __future__ import annotations
@@ -33,17 +36,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffkit import ScalarFn, exp, grad
-from .dynamics import HamiltonianSpec, rk4_step, validate_degree
+from .dynamics import integrate, validate_degree
 from .geometry import PhasePoint, dehomogenize, project, scale_costate
 from .submanifold import (GeneratingFunction, lift_generating_function,
-                          liouville_point, membership_residual)
+                          liouville_point, membership_norm)
 
 __all__ = [
     "PortSystem",
     "PortSignal",
     "SimulationResult",
     "ValidationReport",
-    "assemble_K",
     "outputs",
     "simulate",
     "energy_balance",
@@ -241,26 +243,6 @@ class ValidationReport:
         }
 
 
-def assemble_K(sys: PortSystem, u_values) -> HamiltonianSpec:
-    """The total generator ``Ka + sum_k u_k Kc_k`` for a frozen input value.
-
-    Degree-1 homogeneity survives the sum, so the result is returned as a
-    ready-to-validate :class:`~ltk.dynamics.HamiltonianSpec`.
-    """
-    u_values = [float(v) for v in np.atleast_1d(u_values)] if sys.n_ports else []
-    if len(u_values) != sys.n_ports:
-        raise ValueError(f"expected {sys.n_ports} input values, got {len(u_values)}")
-    parts = [(1.0, sys.Ka)] + list(zip(u_values, sys.Kc))
-
-    def fn(x):
-        return sum(c * K(x) for c, K in parts)
-
-    K = ScalarFn(fn, dim=sys.Ka.dim, name=f"K[{sys.name}]",
-                 provenance="derived",
-                 dual_safe=all(K.dual_safe for _, K in parts))
-    return HamiltonianSpec(K, degree=1, name=f"K[{sys.name}] at u={u_values}")
-
-
 def outputs(sys: PortSystem, pt: PhasePoint):
     """Evaluate all port outputs at a phase point; returns ``(y_p, y_e)``.
 
@@ -269,52 +251,59 @@ def outputs(sys: PortSystem, pt: PhasePoint):
     above 1e-6 triggers a warning (the values are still returned — they are
     defined off the surface, just not meaningful).
     """
-    res = float(np.max(np.abs(membership_residual(sys.gf, pt))))
+    x = pt.packed()
+    res = membership_norm(sys.gf, x)
     if res > 1e-6:
         warnings.warn(f"outputs of {sys.name!r} requested at a state with "
                       f"membership residual {res:.3g}; the point is not on "
                       f"the modeled surface", stacklevel=2)
-    x = pt.packed()
     y_p = np.array([float(fn(x)) for fn in sys.y_p])
     y_e = np.array([float(fn(x)) for fn in sys.y_e])
     return y_p, y_e
 
 
-def _field_and_value(sys: PortSystem, x, uv):
-    """Gradient of the total generator and its value at a packed state."""
+def _generator_gradient(sys: PortSystem, x, uv) -> np.ndarray:
+    """Gradient of the total generator ``Ka + sum_k u_k Kc_k`` at x.
+
+    Ports with a zero input are skipped, so a closed or idle system pays
+    for the drift alone.
+    """
     g = grad(sys.Ka, x)
-    val = float(sys.Ka(x))
     for k in range(sys.n_ports):
         if uv[k] != 0.0:
             g = g + uv[k] * grad(sys.Kc[k], x)
+    return g
+
+
+def _generator_value(sys: PortSystem, x, uv) -> float:
+    """Value of the total generator, skipping ports with a zero input."""
+    val = float(sys.Ka(x))
+    for k in range(sys.n_ports):
+        if uv[k] != 0.0:
             val += uv[k] * float(sys.Kc[k](x))
-    return g, val
+    return val
 
 
 MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
 
 
 def _monitor_fn(sys: PortSystem, u: PortSignal, name: str):
+    """The per-step channel of a named monitor other than ``membership``.
+
+    ``membership`` is recorded by the surface guard of :func:`simulate`.
+    """
     m = sys.n_coords
     if name == "E_total":
         return lambda t, x: float(sum(x[i] for i in sys.energy_indices))
     if name == "S_total":
         return lambda t, x: float(sum(x[i] for i in sys.entropy_indices))
-    if name == "membership":
-        return lambda t, x: float(np.max(np.abs(
-            membership_residual(sys.gf, PhasePoint(x[:m], x[m:])))))
     if name == "K_res":
-        def k_res(t, x):
-            uv = u(t)
-            val = float(sys.Ka(x))
-            for k in range(sys.n_ports):
-                val += uv[k] * float(sys.Kc[k](x))
-            return abs(val)
-        return k_res
+        return lambda t, x: abs(_generator_value(sys, x, u(t)))
     if name == "alpha_res":
         def alpha_res(t, x):
-            g, val = _field_and_value(sys, x, u(t))
-            return abs(float(np.dot(x[m:], g[m:])) - val)
+            uv = u(t)
+            g = _generator_gradient(sys, x, uv)
+            return abs(float(np.dot(x[m:], g[m:])) - _generator_value(sys, x, uv))
         return alpha_res
     raise ValueError(f"unknown monitor {name!r}; available: "
                      f"{', '.join(MONITOR_NAMES)}")
@@ -325,11 +314,15 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              ) -> SimulationResult:
     """Integrate a port system from a surface point with input ``u(t)``.
 
-    The state is the packed phase vector of the lifted surface; outputs,
-    inputs and requested monitors are recorded at every grid point.  The
-    surface membership residual is checked each step and a drift beyond
-    ``membership_tol`` aborts: a trajectory off the surface no longer means
-    anything thermodynamically.
+    This is :func:`~ltk.dynamics.integrate` on the canonical field of
+    ``Ka + sum_k u_k(t) Kc_k`` over the packed phase vector of the lifted
+    surface, with per-step channels recording the inputs, the outputs and
+    the requested monitors at every grid point.  The first channel guards
+    the surface: a membership residual beyond ``membership_tol`` aborts, as
+    a trajectory off the surface no longer means anything
+    thermodynamically; its values double as the ``membership`` monitor.
+    Aborts, including a non-finite state, raise ``RuntimeError`` naming the
+    system and the time.
     """
     if params is None:
         params = sys.default_params
@@ -340,54 +333,41 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         u = PortSignal.zero(sys.n_ports)
     if u.n_ports != sys.n_ports:
         raise ValueError(f"signal has {u.n_ports} ports, system {sys.n_ports}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    steps = round(t_end / dt)
-    if steps < 0 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
 
     m = sys.n_coords
-    x = liouville_point(sys.gf, params).packed()
-    monitor_fns = [(nm, _monitor_fn(sys, u, nm)) for nm in monitors]
 
-    def f(t, xv):
-        g, _ = _field_and_value(sys, xv, u(t))
+    def field(t, x):
+        g = _generator_gradient(sys, x, u(t))
         return np.concatenate([g[m:], -g[:m]])
 
-    ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, 2 * m))
-    us = np.empty((steps + 1, sys.n_ports))
-    out = {}
-    for k in range(sys.n_ports):
-        out[f"y_p{k + 1}"] = np.empty(steps + 1)
-        out[f"y_e{k + 1}"] = np.empty(steps + 1)
-    mon = {nm: np.empty(steps + 1) for nm, _ in monitor_fns}
-
-    def record(i, t, xv):
-        res = float(np.max(np.abs(
-            membership_residual(sys.gf, PhasePoint(xv[:m], xv[m:])))))
+    def guard(t, x):
+        res = membership_norm(sys.gf, x)
         if res > membership_tol:
-            raise RuntimeError(
-                f"simulation of {sys.name!r} left the state surface at "
-                f"t={t:g}: membership residual {res:.3g} exceeds "
-                f"{membership_tol:g}")
-        ts[i] = t
-        xs[i] = xv
-        us[i] = u(t)
-        for k in range(sys.n_ports):
-            out[f"y_p{k + 1}"][i] = float(sys.y_p[k](xv))
-            out[f"y_e{k + 1}"][i] = float(sys.y_e[k](xv))
-        for nm, fn in monitor_fns:
-            mon[nm][i] = float(fn(t, xv))
+            raise RuntimeError(f"left the state surface at t={t:g}: membership "
+                               f"residual {res:.3g} exceeds {membership_tol:g}")
+        return res
 
-    record(0, 0.0, x)
-    for i in range(1, steps + 1):
-        x = rk4_step(f, (i - 1) * dt, x, dt)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"simulation of {sys.name!r} produced a "
-                               f"non-finite state at t={i * dt:g}")
-        record(i, i * dt, x)
-    return SimulationResult(sys.name, ts, xs, us, out, mon)
+    channels = [("membership", guard)]
+    for k in range(sys.n_ports):
+        channels += [(f"u{k + 1}", lambda t, x, k=k: u(t)[k]),
+                     (f"y_p{k + 1}", lambda t, x, fn=sys.y_p[k]: fn(x)),
+                     (f"y_e{k + 1}", lambda t, x, fn=sys.y_e[k]: fn(x))]
+    channels += [(nm, _monitor_fn(sys, u, nm)) for nm in monitors
+                 if nm != "membership"]
+
+    x0 = liouville_point(sys.gf, params).packed()
+    try:
+        traj = integrate(field, x0, t_end, dt, channels)
+    except RuntimeError as err:
+        raise RuntimeError(f"simulation of {sys.name!r}: {err}") from err
+    rec = traj.monitors
+    us = np.empty((traj.t.size, sys.n_ports))
+    for k in range(sys.n_ports):
+        us[:, k] = rec[f"u{k + 1}"]
+    out = {key: rec[key] for k in range(sys.n_ports)
+           for key in (f"y_p{k + 1}", f"y_e{k + 1}")}
+    return SimulationResult(sys.name, traj.t, traj.x, us, out,
+                            {nm: rec[nm] for nm in monitors})
 
 
 def _trapezoid(y: np.ndarray, t: np.ndarray) -> float:

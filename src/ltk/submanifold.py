@@ -38,14 +38,13 @@ from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
 
 __all__ = [
     "GeneratingFunction",
-    "SubmanifoldSample",
     "GibbsDuhemReport",
     "lift_generating_function",
     "lift_phase_fn",
     "liouville_point",
-    "liouville_sample",
     "legendre_point",
     "membership_residual",
+    "membership_norm",
     "tangent_basis",
     "gibbs_duhem_check",
     "specific_form",
@@ -121,14 +120,6 @@ class GeneratingFunction:
     def n_params(self) -> int:
         """Parameters of the lifted surface: q_I values, p_chart, p_J values."""
         return self.n + 1
-
-
-@dataclass
-class SubmanifoldSample:
-    """A parameter vector together with the phase point it generates."""
-
-    params: np.ndarray
-    point: PhasePoint
 
 
 @dataclass
@@ -226,12 +217,6 @@ def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
     return PhasePoint(q, p)
 
 
-def liouville_sample(gf: GeneratingFunction, params) -> SubmanifoldSample:
-    """Bundle a parameter vector with its realized phase point."""
-    return SubmanifoldSample(np.asarray(params, dtype=float),
-                             liouville_point(gf, params))
-
-
 def legendre_point(gf: GeneratingFunction, params) -> ContactPoint:
     """Realize the chart-coordinate surface point generated by (q_I, gamma_J).
 
@@ -282,6 +267,12 @@ def membership_residual(gf: GeneratingFunction, pt: PhasePoint) -> np.ndarray:
     for k, i in enumerate(gf.I):
         out.append(pt.p[i] - g[k])
     return np.array(out)
+
+
+def membership_norm(gf: GeneratingFunction, x) -> float:
+    """Max-abs membership residual at a packed phase vector ``[q, p]``."""
+    m = gf.n + 1
+    return float(np.max(np.abs(membership_residual(gf, PhasePoint(x[:m], x[m:])))))
 
 
 def tangent_basis(gf: GeneratingFunction, params) -> list:
@@ -340,8 +331,8 @@ def gibbs_duhem_check(gf: GeneratingFunction, samples) -> GibbsDuhemReport:
         max_qp_rel = max(max_qp_rel, abs(qp) / scale)
         for v in tangent_basis(gf, params):
             max_beta = max(max_beta, abs(float(np.dot(pt.q, v.vp))))
-        scaled = PhasePoint(2.0 * pt.q, pt.p)
-        max_w = max(max_w, float(np.max(np.abs(membership_residual(gf, scaled)))))
+        scaled = np.concatenate([2.0 * pt.q, pt.p])
+        max_w = max(max_w, membership_norm(gf, scaled))
         count += 1
     return GibbsDuhemReport(count, max_qp, max_qp_rel, max_beta, max_w)
 

@@ -352,6 +352,20 @@ def test_config_error_paths(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+def test_chart_is_not_a_config_key(tmp_path, capsys):
+    # no subcommand reads a chart selection, so neither the key nor the flag
+    # is accepted
+    path = tmp_path / "chart.json"
+    path.write_text(json.dumps({"command": "validate",
+                                "system": "heat_compartment", "chart": 1}))
+    assert run(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys: ['chart']" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--system", "heat_compartment", "--chart", "1"])
+    assert exc.value.code == 2
+
+
 def test_report_written_to_file(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "validate", "--system", "heat_compartment",

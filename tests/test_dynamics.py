@@ -17,7 +17,7 @@ from ltk.diffkit import ScalarFn, sqrt
 from ltk.dynamics import (HamiltonianSpec, Trajectory, commutator_residual,
                           contact_field, contact_rhs, flow_transport_check,
                           hamiltonian_field, integrate, lie_bracket_fd,
-                          phase_rhs, project_contact, project_reduced,
+                          phase_rhs, project_reduced,
                           reduced_field, reduced_rhs, rk4_step,
                           scaling_commutation_check, validate_degree)
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
@@ -162,7 +162,9 @@ def test_chart_flow_is_the_projected_phase_flow():
     t_end, dt = 1.0, 1e-3
     full = integrate(phase_rhs(K1), pt.packed(), t_end, dt)
     chart = integrate(contact_rhs(KHAT, 0), project(pt, 0).packed(), t_end, dt)
-    assert np.max(np.abs(project_contact(full.final, 0) - chart.final)) < 1e-6
+    x = full.final
+    projected = project(PhasePoint(x[:2], x[2:]), 0).packed()
+    assert np.max(np.abs(projected - chart.final)) < 1e-6
 
 
 # -- reduced (specific-coordinate) dynamics ----------------------------------------
@@ -262,10 +264,10 @@ def test_scaling_commutation_negative_control():
 
 
 def test_project_contact_hand_value():
-    x = np.array([1.0, 2.0, -4.0, 6.0])
-    assert project_contact(x, 0) == pytest.approx([1.0, 2.0, 1.5])
+    pt = PhasePoint(q=[1.0, 2.0], p=[-4.0, 6.0])
+    assert project(pt, 0).packed() == pytest.approx([1.0, 2.0, 1.5])
     with pytest.raises(ChartDegenerateError):
-        project_contact(np.array([1.0, 2.0, 0.0, 6.0]), 0)
+        project(PhasePoint(q=[1.0, 2.0], p=[0.0, 6.0]), 0)
 
 
 def test_project_reduced_hand_value():

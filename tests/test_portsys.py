@@ -11,14 +11,17 @@ Frozen oracles:
   1.5, total entropy gain 2 ln 1.5 - ln 2.
 """
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from ltk.diffkit import ScalarFn, grad
-from ltk.dynamics import HamiltonianSpec
+from ltk import submanifold
+from ltk.diffkit import Dual, ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
-                         PortSystem, assemble_K, builtin, energy_balance,
+                         PortSystem, builtin, energy_balance,
                          entropy_balance, gas_piston_damper, heat_compartment,
                          heat_exchanger, ideal_gas_SVN, interconnect, outputs,
                          simulate, validate)
@@ -139,23 +142,6 @@ def test_outputs_warn_off_the_surface():
         outputs(hc, off)
 
 
-# -- total generator --------------------------------------------------------------------
-
-
-def test_assemble_K_is_affine_in_the_input():
-    gp = gas_piston_damper()
-    pt = liouville_point(gp.gf, (0.2, 1.1, 0.4, -1.0))
-    x = pt.packed()
-    K = assemble_K(gp, [0.3]).K
-    assert K(x) == pytest.approx(float(gp.Ka(x)) + 0.3 * float(gp.Kc[0](x)),
-                                 rel=1e-14)
-    spec = assemble_K(gp, [0.3])
-    assert isinstance(spec, HamiltonianSpec)
-    assert spec.validate(n_samples=20) < 1e-9
-    with pytest.raises(ValueError, match="input values"):
-        assemble_K(gp, [0.3, 0.4])
-
-
 # -- structure validation ------------------------------------------------------------------
 
 
@@ -229,6 +215,66 @@ def test_simulate_records_grid_inputs_outputs_and_monitors():
     assert np.max(result.monitors["membership"]) < 1e-10
     with pytest.raises(ValueError, match="unknown monitor"):
         simulate(gp, 0.1, 0.1, monitors=("bogus",))
+
+
+def _count_calls(monkeypatch, original):
+    """Rebind every ltk module's name for ``original`` to a counting shim."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ltk" or name.startswith("ltk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def _count_value_calls(K: ScalarFn, calls: list) -> ScalarFn:
+    """K with a shim recording each evaluation on plain (non-dual) numbers."""
+    def fn(x):
+        if not any(isinstance(v, Dual) for v in x):
+            calls.append(K.name)
+        return K.fn(x)
+    return dataclasses.replace(K, fn=fn)
+
+
+def test_simulate_work_per_step(monkeypatch):
+    # the field needs only generator gradients, and the membership guard
+    # doubles as the membership monitor
+    gp = gas_piston_damper()
+    by_value = []
+    gp.Ka = _count_value_calls(gp.Ka, by_value)
+    gp.Kc = (_count_value_calls(gp.Kc[0], by_value),)
+    membership = _count_calls(monkeypatch, submanifold.membership_residual)
+    result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
+                      monitors=("membership",))
+    assert by_value == []
+    assert len(membership) == len(result.t) == 6
+    assert np.max(result.monitors["membership"]) < 1e-10
+
+
+def test_simulate_aborts_name_the_system_and_time():
+    hc = heat_compartment()
+
+    def closed(name, Ka):
+        return PortSystem(name=name, gf=hc.gf, Ka=ScalarFn(Ka, 4),
+                          energy_indices=(0,), entropy_indices=(1,),
+                          default_params=hc.default_params)
+
+    # K = p1 raises the entropy without touching the energy: off the surface
+    drifter = closed("drifter", lambda x: x[3])
+    with pytest.raises(RuntimeError, match=r"'drifter'.*left the state "
+                                           r"surface at t=0\.01\b"):
+        simulate(drifter, 0.1, 0.01)
+    # an infinite rate makes the state non-finite within the first step
+    runaway = closed("runaway", lambda x: float("inf") * x[3])
+    with pytest.raises(RuntimeError, match=r"'runaway'.*non-finite state at "
+                                           r"t=0\.01\b"):
+        simulate(runaway, 0.1, 0.01)
 
 
 def test_closed_piston_conserves_energy():

@@ -24,7 +24,7 @@ from ltk.diffkit import ScalarFn, sqrt
 from ltk.geometry import ChartDegenerateError, PhasePoint, alpha, beta, project
 from ltk.submanifold import (GeneratingFunction, gibbs_duhem_check,
                              legendre_point, lift_generating_function,
-                             lift_phase_fn, liouville_point, liouville_sample,
+                             lift_phase_fn, liouville_point,
                              membership_residual, reduced_point, specific_form,
                              tangent_basis)
 
@@ -117,12 +117,6 @@ def test_liouville_point_mixed_oracle():
     pt = liouville_point(mixed_gf(), [2.0, -1.0, 3.0])
     assert pt.q == pytest.approx([0.0, 2.0, -2.0], abs=1e-14)
     assert pt.p == pytest.approx([-1.0, 3.0, 3.0], rel=1e-14)
-
-
-def test_liouville_sample_bundles_params_and_point():
-    s = liouville_sample(exp_gf(), [0.3, -2.0])
-    assert np.array_equal(s.params, [0.3, -2.0])
-    assert s.point.q[1] == 0.3
 
 
 def test_membership_residual_zero_on_surface_and_ordered_off_it():
