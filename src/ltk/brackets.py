@@ -32,8 +32,8 @@ import numpy as np
 
 from .diffkit import ScalarFn, grad
 from .dynamics import lie_bracket_fd, phase_rhs
-from .geometry import (ContactPoint, EulerFieldKind, PhasePoint, dehomogenize,
-                       euler_residual, homogenize, sample_phase_points)
+from .geometry import (ContactPoint, PhasePoint, _relative_euler_residual,
+                       dehomogenize, homogenize, sample_phase_points)
 
 __all__ = [
     "BracketReport",
@@ -71,11 +71,7 @@ def _check_pair(K1: ScalarFn, K2: ScalarFn):
 
 def poisson(K1: ScalarFn, K2: ScalarFn, pt: PhasePoint) -> float:
     """Evaluate {K1, K2} at a phase point."""
-    m = _check_pair(K1, K2)
-    x = pt.packed()
-    g1 = grad(K1, x)
-    g2 = grad(K2, x)
-    return float(np.dot(g1[m:], g2[:m]) - np.dot(g1[:m], g2[m:]))
+    return float(poisson_fn(K1, K2)(pt.packed()))
 
 
 def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
@@ -95,7 +91,7 @@ def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
 
     return ScalarFn(fn, dim=2 * m,
                     name=f"{{{K1.name or 'K1'}, {K2.name or 'K2'}}}",
-                    provenance="derived", dual_safe=False)
+                    dual_safe=False)
 
 
 def jacobi_fn(K1hat: ScalarFn, K2hat: ScalarFn, chart: int) -> ScalarFn:
@@ -110,7 +106,7 @@ def jacobi_fn(K1hat: ScalarFn, K2hat: ScalarFn, chart: int) -> ScalarFn:
     out = dehomogenize(B, chart)
     return ScalarFn(out.fn, dim=out.dim,
                     name=f"{{{K1hat.name or 'K1'}, {K2hat.name or 'K2'}}}_chart{chart}",
-                    provenance="derived", dual_safe=False)
+                    dual_safe=False)
 
 
 def jacobi(K1hat: ScalarFn, K2hat: ScalarFn, cpt: ContactPoint) -> float:
@@ -143,18 +139,14 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
     used = 0
     for pt in points:
         try:
-            r1 = euler_residual(K1, pt, degree1, wrt=EulerFieldKind.Z)
-            r2 = euler_residual(K2, pt, degree2, wrt=EulerFieldKind.Z)
-            in_res = max(abs(r1) / (1.0 + abs(float(K1(pt.packed())))),
-                         abs(r2) / (1.0 + abs(float(K2(pt.packed())))))
+            in_res = max(_relative_euler_residual(K1, pt, degree1),
+                         _relative_euler_residual(K2, pt, degree2))
             if degree1 == 0 and degree2 == 0:
                 val = float(B(pt.packed()))
                 scale = 1.0 + abs(float(K1(pt.packed())) * float(K2(pt.packed())))
                 res = abs(val) / scale
             else:
-                expected_degree = degree1 + degree2 - 1
-                r = euler_residual(B, pt, expected_degree, wrt=EulerFieldKind.Z)
-                res = abs(r) / (1.0 + abs(float(B(pt.packed()))))
+                res = _relative_euler_residual(B, pt, degree1 + degree2 - 1)
         except (ValueError, ZeroDivisionError, ArithmeticError):
             continue
         worst = max(worst, res)
@@ -191,7 +183,6 @@ def leibniz_defect(f: ScalarFn, g: ScalarFn, h: ScalarFn,
     if not (f.dim == g.dim == h.dim):
         raise ValueError("Leibniz operands must share a chart space")
     gh = ScalarFn(lambda v: g(v) * h(v), dim=g.dim, name="g*h",
-                  provenance="derived",
                   dual_safe=g.dual_safe and h.dual_safe)
     chart = cpt.chart
     x = cpt.packed()

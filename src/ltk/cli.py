@@ -41,8 +41,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .brackets import degree_check, poisson
-from .diffkit import ScalarFn
-from .dynamics import flow_transport_check
+from .diffkit import ScalarFn, dirderiv
+from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
 from .geometry import sample_phase_points
 from .portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal, PortSystem,
@@ -398,13 +398,17 @@ def _cmd_bracket(cfg: RunConfig) -> int:
     K1, K2, deg1, deg2 = _bracket_operands(cfg)
     points = sample_phase_points(K1.dim // 2, cfg.samples, cfg.seed)
     degree_report = degree_check(deg1, deg2, K1, K2, points=points)
+    # {K1, K2} = -dK1(X_K2): the bracket against K1's derivative along the
+    # canonical field of K2, a route that shares no dot product with it
     antisym = 0.0
     for pt in points:
+        x = pt.packed()
         try:
-            antisym = max(antisym, abs(poisson(K1, K2, pt)
-                                       + poisson(K2, K1, pt)))
+            value = poisson(K1, K2, pt)
+            along = dirderiv(K1, x, phase_rhs(K2)(0.0, x))
         except (ValueError, ZeroDivisionError, ArithmeticError):
             continue
+        antisym = max(antisym, abs(value + along) / (1.0 + abs(value)))
     checks = {
         "operand_degrees": _check(degree_report.max_input_residual, 1e-9),
         f"bracket_{degree_report.expected}": _check(

@@ -235,17 +235,15 @@ class ScalarFn:
 
     ``fn`` receives a sequence of scalars (floats, or :class:`Dual` values
     when ``dual_safe``) and must return a single scalar computed with generic
-    arithmetic only.  ``provenance`` records whether the function is built-in
-    Python code or compiled from an expression string.  Functions that are
-    not safe to evaluate over dual numbers (e.g. they internally call a
-    gradient themselves) set ``dual_safe=False``, which makes :func:`grad`
-    fall back to the finite-difference oracle.
+    arithmetic only.  Functions that are not safe to evaluate over dual
+    numbers (e.g. they internally call a gradient themselves) set
+    ``dual_safe=False``, which makes :func:`grad` fall back to the
+    finite-difference oracle.
     """
 
     fn: Callable
     dim: int
     name: str = ""
-    provenance: str = "builtin"
     dual_safe: bool = True
 
     def __call__(self, x):

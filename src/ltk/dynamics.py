@@ -38,12 +38,11 @@ import numpy as np
 
 from .diffkit import ScalarFn, grad
 from .geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
-                       PhasePoint, TangentVector, euler_residual,
+                       PhasePoint, TangentVector, _relative_euler_residual,
                        sample_phase_points)
 from .submanifold import GeneratingFunction, liouville_point, membership_norm
 
 __all__ = [
-    "HamiltonianSpec",
     "Trajectory",
     "TransportReport",
     "hamiltonian_field",
@@ -64,37 +63,6 @@ __all__ = [
 
 # Step scale for finite-difference Jacobian-vector products on vector fields.
 FIELD_FD_STEP = 1e-5
-
-
-@dataclass
-class HamiltonianSpec:
-    """A generator together with the homogeneity it is expected to have.
-
-    ``degree`` is the declared fiber degree (1 for every generator that
-    drives dynamics here).  Generators that are additionally homogeneous of
-    degree 1 in the extensive variables declare ``q_degree_one=True`` and are
-    then also checked against the base Euler field.
-    """
-
-    K: ScalarFn
-    degree: int = 1
-    q_degree_one: bool = False
-    name: str = ""
-
-    def validate(self, n_samples: int = 50, seed: int = 3) -> float:
-        """Max relative Euler residual over random points; see validate_degree."""
-        worst = validate_degree(self.K, degree=self.degree,
-                                n_samples=n_samples, seed=seed)
-        if self.q_degree_one:
-            worst = max(worst, validate_degree(
-                self.K, degree=1, n_samples=n_samples, seed=seed,
-                wrt=EulerFieldKind.W))
-        return worst
-
-
-def _scalar_fn(K) -> ScalarFn:
-    """Accept either a bare ScalarFn or a HamiltonianSpec wrapper."""
-    return K.K if isinstance(K, HamiltonianSpec) else K
 
 
 @dataclass
@@ -119,7 +87,7 @@ class TransportReport:
     membership_drift: float     # max membership residual along the trajectory
 
 
-def validate_degree(K, degree: int = 1, n_samples: int = 50,
+def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
                     seed: int = 3, wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """Max relative Euler residual of K over random sample points.
 
@@ -127,18 +95,15 @@ def validate_degree(K, degree: int = 1, n_samples: int = 50,
     K is undefined are skipped.  Raises if fewer than half the samples are
     evaluable.
     """
-    K = _scalar_fn(K)
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
     worst = 0.0
     evaluated = 0
     for pt in sample_phase_points(K.dim // 2, n_samples, seed):
         try:
-            r = euler_residual(K, pt, degree, wrt=wrt)
-            val = float(K(pt.packed()))
+            worst = max(worst, _relative_euler_residual(K, pt, degree, wrt))
         except (ValueError, ZeroDivisionError, ArithmeticError):
             continue
-        worst = max(worst, abs(r) / (1.0 + abs(val)))
         evaluated += 1
     if evaluated < n_samples // 2:
         raise ValueError(f"could only evaluate K at {evaluated}/{n_samples} "
@@ -146,29 +111,27 @@ def validate_degree(K, degree: int = 1, n_samples: int = 50,
     return worst
 
 
-def phase_rhs(K):
+def _canonical(g: np.ndarray) -> np.ndarray:
+    """The canonical field ``(dK/dp, -dK/dq)`` from the gradient of K."""
+    m = g.size // 2
+    return np.concatenate([g[m:], -g[:m]])
+
+
+def phase_rhs(K: ScalarFn):
     """The canonical field of K as ``f(t, x)`` over packed phase vectors."""
-    K = _scalar_fn(K)
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
-    m = K.dim // 2
-
-    def f(t, x):
-        g = grad(K, x)
-        return np.concatenate([g[m:], -g[:m]])
-
-    return f
+    return lambda t, x: _canonical(grad(K, x))
 
 
-def hamiltonian_field(K, pt: PhasePoint) -> TangentVector:
+def hamiltonian_field(K: ScalarFn, pt: PhasePoint) -> TangentVector:
     """The canonical field of K at one point: vq = dK/dp, vp = -dK/dq."""
-    K = _scalar_fn(K)
     x = pt.packed()
     if K.dim != len(x):
         raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
     m = len(pt.q)
-    g = grad(K, x)
-    return TangentVector(g[m:], -g[:m])
+    v = phase_rhs(K)(0.0, x)
+    return TangentVector(v[:m], v[m:])
 
 
 def contact_rhs(Khat: ScalarFn, chart: int):
@@ -339,7 +302,7 @@ def lie_bracket_fd(X, Y, x) -> np.ndarray:
     return jvp(Y, Xx) - jvp(X, Yx)
 
 
-def commutator_residual(K, pt: PhasePoint,
+def commutator_residual(K: ScalarFn, pt: PhasePoint,
                         kind: EulerFieldKind = EulerFieldKind.Z) -> np.ndarray:
     """The bracket [X_K, E] at pt, with E the fiber (Z) or base (W) Euler field.
 
@@ -347,7 +310,6 @@ def commutator_residual(K, pt: PhasePoint,
     for Z; base degree 1 for W).  Returned as a packed phase vector of
     residual components.
     """
-    K = _scalar_fn(K)
     m = K.dim // 2
     XK = phase_rhs(K)
 
@@ -364,7 +326,7 @@ def commutator_residual(K, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
-def flow_transport_check(gf: GeneratingFunction, K, t_end: float,
+def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
                          sample_grid, dt: float = 1e-3) -> TransportReport:
     """Transport lifted surface members along the flow of K; measure defects.
 
@@ -377,7 +339,6 @@ def flow_transport_check(gf: GeneratingFunction, K, t_end: float,
     original generating relations stays small along every trajectory
     (``membership_drift``).  Both reported numbers are maxima over the grid.
     """
-    K = _scalar_fn(K)
     f = phase_rhs(K)
     m = gf.n + 1
 
@@ -407,7 +368,7 @@ def flow_transport_check(gf: GeneratingFunction, K, t_end: float,
     return TransportReport(t_end, alpha_res, drift)
 
 
-def scaling_commutation_check(K, pt: PhasePoint, lam: float,
+def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
                               t_end: float, dt: float = 1e-3) -> float:
     """Distance between flow-then-scale and scale-then-flow at t_end.
 
@@ -417,7 +378,6 @@ def scaling_commutation_check(K, pt: PhasePoint, lam: float,
     """
     if lam == 0.0:
         raise ValueError("scaling factor must be nonzero")
-    K = _scalar_fn(K)
     m = K.dim // 2
     f = phase_rhs(K)
 

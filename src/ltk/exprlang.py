@@ -409,5 +409,4 @@ def compile_fn(source, var_names, params=None, name: str = "") -> ScalarFn:
         return evaluate(expr, env)
 
     return ScalarFn(fn, dim=len(var_names),
-                    name=name or (source if isinstance(source, str) else to_source(expr)),
-                    provenance="expression")
+                    name=name or (source if isinstance(source, str) else to_source(expr)))

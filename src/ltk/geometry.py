@@ -193,6 +193,13 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     return dirderiv(K, x, d) - r * float(K(x))
 
 
+def _relative_euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
+                             wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
+    """``|euler_residual| / (1 + |K|)`` at pt: the scale-free degree defect."""
+    res = abs(euler_residual(K, pt, r, wrt))
+    return res / (1.0 + abs(float(K(pt.packed()))))
+
+
 def best_chart(pt: PhasePoint) -> int:
     """The index of the largest-magnitude costate component."""
     return int(np.argmax(np.abs(pt.p)))
@@ -275,7 +282,7 @@ def homogenize(Khat: ScalarFn, chart: int) -> ScalarFn:
         return neg_pc * Khat(args)
 
     return ScalarFn(fn, dim=2 * (n + 1), name=f"hom[{chart}]({Khat.name})",
-                    provenance=Khat.provenance, dual_safe=Khat.dual_safe)
+                    dual_safe=Khat.dual_safe)
 
 
 def dehomogenize(K: ScalarFn, chart: int) -> ScalarFn:
@@ -306,7 +313,7 @@ def dehomogenize(K: ScalarFn, chart: int) -> ScalarFn:
         return K(q + p)
 
     return ScalarFn(fn, dim=2 * n + 1, name=f"dehom[{chart}]({K.name})",
-                    provenance=K.provenance, dual_safe=K.dual_safe)
+                    dual_safe=K.dual_safe)
 
 
 def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
@@ -325,11 +332,9 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
         p[chart] = -1.0
         pt = PhasePoint(q, 1.3 * p)
         try:
-            res = abs(euler_residual(K, pt, 1, EulerFieldKind.Z))
-            scale = 1.0 + abs(float(K(pt.packed())))
+            worst = max(worst, _relative_euler_residual(K, pt, 1))
         except (ValueError, ZeroDivisionError, ArithmeticError):
             continue
-        worst = max(worst, res / scale)
         checked += 1
     if checked and worst > 1e-6:
         warnings.warn(

@@ -36,8 +36,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffkit import ScalarFn, exp, grad
-from .dynamics import integrate, validate_degree
-from .geometry import PhasePoint, dehomogenize, project, scale_costate
+from .dynamics import (_canonical, contact_rhs, hamiltonian_field, integrate,
+                       validate_degree)
+from .geometry import (PhasePoint, dehomogenize, euler_residual, project,
+                       scale_costate)
 from .submanifold import (GeneratingFunction, lift_generating_function,
                           liouville_point, membership_norm)
 
@@ -127,7 +129,7 @@ class PortSystem:
             return float(sum(g[m + i] for i in _idx))
 
         return ScalarFn(fn, dim=2 * m, name=f"{label}{k + 1}({self.name})",
-                        provenance="derived", dual_safe=False)
+                        dual_safe=False)
 
     @property
     def n_ports(self) -> int:
@@ -262,26 +264,14 @@ def outputs(sys: PortSystem, pt: PhasePoint):
     return y_p, y_e
 
 
-def _generator_gradient(sys: PortSystem, x, uv) -> np.ndarray:
-    """Gradient of the total generator ``Ka + sum_k u_k Kc_k`` at x.
+def _total(sys: PortSystem, uv, of):
+    """``of(Ka) + sum_k u_k of(Kc_k)``, for ``of`` linear in the generator.
 
     Ports with a zero input are skipped, so a closed or idle system pays
     for the drift alone.
     """
-    g = grad(sys.Ka, x)
-    for k in range(sys.n_ports):
-        if uv[k] != 0.0:
-            g = g + uv[k] * grad(sys.Kc[k], x)
-    return g
-
-
-def _generator_value(sys: PortSystem, x, uv) -> float:
-    """Value of the total generator, skipping ports with a zero input."""
-    val = float(sys.Ka(x))
-    for k in range(sys.n_ports):
-        if uv[k] != 0.0:
-            val += uv[k] * float(sys.Kc[k](x))
-    return val
+    return sum((uv[k] * of(K) for k, K in enumerate(sys.Kc) if uv[k] != 0.0),
+               of(sys.Ka))
 
 
 MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
@@ -291,6 +281,8 @@ def _monitor_fn(sys: PortSystem, u: PortSignal, name: str):
     """The per-step channel of a named monitor other than ``membership``.
 
     ``membership`` is recorded by the surface guard of :func:`simulate`.
+    ``K_res`` is ``|K|`` and ``alpha_res`` the Euler residual
+    ``|alpha(X_K) - K|`` of the total generator K.
     """
     m = sys.n_coords
     if name == "E_total":
@@ -298,12 +290,11 @@ def _monitor_fn(sys: PortSystem, u: PortSignal, name: str):
     if name == "S_total":
         return lambda t, x: float(sum(x[i] for i in sys.entropy_indices))
     if name == "K_res":
-        return lambda t, x: abs(_generator_value(sys, x, u(t)))
+        return lambda t, x: abs(_total(sys, u(t), lambda K: float(K(x))))
     if name == "alpha_res":
         def alpha_res(t, x):
-            uv = u(t)
-            g = _generator_gradient(sys, x, uv)
-            return abs(float(np.dot(x[m:], g[m:])) - _generator_value(sys, x, uv))
+            pt = PhasePoint(x[:m], x[m:])
+            return abs(_total(sys, u(t), lambda K: euler_residual(K, pt, 1)))
         return alpha_res
     raise ValueError(f"unknown monitor {name!r}; available: "
                      f"{', '.join(MONITOR_NAMES)}")
@@ -334,11 +325,8 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     if u.n_ports != sys.n_ports:
         raise ValueError(f"signal has {u.n_ports} ports, system {sys.n_ports}")
 
-    m = sys.n_coords
-
     def field(t, x):
-        g = _generator_gradient(sys, x, u(t))
-        return np.concatenate([g[m:], -g[:m]])
+        return _canonical(_total(sys, u(t), lambda K: grad(K, x)))
 
     def guard(t, x):
         res = membership_norm(sys.gf, x)
@@ -418,20 +406,9 @@ def _chart_form_residual(sys: PortSystem, pt: PhasePoint, chart: int,
     if abs(pc) < 1e-9 * float(np.max(np.abs(pt.p))):
         return 0.0                       # chart unusable at this state; skip
     rep = scale_costate(pt, -1.0 / pc)   # representative with p_chart = -1
-    g_full = grad(sys.Ka, rep.packed())
-
-    xhat = project(rep, chart).packed()
-    ghat = grad(Khat, xhat)
-    val = float(Khat(xhat))
-    gamma = xhat[m:]
-    others = [j for j in range(m) if j != chart]
-
-    worst = 0.0
-    for pos, j in enumerate(others):
-        worst = max(worst, abs(g_full[m + j] - ghat[m + pos]))
-    chart_rate = float(np.dot(gamma, ghat[m:])) - val
-    worst = max(worst, abs(g_full[m + chart] - chart_rate))
-    return worst
+    full = hamiltonian_field(sys.Ka, rep).vq
+    chart_rates = contact_rhs(Khat, chart)(0.0, project(rep, chart).packed())
+    return float(np.max(np.abs(full - chart_rates[:m])))
 
 
 def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
@@ -533,7 +510,7 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
                     (sys1.Ka, sys2.Ka) + sys1.Kc + sys2.Kc
                     + sys1.y_p + sys1.y_e + sys2.y_p + sys2.y_e)
     Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})",
-                  provenance="derived", dual_safe=dual_safe)
+                  dual_safe=dual_safe)
 
     # Product surface: chart of system 1 stays the chart; system 2's chart
     # costate becomes one more intensive parameter.
@@ -556,7 +533,6 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
         return F1(a1) + F2(a2)
     Fhat = ScalarFn(Fhat_fn, dim=n,
                     name=f"product({gf1.name or 'L1'}, {gf2.name or 'L2'})",
-                    provenance="derived",
                     dual_safe=F1.dual_safe and F2.dual_safe)
     gf = GeneratingFunction(
         n=n, Fhat=Fhat, I=I, J=J, chart=chart,

@@ -34,7 +34,9 @@ import numpy as np
 
 from .diffkit import ScalarFn, grad
 from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
-                       ContactPoint, PhasePoint, TangentVector, best_chart)
+                       ContactPoint, EulerFieldKind, PhasePoint,
+                       TangentVector, _relative_euler_residual, best_chart,
+                       beta)
 
 __all__ = [
     "GeneratingFunction",
@@ -95,21 +97,30 @@ class GeneratingFunction:
             self._check_q_homogeneous()
 
     def _check_q_homogeneous(self):
-        """Verify sum_{i in I} q_i dFhat/dq_i = Fhat at a few sample points."""
+        """Verify Euler's identity in q_I at a few sample points.
+
+        At p_chart = -1 the lift is Fhat at (q_I, gamma_J = p_J) and ignores
+        q_chart and q_J, so its residual along the base Euler field W is
+        Fhat's degree-1 residual in q_I.
+        """
+        F = lift_phase_fn(self)
         rng = np.random.default_rng(11)
+        nI = len(self.I)
         checked = 0
         for _ in range(6):
             x = rng.uniform(0.5, 1.5, self.n)
+            q = np.ones(self.n + 1)
+            p = -np.ones(self.n + 1)
+            q[list(self.I)], p[list(self.J)] = x[:nI], x[nI:]
             try:
-                g = grad(self.Fhat, x)
-                val = float(self.Fhat(x))
+                res = _relative_euler_residual(F, PhasePoint(q, p), 1,
+                                               EulerFieldKind.W)
             except (ValueError, ZeroDivisionError, ArithmeticError):
                 continue
-            radial = float(np.dot(x[:len(self.I)], g[:len(self.I)]))
-            if abs(radial - val) > 1e-9 * (1.0 + abs(val)):
+            if res > 1e-9:
                 raise ValueError(
                     f"generating function declared q_homogeneous but its "
-                    f"degree-1 Euler residual in q_I is {radial - val:.3g} "
+                    f"relative degree-1 Euler residual in q_I is {res:.3g} "
                     f"at {x.tolist()}")
             checked += 1
         if not checked:
@@ -167,7 +178,7 @@ def lift_generating_function(gf: GeneratingFunction) -> ScalarFn:
         return neg_pc * gf.Fhat(qI + [pj / neg_pc for pj in pJ])
 
     return ScalarFn(fn, dim=gf.n + 1, name=f"lift({gf.name or gf.Fhat.name})",
-                    provenance=gf.Fhat.provenance, dual_safe=gf.Fhat.dual_safe)
+                    dual_safe=gf.Fhat.dual_safe)
 
 
 def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
@@ -186,8 +197,18 @@ def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
         args = [q[i] for i in gf.I] + [p[gf.chart]] + [p[j] for j in gf.J]
         return F(args)
 
-    return ScalarFn(fn, dim=2 * m, name=F.name, provenance=F.provenance,
-                    dual_safe=F.dual_safe)
+    return ScalarFn(fn, dim=2 * m, name=F.name, dual_safe=F.dual_safe)
+
+
+def _generating_relations(gf: GeneratingFunction, qI, pc, pJ):
+    """The coordinates the lift generates from its parameters (q_I, p_c, p_J).
+
+    Returns ``(q_c, q_J, p_I) = (-dF/dp_c, -dF/dp_J, dF/dq_I)``, with q_J and
+    p_I in ascending index order.
+    """
+    g = grad(lift_generating_function(gf), qI + [pc] + pJ).tolist()
+    nI = len(gf.I)
+    return -g[nI], [-v for v in g[nI + 1:]], g[:nI]
 
 
 def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
@@ -199,21 +220,14 @@ def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
     qI, pc, pJ = _split_params(gf, params)
     if pc == 0.0:
         raise ValueError("p_chart must be nonzero to generate a lift point")
-    F = lift_generating_function(gf)
-    x = qI + [pc] + pJ
-    g = grad(F, x)
-    nI = len(gf.I)
-
+    q_c, q_J, p_I = _generating_relations(gf, qI, pc, pJ)
     q = np.empty(gf.n + 1)
     p = np.empty(gf.n + 1)
-    for k, i in enumerate(gf.I):
-        q[i] = qI[k]
-        p[i] = g[k]                      # p_I = dF/dq_I
-    q[gf.chart] = -g[nI]                 # q_c = -dF/dp_c
-    p[gf.chart] = pc
-    for k, j in enumerate(gf.J):
-        q[j] = -g[nI + 1 + k]            # q_J = -dF/dp_J
-        p[j] = pJ[k]
+    for i, qi, pi in zip(gf.I, qI, p_I):
+        q[i], p[i] = qi, pi
+    q[gf.chart], p[gf.chart] = q_c, pc
+    for j, qj, pj in zip(gf.J, q_J, pJ):
+        q[j], p[j] = qj, pj
     return PhasePoint(q, p)
 
 
@@ -256,17 +270,11 @@ def membership_residual(gf: GeneratingFunction, pt: PhasePoint) -> np.ndarray:
     pc = pt.p[gf.chart]
     if abs(pc) < CHART_DEGENERACY_RATIO * np.max(np.abs(pt.p)):
         raise ChartDegenerateError(gf.chart, best_chart(pt))
-    F = lift_generating_function(gf)
-    x = [pt.q[i] for i in gf.I] + [pc] + [pt.p[j] for j in gf.J]
-    g = grad(F, x)
-    nI = len(gf.I)
-
-    out = [pt.q[gf.chart] + g[nI]]
-    for k, j in enumerate(gf.J):
-        out.append(pt.q[j] + g[nI + 1 + k])
-    for k, i in enumerate(gf.I):
-        out.append(pt.p[i] - g[k])
-    return np.array(out)
+    q_c, q_J, p_I = _generating_relations(
+        gf, [pt.q[i] for i in gf.I], pc, [pt.p[j] for j in gf.J])
+    return np.array([pt.q[gf.chart] - q_c]
+                    + [pt.q[j] - v for j, v in zip(gf.J, q_J)]
+                    + [pt.p[i] - v for i, v in zip(gf.I, p_I)])
 
 
 def membership_norm(gf: GeneratingFunction, x) -> float:
@@ -330,7 +338,7 @@ def gibbs_duhem_check(gf: GeneratingFunction, samples) -> GibbsDuhemReport:
         max_qp = max(max_qp, abs(qp))
         max_qp_rel = max(max_qp_rel, abs(qp) / scale)
         for v in tangent_basis(gf, params):
-            max_beta = max(max_beta, abs(float(np.dot(pt.q, v.vp))))
+            max_beta = max(max_beta, abs(beta(pt, v)))
         scaled = np.concatenate([2.0 * pt.q, pt.p])
         max_w = max(max_w, membership_norm(gf, scaled))
         count += 1
@@ -358,7 +366,7 @@ def specific_form(gf: GeneratingFunction) -> ScalarFn:
         return gf.Fhat([1.0] + list(eps))
 
     return ScalarFn(fn, dim=gf.n - 1, name=f"specific({gf.name or gf.Fhat.name})",
-                    provenance=gf.Fhat.provenance, dual_safe=gf.Fhat.dual_safe)
+                    dual_safe=gf.Fhat.dual_safe)
 
 
 def reduced_point(gf: GeneratingFunction, params) -> np.ndarray:

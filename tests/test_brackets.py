@@ -57,7 +57,6 @@ def test_poisson_fn_matches_pointwise_and_is_not_dual_safe():
     B = poisson_fn(Q1P0, Q0P1)
     assert B(PT.packed()) == pytest.approx(poisson(Q1P0, Q0P1, PT), rel=1e-15)
     assert not B.dual_safe
-    assert B.provenance == "derived"
 
 
 def test_bracket_dimension_checks():

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from ltk import cli
 from ltk.cli import ConfigError, RunConfig, main, run
 
 GAS_CSV_HEADER = "t,q0,q1,q2,q3,p0,p1,p2,p3,y_p1,y_e1,K_res,alpha_res"
@@ -220,7 +221,20 @@ def test_bracket_expression_operands(capsys):
     assert set(report) == {"operand_degrees", "bracket_degree-1",
                            "antisymmetry"}
     assert all(check["pass"] for check in report.values())
-    assert report["antisymmetry"]["max_residual"] == 0.0
+    assert report["antisymmetry"]["pass"] is True
+
+
+def test_bracket_antisymmetry_fails_on_a_wrong_bracket(capsys, monkeypatch):
+    # a bracket of the wrong sign disagrees with the derivative of k1 along
+    # the canonical field of k2
+    true_poisson = cli.poisson
+    monkeypatch.setattr(cli, "poisson",
+                        lambda K1, K2, pt: -true_poisson(K1, K2, pt))
+    code, report, _ = run_json(capsys, "bracket", "--k1", "q1*p0",
+                               "--k2", "q0*p1", "--dimensions", "2")
+    assert code == 1
+    assert report["antisymmetry"]["pass"] is False
+    assert report["bracket_degree-1"]["pass"] is True
 
 
 def test_bracket_misdeclared_degree_fails(capsys):

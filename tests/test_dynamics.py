@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ltk.diffkit import ScalarFn, sqrt
-from ltk.dynamics import (HamiltonianSpec, Trajectory, commutator_residual,
+from ltk.dynamics import (Trajectory, commutator_residual,
                           contact_field, contact_rhs, flow_transport_check,
                           hamiltonian_field, integrate, lie_bracket_fd,
                           phase_rhs, project_reduced,
@@ -50,13 +50,17 @@ def test_validate_degree_rejects_odd_dimension():
         validate_degree(ScalarFn(lambda x: x[0], dim=3))
 
 
-def test_hamiltonian_spec_checks_both_homogeneities():
+def test_validate_degree_checks_both_homogeneities():
     # -p0 sqrt(q1 q2) is degree 1 in p and in q
     K = ScalarFn(lambda x: -x[3] * sqrt(x[1] * x[2]), dim=6)
-    assert HamiltonianSpec(K, q_degree_one=True).validate() < 1e-9
-    # q1 p0 is degree 1 in p but not in q... it is degree 1 in q too;
+    assert validate_degree(K) < 1e-9
+    assert validate_degree(K, wrt=EulerFieldKind.W) < 1e-9
+    # q1^2 p0 is degree 1 in p but degree 2 in q
+    Q1SQ_P0 = ScalarFn(lambda x: x[1] ** 2 * x[2], dim=4)
+    assert validate_degree(Q1SQ_P0) < 1e-12
+    assert validate_degree(Q1SQ_P0, wrt=EulerFieldKind.W) > 1e-2
     # p0^2 fails the fiber check outright
-    assert HamiltonianSpec(P0SQ).validate() > 1e-2
+    assert validate_degree(P0SQ) > 1e-2
 
 
 # -- point fields --------------------------------------------------------------
@@ -82,10 +86,7 @@ def test_canonical_field_reproduces_the_generator_through_alpha():
     assert alpha(PT, v) == pytest.approx(2 * 9.0, rel=1e-12)
 
 
-def test_field_accepts_spec_wrapper_and_checks_dimension():
-    spec = HamiltonianSpec(Q1P0)
-    v = hamiltonian_field(spec, PT)
-    assert v.vq == pytest.approx([2.0, 0.0])
+def test_field_checks_dimension():
     with pytest.raises(ValueError, match="dimension"):
         hamiltonian_field(Q1P0, PhasePoint([1.0], [1.0]))
 

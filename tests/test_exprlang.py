@@ -145,7 +145,7 @@ def test_to_source_respects_precedence():
 def test_compile_fn_evaluates_positionally():
     f = compile_fn("q0^2 * p0", ["q0", "p0"])
     assert f.dim == 2
-    assert f.provenance == "expression"
+    assert f.dual_safe
     assert f([2.0, 3.0]) == pytest.approx(12.0)
 
 

@@ -72,9 +72,40 @@ def produce(name: str, directory: Path) -> bytes:
     return out.read_bytes()
 
 
+def describe_difference(name: str, got: bytes, want: bytes) -> str:
+    """Say where an output differs from its fixture.
+
+    For a CSV: the differing columns and the first differing row; for a JSON
+    report: the differing top-level entries.
+    """
+    if not name.endswith(".csv"):
+        got_checks, want_checks = json.loads(got), json.loads(want)
+        keys = sorted(set(got_checks) | set(want_checks))
+        differing = [k for k in keys if got_checks.get(k) != want_checks.get(k)]
+        return f"entries {differing}"
+    got_rows = [line.split(",") for line in got.decode().splitlines()]
+    want_rows = [line.split(",") for line in want.decode().splitlines()]
+    if got_rows[0] != want_rows[0] or len(got_rows) != len(want_rows):
+        return (f"header {got_rows[0]} with {len(got_rows)} lines; fixture "
+                f"{want_rows[0]} with {len(want_rows)} lines")
+    header = want_rows[0]
+    rows = [i for i in range(1, len(want_rows)) if got_rows[i] != want_rows[i]]
+    if not rows:
+        return "no cell differs; the bytes differ in separators or line endings"
+    columns = [j for j in range(len(header))
+               if any(got_rows[i][j] != want_rows[i][j] for i in rows)]
+    first = rows[0]
+    cells = {header[j]: (got_rows[first][j], want_rows[first][j])
+             for j in columns}
+    return (f"columns {[header[j] for j in columns]} in {len(rows)} rows; "
+            f"first at data row {first} (got, fixture): {cells}")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_committed_fixture(name, tmp_path):
-    assert produce(name, tmp_path) == (DATA / name).read_bytes()
+    got = produce(name, tmp_path)
+    want = (DATA / name).read_bytes()
+    assert got == want, f"{name} differs: {describe_difference(name, got, want)}"
 
 
 if __name__ == "__main__":

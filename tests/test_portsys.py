@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltk import submanifold
+from ltk import diffkit, submanifold
 from ltk.diffkit import Dual, ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -255,6 +255,18 @@ def test_simulate_work_per_step(monkeypatch):
     assert by_value == []
     assert len(membership) == len(result.t) == 6
     assert np.max(result.monitors["membership"]) < 1e-10
+    # the README monitors add no gradient: alpha_res is one Euler-field pass
+    # per active generator; the gradients are 1 for the initial point,
+    # 4 stages x 2 generators per step, and 1 per point for the guard
+    grads = _count_calls(monkeypatch, diffkit.grad)
+    passes = _count_calls(monkeypatch, diffkit.dirderiv)
+    result = simulate(gas_piston_damper(), 0.05, 0.01,
+                      u=PortSignal.constant([0.3]),
+                      monitors=("K_res", "alpha_res"))
+    assert len(result.t) == 6
+    assert len(grads) == 1 + 8 * 5 + 6 == 47
+    assert len(passes) == 2 * 6
+    assert np.max(result.monitors["alpha_res"]) < 1e-12
 
 
 def test_simulate_aborts_name_the_system_and_time():
