@@ -1,11 +1,16 @@
 """Parsing, printing and evaluation of the arithmetic expression language."""
 
+import importlib.util
 import math
+import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltk import exprlang
 from ltk.diffkit import Dual
 from ltk.exprlang import (ExprBindError, ExprError, ExprEvalError,
                           ExprSyntaxError, compile_fn, evaluate, free_names,
@@ -169,3 +174,138 @@ def test_compile_fn_rejects_unresolved_names():
 def test_compile_fn_rejects_variable_parameter_clash():
     with pytest.raises(ExprBindError):
         compile_fn("x", ["x"], params={"x": 1.0})
+
+
+# -- the compiled route against the reference interpreter ------------------------
+
+JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+
+
+def _benchmark_jobs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("benchmark_jobs", JOBS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)   # for its dataclass
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bits(y):
+    """Exact identity of a float or Dual, telling -0.0 from 0.0."""
+    if isinstance(y, Dual):
+        return (y.val.hex(), y.dot.hex())
+    return (float(y).hex(),)
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except ExprEvalError as err:
+        return ("error", str(err))
+
+
+def _assert_routes_agree(source, var_names, points):
+    """compile_fn and evaluate agree bit for bit on floats and on the dual
+    seeds of grad (one unit seed) and dirderiv (a seed on every slot)."""
+    tree = parse(source)
+    f = compile_fn(source, var_names)
+    for x in points:
+        seeded = [list(x)]
+        for i in range(len(x)):
+            xi = list(x)
+            xi[i] = Dual(x[i], 1.0)
+            seeded.append(xi)
+        seeded.append([Dual(v, 0.5 - k % 3) for k, v in enumerate(x)])
+        for xs in seeded:
+            env = dict(zip(var_names, xs))
+            assert _outcome(lambda: f(xs)) == \
+                _outcome(lambda: evaluate(tree, env)), (source, xs)
+
+
+def test_compiled_benchmark_systems_match_evaluate_bit_for_bit(monkeypatch):
+    jobs = _benchmark_jobs(monkeypatch)
+    rng = random.Random(7)
+    phase = [f"q{i}" for i in range(4)] + [f"p{i}" for i in range(4)]
+    for _ in range(6):
+        params = {"mass": rng.uniform(0.5, 2.0), "damping": rng.uniform(0, 1),
+                  "c_v": rng.uniform(1.0, 2.5), "C": rng.uniform(0.5, 2.0),
+                  "T_ref": rng.uniform(0.5, 2.0)}
+        piston = jobs._custom_piston(params, None)
+        compartment = jobs._custom_compartment(params, None)
+        x4 = [[rng.uniform(0.2, 2.0) for _ in range(4)]
+              + [rng.uniform(-1.5, 1.5) for _ in range(4)] for _ in range(3)]
+        x2 = [row[:2] + row[4:6] for row in x4]
+        for source in (piston["Ka"], piston["Kc"][0]):
+            _assert_routes_agree(source, phase, x4)
+        _assert_routes_agree(piston["gf"]["expr"], ["q1", "q2", "q3"],
+                             [row[1:4] for row in x4])
+        for source in (compartment["Ka"], compartment["Kc"][0]):
+            _assert_routes_agree(source, phase[:2] + phase[4:6], x2)
+        _assert_routes_agree(compartment["gf"]["expr"], ["q1"],
+                             [row[1:2] for row in x2])
+
+
+def _bracket_like_operand(rng, m):
+    """A sum of q-factor * p-factor terms, the shape of the benchmark's
+    bracket operands (degree 1 or 0 in p)."""
+    parts = []
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(m)
+        j = (i + 1 + rng.randrange(m - 1)) % m
+        k = rng.randrange(m)
+        c = round(rng.uniform(-1.0, 1.0), 6)
+        qf = rng.choice(["1", f"q{i}", f"exp({c}*q{i})", f"q{i}*q{j}",
+                         f"sin(q{i})"])
+        pf = rng.choice([f"p{i}", f"p{i}*p{j}/p{k}",
+                         f"sqrt(p{i}*p{i} + p{j}*p{j})", "1", f"p{i}/p{j}"])
+        parts.append(f"{round(rng.uniform(0.2, 2.0), 6)}*{qf}*{pf}")
+    return " + ".join(parts)
+
+
+def test_compiled_bracket_operands_match_evaluate_bit_for_bit():
+    rng = random.Random(11)
+    for _ in range(40):
+        m = rng.randint(2, 4)
+        names = [f"q{i}" for i in range(m)] + [f"p{i}" for i in range(m)]
+        points = [[rng.uniform(-2.0, 2.0) for _ in names] for _ in range(2)]
+        points.append([0.0] * len(names))      # zero costates: domain errors
+        _assert_routes_agree(_bracket_like_operand(rng, m), names, points)
+
+
+@pytest.mark.parametrize("source, x", [
+    ("ln(x)", -1.0),
+    ("ln(0-1) + x", 2.0),                  # a constant subexpression fails
+    ("x^0.5", -2.0),
+    ("pow(x, 1.5)", -2.0),
+    ("(0-2)^0.5 * x", 1.0),
+    ("1/x", Dual(0.0, 1.0)),
+    ("2*x/(x - x)", Dual(3.0, 1.0)),
+    ("x^(0-1)", 0.0),
+])
+def test_compiled_domain_errors_read_as_evaluate_reads_them(source, x):
+    with pytest.raises(ExprEvalError) as compiled:
+        compile_fn(source, ["x"])([x])
+    with pytest.raises(ExprEvalError) as reference:
+        evaluate(parse(source), {"x": x})
+    assert str(compiled.value) == str(reference.value)
+    assert " in '" in str(compiled.value)
+
+
+def test_compiled_function_reports_a_missing_coordinate_as_unbound():
+    f = compile_fn("k*b + c", ["a", "b", "c"], params={"k": 2.0})
+    with pytest.raises(ExprEvalError, match="unbound variable 'b'") as err:
+        f([1.0])
+    with pytest.raises(ExprEvalError) as reference:
+        evaluate(parse("k*b + c"), {"a": 1.0, "k": 2.0})
+    assert str(err.value) == str(reference.value)
+
+
+def test_compiled_functions_never_walk_the_tree(monkeypatch):
+    def walked(*args):
+        raise AssertionError("evaluate called on the compiled path")
+
+    monkeypatch.setattr(exprlang, "evaluate", walked)
+    f = compile_fn("k*q0^2*p0/(1 + exp(q1)) - pow(q1, 0.5)",
+                   ["q0", "q1", "p0"], params={"k": 2.0})
+    y = f([Dual(1.5, 1.0), 0.25, -1.0])
+    assert y.val == pytest.approx(2.0 * 2.25 * -1.0 / (1 + math.exp(0.25)) - 0.5)
+    assert y.dot == pytest.approx(2.0 * 2 * 1.5 * -1.0 / (1 + math.exp(0.25)))

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltk import diffkit, submanifold
+from ltk import cli, diffkit, submanifold
 from ltk.diffkit import Dual, ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -25,6 +25,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          entropy_balance, gas_piston_damper, heat_compartment,
                          heat_exchanger, ideal_gas_SVN, interconnect, outputs,
                          simulate, validate)
+from ltk.portsys import _sample_surface_params
 from ltk.submanifold import liouville_point
 
 
@@ -267,6 +268,25 @@ def test_simulate_work_per_step(monkeypatch):
     assert len(grads) == 1 + 8 * 5 + 6 == 47
     assert len(passes) == 2 * 6
     assert np.max(result.monitors["alpha_res"]) < 1e-12
+    # a custom system's derived y_p / y_e are one pass each per point along
+    # the indicator of the energy / entropy costates, no gradient
+    compartment = cli._build_custom_system({
+        "dimensions": 2, "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": [0], "entropy": [1]},
+        "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0]})
+    del grads[:], passes[:]
+    result = simulate(compartment, 0.05, 0.01, u=PortSignal.constant([0.3]),
+                      monitors=())
+    assert len(result.t) == 6
+    assert len(grads) == 1 + 8 * 5 + 6
+    assert len(passes) == 2 * 6
+    port = compartment.Kc[0]
+    assert all(args[0] is port for args in passes)
+    assert [args[2][2:] for args in passes] == [[1.0, 0.0], [0.0, 1.0]] * 6
+    # y_p = dKc/dp0 = 1 and y_e = dKc/dp1 = 1/T = exp(-S)
+    assert np.all(result.outputs["y_p1"] == 1.0)
+    np.testing.assert_allclose(result.outputs["y_e1"], np.exp(-result.q[:, 1]),
+                               rtol=1e-14)
 
 
 def test_simulate_aborts_name_the_system_and_time():
@@ -402,6 +422,44 @@ def test_interconnect_rejects_second_law_violations():
 
     with pytest.raises(ValueError, match="second law"):
         interconnect(c1, c2, anti_fourier)
+
+
+def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
+    # a custom system's y_p / y_e are derived from its port generator and are
+    # not dual_safe, so neither is a drift whose feedback reads them; its
+    # port flows stay sums of grad's per-coordinate differences
+    spec = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
+            "partition": {"energy": [0], "entropy": [1]},
+            "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0],
+            "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}
+    c1 = cli._build_custom_system({**spec, "name": "a"})
+    c2 = cli._build_custom_system({**spec, "name": "b"})
+
+    def fourier(yp1, ye1, yp2, ye2):
+        w = 1.0 / ye1[0] - 1.0 / ye2[0]
+        return (-w,), (w,)
+
+    def anti_fourier(yp1, ye1, yp2, ye2):
+        w = 1.0 / ye1[0] - 1.0 / ye2[0]
+        return (w,), (-w,)
+
+    hx = interconnect(c1, c2, fourier)
+    assert not hx.Ka.dual_safe
+    with pytest.raises(ValueError, match="second law"):
+        interconnect(c1, c2, anti_fourier)
+
+    M = hx.n_coords
+    first_law, second_min = 0.0, np.inf
+    for params in _sample_surface_params(hx, 25, 9):
+        g = grad(hx.Ka, liouville_point(hx.gf, params).packed())
+        first_law = max(first_law, abs(float(
+            sum(g[M + i] for i in hx.energy_indices))))
+        second_min = min(second_min, float(
+            sum(g[M + i] for i in hx.entropy_indices)))
+    report = validate(hx)
+    assert report.first_law_residual == first_law
+    assert report.second_law_min == second_min
+    assert report.passed
 
 
 def test_interconnect_needs_a_port():
