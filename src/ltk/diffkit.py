@@ -95,9 +95,8 @@ class Dual:
         if isinstance(other, Dual):
             if other.val == 0.0:
                 raise ZeroDivisionError("division by a dual number with zero value")
-            inv = 1.0 / other.val
-            return Dual(self.val * inv,
-                        (self.dot - self.val * other.dot * inv) * inv)
+            q = self.val / other.val
+            return Dual(q, (self.dot - q * other.dot) / other.val)
         if isinstance(other, (int, float)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
@@ -108,8 +107,8 @@ class Dual:
         if isinstance(other, (int, float)):
             if self.val == 0.0:
                 raise ZeroDivisionError("division by a dual number with zero value")
-            inv = 1.0 / self.val
-            return Dual(other * inv, -other * self.dot * inv * inv)
+            q = other / self.val
+            return Dual(q, -(q * self.dot) / self.val)
         return NotImplemented
 
     def __neg__(self):

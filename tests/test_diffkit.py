@@ -66,6 +66,18 @@ def test_dual_division_by_zero_value_raises():
         Dual(1.0, 0.0) / Dual(0.0, 1.0)
 
 
+def test_dual_division_is_correctly_rounded():
+    # the value of a quotient is the float quotient, so a dual pass carries
+    # the plain evaluation's value bit for bit
+    rng = np.random.default_rng(5)
+    a, b = rng.uniform(-10.0, 10.0, (2, 10000)).tolist()
+    dual_over_dual = sum((Dual(x, 0.0) / Dual(y, 0.0)).val != x / y
+                         for x, y in zip(a, b))
+    float_over_dual = sum((x / Dual(y, 0.0)).val != x / y
+                          for x, y in zip(a, b))
+    assert (dual_over_dual, float_over_dual) == (0, 0)
+
+
 def test_dual_abs_kink_convention():
     assert abs(Dual(-3.0, 1.0)).dot == -1.0
     assert abs(Dual(0.0, 5.0)).dot == 0.0

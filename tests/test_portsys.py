@@ -25,7 +25,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          entropy_balance, gas_piston_damper, heat_compartment,
                          heat_exchanger, ideal_gas_SVN, interconnect, outputs,
                          simulate, validate)
-from ltk.portsys import _sample_surface_params
+from ltk.portsys import _port_flow, _sample_surface_params
 from ltk.submanifold import liouville_point
 
 
@@ -460,6 +460,20 @@ def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
     assert report.first_law_residual == first_law
     assert report.second_law_min == second_min
     assert report.passed
+
+
+def test_one_pass_port_flow_equals_the_gradient_sum():
+    # with correctly rounded division the Euler-field pass along the
+    # entropy costate computes the gradient's own partial, bit for bit
+    gp = gas_piston_damper()
+    m = gp.n_coords
+    differ = 0
+    for params in _sample_surface_params(gp, 1000, 17):
+        x = liouville_point(gp.gf, params).packed()
+        g = grad(gp.Ka, x)
+        rate = _port_flow(gp.Ka, x, m, gp.entropy_indices)
+        differ += rate != float(sum(g[m + i] for i in gp.entropy_indices))
+    assert differ == 0
 
 
 def test_interconnect_needs_a_port():
