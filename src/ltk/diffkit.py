@@ -51,6 +51,10 @@ class Dual:
 
     __slots__ = ("val", "dot")
 
+    # numpy defers every operator with a Dual operand to Dual, which rejects
+    # arrays, instead of building an object array of Duals
+    __array_ufunc__ = None
+
     def __init__(self, val, dot=0.0):
         self.val = float(val)
         self.dot = float(dot)
@@ -284,8 +288,7 @@ def dirderiv(f: ScalarFn, x, d) -> float:
     if len(x) != f.dim or len(d) != f.dim:
         raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}")
     if f.dual_safe:
-        y = f([Dual(xi, di) for xi, di in zip(x, d)])
-        return float(y.dot) if isinstance(y, Dual) else 0.0
+        return _value_and_dirderiv(f, x, d)[1]
     scale = max(abs(v) for v in d)
     if scale == 0.0:
         return 0.0
@@ -293,6 +296,18 @@ def dirderiv(f: ScalarFn, x, d) -> float:
     xp = [xi + h * di for xi, di in zip(x, d)]
     xm = [xi - h * di for xi, di in zip(x, d)]
     return (f(xp) - f(xm)) / (2.0 * h)
+
+
+def _value_and_dirderiv(f: ScalarFn, x, d):
+    """``(f(x), dirderiv(f, x, d))`` from one dual pass of a ``dual_safe`` f.
+
+    Dual arithmetic computes each value as the plain evaluation does, so the
+    first entry equals ``f(x)`` bit for bit.
+    """
+    y = f([Dual(xi, di) for xi, di in zip(x, d)])
+    if isinstance(y, Dual):
+        return y.val, y.dot
+    return float(y), 0.0
 
 
 def fd_grad(f: ScalarFn, x, h: float | None = None) -> np.ndarray:

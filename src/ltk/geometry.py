@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import ScalarFn, dirderiv, grad
+from .diffkit import ScalarFn, _value_and_dirderiv, dirderiv, grad
 
 __all__ = [
     "PhasePoint",
@@ -167,6 +167,25 @@ def beta(pt: PhasePoint, v: TangentVector) -> float:
     return float(np.dot(pt.q, v.vp))
 
 
+def _euler_terms(K: ScalarFn, pt: PhasePoint, r: int,
+                 wrt: EulerFieldKind) -> tuple:
+    """``(euler_residual, K(pt))``; one dual pass when K is ``dual_safe``."""
+    x = pt.packed()
+    if K.dim != len(x):
+        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
+    m = len(pt.q)
+    zero = np.zeros(m)
+    if wrt is EulerFieldKind.Z:
+        d = np.concatenate([zero, pt.p])
+    else:
+        d = np.concatenate([pt.q, zero])
+    if K.dual_safe:
+        val, dot = _value_and_dirderiv(K, x, d)
+    else:
+        val, dot = float(K(x)), dirderiv(K, x, d)
+    return dot - r * val, val
+
+
 def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
                    wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """Euler's identity defect for declared degree ``r``.
@@ -179,25 +198,17 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     the Euler field itself, which keeps the residual at roundoff level even
     when K only supports finite differences: along the scaling ray a
     homogeneous function is a pure power, so the central difference carries
-    no truncation error for degrees 0 and 1.
+    no truncation error for degrees 0 and 1.  The value of K comes from the
+    same pass.
     """
-    x = pt.packed()
-    if K.dim != len(x):
-        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
-    m = len(pt.q)
-    zero = np.zeros(m)
-    if wrt is EulerFieldKind.Z:
-        d = np.concatenate([zero, pt.p])
-    else:
-        d = np.concatenate([pt.q, zero])
-    return dirderiv(K, x, d) - r * float(K(x))
+    return _euler_terms(K, pt, r, wrt)[0]
 
 
 def _relative_euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
                              wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """``|euler_residual| / (1 + |K|)`` at pt: the scale-free degree defect."""
-    res = abs(euler_residual(K, pt, r, wrt))
-    return res / (1.0 + abs(float(K(pt.packed()))))
+    res, val = _euler_terms(K, pt, r, wrt)
+    return abs(res) / (1.0 + abs(val))
 
 
 def best_chart(pt: PhasePoint) -> int:

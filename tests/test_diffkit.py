@@ -78,6 +78,20 @@ def test_dual_division_is_correctly_rounded():
     assert (dual_over_dual, float_over_dual) == (0, 0)
 
 
+@pytest.mark.parametrize("op", [lambda a, d: a * d, lambda a, d: d * a,
+                                lambda a, d: a + d, lambda a, d: d - a])
+def test_numpy_arrays_do_not_mix_with_duals(op):
+    # without numpy deferring to Dual, array * Dual silently built an object
+    # array of Duals
+    with pytest.raises(TypeError):
+        op(np.array([1.0, 2.0]), Dual(1.0, 1.0))
+
+
+def test_numpy_scalars_promote_like_floats():
+    y = np.float64(3.0) * Dual(2.0, 1.0)
+    assert isinstance(y, Dual) and (y.val, y.dot) == (6.0, 3.0)
+
+
 def test_dual_abs_kink_convention():
     assert abs(Dual(-3.0, 1.0)).dot == -1.0
     assert abs(Dual(0.0, 5.0)).dot == 0.0

@@ -51,6 +51,9 @@ CASES = {
     "reduce_ideal_gas.json": [
         "reduce", "--system", "ideal_gas_SVN", "--at", "1.0,1.0,1.0",
         "--samples", "8"],
+    "flowcheck_exchanger.json": [
+        "flowcheck", "--system", "heat_exchanger", "--t-end", "0.04",
+        "--dt", "1e-3", "--samples", "2"],
     "flowcheck_piston.json": [
         "flowcheck", "--system", "gas_piston_damper", "--t-end", "0.02",
         "--dt", "1e-3", "--samples", "2"],
