@@ -9,6 +9,22 @@ per coordinate.  ``fd_grad`` provides an independent central-difference
 estimate of the same gradient; the two are cross-checked throughout the test
 suite and intentionally kept as separate code paths.
 
+:func:`grad` also takes a (B, dim) array of points, one per row: vector
+forward mode with an ensemble axis (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed.).  One pass carries a batch of duals whose ``val`` has
+shape (B,) and whose ``dot`` has shape (dim, B), one seed direction per
+coordinate, and returns all B gradients.  The contract is bit-identity: each
+row equals the single-point :func:`grad` (short of integer values of a
+point-dependent exponent, see :class:`_DualBatch`), because every batch
+operation is the scalar formula in the same order, entrywise, and ``exp``,
+``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math`` one entry
+at a time (numpy's SIMD kernels round differently on some inputs).  Division
+is correctly rounded, ``q = a / b``, in both forms, so a pass's value is also
+the plain evaluation's.  Domain errors in a batch name the failing row.
+Many trajectories stepped together (``ltk flowcheck``) use the batch; a
+single point keeps the scalar loop, where numpy's per-operation overhead on
+dim-by-1 arrays would cost more than the loop it replaces.
+
 Nothing here computes second derivatives.  Quantities that would need them
 (Lie brackets of vector fields, flow sensitivities, nested Poisson brackets)
 are obtained downstream by finite differences of first-order results.
@@ -184,14 +200,170 @@ def _value_of(x):
     return x.val if isinstance(x, Dual) else float(x)
 
 
+# -- a batch of dual numbers: the ensemble axis of vector forward mode --------
+
+
+def _each(fn, *columns: np.ndarray) -> np.ndarray:
+    """``fn`` applied row by row to the entries of ``columns``, as floats.
+
+    numpy's SIMD ``exp``, ``log`` and ``power`` are not always rounded like
+    ``math``, so a batch row would drift from the scalar pass in the last
+    bit; a domain error names the first failing row.
+    """
+    out = []
+    for row, args in enumerate(zip(*(c.tolist() for c in columns))):
+        try:
+            out.append(fn(*args))
+        except (ArithmeticError, ValueError) as err:
+            raise type(err)(f"{err} (batch row {row})") from None
+    return np.array(out)
+
+
+def _reject(bad: np.ndarray, error, message: str):
+    """Raise ``error`` naming the first row flagged in ``bad``, if any."""
+    if bad.any():
+        raise error(f"{message} (batch row {int(np.argmax(bad))})")
+
+
+class _DualBatch:
+    """B dual numbers that share one pass: ``val`` of shape (B,) and ``dot``
+    of shape (dim, B), the derivative along each of dim seed directions.
+
+    Every operation is the scalar :class:`Dual` formula, in the same order,
+    applied entrywise, so each row and seed direction reproduces a scalar
+    pass bit for bit.  The one exception is a power whose exponent depends
+    on the point and takes an integer value there: a scalar pass seeding a
+    coordinate the exponent does not read takes the integer-power rule, the
+    batch the general one, and the two can differ in the last bit.  Built
+    only by :func:`grad`; it does not mix with scalar Duals or numpy arrays,
+    and comparing it raises ``TypeError``, as its rows may compare
+    differently.
+    """
+
+    __slots__ = ("val", "dot")
+    __array_ufunc__ = None
+
+    def __init__(self, val, dot):
+        self.val = val
+        self.dot = dot
+
+    def __add__(self, other):
+        if isinstance(other, _DualBatch):
+            return _DualBatch(self.val + other.val, self.dot + other.dot)
+        if isinstance(other, (int, float)):
+            return _DualBatch(self.val + other, self.dot)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, _DualBatch):
+            return _DualBatch(self.val - other.val, self.dot - other.dot)
+        if isinstance(other, (int, float)):
+            return _DualBatch(self.val - other, self.dot)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, float)):
+            return _DualBatch(other - self.val, -self.dot)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, _DualBatch):
+            return _DualBatch(self.val * other.val,
+                              self.val * other.dot + self.dot * other.val)
+        if isinstance(other, (int, float)):
+            return _DualBatch(self.val * other, self.dot * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _DualBatch):
+            _reject(other.val == 0.0, ZeroDivisionError,
+                    "division by a dual number with zero value")
+            q = self.val / other.val
+            return _DualBatch(q, (self.dot - q * other.dot) / other.val)
+        if isinstance(other, (int, float)):
+            if other == 0:
+                raise ZeroDivisionError("division by zero")
+            return _DualBatch(self.val / other, self.dot / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, float)):
+            _reject(self.val == 0.0, ZeroDivisionError,
+                    "division by a dual number with zero value")
+            q = other / self.val
+            return _DualBatch(q, -(q * self.dot) / self.val)
+        return NotImplemented
+
+    def __neg__(self):
+        return _DualBatch(-self.val, -self.dot)
+
+    def __pos__(self):
+        return self
+
+    def __abs__(self):
+        s = np.where(self.val == 0.0, 0.0, np.copysign(1.0, self.val))
+        return _DualBatch(np.abs(self.val), s * self.dot)
+
+    def __pow__(self, other):
+        if isinstance(other, (int, float)):
+            if float(other).is_integer():
+                k = int(other)
+                if k == 0:
+                    return _DualBatch(np.ones_like(self.val),
+                                      np.zeros_like(self.dot))
+                if k < 0:
+                    _reject(self.val == 0.0, ZeroDivisionError,
+                            "0 raised to a negative power")
+                v = _each(lambda a: a ** k, self.val)
+                return _DualBatch(
+                    v, k * _each(lambda a: a ** (k - 1), self.val) * self.dot)
+            other = _DualBatch(np.full_like(self.val, other),
+                               np.zeros_like(self.dot))
+        if isinstance(other, _DualBatch):
+            _reject(self.val <= 0.0, ValueError,
+                    "power with non-integer exponent requires a positive base")
+            v = _each(pow, self.val, other.val)
+            return _DualBatch(v, v * (other.dot * _each(math.log, self.val)
+                                      + other.val * self.dot / self.val))
+        return NotImplemented
+
+    def __rpow__(self, other):
+        if isinstance(other, (int, float)):
+            base = _DualBatch(np.full_like(self.val, other),
+                              np.zeros_like(self.dot))
+            return base ** self
+        return NotImplemented
+
+    def _unordered(self, other):
+        raise TypeError("a batch of dual numbers has no single truth value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+
 # -- transcendental functions generic over float/Dual ------------------------
+
+
+def _batch_values(x) -> np.ndarray:
+    """``x.val`` of a batch of duals; anything else is the caller's type
+    error.  Plain numbers take the ``math`` call first, at no extra cost."""
+    if not isinstance(x, _DualBatch):
+        raise TypeError(f"must be a real number or dual, not {type(x).__name__}")
+    return x.val
 
 
 def exp(x):
     if isinstance(x, Dual):
         v = math.exp(x.val)
         return Dual(v, v * x.dot)
-    return math.exp(x)
+    try:
+        return math.exp(x)
+    except TypeError:
+        v = _each(math.exp, _batch_values(x))
+        return _DualBatch(v, v * x.dot)
 
 
 def ln(x):
@@ -199,9 +371,14 @@ def ln(x):
         if x.val <= 0.0:
             raise ValueError("ln requires a positive argument")
         return Dual(math.log(x.val), x.dot / x.val)
-    if x <= 0.0:
-        raise ValueError("ln requires a positive argument")
-    return math.log(x)
+    try:
+        if x <= 0.0:
+            raise ValueError("ln requires a positive argument")
+        return math.log(x)
+    except TypeError:
+        vals = _batch_values(x)
+        _reject(vals <= 0.0, ValueError, "ln requires a positive argument")
+        return _DualBatch(_each(math.log, vals), x.dot / vals)
 
 
 def sqrt(x):
@@ -212,21 +389,39 @@ def sqrt(x):
         if x.val == 0.0 and x.dot != 0.0:
             raise ValueError("sqrt is not differentiable at zero")
         return Dual(v, 0.0 if x.dot == 0.0 else 0.5 * x.dot / v)
-    if x < 0.0:
-        raise ValueError("sqrt requires a nonnegative argument")
-    return math.sqrt(x)
+    try:
+        if x < 0.0:
+            raise ValueError("sqrt requires a nonnegative argument")
+        return math.sqrt(x)
+    except TypeError:
+        vals = _batch_values(x)
+        _reject(vals < 0.0, ValueError, "sqrt requires a nonnegative argument")
+        v = _each(math.sqrt, vals)
+        moving = x.dot != 0.0
+        _reject((vals == 0.0) & moving.any(axis=0), ValueError,
+                "sqrt is not differentiable at zero")
+        return _DualBatch(v, np.divide(0.5 * x.dot, v, where=moving,
+                                       out=np.zeros_like(x.dot)))
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
-    return math.sin(x)
+    try:
+        return math.sin(x)
+    except TypeError:
+        vals = _batch_values(x)
+        return _DualBatch(_each(math.sin, vals), _each(math.cos, vals) * x.dot)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
-    return math.cos(x)
+    try:
+        return math.cos(x)
+    except TypeError:
+        vals = _batch_values(x)
+        return _DualBatch(_each(math.cos, vals), -_each(math.sin, vals) * x.dot)
 
 
 # -- scalar functions and their gradients -------------------------------------
@@ -258,7 +453,15 @@ def grad(f: ScalarFn, x) -> np.ndarray:
 
     Exact to floating-point roundoff for ``dual_safe`` functions; otherwise
     delegates to :func:`fd_grad`.  Domain errors raised by ``f`` propagate.
+
+    A 2-D array ``x`` of shape (B, dim) holds one point per row; the result
+    is the (B, dim) array of their gradients, from one vector-mode pass
+    whose rows equal the single-point gradients bit for bit.  A domain
+    error names the failing row.  A function that compares its arguments
+    (a domain check or a branch) falls back to one point at a time.
     """
+    if isinstance(x, np.ndarray) and x.ndim == 2:
+        return _grad_rows(f, x)
     x = [float(v) for v in x]
     if len(x) != f.dim:
         raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, got {len(x)}")
@@ -270,6 +473,29 @@ def grad(f: ScalarFn, x) -> np.ndarray:
         xi[i] = Dual(x[i], 1.0)
         y = f(xi)
         out[i] = y.dot if isinstance(y, Dual) else 0.0
+    return out
+
+
+def _grad_rows(f: ScalarFn, X: np.ndarray) -> np.ndarray:
+    """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
+    X = np.asarray(X, dtype=float)
+    B, dim = X.shape
+    if dim != f.dim:
+        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, got {dim}")
+    out = np.zeros((B, dim))
+    if f.dual_safe:
+        seeds = np.zeros((dim, dim, B))
+        seeds[np.arange(dim), np.arange(dim)] = 1.0
+        try:
+            y = f([_DualBatch(X[:, i].copy(), seeds[i]) for i in range(dim)])
+        except TypeError:
+            pass    # f compares its arguments: each row takes its own pass
+        else:
+            if isinstance(y, _DualBatch):
+                out[:] = y.dot.T
+            return out
+    for row, x in enumerate(X):
+        out[row] = grad(f, x)
     return out
 
 

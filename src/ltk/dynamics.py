@@ -112,13 +112,18 @@ def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
 
 
 def _canonical(g: np.ndarray) -> np.ndarray:
-    """The canonical field ``(dK/dp, -dK/dq)`` from the gradient of K."""
-    m = g.size // 2
-    return np.concatenate([g[m:], -g[:m]])
+    """The canonical field ``(dK/dp, -dK/dq)`` from the gradient of K, or
+    row by row from a (B, 2m) array of gradients."""
+    m = g.shape[-1] // 2
+    return np.concatenate([g[..., m:], -g[..., :m]], axis=-1)
 
 
 def phase_rhs(K: ScalarFn):
-    """The canonical field of K as ``f(t, x)`` over packed phase vectors."""
+    """The canonical field of K as ``f(t, x)`` over packed phase vectors.
+
+    ``x`` may also be a (B, 2m) batch of phase vectors, one per row; the
+    batch's gradients come from one vector-mode pass of :func:`grad`.
+    """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
     return lambda t, x: _canonical(grad(K, x))
@@ -241,15 +246,30 @@ def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+class _NonFiniteState(RuntimeError):
+    """:func:`integrate` reached a non-finite state; ``row`` is the batch row
+    (None for a single state)."""
+
+    def __init__(self, t: float, step: int, row=None):
+        where = "" if row is None else f" in row {row}"
+        super().__init__(f"integration produced a non-finite state at "
+                         f"t={t:g} (step {step}){where}")
+        self.t, self.row = t, row
+
+
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
     ``t_end`` must be an integer multiple of ``dt`` (the grid is t_i = i*dt).
+    ``x0`` is one state vector, or a (B, dim) batch of states stepped
+    together; every step is entrywise arithmetic, so a row follows the
+    trajectory it would follow alone, bit for bit, when ``f`` treats rows
+    alike (as :func:`phase_rhs` does).
     ``monitors`` is an iterable of (name, fn) pairs with ``fn(t, x)`` scalar,
     recorded in order at every grid point including t = 0; a monitor that
     raises aborts the run, which is how :func:`ltk.portsys.simulate` guards
-    surface membership.  A non-finite state aborts with the offending time
-    in the message.
+    surface membership.  A non-finite state aborts with the offending time,
+    and for a batch the offending row, in the message.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -260,7 +280,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     monitors = list(monitors or [])
 
     ts = np.empty(steps + 1)
-    xs = np.empty((steps + 1, x.size))
+    xs = np.empty((steps + 1,) + x.shape)
     mon = {name: np.empty(steps + 1) for name, _ in monitors}
 
     def record(i, t, xi):
@@ -273,9 +293,10 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     for i in range(1, steps + 1):
         t_prev = (i - 1) * dt
         x = rk4_step(f, t_prev, x, dt)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"integration produced a non-finite state at "
-                               f"t={i * dt:g} (step {i})")
+        finite = np.isfinite(x)
+        if not finite.all():
+            row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
+            raise _NonFiniteState(i * dt, i, row)
         record(i, i * dt, x)
     return Trajectory(ts, xs, mon)
 
@@ -326,6 +347,10 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
+def _perturbation_step(v: float) -> float:
+    return 1e-5 * max(1.0, abs(v))
+
+
 def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
                          sample_grid, dt: float = 1e-3) -> TransportReport:
     """Transport lifted surface members along the flow of K; measure defects.
@@ -338,32 +363,44 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     surface, the surface is invariant and the membership residual of the
     original generating relations stays small along every trajectory
     (``membership_drift``).  Both reported numbers are maxima over the grid.
+
+    Every member and its 2 * n_params perturbations (parameter k moved by
+    +h, then -h) are the rows of one batch for :func:`integrate`; each row
+    is the trajectory a separate run would give.
     """
-    f = phase_rhs(K)
+    members = [[float(v) for v in params] for params in sample_grid]
+    if not members:
+        return TransportReport(t_end, 0.0, 0.0)
+    starts = []
+    for params in members:
+        starts.append(params)
+        for k, v in enumerate(params):
+            h = _perturbation_step(v)
+            starts.append(params[:k] + [v + h] + params[k + 1:])
+            starts.append(params[:k] + [v - h] + params[k + 1:])
+    width = len(starts) // len(members)
+    x0 = np.array([liouville_point(gf, par).packed() for par in starts])
+    try:
+        xs = integrate(phase_rhs(K), x0, t_end, dt).x
+    except _NonFiniteState as err:
+        member, j = divmod(err.row, width)
+        which = ("unperturbed" if j == 0 else
+                 f"parameter {(j - 1) // 2} {'+' if j % 2 else '-'}h")
+        raise RuntimeError(f"flow of surface member {members[member]} "
+                           f"({which}) produced a non-finite state at "
+                           f"t={err.t:g}") from err
+
     m = gf.n + 1
-
-    def flow_from(par):
-        x0 = liouville_point(gf, par).packed()
-        return integrate(f, x0, t_end, dt)
-
     drift = 0.0
     alpha_res = 0.0
-    for params in sample_grid:
-        params = [float(v) for v in params]
-        base = flow_from(params)
-        for x in base.x:
+    for i, params in enumerate(members):
+        base = i * width
+        for x in xs[:, base]:
             drift = max(drift, membership_norm(gf, x))
-
-        xf = base.final
+        xf = xs[-1, base]
         for k, v in enumerate(params):
-            h = 1e-5 * max(1.0, abs(v))
-            plus = list(params)
-            minus = list(params)
-            plus[k] = v + h
-            minus[k] = v - h
-            va = flow_from(plus).final
-            vb = flow_from(minus).final
-            tangent = (va - vb) / (2.0 * h)
+            plus, minus = xs[-1, base + 1 + 2 * k], xs[-1, base + 2 + 2 * k]
+            tangent = (plus - minus) / (2.0 * _perturbation_step(v))
             alpha_res = max(alpha_res, abs(float(np.dot(xf[m:], tangent[:m]))))
     return TransportReport(t_end, alpha_res, drift)
 
@@ -374,20 +411,19 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
 
     Costate scaling acts by (q, p) -> (q, lam*p).  For a fiber-degree-1 K the
     two final states agree; the returned sup-norm distance is a quantitative
-    homogeneity check of the *dynamics* rather than of K's values.
+    homogeneity check of the *dynamics* rather than of K's values.  The two
+    trajectories run as one batch.
     """
     if lam == 0.0:
         raise ValueError("scaling factor must be nonzero")
     m = K.dim // 2
-    f = phase_rhs(K)
-
-    a = integrate(f, pt.packed(), t_end, dt).final.copy()
+    x0 = pt.packed()
+    scaled = x0.copy()
+    scaled[m:] *= lam
+    final = integrate(phase_rhs(K), np.array([x0, scaled]), t_end, dt).final
+    a = final[0].copy()
     a[m:] *= lam                       # flow, then scale
-
-    x0 = pt.packed().copy()
-    x0[m:] *= lam
-    b = integrate(f, x0, t_end, dt).final   # scale, then flow
-    return float(np.max(np.abs(a - b)))
+    return float(np.max(np.abs(a - final[1])))   # against scale, then flow
 
 
 def project_reduced(x: np.ndarray) -> np.ndarray:

@@ -314,18 +314,20 @@ _DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
 
 
 def _pow(a, b, node):
-    """Generic power with the domain rule: fractional exponents need base > 0."""
-    b_int = None
-    if isinstance(b, Dual):
-        if b.dot == 0.0 and b.val.is_integer():
-            b_int = int(b.val)
-    elif float(b).is_integer():
-        b_int = int(b)
+    """Generic power with the domain rule: fractional exponents need base > 0.
+
+    A float base is checked here, where ``**`` would silently go complex; a
+    dual base, single or batched, checks its own value in ``**``.
+    """
+    try:
+        b_int = int(b) if float(b).is_integer() else None
+    except TypeError:           # a dual exponent, single or batched
+        b_int = (int(b.val) if isinstance(b, Dual) and b.dot == 0.0
+                 and b.val.is_integer() else None)
     try:
         if b_int is not None:
             return a ** b_int
-        a_val = a.val if isinstance(a, Dual) else float(a)
-        if a_val <= 0.0:
+        if isinstance(a, (float, int)) and a <= 0.0:
             raise ValueError(
                 "power with non-integer exponent requires a positive base")
         return a ** b

@@ -5,15 +5,22 @@ same derivative; these tests exercise each on its own against hand-computed
 values, then cross-check them on generated smooth functions.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltk import cli
 from ltk.diffkit import (FD_STEP, Dual, ScalarFn, cos, dirderiv, exp, fd_grad,
                          grad, ln, sin, sqrt)
+from ltk.exprlang import ExprEvalError, compile_fn
+from ltk.portsys import _sample_surface_params, gas_piston_damper, heat_exchanger
+from ltk.submanifold import liouville_point
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=64)
 nonzero = finite.filter(lambda v: abs(v) > 1e-3)
@@ -205,3 +212,100 @@ def test_scalar_fn_is_callable_and_frozen():
     assert POLY2([1.0, 0.0]) == pytest.approx(0.0)
     with pytest.raises(AttributeError):
         POLY2.dim = 3
+
+
+# -- batched gradients: one vector-mode pass over the rows of X ----------------
+
+JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
+
+
+def _benchmark_system(kind: str):
+    """The benchmark's expression transcription of a built-in system."""
+    spec = importlib.util.spec_from_file_location("benchmark_jobs", JOBS)
+    jobs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = jobs    # for its dataclass
+    spec.loader.exec_module(jobs)
+    params = {"mass": 1.3, "damping": 0.4, "c_v": 1.7, "C": 1.2, "T_ref": 0.9}
+    return cli._build_custom_system(getattr(jobs, kind)(params, None))
+
+
+SYSTEMS = {
+    "piston": gas_piston_damper,
+    "exchanger": heat_exchanger,
+    "expression piston": lambda: _benchmark_system("_custom_piston"),
+    "expression compartment": lambda: _benchmark_system("_custom_compartment"),
+}
+
+
+def _hex(a):
+    return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_batched_grad_rows_are_the_scalar_gradients_bit_for_bit(name):
+    system = SYSTEMS[name]()
+    X = np.array([liouville_point(system.gf, params).packed()
+                  for params in _sample_surface_params(system, 200, 3)])
+    for K in (system.Ka,) + tuple(system.Kc):
+        G = grad(K, X)
+        assert G.shape == X.shape
+        scalar = np.array([grad(K, x) for x in X])
+        assert _hex(G) == _hex(scalar), K.name
+        fd = np.array([fd_grad(K, x) for x in X])
+        assert np.allclose(G, fd, rtol=1e-6, atol=1e-6), K.name
+
+
+@pytest.mark.parametrize("source", [
+    "sqrt(q0*q1) - ln(q2) * exp(-q0)",
+    "pow(q0, 2) * sin(q1) / cos(q2) + abs(q0 - q1)",
+    "(q0 + q1) ^ -3 + q2 ^ 2.5 - 1 / q1",
+    "q0 ^ (q1 + 0.5) + 2 ^ q2",
+])
+def test_batched_grad_covers_every_operation_bit_for_bit(source):
+    f = compile_fn(source, ["q0", "q1", "q2"])
+    X = np.random.default_rng(1).uniform(0.2, 3.0, (300, 3))
+    assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
+
+
+def test_batched_grad_of_one_row_and_dimension_check():
+    X = np.array([[1.5, 0.7]])
+    assert _hex(grad(POLY2, X)) == _hex(grad(POLY2, X[0]))
+    with pytest.raises(ValueError, match="dimension"):
+        grad(POLY2, np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("source, bad, message", [
+    ("ln(q0) * q1", [-1.0, 1.0], "ln requires a positive argument"),
+    ("q0 ^ 0.5 + q1", [-1.0, 1.0], "non-integer exponent"),
+    ("q1 / q0", [0.0, 1.0], "zero value"),
+    ("1 / q0 + q1", [0.0, 1.0], "zero value"),
+    ("q0 ^ -2 + q1", [0.0, 1.0], "negative power"),
+    ("sqrt(q0) + q1", [-1.0, 1.0], "nonnegative argument"),
+])
+def test_batched_grad_domain_errors_name_the_row(source, bad, message):
+    f = compile_fn(source, ["q0", "q1"])
+    X = np.array([[0.5, 1.0], [2.0, 3.0], bad, [1.5, 0.2]])
+    with pytest.raises(ExprEvalError, match=f"{message}.*batch row 2"):
+        grad(f, X)
+    assert _hex(grad(f, X[[0, 1, 3]])) == \
+        _hex([grad(f, x) for x in X[[0, 1, 3]]])
+
+
+def test_batched_grad_of_a_comparing_function_takes_one_row_at_a_time():
+    def branchy(x):
+        if x[0] <= 0.0:
+            raise ValueError("x0 must be positive")
+        return x[0] * x[1] if x[1] > 1.0 else x[0] / x[1]
+
+    f = ScalarFn(branchy, dim=2)
+    X = np.array([[1.0, 2.0], [0.5, 0.3], [2.0, 1.5]])
+    assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
+    with pytest.raises(ValueError, match="positive"):
+        grad(f, np.array([[1.0, 2.0], [-1.0, 2.0]]))
+
+
+def test_batched_grad_of_a_non_dual_safe_function_is_fd_grad_row_by_row():
+    f = ScalarFn(lambda x: math.exp(0.3 * float(x[0])) * math.cos(float(x[1])),
+                 dim=2, dual_safe=False)
+    X = np.array([[0.1, 0.2], [-1.0, 2.5], [3.0, -0.7]])
+    assert _hex(grad(f, X)) == _hex([fd_grad(f, x) for x in X])

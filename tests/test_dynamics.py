@@ -249,6 +249,32 @@ def test_flow_transport_separates_the_two_residuals():
     assert report.alpha_residual < 1e-6
 
 
+def test_batched_integration_rows_are_separate_runs_bit_for_bit():
+    x0 = np.array([[1.0, 0.5, -1.0, 0.8], [0.3, 2.0, -2.0, 0.1],
+                   [1.0, 0.5, -1.0, 0.8]])
+    batch = integrate(phase_rhs(K1), x0, 0.2, 1e-2)
+    assert batch.x.shape == (21, 3, 4)
+    for row, start in enumerate(x0):
+        alone = integrate(phase_rhs(K1), start, 0.2, 1e-2)
+        assert [v.hex() for v in batch.x[:, row].ravel().tolist()] == \
+            [v.hex() for v in alone.x.ravel().tolist()]
+
+
+def test_flow_transport_names_the_trajectory_that_went_non_finite():
+    # K = c p0^2 moves q at the constant rate 2 c p0; c is set so that the
+    # RK4 sum 6 * 2c|p0| stays finite at p0 = -1 but overflows for the
+    # perturbation p0 - h of that member alone
+    c = np.finfo(float).max / 12.0 / (1.0 + 5e-6)
+    K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
+    grid = [(0.7, -0.5), (1.2, -1.0)]
+    with pytest.raises(RuntimeError, match=r"member \[1\.2, -1\.0\] "
+                       r"\(parameter 1 -h\).* at t=0\.001\b"), \
+            np.errstate(over="ignore"):
+        flow_transport_check(half_square_gf(), K, 0.01, grid, dt=1e-3)
+    # without that member every trajectory stays finite
+    flow_transport_check(half_square_gf(), K, 0.01, grid[:1], dt=1e-3)
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, -1.0])
 def test_scaling_commutes_with_degree_one_flow(lam):
     pt = PhasePoint(q=[1.0, 0.5], p=[-1.0, 0.8])
