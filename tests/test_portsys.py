@@ -465,8 +465,8 @@ def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
 
 
 def test_one_pass_port_flow_equals_the_gradient_sum():
-    # with correctly rounded division the Euler-field pass along the
-    # entropy costate computes the gradient's own partial, bit for bit
+    # with correctly rounded division the one-pass derivative along the
+    # entropy costate is the gradient's own partial, bit for bit
     gp = gas_piston_damper()
     m = gp.n_coords
     differ = 0
