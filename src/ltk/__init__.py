@@ -34,10 +34,10 @@ from .submanifold import (GeneratingFunction, GibbsDuhemReport,
                           membership_residual, reduced_point, specific_form,
                           tangent_basis)
 from .dynamics import (Trajectory, TransportReport, commutator_residual,
-                       contact_field, contact_rhs, flow_transport_check,
-                       hamiltonian_field, integrate, lie_bracket_fd,
-                       phase_rhs, project_reduced, reduced_field, reduced_rhs,
-                       rk4_step, scaling_commutation_check, validate_degree)
+                       contact_rhs, flow_transport_check, integrate,
+                       lie_bracket_fd, phase_rhs, project_reduced,
+                       reduced_rhs, rk4_step, scaling_commutation_check,
+                       validate_degree)
 from .brackets import (BracketReport, correspondence_residual, degree_check,
                        jacobi, jacobi_fn, jacobi_identity_residual,
                        leibniz_defect, poisson, poisson_fn)

@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import ScalarFn, grad
+from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
+                      _values_and_fd_dirderivs, grad)
 from .dynamics import lie_bracket_fd, phase_rhs
-from .geometry import (ContactPoint, PhasePoint, _relative_euler_residual,
+from .geometry import (ContactPoint, PhasePoint, _relative_euler_rows,
                        dehomogenize, homogenize, sample_phase_points)
 
 __all__ = [
@@ -74,6 +75,19 @@ def poisson(K1: ScalarFn, K2: ScalarFn, pt: PhasePoint) -> float:
     return float(poisson_fn(K1, K2)(pt.packed()))
 
 
+def _bracket(g1: np.ndarray, g2: np.ndarray, m: int) -> float:
+    """{K1, K2} from the gradients of its operands at one point."""
+    return float(np.dot(g1[m:], g2[:m]) - np.dot(g1[:m], g2[m:]))
+
+
+def _poisson_rows(K1: ScalarFn, K2: ScalarFn, X) -> np.ndarray:
+    """{K1, K2} at each row of a (B, 2m) array of points: one vector-mode
+    pass per operand."""
+    m = _check_pair(K1, K2)
+    return np.array([_bracket(g1, g2, m)
+                     for g1, g2 in zip(grad(K1, X), grad(K2, X))])
+
+
 def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
     """The bracket {K1, K2} as a phase function.
 
@@ -85,9 +99,7 @@ def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
 
     def fn(x):
         xf = [float(v) for v in x]
-        g1 = grad(K1, xf)
-        g2 = grad(K2, xf)
-        return float(np.dot(g1[m:], g2[:m]) - np.dot(g1[:m], g2[m:]))
+        return _bracket(grad(K1, xf), grad(K2, xf), m)
 
     return ScalarFn(fn, dim=2 * m,
                     name=f"{{{K1.name or 'K1'}, {K2.name or 'K2'}}}",
@@ -127,36 +139,46 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
     the (0,0) bracket value by 1 + |K1 K2| at the point.  ``points``
     defaults to ``n_samples`` draws of
     :func:`~ltk.geometry.sample_phase_points`; points where an operand is
-    undefined are skipped.
+    undefined are skipped.  The points are one batch: each residual takes
+    one vector-mode pass per operand, the bracket's own Euler residual one
+    more over the points and their two difference points.
     """
     if {degree1, degree2} - {0, 1}:
         raise ValueError("degree_check handles fiber degrees 0 and 1")
-    B = poisson_fn(K1, K2)
+    m = _check_pair(K1, K2)
     if points is None:
-        points = sample_phase_points(K1.dim // 2, n_samples, seed)
+        points = sample_phase_points(m, n_samples, seed)
+    X = np.array([pt.packed() for pt in points])
+
+    def residuals(rows):
+        x = X[rows]
+        in1, val1 = _relative_euler_rows(K1, x, degree1)
+        in2, val2 = _relative_euler_rows(K2, x, degree2)
+        if degree1 == 0 and degree2 == 0:
+            res = (np.abs(_poisson_rows(K1, K2, x))
+                   / (1.0 + np.abs(val1 * val2)))
+        else:
+            # the bracket is not dual_safe: its Euler residual takes
+            # dirderiv's central difference along the fiber Euler field
+            along = np.hstack([np.zeros_like(x[:, :m]), x[:, m:]])
+            val, dot = _values_and_fd_dirderivs(
+                lambda y: _poisson_rows(K1, K2, y), x, along)
+            res = (np.abs(dot - (degree1 + degree2 - 1) * val)
+                   / (1.0 + np.abs(val)))
+        return np.column_stack([in1, in2, res]).tolist()
+
     worst = 0.0
     worst_input = 0.0
-    used = 0
-    for pt in points:
-        try:
-            in_res = max(_relative_euler_residual(K1, pt, degree1),
-                         _relative_euler_residual(K2, pt, degree2))
-            if degree1 == 0 and degree2 == 0:
-                val = float(B(pt.packed()))
-                scale = 1.0 + abs(float(K1(pt.packed())) * float(K2(pt.packed())))
-                res = abs(val) / scale
-            else:
-                res = _relative_euler_residual(B, pt, degree1 + degree2 - 1)
-        except (ValueError, ZeroDivisionError, ArithmeticError):
-            continue
+    used = _evaluable(_rows_or_errors(residuals, len(X)))
+    for in1, in2, res in used:
         worst = max(worst, res)
-        worst_input = max(worst_input, in_res)
-        used += 1
+        worst_input = max(worst_input, max(in1, in2))
     if not used:
         raise ValueError("no sample point was evaluable for both operands")
     label = ("zero" if degree1 == degree2 == 0
              else f"degree-{degree1 + degree2 - 1}")
-    return BracketReport(degree1, degree2, label, worst, worst_input, used)
+    return BracketReport(degree1, degree2, label, worst, worst_input,
+                         len(used))
 
 
 def jacobi_identity_residual(K1: ScalarFn, K2: ScalarFn, K3: ScalarFn,

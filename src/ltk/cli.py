@@ -40,8 +40,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .brackets import degree_check, poisson
-from .diffkit import ScalarFn, dirderiv
+from .brackets import _poisson_rows, degree_check
+from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
+                      _values_and_dirderivs)
 from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
 from .geometry import sample_phase_points
@@ -399,16 +400,19 @@ def _cmd_bracket(cfg: RunConfig) -> int:
     points = sample_phase_points(K1.dim // 2, cfg.samples, cfg.seed)
     degree_report = degree_check(deg1, deg2, K1, K2, points=points)
     # {K1, K2} = -dK1(X_K2): the bracket against K1's derivative along the
-    # canonical field of K2, a route that shares no dot product with it
+    # canonical field of K2, a route that shares no dot product with it; the
+    # points are one batch, and those where an operand is undefined skipped
+    X = np.array([pt.packed() for pt in points])
+
+    def antisymmetry(rows):
+        x = X[rows]
+        value = _poisson_rows(K1, K2, x)
+        along = _values_and_dirderivs(K1, x, phase_rhs(K2)(0.0, x))[1]
+        return (np.abs(value + along) / (1.0 + np.abs(value))).tolist()
+
     antisym = 0.0
-    for pt in points:
-        x = pt.packed()
-        try:
-            value = poisson(K1, K2, pt)
-            along = dirderiv(K1, x, phase_rhs(K2)(0.0, x))
-        except (ValueError, ZeroDivisionError, ArithmeticError):
-            continue
-        antisym = max(antisym, abs(value + along) / (1.0 + abs(value)))
+    for res in _evaluable(_rows_or_errors(antisymmetry, len(X))):
+        antisym = max(antisym, res)
     checks = {
         "operand_degrees": _check(degree_report.max_input_residual, 1e-9),
         f"bracket_{degree_report.expected}": _check(

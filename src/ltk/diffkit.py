@@ -12,18 +12,27 @@ suite and intentionally kept as separate code paths.
 :func:`grad` also takes a (B, dim) array of points, one per row: vector
 forward mode with an ensemble axis (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed.).  One pass carries a batch of duals whose ``val`` has
-shape (B,) and whose ``dot`` has shape (dim, B), one seed direction per
-coordinate, and returns all B gradients.  The contract is bit-identity: each
-row equals the single-point :func:`grad` (short of integer values of a
-point-dependent exponent, see :class:`_DualBatch`), because every batch
-operation is the scalar formula in the same order, entrywise, and ``exp``,
-``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math`` one entry
-at a time (numpy's SIMD kernels round differently on some inputs).  Division
-is correctly rounded, ``q = a / b``, in both forms, so a pass's value is also
-the plain evaluation's.  Domain errors in a batch name the failing row.
-Many trajectories stepped together (``ltk flowcheck``) use the batch; a
-single point keeps the scalar loop, where numpy's per-operation overhead on
-dim-by-1 arrays would cost more than the loop it replaces.
+shape (B,) and whose ``dot`` has shape (k, B), one seed direction per
+coordinate for a gradient (k = dim) or one direction per row for a
+directional derivative (k = 1), and returns all B results.  The contract is
+bit-identity: each row equals the single-point result (short of integer
+values of a point-dependent exponent, see :class:`_DualBatch`), because
+every batch operation is the scalar formula in the same order, entrywise,
+and ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through
+``math`` one entry at a time (numpy's SIMD kernels round differently on
+some inputs).  Division is correctly rounded, ``q = a / b``, in both forms,
+so a pass's value is also the plain evaluation's.  Domain errors in a batch
+name the failing row.
+
+Every sampled check of the package runs its samples as such batches: the
+flowcheck trajectories, the degree, surface, law and chart-form samples of
+``validate``, the bracket degree and antisymmetry samples, the Gibbs-Duhem
+samples and their tangents, and the second-law scan of ``interconnect``.
+The private row helpers below serve them; a check whose batch raises reruns
+its rows one at a time (:func:`_rows_or_errors`), so each sample is skipped
+or reported exactly as it would be alone.  A single point keeps the scalar
+loop, where numpy's per-operation overhead on dim-by-1 arrays would cost
+more than the loop it replaces.
 
 Nothing here computes second derivatives.  Quantities that would need them
 (Lie brackets of vector fields, flow sensitivities, nested Poisson brackets)
@@ -203,6 +212,12 @@ def _value_of(x):
 # -- a batch of dual numbers: the ensemble axis of vector forward mode --------
 
 
+def _at_row(row: int, rows: int) -> str:
+    """The row label of a batch error; a one-row batch raises the scalar
+    message, as the point it runs is the caller's to name."""
+    return f" (batch row {row})" if rows > 1 else ""
+
+
 def _each(fn, *columns: np.ndarray) -> np.ndarray:
     """``fn`` applied row by row to the entries of ``columns``, as floats.
 
@@ -215,14 +230,14 @@ def _each(fn, *columns: np.ndarray) -> np.ndarray:
         try:
             out.append(fn(*args))
         except (ArithmeticError, ValueError) as err:
-            raise type(err)(f"{err} (batch row {row})") from None
+            raise type(err)(f"{err}{_at_row(row, columns[0].size)}") from None
     return np.array(out)
 
 
 def _reject(bad: np.ndarray, error, message: str):
     """Raise ``error`` naming the first row flagged in ``bad``, if any."""
     if bad.any():
-        raise error(f"{message} (batch row {int(np.argmax(bad))})")
+        raise error(f"{message}{_at_row(int(np.argmax(bad)), bad.size)}")
 
 
 class _DualBatch:
@@ -458,7 +473,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     is the (B, dim) array of their gradients, from one vector-mode pass
     whose rows equal the single-point gradients bit for bit.  A domain
     error names the failing row.  A function that compares its arguments
-    (a domain check or a branch) falls back to one point at a time.
+    (a domain check or a branch) falls back to one point at a time.  The
+    package's sampled checks and flowcheck's trajectories take this route;
+    ``simulate`` differentiates one point at a time.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)
@@ -476,27 +493,139 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     return out
 
 
-def _grad_rows(f: ScalarFn, X: np.ndarray) -> np.ndarray:
-    """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
+def _rows(f: ScalarFn, X) -> np.ndarray:
+    """``X`` as a float (B, f.dim) array of points."""
     X = np.asarray(X, dtype=float)
-    B, dim = X.shape
-    if dim != f.dim:
-        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, got {dim}")
-    out = np.zeros((B, dim))
+    if X.shape[1] != f.dim:
+        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, "
+                         f"got {X.shape[1]}")
+    return X
+
+
+def _batch_pass(f: ScalarFn, X: np.ndarray, dots: np.ndarray):
+    """``f`` over the rows of ``X`` in one vector-mode pass, coordinate i
+    carrying the derivatives ``dots[i]`` of shape (k, B).
+
+    Returns the resulting :class:`_DualBatch`, or None when ``f`` compares
+    its arguments, so that each row must take its own scalar pass.
+    """
+    try:
+        y = f([_DualBatch(X[:, i].copy(), dots[i]) for i in range(f.dim)])
+    except TypeError:
+        return None
+    if isinstance(y, _DualBatch):
+        return y
+    return _DualBatch(np.full(len(X), float(y)), np.zeros(dots.shape[1:]))
+
+
+def _seeds(B: int, dim: int) -> np.ndarray:
+    """One unit seed per coordinate, for each of B rows: shape (dim, dim, B)."""
+    seeds = np.zeros((dim, dim, B))
+    seeds[np.arange(dim), np.arange(dim)] = 1.0
+    return seeds
+
+
+def _grad_rows(f: ScalarFn, X) -> np.ndarray:
+    """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
+    X = _rows(f, X)
+    y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
+    if y is not None:
+        return y.dot.T.copy()
+    return np.array([grad(f, x) for x in X]).reshape(X.shape)
+
+
+def _values_and_grads(f: ScalarFn, X):
+    """``(f(x), grad(f, x))`` at each row x of ``X``: arrays of shape (B,)
+    and (B, dim) from one vector-mode pass, or row by row where ``f`` is
+    not ``dual_safe`` or compares its arguments."""
+    X = _rows(f, X)
+    y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
+    if y is not None:
+        return y.val, y.dot.T.copy()
+    return (np.array([float(f(x)) for x in X.tolist()]),
+            np.array([grad(f, x) for x in X]).reshape(X.shape))
+
+
+def _values_and_dirderivs(f: ScalarFn, X, D):
+    """``(f(x), dirderiv(f, x, d))`` at each row x of ``X`` along the
+    matching row d of ``D``: two arrays of shape (B,) from one vector-mode
+    pass, or row by row where ``f`` is not ``dual_safe`` or compares its
+    arguments.  Each row equals :func:`_value_and_dirderiv` bit for bit."""
+    X = _rows(f, X)
+    D = np.asarray(D, dtype=float)
+    y = _batch_pass(f, X, D.T[:, None, :].copy()) if f.dual_safe else None
+    if y is not None:
+        return y.val, y.dot[0]
     if f.dual_safe:
-        seeds = np.zeros((dim, dim, B))
-        seeds[np.arange(dim), np.arange(dim)] = 1.0
-        try:
-            y = f([_DualBatch(X[:, i].copy(), seeds[i]) for i in range(dim)])
-        except TypeError:
-            pass    # f compares its arguments: each row takes its own pass
-        else:
-            if isinstance(y, _DualBatch):
-                out[:] = y.dot.T
-            return out
-    for row, x in enumerate(X):
-        out[row] = grad(f, x)
-    return out
+        pairs = [_value_and_dirderiv(f, x, d)
+                 for x, d in zip(X.tolist(), D.tolist())]
+    else:
+        pairs = [(float(f(x)), dirderiv(f, x, d))
+                 for x, d in zip(X.tolist(), D.tolist())]
+    return (np.array([v for v, _ in pairs], dtype=float),
+            np.array([dot for _, dot in pairs], dtype=float))
+
+
+def _values_and_fd_dirderivs(values, X: np.ndarray, D: np.ndarray):
+    """``(f(x), dirderiv(f, x, d))`` at each row x of ``X`` along the
+    matching nonzero row d of ``D``, by :func:`dirderiv`'s central
+    difference, for an f that is not ``dual_safe``.
+
+    ``values`` maps an (N, dim) array of points to their N values of f; it
+    is called once, on the rows, their forward and their backward points.
+    """
+    B = len(X)
+    h = FD_STEP * (1.0 + np.max(np.abs(X), axis=1)) / np.max(np.abs(D), axis=1)
+    f = values(np.concatenate([X, X + h[:, None] * D, X - h[:, None] * D]))
+    return f[:B], (f[B:2 * B] - f[2 * B:]) / (2.0 * h)
+
+
+def _rows_or_errors(fn, n: int) -> list:
+    """The n per-row results of ``fn(rows)``, run as one batch.
+
+    ``fn`` takes a slice of the n rows and returns one result per selected
+    row.  If the batch raises, every row runs again on its own, in order,
+    and a row that raises holds its exception in place of a result: each
+    row passes or fails as it would alone, and the caller decides which
+    errors to skip, and names the sample of one it reports.
+    """
+    if n == 0:
+        return []
+    try:
+        return list(fn(slice(0, n)))
+    except Exception:   # noqa: BLE001 - every row reruns and keeps its error
+        out = []
+        for i in range(n):
+            try:
+                out.append(fn(slice(i, i + 1))[0])
+            except Exception as err:   # noqa: BLE001 - the caller's to raise
+                out.append(err)
+        return out
+
+
+# The errors of a point where a sampled function is undefined: checks that
+# sample skip such points, and raise any other error.
+_DOMAIN_ERRORS = (ArithmeticError, ValueError)
+
+
+def _evaluable(results: list) -> list:
+    """The results of :func:`_rows_or_errors` without the rows that hit a
+    domain error, in order; any other error a row raised is raised."""
+    kept = []
+    for res in results:
+        if isinstance(res, _DOMAIN_ERRORS):
+            continue
+        if isinstance(res, Exception):
+            raise res
+        kept.append(res)
+    return kept
+
+
+def _raise_at(err: Exception, where: str):
+    """Raise ``err`` again, its message followed by ``where``, the sample
+    it happened at; type and attributes are kept."""
+    err.args = (f"{err} {where}",)
+    raise err
 
 
 def dirderiv(f: ScalarFn, x, d) -> float:

@@ -10,12 +10,12 @@ commutes with costate scaling, so it descends to chart coordinates
 (contact form) and — when K is additionally homogeneous of degree 1 in q —
 to the doubly-reduced specific/intensive coordinates.
 
-Each of the three fields comes in two forms: a point evaluator
-(:func:`hamiltonian_field`, :func:`contact_field`, :func:`reduced_field`)
-returning the tangent at one point, and a right-hand-side builder
-(:func:`phase_rhs`, :func:`contact_rhs`, :func:`reduced_rhs`) returning a
-callable ``f(t, x) -> ndarray`` over packed state vectors for use with
-:func:`integrate`.  Integration is fixed-step RK4, chosen for determinism:
+Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
+:func:`contact_rhs`, :func:`reduced_rhs`) returning a callable
+``f(t, x) -> ndarray`` over packed state vectors, for use with
+:func:`integrate` or at a single point; the phase and contact forms also
+take a (B, dim) batch of states, one per row, differentiated in one
+vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.
 :func:`integrate` is the package's one integration loop; port-system
 simulation (:func:`ltk.portsys.simulate`) runs on it, recording its guard,
@@ -36,18 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import ScalarFn, grad
-from .geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
-                       PhasePoint, TangentVector, _relative_euler_residual,
-                       sample_phase_points)
-from .submanifold import GeneratingFunction, liouville_point, membership_norm
+from .diffkit import (ScalarFn, _evaluable, _raise_at, _rows_or_errors,
+                      _values_and_grads, grad)
+from .geometry import (ChartDegenerateError, EulerFieldKind, PhasePoint,
+                       _relative_euler_rows, sample_phase_points)
+from .submanifold import (GeneratingFunction, _liouville_rows,
+                          _membership_rows)
 
 __all__ = [
     "Trajectory",
     "TransportReport",
-    "hamiltonian_field",
-    "contact_field",
-    "reduced_field",
     "phase_rhs",
     "contact_rhs",
     "reduced_rhs",
@@ -93,20 +91,20 @@ def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
 
     Points come from :func:`~ltk.geometry.sample_phase_points`; points where
     K is undefined are skipped.  Raises if fewer than half the samples are
-    evaluable.
+    evaluable.  The samples are one batch of one vector-mode pass.
     """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
+    X = np.array([pt.packed()
+                  for pt in sample_phase_points(K.dim // 2, n_samples, seed)])
     worst = 0.0
-    evaluated = 0
-    for pt in sample_phase_points(K.dim // 2, n_samples, seed):
-        try:
-            worst = max(worst, _relative_euler_residual(K, pt, degree, wrt))
-        except (ValueError, ZeroDivisionError, ArithmeticError):
-            continue
-        evaluated += 1
-    if evaluated < n_samples // 2:
-        raise ValueError(f"could only evaluate K at {evaluated}/{n_samples} "
+    evaluated = _evaluable(_rows_or_errors(
+        lambda rows: _relative_euler_rows(K, X[rows], degree, wrt)[0].tolist(),
+        n_samples))
+    for res in evaluated:
+        worst = max(worst, res)
+    if len(evaluated) < n_samples // 2:
+        raise ValueError(f"could only evaluate K at {len(evaluated)}/{n_samples} "
                          f"sample points; adjust the sampling domain")
     return worst
 
@@ -129,16 +127,6 @@ def phase_rhs(K: ScalarFn):
     return lambda t, x: _canonical(grad(K, x))
 
 
-def hamiltonian_field(K: ScalarFn, pt: PhasePoint) -> TangentVector:
-    """The canonical field of K at one point: vq = dK/dp, vp = -dK/dq."""
-    x = pt.packed()
-    if K.dim != len(x):
-        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
-    m = len(pt.q)
-    v = phase_rhs(K)(0.0, x)
-    return TangentVector(v[:m], v[m:])
-
-
 def contact_rhs(Khat: ScalarFn, chart: int):
     """The chart-coordinate form of the canonical field, as ``f(t, x)``.
 
@@ -149,6 +137,9 @@ def contact_rhs(Khat: ScalarFn, chart: int):
         dq_s/dt     = sum_j gamma_j dKhat/dgamma_j - Khat
         dq_j/dt     = dKhat/dgamma_j
         dgamma_j/dt = -dKhat/dq_j - gamma_j dKhat/dq_s
+
+    ``x`` may also be a (B, 2n+1) batch of contact vectors, one per row;
+    their values and gradients come from one vector-mode pass.
     """
     if Khat.dim % 2 == 0 or Khat.dim < 3:
         raise ValueError("contact functions need an odd dimension >= 3")
@@ -158,27 +149,24 @@ def contact_rhs(Khat: ScalarFn, chart: int):
     others = [j for j in range(m) if j != chart]
 
     def f(t, x):
-        g = grad(Khat, x)
-        val = float(Khat(x))
-        gamma = x[m:]
-        g_q, g_gamma = g[:m], g[m:]
-        dq = np.empty(m)
-        dq[others] = g_gamma
-        dq[chart] = float(np.dot(gamma, g_gamma)) - val
-        dgamma = -g_q[others] - gamma * g_q[chart]
-        return np.concatenate([dq, dgamma])
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            val, g = _values_and_grads(Khat, x)
+            pairing = np.array([np.dot(a, b)
+                                for a, b in zip(x[:, m:], g[:, m:])])
+        else:
+            g = grad(Khat, x)
+            val = float(Khat(x))
+            pairing = float(np.dot(x[m:], g[m:]))
+        gamma = x[..., m:]
+        g_q, g_gamma = g[..., :m], g[..., m:]
+        dq = np.empty(g_q.shape)
+        dq[..., others] = g_gamma
+        dq[..., chart] = pairing - val
+        dgamma = -g_q[..., others] - gamma * g_q[..., chart, None]
+        return np.concatenate([dq, dgamma], axis=-1)
 
     return f
-
-
-def contact_field(Khat: ScalarFn, cpt: ContactPoint):
-    """The contact-chart field at one point; returns (dq/dt, dgamma/dt)."""
-    x = cpt.packed()
-    if Khat.dim != len(x):
-        raise ValueError(f"Khat expects dimension {Khat.dim}, point has {len(x)}")
-    dx = contact_rhs(Khat, cpt.chart)(0.0, x)
-    m = len(cpt.q)
-    return dx[:m], dx[m:]
 
 
 def reduced_rhs(Kbar: ScalarFn):
@@ -207,6 +195,7 @@ def reduced_rhs(Kbar: ScalarFn):
     n = Kbar.dim // 2
 
     def f(t, x):
+        x = np.asarray(x, dtype=float)
         g = grad(Kbar, x)
         val = float(Kbar(x))
         eps, gamma = x[:n], x[n:]
@@ -224,17 +213,6 @@ def reduced_rhs(Kbar: ScalarFn):
         return np.concatenate([deps, dgamma])
 
     return f
-
-
-def reduced_field(Kbar: ScalarFn, eps, gamma):
-    """The reduced field at one point; returns (deps/dt, dgamma/dt)."""
-    eps = np.asarray(eps, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    if eps.size != gamma.size:
-        raise ValueError("eps and gamma must have equal length")
-    dx = reduced_rhs(Kbar)(0.0, np.concatenate([eps, gamma]))
-    n = eps.size
-    return dx[:n], dx[n:]
 
 
 def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
@@ -366,7 +344,9 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
 
     Every member and its 2 * n_params perturbations (parameter k moved by
     +h, then -h) are the rows of one batch for :func:`integrate`; each row
-    is the trajectory a separate run would give.
+    is the trajectory a separate run would give.  The membership residuals
+    of all recorded member states are one more batch; an error there names
+    the member and the time.
     """
     members = [[float(v) for v in params] for params in sample_grid]
     if not members:
@@ -379,9 +359,9 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
             starts.append(params[:k] + [v + h] + params[k + 1:])
             starts.append(params[:k] + [v - h] + params[k + 1:])
     width = len(starts) // len(members)
-    x0 = np.array([liouville_point(gf, par).packed() for par in starts])
+    x0 = _liouville_rows(gf, starts)
     try:
-        xs = integrate(phase_rhs(K), x0, t_end, dt).x
+        traj = integrate(phase_rhs(K), x0, t_end, dt)
     except _NonFiniteState as err:
         member, j = divmod(err.row, width)
         which = ("unperturbed" if j == 0 else
@@ -390,13 +370,21 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
                            f"({which}) produced a non-finite state at "
                            f"t={err.t:g}") from err
 
+    xs = traj.x
     m = gf.n + 1
+    # member by member, each along its trajectory
+    states = xs[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
     drift = 0.0
+    for k, res in enumerate(_rows_or_errors(
+            lambda rows: _membership_rows(gf, states[rows]), len(states))):
+        if isinstance(res, Exception):
+            member, step = divmod(k, len(traj.t))
+            _raise_at(res, f"on the flow of surface member {members[member]} "
+                           f"at t={traj.t[step]:g}")
+        drift = max(drift, float(res))
     alpha_res = 0.0
     for i, params in enumerate(members):
         base = i * width
-        for x in xs[:, base]:
-            drift = max(drift, membership_norm(gf, x))
         xf = xs[-1, base]
         for k, v in enumerate(params):
             plus, minus = xs[-1, base + 1 + 2 * k], xs[-1, base + 2 + 2 * k]

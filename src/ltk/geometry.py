@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import ScalarFn, _value_and_dirderiv, dirderiv, grad
+from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
+                      _value_and_dirderiv, _values_and_dirderivs, dirderiv)
 
 __all__ = [
     "PhasePoint",
@@ -204,11 +205,20 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     return _euler_terms(K, pt, r, wrt)[0]
 
 
-def _relative_euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
-                             wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
-    """``|euler_residual| / (1 + |K|)`` at pt: the scale-free degree defect."""
-    res, val = _euler_terms(K, pt, r, wrt)
-    return abs(res) / (1.0 + abs(val))
+def _relative_euler_rows(K: ScalarFn, X, r: int,
+                         wrt: EulerFieldKind = EulerFieldKind.Z):
+    """``|euler_residual| / (1 + |K|)``, the scale-free degree defect, and
+    the value of K at each row of a (B, 2m) array of points, from one
+    vector-mode pass."""
+    X = np.asarray(X, dtype=float)
+    m = X.shape[1] // 2
+    D = np.zeros_like(X)
+    if wrt is EulerFieldKind.Z:
+        D[:, m:] = X[:, m:]
+    else:
+        D[:, :m] = X[:, :m]
+    vals, dots = _values_and_dirderivs(K, X, D)
+    return np.abs(dots - r * vals) / (1.0 + np.abs(vals)), vals
 
 
 def best_chart(pt: PhasePoint) -> int:
@@ -332,21 +342,22 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
 
     Sample points keep q positive and p_chart at -1 so that functions with
     restricted domains (logs, roots, positive temperatures) usually evaluate;
-    points where K raises are skipped rather than failing the check.
+    points where K raises are skipped rather than failing the check.  The
+    points are one batch.
     """
     rng = np.random.default_rng(7)
-    worst = 0.0
-    checked = 0
+    X = []
     for _ in range(4):
         q = rng.uniform(0.6, 1.4, n + 1)
         p = rng.uniform(-0.8, 0.8, n + 1)
         p[chart] = -1.0
-        pt = PhasePoint(q, 1.3 * p)
-        try:
-            worst = max(worst, _relative_euler_residual(K, pt, 1))
-        except (ValueError, ZeroDivisionError, ArithmeticError):
-            continue
-        checked += 1
+        X.append(np.concatenate([q, 1.3 * p]))
+    X = np.array(X)
+    checked = _evaluable(_rows_or_errors(
+        lambda rows: _relative_euler_rows(K, X[rows], 1)[0].tolist(), len(X)))
+    worst = 0.0
+    for res in checked:
+        worst = max(worst, res)
     if checked and worst > 1e-6:
         warnings.warn(
             f"dehomogenize: {K.name or 'function'} does not look homogeneous "

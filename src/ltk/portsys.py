@@ -35,13 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import ScalarFn, dirderiv, exp, grad
-from .dynamics import (_canonical, contact_rhs, hamiltonian_field, integrate,
+from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
+                      _values_and_dirderivs, dirderiv, exp, grad)
+from .dynamics import (_canonical, contact_rhs, integrate, phase_rhs,
                        validate_degree)
-from .geometry import (PhasePoint, dehomogenize, euler_residual, project,
-                       scale_costate)
-from .submanifold import (GeneratingFunction, lift_generating_function,
-                          liouville_point, membership_norm)
+from .geometry import EulerFieldKind, PhasePoint, _euler_terms, dehomogenize
+from .submanifold import (GeneratingFunction, _liouville_rows,
+                          lift_generating_function, liouville_point,
+                          membership_norm)
 
 __all__ = [
     "PortSystem",
@@ -264,6 +265,16 @@ def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
     return 0.0 + dirderiv(K, x, d)
 
 
+def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
+    """:func:`_port_flow` at each row of ``X``: one vector-mode pass along
+    the indicator of the costates in ``indices``."""
+    if not indices or not K.dual_safe:
+        return np.array([_port_flow(K, x, m, indices) for x in X])
+    D = np.zeros_like(X)
+    D[:, [m + i for i in indices]] = 1.0
+    return 0.0 + _values_and_dirderivs(K, X, D)[1]
+
+
 def outputs(sys: PortSystem, pt: PhasePoint):
     """Evaluate all port outputs at a phase point; returns ``(y_p, y_e)``.
 
@@ -296,27 +307,45 @@ def _total(sys: PortSystem, uv, of):
 MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
 
 
-def _monitor_fn(sys: PortSystem, u: PortSignal, name: str):
-    """The per-step channel of a named monitor other than ``membership``.
+def _monitor_fns(sys: PortSystem, u: PortSignal, names) -> list:
+    """``(name, fn(t, x))`` channels of the named monitors, ``membership``
+    aside, which the surface guard of :func:`simulate` records.
 
-    ``membership`` is recorded by the surface guard of :func:`simulate`.
     ``K_res`` is ``|K|`` and ``alpha_res`` the Euler residual
-    ``|alpha(X_K) - K|`` of the total generator K.
+    ``|alpha(X_K) - K|`` of the total generator K.  The residual of each
+    generator comes from one pass that also carries its value, so when
+    both are recorded ``K_res`` reads the values of ``alpha_res``'s passes
+    at the same point instead of evaluating the generators again.
     """
     m = sys.n_coords
-    if name == "E_total":
-        return lambda t, x: float(sum(x[i] for i in sys.energy_indices))
-    if name == "S_total":
-        return lambda t, x: float(sum(x[i] for i in sys.entropy_indices))
-    if name == "K_res":
-        return lambda t, x: abs(_total(sys, u(t), lambda K: float(K(x))))
-    if name == "alpha_res":
-        def alpha_res(t, x):
-            pt = PhasePoint(x[:m], x[m:])
-            return abs(_total(sys, u(t), lambda K: euler_residual(K, pt, 1)))
-        return alpha_res
-    raise ValueError(f"unknown monitor {name!r}; available: "
-                     f"{', '.join(MONITOR_NAMES)}")
+    point = {"x": None}         # the current (t, x) and its Euler terms
+
+    def euler(t, x, K):
+        """``(euler_residual, value)`` of K at x, one pass per point."""
+        if point["x"] is not x or point["t"] != t:
+            point.update(t=t, x=x, pt=PhasePoint(x[:m], x[m:]), terms={})
+        terms = point["terms"]
+        if id(K) not in terms:
+            terms[id(K)] = _euler_terms(K, point["pt"], 1, EulerFieldKind.Z)
+        return terms[id(K)]
+
+    def channel(name):
+        if name == "E_total":
+            return lambda t, x: float(sum(x[i] for i in sys.energy_indices))
+        if name == "S_total":
+            return lambda t, x: float(sum(x[i] for i in sys.entropy_indices))
+        if name == "K_res" and "alpha_res" in names:
+            return lambda t, x: abs(_total(sys, u(t),
+                                           lambda K: euler(t, x, K)[1]))
+        if name == "K_res":
+            return lambda t, x: abs(_total(sys, u(t), lambda K: float(K(x))))
+        if name == "alpha_res":
+            return lambda t, x: abs(_total(sys, u(t),
+                                           lambda K: euler(t, x, K)[0]))
+        raise ValueError(f"unknown monitor {name!r}; available: "
+                         f"{', '.join(MONITOR_NAMES)}")
+
+    return [(nm, channel(nm)) for nm in names if nm != "membership"]
 
 
 def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
@@ -359,8 +388,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         channels += [(f"u{k + 1}", lambda t, x, k=k: u(t)[k]),
                      (f"y_p{k + 1}", lambda t, x, fn=sys.y_p[k]: fn(x)),
                      (f"y_e{k + 1}", lambda t, x, fn=sys.y_e[k]: fn(x))]
-    channels += [(nm, _monitor_fn(sys, u, nm)) for nm in monitors
-                 if nm != "membership"]
+    channels += _monitor_fns(sys, u, monitors)
 
     x0 = liouville_point(sys.gf, params).packed()
     try:
@@ -417,17 +445,27 @@ def _sample_surface_params(sys: PortSystem, n_samples: int, seed: int):
     return [rng.uniform(lo, hi) for _ in range(n_samples)]
 
 
-def _chart_form_residual(sys: PortSystem, pt: PhasePoint, chart: int,
-                         Khat: ScalarFn) -> float:
-    """Defect between full-phase coordinate rates and their chart form."""
+def _chart_form_residuals(sys: PortSystem, X: np.ndarray, chart: int,
+                          Khat: ScalarFn) -> np.ndarray:
+    """Defect between full-phase coordinate rates and their chart form at
+    each row of ``X``; 0.0 where the chart is unusable."""
     m = sys.n_coords
-    pc = pt.p[chart]
-    if abs(pc) < 1e-9 * float(np.max(np.abs(pt.p))):
-        return 0.0                       # chart unusable at this state; skip
-    rep = scale_costate(pt, -1.0 / pc)   # representative with p_chart = -1
-    full = hamiltonian_field(sys.Ka, rep).vq
-    chart_rates = contact_rhs(Khat, chart)(0.0, project(rep, chart).packed())
-    return float(np.max(np.abs(full - chart_rates[:m])))
+    P = X[:, m:]
+    pc = P[:, chart]
+    usable = ~(np.abs(pc) < 1e-9 * np.max(np.abs(P), axis=1))
+    out = np.zeros(len(X))
+    if not usable.any():
+        return out
+    rep = X[usable].copy()               # representatives with p_chart = -1
+    rep[:, m:] *= (-1.0 / pc[usable])[:, None]
+    full = phase_rhs(sys.Ka)(0.0, rep)[:, :m]
+    others = [j for j in range(m) if j != chart]
+    gamma = rep[:, m:][:, others] / -rep[:, m + chart, None]
+    if not np.isfinite(gamma).all():
+        raise ValueError("gamma must be finite")
+    chart_rates = contact_rhs(Khat, chart)(0.0, np.hstack([rep[:, :m], gamma]))
+    out[usable] = np.max(np.abs(full - chart_rates[:, :m]), axis=1)
+    return out
 
 
 def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
@@ -438,35 +476,45 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
     statements (generators vanish, first and second law) are evaluated at
     ``n_samples`` points drawn from ``param_box``; the chart-form agreement
     is checked on the energy chart (0) and, when present, the entropy
-    chart (1).
+    chart (1).  Each check runs its samples as one batch; an error names
+    the failing sample's surface parameters.
     """
     m = sys.n_coords
+    generators = (sys.Ka,) + sys.Kc
     degree_res = 0.0
-    for K in (sys.Ka,) + sys.Kc:
+    for K in generators:
         degree_res = max(degree_res, validate_degree(K, 1, n_samples=30,
                                                      seed=seed))
 
     charts = [0] + ([1] if m > 1 else [])
     khats = {c: dehomogenize(sys.Ka, c) for c in charts}
+    params = np.array(_sample_surface_params(sys, n_samples, seed))
 
-    on_surface = 0.0
-    first_law = 0.0
+    def residuals(rows):
+        X = _liouville_rows(sys.gf, params[rows])
+        zero = np.zeros_like(X)
+        on_surface = [np.abs(_values_and_dirderivs(K, X, zero)[0])
+                      for K in generators]
+        return np.column_stack(
+            on_surface
+            + [np.abs(_port_flows(sys.Ka, X, m, sys.energy_indices)),
+               _port_flows(sys.Ka, X, m, sys.entropy_indices)]
+            + [_chart_form_residuals(sys, X, c, khats[c]) for c in charts]
+        ).tolist()
+
+    on_surface = first_law = chart_form = 0.0
     second_min = np.inf
-    chart_form = 0.0
-    params_list = _sample_surface_params(sys, n_samples, seed)
-    for params in params_list:
-        pt = liouville_point(sys.gf, params)
-        x = pt.packed()
-        for K in (sys.Ka,) + sys.Kc:
-            on_surface = max(on_surface, abs(float(K(x))))
-        first_law = max(first_law, abs(
-            _port_flow(sys.Ka, x, m, sys.energy_indices)))
-        second_min = min(second_min,
-                         _port_flow(sys.Ka, x, m, sys.entropy_indices))
-        for c in charts:
-            chart_form = max(chart_form,
-                             _chart_form_residual(sys, pt, c, khats[c]))
-    return ValidationReport(sys.name, len(params_list), degree_res, on_surface,
+    n = len(generators)
+    for sample, res in zip(params, _rows_or_errors(residuals, len(params))):
+        if isinstance(res, Exception):
+            _raise_at(res, f"at surface parameters {sample.tolist()}")
+        for value in res[:n]:
+            on_surface = max(on_surface, value)
+        first_law = max(first_law, res[n])
+        second_min = min(second_min, res[n + 1])
+        for value in res[n + 2:]:
+            chart_form = max(chart_form, value)
+    return ValidationReport(sys.name, len(params), degree_res, on_surface,
                             first_law, float(second_min), chart_form)
 
 
@@ -583,12 +631,16 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
         entropy_indices=entropy, y_p=(), y_e=(),
         default_params=default_params, param_box=param_box)
 
-    # Reject feedback laws that let the composed drift destroy entropy.
+    # Reject feedback laws that let the composed drift destroy entropy; the
+    # samples are one batch.
+    samples = np.array(_sample_surface_params(composed, n_check, seed))
     worst_rate = np.inf
     worst_params = None
-    for params in _sample_surface_params(composed, n_check, seed):
-        pt = liouville_point(gf, params)
-        rate = _port_flow(Ka, pt.packed(), M, entropy)
+    for params, rate in zip(samples, _rows_or_errors(
+            lambda rows: _port_flows(Ka, _liouville_rows(gf, samples[rows]),
+                                     M, entropy), len(samples))):
+        if isinstance(rate, Exception):
+            _raise_at(rate, f"at surface parameters {params.tolist()}")
         if rate < worst_rate:
             worst_rate = rate
             worst_params = params

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import ScalarFn, grad
+from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _raise_at, _reject,
+                      _rows_or_errors, grad)
 from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                        ContactPoint, EulerFieldKind, PhasePoint,
-                       TangentVector, _relative_euler_residual, best_chart,
-                       beta)
+                       TangentVector, _relative_euler_rows, best_chart, beta)
 
 __all__ = [
     "GeneratingFunction",
@@ -101,22 +101,29 @@ class GeneratingFunction:
 
         At p_chart = -1 the lift is Fhat at (q_I, gamma_J = p_J) and ignores
         q_chart and q_J, so its residual along the base Euler field W is
-        Fhat's degree-1 residual in q_I.
+        Fhat's degree-1 residual in q_I.  The points are one batch.
         """
         F = lift_phase_fn(self)
         rng = np.random.default_rng(11)
         nI = len(self.I)
-        checked = 0
+        samples, X = [], []
         for _ in range(6):
             x = rng.uniform(0.5, 1.5, self.n)
             q = np.ones(self.n + 1)
             p = -np.ones(self.n + 1)
             q[list(self.I)], p[list(self.J)] = x[:nI], x[nI:]
-            try:
-                res = _relative_euler_residual(F, PhasePoint(q, p), 1,
-                                               EulerFieldKind.W)
-            except (ValueError, ZeroDivisionError, ArithmeticError):
+            samples.append(x)
+            X.append(np.concatenate([q, p]))
+        X = np.array(X)
+        checked = 0
+        for x, res in zip(samples, _rows_or_errors(
+                lambda rows: _relative_euler_rows(F, X[rows], 1,
+                                                  EulerFieldKind.W)[0].tolist(),
+                len(X))):
+            if isinstance(res, _DOMAIN_ERRORS):
                 continue
+            if isinstance(res, Exception):
+                raise res
             if res > 1e-9:
                 raise ValueError(
                     f"generating function declared q_homogeneous but its "
@@ -259,6 +266,52 @@ def legendre_point(gf: GeneratingFunction, params) -> ContactPoint:
     return ContactPoint(gf.chart, q, packed)
 
 
+def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:
+    """``liouville_point(gf, params).packed()`` for each row of the (B,
+    n_params) array ``P``, as a (B, 2m) array: one vector-mode pass."""
+    P = np.asarray(P, dtype=float)
+    if P.shape[1] != gf.n_params:
+        raise ValueError(f"expected {gf.n_params} parameters "
+                         f"(q_I, p_chart, p_J), got {P.shape[1]}")
+    nI, m = len(gf.I), gf.n + 1
+    _reject(P[:, nI] == 0.0, ValueError,
+            "p_chart must be nonzero to generate a lift point")
+    g = grad(lift_generating_function(gf), P)
+    X = np.empty((len(P), 2 * m))
+    X[:, list(gf.I)] = P[:, :nI]
+    X[:, [m + i for i in gf.I]] = g[:, :nI]             # p_I = dF/dq_I
+    X[:, gf.chart] = -g[:, nI]                           # q_c = -dF/dp_c
+    X[:, m + gf.chart] = P[:, nI]
+    X[:, list(gf.J)] = -g[:, nI + 1:]                    # q_J = -dF/dp_J
+    X[:, [m + j for j in gf.J]] = P[:, nI + 1:]
+    return X
+
+
+def _membership_rows(gf: GeneratingFunction, X) -> np.ndarray:
+    """``membership_norm(gf, x)`` for each row x of the (B, 2m) array
+    ``X``: one vector-mode pass of the generating relations."""
+    X = np.asarray(X, dtype=float)
+    m = gf.n + 1
+    if X.shape[1] != 2 * m:
+        raise ValueError(f"point dimension {X.shape[1] // 2} does not match "
+                         f"n={gf.n}")
+    Q, P = X[:, :m], X[:, m:]
+    p_max = np.max(np.abs(P), axis=1)
+    _reject(p_max == 0.0, ValueError, "zero costate: points live on the "
+            "cotangent bundle without its zero section")
+    pc = P[:, gf.chart]
+    degenerate = np.abs(pc) < CHART_DEGENERACY_RATIO * p_max
+    if degenerate.any():
+        row = int(np.argmax(degenerate))
+        raise ChartDegenerateError(gf.chart, int(np.argmax(np.abs(P[row]))))
+    params = np.column_stack([Q[:, list(gf.I)], pc, P[:, list(gf.J)]])
+    G = _liouville_rows(gf, params)
+    residual = np.column_stack([Q[:, gf.chart] - G[:, gf.chart],
+                                Q[:, list(gf.J)] - G[:, list(gf.J)],
+                                P[:, list(gf.I)] - G[:, [m + i for i in gf.I]]])
+    return np.max(np.abs(residual), axis=1)
+
+
 def membership_residual(gf: GeneratingFunction, pt: PhasePoint) -> np.ndarray:
     """Defect of the generating relations at ``pt``; zero iff pt is on the lift.
 
@@ -283,6 +336,27 @@ def membership_norm(gf: GeneratingFunction, x) -> float:
     return float(np.max(np.abs(membership_residual(gf, PhasePoint(x[:m], x[m:])))))
 
 
+def _tangent_rows(gf: GeneratingFunction, P):
+    """:func:`tangent_basis` at each row of the (B, n_params) array ``P``:
+    arrays ``vq`` and ``vp`` of shape (B, n_params, m), from one pass over
+    the 4 * n_params perturbed parameter vectors of every row."""
+    P = np.asarray(P, dtype=float)
+    B, k = P.shape
+    m = gf.n + 1
+    h = TANGENT_STEP * np.maximum(1.0, np.abs(P))
+    half = 0.5 * h
+    # per row and parameter: moved by +h, -h, +h/2, -h/2
+    moved = np.repeat(P[:, None, None, :], 4, axis=2).repeat(k, axis=1)
+    for j in range(k):
+        for s, step in enumerate((h, -h, half, -half)):
+            moved[:, j, s, j] = P[:, j] + step[:, j]
+    X = _liouville_rows(gf, moved.reshape(-1, k)).reshape(B, k, 4, 2 * m)
+    full = (X[:, :, 0] - X[:, :, 1]) / (2.0 * h)[..., None]
+    halved = (X[:, :, 2] - X[:, :, 3]) / (2.0 * half)[..., None]
+    v = (4.0 * halved - full) / 3.0
+    return v[..., :m], v[..., m:]
+
+
 def tangent_basis(gf: GeneratingFunction, params) -> list:
     """Finite-difference tangent vectors of the parameterization at ``params``.
 
@@ -291,27 +365,10 @@ def tangent_basis(gf: GeneratingFunction, params) -> list:
     ``(4 D(h/2) - D(h)) / 3`` cancels the O(h^2) truncation term, leaving
     O(h^4) + O(eps/h) error — around 1e-12 at the default step.  The vectors
     span the tangent space of the lifted surface and feed the one-form
-    vanishing checks.
+    vanishing checks.  The 4 * n_params surface points are one batch.
     """
-    params = [float(v) for v in params]
-
-    def quotient(k: int, h: float):
-        plus = list(params)
-        minus = list(params)
-        plus[k] = params[k] + h
-        minus[k] = params[k] - h
-        a = liouville_point(gf, plus)
-        b = liouville_point(gf, minus)
-        return (a.q - b.q) / (2.0 * h), (a.p - b.p) / (2.0 * h)
-
-    out = []
-    for k, v in enumerate(params):
-        h = TANGENT_STEP * max(1.0, abs(v))
-        q_full, p_full = quotient(k, h)
-        q_half, p_half = quotient(k, 0.5 * h)
-        out.append(TangentVector((4.0 * q_half - q_full) / 3.0,
-                                 (4.0 * p_half - p_full) / 3.0))
-    return out
+    vq, vp = _tangent_rows(gf, [[float(v) for v in params]])
+    return [TangentVector(a, b) for a, b in zip(vq[0], vp[0])]
 
 
 def gibbs_duhem_check(gf: GeneratingFunction, samples) -> GibbsDuhemReport:
@@ -322,27 +379,42 @@ def gibbs_duhem_check(gf: GeneratingFunction, samples) -> GibbsDuhemReport:
     membership residual of the base-scaled point ``(2q, p)`` — a finite test
     of tangency of the base Euler field W.  Requires the generating function
     to be declared q_homogeneous (with nonempty I).
+
+    All samples, their tangent bases and their scaled points are batches of
+    one vector-mode pass each; an error names the failing sample's
+    parameters.
     """
     if not gf.q_homogeneous:
         raise ValueError("gibbs_duhem_check requires a generating function "
                          "declared q_homogeneous")
-    max_qp = 0.0
-    max_qp_rel = 0.0
-    max_beta = 0.0
-    max_w = 0.0
-    count = 0
-    for params in samples:
-        pt = liouville_point(gf, params)
-        qp = float(np.dot(pt.q, pt.p))
-        scale = max(1.0, float(np.sum(np.abs(pt.q * pt.p))))
-        max_qp = max(max_qp, abs(qp))
-        max_qp_rel = max(max_qp_rel, abs(qp) / scale)
-        for v in tangent_basis(gf, params):
-            max_beta = max(max_beta, abs(beta(pt, v)))
-        scaled = np.concatenate([2.0 * pt.q, pt.p])
-        max_w = max(max_w, membership_norm(gf, scaled))
-        count += 1
-    return GibbsDuhemReport(count, max_qp, max_qp_rel, max_beta, max_w)
+    P = np.array([[float(v) for v in params] for params in samples])
+    m = gf.n + 1
+
+    def residuals(rows):
+        X = _liouville_rows(gf, P[rows])
+        q, p = X[:, :m], X[:, m:]
+        vq, vp = _tangent_rows(gf, P[rows])
+        scaled = _membership_rows(gf, np.hstack([2.0 * q, p]))
+        out = []
+        for i, pt in enumerate(map(PhasePoint, q, p)):
+            qp = abs(float(np.dot(pt.q, pt.p)))
+            scale = max(1.0, float(np.sum(np.abs(pt.q * pt.p))))
+            out.append([qp, qp / scale, scaled[i]]
+                       + [abs(beta(pt, TangentVector(a, b)))
+                          for a, b in zip(vq[i], vp[i])])
+        return out
+
+    max_qp = max_qp_rel = max_beta = max_w = 0.0
+    for params, res in zip(P, _rows_or_errors(residuals, len(P))):
+        if isinstance(res, Exception):
+            _raise_at(res, f"at surface parameters {params.tolist()}")
+        qp, qp_rel, w, *betas = res
+        max_qp = max(max_qp, qp)
+        max_qp_rel = max(max_qp_rel, qp_rel)
+        for b in betas:
+            max_beta = max(max_beta, b)
+        max_w = max(max_w, float(w))
+    return GibbsDuhemReport(len(P), max_qp, max_qp_rel, max_beta, max_w)
 
 
 def _require_specific_shape(gf: GeneratingFunction):

@@ -1,0 +1,357 @@
+"""Each sampled check runs its samples as one batch; these tests hold every
+batched check to a reference loop over the single-point API, bit for bit
+(``float.hex``), and check that a failing sample is named.
+
+The reference loops are the checks as they ran one sample at a time.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from test_diffkit import SYSTEMS, _hex
+
+from ltk import cli
+from ltk.brackets import degree_check, poisson_fn
+from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
+from ltk.dynamics import contact_rhs, phase_rhs
+from ltk.exprlang import compile_fn
+from ltk.geometry import (EulerFieldKind, _euler_terms, beta, dehomogenize,
+                          project, sample_phase_points, scale_costate)
+from ltk.portsys import (_port_flow, _port_flows, _sample_surface_params,
+                         heat_compartment, ideal_gas_SVN, interconnect,
+                         validate)
+from ltk.submanifold import (TANGENT_STEP, GeneratingFunction,
+                             _liouville_rows, gibbs_duhem_check,
+                             liouville_point, membership_norm, tangent_basis)
+
+VALIDATED = dict(SYSTEMS, compartment=heat_compartment, ideal_gas=ideal_gas_SVN)
+SKIPPED = (ValueError, ZeroDivisionError, ArithmeticError)
+
+
+# -- reference loops over single points -----------------------------------------
+
+
+def _relative_euler_residual(K, pt, r):
+    res, val = _euler_terms(K, pt, r, EulerFieldKind.Z)
+    return abs(res) / (1.0 + abs(val))
+
+
+def _validate_degree_loop(K, degree, n_samples, seed):
+    worst, evaluated = 0.0, 0
+    for pt in sample_phase_points(K.dim // 2, n_samples, seed):
+        try:
+            worst = max(worst, _relative_euler_residual(K, pt, degree))
+        except SKIPPED:
+            continue
+        evaluated += 1
+    return worst, evaluated
+
+
+def _chart_form_loop(system, pt, chart, Khat):
+    m = system.n_coords
+    pc = pt.p[chart]
+    if abs(pc) < 1e-9 * float(np.max(np.abs(pt.p))):
+        return 0.0
+    rep = scale_costate(pt, -1.0 / pc)
+    full = phase_rhs(system.Ka)(0.0, rep.packed())[:m]
+    rates = contact_rhs(Khat, chart)(0.0, project(rep, chart).packed())
+    return float(np.max(np.abs(full - rates[:m])))
+
+
+def _validate_loop(system, n_samples, seed):
+    m = system.n_coords
+    generators = (system.Ka,) + system.Kc
+    degree = max(_validate_degree_loop(K, 1, 30, seed)[0] for K in generators)
+    charts = [0] + ([1] if m > 1 else [])
+    khats = {c: dehomogenize(system.Ka, c) for c in charts}
+    on_surface = first_law = chart_form = 0.0
+    second_min = np.inf
+    samples = _sample_surface_params(system, n_samples, seed)
+    for params in samples:
+        pt = liouville_point(system.gf, params)
+        x = pt.packed()
+        for K in generators:
+            on_surface = max(on_surface, abs(float(K(x))))
+        first_law = max(first_law, abs(
+            _port_flow(system.Ka, x, m, system.energy_indices)))
+        second_min = min(second_min,
+                         _port_flow(system.Ka, x, m, system.entropy_indices))
+        for c in charts:
+            chart_form = max(chart_form,
+                             _chart_form_loop(system, pt, c, khats[c]))
+    return [len(samples), degree, on_surface, first_law, float(second_min),
+            chart_form]
+
+
+def _degree_check_loop(degree1, degree2, K1, K2, points):
+    B = poisson_fn(K1, K2)
+    worst = worst_input = 0.0
+    used = 0
+    for pt in points:
+        x = pt.packed()
+        try:
+            in_res = max(_relative_euler_residual(K1, pt, degree1),
+                         _relative_euler_residual(K2, pt, degree2))
+            if degree1 == degree2 == 0:
+                res = abs(float(B(x))) / (1.0 + abs(float(K1(x)) * float(K2(x))))
+            else:
+                res = _relative_euler_residual(B, pt, degree1 + degree2 - 1)
+        except SKIPPED:
+            continue
+        worst = max(worst, res)
+        worst_input = max(worst_input, in_res)
+        used += 1
+    return worst, worst_input, used
+
+
+def _antisymmetry_loop(K1, K2, points):
+    worst = 0.0
+    for pt in points:
+        x = pt.packed()
+        try:
+            value = float(poisson_fn(K1, K2)(x))
+            along = dirderiv(K1, x, phase_rhs(K2)(0.0, x))
+        except SKIPPED:
+            continue
+        worst = max(worst, abs(value + along) / (1.0 + abs(value)))
+    return worst
+
+
+def _tangent_loop(gf, params):
+    params = [float(v) for v in params]
+    out = []
+    for k, v in enumerate(params):
+        quotients = []
+        for h in (TANGENT_STEP * max(1.0, abs(v)),
+                  0.5 * TANGENT_STEP * max(1.0, abs(v))):
+            plus, minus = list(params), list(params)
+            plus[k], minus[k] = params[k] + h, params[k] - h
+            a, b = liouville_point(gf, plus), liouville_point(gf, minus)
+            quotients.append(((a.q - b.q) / (2.0 * h), (a.p - b.p) / (2.0 * h)))
+        (q_full, p_full), (q_half, p_half) = quotients
+        out.append(((4.0 * q_half - q_full) / 3.0, (4.0 * p_half - p_full) / 3.0))
+    return out
+
+
+def _gibbs_duhem_loop(gf, samples):
+    max_qp = max_qp_rel = max_beta = max_w = 0.0
+    for params in samples:
+        pt = liouville_point(gf, params)
+        qp = float(np.dot(pt.q, pt.p))
+        scale = max(1.0, float(np.sum(np.abs(pt.q * pt.p))))
+        max_qp = max(max_qp, abs(qp))
+        max_qp_rel = max(max_qp_rel, abs(qp) / scale)
+        for _, vp in _tangent_loop(gf, params):
+            max_beta = max(max_beta, abs(float(np.dot(pt.q, vp))))
+        max_w = max(max_w, membership_norm(
+            gf, np.concatenate([2.0 * pt.q, pt.p])))
+    return [len(samples), max_qp, max_qp_rel, max_beta, max_w]
+
+
+def _second_law_scan_loop(system, n_check=20, seed=13):
+    worst_rate, worst_params = np.inf, None
+    M = system.n_coords
+    for params in _sample_surface_params(system, n_check, seed):
+        x = liouville_point(system.gf, params).packed()
+        rate = _port_flow(system.Ka, x, M, system.entropy_indices)
+        if rate < worst_rate:
+            worst_rate, worst_params = rate, params
+    return worst_rate, worst_params
+
+
+# -- batched against the loops ----------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [9, 4, 21])
+@pytest.mark.parametrize("name", sorted(VALIDATED))
+def test_validate_matches_the_per_sample_loop_bit_for_bit(name, seed):
+    system = VALIDATED[name]()
+    report = validate(system, n_samples=25, seed=seed)
+    assert report.passed
+    batched = [report.n_samples, report.degree_residual,
+               report.on_surface_residual, report.first_law_residual,
+               report.second_law_min, report.chart_form_residual]
+    assert _hex(batched) == _hex(_validate_loop(system, 25, seed))
+
+
+# degree-1 and degree-0 operands that are undefined at some sample points
+HOLES = {
+    "sqrt": (ScalarFn(lambda x: x[1] * sqrt(x[2] * x[3]), 4, name="q1 sqrt(p0 p1)"), 1),
+    "ln": (ScalarFn(lambda x: ln(x[0] - 1.0) * x[3], 4, name="ln(q0-1) p1"), 1),
+    "ratio": (ScalarFn(lambda x: ln(x[1] - 0.9) * x[3] / x[2], 4,
+                       name="ln(q1-0.9) p1/p0"), 0),
+    "smooth": (ScalarFn(lambda x: x[0] * x[3] - x[1] * x[2], 4, name="q0 p1 - q1 p0"), 1),
+    "ratio_smooth": (ScalarFn(lambda x: x[1] * x[2] / x[3], 4, name="q1 p0/p1"), 0),
+}
+PAIRS = [("sqrt", "ln"), ("ln", "smooth"), ("smooth", "sqrt"),
+         ("sqrt", "ratio"), ("ratio", "ln"), ("ratio", "ratio_smooth")]
+
+
+@pytest.mark.parametrize("seed", [5, 12])
+@pytest.mark.parametrize("first, second", PAIRS)
+def test_degree_check_skips_the_same_samples_bit_for_bit(first, second, seed):
+    (K1, d1), (K2, d2) = HOLES[first], HOLES[second]
+    points = sample_phase_points(2, 40, seed)
+    worst, worst_input, used = _degree_check_loop(d1, d2, K1, K2, points)
+    assert 0 < used < 40
+    report = degree_check(d1, d2, K1, K2, points=points)
+    assert report.n_samples == used
+    assert _hex([report.max_residual, report.max_input_residual]) == \
+        _hex([worst, worst_input])
+
+
+@pytest.mark.parametrize("first, second", PAIRS)
+def test_bracket_antisymmetry_matches_the_per_point_loop(first, second,
+                                                         capsys, monkeypatch):
+    (K1, d1), (K2, d2) = HOLES[first], HOLES[second]
+    monkeypatch.setattr(cli, "_bracket_operands", lambda cfg: (K1, K2, d1, d2))
+    cli.main(["bracket", "--samples", "30", "--seed", "6"])
+    report = json.loads(capsys.readouterr().out)
+    points = sample_phase_points(2, 30, 6)
+    assert report["antisymmetry"]["max_residual"].hex() == \
+        _antisymmetry_loop(K1, K2, points).hex()
+    worst, worst_input, _ = _degree_check_loop(d1, d2, K1, K2, points)
+    assert report["operand_degrees"]["max_residual"].hex() == worst_input.hex()
+
+
+SQRT_AREA = GeneratingFunction(
+    n=3, Fhat=compile_fn("sqrt(q1*q2) + q3", ["q1", "q2", "q3"]), I=(1, 2, 3),
+    q_homogeneous=True, name="sqrt_area")
+
+
+@pytest.mark.parametrize("seed", [0, 8])
+@pytest.mark.parametrize("gf", [ideal_gas_SVN().gf, SQRT_AREA],
+                         ids=["ideal_gas", "sqrt_area"])
+def test_gibbs_duhem_report_and_tangents_match_the_loop(gf, seed):
+    rng = np.random.default_rng(seed)
+    samples = [np.concatenate([rng.uniform(0.6, 1.5, 3), [-rng.uniform(0.5, 1.5)]])
+               for _ in range(25)]
+    report = gibbs_duhem_check(gf, samples)
+    batched = [report.n_samples, report.max_qp_abs, report.max_qp_rel,
+               report.max_beta, report.max_w_membership]
+    assert _hex(batched) == _hex(_gibbs_duhem_loop(gf, samples))
+    for v, (vq, vp) in zip(tangent_basis(gf, samples[0]),
+                           _tangent_loop(gf, samples[0])):
+        assert _hex(v.vq) == _hex(vq) and _hex(v.vp) == _hex(vp)
+        assert abs(beta(liouville_point(gf, samples[0]), v)) < 1e-9
+
+
+def _fourier(sign):
+    def law(yp1, ye1, yp2, ye2):
+        w = sign * (1.0 / ye1[0] - 1.0 / ye2[0])
+        return (-w,), (w,)
+    return law
+
+
+@pytest.mark.parametrize("custom", [False, True], ids=["builtin", "expression"])
+def test_interconnect_scan_matches_the_per_sample_loop(custom):
+    if custom:
+        parts = [cli._build_custom_system({
+            "name": name, "dimensions": 2, "gf": {"expr": "1.3*exp(q1/1.3)"},
+            "partition": {"energy": [0], "entropy": [1]}, "Ka": "0",
+            "Kc": ["p1 / exp(q1/1.3) + p0"], "initial": [0.0, -1.0],
+            "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}) for name in "ab"]
+    else:
+        parts = [heat_compartment(C=1.3, name="a"), heat_compartment(name="b")]
+    assert interconnect(*parts, _fourier(1.0)).Ka.dual_safe is not custom
+    for sign in (1.0, -1.0):
+        unchecked = interconnect(*parts, _fourier(sign), n_check=0)
+        M = unchecked.n_coords
+        samples = np.array(_sample_surface_params(unchecked, 20, 13))
+        rates = _port_flows(unchecked.Ka, _liouville_rows(unchecked.gf, samples),
+                            M, unchecked.entropy_indices)
+        assert _hex(rates) == _hex([
+            _port_flow(unchecked.Ka, liouville_point(unchecked.gf, p).packed(),
+                       M, unchecked.entropy_indices) for p in samples])
+    # the reversed law is rejected at the loop's worst rate and sample
+    rate, params = _second_law_scan_loop(unchecked)
+    assert rate < 0.0
+    with pytest.raises(ValueError) as err:
+        interconnect(*parts, _fourier(-1.0))
+    assert str(err.value) == (
+        f"interconnection 'a+b' violates the second law: the composed drift "
+        f"produces entropy at rate {rate:.3g} at surface parameters "
+        f"{np.asarray(params).tolist()}")
+
+
+# -- a failing sample is named ---------------------------------------------------------
+
+
+def _first_failing(samples, evaluate):
+    for params in samples:
+        try:
+            evaluate(params)
+        except Exception:      # noqa: BLE001 - any error marks the sample
+            return [float(v) for v in params]
+    raise AssertionError("no sample fails")
+
+
+def test_validate_names_the_failing_sample(tmp_path, capsys):
+    spec = {"name": "holey", "dimensions": 2, "gf": {"expr": "exp(q1)"},
+            "partition": {"energy": [0], "entropy": [1]}, "Ka": "0",
+            "Kc": ["p1 / exp(q1) + p0 + 0 * ln(q1 + 0.2)"],
+            "initial": [0.0, -1.0], "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}
+    system = cli._build_custom_system(spec)
+    first = _first_failing(
+        _sample_surface_params(system, 25, 3),
+        lambda p: system.Kc[0](liouville_point(system.gf, p).packed()))
+    config = tmp_path / "holey.json"
+    config.write_text(json.dumps({"command": "validate", "system": {"custom": spec},
+                                  "seed": 3}))
+    assert cli.run(str(config)) == 1
+    err = capsys.readouterr().err
+    assert "ln requires a positive argument" in err
+    assert f"at surface parameters {first}" in err
+
+
+def test_reduce_names_the_failing_sample(tmp_path, capsys):
+    spec = {"name": "area", "dimensions": 3,
+            "gf": {"expr": "sqrt(q1*q2)", "q_homogeneous": True},
+            "partition": {"energy": [0], "entropy": [1]},
+            "param_box": [[0.5, 1.5], [-0.5, 1.0], [-1.5, -0.5]]}
+    system = cli._build_custom_system(spec)
+    first = _first_failing(_sample_surface_params(system, 25, 2),
+                           lambda p: _tangent_loop(system.gf, p))
+    config = tmp_path / "area.json"
+    config.write_text(json.dumps({"command": "reduce", "system": {"custom": spec},
+                                  "seed": 2}))
+    assert cli.run(str(config)) == 1
+    err = capsys.readouterr().err
+    assert "sqrt" in err and f"at surface parameters {first}" in err
+
+
+def test_interconnect_names_the_failing_sample():
+    parts = [heat_compartment(name="a"), heat_compartment(name="b")]
+
+    def law(yp1, ye1, yp2, ye2):      # Fourier, defined where T1 < 1 only
+        w = 1.0 / ye1[0] - 1.0 / ye2[0] + 0.0 * ln(ye1[0] - 1.0)
+        return (-w,), (w,)
+
+    probe = interconnect(*parts, _fourier(1.0))
+
+    def at(params):       # y_e of each compartment is 1/T = exp(-S)
+        q = liouville_point(probe.gf, params).q
+        law([1.0], [1.0 / math.exp(q[1])], [1.0], [1.0 / math.exp(q[3])])
+
+    first = _first_failing(_sample_surface_params(probe, 20, 13), at)
+    with pytest.raises(ValueError, match="ln requires a positive argument") as err:
+        interconnect(*parts, law)
+    assert f"at surface parameters {first}" in str(err.value)
+
+
+def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
+                                                                    capsys):
+    # dp0/dt = 1 carries the chart costate from -1 to 0 at t = 1
+    spec = {"name": "drifting", "dimensions": 2, "gf": {"expr": "exp(q1)"},
+            "partition": {"energy": [0], "entropy": [1]}, "Ka": "-q0",
+            "initial": [0.0, -1.0]}
+    config = tmp_path / "drift.json"
+    config.write_text(json.dumps({"command": "flowcheck", "samples": 1,
+                                  "t_end": 1.0, "dt": 0.25,
+                                  "system": {"custom": spec}}))
+    assert cli.run(str(config)) == 1
+    err = capsys.readouterr().err
+    assert "ChartDegenerateError" in err
+    assert "on the flow of surface member [0.0, -1.0] at t=1" in err

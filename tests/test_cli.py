@@ -227,9 +227,9 @@ def test_bracket_expression_operands(capsys):
 def test_bracket_antisymmetry_fails_on_a_wrong_bracket(capsys, monkeypatch):
     # a bracket of the wrong sign disagrees with the derivative of k1 along
     # the canonical field of k2
-    true_poisson = cli.poisson
-    monkeypatch.setattr(cli, "poisson",
-                        lambda K1, K2, pt: -true_poisson(K1, K2, pt))
+    true_poisson = cli._poisson_rows
+    monkeypatch.setattr(cli, "_poisson_rows",
+                        lambda K1, K2, X: -true_poisson(K1, K2, X))
     code, report, _ = run_json(capsys, "bracket", "--k1", "q1*p0",
                                "--k2", "q0*p1", "--dimensions", "2")
     assert code == 1

@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 from ltk.diffkit import ScalarFn, sqrt
-from ltk.dynamics import (Trajectory, commutator_residual,
-                          contact_field, contact_rhs, flow_transport_check,
-                          hamiltonian_field, integrate, lie_bracket_fd,
-                          phase_rhs, project_reduced,
-                          reduced_field, reduced_rhs, rk4_step,
+from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
+                          flow_transport_check, integrate, lie_bracket_fd,
+                          phase_rhs, project_reduced, reduced_rhs, rk4_step,
                           scaling_commutation_check, validate_degree)
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
-                          PhasePoint, alpha, homogenize, project)
+                          PhasePoint, TangentVector, alpha, homogenize,
+                          project)
 from ltk.submanifold import GeneratingFunction, liouville_point
 
 # Khat(q0, q1, gamma1) = gamma1^2 + q0 gamma1 and its degree-1 phase lift.
@@ -66,8 +65,14 @@ def test_validate_degree_checks_both_homogeneities():
 # -- point fields --------------------------------------------------------------
 
 
+def _field(K, pt):
+    """The canonical field of K at pt as a tangent vector."""
+    v = phase_rhs(K)(0.0, pt.packed())
+    return TangentVector(v[:len(pt.q)], v[len(pt.q):])
+
+
 def test_hamiltonian_field_hand_value():
-    v = hamiltonian_field(Q1P0, PT)
+    v = _field(Q1P0, PT)
     assert v.vq == pytest.approx([2.0, 0.0])
     assert v.vp == pytest.approx([0.0, -3.0])
 
@@ -78,17 +83,17 @@ def test_canonical_field_reproduces_the_generator_through_alpha():
     for _ in range(25):
         pt = PhasePoint(rng.uniform(0.6, 1.4, 2),
                         rng.uniform(0.2, 1.0, 2) * rng.choice([-1.0, 1.0], 2))
-        v = hamiltonian_field(K1, pt)
+        v = _field(K1, pt)
         val = float(K1(pt.packed()))
         assert alpha(pt, v) == pytest.approx(val, rel=1e-12, abs=1e-12)
     # ... and fails to for a degree-2 generator: alpha(X_K) = 2 K
-    v = hamiltonian_field(P0SQ, PT)
+    v = _field(P0SQ, PT)
     assert alpha(PT, v) == pytest.approx(2 * 9.0, rel=1e-12)
 
 
 def test_field_checks_dimension():
     with pytest.raises(ValueError, match="dimension"):
-        hamiltonian_field(Q1P0, PhasePoint([1.0], [1.0]))
+        _field(Q1P0, PhasePoint([1.0], [1.0]))
 
 
 # -- integrator ----------------------------------------------------------------
@@ -150,10 +155,14 @@ def test_contact_rhs_shape_checks():
 
 
 def test_contact_field_matches_rhs_builder():
+    # a batch of contact vectors gets each row's single-point rates
     cpt = ContactPoint(chart=0, q=[1.0, 0.5], gamma=[0.8])
-    dq, dgamma = contact_field(KHAT, cpt)
-    dx = contact_rhs(KHAT, 0)(0.0, cpt.packed())
-    assert np.array_equal(np.concatenate([dq, dgamma]), dx)
+    rhs = contact_rhs(KHAT, 0)
+    X = np.array([cpt.packed(), [0.3, 1.2, -0.4], [2.0, 0.7, 1.5]])
+    dx = rhs(0.0, X)
+    assert dx.shape == X.shape
+    assert [v.hex() for v in dx.ravel().tolist()] == \
+        [v.hex() for x in X for v in rhs(0.0, x).tolist()]
 
 
 def test_chart_flow_is_the_projected_phase_flow():
@@ -174,15 +183,16 @@ def test_chart_flow_is_the_projected_phase_flow():
 def test_constant_reduced_generator_moves_only_normalization_slots():
     c = 0.7
     Kbar = ScalarFn(lambda x: c + 0.0 * x[0], dim=4, name="const")
-    deps, dgamma = reduced_field(Kbar, [0.3, 1.2], [0.5, -0.4])
+    dx = reduced_rhs(Kbar)(0.0, [0.3, 1.2, 0.5, -0.4])
+    deps, dgamma = dx[:2], dx[2:]
     assert deps == pytest.approx([-c, 0.0], abs=1e-14)
     assert dgamma == pytest.approx([-c, 0.0], abs=1e-14)
 
 
 def test_reduced_field_validates_lengths():
     Kbar = ScalarFn(lambda x: x[0], dim=4)
-    with pytest.raises(ValueError, match="equal length"):
-        reduced_field(Kbar, [1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="dimension"):
+        reduced_rhs(Kbar)(0.0, [1.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="even"):
         reduced_rhs(ScalarFn(lambda x: x[0], dim=3))
 

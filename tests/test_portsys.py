@@ -258,9 +258,9 @@ def test_simulate_work_per_step(monkeypatch):
     assert np.max(result.monitors["membership"]) < 1e-10
     # the README monitors add no gradient: alpha_res is one Euler-field pass
     # per active generator, which also carries the generator's value, so
-    # only K_res evaluates generators by value; the gradients are 1 for the
-    # initial point, 4 stages x 2 generators per step, and 1 per point for
-    # the guard
+    # K_res reads its values and evaluates no generator; the gradients are 1
+    # for the initial point, 4 stages x 2 generators per step, and 1 per
+    # point for the guard
     grads = _count_calls(monkeypatch, diffkit.grad)
     passes = _count_calls(monkeypatch, diffkit._value_and_dirderiv)
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
@@ -268,7 +268,7 @@ def test_simulate_work_per_step(monkeypatch):
     assert len(result.t) == 6
     assert len(grads) == 1 + 8 * 5 + 6 == 47
     assert len(passes) == 2 * 6
-    assert len(by_value) == 2 * 6
+    assert len(by_value) == 0
     assert np.max(result.monitors["alpha_res"]) < 1e-12
     # a custom system's derived y_p / y_e are one pass each per point along
     # the indicator of the energy / entropy costates, no gradient
