@@ -493,7 +493,7 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     return out
 
 
-def _rows(f: ScalarFn, X) -> np.ndarray:
+def _as_rows(f: ScalarFn, X) -> np.ndarray:
     """``X`` as a float (B, f.dim) array of points."""
     X = np.asarray(X, dtype=float)
     if X.shape[1] != f.dim:
@@ -527,7 +527,7 @@ def _seeds(B: int, dim: int) -> np.ndarray:
 
 def _grad_rows(f: ScalarFn, X) -> np.ndarray:
     """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
-    X = _rows(f, X)
+    X = _as_rows(f, X)
     y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
     if y is not None:
         return y.dot.T.copy()
@@ -538,7 +538,7 @@ def _values_and_grads(f: ScalarFn, X):
     """``(f(x), grad(f, x))`` at each row x of ``X``: arrays of shape (B,)
     and (B, dim) from one vector-mode pass, or row by row where ``f`` is
     not ``dual_safe`` or compares its arguments."""
-    X = _rows(f, X)
+    X = _as_rows(f, X)
     y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
     if y is not None:
         return y.val, y.dot.T.copy()
@@ -551,7 +551,7 @@ def _values_and_dirderivs(f: ScalarFn, X, D):
     matching row d of ``D``: two arrays of shape (B,) from one vector-mode
     pass, or row by row where ``f`` is not ``dual_safe`` or compares its
     arguments.  Each row equals :func:`_value_and_dirderiv` bit for bit."""
-    X = _rows(f, X)
+    X = _as_rows(f, X)
     D = np.asarray(D, dtype=float)
     y = _batch_pass(f, X, D.T[:, None, :].copy()) if f.dual_safe else None
     if y is not None:
