@@ -374,9 +374,10 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     m = gf.n + 1
     # member by member, each along its trajectory
     states = xs[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
+    residuals = _rows_or_errors(
+        lambda rows: _membership_rows(gf, states[rows]), len(states))
     drift = 0.0
-    for k, res in enumerate(_rows_or_errors(
-            lambda rows: _membership_rows(gf, states[rows]), len(states))):
+    for k, res in enumerate(residuals):
         if isinstance(res, Exception):
             member, step = divmod(k, len(traj.t))
             _raise_at(res, f"on the flow of surface member {members[member]} "

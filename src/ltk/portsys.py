@@ -318,16 +318,17 @@ def _monitor_fns(sys: PortSystem, u: PortSignal, names) -> list:
     at the same point instead of evaluating the generators again.
     """
     m = sys.n_coords
-    point = {"x": None}         # the current (t, x) and its Euler terms
+    at_t, at_x, pt, terms = None, None, None, {}
 
     def euler(t, x, K):
         """``(euler_residual, value)`` of K at x, one pass per point."""
-        if point["x"] is not x or point["t"] != t:
-            point.update(t=t, x=x, pt=PhasePoint(x[:m], x[m:]), terms={})
-        terms = point["terms"]
-        if id(K) not in terms:
-            terms[id(K)] = _euler_terms(K, point["pt"], 1, EulerFieldKind.Z)
-        return terms[id(K)]
+        nonlocal at_t, at_x, pt, terms
+        if x is not at_x or t != at_t:
+            at_t, at_x, pt, terms = t, x, PhasePoint(x[:m], x[m:]), {}
+        key = id(K)
+        if key not in terms:
+            terms[key] = _euler_terms(K, pt, 1, EulerFieldKind.Z)
+        return terms[key]
 
     def channel(name):
         if name == "E_total":
@@ -634,11 +635,12 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
     # Reject feedback laws that let the composed drift destroy entropy; the
     # samples are one batch.
     samples = np.array(_sample_surface_params(composed, n_check, seed))
+    rates = _rows_or_errors(
+        lambda rows: _port_flows(Ka, _liouville_rows(gf, samples[rows]), M,
+                                 entropy), len(samples))
     worst_rate = np.inf
     worst_params = None
-    for params, rate in zip(samples, _rows_or_errors(
-            lambda rows: _port_flows(Ka, _liouville_rows(gf, samples[rows]),
-                                     M, entropy), len(samples))):
+    for params, rate in zip(samples, rates):
         if isinstance(rate, Exception):
             _raise_at(rate, f"at surface parameters {params.tolist()}")
         if rate < worst_rate:
