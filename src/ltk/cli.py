@@ -30,6 +30,7 @@ stays machine-readable.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import logging
@@ -297,25 +298,35 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
 # Output writers
 
 
-def _format_value(x: float) -> str:
-    return repr(float(x))
+# CSV rows formatted per write: the text in memory stays near 64 kB.
+_CSV_CHUNK_ROWS = 256
 
 
-def _write_text(path, text: str, what: str):
+def _write_text(path, text, what: str):
+    """Write ``text``, a string or an iterable of strings, to the file at
+    ``path``, or to stdout when ``path`` is None."""
+    chunks = [text] if isinstance(text, str) else text
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(chunks)
     log.info("wrote %s to %s", what, path)
 
 
 def _write_csv(path, header, columns):
-    lines = [",".join(header)]
+    """``columns`` of floats as CSV rows, each value its shortest ``repr``."""
     rows = len(columns[0])
-    for i in range(rows):
-        lines.append(",".join(_format_value(col[i]) for col in columns))
-    _write_text(path, "\n".join(lines) + "\n", f"{rows} trajectory rows")
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            chunk = [col[start:start + _CSV_CHUNK_ROWS].tolist()
+                     for col in columns]
+            yield "".join(",".join(map(repr, row)) + "\n"
+                          for row in zip(*chunk))
+
+    _write_text(path, chunks(), f"{rows} trajectory rows")
 
 
 def _write_report(path, checks: dict):
@@ -352,15 +363,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                       params=cfg.initial, monitors=cfg.monitors)
     m = system.n_coords
     header = (["t"] + [f"q{i}" for i in range(m)] + [f"p{i}" for i in range(m)]
-              + [key for k in range(system.n_ports)
-                 for key in (f"y_p{k + 1}", f"y_e{k + 1}")]
-              + list(cfg.monitors))
-    columns = [result.t]
-    columns += [result.x[:, j] for j in range(2 * m)]
-    for k in range(system.n_ports):
-        columns.append(result.outputs[f"y_p{k + 1}"])
-        columns.append(result.outputs[f"y_e{k + 1}"])
-    columns += [result.monitors[name] for name in cfg.monitors]
+              + list(result.outputs) + list(cfg.monitors))
+    columns = ([result.t] + list(result.x.T) + list(result.outputs.values())
+               + [result.monitors[name] for name in cfg.monitors])
     _write_csv(cfg.output, header, columns)
     return 0
 
@@ -568,7 +573,9 @@ def _parse_param(text: str):
     return key.strip(), values[0] if len(values) == 1 else tuple(values)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ltk",
         description="Simulate and check port-thermodynamic systems.")

@@ -27,12 +27,14 @@ name the failing row.
 Every sampled check of the package runs its samples as such batches: the
 flowcheck trajectories, the degree, surface, law and chart-form samples of
 ``validate``, the bracket degree and antisymmetry samples, the Gibbs-Duhem
-samples and their tangents, and the second-law scan of ``interconnect``.
-The private row helpers below serve them; a check whose batch raises reruns
-its rows one at a time (:func:`_rows_or_errors`), so each sample is skipped
-or reported exactly as it would be alone.  A single point keeps the scalar
-loop, where numpy's per-operation overhead on dim-by-1 arrays would cost
-more than the loop it replaces.
+samples and their tangents, and the second-law scan of ``interconnect``;
+so does ``simulate``'s recording of its guard, outputs and monitors, a
+block of grid points at a time.  The private row helpers below serve them;
+a check whose batch raises reruns its rows one at a time
+(:func:`_rows_or_errors`), so each sample is skipped or reported exactly as
+it would be alone.  A single point, such as a stage of ``simulate``'s RK4
+step, keeps the scalar loop, where numpy's per-operation overhead on
+dim-by-1 arrays would cost more than the loop it replaces.
 
 Nothing here computes second derivatives.  Quantities that would need them
 (Lie brackets of vector fields, flow sensitivities, nested Poisson brackets)
@@ -474,8 +476,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     whose rows equal the single-point gradients bit for bit.  A domain
     error names the failing row.  A function that compares its arguments
     (a domain check or a branch) falls back to one point at a time.  The
-    package's sampled checks and flowcheck's trajectories take this route;
-    ``simulate`` differentiates one point at a time.
+    package's sampled checks, flowcheck's trajectories and ``simulate``'s
+    recording take this route; ``simulate``'s field differentiates one
+    point at a time.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)

@@ -19,7 +19,9 @@ vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.
 :func:`integrate` is the package's one integration loop; port-system
 simulation (:func:`ltk.portsys.simulate`) runs on it, recording its guard,
-inputs, outputs and monitors as per-step monitor channels.
+inputs, outputs and monitors through one monitor that takes a block of
+grid points at a time; a run that leaves the surface is detected at the
+end of its block.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -61,6 +63,10 @@ __all__ = [
 
 # Step scale for finite-difference Jacobian-vector products on vector fields.
 FIELD_FD_STEP = 1e-5
+
+# Grid points per call of an :func:`integrate` monitor: enough to spread a
+# vector-mode pass's overhead thin, few enough to keep its arrays small.
+MONITOR_BLOCK = 1024
 
 
 @dataclass
@@ -243,11 +249,16 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     together; every step is entrywise arithmetic, so a row follows the
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
     alike (as :func:`phase_rhs` does).
-    ``monitors`` is an iterable of (name, fn) pairs with ``fn(t, x)`` scalar,
-    recorded in order at every grid point including t = 0; a monitor that
-    raises aborts the run, which is how :func:`ltk.portsys.simulate` guards
-    surface membership.  A non-finite state aborts with the offending time,
-    and for a batch the offending row, in the message.
+    ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
+    every grid point including t = 0, a block of up to
+    :data:`MONITOR_BLOCK` points at a time: ``fn(t_rows, x_rows)`` returns
+    one value, or one row of values, per point.  A monitor that raises
+    aborts the run at the end of its block; :func:`ltk.portsys.simulate`
+    guards surface membership so.  A failing step (a non-finite state, or
+    an error from ``f``) first records the points since the last block, so
+    a monitor's error at an earlier point comes first.  A non-finite state
+    aborts with the offending time, and for a batch the offending row, in
+    the message.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -259,23 +270,35 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     ts = np.empty(steps + 1)
     xs = np.empty((steps + 1,) + x.shape)
-    mon = {name: np.empty(steps + 1) for name, _ in monitors}
+    mon = {}
+    done = 0                            # points whose monitors are recorded
 
-    def record(i, t, xi):
-        ts[i] = t
-        xs[i] = xi
+    def record_monitors(end):
+        nonlocal done
+        if end == done:
+            return
         for name, fn in monitors:
-            mon[name][i] = float(fn(t, xi))
+            values = np.asarray(fn(ts[done:end], xs[done:end]), dtype=float)
+            if name not in mon:
+                mon[name] = np.empty((steps + 1,) + values.shape[1:])
+            mon[name][done:end] = values
+        done = end
 
-    record(0, 0.0, x)
+    ts[0], xs[0] = 0.0, x
     for i in range(1, steps + 1):
-        t_prev = (i - 1) * dt
-        x = rk4_step(f, t_prev, x, dt)
-        finite = np.isfinite(x)
-        if not finite.all():
-            row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
-            raise _NonFiniteState(i * dt, i, row)
-        record(i, i * dt, x)
+        if i - done == MONITOR_BLOCK:
+            record_monitors(i)
+        try:
+            x = rk4_step(f, (i - 1) * dt, x, dt)
+            finite = np.isfinite(x)
+            if not finite.all():
+                row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
+                raise _NonFiniteState(i * dt, i, row)
+        except Exception:
+            record_monitors(i)
+            raise
+        ts[i], xs[i] = i * dt, x
+    record_monitors(steps + 1)
     return Trajectory(ts, xs, mon)
 
 

@@ -71,8 +71,9 @@ class ExprBindError(ExprError):
     """An expression references names not present in the declared name map."""
 
 
-class ExprEvalError(ExprError):
-    """Unbound variable or numeric domain error during evaluation."""
+class ExprEvalError(ExprError, ValueError):
+    """Unbound variable or numeric domain error during evaluation; a
+    ``ValueError``, so sampled checks skip such points as a built-in's."""
 
 
 # -- abstract syntax -----------------------------------------------------------
@@ -368,11 +369,11 @@ def evaluate(e: Expr, env: dict):
             raise ExprEvalError(f"{err} in {to_source(e)!r}") from err
     if isinstance(e, Call):
         args = [evaluate(a, env) for a in e.args]
+        if e.func == "pow":
+            return _pow(args[0], args[1], e)
         try:
             if e.func == "abs":
                 return abs(args[0])
-            if e.func == "pow":
-                return _pow(args[0], args[1], e)
             return getattr(diffkit, e.func)(args[0])
         except _DOMAIN_ERRORS as err:
             raise ExprEvalError(f"{err} in {to_source(e)!r}") from err
@@ -410,8 +411,9 @@ def _constant(value):
 def _binary(op, f, g, node):
     """Closure applying ``op`` to the operand closures ``f`` and ``g``."""
     def run(x):
+        a, b = f(x), g(x)
         try:
-            return op(f(x), g(x))
+            return op(a, b)
         except _DOMAIN_ERRORS as err:
             raise ExprEvalError(f"{err} in {to_source(node)!r}") from err
     return run
@@ -420,8 +422,9 @@ def _binary(op, f, g, node):
 def _apply(func, f, node):
     """Closure applying the one-argument function ``func`` to ``f``."""
     def run(x):
+        a = f(x)
         try:
-            return func(f(x))
+            return func(a)
         except _DOMAIN_ERRORS as err:
             raise ExprEvalError(f"{err} in {to_source(node)!r}") from err
     return run

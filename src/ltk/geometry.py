@@ -168,25 +168,6 @@ def beta(pt: PhasePoint, v: TangentVector) -> float:
     return float(np.dot(pt.q, v.vp))
 
 
-def _euler_terms(K: ScalarFn, pt: PhasePoint, r: int,
-                 wrt: EulerFieldKind) -> tuple:
-    """``(euler_residual, K(pt))``; one dual pass when K is ``dual_safe``."""
-    x = pt.packed()
-    if K.dim != len(x):
-        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
-    m = len(pt.q)
-    zero = np.zeros(m)
-    if wrt is EulerFieldKind.Z:
-        d = np.concatenate([zero, pt.p])
-    else:
-        d = np.concatenate([pt.q, zero])
-    if K.dual_safe:
-        val, dot = _value_and_dirderiv(K, x, d)
-    else:
-        val, dot = float(K(x)), dirderiv(K, x, d)
-    return dot - r * val, val
-
-
 def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
                    wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """Euler's identity defect for declared degree ``r``.
@@ -200,9 +181,21 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     when K only supports finite differences: along the scaling ray a
     homogeneous function is a pure power, so the central difference carries
     no truncation error for degrees 0 and 1.  The value of K comes from the
-    same pass.
+    same pass when K is ``dual_safe``.
     """
-    return _euler_terms(K, pt, r, wrt)[0]
+    x = pt.packed()
+    if K.dim != len(x):
+        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
+    zero = np.zeros(len(pt.q))
+    if wrt is EulerFieldKind.Z:
+        d = np.concatenate([zero, pt.p])
+    else:
+        d = np.concatenate([pt.q, zero])
+    if K.dual_safe:
+        val, dot = _value_and_dirderiv(K, x, d)
+    else:
+        val, dot = float(K(x)), dirderiv(K, x, d)
+    return dot - r * val
 
 
 def _relative_euler_rows(K: ScalarFn, X, r: int,

@@ -24,8 +24,8 @@ the two laws: with designated energy and entropy coordinates,
 :func:`interconnect` composes two systems through a static feedback law
 between their outputs, rejecting compositions that break the second law.
 :func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, recording
-the surface-membership guard, inputs, outputs and monitors as per-step
-channels.
+the surface-membership guard, inputs, outputs and monitors at every grid
+point, a block of points at a time.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
                       _values_and_dirderivs, dirderiv, exp, grad)
 from .dynamics import (_canonical, contact_rhs, integrate, phase_rhs,
                        validate_degree)
-from .geometry import EulerFieldKind, PhasePoint, _euler_terms, dehomogenize
+from .geometry import PhasePoint, dehomogenize
 from .submanifold import (GeneratingFunction, _liouville_rows,
-                          lift_generating_function, liouville_point,
-                          membership_norm)
+                          _membership_rows, lift_generating_function,
+                          liouville_point, membership_norm)
 
 __all__ = [
     "PortSystem",
@@ -124,12 +124,9 @@ class PortSystem:
     def _derived_output(self, k: int, indices, label: str) -> ScalarFn:
         K = self.Kc[k]
         m = self.gf.n + 1
-
-        def fn(x, _K=K, _idx=indices):
-            return _port_flow(_K, x, m, _idx)
-
-        return ScalarFn(fn, dim=2 * m, name=f"{label}{k + 1}({self.name})",
-                        dual_safe=False)
+        return _PortFlow(lambda x: _port_flow(K, x, m, indices), dim=2 * m,
+                         name=f"{label}{k + 1}({self.name})", dual_safe=False,
+                         K=K, indices=indices)
 
     @property
     def n_ports(self) -> int:
@@ -245,6 +242,14 @@ class ValidationReport:
         }
 
 
+@dataclass(frozen=True)
+class _PortFlow(ScalarFn):
+    """A derived port output, :func:`_port_flow` of K along ``indices``."""
+
+    K: ScalarFn = None
+    indices: tuple = ()
+
+
 def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
     """``sum_{i in indices} dK/dp_i`` at ``x``: the derivative of ``K`` along
     the indicator of those costates, one pass.
@@ -307,46 +312,28 @@ def _total(sys: PortSystem, uv, of):
 MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
 
 
-def _monitor_fns(sys: PortSystem, u: PortSignal, names) -> list:
-    """``(name, fn(t, x))`` channels of the named monitors, ``membership``
-    aside, which the surface guard of :func:`simulate` records.
+def _output_rows(fn: ScalarFn, X: np.ndarray, m: int) -> np.ndarray:
+    """The port output ``fn`` at each row of ``X``: one vector-mode pass."""
+    if isinstance(fn, _PortFlow):
+        return _port_flows(fn.K, X, m, fn.indices)
+    return _values_and_dirderivs(fn, X, np.zeros_like(X))[0]
 
-    ``K_res`` is ``|K|`` and ``alpha_res`` the Euler residual
-    ``|alpha(X_K) - K|`` of the total generator K.  The residual of each
-    generator comes from one pass that also carries its value, so when
-    both are recorded ``K_res`` reads the values of ``alpha_res``'s passes
-    at the same point instead of evaluating the generators again.
-    """
-    m = sys.n_coords
-    at_t, at_x, pt, terms = None, None, None, {}
 
-    def euler(t, x, K):
-        """``(euler_residual, value)`` of K at x, one pass per point."""
-        nonlocal at_t, at_x, pt, terms
-        if x is not at_x or t != at_t:
-            at_t, at_x, pt, terms = t, x, PhasePoint(x[:m], x[m:]), {}
-        key = id(K)
-        if key not in terms:
-            terms[key] = _euler_terms(K, pt, 1, EulerFieldKind.Z)
-        return terms[key]
-
-    def channel(name):
-        if name == "E_total":
-            return lambda t, x: float(sum(x[i] for i in sys.energy_indices))
-        if name == "S_total":
-            return lambda t, x: float(sum(x[i] for i in sys.entropy_indices))
-        if name == "K_res" and "alpha_res" in names:
-            return lambda t, x: abs(_total(sys, u(t),
-                                           lambda K: euler(t, x, K)[1]))
-        if name == "K_res":
-            return lambda t, x: abs(_total(sys, u(t), lambda K: float(K(x))))
-        if name == "alpha_res":
-            return lambda t, x: abs(_total(sys, u(t),
-                                           lambda K: euler(t, x, K)[0]))
-        raise ValueError(f"unknown monitor {name!r}; available: "
-                         f"{', '.join(MONITOR_NAMES)}")
-
-    return [(nm, channel(nm)) for nm in names if nm != "membership"]
+def _total_rows(sys: PortSystem, U: np.ndarray, X: np.ndarray):
+    """``(|K|, |alpha(X_K) - K|)`` of the total generator K at each row of
+    ``X``, inputs ``U``: one pass per generator along the fiber Euler field,
+    which carries its value too; summed as :func:`_total` sums, row by row."""
+    along = np.zeros_like(X)
+    along[:, sys.n_coords:] = X[:, sys.n_coords:]
+    value, dot = _values_and_dirderivs(sys.Ka, X, along)
+    value, residual = value.copy(), dot - value
+    for k, K in enumerate(sys.Kc):
+        on = U[:, k] != 0.0
+        if on.any():
+            v, d = _values_and_dirderivs(K, X[on], along[on])
+            value[on] += U[on, k] * v
+            residual[on] += U[on, k] * (d - v)
+    return np.abs(value), np.abs(residual)
 
 
 def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
@@ -356,13 +343,22 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
 
     This is :func:`~ltk.dynamics.integrate` on the canonical field of
     ``Ka + sum_k u_k(t) Kc_k`` over the packed phase vector of the lifted
-    surface, with per-step channels recording the inputs, the outputs and
-    the requested monitors at every grid point.  The first channel guards
-    the surface: a membership residual beyond ``membership_tol`` aborts, as
-    a trajectory off the surface no longer means anything
-    thermodynamically; its values double as the ``membership`` monitor.
-    Aborts, including a non-finite state, raise ``RuntimeError`` naming the
-    system and the time.
+    surface, recording the inputs, the outputs and the requested monitors
+    at every grid point.  The recording guards the surface: a membership
+    residual beyond ``membership_tol`` aborts, as a trajectory off the
+    surface no longer means anything thermodynamically; its values double
+    as the ``membership`` monitor.  Aborts, including a non-finite state,
+    raise ``RuntimeError`` naming the system and the time.  ``K_res`` is
+    ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
+    the total generator K.
+
+    The field is differentiated one point at a time.  The recording takes
+    a block of grid points at a time (``ltk.dynamics.MONITOR_BLOCK``), one
+    vector-mode pass per channel, each row bit for bit the point alone.  A
+    block whose passes raise reruns its points one at a time in the order
+    guard, each port's ``u``, ``y_p``, ``y_e``, then the monitors, so a run
+    raises the error, and the time, of the first failing point; a run that
+    leaves the surface stops at the end of its block.
     """
     if params is None:
         params = sys.default_params
@@ -373,37 +369,60 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         u = PortSignal.zero(sys.n_ports)
     if u.n_ports != sys.n_ports:
         raise ValueError(f"signal has {u.n_ports} ports, system {sys.n_ports}")
+    for name in monitors:
+        if name not in MONITOR_NAMES:
+            raise ValueError(f"unknown monitor {name!r}; available: "
+                             f"{', '.join(MONITOR_NAMES)}")
+    m, n_ports = sys.n_coords, sys.n_ports
+    extra = [nm for nm in monitors if nm != "membership"]
+    names = (["membership"] + [f"u{k + 1}" for k in range(n_ports)]
+             + [f"{y}{k + 1}" for k in range(n_ports) for y in ("y_p", "y_e")]
+             + extra)
 
     def field(t, x):
         return _canonical(_total(sys, u(t), lambda K: grad(K, x)))
 
-    def guard(t, x):
-        res = membership_norm(sys.gf, x)
-        if res > membership_tol:
-            raise RuntimeError(f"left the state surface at t={t:g}: membership "
-                               f"residual {res:.3g} exceeds {membership_tol:g}")
-        return res
+    def channels(t, X):
+        """The columns of ``names`` after the membership, at surface rows."""
+        U = np.array([u(ti) for ti in t.tolist()]).reshape(len(t), n_ports)
+        cols = list(U.T) + [_output_rows(y[k], X, m) for k in range(n_ports)
+                            for y in (sys.y_p, sys.y_e)]
+        totals = {nm: sum((X[:, i] for i in indices), np.zeros(len(X)))
+                  for nm, indices in (("E_total", sys.energy_indices),
+                                      ("S_total", sys.entropy_indices))}
+        if {"K_res", "alpha_res"} & set(extra):
+            totals.update(zip(("K_res", "alpha_res"), _total_rows(sys, U, X)))
+        return cols + [totals[nm] for nm in extra]
 
-    channels = [("membership", guard)]
-    for k in range(sys.n_ports):
-        channels += [(f"u{k + 1}", lambda t, x, k=k: u(t)[k]),
-                     (f"y_p{k + 1}", lambda t, x, fn=sys.y_p[k]: fn(x)),
-                     (f"y_e{k + 1}", lambda t, x, fn=sys.y_e[k]: fn(x))]
-    channels += _monitor_fns(sys, u, monitors)
+    def record(t, X):
+        """The rows of ``names`` at a block of points."""
+        try:
+            res = _membership_rows(sys.gf, X)
+            off = np.flatnonzero(res > membership_tol)
+            n = int(off[0]) if off.size else len(t)
+            cols = channels(t[:n], X[:n]) if n else []
+        except Exception:
+            if len(t) == 1:
+                raise
+            for i in range(len(t)):      # the first failing point raises
+                record(t[i:i + 1], X[i:i + 1])
+            raise
+        if n < len(t):
+            raise RuntimeError(
+                f"left the state surface at t={float(t[n]):g}: membership "
+                f"residual {float(res[n]):.3g} exceeds {membership_tol:g}")
+        return np.column_stack([res] + cols)
 
     x0 = liouville_point(sys.gf, params).packed()
     try:
-        traj = integrate(field, x0, t_end, dt, channels)
+        traj = integrate(field, x0, t_end, dt, [("channels", record)])
     except RuntimeError as err:
         raise RuntimeError(f"simulation of {sys.name!r}: {err}") from err
-    rec = traj.monitors
-    us = np.empty((traj.t.size, sys.n_ports))
-    for k in range(sys.n_ports):
-        us[:, k] = rec[f"u{k + 1}"]
-    out = {key: rec[key] for k in range(sys.n_ports)
-           for key in (f"y_p{k + 1}", f"y_e{k + 1}")}
-    return SimulationResult(sys.name, traj.t, traj.x, us, out,
-                            {nm: rec[nm] for nm in monitors})
+    rec = dict(zip(names, traj.monitors["channels"].T))
+    return SimulationResult(
+        sys.name, traj.t, traj.x, traj.monitors["channels"][:, 1:1 + n_ports],
+        {nm: rec[nm] for nm in names[1 + n_ports:1 + 3 * n_ports]},
+        {nm: rec[nm] for nm in monitors})
 
 
 def _trapezoid(y: np.ndarray, t: np.ndarray) -> float:

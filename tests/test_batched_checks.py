@@ -15,9 +15,9 @@ from test_diffkit import SYSTEMS, _hex
 from ltk import cli
 from ltk.brackets import degree_check, poisson_fn
 from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
-from ltk.dynamics import contact_rhs, phase_rhs
+from ltk.dynamics import contact_rhs, phase_rhs, validate_degree
 from ltk.exprlang import compile_fn
-from ltk.geometry import (EulerFieldKind, _euler_terms, beta, dehomogenize,
+from ltk.geometry import (EulerFieldKind, beta, dehomogenize, euler_residual,
                           project, sample_phase_points, scale_costate)
 from ltk.portsys import (_port_flow, _port_flows, _sample_surface_params,
                          heat_compartment, ideal_gas_SVN, interconnect,
@@ -34,8 +34,8 @@ SKIPPED = (ValueError, ZeroDivisionError, ArithmeticError)
 
 
 def _relative_euler_residual(K, pt, r):
-    res, val = _euler_terms(K, pt, r, EulerFieldKind.Z)
-    return abs(res) / (1.0 + abs(val))
+    res = euler_residual(K, pt, r, EulerFieldKind.Z)
+    return abs(res) / (1.0 + abs(float(K(pt.packed()))))
 
 
 def _validate_degree_loop(K, degree, n_samples, seed):
@@ -355,3 +355,27 @@ def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
     err = capsys.readouterr().err
     assert "ChartDegenerateError" in err
     assert "on the flow of surface member [0.0, -1.0] at t=1" in err
+
+
+def test_expression_domain_holes_are_skipped_like_builtin_ones(capsys):
+    # an expression undefined at some samples raises ExprEvalError there,
+    # which the sampled checks skip as they skip a built-in's ValueError
+    k1, k2 = "ln(q0 - 1)*p0", "q0*p1"
+    code = cli.main(["bracket", "--k1", k1, "--k2", k2, "--dimensions", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == (0 if all(c["pass"] for c in report.values()) else 1)
+    names = ["q0", "q1", "p0", "p1"]
+    K1, K2 = compile_fn(k1, names), compile_fn(k2, names)
+    points = sample_phase_points(2, 25, 0)       # the bracket defaults
+    worst, worst_input, used = _degree_check_loop(1, 1, K1, K2, points)
+    assert 0 < used < 25
+    assert degree_check(1, 1, K1, K2, points=points).n_samples == used
+    assert report["bracket_degree-1"]["max_residual"].hex() == worst.hex()
+    assert report["operand_degrees"]["max_residual"].hex() == worst_input.hex()
+    assert report["antisymmetry"]["max_residual"].hex() == \
+        _antisymmetry_loop(K1, K2, points).hex()
+    # q0 - 0.8 is negative at a quarter of the samples
+    K = compile_fn("ln(q0 - 0.8)*p0", names)
+    worst, evaluated = _validate_degree_loop(K, 1, 40, 3)
+    assert 40 // 2 <= evaluated < 40
+    assert validate_degree(K, 1, n_samples=40, seed=3).hex() == worst.hex()

@@ -409,3 +409,16 @@ def test_run_reports_missing_command_and_file(tmp_path, capsys):
     assert run(str(path)) == 2
     assert "unknown command" in capsys.readouterr().err
     assert run(str(tmp_path / "absent.json")) == 2
+
+
+def test_parser_is_built_once_and_keeps_no_values_between_calls(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_dispatch", lambda cfg: seen.append(cfg) or 0)
+    base = ["validate", "--system", "heat_compartment"]
+    assert main(base + ["--param", "C=2", "--param", "T_ref=0.5"]) == 0
+    assert main(base + ["--param", "C=3", "--seed", "4"]) == 0
+    assert main(base) == 0
+    assert [cfg.system["params"] for cfg in seen] == \
+        [{"C": 2.0, "T_ref": 0.5}, {"C": 3.0}, {}]
+    assert [cfg.seed for cfg in seen] == [0, 4, 0]
+    assert cli._build_parser() is cli._build_parser()

@@ -13,6 +13,7 @@ Hand-derived oracle values used below:
 import numpy as np
 import pytest
 
+from ltk import dynamics
 from ltk.diffkit import ScalarFn, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
@@ -133,15 +134,57 @@ def test_integrate_aborts_on_non_finite_state():
         integrate(f, [5.0], 10.0, 0.1)
 
 
-def test_integrate_records_monitors_on_the_full_grid():
+def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
+    # a monitor takes a block of grid points at a time: their times and
+    # states, one row each
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
     K = ScalarFn(lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2), dim=2)
     f = phase_rhs(K)
-    traj = integrate(f, [1.0, 0.0], 1.0, 1e-2,
-                     monitors=[("energy", lambda t, x: 0.5 * (x[0] ** 2 + x[1] ** 2))])
+    blocks = []
+
+    def energy(t, X):
+        blocks.append(t.tolist())
+        return 0.5 * (X[:, 0] ** 2 + X[:, 1] ** 2)
+
+    traj = integrate(f, [1.0, 0.0], 1.0, 1e-2, monitors=[("energy", energy)])
     assert isinstance(traj, Trajectory)
     assert len(traj.t) == 101
     assert traj.monitors["energy"].shape == (101,)
     assert np.allclose(traj.monitors["energy"], 0.5, atol=1e-12)
+    assert [len(b) for b in blocks] == [32, 32, 32, 5]
+    assert sum(blocks, []) == traj.t.tolist()
+
+
+@pytest.mark.parametrize("block", [5, 32])
+def test_integrate_records_the_monitors_before_a_failing_step_raises(
+        block, monkeypatch):
+    # the monitor sees every point reached, never an empty block, and its
+    # error comes first; with blocks of 5 the points before the failing
+    # step make up one whole block
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", block)
+
+    def f(t, x):
+        if t >= 0.5:
+            raise ValueError("field undefined")
+        return np.ones_like(x)
+
+    blocks = []
+
+    def record(t, X):
+        blocks.append(t.tolist())
+        return X[:, 0]
+
+    def guard(t, X):
+        if X[-1, 0] > 0.3:
+            raise RuntimeError(f"guard tripped at t={t[-1]:g}")
+        return record(t, X)
+
+    with pytest.raises(ValueError, match="field undefined"):
+        integrate(f, [0.0], 1.0, 0.1, monitors=[("x", record)])
+    assert sum(blocks, []) == [i * 0.1 for i in range(5)]
+    assert [] not in blocks
+    with pytest.raises(RuntimeError, match=r"guard tripped at t=0\.4"):
+        integrate(f, [0.0], 1.0, 0.1, monitors=[("x", guard)])
 
 
 # -- chart (contact) dynamics ----------------------------------------------------

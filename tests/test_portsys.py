@@ -17,8 +17,8 @@ import sys
 import numpy as np
 import pytest
 
-from ltk import cli, diffkit, submanifold
-from ltk.diffkit import Dual, ScalarFn, grad
+from ltk import cli, diffkit, dynamics, submanifold
+from ltk.diffkit import ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, builtin, energy_balance,
@@ -235,42 +235,59 @@ def _count_calls(monkeypatch, original):
 
 
 def _count_value_calls(K: ScalarFn, calls: list) -> ScalarFn:
-    """K with a shim recording each evaluation on plain (non-dual) numbers."""
+    """K with a shim recording each evaluation on plain numbers, not on
+    duals or batches of duals."""
     def fn(x):
-        if not any(isinstance(v, Dual) for v in x):
+        if all(isinstance(v, (int, float)) for v in x):
             calls.append(K.name)
         return K.fn(x)
     return dataclasses.replace(K, fn=fn)
 
 
 def test_simulate_work_per_step(monkeypatch):
-    # the field needs only generator gradients, and the membership guard
-    # doubles as the membership monitor
+    # the field takes generator gradients one point at a time; the guard,
+    # the outputs and the monitors take one vector-mode pass each per block
+    # of points, here blocks of 4 and 2 points, and no generator value
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 4)
     gp = gas_piston_damper()
     by_value = []
     gp.Ka = _count_value_calls(gp.Ka, by_value)
     gp.Kc = (_count_value_calls(gp.Kc[0], by_value),)
     membership = _count_calls(monkeypatch, submanifold.membership_residual)
+    grads = _count_calls(monkeypatch, diffkit.grad)
+    passes = _count_calls(monkeypatch, diffkit._batch_pass)
+
+    def pass_counts():
+        point_grads = [args for args in grads if np.ndim(args[1]) == 1]
+        return len(point_grads), [(args[0].name, len(args[1]))
+                                  for args in passes]
+
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("membership",))
-    assert by_value == []
-    assert len(membership) == len(result.t) == 6
+    assert len(result.t) == 6
+    assert membership == [] and by_value == []
     assert np.max(result.monitors["membership"]) < 1e-10
-    # the README monitors add no gradient: alpha_res is one Euler-field pass
-    # per active generator, which also carries the generator's value, so
-    # K_res reads its values and evaluates no generator; the gradients are 1
-    # for the initial point, 4 stages x 2 generators per step, and 1 per
-    # point for the guard
-    grads = _count_calls(monkeypatch, diffkit.grad)
-    passes = _count_calls(monkeypatch, diffkit._value_and_dirderiv)
+    # one gradient for the initial point, 4 stages x 2 generators per step;
+    # per block, the guard's pass of the lift's gradient (the guard doubles
+    # as the membership monitor) and a value pass for each output
+    lift, y_p, y_e = "lift(gas_piston_damper)", "piston velocity", "0"
+    n_grads, blocks = pass_counts()
+    assert n_grads == 1 + 8 * 5
+    assert blocks == [(lift, 4), (y_p, 4), (y_e, 4),
+                      (lift, 2), (y_p, 2), (y_e, 2)]
+    # the README monitors add one pass per active generator along the fiber
+    # Euler field, which carries the generator's value for K_res too
+    del grads[:], passes[:]
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("K_res", "alpha_res"))
-    assert len(result.t) == 6
-    assert len(grads) == 1 + 8 * 5 + 6 == 47
-    assert len(passes) == 2 * 6
-    assert len(by_value) == 0
     assert np.max(result.monitors["alpha_res"]) < 1e-12
-    # a custom system's derived y_p / y_e are one pass each per point along
+    assert by_value == []
+    n_grads, blocks = pass_counts()
+    assert n_grads == 1 + 8 * 5
+    Ka, Kc = gp.Ka.name, gp.Kc[0].name
+    assert blocks == [(lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
+                      (lift, 2), (y_p, 2), (y_e, 2), (Ka, 2), (Kc, 2)]
+    # a custom system's derived y_p / y_e are one pass each per block along
     # the indicator of the energy / entropy costates, no gradient
     compartment = cli._build_custom_system({
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
@@ -280,11 +297,12 @@ def test_simulate_work_per_step(monkeypatch):
     result = simulate(compartment, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=())
     assert len(result.t) == 6
-    assert len(grads) == 1 + 8 * 5 + 6
-    assert len(passes) == 2 * 6
-    port = compartment.Kc[0]
-    assert all(args[0] is port for args in passes)
-    assert [args[2][2:] for args in passes] == [[1.0, 0.0], [0.0, 1.0]] * 6
+    n_grads, blocks = pass_counts()
+    assert n_grads == 1 + 8 * 5
+    port = compartment.Kc[0].name
+    assert [K for K, _ in blocks] == ["lift(custom)", port, port] * 2
+    assert [args[2][2:, 0].tolist() for args in passes[1:3]] == \
+        [[[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
     # y_p = dKc/dp0 = 1 and y_e = dKc/dp1 = 1/T = exp(-S)
     assert np.all(result.outputs["y_p1"] == 1.0)
     np.testing.assert_allclose(result.outputs["y_e1"], np.exp(-result.q[:, 1]),
