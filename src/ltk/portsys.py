@@ -401,7 +401,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
             off = np.flatnonzero(res > membership_tol)
             n = int(off[0]) if off.size else len(t)
             cols = channels(t[:n], X[:n]) if n else []
-        except Exception:
+        except Exception:   # noqa: BLE001 - each point reruns and raises
             if len(t) == 1:
                 raise
             for i in range(len(t)):      # the first failing point raises
