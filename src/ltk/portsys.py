@@ -124,9 +124,8 @@ class PortSystem:
     def _derived_output(self, k: int, indices, label: str) -> ScalarFn:
         K = self.Kc[k]
         m = self.gf.n + 1
-        return _PortFlow(lambda x: _port_flow(K, x, m, indices), dim=2 * m,
-                         name=f"{label}{k + 1}({self.name})", dual_safe=False,
-                         K=K, indices=indices)
+        return ScalarFn(_PortFlow(K, m, indices), dim=2 * m,
+                        name=f"{label}{k + 1}({self.name})", dual_safe=False)
 
     @property
     def n_ports(self) -> int:
@@ -242,12 +241,14 @@ class ValidationReport:
         }
 
 
-@dataclass(frozen=True)
-class _PortFlow(ScalarFn):
-    """A derived port output, :func:`_port_flow` of K along ``indices``."""
+class _PortFlow:
+    """:func:`_port_flow` of K along ``indices``: a derived port output."""
 
-    K: ScalarFn = None
-    indices: tuple = ()
+    def __init__(self, K: ScalarFn, m: int, indices):
+        self.K, self.m, self.indices = K, m, indices
+
+    def __call__(self, x):
+        return _port_flow(self.K, x, self.m, self.indices)
 
 
 def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
@@ -314,8 +315,8 @@ MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
 
 def _output_rows(fn: ScalarFn, X: np.ndarray, m: int) -> np.ndarray:
     """The port output ``fn`` at each row of ``X``: one vector-mode pass."""
-    if isinstance(fn, _PortFlow):
-        return _port_flows(fn.K, X, m, fn.indices)
+    if isinstance(fn.fn, _PortFlow):
+        return _port_flows(fn.fn.K, X, m, fn.fn.indices)
     return _values_and_dirderivs(fn, X, np.zeros_like(X))[0]
 
 
