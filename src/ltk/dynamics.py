@@ -101,8 +101,20 @@ def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
     """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
-    X = np.array([pt.packed()
-                  for pt in sample_phase_points(K.dim // 2, n_samples, seed)])
+    return _degree_residual(K, _phase_samples(K.dim // 2, n_samples, seed),
+                            degree, wrt)
+
+
+def _phase_samples(m: int, n_samples: int, seed: int) -> np.ndarray:
+    """The packed :func:`~ltk.geometry.sample_phase_points`, one per row."""
+    return np.array([pt.packed() for pt in sample_phase_points(m, n_samples,
+                                                               seed)])
+
+
+def _degree_residual(K: ScalarFn, X: np.ndarray, degree: int = 1,
+                     wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
+    """:func:`validate_degree` of K on the sample points at the rows of X."""
+    n_samples = len(X)
     worst = 0.0
     evaluated = _evaluable(_rows_or_errors(
         lambda rows: _relative_euler_rows(K, X[rows], degree, wrt)[0].tolist(),

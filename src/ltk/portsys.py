@@ -30,15 +30,16 @@ point, a block of points at a time.
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
+from .diffkit import (ScalarFn, _raise_at, _rows_or_errors, _trace_grad,
                       _values_and_dirderivs, dirderiv, exp, grad)
-from .dynamics import (_canonical, contact_rhs, integrate, phase_rhs,
-                       validate_degree)
+from .dynamics import (_canonical, _degree_residual, _phase_samples,
+                       contact_rhs, integrate, phase_rhs)
 from .geometry import PhasePoint, dehomogenize
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, lift_generating_function,
@@ -63,6 +64,8 @@ __all__ = [
     "builtin",
     "MONITOR_NAMES",
 ]
+
+log = logging.getLogger("ltk")
 
 # A simulated state whose membership residual exceeds this aborts the run:
 # past it the trajectory no longer represents the modeled surface.
@@ -380,8 +383,31 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              + [f"{y}{k + 1}" for k in range(n_ports) for y in ("y_p", "y_e")]
              + extra)
 
+    x0 = liouville_point(sys.gf, params).packed()
+    replays = {}
+    for K in (sys.Ka,) + sys.Kc:
+        replays[id(K)], reason = _trace_grad(K, x0.tolist())
+        log.info("simulate %r: %s runs %s", sys.name, K.name,
+                 "on a traced replay" if reason is None
+                 else f"on the scalar loop: {reason}")
+    fallbacks = 0
+
+    def gradient(K, x, xs):
+        nonlocal fallbacks
+        replay = replays[id(K)]
+        if replay is not None:
+            try:
+                g = replay(xs)
+            except Exception:   # noqa: BLE001 - the scalar loop raises it again
+                g = None
+            if g is not None:
+                return np.array(g)
+            fallbacks += 1
+        return grad(K, x)
+
     def field(t, x):
-        return _canonical(_total(sys, u(t), lambda K: grad(K, x)))
+        xs = x.tolist()
+        return _canonical(_total(sys, u(t), lambda K: gradient(K, x, xs)))
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""
@@ -414,11 +440,13 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
                 f"residual {float(res[n]):.3g} exceeds {membership_tol:g}")
         return np.column_stack([res] + cols)
 
-    x0 = liouville_point(sys.gf, params).packed()
     try:
         traj = integrate(field, x0, t_end, dt, [("channels", record)])
     except RuntimeError as err:
         raise RuntimeError(f"simulation of {sys.name!r}: {err}") from err
+    finally:
+        log.info("simulate %r: %d points fell back from a traced replay to "
+                 "the scalar loop", sys.name, fallbacks)
     rec = dict(zip(names, traj.monitors["channels"].T))
     return SimulationResult(
         sys.name, traj.t, traj.x, traj.monitors["channels"][:, 1:1 + n_ports],
@@ -493,7 +521,9 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
              ) -> ValidationReport:
     """Measure the structural invariants of a port system on sampled states.
 
-    Generators are degree-checked on generic phase points; the surface
+    Generators are degree-checked on 30 generic phase points, drawn once
+    and shared by every generator (:func:`~ltk.dynamics.validate_degree`'s
+    points for ``seed``); the surface
     statements (generators vanish, first and second law) are evaluated at
     ``n_samples`` points drawn from ``param_box``; the chart-form agreement
     is checked on the energy chart (0) and, when present, the entropy
@@ -502,10 +532,10 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
     """
     m = sys.n_coords
     generators = (sys.Ka,) + sys.Kc
+    degree_points = _phase_samples(m, 30, seed)
     degree_res = 0.0
     for K in generators:
-        degree_res = max(degree_res, validate_degree(K, 1, n_samples=30,
-                                                     seed=seed))
+        degree_res = max(degree_res, _degree_residual(K, degree_points))
 
     charts = [0] + ([1] if m > 1 else [])
     khats = {c: dehomogenize(sys.Ka, c) for c in charts}

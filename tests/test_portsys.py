@@ -218,6 +218,15 @@ def test_simulate_records_grid_inputs_outputs_and_monitors():
         simulate(gp, 0.1, 0.1, monitors=("bogus",))
 
 
+def _rebind(monkeypatch, original, replacement):
+    """Rebind every ltk module's name for ``original`` to ``replacement``."""
+    for name, module in list(sys.modules.items()):
+        if name == "ltk" or name.startswith("ltk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 def _count_calls(monkeypatch, original):
     """Rebind every ltk module's name for ``original`` to a counting shim."""
     calls = []
@@ -226,12 +235,27 @@ def _count_calls(monkeypatch, original):
         calls.append(args)
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "ltk" or name.startswith("ltk."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+    _rebind(monkeypatch, original, counted)
     return calls
+
+
+def _count_replays(monkeypatch):
+    """The generators traced, and one entry per call of a replay emitted
+    from a trace, each by the generator's name."""
+    traces, replays = [], []
+    original = diffkit._trace_grad
+
+    def traced(K, x):
+        traces.append(K.name)
+        replay, reason = original(K, x)
+
+        def counted(xs):
+            replays.append(K.name)
+            return replay(xs)
+        return (None if replay is None else counted), reason
+
+    _rebind(monkeypatch, original, traced)
+    return traces, replays
 
 
 def _count_value_calls(K: ScalarFn, calls: list) -> ScalarFn:
@@ -256,34 +280,37 @@ def test_simulate_work_per_step(monkeypatch):
     membership = _count_calls(monkeypatch, submanifold.membership_residual)
     grads = _count_calls(monkeypatch, diffkit.grad)
     passes = _count_calls(monkeypatch, diffkit._batch_pass)
+    traces, replays = _count_replays(monkeypatch)
 
     def pass_counts():
         point_grads = [args for args in grads if np.ndim(args[1]) == 1]
-        return len(point_grads), [(args[0].name, len(args[1]))
-                                  for args in passes]
+        return ((len(traces), len(replays), len(point_grads)),
+                [(args[0].name, len(args[1])) for args in passes])
 
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("membership",))
     assert len(result.t) == 6
     assert membership == [] and by_value == []
     assert np.max(result.monitors["membership"]) < 1e-10
-    # one gradient for the initial point, 4 stages x 2 generators per step;
-    # per block, the guard's pass of the lift's gradient (the guard doubles
-    # as the membership monitor) and a value pass for each output
+    # one trace per generator, then a replay of it at 4 stages x 2
+    # generators per step, and no point falls back to the scalar loop: the
+    # one scalar gradient is the lift's at the initial point; per block,
+    # the guard's pass of the lift's gradient (the guard doubles as the
+    # membership monitor) and a value pass for each output
     lift, y_p, y_e = "lift(gas_piston_damper)", "piston velocity", "0"
-    n_grads, blocks = pass_counts()
-    assert n_grads == 1 + 8 * 5
+    work, blocks = pass_counts()
+    assert work == (2, 8 * 5, 1)
     assert blocks == [(lift, 4), (y_p, 4), (y_e, 4),
                       (lift, 2), (y_p, 2), (y_e, 2)]
     # the README monitors add one pass per active generator along the fiber
     # Euler field, which carries the generator's value for K_res too
-    del grads[:], passes[:]
+    del grads[:], passes[:], traces[:], replays[:]
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("K_res", "alpha_res"))
     assert np.max(result.monitors["alpha_res"]) < 1e-12
     assert by_value == []
-    n_grads, blocks = pass_counts()
-    assert n_grads == 1 + 8 * 5
+    work, blocks = pass_counts()
+    assert work == (2, 8 * 5, 1)
     Ka, Kc = gp.Ka.name, gp.Kc[0].name
     assert blocks == [(lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
                       (lift, 2), (y_p, 2), (y_e, 2), (Ka, 2), (Kc, 2)]
@@ -293,12 +320,12 @@ def test_simulate_work_per_step(monkeypatch):
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": [0], "entropy": [1]},
         "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0]})
-    del grads[:], passes[:]
+    del grads[:], passes[:], traces[:], replays[:]
     result = simulate(compartment, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=())
     assert len(result.t) == 6
-    n_grads, blocks = pass_counts()
-    assert n_grads == 1 + 8 * 5
+    work, blocks = pass_counts()
+    assert work == (2, 8 * 5, 1)
     port = compartment.Kc[0].name
     assert [K for K, _ in blocks] == ["lift(custom)", port, port] * 2
     assert [args[2][2:, 0].tolist() for args in passes[1:3]] == \

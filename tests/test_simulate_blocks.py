@@ -147,24 +147,24 @@ def test_full_size_blocks_match_the_point_by_point_recording():
 def _closed(name, Ka):
     """A closed system on the heat compartment's surface with drift ``Ka``,
     and a function that runs ``simulate`` on it to its abort and returns
-    the RK4 steps it took."""
+    the RK4 steps it took, the failing one included."""
     hc = heat_compartment()
-    calls = []
-
-    def counted(x):
-        calls.append(None)
-        return Ka(x)
-
-    system = PortSystem(name=name, gf=hc.gf, Ka=ScalarFn(counted, 4),
+    system = PortSystem(name=name, gf=hc.gf, Ka=ScalarFn(Ka, 4),
                         energy_indices=(0,), entropy_indices=(1,),
                         default_params=hc.default_params)
 
     def steps_to_abort(*args, **kwargs):
-        del calls[:]
-        with pytest.raises(RuntimeError):
-            simulate(system, *args, **kwargs)
-        # one gradient of 4 dual passes at each of 4 stages per step
-        return len(calls) // 16
+        steps = []
+
+        def counted(*step):
+            steps.append(None)
+            return rk4_step(*step)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "rk4_step", counted)
+            with pytest.raises(RuntimeError):
+                simulate(system, *args, **kwargs)
+        return len(steps)
 
     return system, steps_to_abort
 
