@@ -132,6 +132,8 @@ def test_replays_of_expression_generators_match_the_scalar_loop(drawn, seed):
     (lambda x: sqrt(x[0] * x[0]) + x[1] ** 0 * x[2], [0.0, 0.0, 3.0]),
     (lambda x: x[2] ** 3 - x[1] ** -2 + exp(x[0]) * 0.0, [-0.0, -1.5, 0.0]),
     (lambda x: (2.0 - x[0]) ** 0.5 * x[1] + ln(x[2] + 1.0), [0.0, -0.0, 0.0]),
+    (lambda x: x[0] - x[1] * x[2], [1.0, 2.0, 0.0]),
+    (lambda x: (x[0] * x[1] + 3.0) ** 0.5 + x[2], [1.0, -0.0, 0.0]),
     (lambda x: 0.0, [0.0, 0.0, 0.0]),
     (lambda x: x[1], [0.0, -0.0, 0.0]),
 ])
@@ -238,6 +240,17 @@ def test_a_domain_error_first_hit_in_a_replay_is_the_scalar_loops(monkeypatch):
     assert 0.2 < max(runs[0]) < 0.5
 
 
+def test_an_error_raised_in_a_replay_is_the_scalar_loops():
+    # (1 + S)^2000 overflows near S = 0.43: the replay raises a bare
+    # OverflowError, which sends the point to grad, where the expression
+    # wraps it, as at every point the scalar loop takes
+    system = _compartment_with_drift(
+        "(p1/exp(q1) + p0) * (1 + 1e-300*(q1 + 1)^2000)")
+    err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal.constant([1.0]))
+    assert isinstance(err, ExprEvalError)
+    assert "out of range" in str(err)
+
+
 def _scalar_route(monkeypatch):
     """simulate with every generator left untraced, on the scalar loop."""
     def run(*args, **kwargs):
@@ -271,6 +284,7 @@ UNTRACEABLE = {
                       "traced exponent"),
     "raises at the traced point": (lambda x: ln(x[0] - 2.0) * x[1],
                                    "raises ValueError"),
+    "returns a list": (lambda x: [x[0] * x[1]], "returns a list"),
     "not dual-safe": (ScalarFn(lambda x: x[0] * x[1], 2, dual_safe=False),
                       "not dual-safe"),
 }
