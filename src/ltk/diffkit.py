@@ -712,9 +712,10 @@ def fd_grad(f: ScalarFn, x, h: float | None = None) -> np.ndarray:
 # read a seed is a plain float in that seed's scalar pass and carries no
 # derivative there, so every partial is grad's, bit for bit.
 
-# Source of the value of a one-operand node, of the factor its derivative
-# is multiplied by (None: a formula of its own), and of the condition that
-# sends a point back to the scalar loop, which raises there.
+# A one-operand node: its value at the traced point, the source of its
+# value, of the factor its derivative is multiplied by (None: a formula of
+# its own), and of the condition that sends a point back to the scalar
+# loop, which raises there.
 _UNARY = {
     "neg": (operator.neg, "-{a}", None, None),
     "abs": (abs, "abs({a})", "0.0 if {a} == 0.0 else _copysign(1.0, {a})",
@@ -842,16 +843,18 @@ class _Trace:
 
     def _line(self, line: str):
         """Add a line of value code; a check already made is not repeated."""
-        if not (line.startswith("if ") and line in self._checks):
-            self.lines.append(line)
+        if line.startswith("if "):
+            if line in self._checks:
+                return
             self._checks.add(line)
+        self.lines.append(line)
 
     def _value(self, fn, *args):
         """``fn(*args)`` at the traced point; an error there ends the trace,
         as the guard it would need is not recorded."""
         try:
             return fn(*args)
-        except Exception as err:
+        except Exception as err:   # noqa: BLE001 - raised again
             self.fail(f"it raises {type(err).__name__} at the traced point")
             raise
 
@@ -859,6 +862,7 @@ class _Trace:
         self._settle()
         if self._mixes((a, b)):
             return NotImplemented
+        a, b = _as_python(a), _as_python(b)
         fn, symbol = _BINARY[kind]
         value = self._value(fn, _value_of_traced(a), _value_of_traced(b))
         lines = ["v{n} = {a} %s {b}" % symbol]
@@ -895,7 +899,7 @@ class _Trace:
         self._settle()
         if self._mixes((c,)):
             return NotImplemented
-        va = a._value
+        c, va = _as_python(c), a._value
         if self._value(lambda: float(c).is_integer()):
             k = int(c)
             if k == 0:
@@ -912,13 +916,11 @@ class _Trace:
                       "at the traced point")
             raise ValueError("power with non-integer exponent requires a "
                              "positive base")
-        exponent = self._const(c)
-        node = self._add("fpow", a._node, self._const(float(c)),
+        return self._add("fpow", a._node, self._const(float(c)),
                          self._value(lambda: va ** c),
                          ["if {a} <= 0.0: return None",
-                          "v{n} = {a} ** %s" % exponent,
+                          "v{n} = {a} ** %s" % self._const(c),
                           "k{n} = 0.0 * _log({a})"])
-        return node
 
     def guard(self, op: str, a, b) -> bool:
         """``a op b`` on values, as a :class:`Dual` compares; a point where
@@ -927,16 +929,13 @@ class _Trace:
         if self._mixes((b,)):
             raise TypeError(f"a traced value cannot be compared with a "
                             f"{type(b).__name__}")
-        if isinstance(b, int):          # a Dual compares with float(b)
-            try:
-                exact = float(b) == b
-            except OverflowError:
-                exact = False
-            if not exact:
+        if not isinstance(b, _Traced):      # a Dual compares with float(b)
+            fb = self._value(float, b)
+            if isinstance(b, int) and fb != b:
                 self.fail("it compares a traced value with an integer "
                           "beyond float precision")
                 raise TypeError("an integer beyond float precision")
-            b = float(b)
+            b = fb
         outcome = _COMPARE[op](a._value, _value_of_traced(b))
         self._line(f"if {'not ' if outcome else ''}({_operand(a._node)} "
                    f"{op} {_operand(self._ref(b))}): return None")
@@ -946,11 +945,8 @@ class _Trace:
         """The replay of the trace with ``y`` as the function's result, or
         None when the function cannot be traced."""
         self._settle()
-        if isinstance(y, _Traced) and y._trace is self:
-            out = y._node
-        elif isinstance(y, (int, float)):
-            out = None
-        else:
+        out = y._node if isinstance(y, _Traced) and y._trace is self else None
+        if out is None and not isinstance(y, (int, float)):
             self.fail(f"it returns a {type(y).__name__}")
         if self.reason is not None:
             return None
@@ -990,6 +986,12 @@ class _Trace:
 
 def _value_of_traced(v):
     return v._value if isinstance(v, _Traced) else v
+
+
+def _as_python(v):
+    """A float constant as a Python float, as a :class:`Dual` holds values:
+    numpy scalars overflow and divide by zero without raising."""
+    return float(v) if isinstance(v, float) and type(v) is not float else v
 
 
 class _Traced:

@@ -344,3 +344,20 @@ def test_replays_live_only_for_their_run():
             simulate(heat_compartment(), 0.05, 0.01,
                      u=PortSignal.constant([0.3]))
     assert traces == ["0", "heat port"] * 2
+
+
+def test_numpy_constants_raise_as_a_dual_raises():
+    # a Dual holds Python floats, whose ** raises on overflow and whose
+    # division by zero raises, where numpy scalars give inf
+    big, zero = np.float64(1e200), np.float64(0.0)
+    K = ScalarFn(lambda x: (x[0] * big) ** 2 + x[1] / (x[0] + zero), 2)
+    replay = _replay(K, [1e-200, 1.0])
+    assert _hex(replay([1e-200, 1.0])) == _hex(grad(K, [1e-200, 1.0]))
+    with pytest.raises(OverflowError):
+        grad(K, [1.0, 1.0])
+    with pytest.raises(OverflowError):
+        replay([1.0, 1.0])
+    divided = ScalarFn(lambda x: x[0] / zero, 2)
+    with pytest.raises(ZeroDivisionError):
+        grad(divided, [1.0, 1.0])
+    assert _trace_grad(divided, [1.0, 1.0])[0] is None
