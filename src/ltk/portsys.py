@@ -23,9 +23,10 @@ the two laws: with designated energy and entropy coordinates,
 :func:`validate` measures all of these on sampled surface points and
 :func:`interconnect` composes two systems through a static feedback law
 between their outputs, rejecting compositions that break the second law.
-:func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, recording
-the surface-membership guard, inputs, outputs and monitors at every grid
-point, a block of points at a time.
+:func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, its field
+replaying one trace of each generator's gradient, recording the
+surface-membership guard, inputs, outputs and monitors at every grid point,
+a block of points at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _raise_at, _rows_or_errors, _trace_grad,
+from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
                       _values_and_dirderivs, dirderiv, exp, grad)
 from .dynamics import (_canonical, _degree_residual, _phase_samples,
                        contact_rhs, integrate, phase_rhs)
@@ -356,7 +357,15 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
     the total generator K.
 
-    The field is differentiated one point at a time.  The recording takes
+    The field is differentiated one point at a time.  Each ``dual_safe``
+    generator is traced once, at the initial point, into straight-line code
+    that every RK4 stage replays (:func:`~ltk.tracegrad.trace_grad`), bit
+    for bit the scalar :func:`~ltk.diffkit.grad`; a point where a guard of
+    the trace flips, a domain check trips or the replay raises goes to
+    ``grad``, so results, errors and their times are the scalar loop's.  A
+    generator the trace cannot record keeps ``grad``.  At ``LTK_LOG=info``
+    the ``ltk`` logger says which generators run traced, why the others do
+    not, and how many points fell back.  The recording takes
     a block of grid points at a time (``ltk.dynamics.MONITOR_BLOCK``), one
     vector-mode pass per channel, each row bit for bit the point alone.  A
     block whose passes raise reruns its points one at a time in the order
@@ -383,10 +392,11 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              + [f"{y}{k + 1}" for k in range(n_ports) for y in ("y_p", "y_e")]
              + extra)
 
+    from .tracegrad import trace_grad
     x0 = liouville_point(sys.gf, params).packed()
     replays = {}
     for K in (sys.Ka,) + sys.Kc:
-        replays[id(K)], reason = _trace_grad(K, x0.tolist())
+        replays[id(K)], reason = trace_grad(K, x0.tolist())
         log.info("simulate %r: %s runs %s", sys.name, K.name,
                  "on a traced replay" if reason is None
                  else f"on the scalar loop: {reason}")

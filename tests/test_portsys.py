@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltk import cli, diffkit, dynamics, submanifold
+from ltk import cli, diffkit, dynamics, submanifold, tracegrad
 from ltk.diffkit import ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -243,7 +243,7 @@ def _count_replays(monkeypatch):
     """The generators traced, and one entry per call of a replay emitted
     from a trace, each by the generator's name."""
     traces, replays = [], []
-    original = diffkit._trace_grad
+    original = tracegrad.trace_grad
 
     def traced(K, x):
         traces.append(K.name)

@@ -17,14 +17,15 @@ from test_diffkit import SYSTEMS, _hex
 from test_simulate_blocks import (_assert_matches_reference,
                                   _assert_same_error, _reference)
 
-from ltk import diffkit
-from ltk.diffkit import ScalarFn, _trace_grad, exp, fd_grad, grad, ln, sqrt
+from ltk import tracegrad
+from ltk.diffkit import ScalarFn, exp, fd_grad, grad, ln, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
 from ltk.portsys import (BUILTIN_SYSTEMS, PortSignal, PortSystem,
                          _sample_surface_params, gas_piston_damper,
                          heat_compartment, simulate)
 from ltk.submanifold import liouville_point
+from ltk.tracegrad import trace_grad
 
 GENERATOR_SYSTEMS = dict(
     {name: factory for name, factory in BUILTIN_SYSTEMS.items()},
@@ -33,7 +34,7 @@ GENERATOR_SYSTEMS = dict(
 
 
 def _replay(K: ScalarFn, x):
-    replay, reason = _trace_grad(K, list(x))
+    replay, reason = trace_grad(K, list(x))
     assert reason is None, reason
     return replay
 
@@ -150,7 +151,7 @@ def test_truth_of_a_traced_zero_is_not_taken():
     # bool(Dual(0.0, 1.0)) is True while bool(0.0) is False, so a scalar
     # pass branches per seed: the trace refuses, and grad takes every point
     K = ScalarFn(lambda x: x[0] * (2.0 if x[1] else 3.0), 2)
-    replay, reason = _trace_grad(K, [1.0, 0.0])
+    replay, reason = trace_grad(K, [1.0, 0.0])
     assert replay is None and "bool()" in reason
 
 
@@ -255,7 +256,7 @@ def _scalar_route(monkeypatch):
     """simulate with every generator left untraced, on the scalar loop."""
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr("ltk.portsys._trace_grad",
+            patch.setattr(tracegrad, "trace_grad",
                           lambda K, x: (None, "untraced"))
             return simulate(*args, **kwargs)
     return run
@@ -301,7 +302,7 @@ def _caught_float(v):
 def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     fn, reason = UNTRACEABLE[case]
     K = fn if isinstance(fn, ScalarFn) else ScalarFn(fn, 2, name=case)
-    replay, why = _trace_grad(K, [1.5, 0.5])
+    replay, why = trace_grad(K, [1.5, 0.5])
     assert replay is None and reason in why
     # a heat compartment whose drift is K times its port generator, which
     # vanishes on the surface, runs K's drift on grad and the port on a
@@ -332,14 +333,14 @@ def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
 def test_replays_live_only_for_their_run():
     # no trace is kept between runs: each simulate traces its generators
     traces = []
-    original = diffkit._trace_grad
+    original = tracegrad.trace_grad
 
     def counted(K, x):
         traces.append(K.name)
         return original(K, x)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("ltk.portsys._trace_grad", counted)
+        patch.setattr(tracegrad, "trace_grad", counted)
         for _ in range(2):
             simulate(heat_compartment(), 0.05, 0.01,
                      u=PortSignal.constant([0.3]))
@@ -360,4 +361,4 @@ def test_numpy_constants_raise_as_a_dual_raises():
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
-    assert _trace_grad(divided, [1.0, 1.0])[0] is None
+    assert trace_grad(divided, [1.0, 1.0])[0] is None
