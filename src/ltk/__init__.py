@@ -17,6 +17,8 @@ Modules:
 * :mod:`ltk.dynamics`   — canonical/contact/reduced fields and integration
 * :mod:`ltk.brackets`   — Poisson and chart brackets with structure checks
 * :mod:`ltk.portsys`    — port-thermodynamic systems and interconnection
+* :mod:`ltk.tracegrad`  — generator gradients traced once and replayed as
+  straight-line code, for ``simulate``'s field (imported on first use)
 * :mod:`ltk.cli`        — the ``ltk`` command-line interface
 """
 

@@ -500,9 +500,8 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     package's sampled checks, flowcheck's trajectories and ``simulate``'s
     recording take this route.  ``simulate``'s field replays a trace of
     each generator (:func:`ltk.tracegrad.trace_grad`) and comes here only
-    for the
-    points a replay hands back and for generators it cannot trace; this
-    loop stays the reference that every replay reproduces.
+    for the points a replay hands back and for generators it cannot
+    trace; this loop stays the reference that every replay reproduces.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)
@@ -713,4 +712,3 @@ def fd_grad(f: ScalarFn, x, h: float | None = None) -> np.ndarray:
         xm[i] = x[i] - hi
         out[i] = (f(xp) - f(xm)) / (2.0 * hi)
     return out
-

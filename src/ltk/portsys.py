@@ -363,13 +363,14 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     for bit the scalar :func:`~ltk.diffkit.grad`; a point where a guard of
     the trace flips, a domain check trips or the replay raises goes to
     ``grad``, so results, errors and their times are the scalar loop's.  A
-    generator the trace cannot record keeps ``grad``.  At ``LTK_LOG=info``
-    the ``ltk`` logger says which generators run traced, why the others do
-    not, and how many points fell back.  The recording takes
-    a block of grid points at a time (``ltk.dynamics.MONITOR_BLOCK``), one
-    vector-mode pass per channel, each row bit for bit the point alone.  A
-    block whose passes raise reruns its points one at a time in the order
-    guard, each port's ``u``, ``y_p``, ``y_e``, then the monitors, so a run
+    generator the trace cannot record keeps ``grad``.  At level INFO
+    (``LTK_LOG=info`` on the command line) the ``ltk`` logger says which
+    generators run traced, why the others do not, and how many points fell
+    back.  The recording takes a block of grid points at a time
+    (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
+    each row bit for bit the point alone.  A block whose passes raise
+    reruns its points one at a time in the order guard, each port's ``u``,
+    ``y_p``, ``y_e``, then the monitors, so a run
     raises the error, and the time, of the first failing point; a run that
     leaves the surface stops at the end of its block.
     """
@@ -533,12 +534,12 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
 
     Generators are degree-checked on 30 generic phase points, drawn once
     and shared by every generator (:func:`~ltk.dynamics.validate_degree`'s
-    points for ``seed``); the surface
-    statements (generators vanish, first and second law) are evaluated at
-    ``n_samples`` points drawn from ``param_box``; the chart-form agreement
-    is checked on the energy chart (0) and, when present, the entropy
-    chart (1).  Each check runs its samples as one batch; an error names
-    the failing sample's surface parameters.
+    points for ``seed``); the surface statements (generators vanish, first
+    and second law) are evaluated at ``n_samples`` points drawn from
+    ``param_box``; the chart-form agreement is checked on the energy chart
+    (0) and, when present, the entropy chart (1).  Each check runs its
+    samples as one batch; an error names the failing sample's surface
+    parameters.
     """
     m = sys.n_coords
     generators = (sys.Ka,) + sys.Kc

@@ -61,8 +61,9 @@ _REPLAY_NAMES = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
 
 def _derivative_source(kind: str, n: int, a, b, da, db) -> str:
     """Source of node n's derivative along one seed: the scalar
-    :class:`~ltk.diffkit.Dual` formula, ``da``/``db`` naming the operands' derivatives
-    along it, None where that operand is a plain float in its pass."""
+    ``Dual`` formula, ``da``/``db`` naming the operands'
+    derivatives along it, None where that operand is a plain float in
+    that seed's pass."""
     v, va, vb = f"v{n}", _operand(a), _operand(b)
     if kind == "add":
         return da if db is None else db if da is None else f"{da} + {db}"
@@ -111,7 +112,10 @@ class _Trace:
         self._checks = set()
         self.consts = {}
         self.reason = None
-        self._probe = None      # the node the last float() read, if pending
+        # the value a float() call read last, until the next recording:
+        # diffkit's exp, ln, sqrt, sin and cos read it so in their math
+        # call, then record themselves
+        self._probe = None
 
     def fail(self, reason: str):
         self._settle()
@@ -126,6 +130,7 @@ class _Trace:
             self.fail("it reads a traced value with float()")
 
     def unreadable(self, node, how: str):
+        """A read of ``node`` by ``how``, which no replay can repeat."""
         self._settle()
         if how == "float()":
             self._probe = node
@@ -146,7 +151,7 @@ class _Trace:
 
     def _mixes(self, values) -> bool:
         """Whether an operand is neither traced here nor an int or float,
-        which a :class:`~ltk.diffkit.Dual` would not take either."""
+        which a ``Dual`` would not take either."""
         for v in values:
             if isinstance(v, _Traced) and v._trace is self:
                 continue
@@ -213,7 +218,7 @@ class _Trace:
         return self._add(kind, a._node, None, value, lines)
 
     def power(self, a, c):
-        """``a ** c`` for a constant exponent c, as :meth:`~ltk.diffkit.Dual.__pow__`."""
+        """``a ** c`` for a constant exponent c, as ``Dual.__pow__``."""
         if isinstance(c, _Traced):
             if self._probe is c:        # exprlang._pow's integer test
                 self._probe = None
@@ -247,7 +252,7 @@ class _Trace:
                           "k{n} = 0.0 * _log({a})"])
 
     def guard(self, op: str, a, b) -> bool:
-        """``a op b`` on values, as a :class:`~ltk.diffkit.Dual` compares; a point where
+        """``a op b`` on values, as a ``Dual`` compares; a point where
         it comes out otherwise goes back to the scalar loop."""
         self._settle()
         if self._mixes((b,)):
@@ -313,7 +318,7 @@ def _value_of_traced(v):
 
 
 def _as_python(v):
-    """A float constant as a Python float, as a :class:`~ltk.diffkit.Dual` holds values:
+    """A float constant as a Python float, as a ``Dual`` holds values:
     numpy scalars overflow and divide by zero without raising."""
     return float(v) if isinstance(v, float) and type(v) is not float else v
 
@@ -322,7 +327,7 @@ class _Traced:
     """A coordinate, or a value computed from coordinates, of a function
     being traced by :func:`trace_grad`.
 
-    Every operation :class:`~ltk.diffkit.Dual` implements adds a node to the trace, and
+    Every operation ``Dual`` implements adds a node to the trace, and
     so do diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos``; a
     comparison adds a guard.  Any other read of the value (``==``, ``!=``,
     ``bool``, ``float``, ``int``, ``hash``, an attribute, numpy, a traced
@@ -408,14 +413,14 @@ def _unreadable(how: str):
     return read
 
 
-for _names, _how in ((("__eq__", "__ne__"), "=="), (("__bool__",), "bool()"),
-                     (("__float__",), "float()"),
-                     (("__int__", "__index__", "__trunc__", "__floor__",
-                       "__ceil__", "__round__"), "int()"),
-                     (("__complex__",), "complex()"), (("__hash__",), "hash()"),
-                     (("__array__",), "numpy"),
-                     (("__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
-                       "__divmod__", "__rdivmod__"), "// or %")):
+for _names, _how in (
+        (("__eq__", "__ne__"), "=="), (("__bool__",), "bool()"),
+        (("__float__",), "float()"), (("__complex__",), "complex()"),
+        (("__int__", "__index__", "__trunc__", "__floor__", "__ceil__",
+          "__round__"), "int()"),
+        (("__hash__",), "hash()"), (("__array__",), "numpy"),
+        (("__floordiv__", "__rfloordiv__", "__mod__", "__rmod__",
+          "__divmod__", "__rdivmod__"), "// or %")):
     for _name in _names:
         setattr(_Traced, _name, _unreadable(_how))
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 import pytest
 
-from ltk import cli, diffkit, dynamics, submanifold, tracegrad
+from ltk import cli, diffkit, dynamics, geometry, submanifold, tracegrad
 from ltk.diffkit import ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -256,6 +256,17 @@ def _count_replays(monkeypatch):
 
     _rebind(monkeypatch, original, traced)
     return traces, replays
+
+
+def test_validate_draws_its_degree_samples_once(monkeypatch):
+    # every generator is degree-checked on the same 30 points, the ones
+    # validate_degree draws for the seed, so they are drawn once per call
+    gp = gas_piston_damper()
+    draws = _count_calls(monkeypatch, geometry.sample_phase_points)
+    report = validate(gp, seed=4)
+    assert [args[1:] for args in draws] == [(30, 4)]
+    assert report.degree_residual == max(
+        dynamics.validate_degree(K, 1, 30, seed=4) for K in (gp.Ka,) + gp.Kc)
 
 
 def _count_value_calls(K: ScalarFn, calls: list) -> ScalarFn:
