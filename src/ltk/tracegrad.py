@@ -118,6 +118,7 @@ class _Trace:
         self._probe = None
 
     def fail(self, reason: str):
+        """Mark the function untraceable; the first reason is kept."""
         self._settle()
         if self.reason is None:
             self.reason = reason
@@ -127,13 +128,14 @@ class _Trace:
         anything but the diffkit function whose ``math`` call made it."""
         if self._probe is not None:
             self._probe = None
-            self.fail("it reads a traced value with float()")
+            if self.reason is None:
+                self.reason = "it reads a traced value with float()"
 
-    def unreadable(self, node, how: str):
-        """A read of ``node`` by ``how``, which no replay can repeat."""
+    def unreadable(self, value, how: str):
+        """A read of ``value`` by ``how``, which no replay can repeat."""
         self._settle()
         if how == "float()":
-            self._probe = node
+            self._probe = value
         else:
             self.fail(f"it reads a traced value with {how}")
         raise TypeError(f"a traced value cannot be read with {how}")
@@ -161,7 +163,7 @@ class _Trace:
             return True
         return False
 
-    def _add(self, kind, a, b, value, lines=()) -> "_Traced":
+    def _add(self, kind, a, b, value, lines) -> "_Traced":
         reads = frozenset().union(*(self.nodes[r][3] for r in (a, b)
                                     if isinstance(r, int)))
         n = len(self.nodes)
