@@ -11,17 +11,18 @@ suite and intentionally kept as separate code paths.
 
 :func:`grad` also takes a (B, dim) array of points, one per row: vector
 forward mode with an ensemble axis (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed.).  One pass carries a batch of duals whose ``val`` has
-shape (B,) and whose ``dot`` has shape (k, B), one seed direction per
-coordinate for a gradient (k = dim) or one direction per row for a
-directional derivative (k = 1), and returns all B results.  The contract is
-bit-identity: each row equals the single-point result (short of integer
-values of a point-dependent exponent, see :class:`_DualBatch`), because
-every batch operation is the scalar formula in the same order, entrywise,
-and ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through
-``math`` one entry at a time (numpy's SIMD kernels round differently on
-some inputs).  Division is correctly rounded, ``q = a / b``, in both forms,
-so a pass's value is also the plain evaluation's.  Domain errors in a batch
+Derivatives*, 2nd ed.).  The same :class:`Dual` class then holds arrays, a
+batch whose ``val`` has shape (B,) and whose ``dot`` has shape (k, B), one
+seed direction per coordinate for a gradient (k = dim) or one direction
+per row for a directional derivative (k = 1), and one pass returns all B
+results.  The contract is bit-identity: each row equals the single-point
+result (short of integer values of a point-dependent exponent and the sign
+of a zero partial, see :class:`Dual`), because a single dual and a batch
+run the same formula for each operation, the batch entrywise, and
+``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math``
+one entry at a time (numpy's SIMD kernels round differently on some
+inputs).  Division is correctly rounded, ``q = a / b``, in both forms, so
+a pass's value is also the plain evaluation's.  Domain errors in a batch
 name the failing row.
 
 Every sampled check of the package runs its samples as such batches: the
@@ -77,11 +78,29 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 class Dual:
-    """A scalar ``val`` together with one derivative component ``dot``.
+    """Dual numbers: a value ``val`` with derivative components ``dot``.
+
+    A single dual holds Python floats, one value and one derivative; ints,
+    numpy scalars and 0-d arrays are converted, so numpy's silent overflow
+    and division by zero never enter a pass.  A batch of B duals holds
+    arrays, ``val`` of shape (B,) and ``dot`` of shape (k, B), the
+    derivatives along k seed directions; :func:`grad` builds them for
+    vector forward mode.
 
     Arithmetic follows the usual rules of first-order Taylor expansion, e.g.
     ``(a + a'eps)(b + b'eps) = ab + (ab' + a'b)eps``.  Mixed operations with
-    plain ints/floats promote the plain operand to a constant (zero ``dot``).
+    plain ints/floats promote the plain operand to a constant (zero ``dot``);
+    numpy arrays do not mix.  Each operation is one formula for both kinds,
+    applied entrywise to a batch, so every row and seed direction of a batch
+    reproduces the single pass bit for bit, with two exceptions.  A power
+    whose exponent depends on the point and takes an integer value there: a
+    single pass seeding a coordinate the exponent does not read takes the
+    integer-power rule, the batch the general one, and the two can differ
+    in the last bit.  And the sign of a zero derivative: :func:`grad`'s
+    single pass carries the unseeded coordinates as floats, a batch as duals
+    with zero ``dot``, so where a coordinate is 0 a partial of ``-0.0`` may
+    come out as ``0.0``.  Comparing, ``==`` or hashing a batch raises
+    ``TypeError``, as its rows may compare differently.
     """
 
     __slots__ = ("val", "dot")
@@ -91,8 +110,10 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, val, dot=0.0):
-        self.val = float(val)
-        self.dot = float(dot)
+        if isinstance(val, np.ndarray) and val.ndim:
+            self.val, self.dot = val, dot
+        else:
+            self.val, self.dot = float(val), float(dot)
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.dot!r})"
@@ -132,8 +153,8 @@ class Dual:
 
     def __truediv__(self, other):
         if isinstance(other, Dual):
-            if other.val == 0.0:
-                raise ZeroDivisionError("division by a dual number with zero value")
+            _reject(other.val == 0.0, ZeroDivisionError,
+                    "division by a dual number with zero value")
             q = self.val / other.val
             return Dual(q, (self.dot - q * other.dot) / other.val)
         if isinstance(other, (int, float)):
@@ -144,8 +165,8 @@ class Dual:
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            if self.val == 0.0:
-                raise ZeroDivisionError("division by a dual number with zero value")
+            _reject(self.val == 0.0, ZeroDivisionError,
+                    "division by a dual number with zero value")
             q = other / self.val
             return Dual(q, -(q * self.dot) / self.val)
         return NotImplemented
@@ -159,29 +180,29 @@ class Dual:
     def __abs__(self):
         # d|x|/dx = sign(x); at x = 0 we take 0, which is the usual
         # forward-mode convention for this kink.
-        s = 0.0 if self.val == 0.0 else math.copysign(1.0, self.val)
-        return Dual(abs(self.val), s * self.dot)
+        return Dual(abs(self.val), _each(_sign, self.val) * self.dot)
 
     def __pow__(self, other):
         # Integer exponents work for any base; fractional exponents need a
         # positive base to stay real (and differentiable).
-        if isinstance(other, (int, float)) and not isinstance(other, Dual):
+        if isinstance(other, (int, float)):
             if float(other).is_integer():
                 k = int(other)
                 if k == 0:
-                    return Dual(1.0, 0.0)
-                if self.val == 0.0 and k < 0:
-                    raise ZeroDivisionError("0 raised to a negative power")
-                v = self.val ** k
-                return Dual(v, k * self.val ** (k - 1) * self.dot)
+                    return Dual(np.ones_like(self.val),
+                                np.zeros_like(self.dot))
+                if k < 0:
+                    _reject(self.val == 0.0, ZeroDivisionError,
+                            "0 raised to a negative power")
+                v = _each(lambda a: a ** k, self.val)
+                return Dual(v, k * _each(lambda a: a ** (k - 1), self.val)
+                            * self.dot)
             other = Dual(other, 0.0)
         if isinstance(other, Dual):
-            if self.val <= 0.0:
-                raise ValueError(
-                    "power with non-integer exponent requires a positive base"
-                )
-            v = self.val ** other.val
-            return Dual(v, v * (other.dot * math.log(self.val)
+            _reject(self.val <= 0.0, ValueError,
+                    "power with non-integer exponent requires a positive base")
+            v = _each(pow, self.val, other.val)
+            return Dual(v, v * (other.dot * _each(math.log, self.val)
                                 + other.val * self.dot / self.val))
         return NotImplemented
 
@@ -193,33 +214,39 @@ class Dual:
     # -- comparisons (on values; used for domain checks) ---------------------
 
     def __lt__(self, other):
-        return self.val < _value_of(other)
+        return _value_of(self) < _value_of(other)
 
     def __le__(self, other):
-        return self.val <= _value_of(other)
+        return _value_of(self) <= _value_of(other)
 
     def __gt__(self, other):
-        return self.val > _value_of(other)
+        return _value_of(self) > _value_of(other)
 
     def __ge__(self, other):
-        return self.val >= _value_of(other)
+        return _value_of(self) >= _value_of(other)
 
     def __eq__(self, other):
         if isinstance(other, Dual):
-            return self.val == other.val and self.dot == other.dot
+            return (_value_of(self) == _value_of(other)
+                    and self.dot == other.dot)
         if isinstance(other, (int, float)):
-            return self.val == other and self.dot == 0.0
+            return _value_of(self) == other and self.dot == 0.0
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.val, self.dot))
+        return hash((_value_of(self), self.dot))
 
 
-def _value_of(x):
-    return x.val if isinstance(x, Dual) else float(x)
+def _value_of(x) -> float:
+    """The value of a number or single dual, to compare; a batch raises."""
+    if isinstance(x, Dual):
+        x = x.val
+    if isinstance(x, np.ndarray):
+        raise TypeError("a batch of dual numbers has no single truth value")
+    return float(x)
 
 
-# -- a batch of dual numbers: the ensemble axis of vector forward mode --------
+# -- the points where a single dual and a batch differ -----------------------
 
 
 def _at_row(row: int, rows: int) -> str:
@@ -228,155 +255,54 @@ def _at_row(row: int, rows: int) -> str:
     return f" (batch row {row})" if rows > 1 else ""
 
 
-def _each(fn, *columns: np.ndarray) -> np.ndarray:
-    """``fn`` applied row by row to the entries of ``columns``, as floats.
+def _each(fn, *args):
+    """``fn`` of one or two floats, or entry by entry of arrays, among
+    which shapes broadcast and a float is repeated; a batch's rows lie
+    along the last axis.
 
     numpy's SIMD ``exp``, ``log`` and ``power`` are not always rounded like
-    ``math``, so a batch row would drift from the scalar pass in the last
-    bit; a domain error names the first failing row.
+    ``math``, so a batch row would drift from the single pass in the last
+    bit; a domain error in a batch names the first failing row.
     """
-    out = []
-    for row, args in enumerate(zip(*(c.tolist() for c in columns))):
-        try:
-            out.append(fn(*args))
-        except (ArithmeticError, ValueError) as err:
-            raise type(err)(f"{err}{_at_row(row, columns[0].size)}") from None
-    return np.array(out)
+    if not (isinstance(args[0], np.ndarray)
+            or isinstance(args[-1], np.ndarray)):
+        return fn(*args)
+    try:
+        return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+    except (ArithmeticError, ValueError) as err:
+        columns = np.broadcast_arrays(*args)
+        rows = columns[0].shape[-1]
+        for i, entry in enumerate(zip(*(c.ravel().tolist() for c in columns))):
+            try:
+                fn(*entry)
+            except (ArithmeticError, ValueError):
+                raise type(err)(f"{err}{_at_row(i % rows, rows)}") from None
+        raise
 
 
-def _reject(bad: np.ndarray, error, message: str):
-    """Raise ``error`` naming the first row flagged in ``bad``, if any."""
-    if bad.any():
-        raise error(f"{message}{_at_row(int(np.argmax(bad)), bad.size)}")
+def _reject(bad, error, message: str):
+    """Raise ``error`` if ``bad``: a plain test of a single dual's bool; a
+    batch's array names the first row (last axis) flagged for any seed."""
+    if not isinstance(bad, np.ndarray):
+        if bad:
+            raise error(message)
+    elif bad.any():
+        rows = bad.reshape(-1, bad.shape[-1]).any(axis=0)
+        raise error(f"{message}{_at_row(int(np.argmax(rows)), rows.size)}")
 
 
-class _DualBatch:
-    """B dual numbers that share one pass: ``val`` of shape (B,) and ``dot``
-    of shape (dim, B), the derivative along each of dim seed directions.
-
-    Every operation is the scalar :class:`Dual` formula, in the same order,
-    applied entrywise, so each row and seed direction reproduces a scalar
-    pass bit for bit.  The one exception is a power whose exponent depends
-    on the point and takes an integer value there: a scalar pass seeding a
-    coordinate the exponent does not read takes the integer-power rule, the
-    batch the general one, and the two can differ in the last bit.  Built
-    only by :func:`grad`; it does not mix with scalar Duals or numpy arrays,
-    and comparing it raises ``TypeError``, as its rows may compare
-    differently.
-    """
-
-    __slots__ = ("val", "dot")
-    __array_ufunc__ = None
-
-    def __init__(self, val, dot):
-        self.val = val
-        self.dot = dot
-
-    def __add__(self, other):
-        if isinstance(other, _DualBatch):
-            return _DualBatch(self.val + other.val, self.dot + other.dot)
-        if isinstance(other, (int, float)):
-            return _DualBatch(self.val + other, self.dot)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _DualBatch):
-            return _DualBatch(self.val - other.val, self.dot - other.dot)
-        if isinstance(other, (int, float)):
-            return _DualBatch(self.val - other, self.dot)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return _DualBatch(other - self.val, -self.dot)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, _DualBatch):
-            return _DualBatch(self.val * other.val,
-                              self.val * other.dot + self.dot * other.val)
-        if isinstance(other, (int, float)):
-            return _DualBatch(self.val * other, self.dot * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _DualBatch):
-            _reject(other.val == 0.0, ZeroDivisionError,
-                    "division by a dual number with zero value")
-            q = self.val / other.val
-            return _DualBatch(q, (self.dot - q * other.dot) / other.val)
-        if isinstance(other, (int, float)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero")
-            return _DualBatch(self.val / other, self.dot / other)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, float)):
-            _reject(self.val == 0.0, ZeroDivisionError,
-                    "division by a dual number with zero value")
-            q = other / self.val
-            return _DualBatch(q, -(q * self.dot) / self.val)
-        return NotImplemented
-
-    def __neg__(self):
-        return _DualBatch(-self.val, -self.dot)
-
-    def __pos__(self):
-        return self
-
-    def __abs__(self):
-        s = np.where(self.val == 0.0, 0.0, np.copysign(1.0, self.val))
-        return _DualBatch(np.abs(self.val), s * self.dot)
-
-    def __pow__(self, other):
-        if isinstance(other, (int, float)):
-            if float(other).is_integer():
-                k = int(other)
-                if k == 0:
-                    return _DualBatch(np.ones_like(self.val),
-                                      np.zeros_like(self.dot))
-                if k < 0:
-                    _reject(self.val == 0.0, ZeroDivisionError,
-                            "0 raised to a negative power")
-                v = _each(lambda a: a ** k, self.val)
-                return _DualBatch(
-                    v, k * _each(lambda a: a ** (k - 1), self.val) * self.dot)
-            other = _DualBatch(np.full_like(self.val, other),
-                               np.zeros_like(self.dot))
-        if isinstance(other, _DualBatch):
-            _reject(self.val <= 0.0, ValueError,
-                    "power with non-integer exponent requires a positive base")
-            v = _each(pow, self.val, other.val)
-            return _DualBatch(v, v * (other.dot * _each(math.log, self.val)
-                                      + other.val * self.dot / self.val))
-        return NotImplemented
-
-    def __rpow__(self, other):
-        if isinstance(other, (int, float)):
-            base = _DualBatch(np.full_like(self.val, other),
-                              np.zeros_like(self.dot))
-            return base ** self
-        return NotImplemented
-
-    def _unordered(self, other):
-        raise TypeError("a batch of dual numbers has no single truth value")
-
-    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unordered
+def _sign(a: float) -> float:
+    return 0.0 if a == 0.0 else math.copysign(1.0, a)
 
 
 # -- transcendental functions generic over float/Dual ------------------------
 
 
 def _other(x, name: str):
-    """diffkit's function ``name`` of a value that is no number, Dual or
-    batch of duals: a traced value (:mod:`ltk.tracegrad`) records the call;
-    anything else is the caller's type error.  Plain numbers take the
-    ``math`` call first, at no extra cost."""
+    """diffkit's function ``name`` of a value that is neither a number nor
+    a Dual (single or batch): a traced value (:mod:`ltk.tracegrad`) records
+    the call; anything else is the caller's type error.  Plain numbers take
+    the ``math`` call first, at no extra cost."""
     record = getattr(type(x), "_record_call", None)
     if record is None:
         raise TypeError(f"must be a real number or dual, not {type(x).__name__}")
@@ -385,81 +311,60 @@ def _other(x, name: str):
 
 def exp(x):
     if isinstance(x, Dual):
-        v = math.exp(x.val)
+        v = _each(math.exp, x.val)
         return Dual(v, v * x.dot)
     try:
         return math.exp(x)
     except TypeError:
-        if not isinstance(x, _DualBatch):
-            return _other(x, "exp")
-        v = _each(math.exp, x.val)
-        return _DualBatch(v, v * x.dot)
+        return _other(x, "exp")
 
 
 def ln(x):
     if isinstance(x, Dual):
-        if x.val <= 0.0:
-            raise ValueError("ln requires a positive argument")
-        return Dual(math.log(x.val), x.dot / x.val)
+        _reject(x.val <= 0.0, ValueError, "ln requires a positive argument")
+        return Dual(_each(math.log, x.val), x.dot / x.val)
     try:
         return math.log(x)          # raises for x <= 0, as a Dual does
     except ValueError:
         raise ValueError("ln requires a positive argument") from None
     except TypeError:
-        if not isinstance(x, _DualBatch):
-            return _other(x, "ln")
-        vals = x.val
-        _reject(vals <= 0.0, ValueError, "ln requires a positive argument")
-        return _DualBatch(_each(math.log, vals), x.dot / vals)
+        return _other(x, "ln")
 
 
 def sqrt(x):
     if isinstance(x, Dual):
-        if x.val < 0.0:
-            raise ValueError("sqrt requires a nonnegative argument")
-        v = math.sqrt(x.val)
-        if x.val == 0.0 and x.dot != 0.0:
-            raise ValueError("sqrt is not differentiable at zero")
-        return Dual(v, 0.0 if x.dot == 0.0 else 0.5 * x.dot / v)
+        _reject(x.val < 0.0, ValueError,
+                "sqrt requires a nonnegative argument")
+        _reject((x.val == 0.0) & (x.dot != 0.0), ValueError,
+                "sqrt is not differentiable at zero")
+        v = _each(math.sqrt, x.val)
+        # dot / (2 v), and 0 where dot is 0, also at v = 0
+        return Dual(v, np.divide(0.5 * x.dot, v, where=x.dot != 0.0,
+                                 out=np.zeros_like(x.dot)))
     try:
         return math.sqrt(x)         # raises for x < 0, as a Dual does
     except ValueError:
         raise ValueError("sqrt requires a nonnegative argument") from None
     except TypeError:
-        if not isinstance(x, _DualBatch):
-            return _other(x, "sqrt")
-        vals = x.val
-        _reject(vals < 0.0, ValueError, "sqrt requires a nonnegative argument")
-        v = _each(math.sqrt, vals)
-        moving = x.dot != 0.0
-        _reject((vals == 0.0) & moving.any(axis=0), ValueError,
-                "sqrt is not differentiable at zero")
-        return _DualBatch(v, np.divide(0.5 * x.dot, v, where=moving,
-                                       out=np.zeros_like(x.dot)))
+        return _other(x, "sqrt")
 
 
 def sin(x):
     if isinstance(x, Dual):
-        return Dual(math.sin(x.val), math.cos(x.val) * x.dot)
+        return Dual(_each(math.sin, x.val), _each(math.cos, x.val) * x.dot)
     try:
         return math.sin(x)
     except TypeError:
-        if not isinstance(x, _DualBatch):
-            return _other(x, "sin")
-        vals = x.val
-        return _DualBatch(_each(math.sin, vals), _each(math.cos, vals) * x.dot)
+        return _other(x, "sin")
 
 
 def cos(x):
     if isinstance(x, Dual):
-        return Dual(math.cos(x.val), -math.sin(x.val) * x.dot)
+        return Dual(_each(math.cos, x.val), -_each(math.sin, x.val) * x.dot)
     try:
         return math.cos(x)
     except TypeError:
-        if not isinstance(x, _DualBatch):
-            return _other(x, "cos")
-        vals = x.val
-        return _DualBatch(_each(math.cos, vals), -_each(math.sin, vals) * x.dot)
+        return _other(x, "cos")
 
 
 # -- scalar functions and their gradients -------------------------------------
@@ -532,16 +437,16 @@ def _batch_pass(f: ScalarFn, X: np.ndarray, dots: np.ndarray):
     """``f`` over the rows of ``X`` in one vector-mode pass, coordinate i
     carrying the derivatives ``dots[i]`` of shape (k, B).
 
-    Returns the resulting :class:`_DualBatch`, or None when ``f`` compares
+    Returns the resulting batch :class:`Dual`, or None when ``f`` compares
     its arguments, so that each row must take its own scalar pass.
     """
     try:
-        y = f([_DualBatch(X[:, i].copy(), dots[i]) for i in range(f.dim)])
+        y = f([Dual(X[:, i].copy(), dots[i]) for i in range(f.dim)])
     except TypeError:
         return None
-    if isinstance(y, _DualBatch):
+    if isinstance(y, Dual):
         return y
-    return _DualBatch(np.full(len(X), float(y)), np.zeros(dots.shape[1:]))
+    return Dual(np.full(len(X), float(y)), np.zeros(dots.shape[1:]))
 
 
 def _seeds(B: int, dim: int) -> np.ndarray:

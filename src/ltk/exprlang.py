@@ -318,13 +318,16 @@ def _pow(a, b, node):
     """Generic power with the domain rule: fractional exponents need base > 0.
 
     A float base is checked here, where ``**`` would silently go complex; a
-    dual base, single or batched, checks its own value in ``**``.
+    dual base, single or batched, checks its own value in ``**``.  A single
+    dual exponent with a zero derivative and an integer value takes the
+    integer rule, as a float does; a batch exponent, whose rows may differ,
+    always takes the general rule.
     """
     try:
         b_int = int(b) if float(b).is_integer() else None
     except TypeError:           # a dual exponent, single or batched
-        b_int = (int(b.val) if isinstance(b, Dual) and b.dot == 0.0
-                 and b.val.is_integer() else None)
+        b_int = (int(b.val) if isinstance(b, Dual) and isinstance(b.val, float)
+                 and b.dot == 0.0 and b.val.is_integer() else None)
     try:
         if b_int is not None:
             return a ** b_int

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltk import cli
-from ltk.diffkit import (FD_STEP, Dual, ScalarFn, cos, dirderiv, exp, fd_grad,
+from ltk.diffkit import (FD_STEP, Dual, ScalarFn, _value_and_dirderiv,
+                         _values_and_dirderivs, cos, dirderiv, exp, fd_grad,
                          grad, ln, sin, sqrt)
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.portsys import _sample_surface_params, gas_piston_damper, heat_exchanger
@@ -97,6 +98,23 @@ def test_numpy_arrays_do_not_mix_with_duals(op):
 def test_numpy_scalars_promote_like_floats():
     y = np.float64(3.0) * Dual(2.0, 1.0)
     assert isinstance(y, Dual) and (y.val, y.dot) == (6.0, 3.0)
+    # a single dual holds Python floats, whatever it was built or mixed
+    # with: numpy scalars would overflow and divide by zero silently
+    x = Dual(np.float64(0.7), np.float64(1.0))
+    c = np.float64(1.5)
+    for y in [x, c * x, x + c, c - x, x / c, c / x, 2 * x, x - 1, 3 / x,
+              abs(x), abs(-x), x ** 3, x ** c, x ** 0, x ** 2.5, c ** x,
+              exp(x), ln(x), sqrt(x), sin(x), cos(x)]:
+        assert type(y.val) is float and type(y.dot) is float, y
+
+
+def test_a_batch_of_duals_has_no_single_truth_value():
+    batch = Dual(np.array([1.0, 2.0]), np.array([[1.0, 0.0]]))
+    for compare in (lambda: batch < 1.5, lambda: 1.5 >= batch,
+                    lambda: batch == batch, lambda: batch == 1.0,
+                    lambda: hash(batch)):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_dual_abs_kink_convention():
@@ -260,11 +278,31 @@ def test_batched_grad_rows_are_the_scalar_gradients_bit_for_bit(name):
     "pow(q0, 2) * sin(q1) / cos(q2) + abs(q0 - q1)",
     "(q0 + q1) ^ -3 + q2 ^ 2.5 - 1 / q1",
     "q0 ^ (q1 + 0.5) + 2 ^ q2",
+    "q0 ^ 0 * q1 + q2",
+    "abs(q0 - q1) * q2",
 ])
 def test_batched_grad_covers_every_operation_bit_for_bit(source):
     f = compile_fn(source, ["q0", "q1", "q2"])
     X = np.random.default_rng(1).uniform(0.2, 3.0, (300, 3))
     assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
+    # rows with q0 == q1 exactly, where abs(q0 - q1) takes its kink: bit
+    # for bit but for the sign of a zero partial, which adding 0.0 clears
+    # (the documented exception, see Dual)
+    kink = X[:30, [0, 0, 2]]
+    assert _hex(grad(f, kink) + 0.0) == \
+        _hex(np.array([grad(f, x) for x in kink]) + 0.0)
+
+
+def test_one_row_batches_of_a_point_dependent_exponent():
+    # a batch exponent takes the general power rule; read as a single dual
+    # exponent, a one-row batch would reach ndarray.is_integer and a
+    # gradient batch the truth value of its array of dots
+    f = compile_fn("q0 ^ (q1 + 0.5)", ["q0", "q1"])
+    x = [1.7, 1.2]
+    for d in ([1.0, 0.0], [0.3, -1.0]):    # q1 fixed, then moving
+        vals, dots = _values_and_dirderivs(f, np.array([x]), np.array([d]))
+        assert _hex([vals[0], dots[0]]) == _hex(_value_and_dirderiv(f, x, d))
+    assert _hex(grad(f, np.array([x]))) == _hex(grad(f, x))
 
 
 def test_batched_grad_of_one_row_and_dimension_check():
@@ -281,6 +319,7 @@ def test_batched_grad_of_one_row_and_dimension_check():
     ("1 / q0 + q1", [0.0, 1.0], "zero value"),
     ("q0 ^ -2 + q1", [0.0, 1.0], "negative power"),
     ("sqrt(q0) + q1", [-1.0, 1.0], "nonnegative argument"),
+    ("exp(q0) * q1", [1000.0, 1.0], "math range error"),
 ])
 def test_batched_grad_domain_errors_name_the_row(source, bad, message):
     f = compile_fn(source, ["q0", "q1"])
