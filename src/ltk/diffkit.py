@@ -16,9 +16,9 @@ batch whose ``val`` has shape (B,) and whose ``dot`` has shape (k, B), one
 seed direction per coordinate for a gradient (k = dim) or one direction
 per row for a directional derivative (k = 1), and one pass returns all B
 results.  The contract is bit-identity: each row equals the single-point
-result (short of integer values of a point-dependent exponent and the sign
-of a zero partial, see :class:`Dual`), because a single dual and a batch
-run the same formula for each operation, the batch entrywise, and
+result (short of integer values of a point-dependent exponent, see
+:class:`Dual`), because a single dual and a batch run the same formula
+for each operation, the batch entrywise, and
 ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math``
 one entry at a time (numpy's SIMD kernels round differently on some
 inputs).  Division is correctly rounded, ``q = a / b``, in both forms, so
@@ -92,14 +92,11 @@ class Dual:
     plain ints/floats promote the plain operand to a constant (zero ``dot``);
     numpy arrays do not mix.  Each operation is one formula for both kinds,
     applied entrywise to a batch, so every row and seed direction of a batch
-    reproduces the single pass bit for bit, with two exceptions.  A power
-    whose exponent depends on the point and takes an integer value there: a
-    single pass seeding a coordinate the exponent does not read takes the
+    reproduces the single pass bit for bit, with one exception: a power
+    whose exponent depends on the point and takes an integer value there.
+    A single pass seeding a coordinate the exponent does not read takes the
     integer-power rule, the batch the general one, and the two can differ
-    in the last bit.  And the sign of a zero derivative: :func:`grad`'s
-    single pass carries the unseeded coordinates as floats, a batch as duals
-    with zero ``dot``, so where a coordinate is 0 a partial of ``-0.0`` may
-    come out as ``0.0``.  Comparing, ``==`` or hashing a batch raises
+    in the last bit.  Comparing, ``==`` or hashing a batch raises
     ``TypeError``, as its rows may compare differently.
     """
 
@@ -396,6 +393,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
 
     Exact to floating-point roundoff for ``dual_safe`` functions; otherwise
     delegates to :func:`fd_grad`.  Domain errors raised by ``f`` propagate.
+    A zero partial is ``+0.0`` on every route: this loop carries the
+    unseeded coordinates as floats, a batch as duals with zero ``dot``, so
+    the two would otherwise differ in the sign of a zero.
 
     A 2-D array ``x`` of shape (B, dim) holds one point per row; the result
     is the (B, dim) array of their gradients, from one vector-mode pass
@@ -420,7 +420,7 @@ def grad(f: ScalarFn, x) -> np.ndarray:
         xi = list(x)
         xi[i] = Dual(x[i], 1.0)
         y = f(xi)
-        out[i] = y.dot if isinstance(y, Dual) else 0.0
+        out[i] = 0.0 + y.dot if isinstance(y, Dual) else 0.0
     return out
 
 
@@ -461,7 +461,7 @@ def _grad_rows(f: ScalarFn, X) -> np.ndarray:
     X = _as_rows(f, X)
     y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
     if y is not None:
-        return y.dot.T.copy()
+        return y.dot.T + 0.0
     return np.array([grad(f, x) for x in X]).reshape(X.shape)
 
 
@@ -472,7 +472,7 @@ def _values_and_grads(f: ScalarFn, X):
     X = _as_rows(f, X)
     y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
     if y is not None:
-        return y.val, y.dot.T.copy()
+        return y.val, y.dot.T + 0.0
     return (np.array([float(f(x)) for x in X.tolist()]),
             np.array([grad(f, x) for x in X]).reshape(X.shape))
 

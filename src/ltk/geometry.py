@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
-                      _value_and_dirderiv, _values_and_dirderivs, dirderiv)
+                      _values_and_dirderivs)
 
 __all__ = [
     "PhasePoint",
@@ -183,26 +183,13 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     no truncation error for degrees 0 and 1.  The value of K comes from the
     same pass when K is ``dual_safe``.
     """
-    x = pt.packed()
-    if K.dim != len(x):
-        raise ValueError(f"K expects dimension {K.dim}, point has {len(x)}")
-    zero = np.zeros(len(pt.q))
-    if wrt is EulerFieldKind.Z:
-        d = np.concatenate([zero, pt.p])
-    else:
-        d = np.concatenate([pt.q, zero])
-    if K.dual_safe:
-        val, dot = _value_and_dirderiv(K, x, d)
-    else:
-        val, dot = float(K(x)), dirderiv(K, x, d)
-    return dot - r * val
+    return float(_euler_rows(K, [pt.packed()], r, wrt)[0][0])
 
 
-def _relative_euler_rows(K: ScalarFn, X, r: int,
-                         wrt: EulerFieldKind = EulerFieldKind.Z):
-    """``|euler_residual| / (1 + |K|)``, the scale-free degree defect, and
-    the value of K at each row of a (B, 2m) array of points, from one
-    vector-mode pass."""
+def _euler_rows(K: ScalarFn, X, r: int,
+                wrt: EulerFieldKind = EulerFieldKind.Z):
+    """:func:`euler_residual` and the value of K at each row of a (B, 2m)
+    array of points, from one vector-mode pass along the Euler field."""
     X = np.asarray(X, dtype=float)
     m = X.shape[1] // 2
     D = np.zeros_like(X)
@@ -211,7 +198,16 @@ def _relative_euler_rows(K: ScalarFn, X, r: int,
     else:
         D[:, :m] = X[:, :m]
     vals, dots = _values_and_dirderivs(K, X, D)
-    return np.abs(dots - r * vals) / (1.0 + np.abs(vals)), vals
+    return dots - r * vals, vals
+
+
+def _relative_euler_rows(K: ScalarFn, X, r: int,
+                         wrt: EulerFieldKind = EulerFieldKind.Z):
+    """``|euler_residual| / (1 + |K|)``, the scale-free degree defect, and
+    the value of K at each row of a (B, 2m) array of points, from one
+    vector-mode pass."""
+    residuals, vals = _euler_rows(K, X, r, wrt)
+    return np.abs(residuals) / (1.0 + np.abs(vals)), vals
 
 
 def best_chart(pt: PhasePoint) -> int:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
-                      _values_and_dirderivs, dirderiv, exp, grad)
+                      _values_and_dirderivs, exp, grad)
 from .dynamics import (_canonical, _degree_residual, _phase_samples,
                        contact_rhs, integrate, phase_rhs)
 from .geometry import PhasePoint, dehomogenize
@@ -256,30 +256,23 @@ class _PortFlow:
 
 
 def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
-    """``sum_{i in indices} dK/dp_i`` at ``x``: the derivative of ``K`` along
-    the indicator of those costates, one pass.
+    """``sum_{i in indices} dK/dp_i`` at ``x``: a one-row :func:`_port_flows`."""
+    return float(_port_flows(K, np.asarray([x], dtype=float), m, indices)[0])
+
+
+def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
+    """``sum_{i in indices} dK/dp_i`` at each row of ``X``: one vector-mode
+    pass along the indicator of the costates in ``indices``.
 
     A ``K`` that is not ``dual_safe`` (a composed drift whose feedback reads
     derived outputs) keeps the sum of per-coordinate differences of
     :func:`grad`, whose steps the second-law tolerance was set against.
     """
     if not indices:
-        return 0.0
+        return np.zeros(len(X))
     if not K.dual_safe:
-        g = grad(K, x)
-        return float(sum(g[m + i] for i in indices))
-    d = [0.0] * (2 * m)
-    for i in indices:
-        d[m + i] = 1.0
-    # 0.0 + reports a -0.0 derivative as 0.0, as a sum over partials does
-    return 0.0 + dirderiv(K, x, d)
-
-
-def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
-    """:func:`_port_flow` at each row of ``X``: one vector-mode pass along
-    the indicator of the costates in ``indices``."""
-    if not indices or not K.dual_safe:
-        return np.array([_port_flow(K, x, m, indices) for x in X])
+        G = grad(K, X)
+        return sum((G[:, m + i] for i in indices), np.zeros(len(X)))
     D = np.zeros_like(X)
     D[:, [m + i for i in indices]] = 1.0
     return 0.0 + _values_and_dirderivs(K, X, D)[1]

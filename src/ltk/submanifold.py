@@ -36,7 +36,7 @@ from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _raise_at, _reject,
                       _rows_or_errors, grad)
 from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                        ContactPoint, EulerFieldKind, PhasePoint,
-                       TangentVector, _relative_euler_rows, best_chart, beta)
+                       TangentVector, _relative_euler_rows, beta)
 
 __all__ = [
     "GeneratingFunction",
@@ -160,15 +160,6 @@ class GibbsDuhemReport:
         }
 
 
-def _split_params(gf: GeneratingFunction, params):
-    params = [float(v) for v in params]
-    if len(params) != gf.n_params:
-        raise ValueError(f"expected {gf.n_params} parameters "
-                         f"(q_I, p_chart, p_J), got {len(params)}")
-    nI = len(gf.I)
-    return params[:nI], params[nI], params[nI + 1:]
-
-
 def lift_generating_function(gf: GeneratingFunction) -> ScalarFn:
     """The degree-1 lift ``F(q_I, p_c, p_J) = -p_c Fhat(q_I, p_J/(-p_c))``.
 
@@ -207,35 +198,15 @@ def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
     return ScalarFn(fn, dim=2 * m, name=F.name, dual_safe=F.dual_safe)
 
 
-def _generating_relations(gf: GeneratingFunction, qI, pc, pJ):
-    """The coordinates the lift generates from its parameters (q_I, p_c, p_J).
-
-    Returns ``(q_c, q_J, p_I) = (-dF/dp_c, -dF/dp_J, dF/dq_I)``, with q_J and
-    p_I in ascending index order.
-    """
-    g = grad(lift_generating_function(gf), qI + [pc] + pJ).tolist()
-    nI = len(gf.I)
-    return -g[nI], [-v for v in g[nI + 1:]], g[:nI]
-
-
 def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
     """Realize the surface point generated by (q_I, p_chart, p_J).
 
     The remaining coordinates come from the generating relations
-    ``q_c = -dF/dp_c``, ``q_J = -dF/dp_J``, ``p_I = dF/dq_I``.
+    ``q_c = -dF/dp_c``, ``q_J = -dF/dp_J``, ``p_I = dF/dq_I``: a one-row
+    :func:`_liouville_rows`.
     """
-    qI, pc, pJ = _split_params(gf, params)
-    if pc == 0.0:
-        raise ValueError("p_chart must be nonzero to generate a lift point")
-    q_c, q_J, p_I = _generating_relations(gf, qI, pc, pJ)
-    q = np.empty(gf.n + 1)
-    p = np.empty(gf.n + 1)
-    for i, qi, pi in zip(gf.I, qI, p_I):
-        q[i], p[i] = qi, pi
-    q[gf.chart], p[gf.chart] = q_c, pc
-    for j, qj, pj in zip(gf.J, q_J, pJ):
-        q[j], p[j] = qj, pj
-    return PhasePoint(q, p)
+    x = _liouville_rows(gf, [params])[0]
+    return PhasePoint(x[:gf.n + 1], x[gf.n + 1:])
 
 
 def legendre_point(gf: GeneratingFunction, params) -> ContactPoint:
@@ -267,8 +238,9 @@ def legendre_point(gf: GeneratingFunction, params) -> ContactPoint:
 
 
 def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:
-    """``liouville_point(gf, params).packed()`` for each row of the (B,
-    n_params) array ``P``, as a (B, 2m) array: one vector-mode pass."""
+    """The packed surface points ``[q, p]`` generated by the rows (q_I,
+    p_chart, p_J) of the (B, n_params) array ``P``, as a (B, 2m) array:
+    one vector-mode pass of the lift's gradient."""
     P = np.asarray(P, dtype=float)
     if P.shape[1] != gf.n_params:
         raise ValueError(f"expected {gf.n_params} parameters "
@@ -287,9 +259,9 @@ def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:
     return X
 
 
-def _membership_rows(gf: GeneratingFunction, X) -> np.ndarray:
-    """``membership_norm(gf, x)`` for each row x of the (B, 2m) array
-    ``X``: one vector-mode pass of the generating relations."""
+def _membership_components(gf: GeneratingFunction, X) -> np.ndarray:
+    """``membership_residual`` at each row of the (B, 2m) array ``X``, as a
+    (B, n + 1) array: one vector-mode pass of the generating relations."""
     X = np.asarray(X, dtype=float)
     m = gf.n + 1
     if X.shape[1] != 2 * m:
@@ -306,10 +278,15 @@ def _membership_rows(gf: GeneratingFunction, X) -> np.ndarray:
         raise ChartDegenerateError(gf.chart, int(np.argmax(np.abs(P[row]))))
     params = np.column_stack([Q[:, list(gf.I)], pc, P[:, list(gf.J)]])
     G = _liouville_rows(gf, params)
-    residual = np.column_stack([Q[:, gf.chart] - G[:, gf.chart],
-                                Q[:, list(gf.J)] - G[:, list(gf.J)],
-                                P[:, list(gf.I)] - G[:, [m + i for i in gf.I]]])
-    return np.max(np.abs(residual), axis=1)
+    return np.column_stack([Q[:, gf.chart] - G[:, gf.chart],
+                            Q[:, list(gf.J)] - G[:, list(gf.J)],
+                            P[:, list(gf.I)] - G[:, [m + i for i in gf.I]]])
+
+
+def _membership_rows(gf: GeneratingFunction, X) -> np.ndarray:
+    """``membership_norm(gf, x)`` for each row x of the (B, 2m) array
+    ``X``: one vector-mode pass of the generating relations."""
+    return np.max(np.abs(_membership_components(gf, X)), axis=1)
 
 
 def membership_residual(gf: GeneratingFunction, pt: PhasePoint) -> np.ndarray:
@@ -318,22 +295,12 @@ def membership_residual(gf: GeneratingFunction, pt: PhasePoint) -> np.ndarray:
     Component order: the chart relation ``q_c + dF/dp_c``, then
     ``q_J + dF/dp_J`` (ascending), then ``p_I - dF/dq_I`` (ascending).
     """
-    if len(pt.q) != gf.n + 1:
-        raise ValueError(f"point dimension {len(pt.q)} does not match n={gf.n}")
-    pc = pt.p[gf.chart]
-    if abs(pc) < CHART_DEGENERACY_RATIO * np.max(np.abs(pt.p)):
-        raise ChartDegenerateError(gf.chart, best_chart(pt))
-    q_c, q_J, p_I = _generating_relations(
-        gf, [pt.q[i] for i in gf.I], pc, [pt.p[j] for j in gf.J])
-    return np.array([pt.q[gf.chart] - q_c]
-                    + [pt.q[j] - v for j, v in zip(gf.J, q_J)]
-                    + [pt.p[i] - v for i, v in zip(gf.I, p_I)])
+    return _membership_components(gf, [pt.packed()])[0]
 
 
 def membership_norm(gf: GeneratingFunction, x) -> float:
     """Max-abs membership residual at a packed phase vector ``[q, p]``."""
-    m = gf.n + 1
-    return float(np.max(np.abs(membership_residual(gf, PhasePoint(x[:m], x[m:])))))
+    return float(_membership_rows(gf, [x])[0])
 
 
 def _tangent_rows(gf: GeneratingFunction, P):

@@ -8,7 +8,7 @@ for each seed coordinate the node reads, the derivative by the scalar
 :class:`~ltk.diffkit.Dual` formula in the same operand order.  A node that
 does not read a seed is a plain float in that seed's scalar pass of
 :func:`~ltk.diffkit.grad` and carries no derivative there, so every partial
-is grad's bit for bit, signed zeros included.
+is grad's bit for bit, zero partials as +0.0.
 
 A comparison becomes a guard, and each condition under which a scalar pass
 raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a fractional
@@ -306,7 +306,10 @@ class _Trace:
                     lines.append(f"d{n}_{i} = {source}")
                     source = f"d{n}_{i}"
                 dots[n, i] = source
-        result = ", ".join(dots.get((out, i), "0.0") for i in range(dim))
+        partials = [dots.get((out, i), "0.0") for i in range(dim)]
+        # 0.0 + returns a zero partial as +0.0, as grad does
+        result = ", ".join(d if d in ("0.0", "1.0") else f"0.0 + {d}"
+                           for d in partials)
         body = ([", ".join(f"v{i}" for i in range(dim)) + ", = x"]
                 + self.lines + lines + [f"return [{result}]"])
         namespace = dict(_REPLAY_NAMES, **self.consts)

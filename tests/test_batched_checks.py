@@ -2,7 +2,13 @@
 batched check to a reference loop over the single-point API, bit for bit
 (``float.hex``), and check that a failing sample is named.
 
-The reference loops are the checks as they ran one sample at a time.
+The reference loops are the checks as they ran one sample at a time.  The
+single-point helpers they call (``liouville_point``, ``membership_residual``,
+``_port_flow``, ``euler_residual``) are one-row passes of the row helpers,
+so the loops check that every row comes out as it would alone, whatever
+the batch around it.  The scalar reference sits at ``grad``:
+``test_diffkit`` holds batch rows of the generators and of the lift to its
+scalar loop.
 """
 
 import json

@@ -20,8 +20,10 @@ from ltk.diffkit import (FD_STEP, Dual, ScalarFn, _value_and_dirderiv,
                          _values_and_dirderivs, cos, dirderiv, exp, fd_grad,
                          grad, ln, sin, sqrt)
 from ltk.exprlang import ExprEvalError, compile_fn
-from ltk.portsys import _sample_surface_params, gas_piston_damper, heat_exchanger
-from ltk.submanifold import liouville_point
+from ltk.portsys import (_sample_surface_params, gas_piston_damper,
+                         heat_compartment, heat_exchanger)
+from ltk.submanifold import lift_generating_function, liouville_point
+from ltk.tracegrad import trace_grad
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=64)
 nonzero = finite.filter(lambda v: abs(v) > 1e-3)
@@ -254,6 +256,11 @@ SYSTEMS = {
     "expression compartment": lambda: _benchmark_system("_custom_compartment"),
 }
 
+TWIN_DEFAULTS = {
+    "expression piston": gas_piston_damper().default_params,
+    "expression compartment": heat_compartment().default_params,
+}
+
 
 def _hex(a):
     return [v.hex() for v in np.asarray(a, dtype=float).ravel().tolist()]
@@ -261,15 +268,23 @@ def _hex(a):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_batched_grad_rows_are_the_scalar_gradients_bit_for_bit(name):
+    # the generators at sampled surface points, and the lift, whose batch
+    # gradient realizes every surface point, at the sampled parameters and
+    # at the defaults (an expression system's are its built-in twin's),
+    # which hold exact zeros
     system = SYSTEMS[name]()
-    X = np.array([liouville_point(system.gf, params).packed()
-                  for params in _sample_surface_params(system, 200, 3)])
-    for K in (system.Ka,) + tuple(system.Kc):
-        G = grad(K, X)
-        assert G.shape == X.shape
-        scalar = np.array([grad(K, x) for x in X])
+    defaults = system.default_params or TWIN_DEFAULTS[name]
+    params = np.array(_sample_surface_params(system, 200, 3))
+    X = np.array([liouville_point(system.gf, p).packed() for p in params])
+    lift = lift_generating_function(system.gf)
+    cases = [(K, X) for K in (system.Ka,) + tuple(system.Kc)]
+    cases += [(lift, params), (lift, np.array([defaults]))]
+    for K, points in cases:
+        G = grad(K, points)
+        assert G.shape == points.shape
+        scalar = np.array([grad(K, x) for x in points])
         assert _hex(G) == _hex(scalar), K.name
-        fd = np.array([fd_grad(K, x) for x in X])
+        fd = np.array([fd_grad(K, x) for x in points])
         assert np.allclose(G, fd, rtol=1e-6, atol=1e-6), K.name
 
 
@@ -285,12 +300,16 @@ def test_batched_grad_covers_every_operation_bit_for_bit(source):
     f = compile_fn(source, ["q0", "q1", "q2"])
     X = np.random.default_rng(1).uniform(0.2, 3.0, (300, 3))
     assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
-    # rows with q0 == q1 exactly, where abs(q0 - q1) takes its kink: bit
-    # for bit but for the sign of a zero partial, which adding 0.0 clears
-    # (the documented exception, see Dual)
+    # rows with q0 == q1 exactly, where abs(q0 - q1) takes its kink and a
+    # partial can be a zero of either sign: the batch, the scalar loop and
+    # a replay of a traceable source agree in raw bits, as every route
+    # returns a zero partial as +0.0
     kink = X[:30, [0, 0, 2]]
-    assert _hex(grad(f, kink) + 0.0) == \
-        _hex(np.array([grad(f, x) for x in kink]) + 0.0)
+    expected = _hex([grad(f, x) for x in kink])
+    assert _hex(grad(f, kink)) == expected
+    replay, _ = trace_grad(f, kink[0].tolist())
+    if replay is not None:
+        assert _hex([replay(x) for x in kink.tolist()]) == expected
 
 
 def test_one_row_batches_of_a_point_dependent_exponent():

@@ -304,14 +304,14 @@ def test_simulate_work_per_step(monkeypatch):
     assert membership == [] and by_value == []
     assert np.max(result.monitors["membership"]) < 1e-10
     # one trace per generator, then a replay of it at 4 stages x 2
-    # generators per step, and no point falls back to the scalar loop: the
-    # one scalar gradient is the lift's at the initial point; per block,
-    # the guard's pass of the lift's gradient (the guard doubles as the
+    # generators per step, and no point takes the scalar loop: the initial
+    # point is a one-row pass of the lift's gradient; per block, the
+    # guard's pass of the lift's gradient (the guard doubles as the
     # membership monitor) and a value pass for each output
     lift, y_p, y_e = "lift(gas_piston_damper)", "piston velocity", "0"
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 1)
-    assert blocks == [(lift, 4), (y_p, 4), (y_e, 4),
+    assert work == (2, 8 * 5, 0)
+    assert blocks == [(lift, 1), (lift, 4), (y_p, 4), (y_e, 4),
                       (lift, 2), (y_p, 2), (y_e, 2)]
     # the README monitors add one pass per active generator along the fiber
     # Euler field, which carries the generator's value for K_res too
@@ -321,9 +321,10 @@ def test_simulate_work_per_step(monkeypatch):
     assert np.max(result.monitors["alpha_res"]) < 1e-12
     assert by_value == []
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 1)
+    assert work == (2, 8 * 5, 0)
     Ka, Kc = gp.Ka.name, gp.Kc[0].name
-    assert blocks == [(lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
+    assert blocks == [(lift, 1),
+                      (lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
                       (lift, 2), (y_p, 2), (y_e, 2), (Ka, 2), (Kc, 2)]
     # a custom system's derived y_p / y_e are one pass each per block along
     # the indicator of the energy / entropy costates, no gradient
@@ -336,10 +337,11 @@ def test_simulate_work_per_step(monkeypatch):
                       monitors=())
     assert len(result.t) == 6
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 1)
+    assert work == (2, 8 * 5, 0)
     port = compartment.Kc[0].name
-    assert [K for K, _ in blocks] == ["lift(custom)", port, port] * 2
-    assert [args[2][2:, 0].tolist() for args in passes[1:3]] == \
+    assert [K for K, _ in blocks] == \
+        ["lift(custom)"] + ["lift(custom)", port, port] * 2
+    assert [args[2][2:, 0].tolist() for args in passes[2:4]] == \
         [[[1.0] * 4, [0.0] * 4], [[0.0] * 4, [1.0] * 4]]
     # y_p = dKc/dp0 = 1 and y_e = dKc/dp1 = 1/T = exp(-S)
     assert np.all(result.outputs["y_p1"] == 1.0)

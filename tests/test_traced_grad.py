@@ -125,6 +125,10 @@ def test_replays_of_expression_generators_match_the_scalar_loop(drawn, seed):
                                fd_grad(K, points[1]), rtol=1e-5, atol=1e-6)
 
 
+# at (1.5, 0.0, 2.0) the scalar loop once gave d/dq0 = -0.0, a batch 0.0
+_NEGATED_PRODUCT = compile_fn("-(q0*q1) + q2", ["q0", "q1", "q2"])
+
+
 @pytest.mark.parametrize("fn, x", [
     (lambda x: x[0] * x[1] + x[2], [0.0, -0.0, 0.0]),
     (lambda x: -x[0] * x[1] - x[1], [-0.0, 0.0, 1.0]),
@@ -137,14 +141,23 @@ def test_replays_of_expression_generators_match_the_scalar_loop(drawn, seed):
     (lambda x: (x[0] * x[1] + 3.0) ** 0.5 + x[2], [1.0, -0.0, 0.0]),
     (lambda x: 0.0, [0.0, 0.0, 0.0]),
     (lambda x: x[1], [0.0, -0.0, 0.0]),
+    (lambda x: _NEGATED_PRODUCT(x), [1.5, 0.0, 2.0]),
 ])
 def test_zero_valued_coordinates_keep_their_signed_zeros(fn, x):
-    # a zero or negative-zero coordinate is a Dual in its own pass and a
-    # plain float in every other; the replay keeps both, signs included
+    # a zero or negative-zero coordinate is a Dual in its own pass of the
+    # scalar loop and a plain float in every other, and a Dual in every
+    # pass of a batch; each route returns a zero partial as +0.0, so the
+    # loop, the replay and the rows of a batch agree in raw bits
     K = ScalarFn(fn, 3)
     replay = _replay(K, x)
-    assert _hex(replay(list(x))) == _hex(grad(K, x))
-    assert _hex(replay([1.0, -2.0, 0.5])) == _hex(grad(K, [1.0, -2.0, 0.5]))
+    other = [1.0, -2.0, 0.5]
+    expected = _hex(grad(K, x))
+    assert "-0x0.0p+0" not in expected
+    assert _hex(replay(list(x))) == expected
+    assert _hex(replay(other)) == _hex(grad(K, other))
+    assert _hex(grad(K, np.array([x]))) == expected
+    assert _hex(grad(K, np.array([x, other, x]))) == \
+        _hex([grad(K, x), grad(K, other), grad(K, x)])
 
 
 def test_truth_of_a_traced_zero_is_not_taken():
