@@ -35,7 +35,8 @@ a check whose batch raises reruns its rows one at a time
 (:func:`_rows_or_errors`), so each sample is skipped or reported exactly as
 it would be alone.  A single point keeps the scalar loop, where numpy's
 per-operation overhead on dim-by-1 arrays would cost more than the loop it
-replaces.
+replaces; the single-point surface, port-flow and Euler helpers, which no
+hot path calls, are one-row batches of their checks' row helpers.
 
 The one single-point route that runs many times over is ``simulate``'s
 field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
