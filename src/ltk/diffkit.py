@@ -35,8 +35,10 @@ a check whose batch raises reruns its rows one at a time
 (:func:`_rows_or_errors`), so each sample is skipped or reported exactly as
 it would be alone.  A single point keeps the scalar loop, where numpy's
 per-operation overhead on dim-by-1 arrays would cost more than the loop it
-replaces; the single-point surface, port-flow and Euler helpers, which no
-hot path calls, are one-row batches of their checks' row helpers.
+replaces.  The single-point surface and Euler helpers are one-row
+batches of their checks' row helpers; a port flow of a ``dual_safe``
+generator keeps its single dual pass, as a derived output read by a
+composed drift runs at every difference step of every RK4 stage.
 
 The one single-point route that runs many times over is ``simulate``'s
 field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
@@ -54,8 +56,8 @@ are obtained downstream by finite differences of first-order results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
-                      _values_and_dirderivs, exp, grad)
+                      _values_and_dirderivs, dirderiv, exp, grad)
 from .dynamics import (_canonical, _degree_residual, _phase_samples,
                        contact_rhs, integrate, phase_rhs)
 from .geometry import PhasePoint, dehomogenize
@@ -256,8 +256,20 @@ class _PortFlow:
 
 
 def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
-    """``sum_{i in indices} dK/dp_i`` at ``x``: a one-row :func:`_port_flows`."""
-    return float(_port_flows(K, np.asarray([x], dtype=float), m, indices)[0])
+    """``sum_{i in indices} dK/dp_i`` at ``x``.
+
+    A derived output read by a composed drift's feedback runs at every
+    difference step of every RK4 stage, so a ``dual_safe`` K keeps one
+    scalar dual pass along the indicator of those costates, the same
+    directional pass as a row of :func:`_port_flows`.  Any other K is a
+    one-row :func:`_port_flows`.
+    """
+    if not indices or not K.dual_safe:
+        return float(_port_flows(K, np.asarray([x], dtype=float), m, indices)[0])
+    d = [0.0] * (2 * m)
+    for i in indices:
+        d[m + i] = 1.0
+    return 0.0 + dirderiv(K, x, d)
 
 
 def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:

@@ -265,8 +265,8 @@ def _membership_components(gf: GeneratingFunction, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     m = gf.n + 1
     if X.shape[1] != 2 * m:
-        raise ValueError(f"point dimension {X.shape[1] // 2} does not match "
-                         f"n={gf.n}")
+        raise ValueError(f"expected {2 * m} phase coordinates (n={gf.n}), "
+                         f"got {X.shape[1]}")
     Q, P = X[:, :m], X[:, m:]
     p_max = np.max(np.abs(P), axis=1)
     _reject(p_max == 0.0, ValueError, "zero costate: points live on the "

@@ -288,6 +288,30 @@ def test_batched_grad_rows_are_the_scalar_gradients_bit_for_bit(name):
         assert np.allclose(G, fd, rtol=1e-6, atol=1e-6), K.name
 
 
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_batched_directional_rows_are_the_scalar_passes_bit_for_bit(name):
+    # the passes of euler_residual and of the port flows: each generator at
+    # sampled surface points along the Z and W Euler fields and along the
+    # energy and entropy indicators, every row against the scalar pass
+    system = SYSTEMS[name]()
+    m = system.n_coords
+    params = np.array(_sample_surface_params(system, 200, 3))
+    X = np.array([liouville_point(system.gf, p).packed() for p in params])
+    Z, W = np.zeros_like(X), np.zeros_like(X)
+    Z[:, m:], W[:, :m] = X[:, m:], X[:, :m]
+    directions = {"Z": Z, "W": W}
+    for kind in ("energy", "entropy"):
+        D = directions[kind] = np.zeros_like(X)
+        D[:, [m + i for i in getattr(system, f"{kind}_indices")]] = 1.0
+    for K in (system.Ka,) + tuple(system.Kc):
+        for kind, D in directions.items():
+            vals, dots = _values_and_dirderivs(K, X, D)
+            scalar = [_value_and_dirderiv(K, x, d)
+                      for x, d in zip(X.tolist(), D.tolist())]
+            assert (_hex(np.column_stack([vals, dots])) == _hex(scalar)), \
+                (K.name, kind)
+
+
 @pytest.mark.parametrize("source", [
     "sqrt(q0*q1) - ln(q2) * exp(-q0)",
     "pow(q0, 2) * sin(q1) / cos(q2) + abs(q0 - q1)",

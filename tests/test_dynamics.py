@@ -22,7 +22,7 @@ from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
                           PhasePoint, TangentVector, alpha, homogenize,
                           project)
-from ltk.submanifold import GeneratingFunction, liouville_point
+from ltk.submanifold import GeneratingFunction
 
 # Khat(q0, q1, gamma1) = gamma1^2 + q0 gamma1 and its degree-1 phase lift.
 KHAT = ScalarFn(lambda x: x[2] ** 2 + x[0] * x[2], dim=3, name="g1^2+q0 g1")

@@ -24,7 +24,7 @@ from ltk.diffkit import ScalarFn, sqrt
 from ltk.geometry import ChartDegenerateError, PhasePoint, alpha, beta, project
 from ltk.submanifold import (GeneratingFunction, gibbs_duhem_check,
                              legendre_point, lift_generating_function,
-                             lift_phase_fn, liouville_point,
+                             lift_phase_fn, liouville_point, membership_norm,
                              membership_residual, reduced_point, specific_form,
                              tangent_basis)
 
@@ -142,6 +142,16 @@ def test_membership_residual_needs_a_usable_chart():
     gf = exp_gf()
     with pytest.raises(ChartDegenerateError):
         membership_residual(gf, PhasePoint([1.0, 0.3], [0.0, 1.0]))
+
+
+def test_membership_names_the_expected_and_the_given_sizes():
+    gf = sqrt_gf()                            # n = 2: 6 phase coordinates
+    with pytest.raises(ValueError, match=r"^expected 6 phase coordinates "
+                       r"\(n=2\), got 7$"):
+        membership_norm(gf, np.ones(7))
+    with pytest.raises(ValueError, match=r"^expected 6 phase coordinates "
+                       r"\(n=2\), got 4$"):
+        membership_residual(gf, PhasePoint([1.0, 2.0], [-1.0, 0.5]))
 
 
 def test_lift_phase_fn_is_degree_one_on_the_whole_bundle():
