@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
-                      _values_and_fd_dirderivs, grad)
+from .diffkit import (ScalarFn, _sample_rows, _values_and_fd_dirderivs,
+                      grad)
 from .dynamics import lie_bracket_fd, phase_rhs
 from .geometry import (ContactPoint, PhasePoint, _relative_euler_rows,
                        dehomogenize, homogenize, sample_phase_points)
@@ -139,9 +139,9 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
     the (0,0) bracket value by 1 + |K1 K2| at the point.  ``points``
     defaults to ``n_samples`` draws of
     :func:`~ltk.geometry.sample_phase_points`; points where an operand is
-    undefined are skipped.  The points are one batch: each residual takes
-    one vector-mode pass per operand, the bracket's own Euler residual one
-    more over the points and their two difference points.
+    undefined or not finite are skipped.  The points are one batch: each
+    residual takes one vector-mode pass per operand, the bracket's own Euler
+    residual one more over the points and their two difference points.
     """
     if {degree1, degree2} - {0, 1}:
         raise ValueError("degree_check handles fiber degrees 0 and 1")
@@ -165,20 +165,15 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
                 lambda y: _poisson_rows(K1, K2, y), x, along)
             res = (np.abs(dot - (degree1 + degree2 - 1) * val)
                    / (1.0 + np.abs(val)))
-        return np.column_stack([in1, in2, res]).tolist()
+        return np.column_stack([in1, in2, res])
 
-    worst = 0.0
-    worst_input = 0.0
-    used = _evaluable(_rows_or_errors(residuals, len(X)))
-    for in1, in2, res in used:
-        worst = max(worst, res)
-        worst_input = max(worst_input, max(in1, in2))
-    if not used:
+    used, R = _sample_rows(residuals, len(X))
+    if not len(used):
         raise ValueError("no sample point was evaluable for both operands")
     label = ("zero" if degree1 == degree2 == 0
              else f"degree-{degree1 + degree2 - 1}")
-    return BracketReport(degree1, degree2, label, worst, worst_input,
-                         len(used))
+    return BracketReport(degree1, degree2, label, float(R[:, 2].max()),
+                         float(R[:, :2].max()), len(used))
 
 
 def jacobi_identity_residual(K1: ScalarFn, K2: ScalarFn, K3: ScalarFn,

@@ -42,8 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .brackets import _poisson_rows, degree_check
-from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
-                      _values_and_dirderivs)
+from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs
 from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
 from .geometry import sample_phase_points
@@ -175,7 +174,11 @@ def _build_custom_system(spec: dict) -> PortSystem:
     for key in ("dimensions", "gf", "partition"):
         if key not in spec:
             raise ConfigError(f"custom system spec needs a {key!r} entry")
-    m = int(spec["dimensions"])
+    try:
+        m = int(spec["dimensions"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"dimensions must be an integer, got "
+                          f"{spec['dimensions']!r}") from None
     if m < 1:
         raise ConfigError("a system needs at least one coordinate")
     n = m - 1
@@ -263,13 +266,21 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
         values = spec.get("values", spec.get("value"))
         if values is None:
             raise ConfigError("constant input needs 'values'")
-        signal = PortSignal.constant(np.atleast_1d(values))
+        try:
+            signal = PortSignal.constant(values)
+        except (TypeError, ValueError):
+            raise ConfigError(f"constant input values must be numbers, got "
+                              f"{values!r}") from None
     elif kind == "sinusoid":
         if "amplitude" not in spec:
             raise ConfigError("sinusoid input needs an 'amplitude'")
-        signal = PortSignal.sinusoid(spec["amplitude"],
-                                     spec.get("frequency", 1.0),
-                                     spec.get("phase", 0.0))
+        try:
+            signal = PortSignal.sinusoid(spec["amplitude"],
+                                         spec.get("frequency", 1.0),
+                                         spec.get("phase", 0.0))
+        except (TypeError, ValueError):
+            raise ConfigError("sinusoid amplitude, frequency and phase must "
+                              "be numbers") from None
     elif kind == "expr":
         sources = spec.get("exprs", ())
         if isinstance(sources, str):
@@ -359,6 +370,11 @@ def _report_exit(path, checks: dict) -> int:
 def _cmd_simulate(cfg: RunConfig) -> int:
     system = _build_system(cfg.system)
     signal = _make_signal(cfg.input, system.n_ports)
+    n_params = system.gf.n_params
+    if cfg.initial is not None and len(cfg.initial) != n_params:
+        raise ConfigError(f"initial needs {n_params} surface parameters "
+                          f"(q_I, p_chart, p_J) for system {system.name!r}, "
+                          f"got {len(cfg.initial)}")
     result = simulate(system, cfg.t_end, cfg.dt, u=signal,
                       params=cfg.initial, monitors=cfg.monitors)
     m = system.n_coords
@@ -406,18 +422,17 @@ def _cmd_bracket(cfg: RunConfig) -> int:
     degree_report = degree_check(deg1, deg2, K1, K2, points=points)
     # {K1, K2} = -dK1(X_K2): the bracket against K1's derivative along the
     # canonical field of K2, a route that shares no dot product with it; the
-    # points are one batch, and those where an operand is undefined skipped
+    # points are one batch, and those where an operand is undefined or not
+    # finite skipped
     X = np.array([pt.packed() for pt in points])
 
     def antisymmetry(rows):
         x = X[rows]
         value = _poisson_rows(K1, K2, x)
         along = _values_and_dirderivs(K1, x, phase_rhs(K2)(0.0, x))[1]
-        return (np.abs(value + along) / (1.0 + np.abs(value))).tolist()
+        return np.abs(value + along) / (1.0 + np.abs(value))
 
-    antisym = 0.0
-    for res in _evaluable(_rows_or_errors(antisymmetry, len(X))):
-        antisym = max(antisym, res)
+    antisym = np.max(_sample_rows(antisymmetry, len(X))[1], initial=0.0)
     checks = {
         "operand_degrees": _check(degree_report.max_input_residual, 1e-9),
         f"bracket_{degree_report.expected}": _check(

@@ -30,15 +30,17 @@ flowcheck trajectories, the degree, surface, law and chart-form samples of
 ``validate``, the bracket degree and antisymmetry samples, the Gibbs-Duhem
 samples and their tangents, and the second-law scan of ``interconnect``;
 so does ``simulate``'s recording of its guard, outputs and monitors, a
-block of grid points at a time.  The private row helpers below serve them;
-a check whose batch raises reruns its rows one at a time
-(:func:`_rows_or_errors`), so each sample is skipped or reported exactly as
-it would be alone.  A single point keeps the scalar loop, where numpy's
-per-operation overhead on dim-by-1 arrays would cost more than the loop it
-replaces.  The single-point surface and Euler helpers are one-row
-batches of their checks' row helpers; a port flow of a ``dual_safe``
-generator keeps its single dual pass, as a derived output read by a
-composed drift runs at every difference step of every RK4 stage.
+block of grid points at a time.  The private row helpers below serve them,
+and one driver runs every check's samples (:func:`_sample_rows`): a batch
+that raises or yields a value that is not finite reruns its rows one at a
+time, so each sample is skipped or reported exactly as it would be alone,
+and a sample that is undefined or not finite never passes.  A single
+point keeps the scalar loop, where numpy's per-operation overhead on
+dim-by-1 arrays would cost more than the loop it replaces.  The
+single-point surface and Euler helpers are one-row batches of their
+checks' row helpers; a port flow of a ``dual_safe`` generator keeps its
+single dual pass, as a derived output read by a composed drift runs at
+every difference step of every RK4 stage.
 
 The one single-point route that runs many times over is ``simulate``'s
 field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
@@ -514,52 +516,50 @@ def _values_and_fd_dirderivs(values, X: np.ndarray, D: np.ndarray):
     return f[:B], (f[B:2 * B] - f[2 * B:]) / (2.0 * h)
 
 
-def _rows_or_errors(fn, n: int) -> list:
-    """The n per-row results of ``fn(rows)``, run as one batch.
-
-    ``fn`` takes a slice of the n rows and returns one result per selected
-    row.  If the batch raises, every row runs again on its own, in order,
-    and a row that raises holds its exception in place of a result: each
-    row passes or fails as it would alone, and the caller decides which
-    errors to skip, and names the sample of one it reports.
-    """
-    if n == 0:
-        return []
-    try:
-        return list(fn(slice(0, n)))
-    except Exception:   # noqa: BLE001 - every row reruns and keeps its error
-        out = []
-        for i in range(n):
-            try:
-                out.append(fn(slice(i, i + 1))[0])
-            except Exception as err:   # noqa: BLE001 - the caller's to raise
-                out.append(err)
-        return out
-
-
 # The errors of a point where a sampled function is undefined: checks that
 # sample skip such points, and raise any other error.
 _DOMAIN_ERRORS = (ArithmeticError, ValueError)
 
 
-def _evaluable(results: list) -> list:
-    """The results of :func:`_rows_or_errors` without the rows that hit a
-    domain error, in order; any other error a row raised is raised."""
-    kept = []
-    for res in results:
-        if isinstance(res, _DOMAIN_ERRORS):
+def _sample_rows(fn, n: int, where=None):
+    """The rows of a sampled check that evaluate: ``(kept, R)``.
+
+    ``fn`` takes a slice of the n sample rows and returns one result, a
+    number or a vector of numbers, per selected row.  All rows run as one
+    batch; if the batch raises or a result is not finite, every row runs
+    again on its own, in order, so each row passes or fails as it would
+    alone.  A row fails when it raises, or with a ``ValueError`` when its
+    result is not finite.  Without ``where`` a row that fails with a domain
+    error is skipped and any other error is raised; with ``where`` the
+    first failing row raises, its type kept and ``where(i)``, the sample it
+    happened at, appended to its message.
+
+    ``kept`` holds the ascending indices of the rows kept, ``R`` their
+    results as one float array, a row each.
+    """
+    if n:
+        try:
+            R = np.asarray(fn(slice(0, n)), dtype=float)
+            if np.isfinite(R).all():
+                return np.arange(n), R
+        except Exception:   # noqa: BLE001 - every row reruns alone
+            pass
+    kept, rows = [], []
+    for i in range(n):
+        try:
+            row = np.asarray(fn(slice(i, i + 1))[0], dtype=float)
+            if not np.isfinite(row).all():
+                raise ValueError(f"non-finite result {row.tolist()}")
+        except Exception as err:   # noqa: BLE001 - raised or skipped below
+            if where is not None:
+                err.args = (f"{err} {where(i)}",)
+                raise
+            if not isinstance(err, _DOMAIN_ERRORS):
+                raise
             continue
-        if isinstance(res, Exception):
-            raise res
-        kept.append(res)
-    return kept
-
-
-def _raise_at(err: Exception, where: str):
-    """Raise ``err`` again, its message followed by ``where``, the sample
-    it happened at; type and attributes are kept."""
-    err.args = (f"{err} {where}",)
-    raise err
+        kept.append(i)
+        rows.append(row)
+    return np.array(kept, dtype=int), np.array(rows, dtype=float)
 
 
 def dirderiv(f: ScalarFn, x, d) -> float:

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _evaluable, _raise_at, _rows_or_errors,
-                      _values_and_grads, grad)
+from .diffkit import ScalarFn, _sample_rows, _values_and_grads, grad
 from .geometry import (ChartDegenerateError, EulerFieldKind, PhasePoint,
                        _relative_euler_rows, sample_phase_points)
 from .submanifold import (GeneratingFunction, _liouville_rows,
@@ -96,8 +95,9 @@ def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
     """Max relative Euler residual of K over random sample points.
 
     Points come from :func:`~ltk.geometry.sample_phase_points`; points where
-    K is undefined are skipped.  Raises if fewer than half the samples are
-    evaluable.  The samples are one batch of one vector-mode pass.
+    K is undefined or not finite are skipped.  Raises if fewer than half the
+    samples are evaluable.  The samples are one batch of one vector-mode
+    pass.
     """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
@@ -115,16 +115,13 @@ def _degree_residual(K: ScalarFn, X: np.ndarray, degree: int = 1,
                      wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """:func:`validate_degree` of K on the sample points at the rows of X."""
     n_samples = len(X)
-    worst = 0.0
-    evaluated = _evaluable(_rows_or_errors(
-        lambda rows: _relative_euler_rows(K, X[rows], degree, wrt)[0].tolist(),
-        n_samples))
-    for res in evaluated:
-        worst = max(worst, res)
-    if len(evaluated) < n_samples // 2:
-        raise ValueError(f"could only evaluate K at {len(evaluated)}/{n_samples} "
+    kept, R = _sample_rows(
+        lambda rows: _relative_euler_rows(K, X[rows], degree, wrt)[0],
+        n_samples)
+    if len(kept) < n_samples // 2:
+        raise ValueError(f"could only evaluate K at {len(kept)}/{n_samples} "
                          f"sample points; adjust the sampling domain")
-    return worst
+    return float(np.max(R, initial=0.0))
 
 
 def _canonical(g: np.ndarray) -> np.ndarray:
@@ -409,24 +406,24 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     m = gf.n + 1
     # member by member, each along its trajectory
     states = xs[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
-    residuals = _rows_or_errors(
-        lambda rows: _membership_rows(gf, states[rows]), len(states))
-    drift = 0.0
-    for k, res in enumerate(residuals):
-        if isinstance(res, Exception):
-            member, step = divmod(k, len(traj.t))
-            _raise_at(res, f"on the flow of surface member {members[member]} "
-                           f"at t={traj.t[step]:g}")
-        drift = max(drift, float(res))
-    alpha_res = 0.0
-    for i, params in enumerate(members):
-        base = i * width
-        xf = xs[-1, base]
-        for k, v in enumerate(params):
-            plus, minus = xs[-1, base + 1 + 2 * k], xs[-1, base + 2 + 2 * k]
-            tangent = (plus - minus) / (2.0 * _perturbation_step(v))
-            alpha_res = max(alpha_res, abs(float(np.dot(xf[m:], tangent[:m]))))
-    return TransportReport(t_end, alpha_res, drift)
+
+    def where(k):
+        member, step = divmod(k, len(traj.t))
+        return (f"on the flow of surface member {members[member]} "
+                f"at t={traj.t[step]:g}")
+
+    _, residuals = _sample_rows(
+        lambda rows: _membership_rows(gf, states[rows]), len(states), where)
+    drift = float(np.max(residuals, initial=0.0))
+    # each member's final state and its central-difference tangents
+    final = xs[-1].reshape(len(members), width, 2 * m)
+    steps = np.array([[_perturbation_step(v) for v in params]
+                      for params in members])
+    tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]
+    alphas = [np.dot(final[i, 0, m:], tangent[:m])
+              for i in range(len(members)) for tangent in tangents[i]]
+    return TransportReport(t_end, float(np.max(np.abs(alphas), initial=0.0)),
+                           drift)
 
 
 def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,

@@ -31,8 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _evaluable, _rows_or_errors,
-                      _values_and_dirderivs)
+from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs
 
 __all__ = [
     "PhasePoint",
@@ -331,8 +330,8 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
 
     Sample points keep q positive and p_chart at -1 so that functions with
     restricted domains (logs, roots, positive temperatures) usually evaluate;
-    points where K raises are skipped rather than failing the check.  The
-    points are one batch.
+    points where K raises or is not finite are skipped rather than failing
+    the check.  The points are one batch.
     """
     rng = np.random.default_rng(7)
     X = []
@@ -342,12 +341,10 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
         p[chart] = -1.0
         X.append(np.concatenate([q, 1.3 * p]))
     X = np.array(X)
-    checked = _evaluable(_rows_or_errors(
-        lambda rows: _relative_euler_rows(K, X[rows], 1)[0].tolist(), len(X)))
-    worst = 0.0
-    for res in checked:
-        worst = max(worst, res)
-    if checked and worst > 1e-6:
+    _, residuals = _sample_rows(
+        lambda rows: _relative_euler_rows(K, X[rows], 1)[0], len(X))
+    worst = np.max(residuals, initial=0.0)
+    if worst > 1e-6:
         warnings.warn(
             f"dehomogenize: {K.name or 'function'} does not look homogeneous "
             f"of degree 1 in p (relative Euler residual {worst:.3g}); the "

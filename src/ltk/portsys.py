@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _raise_at, _rows_or_errors,
-                      _values_and_dirderivs, dirderiv, exp, grad)
+from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
+                      exp, grad)
 from .dynamics import (_canonical, _degree_residual, _phase_samples,
                        contact_rhs, integrate, phase_rhs)
 from .geometry import PhasePoint, dehomogenize
@@ -549,9 +549,8 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
     m = sys.n_coords
     generators = (sys.Ka,) + sys.Kc
     degree_points = _phase_samples(m, 30, seed)
-    degree_res = 0.0
-    for K in generators:
-        degree_res = max(degree_res, _degree_residual(K, degree_points))
+    degree_res = float(np.max([_degree_residual(K, degree_points)
+                               for K in generators]))
 
     charts = [0] + ([1] if m > 1 else [])
     khats = {c: dehomogenize(sys.Ka, c) for c in charts}
@@ -566,23 +565,18 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
             on_surface
             + [np.abs(_port_flows(sys.Ka, X, m, sys.energy_indices)),
                _port_flows(sys.Ka, X, m, sys.entropy_indices)]
-            + [_chart_form_residuals(sys, X, c, khats[c]) for c in charts]
-        ).tolist()
+            + [_chart_form_residuals(sys, X, c, khats[c]) for c in charts])
 
-    on_surface = first_law = chart_form = 0.0
-    second_min = np.inf
+    R = _sample_rows(residuals, len(params),
+                     lambda i: f"at surface parameters {params[i].tolist()}")[1]
     n = len(generators)
-    for sample, res in zip(params, _rows_or_errors(residuals, len(params))):
-        if isinstance(res, Exception):
-            _raise_at(res, f"at surface parameters {sample.tolist()}")
-        for value in res[:n]:
-            on_surface = max(on_surface, value)
-        first_law = max(first_law, res[n])
-        second_min = min(second_min, res[n + 1])
-        for value in res[n + 2:]:
-            chart_form = max(chart_form, value)
-    return ValidationReport(sys.name, len(params), degree_res, on_surface,
-                            first_law, float(second_min), chart_form)
+    R = R.reshape(len(params), n + 2 + len(charts))   # also with no sample
+    return ValidationReport(
+        sys.name, len(params), degree_res,
+        float(np.max(R[:, :n], initial=0.0)),
+        float(np.max(R[:, n], initial=0.0)),
+        float(np.min(R[:, n + 1], initial=np.inf)),
+        float(np.max(R[:, n + 2:], initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -701,22 +695,16 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
     # Reject feedback laws that let the composed drift destroy entropy; the
     # samples are one batch.
     samples = np.array(_sample_surface_params(composed, n_check, seed))
-    rates = _rows_or_errors(
+    rates = _sample_rows(
         lambda rows: _port_flows(Ka, _liouville_rows(gf, samples[rows]), M,
-                                 entropy), len(samples))
-    worst_rate = np.inf
-    worst_params = None
-    for params, rate in zip(samples, rates):
-        if isinstance(rate, Exception):
-            _raise_at(rate, f"at surface parameters {params.tolist()}")
-        if rate < worst_rate:
-            worst_rate = rate
-            worst_params = params
-    if worst_rate < -1e-12:
+                                 entropy), len(samples),
+        lambda i: f"at surface parameters {samples[i].tolist()}")[1]
+    if len(rates) and rates.min() < -1e-12:
+        worst = np.argmin(rates)
         raise ValueError(
             f"interconnection {name!r} violates the second law: the composed "
-            f"drift produces entropy at rate {worst_rate:.3g} at surface "
-            f"parameters {np.asarray(worst_params).tolist()}")
+            f"drift produces entropy at rate {rates[worst]:.3g} at surface "
+            f"parameters {samples[worst].tolist()}")
     return composed
 
 

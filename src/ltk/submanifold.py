@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _raise_at, _reject,
-                      _rows_or_errors, grad)
+from .diffkit import ScalarFn, _reject, _sample_rows, grad
 from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                        ContactPoint, EulerFieldKind, PhasePoint,
                        TangentVector, _relative_euler_rows, beta)
@@ -115,24 +114,18 @@ class GeneratingFunction:
             samples.append(x)
             X.append(np.concatenate([q, p]))
         X = np.array(X)
-        checked = 0
-        for x, res in zip(samples, _rows_or_errors(
-                lambda rows: _relative_euler_rows(F, X[rows], 1,
-                                                  EulerFieldKind.W)[0].tolist(),
-                len(X))):
-            if isinstance(res, _DOMAIN_ERRORS):
-                continue
-            if isinstance(res, Exception):
-                raise res
-            if res > 1e-9:
-                raise ValueError(
-                    f"generating function declared q_homogeneous but its "
-                    f"relative degree-1 Euler residual in q_I is {res:.3g} "
-                    f"at {x.tolist()}")
-            checked += 1
-        if not checked:
+        kept, R = _sample_rows(
+            lambda rows: _relative_euler_rows(F, X[rows], 1,
+                                              EulerFieldKind.W)[0], len(X))
+        if not len(kept):
             raise ValueError("could not evaluate the generating function at "
                              "any sample point to verify q-homogeneity")
+        bad = np.flatnonzero(R > 1e-9)
+        if len(bad):
+            raise ValueError(
+                f"generating function declared q_homogeneous but its "
+                f"relative degree-1 Euler residual in q_I is {R[bad[0]]:.3g} "
+                f"at {samples[kept[bad[0]]].tolist()}")
 
     @property
     def n_params(self) -> int:
@@ -371,17 +364,12 @@ def gibbs_duhem_check(gf: GeneratingFunction, samples) -> GibbsDuhemReport:
                           for a, b in zip(vq[i], vp[i])])
         return out
 
-    max_qp = max_qp_rel = max_beta = max_w = 0.0
-    for params, res in zip(P, _rows_or_errors(residuals, len(P))):
-        if isinstance(res, Exception):
-            _raise_at(res, f"at surface parameters {params.tolist()}")
-        qp, qp_rel, w, *betas = res
-        max_qp = max(max_qp, qp)
-        max_qp_rel = max(max_qp_rel, qp_rel)
-        for b in betas:
-            max_beta = max(max_beta, b)
-        max_w = max(max_w, float(w))
-    return GibbsDuhemReport(len(P), max_qp, max_qp_rel, max_beta, max_w)
+    R = _sample_rows(residuals, len(P),
+                     lambda i: f"at surface parameters {P[i].tolist()}")[1]
+    R = R.reshape(len(P), 3 + gf.n_params)   # also when there is no sample
+    qp, qp_rel, w = np.max(R[:, :3], axis=0, initial=0.0).tolist()
+    return GibbsDuhemReport(len(P), qp, qp_rel,
+                            float(np.max(R[:, 3:], initial=0.0)), w)
 
 
 def _require_specific_shape(gf: GeneratingFunction):

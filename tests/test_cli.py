@@ -205,6 +205,27 @@ def test_validate_custom_system_end_to_end(tmp_path, capsys):
     assert all(check["pass"] for check in report.values())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_fails_a_drift_that_is_nan_everywhere(tmp_path, capsys):
+    # inf - inf at every point: a nan residual must fail, not pass as 0.0
+    config = {"system": {"custom": {
+        "name": "nan_drift",
+        "dimensions": 2,
+        "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": [0], "entropy": [1]},
+        "Ka": "p1*1e300*1e300 - p1*1e300*1e300",
+        "initial": [0.0, -1.0],
+        "param_box": [[-0.5, 0.5], [-1.5, -0.5]],
+    }}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "validate", "--config", str(path),
+                             "--samples", "8")
+    assert code == 1
+    assert out == ""
+    assert "could only evaluate K at 0/30" in err
+
+
 def test_validate_unknown_system(capsys):
     code, _, err = run_cli(capsys, "validate", "--system", "warp_core")
     assert code == 2
@@ -235,6 +256,15 @@ def test_bracket_antisymmetry_fails_on_a_wrong_bracket(capsys, monkeypatch):
     assert code == 1
     assert report["antisymmetry"]["pass"] is False
     assert report["bracket_degree-1"]["pass"] is True
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_bracket_fails_an_operand_that_is_not_finite(capsys):
+    code, out, err = run_cli(capsys, "bracket", "--k1", "q0*p0*1e300*1e300",
+                             "--k2", "q0*p0", "--dimensions", "1")
+    assert code == 1
+    assert out == ""
+    assert "no sample point was evaluable" in err
 
 
 def test_bracket_misdeclared_degree_fails(capsys):
@@ -364,6 +394,30 @@ def test_config_error_paths(tmp_path, capsys):
     unknown.write_text(json.dumps({"system": "heat_compartment", "tend": 1}))
     code, _, err = run_cli(capsys, "validate", "--config", str(unknown))
     assert code == 2 and "unknown config keys" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "constant", "values": "abc"}},
+     "constant input values must be numbers"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "sinusoid", "amplitude": "x"}},
+     "sinusoid amplitude, frequency and phase must be numbers"),
+    ({"system": {"custom": {
+        "dimensions": "two", "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": [0], "entropy": [1]}}}},
+     "dimensions must be an integer"),
+    ({"system": "heat_compartment", "initial": [0.0]},
+     "initial needs 2 surface parameters"),
+], ids=["constant", "sinusoid", "dimensions", "initial"])
+def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
+                                                   message):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"command": "simulate", "t_end": 0.01,
+                                **config}))
+    assert run(str(path)) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
 
 
 def test_chart_is_not_a_config_key(tmp_path, capsys):

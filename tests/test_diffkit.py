@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltk import cli
-from ltk.diffkit import (FD_STEP, Dual, ScalarFn, _value_and_dirderiv,
-                         _values_and_dirderivs, cos, dirderiv, exp, fd_grad,
-                         grad, ln, sin, sqrt)
+from ltk.diffkit import (FD_STEP, Dual, ScalarFn, _sample_rows,
+                         _value_and_dirderiv, _values_and_dirderivs, cos,
+                         dirderiv, exp, fd_grad, grad, ln, sin, sqrt)
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.portsys import (_sample_surface_params, gas_piston_damper,
                          heat_compartment, heat_exchanger)
@@ -391,3 +391,68 @@ def test_batched_grad_of_a_non_dual_safe_function_is_fd_grad_row_by_row():
                  dim=2, dual_safe=False)
     X = np.array([[0.1, 0.2], [-1.0, 2.5], [3.0, -0.7]])
     assert _hex(grad(f, X)) == _hex([fd_grad(f, x) for x in X])
+
+
+# -- the sampled-check driver -------------------------------------------------
+
+
+def _logged_rows(values, calls):
+    """A row function over ``values``: an entry that is an exception class
+    raises it, any other entry is the row's result; ``calls`` logs the rows
+    of every call."""
+    def fn(rows):
+        calls.append((rows.start, rows.stop))
+        out = []
+        for v in values[rows]:
+            if isinstance(v, type):
+                raise v("bad row")
+            out.append(v)
+        return out
+    return fn
+
+
+def test_sample_rows_runs_one_batch_when_every_row_evaluates():
+    calls = []
+    kept, R = _sample_rows(_logged_rows([[1.0, 2.0], [3.0, 4.0]], calls), 2)
+    assert calls == [(0, 2)]
+    assert kept.tolist() == [0, 1]
+    assert R.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    calls.clear()
+    kept, R = _sample_rows(_logged_rows([], calls), 0)
+    assert calls == [] and kept.tolist() == [] and R.tolist() == []
+
+
+def test_sample_rows_reruns_rows_in_order_and_skips_failing_ones():
+    calls = []
+    values = [1.0, ZeroDivisionError, 3.0, math.nan, ValueError, math.inf,
+              OverflowError, 8.0]
+    kept, R = _sample_rows(_logged_rows(values, calls), len(values))
+    assert calls == [(0, 8)] + [(i, i + 1) for i in range(8)]
+    assert kept.tolist() == [0, 2, 7]
+    assert R.tolist() == [1.0, 3.0, 8.0]
+    # a batch that returns a non-finite row fails too, and so does a row
+    # with one non-finite entry
+    calls.clear()
+    kept, R = _sample_rows(
+        _logged_rows([[1.0, math.nan], [2.0, 3.0]], calls), 2)
+    assert calls == [(0, 2), (0, 1), (1, 2)]
+    assert kept.tolist() == [1]
+    assert R.tolist() == [[2.0, 3.0]]
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    (OverflowError, OverflowError, "bad row at sample 2"),
+    (math.nan, ValueError, r"non-finite result nan at sample 2"),
+    (TypeError, TypeError, "bad row at sample 2"),
+])
+def test_sample_rows_names_the_first_failing_row(bad, error, message):
+    values = [1.0, 2.0, bad, ZeroDivisionError]
+    with pytest.raises(error, match=f"^{message}$"):
+        _sample_rows(_logged_rows(values, []), len(values),
+                     lambda i: f"at sample {i}")
+
+
+def test_sample_rows_raises_an_error_that_is_not_a_domain_error():
+    values = [1.0, ZeroDivisionError, TypeError, 4.0]
+    with pytest.raises(TypeError, match="^bad row$"):
+        _sample_rows(_logged_rows(values, []), len(values))

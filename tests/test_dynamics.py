@@ -19,6 +19,7 @@ from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
                           phase_rhs, project_reduced, reduced_rhs, rk4_step,
                           scaling_commutation_check, validate_degree)
+from ltk.exprlang import compile_fn
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
                           PhasePoint, TangentVector, alpha, homogenize,
                           project)
@@ -61,6 +62,15 @@ def test_validate_degree_checks_both_homogeneities():
     assert validate_degree(Q1SQ_P0, wrt=EulerFieldKind.W) > 1e-2
     # p0^2 fails the fiber check outright
     assert validate_degree(P0SQ) > 1e-2
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validate_degree_skips_samples_that_are_not_finite():
+    # q0*p0*1e300*1e300 overflows at every sample; its relative Euler
+    # residual is inf - inf = nan, and a nan sample must not pass
+    K = compile_fn("q0*p0*1e300*1e300", ["q0", "p0"])
+    with pytest.raises(ValueError, match="could only evaluate K at 0/50"):
+        validate_degree(K)
 
 
 # -- point fields --------------------------------------------------------------
