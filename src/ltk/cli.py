@@ -167,6 +167,22 @@ def _compile(source: str, var_names, what: str) -> ScalarFn:
         raise ConfigError(f"bad {what} expression {source!r}: {err}") from None
 
 
+def _integer(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _indices(entries: dict, key: str, what: str, default=()) -> tuple:
+    value = entries.get(key, default)
+    try:
+        return tuple(int(i) for i in value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} {key!r} must be a list of integer "
+                          f"indices, got {value!r}") from None
+
+
 def _build_custom_system(spec: dict) -> PortSystem:
     """Construct a PortSystem from expression strings in the config."""
     if not isinstance(spec, dict):
@@ -174,11 +190,7 @@ def _build_custom_system(spec: dict) -> PortSystem:
     for key in ("dimensions", "gf", "partition"):
         if key not in spec:
             raise ConfigError(f"custom system spec needs a {key!r} entry")
-    try:
-        m = int(spec["dimensions"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"dimensions must be an integer, got "
-                          f"{spec['dimensions']!r}") from None
+    m = _integer(spec["dimensions"], "dimensions")
     if m < 1:
         raise ConfigError("a system needs at least one coordinate")
     n = m - 1
@@ -186,9 +198,9 @@ def _build_custom_system(spec: dict) -> PortSystem:
     gf_spec = spec["gf"]
     if not isinstance(gf_spec, dict) or "expr" not in gf_spec:
         raise ConfigError("the gf entry must be an object with an 'expr'")
-    chart = int(gf_spec.get("chart", 0))
-    I = tuple(sorted(int(i) for i in gf_spec.get("I", range(1, m))))
-    J = tuple(sorted(int(j) for j in gf_spec.get("J", ())))
+    chart = _integer(gf_spec.get("chart", 0), "gf 'chart'")
+    I = tuple(sorted(_indices(gf_spec, "I", "gf", range(1, m))))
+    J = tuple(sorted(_indices(gf_spec, "J", "gf")))
     gf_vars = [f"q{i}" for i in I] + [f"gamma{j}" for j in J]
     Fhat = _compile(gf_spec["expr"], gf_vars, "generating-function")
     try:
@@ -203,8 +215,8 @@ def _build_custom_system(spec: dict) -> PortSystem:
     if not isinstance(partition, dict):
         raise ConfigError("partition must be an object with "
                           "'energy' and 'entropy' index lists")
-    energy = tuple(int(i) for i in partition.get("energy", ()))
-    entropy = tuple(int(i) for i in partition.get("entropy", ()))
+    energy = _indices(partition, "energy", "partition")
+    entropy = _indices(partition, "entropy", "partition")
 
     phase_vars = _phase_var_names(m)
     Ka = _compile(spec.get("Ka", "0"), phase_vars, "drift generator")

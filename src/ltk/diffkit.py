@@ -47,8 +47,9 @@ field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
 traces each generator once per run and replays the recorded operations as
 straight-line code that returns :func:`grad`'s partials bit for bit; every
 point it cannot replay goes to :func:`grad`, which stays the reference.
-``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos`` below let a traced value
-record the call.
+A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
+and ``cos`` below test for it right after ``Dual``, before any ``math``
+call, and let it record the call.
 
 Nothing here computes second derivatives.  Quantities that would need them
 (Lie brackets of vector fields, flow sensitivities, nested Poisson brackets)
@@ -300,37 +301,34 @@ def _sign(a: float) -> float:
 # -- transcendental functions generic over float/Dual ------------------------
 
 
-def _other(x, name: str):
-    """diffkit's function ``name`` of a value that is neither a number nor
-    a Dual (single or batch): a traced value (:mod:`ltk.tracegrad`) records
-    the call; anything else is the caller's type error.  Plain numbers take
-    the ``math`` call first, at no extra cost."""
-    record = getattr(type(x), "_record_call", None)
-    if record is None:
-        raise TypeError(f"must be a real number or dual, not {type(x).__name__}")
-    return record(x, name)
+class _Recorder:
+    """A value that records the calls of the functions below instead of
+    being computed (:class:`ltk.tracegrad._Traced`).  Each function tests
+    for it after ``Dual`` and before any ``math`` call, and returns
+    ``x._record_call(name)``."""
+
+    __slots__ = ()
 
 
 def exp(x):
     if isinstance(x, Dual):
         v = _each(math.exp, x.val)
         return Dual(v, v * x.dot)
-    try:
-        return math.exp(x)
-    except TypeError:
-        return _other(x, "exp")
+    if isinstance(x, _Recorder):
+        return x._record_call("exp")
+    return math.exp(x)
 
 
 def ln(x):
     if isinstance(x, Dual):
         _reject(x.val <= 0.0, ValueError, "ln requires a positive argument")
         return Dual(_each(math.log, x.val), x.dot / x.val)
+    if isinstance(x, _Recorder):
+        return x._record_call("ln")
     try:
         return math.log(x)          # raises for x <= 0, as a Dual does
     except ValueError:
         raise ValueError("ln requires a positive argument") from None
-    except TypeError:
-        return _other(x, "ln")
 
 
 def sqrt(x):
@@ -343,30 +341,28 @@ def sqrt(x):
         # dot / (2 v), and 0 where dot is 0, also at v = 0
         return Dual(v, np.divide(0.5 * x.dot, v, where=x.dot != 0.0,
                                  out=np.zeros_like(x.dot)))
+    if isinstance(x, _Recorder):
+        return x._record_call("sqrt")
     try:
         return math.sqrt(x)         # raises for x < 0, as a Dual does
     except ValueError:
         raise ValueError("sqrt requires a nonnegative argument") from None
-    except TypeError:
-        return _other(x, "sqrt")
 
 
 def sin(x):
     if isinstance(x, Dual):
         return Dual(_each(math.sin, x.val), _each(math.cos, x.val) * x.dot)
-    try:
-        return math.sin(x)
-    except TypeError:
-        return _other(x, "sin")
+    if isinstance(x, _Recorder):
+        return x._record_call("sin")
+    return math.sin(x)
 
 
 def cos(x):
     if isinstance(x, Dual):
         return Dual(_each(math.cos, x.val), -_each(math.sin, x.val) * x.dot)
-    try:
-        return math.cos(x)
-    except TypeError:
-        return _other(x, "cos")
+    if isinstance(x, _Recorder):
+        return x._record_call("cos")
+    return math.cos(x)
 
 
 # -- scalar functions and their gradients -------------------------------------

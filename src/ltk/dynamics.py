@@ -38,7 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffkit import ScalarFn, _sample_rows, _values_and_grads, grad
+from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
+                      grad)
 from .geometry import (ChartDegenerateError, EulerFieldKind, PhasePoint,
                        _relative_euler_rows, sample_phase_points)
 from .submanifold import (GeneratingFunction, _liouville_rows,
@@ -115,12 +116,21 @@ def _degree_residual(K: ScalarFn, X: np.ndarray, degree: int = 1,
                      wrt: EulerFieldKind = EulerFieldKind.Z) -> float:
     """:func:`validate_degree` of K on the sample points at the rows of X."""
     n_samples = len(X)
-    kept, R = _sample_rows(
-        lambda rows: _relative_euler_rows(K, X[rows], degree, wrt)[0],
-        n_samples)
+
+    def residuals(rows):
+        return _relative_euler_rows(K, X[rows], degree, wrt)[0]
+
+    kept, R = _sample_rows(residuals, n_samples)
     if len(kept) < n_samples // 2:
+        i = int(np.setdiff1d(np.arange(n_samples), kept)[0])
+        try:
+            residuals(slice(i, i + 1))
+            why = "not finite"
+        except _DOMAIN_ERRORS as err:
+            why = str(err)
         raise ValueError(f"could only evaluate K at {len(kept)}/{n_samples} "
-                         f"sample points; adjust the sampling domain")
+                         f"sample points; adjust the sampling domain (first "
+                         f"skipped: phase point {X[i].tolist()}, {why})")
     return float(np.max(R, initial=0.0))
 
 
@@ -154,7 +164,8 @@ def contact_rhs(Khat: ScalarFn, chart: int):
         dgamma_j/dt = -dKhat/dq_j - gamma_j dKhat/dq_s
 
     ``x`` may also be a (B, 2n+1) batch of contact vectors, one per row;
-    their values and gradients come from one vector-mode pass.
+    their values and gradients come from one vector-mode pass, and a
+    single vector runs as a one-row batch.
     """
     if Khat.dim % 2 == 0 or Khat.dim < 3:
         raise ValueError("contact functions need an odd dimension >= 3")
@@ -165,21 +176,16 @@ def contact_rhs(Khat: ScalarFn, chart: int):
 
     def f(t, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            val, g = _values_and_grads(Khat, x)
-            pairing = np.array([np.dot(a, b)
-                                for a, b in zip(x[:, m:], g[:, m:])])
-        else:
-            g = grad(Khat, x)
-            val = float(Khat(x))
-            pairing = float(np.dot(x[m:], g[m:]))
-        gamma = x[..., m:]
-        g_q, g_gamma = g[..., :m], g[..., m:]
+        if x.ndim == 1:
+            return f(t, x[None])[0]
+        val, g = _values_and_grads(Khat, x)
+        gamma, g_q, g_gamma = x[:, m:], g[:, :m], g[:, m:]
         dq = np.empty(g_q.shape)
-        dq[..., others] = g_gamma
-        dq[..., chart] = pairing - val
-        dgamma = -g_q[..., others] - gamma * g_q[..., chart, None]
-        return np.concatenate([dq, dgamma], axis=-1)
+        dq[:, others] = g_gamma
+        pairing = np.array([np.dot(a, b) for a, b in zip(gamma, g_gamma)])
+        dq[:, chart] = pairing - val
+        dgamma = -g_q[:, others] - gamma * g_q[:, chart, None]
+        return np.concatenate([dq, dgamma], axis=1)
 
     return f
 
@@ -265,9 +271,10 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     aborts the run at the end of its block; :func:`ltk.portsys.simulate`
     guards surface membership so.  A failing step (a non-finite state, or
     an error from ``f``) first records the points since the last block, so
-    a monitor's error at an earlier point comes first.  A non-finite state
-    aborts with the offending time, and for a batch the offending row, in
-    the message.
+    a monitor's error at an earlier point comes first.  An error from
+    ``f`` keeps its type and gains the step's start time in its message; a
+    non-finite state aborts with the offending time, and for a batch the
+    offending row, in the message.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -303,7 +310,9 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             if not finite.all():
                 row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
                 raise _NonFiniteState(i * dt, i, row)
-        except Exception:
+        except Exception as err:
+            if not isinstance(err, _NonFiniteState):
+                err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)
             record_monitors(i)
             raise
         ts[i], xs[i] = i * dt, x

@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 
 from . import diffkit
-from .diffkit import Dual, ScalarFn
+from .diffkit import Dual, ScalarFn, _Recorder
 
 __all__ = [
     "Expr",
@@ -321,13 +321,14 @@ def _pow(a, b, node):
     dual base, single or batched, checks its own value in ``**``.  A single
     dual exponent with a zero derivative and an integer value takes the
     integer rule, as a float does; a batch exponent, whose rows may differ,
-    always takes the general rule.
+    always takes the general rule, and so does a traced one, which fails
+    its trace in ``**``.
     """
-    try:
-        b_int = int(b) if float(b).is_integer() else None
-    except TypeError:           # a dual exponent, single or batched
+    if isinstance(b, (Dual, _Recorder)):
         b_int = (int(b.val) if isinstance(b, Dual) and isinstance(b.val, float)
                  and b.dot == 0.0 and b.val.is_integer() else None)
+    else:
+        b_int = int(b) if float(b).is_integer() else None
     try:
         if b_int is not None:
             return a ** b_int

@@ -358,7 +358,9 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     residual beyond ``membership_tol`` aborts, as a trajectory off the
     surface no longer means anything thermodynamically; its values double
     as the ``membership`` monitor.  Aborts, including a non-finite state,
-    raise ``RuntimeError`` naming the system and the time.  ``K_res`` is
+    raise ``RuntimeError`` naming the system and the time; any other error
+    keeps its type and gains the system's name and the time of its step or
+    recorded point.  ``K_res`` is
     ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
     the total generator K.
 
@@ -444,8 +446,9 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
             off = np.flatnonzero(res > membership_tol)
             n = int(off[0]) if off.size else len(t)
             cols = channels(t[:n], X[:n]) if n else []
-        except Exception:   # noqa: BLE001 - each point reruns and raises
+        except Exception as err:   # noqa: BLE001 - each point reruns and raises
             if len(t) == 1:
+                err.args = (f"{err} at t={float(t[0]):g}",)
                 raise
             for i in range(len(t)):      # the first failing point raises
                 record(t[i:i + 1], X[i:i + 1])
@@ -458,8 +461,12 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
 
     try:
         traj = integrate(field, x0, t_end, dt, [("channels", record)])
-    except RuntimeError as err:
-        raise RuntimeError(f"simulation of {sys.name!r}: {err}") from err
+    except Exception as err:
+        where = f"simulation of {sys.name!r}: {err}"
+        if isinstance(err, RuntimeError):
+            raise RuntimeError(where) from err
+        err.args = (where,)
+        raise
     finally:
         log.info("simulate %r: %d points fell back from a traced replay to "
                  "the scalar loop", sys.name, fallbacks)

@@ -15,11 +15,13 @@ raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a fractional
 power outside its domain; ``sqrt`` at 0 along a moving seed; 0 to a
 negative power).  A point where a guard comes out otherwise or a check
 trips is handed back, as is one where the replay raises, and the caller
-takes it to ``grad``, which returns or raises as it always did.  Any other
-read of a traced value (``==``, ``!=``, ``bool``, ``float``, ``int``,
-``hash``, an attribute, numpy, a traced exponent) makes the function
-untraceable.  No user text enters the generated source: constants go in
-through its namespace.
+takes it to ``grad``, which returns or raises as it always did.  A traced
+value is a :class:`~ltk.diffkit._Recorder`, which diffkit's ``exp``, ``ln``,
+``sqrt``, ``sin`` and ``cos`` recognise before any ``math`` call.  Any
+other read of it (``==``, ``!=``, ``bool``, ``float``, ``int``, ``hash``,
+an attribute, numpy, a traced exponent) makes the function untraceable at
+once.  No user text enters the generated source: constants go in through
+its namespace.
 
 ``simulate``'s field is the one caller: it traces each generator once per
 run and keeps the replays for that run only.  ``ltk`` does not import this
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import operator
 
-from .diffkit import ScalarFn
+from .diffkit import ScalarFn, _Recorder
 
 __all__ = ["trace_grad"]
 
@@ -112,32 +114,15 @@ class _Trace:
         self._checks = set()
         self.consts = {}
         self.reason = None
-        # the value a float() call read last, until the next recording:
-        # diffkit's exp, ln, sqrt, sin and cos read it so in their math
-        # call, then record themselves
-        self._probe = None
 
     def fail(self, reason: str):
         """Mark the function untraceable; the first reason is kept."""
-        self._settle()
         if self.reason is None:
             self.reason = reason
 
-    def _settle(self):
-        """Confirm a pending float() read as one the trace cannot repeat:
-        anything but the diffkit function whose ``math`` call made it."""
-        if self._probe is not None:
-            self._probe = None
-            if self.reason is None:
-                self.reason = "it reads a traced value with float()"
-
-    def unreadable(self, value, how: str):
-        """A read of ``value`` by ``how``, which no replay can repeat."""
-        self._settle()
-        if how == "float()":
-            self._probe = value
-        else:
-            self.fail(f"it reads a traced value with {how}")
+    def unreadable(self, how: str):
+        """A read of a traced value by ``how``, which no replay can repeat."""
+        self.fail(f"it reads a traced value with {how}")
         raise TypeError(f"a traced value cannot be read with {how}")
 
     def _const(self, value) -> str:
@@ -190,7 +175,6 @@ class _Trace:
             raise
 
     def binary(self, kind: str, a, b):
-        self._settle()
         if self._mixes((a, b)):
             return NotImplemented
         a, b = _as_python(a), _as_python(b)
@@ -201,15 +185,7 @@ class _Trace:
             lines.insert(0, "if {b} == 0.0: return None")
         return self._add(kind, self._ref(a), self._ref(b), value, lines)
 
-    def call(self, kind: str, a):
-        """A diffkit function of ``a``, after its ``math`` call read
-        ``a`` with float()."""
-        if self._probe is a:
-            self._probe = None
-        return self.unary(kind, a)
-
     def unary(self, kind: str, a):
-        self._settle()
         fn, source, factor, bail = _UNARY[kind]
         value = self._value(fn, a._value)
         lines = [f"v{{n}} = {source.format(a='{a}')}"]
@@ -222,12 +198,8 @@ class _Trace:
     def power(self, a, c):
         """``a ** c`` for a constant exponent c, as ``Dual.__pow__``."""
         if isinstance(c, _Traced):
-            if self._probe is c:        # exprlang._pow's integer test
-                self._probe = None
-            self._settle()
             self.fail("it raises to a traced exponent")
             return NotImplemented
-        self._settle()
         if self._mixes((c,)):
             return NotImplemented
         c, va = _as_python(c), a._value
@@ -256,7 +228,6 @@ class _Trace:
     def guard(self, op: str, a, b) -> bool:
         """``a op b`` on values, as a ``Dual`` compares; a point where
         it comes out otherwise goes back to the scalar loop."""
-        self._settle()
         if self._mixes((b,)):
             raise TypeError(f"a traced value cannot be compared with a "
                             f"{type(b).__name__}")
@@ -275,7 +246,6 @@ class _Trace:
     def emit(self, y):
         """The replay of the trace with ``y`` as the function's result, or
         None when the function cannot be traced."""
-        self._settle()
         out = y._node if isinstance(y, _Traced) and y._trace is self else None
         if out is None and not isinstance(y, (int, float)):
             self.fail(f"it returns a {type(y).__name__}")
@@ -328,15 +298,16 @@ def _as_python(v):
     return float(v) if isinstance(v, float) and type(v) is not float else v
 
 
-class _Traced:
+class _Traced(_Recorder):
     """A coordinate, or a value computed from coordinates, of a function
     being traced by :func:`trace_grad`.
 
     Every operation ``Dual`` implements adds a node to the trace, and
-    so do diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos``; a
-    comparison adds a guard.  Any other read of the value (``==``, ``!=``,
-    ``bool``, ``float``, ``int``, ``hash``, an attribute, numpy, a traced
-    exponent) marks the function untraceable and raises ``TypeError``.
+    so do diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos``, which
+    call :meth:`_record_call` of a ``_Recorder``; a comparison adds a
+    guard.  Any other read of the value (``==``, ``!=``, ``bool``,
+    ``float``, ``int``, ``hash``, an attribute, numpy, a traced exponent)
+    marks the function untraceable and raises ``TypeError``.
     """
 
     __slots__ = ("_trace", "_node", "_value")
@@ -351,7 +322,7 @@ class _Traced:
 
     def _record_call(self, kind: str):
         """diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` or ``cos`` of it."""
-        return self._trace.call(kind, self)
+        return self._trace.unary(kind, self)
 
     def __add__(self, other):
         return self._trace.binary("add", self, other)
@@ -407,14 +378,14 @@ class _Traced:
     def __getattr__(self, name):
         how = "numpy" if name.startswith("__array") else f"attribute {name!r}"
         try:
-            self._trace.unreadable(self, how)
+            self._trace.unreadable(how)
         except TypeError:
             raise AttributeError(name) from None
 
 
 def _unreadable(how: str):
     def read(self, *args, **kwargs):
-        self._trace.unreadable(self, how)
+        self._trace.unreadable(how)
     return read
 
 

@@ -409,7 +409,28 @@ def test_config_error_paths(tmp_path, capsys):
      "dimensions must be an integer"),
     ({"system": "heat_compartment", "initial": [0.0]},
      "initial needs 2 surface parameters"),
-], ids=["constant", "sinusoid", "dimensions", "initial"])
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)", "chart": "zero"},
+        "partition": {"energy": [0], "entropy": [1]}}}},
+     "gf 'chart' must be an integer, got 'zero'"),
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)", "I": ["one"]},
+        "partition": {"energy": [0], "entropy": [1]}}}},
+     "gf 'I' must be a list of integer indices, got ['one']"),
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)", "J": ["x"]},
+        "partition": {"energy": [0], "entropy": [1]}}}},
+     "gf 'J' must be a list of integer indices, got ['x']"),
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": ["E"], "entropy": [1]}}}},
+     "partition 'energy' must be a list of integer indices, got ['E']"),
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": [0], "entropy": 1}}}},
+     "partition 'entropy' must be a list of integer indices, got 1"),
+], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
+        "gf J", "energy", "entropy"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

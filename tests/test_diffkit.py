@@ -139,6 +139,20 @@ def test_transcendentals_on_floats_match_math():
     assert sqrt(2.0) == math.sqrt(2.0)
 
 
+@pytest.mark.parametrize("name", ["exp", "ln", "sqrt", "sin", "cos"])
+def test_a_recorder_records_the_call_without_being_read(name):
+    from ltk import diffkit
+
+    class Recorder(diffkit._Recorder):
+        def __float__(self):
+            raise AssertionError(f"{name} read the recorder with float()")
+
+        def _record_call(self, kind):
+            return ("recorded", kind)
+
+    assert getattr(diffkit, name)(Recorder()) == ("recorded", name)
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         ln(Dual(-1.0, 1.0))

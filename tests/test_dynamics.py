@@ -73,6 +73,24 @@ def test_validate_degree_skips_samples_that_are_not_finite():
         validate_degree(K)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source, skipped, why", [
+    ("q0*p0*1e300*1e300", lambda X: 0, "not finite"),
+    ("ln(q0 - 1.2)*p0", lambda X: int(np.argmax(X[:, 0] <= 1.2)),
+     "ln requires a positive argument in 'ln(q0-1.2)'"),
+], ids=["not finite", "domain hole"])
+def test_too_few_degree_samples_name_the_first_skipped_one(source, skipped,
+                                                           why):
+    X = dynamics._phase_samples(1, 50, 3)
+    with pytest.raises(ValueError) as err:
+        validate_degree(compile_fn(source, ["q0", "p0"]))
+    message = str(err.value)
+    assert message.startswith("could only evaluate K at ")
+    assert message.endswith(f"sample points; adjust the sampling domain "
+                            f"(first skipped: phase point "
+                            f"{X[skipped(X)].tolist()}, {why})")
+
+
 # -- point fields --------------------------------------------------------------
 
 

@@ -8,6 +8,8 @@ guard, then each port's u, y_p and y_e, then the monitors in the order
 asked for, each from the single-point API.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from test_diffkit import SYSTEMS, _hex
@@ -42,25 +44,28 @@ def _reference(system, t_end, dt, u=None, params=None, monitors=(),
         return np.concatenate([g[m:], -g[:m]])
 
     def point(t, x):
-        res = membership_norm(system.gf, x)
+        with _where(f"at t={t:g}"):
+            res = membership_norm(system.gf, x)
         if res > membership_tol:
             raise RuntimeError(f"left the state surface at t={t:g}: membership "
                                f"residual {res:.3g} exceeds {membership_tol:g}")
         row = {"membership": res}
-        for k in range(system.n_ports):
-            row[f"u{k + 1}"] = u(t)[k]
-            row[f"y_p{k + 1}"] = float(system.y_p[k](x))
-            row[f"y_e{k + 1}"] = float(system.y_e[k](x))
-        pt = PhasePoint(x[:m], x[m:])
-        for name in monitors:
-            if name == "K_res":
-                row[name] = abs(total(u(t), lambda K: float(K(x))))
-            elif name == "alpha_res":
-                row[name] = abs(total(u(t), lambda K: euler_residual(K, pt, 1)))
-            elif name in ("E_total", "S_total"):
-                indices = (system.energy_indices if name == "E_total"
-                           else system.entropy_indices)
-                row[name] = float(sum(x[i] for i in indices))
+        with _where(f"at t={t:g}"):
+            for k in range(system.n_ports):
+                row[f"u{k + 1}"] = u(t)[k]
+                row[f"y_p{k + 1}"] = float(system.y_p[k](x))
+                row[f"y_e{k + 1}"] = float(system.y_e[k](x))
+            pt = PhasePoint(x[:m], x[m:])
+            for name in monitors:
+                if name == "K_res":
+                    row[name] = abs(total(u(t), lambda K: float(K(x))))
+                elif name == "alpha_res":
+                    row[name] = abs(total(u(t),
+                                          lambda K: euler_residual(K, pt, 1)))
+                elif name in ("E_total", "S_total"):
+                    indices = (system.energy_indices if name == "E_total"
+                               else system.entropy_indices)
+                    row[name] = float(sum(x[i] for i in indices))
         return row
 
     x = liouville_point(system.gf, params).packed()
@@ -68,7 +73,8 @@ def _reference(system, t_end, dt, u=None, params=None, monitors=(),
     try:
         for i in range(round(t_end / dt) + 1):
             if i:
-                x = rk4_step(field, (i - 1) * dt, x, dt)
+                with _where(f"in the step from t={(i - 1) * dt:g}"):
+                    x = rk4_step(field, (i - 1) * dt, x, dt)
                 if not np.isfinite(x).all():
                     raise RuntimeError(f"integration produced a non-finite "
                                        f"state at t={i * dt:g} (step {i})")
@@ -77,7 +83,21 @@ def _reference(system, t_end, dt, u=None, params=None, monitors=(),
             xs.append(x)
     except RuntimeError as err:
         raise RuntimeError(f"simulation of {system.name!r}: {err}") from err
+    except Exception as err:
+        err.args = (f"simulation of {system.name!r}: {err}",)
+        raise
     return np.array(ts), np.array(xs), rows
+
+
+@contextlib.contextmanager
+def _where(place):
+    """Append ``place`` to the message of an error raised inside, keeping
+    its type, as simulate names the step or point of a failure."""
+    try:
+        yield
+    except Exception as err:
+        err.args = (f"{err} {place}",)
+        raise
 
 
 def _assert_matches_reference(system, steps, dt, **kwargs):
@@ -211,7 +231,8 @@ def test_a_failing_step_inside_the_surface_raises_its_own_error():
 
     err = _assert_same_error(heat_compartment(), 1.0, 1e-2,
                              u=PortSignal(u, 1))
-    assert str(err) == "no input after t=0.305"
+    assert str(err) == ("simulation of 'heat_compartment': no input after "
+                        "t=0.305 in the step from t=0.3")
 
 
 @pytest.mark.parametrize("y_p_limit, message", [
@@ -233,4 +254,4 @@ def test_channel_domain_errors_come_in_point_order(y_p_limit, message,
         default_params=hc.default_params)
     err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal.constant([1.0]))
     assert isinstance(err, ValueError)
-    assert str(err) == message
+    assert str(err) == f"simulation of 'fragile outputs': {message} at t=0.35"

@@ -241,7 +241,8 @@ def test_a_domain_error_first_hit_in_a_replay_is_the_scalar_loops(monkeypatch):
 
     err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal(u, 1))
     assert isinstance(err, ExprEvalError)
-    assert str(err) == "ln requires a positive argument in 'ln(0.3-q1)'"
+    assert str(err) == ("simulation of 'compartment': ln requires a positive "
+                        "argument in 'ln(0.3-q1)' in the step from t=0.3")
     # the same stage fails on both routes: the same inputs were asked for,
     # at every stage up to the failing one and at each recorded point
     runs = []
