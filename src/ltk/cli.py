@@ -177,10 +177,12 @@ def _integer(value, what: str) -> int:
 def _indices(entries: dict, key: str, what: str, default=()) -> tuple:
     value = entries.get(key, default)
     try:
-        return tuple(int(i) for i in value)
+        if not isinstance(value, str):      # not one index per character
+            return tuple(int(i) for i in value)
     except (TypeError, ValueError):
-        raise ConfigError(f"{what} {key!r} must be a list of integer "
-                          f"indices, got {value!r}") from None
+        pass
+    raise ConfigError(f"{what} {key!r} must be a list of integer indices, "
+                      f"got {value!r}")
 
 
 def _build_custom_system(spec: dict) -> PortSystem:

@@ -429,8 +429,12 @@ def test_config_error_paths(tmp_path, capsys):
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": [0], "entropy": 1}}}},
      "partition 'entropy' must be a list of integer indices, got 1"),
+    ({"system": {"custom": {
+        "dimensions": 2, "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": "01", "entropy": [1]}}}},
+     "partition 'energy' must be a list of integer indices, got '01'"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
-        "gf J", "energy", "entropy"])
+        "gf J", "energy", "entropy", "index string"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"
