@@ -161,6 +161,8 @@ def _phase_var_names(m: int) -> list:
 
 
 def _compile(source: str, var_names, what: str) -> ScalarFn:
+    if not isinstance(source, str):
+        raise ConfigError(f"{what} expression must be a string, got {source!r}")
     try:
         return compile_fn(source, var_names, name=source)
     except ExprError as err:
@@ -174,15 +176,15 @@ def _integer(value, what: str) -> int:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _indices(entries: dict, key: str, what: str, default=()) -> tuple:
-    value = entries.get(key, default)
+def _listed(value, what: str, convert=int, kind="integer indices") -> tuple:
+    """The items of the list ``value``, each through ``convert``; anything
+    else is a config error naming ``what``."""
     try:
-        if not isinstance(value, str):      # not one index per character
-            return tuple(int(i) for i in value)
+        if not isinstance(value, str):      # not one item per character
+            return tuple(convert(v) for v in value)
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"{what} {key!r} must be a list of integer indices, "
-                      f"got {value!r}")
+    raise ConfigError(f"{what} must be a list of {kind}, got {value!r}")
 
 
 def _build_custom_system(spec: dict) -> PortSystem:
@@ -201,15 +203,18 @@ def _build_custom_system(spec: dict) -> PortSystem:
     if not isinstance(gf_spec, dict) or "expr" not in gf_spec:
         raise ConfigError("the gf entry must be an object with an 'expr'")
     chart = _integer(gf_spec.get("chart", 0), "gf 'chart'")
-    I = tuple(sorted(_indices(gf_spec, "I", "gf", range(1, m))))
-    J = tuple(sorted(_indices(gf_spec, "J", "gf")))
+    I = tuple(sorted(_listed(gf_spec.get("I", range(1, m)), "gf 'I'")))
+    J = tuple(sorted(_listed(gf_spec.get("J", ()), "gf 'J'")))
+    q_homogeneous = gf_spec.get("q_homogeneous", False)
+    if not isinstance(q_homogeneous, bool):
+        raise ConfigError(f"gf 'q_homogeneous' must be true or false, got "
+                          f"{q_homogeneous!r}")
     gf_vars = [f"q{i}" for i in I] + [f"gamma{j}" for j in J]
     Fhat = _compile(gf_spec["expr"], gf_vars, "generating-function")
     try:
         gf = GeneratingFunction(
             n=n, Fhat=Fhat, I=I, J=J, chart=chart,
-            q_homogeneous=bool(gf_spec.get("q_homogeneous", False)),
-            name=spec.get("name", "custom"))
+            q_homogeneous=q_homogeneous, name=spec.get("name", "custom"))
     except ValueError as err:
         raise ConfigError(f"invalid generating function: {err}") from None
 
@@ -217,23 +222,28 @@ def _build_custom_system(spec: dict) -> PortSystem:
     if not isinstance(partition, dict):
         raise ConfigError("partition must be an object with "
                           "'energy' and 'entropy' index lists")
-    energy = _indices(partition, "energy", "partition")
-    entropy = _indices(partition, "entropy", "partition")
+    energy = _listed(partition.get("energy", ()), "partition 'energy'")
+    entropy = _listed(partition.get("entropy", ()), "partition 'entropy'")
 
     phase_vars = _phase_var_names(m)
     Ka = _compile(spec.get("Ka", "0"), phase_vars, "drift generator")
     Kc = tuple(_compile(src, phase_vars, "port generator")
-               for src in spec.get("Kc", ()))
+               for src in _listed(spec.get("Kc", ()), "custom system 'Kc'",
+                                  lambda src: src, "expressions"))
     initial = spec.get("initial")
     param_box = spec.get("param_box")
+    if initial is not None:
+        initial = _listed(initial, "custom system 'initial'", float, "numbers")
+    if param_box is not None:
+        param_box = _listed(
+            param_box, "custom system 'param_box'",
+            lambda pair: _listed(pair, "a param_box pair", float, "numbers"),
+            "[low, high] pairs")
     try:
         return PortSystem(
             name=spec.get("name", "custom"), gf=gf, Ka=Ka, Kc=Kc,
             energy_indices=energy, entropy_indices=entropy,
-            default_params=None if initial is None
-            else tuple(float(v) for v in initial),
-            param_box=None if param_box is None
-            else tuple((float(a), float(b)) for a, b in param_box))
+            default_params=initial, param_box=param_box)
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid custom system: {err}") from None
 
@@ -403,14 +413,9 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 def _cmd_validate(cfg: RunConfig) -> int:
     system = _build_system(cfg.system)
     report = validate(system, n_samples=cfg.samples, seed=cfg.seed)
-    checks = {
-        "degree": _check(report.degree_residual, 1e-8),
-        "on_surface": _check(report.on_surface_residual, 1e-9),
-        "first_law": _check(report.first_law_residual, 1e-8),
-        "second_law": _check(max(0.0, -report.second_law_min), 1e-12),
-        "chart_form": _check(report.chart_form_residual, 1e-6),
-    }
-    return _report_exit(cfg.report, checks)
+    return _report_exit(cfg.report, {
+        name: _check(residual, tolerance)
+        for name, (residual, tolerance) in report.checks().items()})
 
 
 def _bracket_operands(cfg: RunConfig):
@@ -582,8 +587,6 @@ def run(config_path: str) -> int:
     try:
         cfg = RunConfig.from_mapping(_load_config_file(config_path))
         return _dispatch(cfg)
-    except ConfigError as err:
-        return _fail(err)
     except Exception as err:           # noqa: BLE001 - boundary of the CLI
         return _fail(err)
 
@@ -667,9 +670,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         mapping = dict(mapping)
     mapping["command"] = args.command
 
-    plain = {"seed", "report", "t_end", "dt", "initial", "monitors",
-             "output", "samples", "k1", "k2", "degree1", "degree2",
-             "dimensions", "at"}
+    plain = [f.name for f in fields(RunConfig)
+             if f.name not in ("command", "system", "input")]
     for key in plain:
         value = getattr(args, key, None)
         if value is not None:
@@ -702,8 +704,6 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return _dispatch(cfg)
-    except ConfigError as err:
-        return _fail(err)
     except Exception as err:           # noqa: BLE001 - boundary of the CLI
         return _fail(err)
 

@@ -28,14 +28,15 @@ specific coordinates ``eps_l = q_l / q_1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .diffkit import ScalarFn, _reject, _sample_rows, grad
 from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                        ContactPoint, EulerFieldKind, PhasePoint,
-                       TangentVector, _relative_euler_rows, beta)
+                       TangentVector, _relative_euler_rows, beta,
+                       project)
 
 __all__ = [
     "GeneratingFunction",
@@ -144,13 +145,7 @@ class GibbsDuhemReport:
     max_w_membership: float  # membership residual of the q-scaled point
 
     def as_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_qp_abs": self.max_qp_abs,
-            "max_qp_rel": self.max_qp_rel,
-            "max_beta": self.max_beta,
-            "max_w_membership": self.max_w_membership,
-        }
+        return asdict(self)
 
 
 def lift_generating_function(gf: GeneratingFunction) -> ScalarFn:
@@ -205,29 +200,17 @@ def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
 def legendre_point(gf: GeneratingFunction, params) -> ContactPoint:
     """Realize the chart-coordinate surface point generated by (q_I, gamma_J).
 
-    Equals ``project(liouville_point(...), chart)`` with p_chart = -1 and
-    p_J = gamma_J; computed directly from Fhat.
+    This is ``project(liouville_point(gf, q_I + [-1] + gamma_J), chart)``:
+    the chart relations of the module docstring are the lift's generating
+    relations read at p_chart = -1.
     """
     params = [float(v) for v in params]
     if len(params) != gf.n:
         raise ValueError(f"expected {gf.n} parameters (q_I, gamma_J), "
                          f"got {len(params)}")
     nI = len(gf.I)
-    qI, gJ = params[:nI], params[nI:]
-    g = grad(gf.Fhat, params)
-    val = float(gf.Fhat(params))
-
-    q = np.empty(gf.n + 1)
-    gamma = np.empty(gf.n + 1)           # indexed by coordinate, chart unused
-    for k, i in enumerate(gf.I):
-        q[i] = qI[k]
-        gamma[i] = g[k]                  # gamma_I = dFhat/dq_I
-    q[gf.chart] = val - sum(gJ[k] * g[nI + k] for k in range(len(gf.J)))
-    for k, j in enumerate(gf.J):
-        q[j] = -g[nI + k]                # q_J = -dFhat/dgamma_J
-        gamma[j] = gJ[k]
-    packed = np.array([gamma[j] for j in range(gf.n + 1) if j != gf.chart])
-    return ContactPoint(gf.chart, q, packed)
+    return project(liouville_point(gf, params[:nI] + [-1.0] + params[nI:]),
+                   gf.chart)
 
 
 def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:

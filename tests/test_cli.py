@@ -396,6 +396,13 @@ def test_config_error_paths(tmp_path, capsys):
     assert code == 2 and "unknown config keys" in err
 
 
+# A well-formed custom compartment that each malformed case alters in one entry.
+CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
+          "partition": {"energy": [0], "entropy": [1]},
+          "Kc": ["p1/exp(q1) + p0"], "initial": [0.0, -1.0],
+          "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}
+
+
 @pytest.mark.parametrize("config, message", [
     ({"system": "gas_piston_damper",
       "input": {"kind": "constant", "values": "abc"}},
@@ -433,8 +440,32 @@ def test_config_error_paths(tmp_path, capsys):
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": "01", "entropy": [1]}}}},
      "partition 'energy' must be a list of integer indices, got '01'"),
+    ({"system": {"custom": dict(CUSTOM, Ka=0)}},
+     "drift generator expression must be a string, got 0"),
+    ({"system": {"custom": dict(CUSTOM, gf={"expr": 5})}},
+     "generating-function expression must be a string, got 5"),
+    ({"system": {"custom": dict(CUSTOM, Kc=[1])}},
+     "port generator expression must be a string, got 1"),
+    ({"command": "bracket", "k1": 5, "k2": "q0*p1"},
+     "bracket operand expression must be a string, got 5"),
+    ({"system": {"custom": dict(CUSTOM, Kc="p1/exp(q1) + p0")}},
+     "custom system 'Kc' must be a list of expressions, got "
+     "'p1/exp(q1) + p0'"),
+    ({"system": {"custom": dict(CUSTOM, Kc=5)}},
+     "custom system 'Kc' must be a list of expressions, got 5"),
+    ({"system": {"custom": dict(
+        CUSTOM, gf={"expr": "exp(q1)", "q_homogeneous": "false"})}},
+     "gf 'q_homogeneous' must be true or false, got 'false'"),
+    ({"system": {"custom": dict(CUSTOM, initial="0.0,-1.0")}},
+     "custom system 'initial' must be a list of numbers, got '0.0,-1.0'"),
+    ({"system": {"custom": dict(CUSTOM, param_box="0,1")}},
+     "custom system 'param_box' must be a list of [low, high] pairs, "
+     "got '0,1'"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
-        "gf J", "energy", "entropy", "index string"])
+        "gf J", "energy", "entropy", "index string", "Ka number",
+        "gf expr number", "Kc number item", "k1 number", "Kc string",
+        "Kc number", "q_homogeneous string", "custom initial string",
+        "param_box string"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

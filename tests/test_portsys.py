@@ -21,7 +21,7 @@ from ltk import cli, diffkit, dynamics, geometry, submanifold, tracegrad
 from ltk.diffkit import ScalarFn, grad
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
-                         PortSystem, builtin, energy_balance,
+                         PortSystem, ValidationReport, builtin, energy_balance,
                          entropy_balance, gas_piston_damper, heat_compartment,
                          heat_exchanger, ideal_gas_SVN, interconnect, outputs,
                          simulate, validate)
@@ -161,6 +161,22 @@ def test_validation_report_dict_shape():
     assert set(d) == {"system", "n_samples", "degree_residual",
                       "on_surface_residual", "first_law_residual",
                       "second_law_min", "chart_form_residual", "passed"}
+
+
+def test_validation_report_checks_feed_passed_and_the_cli():
+    clean = dict(system="s", n_samples=1, degree_residual=0.0,
+                 on_surface_residual=0.0, first_law_residual=0.0,
+                 chart_form_residual=0.0)
+    nan = ValidationReport(second_law_min=float("nan"), **clean)
+    residual, tol = nan.checks()["second_law"]
+    assert not nan.passed
+    assert cli._check(residual, tol)["pass"] is False
+    zero = ValidationReport(second_law_min=0.0, **clean)
+    residual = zero.checks()["second_law"][0]
+    assert zero.passed and residual == 0.0
+    assert str(residual) == "0.0"
+    assert list(zero.checks()) == ["degree", "on_surface", "first_law",
+                                   "second_law", "chart_form"]
 
 
 def test_sign_flipped_damping_fails_the_second_law():

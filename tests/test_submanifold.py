@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltk.diffkit import ScalarFn, sqrt
-from ltk.geometry import ChartDegenerateError, PhasePoint, alpha, beta, project
+from ltk.diffkit import ScalarFn, grad, sqrt
+from ltk.geometry import ChartDegenerateError, PhasePoint, alpha, beta
 from ltk.submanifold import (GeneratingFunction, gibbs_duhem_check,
                              legendre_point, lift_generating_function,
                              lift_phase_fn, liouville_point, membership_norm,
@@ -165,14 +165,44 @@ def test_lift_phase_fn_is_degree_one_on_the_whole_bundle():
         assert abs(res) <= 1e-9 * (1.0 + abs(float(K(pt.packed()))))
 
 
-def test_legendre_point_matches_projected_liouville_point():
-    gf = mixed_gf()
-    # chart representative with p_chart = -1 and p_J = gamma_J
-    cpt = legendre_point(gf, [2.0, 3.0])
-    pt = liouville_point(gf, [2.0, -1.0, 3.0])
-    expected = project(pt, 0)
-    assert np.allclose(cpt.q, expected.q, rtol=1e-13)
-    assert np.allclose(cpt.gamma, expected.gamma, rtol=1e-13)
+def _chart_relations(gf, params):
+    """The chart point of (q_I, gamma_J) straight from Fhat and its
+    gradient: q_c = Fhat - sum_J gamma_j dFhat/dgamma_j,
+    q_J = -dFhat/dgamma_J, gamma_I = dFhat/dq_I."""
+    nI = len(gf.I)
+    g = grad(gf.Fhat, params)
+    q = np.empty(gf.n + 1)
+    gamma = np.empty(gf.n + 1)
+    q[list(gf.I)], gamma[list(gf.I)] = params[:nI], g[:nI]
+    q[list(gf.J)], gamma[list(gf.J)] = -g[nI:], params[nI:]
+    q[gf.chart] = float(gf.Fhat(params)) - float(np.dot(params[nI:], g[nI:]))
+    return q, np.delete(gamma, gf.chart)
+
+
+def _assert_legendre_point_matches_chart_relations(gf, params):
+    cpt = legendre_point(gf, params)
+    q, gamma = _chart_relations(gf, np.asarray(params, dtype=float))
+    assert cpt.chart == gf.chart
+    np.testing.assert_allclose(cpt.q, q, rtol=1e-13)
+    np.testing.assert_allclose(cpt.gamma, gamma, rtol=1e-13)
+
+
+def test_legendre_point_matches_the_chart_relations():
+    _assert_legendre_point_matches_chart_relations(mixed_gf(), [2.0, 3.0])
+
+
+@pytest.mark.parametrize("name", ["gas_piston_damper", "heat_compartment",
+                                  "heat_exchanger", "ideal_gas_SVN"])
+def test_legendre_point_matches_the_chart_relations_on_builtins(name):
+    from ltk.portsys import builtin
+    system = builtin(name)
+    gf, nI = system.gf, len(system.gf.I)
+    rng = np.random.default_rng(3)
+    lo, hi = np.array(system.param_box).T
+    for _ in range(50):
+        P = rng.uniform(lo, hi)          # (q_I, p_chart, p_J); gamma_J = p_J
+        _assert_legendre_point_matches_chart_relations(
+            gf, np.delete(P, nI).tolist())
 
 
 # -- tangency of the canonical one-form ---------------------------------------------
