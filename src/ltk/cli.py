@@ -169,14 +169,29 @@ def _compile(source: str, var_names, what: str) -> ScalarFn:
         raise ConfigError(f"bad {what} expression {source!r}: {err}") from None
 
 
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer: an int that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"not an integer: {value!r}")
+    return value
+
+
+def _json_float(value) -> float:
+    """``value`` as a float if it is a JSON number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
 def _integer(value, what: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError):
+        return _json_int(value)
+    except TypeError:
         raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _listed(value, what: str, convert=int, kind="integer indices") -> tuple:
+def _listed(value, what: str, convert=_json_int,
+            kind="integer indices") -> tuple:
     """The items of the list ``value``, each through ``convert``; anything
     else is a config error naming ``what``."""
     try:
@@ -233,11 +248,13 @@ def _build_custom_system(spec: dict) -> PortSystem:
     initial = spec.get("initial")
     param_box = spec.get("param_box")
     if initial is not None:
-        initial = _listed(initial, "custom system 'initial'", float, "numbers")
+        initial = _listed(initial, "custom system 'initial'", _json_float,
+                          "numbers")
     if param_box is not None:
         param_box = _listed(
             param_box, "custom system 'param_box'",
-            lambda pair: _listed(pair, "a param_box pair", float, "numbers"),
+            lambda pair: _listed(pair, "a param_box pair", _json_float,
+                                 "numbers"),
             "[low, high] pairs")
     try:
         return PortSystem(

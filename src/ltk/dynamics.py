@@ -16,12 +16,14 @@ Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
 :func:`integrate` or at a single point; the phase and contact forms also
 take a (B, dim) batch of states, one per row, differentiated in one
 vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
-given the same inputs the trajectory is bitwise reproducible.
-:func:`integrate` is the package's one integration loop; port-system
-simulation (:func:`ltk.portsys.simulate`) runs on it, recording its guard,
-inputs, outputs and monitors through one monitor that takes a block of
-grid points at a time; a run that leaves the surface is detected at the
-end of its block.
+given the same inputs the trajectory is bitwise reproducible.  A single
+state steps as a list of Python floats and a batch in numpy, with the same
+stage expressions entry by entry, so a batch row and the state alone agree
+bit for bit.  :func:`integrate` is the package's one integration loop;
+port-system simulation (:func:`ltk.portsys.simulate`) runs on it,
+recording its guard, inputs, outputs and monitors through one monitor that
+takes a block of grid points at a time; a run that leaves the surface is
+detected at the end of its block.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -34,6 +36,7 @@ Packing conventions (m = n + 1 coordinates):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -236,13 +239,34 @@ def reduced_rhs(Kbar: ScalarFn):
     return f
 
 
-def rk4_step(f, t: float, x: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size dt."""
-    k1 = f(t, x)
-    k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
-    k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)
-    k4 = f(t + dt, x + dt * k3)
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def rk4_step(f, t: float, x, dt: float):
+    """One classical Runge-Kutta step of size dt.
+
+    A single state given as a list steps in Python floats, entry by entry
+    with the expressions an ndarray state steps with, so both give the same
+    bits; the step returns a list.  ``f`` still receives each stage as a
+    1-D ndarray, and may return a list or an ndarray.  An ndarray state (one
+    vector, or a (B, dim) batch) steps in numpy and returns an ndarray.
+    """
+    if isinstance(x, np.ndarray):
+        k1 = f(t, x)
+        k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
+        k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)
+        k4 = f(t + dt, x + dt * k3)
+        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def stage(t, x):
+        k = f(t, np.array(x))
+        return k.tolist() if isinstance(k, np.ndarray) else k
+
+    h = dt / 2.0
+    k1 = stage(t, x)
+    k2 = stage(t + h, [a + h * b for a, b in zip(x, k1)])
+    k3 = stage(t + h, [a + h * b for a, b in zip(x, k2)])
+    k4 = stage(t + dt, [a + dt * b for a, b in zip(x, k3)])
+    w = dt / 6.0
+    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 class _NonFiniteState(RuntimeError):
@@ -263,7 +287,9 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     ``x0`` is one state vector, or a (B, dim) batch of states stepped
     together; every step is entrywise arithmetic, so a row follows the
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
-    alike (as :func:`phase_rhs` does).
+    alike (as :func:`phase_rhs` does).  A single state is carried between
+    steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
+    each stage as a 1-D ndarray and may return a list or an ndarray.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` points at a time: ``fn(t_rows, x_rows)`` returns
@@ -301,15 +327,21 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     ts[0], xs[0] = 0.0, x
+    single = x.ndim == 1
+    if single:
+        x = x.tolist()
     for i in range(1, steps + 1):
         if i - done == MONITOR_BLOCK:
             record_monitors(i)
         try:
             x = rk4_step(f, (i - 1) * dt, x, dt)
-            finite = np.isfinite(x)
-            if not finite.all():
-                row = None if x.ndim == 1 else int(np.argmin(finite.all(axis=1)))
-                raise _NonFiniteState(i * dt, i, row)
+            if single:
+                if not all(map(math.isfinite, x)):
+                    raise _NonFiniteState(i * dt, i)
+            else:
+                finite = np.isfinite(x).all(axis=1)
+                if not finite.all():
+                    raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
         except Exception as err:
             if not isinstance(err, _NonFiniteState):
                 err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)

@@ -345,7 +345,9 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     keeps its type and gains the system's name and the time of its step or
     recorded point.  ``K_res`` is
     ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
-    the total generator K.
+    the total generator K.  The field reads ``u`` once per distinct stage
+    time (an RK4 step's two half-step stages share one read), so a
+    ``PortSignal`` should be a pure function of ``t``.
 
     The field is differentiated one point at a time.  Each ``dual_safe``
     generator is traced once, at the initial point, into straight-line code
@@ -406,15 +408,20 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
             fallbacks += 1
         return grad(K, x).tolist()
 
+    t_read, uv = None, None             # the last input read, u(t_read)
+
     def field(t, x):
+        # u is read once per distinct stage time (k2 and k3 share theirs);
         # a port with zero input is skipped: an idle system pays for the drift
+        nonlocal t_read, uv
+        if t != t_read:
+            uv, t_read = u(t).tolist(), t
         xs = x.tolist()
-        uv = u(t).tolist()
         g = gradient(sys.Ka, x, xs)
         for k, K in enumerate(sys.Kc):
             if uv[k] != 0.0:
                 g = [a + uv[k] * b for a, b in zip(g, gradient(K, x, xs))]
-        return np.array(g[m:] + [-v for v in g[:m]])
+        return g[m:] + [-v for v in g[:m]]
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""

@@ -461,11 +461,40 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
     ({"system": {"custom": dict(CUSTOM, param_box="0,1")}},
      "custom system 'param_box' must be a list of [low, high] pairs, "
      "got '0,1'"),
+    ({"system": {"custom": dict(CUSTOM, dimensions=2.7)}},
+     "dimensions must be an integer, got 2.7"),
+    ({"system": {"custom": dict(CUSTOM, dimensions=True)}},
+     "dimensions must be an integer, got True"),
+    ({"system": {"custom": dict(CUSTOM, gf={"expr": "exp(q1)",
+                                            "chart": False})}},
+     "gf 'chart' must be an integer, got False"),
+    ({"system": {"custom": dict(CUSTOM, gf={"expr": "exp(q1)", "I": [True]})}},
+     "gf 'I' must be a list of integer indices, got [True]"),
+    ({"system": {"custom": dict(CUSTOM, gf={"expr": "exp(q1)", "I": [1.9]})}},
+     "gf 'I' must be a list of integer indices, got [1.9]"),
+    ({"system": {"custom": dict(CUSTOM, gf={"expr": "exp(q1)", "I": [],
+                                            "J": [True]})}},
+     "gf 'J' must be a list of integer indices, got [True]"),
+    ({"system": {"custom": dict(CUSTOM, partition={"energy": [False],
+                                                   "entropy": [1]})}},
+     "partition 'energy' must be a list of integer indices, got [False]"),
+    ({"system": {"custom": dict(CUSTOM, partition={"energy": [0],
+                                                   "entropy": [1.0]})}},
+     "partition 'entropy' must be a list of integer indices, got [1.0]"),
+    ({"system": {"custom": dict(CUSTOM, initial=[False, -1.0])}},
+     "custom system 'initial' must be a list of numbers, got [False, -1.0]"),
+    ({"system": {"custom": dict(CUSTOM, param_box=[[-0.5, True],
+                                                   [-1.5, -0.5]])}},
+     "custom system 'param_box' must be a list of [low, high] pairs, "
+     "got [[-0.5, True], [-1.5, -0.5]]"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
         "gf J", "energy", "entropy", "index string", "Ka number",
         "gf expr number", "Kc number item", "k1 number", "Kc string",
         "Kc number", "q_homogeneous string", "custom initial string",
-        "param_box string"])
+        "param_box string", "dimensions float", "dimensions bool",
+        "gf chart bool", "gf I bool", "gf I float", "gf J bool",
+        "energy bool", "entropy float", "custom initial bool",
+        "param_box bool"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

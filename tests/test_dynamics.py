@@ -12,6 +12,7 @@ Hand-derived oracle values used below:
 
 import numpy as np
 import pytest
+from test_diffkit import _hex
 
 from ltk import dynamics
 from ltk.diffkit import ScalarFn, sqrt
@@ -23,7 +24,8 @@ from ltk.exprlang import compile_fn
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
                           PhasePoint, TangentVector, alpha, homogenize,
                           project)
-from ltk.submanifold import GeneratingFunction
+from ltk.portsys import _sample_surface_params, gas_piston_damper
+from ltk.submanifold import GeneratingFunction, liouville_point
 
 # Khat(q0, q1, gamma1) = gamma1^2 + q0 gamma1 and its degree-1 phase lift.
 KHAT = ScalarFn(lambda x: x[2] ** 2 + x[0] * x[2], dim=3, name="g1^2+q0 g1")
@@ -339,6 +341,56 @@ def test_batched_integration_rows_are_separate_runs_bit_for_bit():
         alone = integrate(phase_rhs(K1), start, 0.2, 1e-2)
         assert [v.hex() for v in batch.x[:, row].ravel().tolist()] == \
             [v.hex() for v in alone.x.ravel().tolist()]
+
+
+def _wavy(t, x):
+    """A nonlinear, time-dependent field on three coordinates."""
+    return np.array([np.sin(t) * x[1] - x[0] * x[2],
+                     x[0] ** 2 - np.cos(3.0 * t) * x[1],
+                     np.exp(-t) * x[1] * x[2] + 0.5])
+
+
+def _stepping_case(name):
+    """A field and 50 seeded single states to step it from."""
+    if name == "wavy":
+        return _wavy, np.random.default_rng(15).uniform(-1.0, 1.0, (50, 3))
+    piston = gas_piston_damper()
+    return phase_rhs(piston.Ka), np.array(
+        [liouville_point(piston.gf, p).packed()
+         for p in _sample_surface_params(piston, 50, 15)])
+
+
+@pytest.mark.parametrize("name", ["wavy", "piston Ka"])
+def test_a_list_state_steps_as_the_array_state_bit_for_bit(name):
+    # a single state steps in Python floats with the ndarray expressions,
+    # entry by entry; each keeps its own type
+    f, states = _stepping_case(name)
+    for i, x in enumerate(states):
+        t, dt = 0.1 * i, 1e-2 * (1 + i % 3)
+        stepped = rk4_step(f, t, x, dt)
+        listed = rk4_step(f, t, x.tolist(), dt)
+        assert isinstance(stepped, np.ndarray) and isinstance(listed, list)
+        assert _hex(listed) == _hex(stepped)
+
+
+@pytest.mark.parametrize("name", ["wavy", "piston Ka"])
+def test_a_field_may_return_a_list_or_an_array(name):
+    # integrate steps a single state as a list, handing the field ndarrays;
+    # its trajectory is the one ndarray steps give, whichever type the field
+    # returns
+    f, states = _stepping_case(name)
+
+    def listed(t, x):
+        assert isinstance(x, np.ndarray) and x.ndim == 1
+        return f(t, x).tolist()
+
+    for x in states:
+        by_array = integrate(f, x, 0.1, 1e-2)
+        by_list = integrate(listed, x, 0.1, 1e-2)
+        steps = [x]
+        for i in range(10):
+            steps.append(rk4_step(f, i * 1e-2, steps[-1], 1e-2))
+        assert _hex(by_list.x) == _hex(by_array.x) == _hex(steps)
 
 
 def test_flow_transport_names_the_trajectory_that_went_non_finite():

@@ -161,6 +161,27 @@ def test_full_size_blocks_match_the_point_by_point_recording():
     _assert_matches_reference(system, 2 * MONITOR_BLOCK + 1, 1e-3, **kwargs)
 
 
+def test_the_field_reads_the_input_once_per_distinct_stage_time():
+    # k2 and k3 share the half-step time, and k4 of one step and k1 of the
+    # next share theirs where the floats are equal; the recording reads u
+    # at every grid point after the last step (one block)
+    calls = []
+
+    def logged(t):
+        calls.append(t)
+        return [0.3]
+
+    steps, dt = 20, 1e-2
+    result = simulate(heat_compartment(), steps * dt, dt,
+                      u=PortSignal(logged, 1))
+    field, recorded = calls[:-(steps + 1)], calls[-(steps + 1):]
+    assert recorded == result.t.tolist()
+    assert len(field) <= 3 * steps
+    assert all(a != b for a, b in zip(field, field[1:]))
+    assert set(field) == {i * dt + h for i in range(steps)
+                          for h in (0.0, dt / 2.0, dt)}
+
+
 # -- aborted runs ------------------------------------------------------------------
 
 
