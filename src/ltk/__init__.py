@@ -18,7 +18,7 @@ Modules:
 * :mod:`ltk.brackets`   — Poisson and chart brackets with structure checks
 * :mod:`ltk.portsys`    — port-thermodynamic systems and interconnection
 * :mod:`ltk.tracegrad`  — generator gradients traced once and replayed as
-  straight-line code, for ``simulate``'s field (imported on first use)
+  straight-line code, ``simulate``'s field kernel (imported on first use)
 * :mod:`ltk.cli`        — the ``ltk`` command-line interface
 """
 

@@ -112,16 +112,14 @@ class RunConfig:
         return cfg
 
     def _validate(self):
-        try:
-            self.t_end = float(self.t_end)
-            self.dt = float(self.dt)
-            self.seed = int(self.seed)
-            self.samples = int(self.samples)
-            self.degree1 = int(self.degree1)
-            self.degree2 = int(self.degree2)
-            self.dimensions = int(self.dimensions)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"malformed numeric config value: {err}") from None
+        for name in ("t_end", "dt", "seed", "samples", "degree1", "degree2",
+                     "dimensions"):
+            convert = _json_float if name in ("t_end", "dt") else _json_int
+            try:
+                setattr(self, name, convert(getattr(self, name)))
+            except TypeError as err:
+                raise ConfigError(f"malformed numeric config value for "
+                                  f"{name!r}: {err}") from None
         if self.t_end <= 0:
             raise ConfigError("t_end must be positive")
         if self.dt <= 0:

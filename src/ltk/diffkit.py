@@ -44,9 +44,9 @@ every difference step of every RK4 stage.
 
 The one single-point route that runs many times over is ``simulate``'s
 field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
-traces each generator once per run and replays the recorded operations as
-straight-line code that returns :func:`grad`'s partials bit for bit; every
-point it cannot replay goes to :func:`grad`, which stays the reference.
+traces the generators once per run into one straight-line field kernel
+that sums :func:`grad`'s partials bit for bit; every stage it hands back
+runs :func:`grad`, which stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
@@ -404,9 +404,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     error names the failing row.  A function that compares its arguments
     (a domain check or a branch) falls back to one point at a time.  The
     package's sampled checks, flowcheck's trajectories and ``simulate``'s
-    recording take this route.  ``simulate``'s field replays a trace of
-    each generator (:func:`ltk.tracegrad.trace_grad`) and comes here only
-    for the points a replay hands back and for generators it cannot
+    recording take this route.  ``simulate``'s field runs a kernel traced
+    from its generators (:func:`ltk.tracegrad.field_kernel`) and comes here
+    only for the stages the kernel hands back and for generators it cannot
     trace; this loop stays the reference that every replay reproduces.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:

@@ -245,8 +245,10 @@ def rk4_step(f, t: float, x, dt: float):
     A single state given as a list steps in Python floats, entry by entry
     with the expressions an ndarray state steps with, so both give the same
     bits; the step returns a list.  ``f`` still receives each stage as a
-    1-D ndarray, and may return a list or an ndarray.  An ndarray state (one
-    vector, or a (B, dim) batch) steps in numpy and returns an ndarray.
+    1-D ndarray, and may return a list or an ndarray; a field marked
+    ``_list_stages`` (:func:`ltk.portsys.simulate`'s) receives the list
+    itself and returns a list.  An ndarray state (one vector, or a
+    (B, dim) batch) steps in numpy and returns an ndarray.
     """
     if isinstance(x, np.ndarray):
         k1 = f(t, x)
@@ -255,9 +257,12 @@ def rk4_step(f, t: float, x, dt: float):
         k4 = f(t + dt, x + dt * k3)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def stage(t, x):
-        k = f(t, np.array(x))
-        return k.tolist() if isinstance(k, np.ndarray) else k
+    if getattr(f, "_list_stages", False):
+        stage = f
+    else:
+        def stage(t, x):
+            k = f(t, np.array(x))
+            return k.tolist() if isinstance(k, np.ndarray) else k
 
     h = dt / 2.0
     k1 = stage(t, x)
@@ -289,7 +294,8 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
     alike (as :func:`phase_rhs` does).  A single state is carried between
     steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
-    each stage as a 1-D ndarray and may return a list or an ndarray.
+    each stage as a 1-D ndarray, or as that list where ``f`` is marked
+    ``_list_stages``, and may return a list or an ndarray.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` points at a time: ``fn(t_rows, x_rows)`` returns

@@ -24,7 +24,7 @@ the two laws: with designated energy and entropy coordinates,
 :func:`interconnect` composes two systems through a static feedback law
 between their outputs, rejecting compositions that break the second law.
 :func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, its field
-replaying one trace of each generator's gradient, recording the
+one straight-line kernel traced from the generators, recording the
 surface-membership guard, inputs, outputs and monitors at every grid point,
 a block of points at a time.
 """
@@ -71,6 +71,8 @@ log = logging.getLogger("ltk")
 # A simulated state whose membership residual exceeds this aborts the run:
 # past it the trajectory no longer represents the modeled surface.
 MEMBERSHIP_ABORT = 1e-5
+
+_FLOAT = np.dtype(float)
 
 
 @dataclass
@@ -148,7 +150,18 @@ class PortSignal:
         self.n_ports = n_ports
 
     def __call__(self, t: float) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(self.fn(t), dtype=float))
+        return self._sized(self.fn(t))
+
+    def _floats(self, t: float) -> list:
+        """``self(t)`` as a list of Python floats."""
+        u = self.fn(t)
+        if type(u) is np.ndarray and u.dtype is _FLOAT and u.ndim == 1 \
+                and len(u) == self.n_ports:
+            return u.tolist()
+        return self._sized(u).tolist()
+
+    def _sized(self, u) -> np.ndarray:
+        u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.size != self.n_ports:
             raise ValueError(f"signal produced {u.size} values for "
                              f"{self.n_ports} ports")
@@ -346,18 +359,20 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     recorded point.  ``K_res`` is
     ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
     the total generator K.  The field reads ``u`` once per distinct stage
-    time (an RK4 step's two half-step stages share one read), so a
-    ``PortSignal`` should be a pure function of ``t``.
+    time (an RK4 step's two half-step stages share one read), as a list of
+    floats, so a ``PortSignal`` should be a pure function of ``t``.
 
-    The field is differentiated one point at a time.  Each ``dual_safe``
-    generator is traced once, at the initial point, into straight-line code
-    that every RK4 stage replays (:func:`~ltk.tracegrad.trace_grad`), bit
-    for bit the scalar :func:`~ltk.diffkit.grad`; a point where a guard of
-    the trace flips, a domain check trips or the replay raises goes to
-    ``grad``, so results, errors and their times are the scalar loop's.  A
-    generator the trace cannot record keeps ``grad``.  At level INFO
+    The field is one straight-line kernel per run
+    (:func:`~ltk.tracegrad.field_kernel`): ``Ka`` and each ``Kc_k`` are
+    traced once, at the initial point, and every RK4 stage calls the kernel
+    on the state as the list of floats :func:`~ltk.dynamics.rk4_step`
+    holds, bit for bit the scalar loop of :func:`~ltk.diffkit.grad` over
+    the generators.  A stage where a guard of a trace flips, a domain check
+    trips or the kernel raises runs that loop instead, so results, errors
+    and their times are the scalar loop's.  A generator the trace cannot
+    record is differentiated by ``grad`` inside the kernel.  At level INFO
     (``LTK_LOG=info`` on the command line) the ``ltk`` logger says which
-    generators run traced, why the others do not, and how many points fell
+    generators run traced, why the others do not, and how many stages fell
     back.  The recording takes a block of grid points at a time
     (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
     each row bit for bit the point alone.  A block whose passes raise
@@ -385,43 +400,36 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              + [f"{y}{k + 1}" for k in range(n_ports) for y in ("y_p", "y_e")]
              + extra)
 
-    from .tracegrad import trace_grad
+    from .tracegrad import field_kernel
     x0 = liouville_point(sys.gf, params).packed()
-    replays = {}
-    for K in (sys.Ka,) + sys.Kc:
-        replays[id(K)], reason = trace_grad(K, x0.tolist())
+    kernel, reasons = field_kernel(sys.Ka, sys.Kc, x0.tolist(), m)
+    for K, reason in zip((sys.Ka,) + sys.Kc, reasons):
         log.info("simulate %r: %s runs %s", sys.name, K.name,
                  "on a traced replay" if reason is None
                  else f"on the scalar loop: {reason}")
     fallbacks = 0
-
-    def gradient(K, x, xs):
-        nonlocal fallbacks
-        replay = replays[id(K)]
-        if replay is not None:
-            try:
-                g = replay(xs)
-            except Exception:   # noqa: BLE001 - the scalar loop raises it again
-                g = None
-            if g is not None:
-                return g
-            fallbacks += 1
-        return grad(K, x).tolist()
-
     t_read, uv = None, None             # the last input read, u(t_read)
 
     def field(t, x):
         # u is read once per distinct stage time (k2 and k3 share theirs);
         # a port with zero input is skipped: an idle system pays for the drift
-        nonlocal t_read, uv
+        nonlocal t_read, uv, fallbacks
         if t != t_read:
-            uv, t_read = u(t).tolist(), t
-        xs = x.tolist()
-        g = gradient(sys.Ka, x, xs)
+            uv, t_read = u._floats(t), t
+        try:
+            g = kernel(x, uv)
+        except Exception:   # noqa: BLE001 - the scalar loop raises it again
+            g = None
+        if g is not None:
+            return g
+        fallbacks += 1
+        g = grad(sys.Ka, x).tolist()
         for k, K in enumerate(sys.Kc):
             if uv[k] != 0.0:
-                g = [a + uv[k] * b for a, b in zip(g, gradient(K, x, xs))]
+                g = [a + uv[k] * b for a, b in zip(g, grad(K, x).tolist())]
         return g[m:] + [-v for v in g[:m]]
+
+    field._list_stages = True           # rk4_step hands it its lists
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""
@@ -464,7 +472,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         err.args = (where,)
         raise
     finally:
-        log.info("simulate %r: %d points fell back from a traced replay to "
+        log.info("simulate %r: %d stages fell back from the field kernel to "
                  "the scalar loop", sys.name, fallbacks)
     rec = dict(zip(names, traj.monitors["channels"].T))
     return SimulationResult(

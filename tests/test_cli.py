@@ -487,6 +487,12 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
                                                    [-1.5, -0.5]])}},
      "custom system 'param_box' must be a list of [low, high] pairs, "
      "got [[-0.5, True], [-1.5, -0.5]]"),
+    ({"command": "validate", "system": "heat_compartment", "samples": 2.7},
+     "value for 'samples': not an integer: 2.7"),
+    ({"command": "validate", "system": "heat_compartment", "seed": True},
+     "value for 'seed': not an integer: True"),
+    ({"t_end": "0.01"}, "value for 't_end': not a number: '0.01'"),
+    ({"dt": False}, "value for 'dt': not a number: False"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
         "gf J", "energy", "entropy", "index string", "Ka number",
         "gf expr number", "Kc number item", "k1 number", "Kc string",
@@ -494,7 +500,8 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
         "param_box string", "dimensions float", "dimensions bool",
         "gf chart bool", "gf I bool", "gf I float", "gf J bool",
         "energy bool", "entropy float", "custom initial bool",
-        "param_box bool"])
+        "param_box bool", "samples float", "seed bool", "t_end string",
+        "dt bool"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

@@ -255,23 +255,23 @@ def _count_calls(monkeypatch, original):
     return calls
 
 
-def _count_replays(monkeypatch):
-    """The generators traced, and one entry per call of a replay emitted
-    from a trace, each by the generator's name."""
-    traces, replays = [], []
-    original = tracegrad.trace_grad
+def _count_kernels(monkeypatch):
+    """The generators traced into field kernels, and one entry per call of
+    a kernel."""
+    traces, calls = [], []
+    original = tracegrad.field_kernel
 
-    def traced(K, x):
-        traces.append(K.name)
-        replay, reason = original(K, x)
+    def traced(Ka, Kc, x, m):
+        traces.append([K.name for K in (Ka,) + tuple(Kc)])
+        kernel, reasons = original(Ka, Kc, x, m)
 
-        def counted(xs):
-            replays.append(K.name)
-            return replay(xs)
-        return (None if replay is None else counted), reason
+        def counted(xs, u):
+            calls.append(len(xs))
+            return kernel(xs, u)
+        return counted, reasons
 
     _rebind(monkeypatch, original, traced)
-    return traces, replays
+    return traces, calls
 
 
 def test_validate_draws_its_degree_samples_once(monkeypatch):
@@ -307,11 +307,11 @@ def test_simulate_work_per_step(monkeypatch):
     membership = _count_calls(monkeypatch, submanifold.membership_residual)
     grads = _count_calls(monkeypatch, diffkit.grad)
     passes = _count_calls(monkeypatch, diffkit._batch_pass)
-    traces, replays = _count_replays(monkeypatch)
+    traces, kernels = _count_kernels(monkeypatch)
 
     def pass_counts():
         point_grads = [args for args in grads if np.ndim(args[1]) == 1]
-        return ((len(traces), len(replays), len(point_grads)),
+        return ((len(traces), len(kernels), len(point_grads)),
                 [(args[0].name, len(args[1])) for args in passes])
 
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
@@ -319,25 +319,26 @@ def test_simulate_work_per_step(monkeypatch):
     assert len(result.t) == 6
     assert membership == [] and by_value == []
     assert np.max(result.monitors["membership"]) < 1e-10
-    # one trace per generator, then a replay of it at 4 stages x 2
-    # generators per step, and no point takes the scalar loop: the initial
+    # one kernel traced from both generators, then one call of it per
+    # stage, 4 per step, and no point takes the scalar loop: the initial
     # point is a one-row pass of the lift's gradient; per block, the
     # guard's pass of the lift's gradient (the guard doubles as the
     # membership monitor) and a value pass for each output
     lift, y_p, y_e = "lift(gas_piston_damper)", "piston velocity", "0"
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 0)
+    assert work == (1, 4 * 5, 0)
+    assert traces == [["piston drift", "piston force port"]]
     assert blocks == [(lift, 1), (lift, 4), (y_p, 4), (y_e, 4),
                       (lift, 2), (y_p, 2), (y_e, 2)]
     # the README monitors add one pass per active generator along the fiber
     # Euler field, which carries the generator's value for K_res too
-    del grads[:], passes[:], traces[:], replays[:]
+    del grads[:], passes[:], traces[:], kernels[:]
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("K_res", "alpha_res"))
     assert np.max(result.monitors["alpha_res"]) < 1e-12
     assert by_value == []
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 0)
+    assert work == (1, 4 * 5, 0)
     Ka, Kc = gp.Ka.name, gp.Kc[0].name
     assert blocks == [(lift, 1),
                       (lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
@@ -348,12 +349,12 @@ def test_simulate_work_per_step(monkeypatch):
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": [0], "entropy": [1]},
         "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0]})
-    del grads[:], passes[:], traces[:], replays[:]
+    del grads[:], passes[:], traces[:], kernels[:]
     result = simulate(compartment, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=())
     assert len(result.t) == 6
     work, blocks = pass_counts()
-    assert work == (2, 8 * 5, 0)
+    assert work == (1, 4 * 5, 0)
     port = compartment.Kc[0].name
     assert [K for K, _ in blocks] == \
         ["lift(custom)"] + ["lift(custom)", port, port] * 2

@@ -256,6 +256,19 @@ def test_a_failing_step_inside_the_surface_raises_its_own_error():
                         "t=0.305 in the step from t=0.3")
 
 
+@pytest.mark.parametrize("array", [np.array, list])
+def test_an_input_of_the_wrong_size_fails_its_stage(array):
+    # the field reads u as a list, with PortSignal's size check: two values
+    # at each half-step time, first asked for by the first step's k2
+    def u(t):
+        return array([0.5, 0.0] if round(t / 5e-3) % 2 else [0.5])
+
+    err = _assert_same_error(heat_compartment(), 1.0, 1e-2,
+                             u=PortSignal(u, 1))
+    assert str(err) == ("simulation of 'heat_compartment': signal produced 2 "
+                        "values for 1 ports in the step from t=0")
+
+
 @pytest.mark.parametrize("y_p_limit, message", [
     (0.5, "sqrt requires a nonnegative argument"),
     (0.3, "ln requires a positive argument")])

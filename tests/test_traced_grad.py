@@ -21,9 +21,9 @@ from ltk import tracegrad
 from ltk.diffkit import ScalarFn, exp, fd_grad, grad, ln, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
-from ltk.portsys import (BUILTIN_SYSTEMS, PortSignal, PortSystem,
-                         _sample_surface_params, gas_piston_damper,
-                         heat_compartment, simulate)
+from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
+                         PortSystem, _sample_surface_params,
+                         gas_piston_damper, heat_compartment, simulate)
 from ltk.submanifold import liouville_point
 from ltk.tracegrad import trace_grad
 
@@ -267,13 +267,105 @@ def test_an_error_raised_in_a_replay_is_the_scalar_loops():
 
 
 def _scalar_route(monkeypatch):
-    """simulate with every generator left untraced, on the scalar loop."""
+    """simulate with every stage handed back to the scalar loop."""
+    def untraced(Ka, Kc, x, m):
+        return (lambda xs, u: None), ["untraced"] * (1 + len(Kc))
+
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(tracegrad, "trace_grad",
-                          lambda K, x: (None, "untraced"))
+            patch.setattr(tracegrad, "field_kernel", untraced)
             return simulate(*args, **kwargs)
     return run
+
+
+def _assert_matches_scalar_route(monkeypatch, system, t_end, dt, **kwargs):
+    """simulate and the scalar route give the same trajectory and channels
+    bit for bit, or raise the same error; returns simulate's result or
+    error."""
+    runs = []
+    for route in (simulate, _scalar_route(monkeypatch)):
+        try:
+            runs.append(route(system, t_end, dt, **kwargs))
+        except Exception as err:   # noqa: BLE001 - compared below
+            runs.append(err)
+    got, expected = runs
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected) and str(got) == str(expected)
+        return got
+    assert _hex(got.x) == _hex(expected.x) and _hex(got.u) == _hex(expected.u)
+    recorded = dict(expected.outputs, **expected.monitors)
+    assert set(recorded) == set(got.outputs) | set(got.monitors)
+    for name, values in dict(got.outputs, **got.monitors).items():
+        assert _hex(values) == _hex(recorded[name]), name
+    return got
+
+
+def _fallbacks(caplog) -> int:
+    """The stages the last run handed back to the scalar loop."""
+    counts = [r.getMessage() for r in caplog.records
+              if "fell back" in r.getMessage()]
+    return int(counts[-1].split(": ")[1].split()[0])
+
+
+def _piston_with_port(port_fn, name: str) -> PortSystem:
+    piston = gas_piston_damper()
+    return PortSystem(
+        name="piston", gf=piston.gf, Ka=piston.Ka,
+        Kc=(ScalarFn(port_fn, 8, name=name),),
+        energy_indices=(0,), entropy_indices=(1,),
+        default_params=(0.0, 1.0, 0.3, -1.0))
+
+
+def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
+        monkeypatch, caplog):
+    # the port doubles while the piston momentum exceeds 0.35; its guard
+    # sits in the kernel's port section, skipped where the input is 0.0
+    port = gas_piston_damper().Kc[0]
+    system = _piston_with_port(
+        lambda x: port(x) * 2.0 if x[3] > 0.35 else port(x), "switching port")
+    kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0),
+                  monitors=("K_res", "alpha_res", "membership"))
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        result = _assert_matches_reference(system, 200, 1e-2, **kwargs)
+        assert _fallbacks(caplog) > 0
+    assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
+    assert "switching port runs on a traced replay" in caplog.text
+    _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
+
+
+def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
+        monkeypatch, caplog):
+    # the port compares a traced value with ==, so the kernel calls grad
+    # for it and replays the drift, and hands no stage back
+    port = gas_piston_damper().Kc[0]
+    system = _piston_with_port(
+        lambda x: port(x) if x[0] != 123.0 else 0.0, "opaque port")
+    kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        _assert_matches_reference(system, 50, 1e-2, **kwargs)
+        assert _fallbacks(caplog) == 0
+    assert "opaque port runs on the scalar loop: it reads a traced value " \
+        "with ==" in caplog.text
+    assert "runs on a traced replay" in caplog.text
+    _assert_matches_scalar_route(monkeypatch, system, 0.5, 1e-2, **kwargs)
+
+
+def test_a_domain_error_first_hit_in_a_port_is_the_scalar_loops(monkeypatch):
+    # the drift is 0; the heat port's ln(0.3 - S) is undefined from S = 0.3
+    # on, first at an RK4 stage inside the kernel's port section
+    hc = heat_compartment()
+    system = PortSystem(
+        name="compartment", gf=hc.gf, Ka=hc.Ka,
+        Kc=(compile_fn("p1/exp(q1) + p0 + 0 * ln(0.3 - q1) * p1",
+                       ["q0", "q1", "p0", "p1"]),),
+        energy_indices=(0,), entropy_indices=(1,),
+        default_params=hc.default_params)
+    kwargs = dict(u=PortSignal.constant([1.0]))
+    err = _assert_same_error(system, 2.0, 5e-2, **kwargs)
+    assert isinstance(err, ExprEvalError)
+    assert str(err) == ("simulation of 'compartment': ln requires a positive "
+                        "argument in 'ln(0.3-q1)' in the step from t=0.3")
+    _assert_matches_scalar_route(monkeypatch, system, 2.0, 5e-2, **kwargs)
 
 
 # -- constructs the trace cannot record -----------------------------------------
@@ -344,20 +436,19 @@ def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     assert "heat port runs on a traced replay" in caplog.text
 
 
-def test_replays_live_only_for_their_run():
+def test_replays_live_only_for_their_run(monkeypatch):
     # no trace is kept between runs: each simulate traces its generators
     traces = []
-    original = tracegrad.trace_grad
+    original = tracegrad._Trace.record
 
-    def counted(K, x):
+    def counted(trace, K):
         traces.append(K.name)
-        return original(K, x)
+        return original(trace, K)
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tracegrad, "trace_grad", counted)
-        for _ in range(2):
-            simulate(heat_compartment(), 0.05, 0.01,
-                     u=PortSignal.constant([0.3]))
+    monkeypatch.setattr(tracegrad._Trace, "record", counted)
+    for _ in range(2):
+        simulate(heat_compartment(), 0.05, 0.01,
+                 u=PortSignal.constant([0.3]))
     assert traces == ["0", "heat port"] * 2
 
 
