@@ -72,8 +72,6 @@ log = logging.getLogger("ltk")
 # past it the trajectory no longer represents the modeled surface.
 MEMBERSHIP_ABORT = 1e-5
 
-_FLOAT = np.dtype(float)
-
 
 @dataclass
 class PortSystem:
@@ -154,11 +152,7 @@ class PortSignal:
 
     def _floats(self, t: float) -> list:
         """``self(t)`` as a list of Python floats."""
-        u = self.fn(t)
-        if type(u) is np.ndarray and u.dtype is _FLOAT and u.ndim == 1 \
-                and len(u) == self.n_ports:
-            return u.tolist()
-        return self._sized(u).tolist()
+        return self._sized(self.fn(t)).tolist()
 
     def _sized(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -367,13 +361,15 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     traced once, at the initial point, and every RK4 stage calls the kernel
     on the state as the list of floats :func:`~ltk.dynamics.rk4_step`
     holds, bit for bit the scalar loop of :func:`~ltk.diffkit.grad` over
-    the generators.  A stage where a guard of a trace flips, a domain check
-    trips or the kernel raises runs that loop instead, so results, errors
-    and their times are the scalar loop's.  A generator the trace cannot
-    record is differentiated by ``grad`` inside the kernel.  At level INFO
+    the generators.  A generator whose guard flips, whose domain check
+    trips or whose code raises at a stage takes ``grad`` at that stage
+    while the others keep their traced code, so results, errors and their
+    times are the scalar loop's.  A generator the trace cannot record is
+    differentiated by ``grad`` at every stage.  At level INFO
     (``LTK_LOG=info`` on the command line) the ``ltk`` logger says which
-    generators run traced, why the others do not, and how many stages fell
-    back.  The recording takes a block of grid points at a time
+    generators run traced, why the others do not, and at how many stages
+    each traced generator fell back to ``grad``.  The recording takes a
+    block of grid points at a time
     (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
     each row bit for bit the point alone.  A block whose passes raise
     reruns its points one at a time in the order guard, each port's ``u``,
@@ -402,32 +398,22 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
 
     from .tracegrad import field_kernel
     x0 = liouville_point(sys.gf, params).packed()
-    kernel, reasons = field_kernel(sys.Ka, sys.Kc, x0.tolist(), m)
-    for K, reason in zip((sys.Ka,) + sys.Kc, reasons):
+    kernel, reasons, handed_back = field_kernel(sys.Ka, sys.Kc, x0.tolist(),
+                                                m)
+    generators = (sys.Ka,) + sys.Kc
+    for K, reason in zip(generators, reasons):
         log.info("simulate %r: %s runs %s", sys.name, K.name,
                  "on a traced replay" if reason is None
                  else f"on the scalar loop: {reason}")
-    fallbacks = 0
     t_read, uv = None, None             # the last input read, u(t_read)
 
     def field(t, x):
         # u is read once per distinct stage time (k2 and k3 share theirs);
         # a port with zero input is skipped: an idle system pays for the drift
-        nonlocal t_read, uv, fallbacks
+        nonlocal t_read, uv
         if t != t_read:
             uv, t_read = u._floats(t), t
-        try:
-            g = kernel(x, uv)
-        except Exception:   # noqa: BLE001 - the scalar loop raises it again
-            g = None
-        if g is not None:
-            return g
-        fallbacks += 1
-        g = grad(sys.Ka, x).tolist()
-        for k, K in enumerate(sys.Kc):
-            if uv[k] != 0.0:
-                g = [a + uv[k] * b for a, b in zip(g, grad(K, x).tolist())]
-        return g[m:] + [-v for v in g[:m]]
+        return kernel(x, uv)
 
     field._list_stages = True           # rk4_step hands it its lists
 
@@ -472,8 +458,10 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         err.args = (where,)
         raise
     finally:
-        log.info("simulate %r: %d stages fell back from the field kernel to "
-                 "the scalar loop", sys.name, fallbacks)
+        for K, reason, count in zip(generators, reasons, handed_back):
+            if reason is None:
+                log.info("simulate %r: %s fell back from its trace to grad "
+                         "at %d stages", sys.name, K.name, count)
     rec = dict(zip(names, traj.monitors["channels"].T))
     return SimulationResult(
         sys.name, traj.t, traj.x, traj.monitors["channels"][:, 1:1 + n_ports],

@@ -263,12 +263,12 @@ def _count_kernels(monkeypatch):
 
     def traced(Ka, Kc, x, m):
         traces.append([K.name for K in (Ka,) + tuple(Kc)])
-        kernel, reasons = original(Ka, Kc, x, m)
+        kernel, reasons, handed_back = original(Ka, Kc, x, m)
 
         def counted(xs, u):
             calls.append(len(xs))
             return kernel(xs, u)
-        return counted, reasons
+        return counted, reasons, handed_back
 
     _rebind(monkeypatch, original, traced)
     return traces, calls

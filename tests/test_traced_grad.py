@@ -1,9 +1,9 @@
-"""simulate's field replays one trace per generator as straight-line code;
-these tests hold each replay to the scalar ``grad`` loop bit for bit
-(``float.hex``), to ``fd_grad`` as the independent oracle, and hold the
-points a replay hands back (a guard that flips, a domain error, a
-construct the trace cannot record) to the scalar loop's results and
-errors.
+"""simulate's field is one kernel of straight-line code traced from the
+generators; these tests hold each generator's traced code to the scalar
+``grad`` loop bit for bit (``float.hex``), to ``fd_grad`` as the
+independent oracle, and hold the points a generator hands back to
+``grad`` (a guard that flips, a domain error) and the generators the trace
+cannot record to the scalar loop's results and errors.
 """
 
 import logging
@@ -25,7 +25,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, _sample_surface_params,
                          gas_piston_damper, heat_compartment, simulate)
 from ltk.submanifold import liouville_point
-from ltk.tracegrad import trace_grad
+from ltk.tracegrad import field_kernel
 
 GENERATOR_SYSTEMS = dict(
     {name: factory for name, factory in BUILTIN_SYSTEMS.items()},
@@ -34,9 +34,11 @@ GENERATOR_SYSTEMS = dict(
 
 
 def _replay(K: ScalarFn, x):
-    replay, reason = trace_grad(K, list(x))
-    assert reason is None, reason
-    return replay
+    """K's gradient as a field kernel traced at x: with no ports and m = 0
+    its field is the gradient; also the count of calls handed to grad."""
+    kernel, reasons, handed_back = field_kernel(K, (), list(x), 0)
+    assert reasons == [None], reasons
+    return (lambda xs: kernel(list(xs), [])), handed_back
 
 
 def _scalar(K: ScalarFn, x):
@@ -48,21 +50,24 @@ def _scalar(K: ScalarFn, x):
 
 
 def _assert_replays_the_scalar_loop(K, replay, points):
-    """At each point the replay returns grad's partials bit for bit, or
-    hands the point back (None, or an error) where grad may differ or
-    raise; returns the number of points it replayed."""
+    """At each point the kernel returns grad's partials bit for bit or
+    raises grad's error; returns the number of points its traced code
+    took, not handing them back to grad."""
+    kernel, handed_back = replay
     replayed = 0
     for x in points:
         expected = _scalar(K, x)
+        before = handed_back[0]
         try:
-            got = replay(list(x))
-        except Exception:   # noqa: BLE001 - the point goes back to grad
-            got = None
-        if got is None:
-            continue
-        assert not isinstance(expected, Exception), (x, expected)
-        assert _hex(got) == _hex(expected), x
-        replayed += 1
+            got = kernel(x)
+        except Exception as err:   # noqa: BLE001 - compared below
+            got = err
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected), (x, got)
+            assert str(got) == str(expected), x
+        else:
+            assert _hex(got) == _hex(expected), x
+        replayed += handed_back[0] == before
     return replayed
 
 
@@ -83,7 +88,7 @@ def test_replays_are_the_scalar_gradients_bit_for_bit(name):
             len(surface), K.name
         _assert_replays_the_scalar_loop(K, replay, generic)
         for x in surface[:40]:
-            np.testing.assert_allclose(replay(x.tolist()), fd_grad(K, x),
+            np.testing.assert_allclose(replay[0](x), fd_grad(K, x),
                                        rtol=1e-6, atol=1e-6)
 
 
@@ -121,7 +126,7 @@ def test_replays_of_expression_generators_match_the_scalar_loop(drawn, seed):
     replay = _replay(K, points[0])
     assert _assert_replays_the_scalar_loop(K, replay, points) == len(points)
     _assert_replays_the_scalar_loop(K, replay, [zero_costates])
-    np.testing.assert_allclose(replay(points[1].tolist()),
+    np.testing.assert_allclose(replay[0](points[1]),
                                fd_grad(K, points[1]), rtol=1e-5, atol=1e-6)
 
 
@@ -149,12 +154,13 @@ def test_zero_valued_coordinates_keep_their_signed_zeros(fn, x):
     # pass of a batch; each route returns a zero partial as +0.0, so the
     # loop, the replay and the rows of a batch agree in raw bits
     K = ScalarFn(fn, 3)
-    replay = _replay(K, x)
+    replay, handed_back = _replay(K, x)
     other = [1.0, -2.0, 0.5]
     expected = _hex(grad(K, x))
     assert "-0x0.0p+0" not in expected
     assert _hex(replay(list(x))) == expected
     assert _hex(replay(other)) == _hex(grad(K, other))
+    assert handed_back == [0]
     assert _hex(grad(K, np.array([x]))) == expected
     assert _hex(grad(K, np.array([x, other, x]))) == \
         _hex([grad(K, x), grad(K, other), grad(K, x)])
@@ -164,8 +170,9 @@ def test_truth_of_a_traced_zero_is_not_taken():
     # bool(Dual(0.0, 1.0)) is True while bool(0.0) is False, so a scalar
     # pass branches per seed: the trace refuses, and grad takes every point
     K = ScalarFn(lambda x: x[0] * (2.0 if x[1] else 3.0), 2)
-    replay, reason = trace_grad(K, [1.0, 0.0])
-    assert replay is None and "bool()" in reason
+    kernel, reasons, _ = field_kernel(K, (), [1.0, 0.0], 0)
+    assert "bool()" in reasons[0]
+    assert _hex(kernel([1.0, 0.0], [])) == _hex(grad(K, [1.0, 0.0]))
 
 
 # -- points handed back: guards and domain checks --------------------------------
@@ -173,10 +180,12 @@ def test_truth_of_a_traced_zero_is_not_taken():
 
 def test_a_flipped_guard_hands_the_point_back():
     K = ScalarFn(lambda x: x[0] * x[1] if x[0] > 0.5 else x[1] * x[1], 2)
-    replay = _replay(K, [1.0, 2.0])
+    replay, handed_back = _replay(K, [1.0, 2.0])
     assert _hex(replay([0.75, -3.0])) == _hex(grad(K, [0.75, -3.0]))
-    assert replay([0.25, -3.0]) is None
-    assert replay([0.5, -3.0]) is None
+    assert handed_back == [0]
+    for x in ([0.25, -3.0], [0.5, -3.0]):
+        assert _hex(replay(x)) == _hex(grad(K, x))
+    assert handed_back == [2]
 
 
 @pytest.mark.parametrize("fn, x, message", [
@@ -189,10 +198,11 @@ def test_a_flipped_guard_hands_the_point_back():
 ])
 def test_domain_errors_hand_the_point_back(fn, x, message):
     K = ScalarFn(fn, 2)
-    replay = _replay(K, [3.0, 2.0])
-    with pytest.raises((ValueError, ZeroDivisionError), match=message):
-        grad(K, x)
-    assert replay(x) is None
+    replay, handed_back = _replay(K, [3.0, 2.0])
+    for route in (lambda x: grad(K, x), replay):
+        with pytest.raises((ValueError, ZeroDivisionError), match=message):
+            route(x)
+    assert handed_back == [1]
 
 
 def test_a_guard_that_flips_mid_run_matches_the_scalar_loop(caplog):
@@ -214,10 +224,9 @@ def test_a_guard_that_flips_mid_run_matches_the_scalar_loop(caplog):
             system, 200, 1e-2, u=PortSignal.sinusoid(0.2, 1.0),
             monitors=("K_res", "membership"))
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
-    fell_back = [r.getMessage() for r in caplog.records
-                 if "fell back" in r.getMessage()]
-    assert len(fell_back) == 1 and not fell_back[0].startswith(
-        "simulate 'switching piston': 0 ")
+    # only the drift goes back to grad; the port keeps its traced code
+    assert _fallbacks(caplog, "switching drift") > 0
+    assert _fallbacks(caplog, piston.Kc[0].name) == 0
     assert "switching drift runs on a traced replay" in caplog.text
 
 
@@ -267,13 +276,12 @@ def test_an_error_raised_in_a_replay_is_the_scalar_loops():
 
 
 def _scalar_route(monkeypatch):
-    """simulate with every stage handed back to the scalar loop."""
-    def untraced(Ka, Kc, x, m):
-        return (lambda xs, u: None), ["untraced"] * (1 + len(Kc))
-
+    """simulate with no generator traced: the kernel takes grad of each
+    generator at every stage, the scalar loop."""
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(tracegrad, "field_kernel", untraced)
+            patch.setattr(tracegrad._Trace, "record",
+                          lambda trace, K: (None, "untraced"))
             return simulate(*args, **kwargs)
     return run
 
@@ -300,11 +308,12 @@ def _assert_matches_scalar_route(monkeypatch, system, t_end, dt, **kwargs):
     return got
 
 
-def _fallbacks(caplog) -> int:
-    """The stages the last run handed back to the scalar loop."""
+def _fallbacks(caplog, name: str) -> int:
+    """The stages at which the last run handed generator ``name`` back
+    from its trace to grad."""
     counts = [r.getMessage() for r in caplog.records
-              if "fell back" in r.getMessage()]
-    return int(counts[-1].split(": ")[1].split()[0])
+              if f": {name} fell back" in r.getMessage()]
+    return int(counts[-1].split(" at ")[-1].split()[0])
 
 
 def _piston_with_port(port_fn, name: str) -> PortSystem:
@@ -319,7 +328,8 @@ def _piston_with_port(port_fn, name: str) -> PortSystem:
 def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
         monkeypatch, caplog):
     # the port doubles while the piston momentum exceeds 0.35; its guard
-    # sits in the kernel's port section, skipped where the input is 0.0
+    # sits in the kernel's port section, skipped where the input is 0.0,
+    # and sends only the port to grad: the drift keeps its traced code
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
         lambda x: port(x) * 2.0 if x[3] > 0.35 else port(x), "switching port")
@@ -327,7 +337,8 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
                   monitors=("K_res", "alpha_res", "membership"))
     with caplog.at_level(logging.INFO, logger="ltk"):
         result = _assert_matches_reference(system, 200, 1e-2, **kwargs)
-        assert _fallbacks(caplog) > 0
+        assert _fallbacks(caplog, "switching port") > 0
+        assert _fallbacks(caplog, "piston drift") == 0
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
     assert "switching port runs on a traced replay" in caplog.text
     _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
@@ -336,14 +347,15 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
 def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
         monkeypatch, caplog):
     # the port compares a traced value with ==, so the kernel calls grad
-    # for it and replays the drift, and hands no stage back
+    # for it at every stage and replays the drift, which it never hands back
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
         lambda x: port(x) if x[0] != 123.0 else 0.0, "opaque port")
     kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
     with caplog.at_level(logging.INFO, logger="ltk"):
         _assert_matches_reference(system, 50, 1e-2, **kwargs)
-        assert _fallbacks(caplog) == 0
+        assert _fallbacks(caplog, "piston drift") == 0
+        assert "opaque port fell back" not in caplog.text
     assert "opaque port runs on the scalar loop: it reads a traced value " \
         "with ==" in caplog.text
     assert "runs on a traced replay" in caplog.text
@@ -408,8 +420,8 @@ def _caught_float(v):
 def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     fn, reason = UNTRACEABLE[case]
     K = fn if isinstance(fn, ScalarFn) else ScalarFn(fn, 2, name=case)
-    replay, why = trace_grad(K, [1.5, 0.5])
-    assert replay is None and reason in why
+    _, why, _ = field_kernel(K, (), [1.5, 0.5], 0)
+    assert reason in why[0]
     # a heat compartment whose drift is K times its port generator, which
     # vanishes on the surface, runs K's drift on grad and the port on a
     # replay, with the scalar loop's results or error
@@ -457,13 +469,14 @@ def test_numpy_constants_raise_as_a_dual_raises():
     # division by zero raises, where numpy scalars give inf
     big, zero = np.float64(1e200), np.float64(0.0)
     K = ScalarFn(lambda x: (x[0] * big) ** 2 + x[1] / (x[0] + zero), 2)
-    replay = _replay(K, [1e-200, 1.0])
+    replay, handed_back = _replay(K, [1e-200, 1.0])
     assert _hex(replay([1e-200, 1.0])) == _hex(grad(K, [1e-200, 1.0]))
     with pytest.raises(OverflowError):
         grad(K, [1.0, 1.0])
     with pytest.raises(OverflowError):
         replay([1.0, 1.0])
+    assert handed_back == [1]
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
-    assert trace_grad(divided, [1.0, 1.0])[0] is None
+    assert field_kernel(divided, (), [1.0, 1.0], 0)[1][0] is not None
