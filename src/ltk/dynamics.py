@@ -17,13 +17,14 @@ Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
 take a (B, dim) batch of states, one per row, differentiated in one
 vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.  A single
-state steps as a list of Python floats and a batch in numpy, with the same
-stage expressions entry by entry, so a batch row and the state alone agree
-bit for bit.  :func:`integrate` is the package's one integration loop;
-port-system simulation (:func:`ltk.portsys.simulate`) runs on it,
-recording its guard, inputs, outputs and monitors through one monitor that
-takes a block of grid points at a time; a run that leaves the surface is
-detected at the end of its block.
+state steps as a list of Python floats, by a generated straight-line step
+per state length, and a batch in numpy, with the same stage expressions,
+so a batch row and the state alone agree bit for bit.  :func:`integrate`
+is the package's one integration loop; port-system simulation
+(:func:`ltk.portsys.simulate`) runs on it, recording its guard, inputs,
+outputs and monitors through one monitor that takes a block of grid points
+at a time; a run that leaves the surface is detected at the end of its
+block.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -242,19 +243,21 @@ def reduced_rhs(Kbar: ScalarFn):
 def rk4_step(f, t: float, x, dt: float):
     """One classical Runge-Kutta step of size dt.
 
-    A single state given as a list steps in Python floats, entry by entry
-    with the expressions an ndarray state steps with, so both give the same
-    bits; the step returns a list.  ``f`` still receives each stage as a
-    1-D ndarray, and may return a list or an ndarray; a field marked
-    ``_list_stages`` (:func:`ltk.portsys.simulate`'s) receives the list
-    itself and returns a list.  An ndarray state (one vector, or a
-    (B, dim) batch) steps in numpy and returns an ndarray.
+    A single state given as a list steps in Python floats, by a generated
+    straight-line step per state length (made on first use) that writes
+    each entry with the expressions an ndarray state steps with, so both
+    give the same bits; the step returns a list.  ``f`` still receives each
+    stage as a 1-D ndarray, and may return a list or an ndarray; a field
+    marked ``_list_stages`` (:func:`ltk.portsys.simulate`'s) receives the
+    list itself and returns a list.  An ndarray state (one vector, or a
+    (B, dim) batch) steps in numpy and returns an ndarray.  A stage of
+    another length or shape than the state raises ``ValueError``.
     """
     if isinstance(x, np.ndarray):
-        k1 = f(t, x)
-        k2 = f(t + dt / 2.0, x + (dt / 2.0) * k1)
-        k3 = f(t + dt / 2.0, x + (dt / 2.0) * k2)
-        k4 = f(t + dt, x + dt * k3)
+        k1 = _stage_array(f, t, x)
+        k2 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k1)
+        k3 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k2)
+        k4 = _stage_array(f, t + dt, x + dt * k3)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     if getattr(f, "_list_stages", False):
@@ -264,14 +267,55 @@ def rk4_step(f, t: float, x, dt: float):
             k = f(t, np.array(x))
             return k.tolist() if isinstance(k, np.ndarray) else k
 
-    h = dt / 2.0
-    k1 = stage(t, x)
-    k2 = stage(t + h, [a + h * b for a, b in zip(x, k1)])
-    k3 = stage(t + h, [a + h * b for a, b in zip(x, k2)])
-    k4 = stage(t + dt, [a + dt * b for a, b in zip(x, k3)])
-    w = dt / 6.0
-    return [a + w * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    step = _LIST_STEPS.get(len(x)) or _list_step(len(x))
+    return step(stage, t, x, dt)
+
+
+def _stage_array(f, t, x):
+    k = f(t, x)
+    if np.shape(k) != x.shape:
+        raise ValueError(f"the field returned a stage of shape "
+                         f"{np.shape(k)} for a state of shape {x.shape}")
+    return k
+
+
+def _wrong_length(k, n: int) -> ValueError:
+    return ValueError(f"the field returned a stage of length {len(k)} for a "
+                      f"state of length {n}")
+
+
+# The list steps made so far, by state length.
+_LIST_STEPS = {}
+
+
+def _list_step(n: int):
+    """The straight-line RK4 step of a list state of length n: the
+    ndarray step's expressions on the entries, in the same order."""
+    def names(prefix):
+        return [f"{prefix}{i}" for i in range(n)]
+
+    def unpacked(k, name):
+        return [f"k = {k}", "try:", f"    [{', '.join(names(name))}] = k",
+                "except ValueError:", f"    raise _wrong_length(k, {n}) "
+                "from None"]
+
+    def stage(a, scale):
+        return "[" + ", ".join(f"x{i} + {scale} * {a}{i}"
+                               for i in range(n)) + "]"
+
+    body = ([f"[{', '.join(names('x'))}] = x", "h = dt / 2.0"]
+            + unpacked("f(t, x)", "a")
+            + unpacked(f"f(t + h, {stage('a', 'h')})", "b")
+            + unpacked(f"f(t + h, {stage('b', 'h')})", "c")
+            + unpacked(f"f(t + dt, {stage('c', 'dt')})", "d")
+            + ["w = dt / 6.0",
+               "return [" + ", ".join(
+                   f"x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
+                   for i in range(n)) + "]"])
+    namespace = {"_wrong_length": _wrong_length}
+    exec("def step(f, t, x, dt):\n    " + "\n    ".join(body), namespace)
+    step = _LIST_STEPS[n] = namespace["step"]
+    return step
 
 
 class _NonFiniteState(RuntimeError):
@@ -316,13 +360,17 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     x = np.asarray(x0, dtype=float).copy()
     monitors = list(monitors or [])
 
-    ts = np.empty(steps + 1)
+    ts = np.arange(steps + 1) * dt      # i * dt, bit for bit
     xs = np.empty((steps + 1,) + x.shape)
+    rows = []                           # single-state rows not yet in xs
     mon = {}
     done = 0                            # points whose monitors are recorded
 
     def record_monitors(end):
         nonlocal done
+        if rows:
+            xs[end - len(rows):end] = rows
+            rows.clear()
         if end == done:
             return
         for name, fn in monitors:
@@ -332,7 +380,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             mon[name][done:end] = values
         done = end
 
-    ts[0], xs[0] = 0.0, x
+    xs[0] = x
     single = x.ndim == 1
     if single:
         x = x.tolist()
@@ -344,16 +392,17 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             if single:
                 if not all(map(math.isfinite, x)):
                     raise _NonFiniteState(i * dt, i)
+                rows.append(x)
             else:
                 finite = np.isfinite(x).all(axis=1)
                 if not finite.all():
                     raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
+                xs[i] = x
         except Exception as err:
             if not isinstance(err, _NonFiniteState):
                 err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)
             record_monitors(i)
             raise
-        ts[i], xs[i] = i * dt, x
     record_monitors(steps + 1)
     return Trajectory(ts, xs, mon)
 

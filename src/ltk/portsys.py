@@ -141,17 +141,23 @@ class PortSystem:
 
 
 class PortSignal:
-    """A vector-valued control signal ``u(t)`` with a fixed port count."""
+    """A vector-valued control signal ``u(t)`` with a fixed port count.
+
+    Each call returns a fresh array.  A built-in signal reads its values
+    straight into a list of floats; ``PortSignal(fn, n_ports)`` reads
+    ``fn(t)`` and checks its size.
+    """
 
     def __init__(self, fn, n_ports: int):
         self.fn = fn
         self.n_ports = n_ports
 
     def __call__(self, t: float) -> np.ndarray:
-        return self._sized(self.fn(t))
+        return np.array(self._floats(t))
 
     def _floats(self, t: float) -> list:
-        """``self(t)`` as a list of Python floats."""
+        """``self(t)`` as a list of Python floats, which its reader must not
+        change."""
         return self._sized(self.fn(t)).tolist()
 
     def _sized(self, u) -> np.ndarray:
@@ -162,25 +168,34 @@ class PortSignal:
         return u
 
     @classmethod
+    def _reading(cls, floats, n_ports: int) -> "PortSignal":
+        """A built-in signal whose ``_floats`` is ``floats``."""
+        signal = cls(lambda t: np.array(floats(t)), n_ports)
+        signal._floats = floats
+        return signal
+
+    @classmethod
     def zero(cls, n_ports: int) -> "PortSignal":
-        return cls(lambda t: np.zeros(n_ports), n_ports)
+        zeros = [0.0] * n_ports
+        return cls._reading(lambda t: zeros, n_ports)
 
     @classmethod
     def constant(cls, values) -> "PortSignal":
         vals = np.atleast_1d(np.asarray(values, dtype=float))
-        return cls(lambda t: vals, vals.size)
+        floats = vals.tolist()
+        return cls._reading(lambda t: floats, vals.size)
 
     @classmethod
     def sinusoid(cls, amplitude: float, frequency: float,
                  phase: float = 0.0) -> "PortSignal":
         a, w, ph = float(amplitude), float(frequency), float(phase)
-        return cls(lambda t: np.array([a * np.sin(w * t + ph)]), 1)
+        return cls._reading(lambda t: [a * float(np.sin(w * t + ph))], 1)
 
     @classmethod
     def from_exprs(cls, sources) -> "PortSignal":
         from .exprlang import compile_fn
         fns = [compile_fn(src, ["t"]) for src in sources]
-        return cls(lambda t: np.array([f([t]) for f in fns]), len(fns))
+        return cls._reading(lambda t: [f([t]) for f in fns], len(fns))
 
 
 @dataclass
@@ -336,6 +351,21 @@ def _total_rows(sys: PortSystem, U: np.ndarray, X: np.ndarray):
     return np.abs(value), np.abs(residual)
 
 
+class _InputReads(dict):
+    """``u(t)`` as a list of floats by ``t``, read at the first lookup of
+    ``t``: a step's stages share a read at one time (k2 and k3 always), and
+    the recording takes the read of each step's first stage, at its grid
+    time.  ``simulate`` drops the times it has recorded."""
+
+    def __init__(self, u: PortSignal):
+        super().__init__()
+        self.u = u
+
+    def __missing__(self, t):
+        uv = self[t] = self.u._floats(t)
+        return uv
+
+
 def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              params=None, monitors=(), membership_tol: float = MEMBERSHIP_ABORT
              ) -> SimulationResult:
@@ -352,9 +382,12 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     keeps its type and gains the system's name and the time of its step or
     recorded point.  ``K_res`` is
     ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
-    the total generator K.  The field reads ``u`` once per distinct stage
-    time (an RK4 step's two half-step stages share one read), as a list of
-    floats, so a ``PortSignal`` should be a pure function of ``t``.
+    the total generator K.  ``u`` is read once per distinct time, as a list
+    of floats: an RK4 step's two half-step stages share one read, and the
+    recording reuses the read of each step's first stage, at its grid time,
+    reading only the grid points no stage read (such as ``t_end``, where
+    the last stage time can differ in the last bit).  So a ``PortSignal``
+    should be a pure function of ``t``.
 
     The field is one straight-line kernel per run
     (:func:`~ltk.tracegrad.field_kernel`): ``Ka`` and each ``Kc_k`` are
@@ -405,21 +438,20 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         log.info("simulate %r: %s runs %s", sys.name, K.name,
                  "on a traced replay" if reason is None
                  else f"on the scalar loop: {reason}")
-    t_read, uv = None, None             # the last input read, u(t_read)
+    reads = _InputReads(u)
 
     def field(t, x):
-        # u is read once per distinct stage time (k2 and k3 share theirs);
         # a port with zero input is skipped: an idle system pays for the drift
-        nonlocal t_read, uv
-        if t != t_read:
-            uv, t_read = u._floats(t), t
-        return kernel(x, uv)
+        return kernel(x, reads[t])
 
     field._list_stages = True           # rk4_step hands it its lists
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""
-        U = np.array([u(ti) for ti in t.tolist()]).reshape(len(t), n_ports)
+        times = t.tolist()
+        U = np.array([reads[ti] for ti in times]).reshape(len(t), n_ports)
+        for ti in [ti for ti in reads if ti < times[-1]]:
+            del reads[ti]
         cols = list(U.T) + [_output_rows(y[k], X, m) for k in range(n_ports)
                             for y in (sys.y_p, sys.y_e)]
         totals = {nm: sum((X[:, i] for i in indices), np.zeros(len(X)))

@@ -10,7 +10,9 @@ coordinate the node reads, the derivative by the scalar
 does not read a seed is a plain float in that seed's scalar pass of
 :func:`~ltk.diffkit.grad` and carries no derivative there, so every partial
 is grad's bit for bit, zero partials as +0.0.  A factor 1.0 is left out of
-a product, which changes no bit.  :func:`field_kernel` writes a port
+a product, which changes no bit, and so is the value line of a sum,
+difference, product or negation that no later line reads, as it cannot
+raise.  :func:`field_kernel` writes a port
 system's drift and port generators into one body that returns the
 canonical field of ``Ka + sum_k u_k Kc_k``, its names numbered on across
 the generators.
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 
 from .diffkit import ScalarFn, _Recorder, grad
 
@@ -313,8 +316,33 @@ class _Trace:
                 dots[n, i] = source
         # 0.0 + returns a zero partial as +0.0, as grad does
         partials = [dots.get((out, i), "0.0") for i in range(dim)]
-        return lines, [d if d in ("0.0", "1.0") else f"0.0 + {d}"
-                       for d in partials]
+        partials = [d if d in ("0.0", "1.0") else f"0.0 + {d}"
+                    for d in partials]
+        return _live(lines, partials, {
+            f"v{n}" for n in range(first, len(self.nodes))
+            if self.nodes[n][0] in _CANNOT_RAISE}), partials
+
+
+# Nodes whose value line cannot raise, so dropping it where nothing reads
+# it changes no result and no error.
+_CANNOT_RAISE = {"add", "sub", "mul", "neg", "one"}
+_NAME = re.compile(r"\b[vkd]\d+(?:_\d+)?\b")
+
+
+def _live(lines, partials, droppable) -> list:
+    """``lines`` without the assignments to ``droppable`` names that no
+    later line and no partial reads (backward liveness)."""
+    read = set(_NAME.findall(" ".join(partials)))
+    kept = []
+    for line in reversed(lines):
+        target, _, source = line.partition(" = ")
+        if line.startswith("if "):
+            source = line
+        elif target in droppable and target not in read:
+            continue
+        read.update(_NAME.findall(source))
+        kept.append(line)
+    return kept[::-1]
 
 
 def _value_of_traced(v):

@@ -393,6 +393,131 @@ def test_a_field_may_return_a_list_or_an_array(name):
         assert _hex(by_list.x) == _hex(by_array.x) == _hex(steps)
 
 
+def _ring(n):
+    """A nonlinear, time-dependent field on n coordinates."""
+    def f(t, x):
+        return np.array([np.sin(t + i) * x[(i + 1) % n] - x[i] * x[(i + 2) % n]
+                         + 0.5 * i for i in range(n)])
+    return f
+
+
+def _forms(f):
+    """``f``, the same field returning lists, and the same field marked
+    ``_list_stages``, which receives and returns lists."""
+    def listed(t, x):
+        return f(t, x).tolist()
+
+    def marked(t, x):
+        assert isinstance(x, list)
+        return f(t, np.array(x)).tolist()
+
+    marked._list_stages = True
+    return f, listed, marked
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_the_generated_list_step_is_the_array_step_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    huge = _ring(n)
+
+    def overflowing(t, x):
+        # stages that reach inf, and NaN from inf - inf
+        return huge(t, x) * 1e306
+
+    reached = []
+    for f in (_ring(n), overflowing):
+        for i in range(20):
+            x = rng.uniform(-2.0, 2.0, n)
+            if i >= 16:                 # a state that holds inf or NaN
+                x[i % n] = np.inf if i % 2 else np.nan
+            t, dt = 0.1 * i, 1e-2 * (1 + i % 3)
+            with np.errstate(all="ignore"):
+                stepped = rk4_step(f, t, x, dt)
+                for form in _forms(f):
+                    listed = rk4_step(form, t, x.tolist(), dt)
+                    assert isinstance(listed, list)
+                    assert [v.hex() for v in listed] == _hex(stepped)
+            reached += listed
+    assert {"inf", "nan"} <= {v.lstrip("-") for v in _hex(reached)}
+
+
+def test_a_field_raising_at_stage_3_raises_alike_from_both_steps():
+    def failing(at):
+        """-x, raising at the stage of call number ``at``."""
+        calls = []
+
+        def f(t, x):
+            calls.append(t)
+            if len(calls) == at:
+                raise ArithmeticError(f"stage {(at - 1) % 4 + 1} at t={t!r}")
+            return -x
+        return f
+
+    errors = []
+    for x in ([1.0, 2.0], np.array([1.0, 2.0])):
+        with pytest.raises(ArithmeticError) as err:
+            rk4_step(failing(3), 0.3, x, 0.1)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == "stage 3 at t=0.35"
+    # the third stage of the fourth step
+    with pytest.raises(ArithmeticError, match=r"^stage 3 at t=0\.35\d* in the "
+                       r"step from t=0\.3$"):
+        integrate(failing(15), [1.0, 2.0], 1.0, 0.1)
+
+
+@pytest.mark.parametrize("got", [1, 3])
+def test_a_field_of_the_wrong_length_raises(got):
+    def f(t, x):
+        return np.ones(got)
+
+    lengths = rf"length {got} for a state of length 2\b"
+    with pytest.raises(ValueError, match=lengths + " in the step from t=0$"):
+        integrate(f, np.array([1.0, 2.0]), 0.3, 0.1)
+    for form in _forms(f)[1:]:
+        with pytest.raises(ValueError, match=lengths):
+            rk4_step(form, 0.0, [1.0, 2.0], 0.1)
+    with pytest.raises(ValueError, match=rf"shape \({got},\) for a state of "
+                       r"shape \(2,\)"):
+        rk4_step(f, 0.0, np.array([1.0, 2.0]), 0.1)
+
+    def batch(t, x):
+        return np.ones((len(x), got))
+
+    with pytest.raises(ValueError, match=rf"shape \(3, {got}\) for a state of "
+                       r"shape \(3, 2\)"):
+        integrate(batch, np.ones((3, 2)), 0.3, 0.1)
+
+
+@pytest.mark.parametrize("block", [5, 32])
+def test_monitors_see_the_stored_rows_and_grid_times(block, monkeypatch):
+    # single-state rows reach the trajectory a block at a time; a monitor,
+    # also one before a failing step, sees them as the trajectory holds them
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", block)
+    f, dt = _ring(3), 0.03
+    seen = []
+
+    def monitor(t, X):
+        seen.append((t.tolist(), X.copy()))
+        return X[:, 0]
+
+    traj = integrate(f, [0.5, -0.2, 0.1], 1.5, dt, [("x", monitor)])
+    assert _hex(traj.t) == [(i * dt).hex() for i in range(51)]
+    assert sum((t for t, _ in seen), []) == traj.t.tolist()
+    assert _hex(np.vstack([X for _, X in seen])) == _hex(traj.x)
+
+    def failing(t, x):
+        if t > 1.0:
+            raise ValueError("field undefined")
+        return f(t, x)
+
+    seen.clear()
+    with pytest.raises(ValueError, match="field undefined"):
+        integrate(failing, [0.5, -0.2, 0.1], 1.5, dt, [("x", monitor)])
+    reached = np.vstack([X for _, X in seen])
+    assert len(reached) == 34
+    assert _hex(reached) == _hex(traj.x[:34])
+
+
 def test_flow_transport_names_the_trajectory_that_went_non_finite():
     # K = c p0^2 moves q at the constant rate 2 c p0; c is set so that the
     # RK4 sum 6 * 2c|p0| stays finite at p0 = -1 but overflows for the

@@ -42,6 +42,45 @@ def test_signal_kinds():
     assert e.n_ports == 2
 
 
+SIGNALS = {
+    "zero": lambda: PortSignal.zero(3),
+    "constant": lambda: PortSignal.constant([0.1, -0.0, np.inf]),
+    "sinusoid": lambda: PortSignal.sinusoid(0.3, 2.0, 0.5),
+    "expressions": lambda: PortSignal.from_exprs(
+        ["0.2*sin(3*t)", "1e308*10*t", "-(0*t)", "t^2"]),
+    "function": lambda: PortSignal(lambda t: [np.cos(t), 1.0 / (1.0 + t)], 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGNALS))
+def test_signal_reads_as_floats_equal_its_arrays(kind):
+    # simulate reads a signal as floats; each is the array's entry bit for
+    # bit, infinities, NaN and -0.0 included
+    signal = SIGNALS[kind]()
+    seen = set()
+    for t in np.linspace(0.0, 50.0, 1000).tolist():
+        floats = signal._floats(t)
+        assert all(type(v) is float for v in floats)
+        assert [v.hex() for v in floats] == \
+            [v.hex() for v in signal(t).tolist()]
+        seen.update(v.hex() for v in floats)
+    if kind == "expressions":
+        assert {"inf", "nan", "-0x0.0p+0"} <= seen
+    if kind == "sinusoid":              # a * np.sin(w t + ph), as a float
+        assert signal._floats(0.7) == [0.3 * np.sin(2.0 * 0.7 + 0.5)]
+
+
+def test_a_signal_hands_out_a_fresh_array_each_call():
+    s = PortSignal.constant([0.1, 0.2])
+    a = s(0.0)
+    a[0] = 9.0
+    assert s(1.0).tolist() == s._floats(1.0) == [0.1, 0.2]
+    values = np.array([0.1, 0.2])
+    own = PortSignal(lambda t: values, 2)
+    own(0.0)[0] = 9.0
+    assert values.tolist() == [0.1, 0.2]
+
+
 def test_signal_port_count_enforced():
     bad = PortSignal(lambda t: np.array([1.0, 2.0]), n_ports=1)
     with pytest.raises(ValueError, match="ports"):

@@ -161,25 +161,40 @@ def test_full_size_blocks_match_the_point_by_point_recording():
     _assert_matches_reference(system, 2 * MONITOR_BLOCK + 1, 1e-3, **kwargs)
 
 
-def test_the_field_reads_the_input_once_per_distinct_stage_time():
-    # k2 and k3 share the half-step time, and k4 of one step and k1 of the
-    # next share theirs where the floats are equal; the recording reads u
-    # at every grid point after the last step (one block)
+def _input_reads(steps, dt):
+    """The times at which a run of ``steps`` steps reads its input, the
+    distinct stage times of its steps and its grid times."""
     calls = []
 
     def logged(t):
         calls.append(t)
         return [0.3]
 
-    steps, dt = 20, 1e-2
     result = simulate(heat_compartment(), steps * dt, dt,
                       u=PortSignal(logged, 1))
-    field, recorded = calls[:-(steps + 1)], calls[-(steps + 1):]
-    assert recorded == result.t.tolist()
-    assert len(field) <= 3 * steps
-    assert all(a != b for a, b in zip(field, field[1:]))
-    assert set(field) == {i * dt + h for i in range(steps)
-                          for h in (0.0, dt / 2.0, dt)}
+    stages = {i * dt + h for i in range(steps) for h in (0.0, dt / 2.0, dt)}
+    return calls, stages, result.t.tolist()
+
+
+def test_the_field_reads_the_input_once_per_distinct_stage_time():
+    # k2 and k3 share the half-step time, and k4 of one step and k1 of the
+    # next share theirs where the floats are equal; a step's first stage
+    # reads at its grid time, which the recording reuses, so the recording
+    # (one block, after the run) reads only the grid points no stage read
+    steps, dt = 21, 1e-2
+    calls, stages, grid = _input_reads(steps, dt)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == stages | set(grid)
+    unread = sorted(set(grid) - stages)
+    assert unread == [steps * dt]       # 20 * dt + dt != 21 * dt
+    assert calls[-1] == steps * dt
+
+
+def test_the_recording_reads_no_time_twice_across_blocks(monkeypatch):
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
+    calls, stages, grid = _input_reads(21, 1e-2)
+    assert len(calls) == len(set(calls))
+    assert set(calls) == stages | set(grid)
 
 
 # -- aborted runs ------------------------------------------------------------------

@@ -6,6 +6,7 @@ independent oracle, and hold the points a generator hands back to
 cannot record to the scalar loop's results and errors.
 """
 
+import ast
 import logging
 import math
 
@@ -480,3 +481,49 @@ def test_numpy_constants_raise_as_a_dual_raises():
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
     assert field_kernel(divided, (), [1.0, 1.0], 0)[1][0] is not None
+
+
+def _kernel_source(monkeypatch, system) -> str:
+    """The source of ``system``'s field kernel at a surface point."""
+    sources = []
+    original = tracegrad._code
+
+    def kept(source):
+        sources.append(source)
+        return original(source)
+
+    monkeypatch.setattr(tracegrad, "_code", kept)
+    params = _sample_surface_params(system, 1, 5)[0]
+    x0 = liouville_point(system.gf, params).packed()
+    field_kernel(system.Ka, system.Kc, x0.tolist(), system.n_coords)
+    return sources[-1]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS))
+def test_the_kernel_assigns_no_value_it_never_reads(name, monkeypatch):
+    # a value line that nothing reads is dropped where its node cannot raise
+    source = _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name]())
+    tree = ast.parse(source)
+    loads = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.setdefault(node.id, []).append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0],
+                                                       ast.Name):
+            target = node.targets[0].id
+            assert any(line > node.lineno for line in loads.get(target, ())), \
+                f"{target} at line {node.lineno} is never read"
+
+
+def test_unread_values_that_may_raise_are_kept(monkeypatch):
+    # an unread exp may overflow where grad overflows, so its line stays;
+    # an unread product goes
+    hc = heat_compartment()
+    system = PortSystem(
+        name="unread", gf=hc.gf, energy_indices=(0,), entropy_indices=(1,),
+        Ka=ScalarFn(lambda x: (exp(x[0]) + x[1] * x[2], x[3])[1], 4),
+        param_box=hc.param_box)
+    source = _kernel_source(monkeypatch, system)
+    assert "_exp(v0)" in source
+    assert "v1 * v2" not in source
