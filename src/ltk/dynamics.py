@@ -44,10 +44,10 @@ import numpy as np
 
 from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
                       grad)
-from .geometry import (ChartDegenerateError, EulerFieldKind, PhasePoint,
+from .geometry import (EulerFieldKind, PhasePoint, _chart_rows,
                        _relative_euler_rows, sample_phase_points)
 from .submanifold import (GeneratingFunction, _liouville_rows,
-                          _membership_rows)
+                          _membership_rows, _specific_ratios)
 
 __all__ = [
     "Trajectory",
@@ -552,11 +552,5 @@ def project_reduced(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     m = x.size // 2
-    q, p = x[:m], x[m:]
-    if abs(q[1]) < 1e-12 * max(1.0, float(np.max(np.abs(q)))):
-        raise ValueError("q_1 is below the reduction threshold")
-    if abs(p[0]) < 1e-12 * float(np.max(np.abs(p))):
-        raise ChartDegenerateError(0, int(np.argmax(np.abs(p))))
-    eps = np.concatenate([[q[0] / q[1]], q[2:] / q[1]])
-    gamma = p[1:] / -p[0]
-    return np.concatenate([eps, gamma])
+    eps = _specific_ratios(x[:m], 1)
+    return np.concatenate([eps, _chart_rows(x[None, m:], 0)[0]])

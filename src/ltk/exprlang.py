@@ -120,6 +120,7 @@ FUNCTIONS = {"exp": 1, "ln": 1, "sqrt": 1, "sin": 1, "cos": 1, "abs": 1, "pow": 
 # -- lexer --------------------------------------------------------------------
 
 _OPS = set("+-*/^(),")
+_DIGITS = set("0123456789")    # str.isdigit also takes "²" and "٣"
 
 
 def _tokenize(source: str):
@@ -132,24 +133,24 @@ def _tokenize(source: str):
             i += 1
             continue
         start = i
-        if c.isdigit():
+        if c in _DIGITS:
             i += 1
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in _DIGITS:
                 i += 1
             if i < n and source[i] == ".":
                 i += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or source[i] not in _DIGITS:
                     raise ExprSyntaxError("digit expected after decimal point",
                                           min(i + 1, max(1, n)))
-                while i < n and source[i].isdigit():
+                while i < n and source[i] in _DIGITS:
                     i += 1
             if i < n and source[i] in "eE":
                 j = i + 1
                 if j < n and source[j] in "+-":
                     j += 1
-                if j < n and source[j].isdigit():
+                if j < n and source[j] in _DIGITS:
                     i = j + 1
-                    while i < n and source[i].isdigit():
+                    while i < n and source[i] in _DIGITS:
                         i += 1
             tokens.append(("num", source[start:i], start + 1))
         elif c.isalpha() or c == "_":

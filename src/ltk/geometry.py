@@ -12,7 +12,8 @@ costate ``p = (p_0, ..., p_n)``.  The structures implemented here are
 * projective charts: chart ``c`` normalizes the costate by ``-p_c`` and uses
   the intensive ratios ``gamma_j = p_j / (-p_c)`` for ``j != c`` as fiber
   coordinates.  Chart 0 is the energy representation and chart 1 the entropy
-  representation of the same underlying state.
+  representation of the same underlying state.  A chart is degenerate where
+  ``|p_c| < CHART_DEGENERACY_RATIO * max_i |p_i|``.
 
 A degree-1 function ``K(q, p)`` and its chart representative ``Khat(q, gamma)``
 determine each other by
@@ -21,6 +22,9 @@ determine each other by
     K(q, p)        = -p_c * Khat(q, p_j / (-p_c))           (homogenize)
 
 which is how contact Hamiltonians are handled throughout this package.
+
+This module is the package's one home of that arithmetic: ``_cone`` writes
+the cone formula, ``_chart_rows`` the projection and the degeneracy rule.
 """
 
 from __future__ import annotations
@@ -218,11 +222,19 @@ def project(pt: PhasePoint, chart: int) -> ContactPoint:
     """Project to chart ``chart``: gamma_j = p_j / (-p_chart), q copied."""
     if not 0 <= chart < len(pt.p):
         raise ValueError(f"chart index {chart} out of range")
-    pc = pt.p[chart]
-    if abs(pc) < CHART_DEGENERACY_RATIO * np.max(np.abs(pt.p)):
-        raise ChartDegenerateError(chart, best_chart(pt))
-    gamma = np.array([pt.p[j] / (-pc) for j in range(len(pt.p)) if j != chart])
-    return ContactPoint(chart, pt.q.copy(), gamma)
+    return ContactPoint(chart, pt.q.copy(), _chart_rows(pt.p[None], chart)[0])
+
+
+def _chart_rows(P, chart: int) -> np.ndarray:
+    """The ratios ``gamma_j = p_j / (-p_chart)``, j != chart ascending, of
+    each row of the (B, m) costate array ``P``; the first degenerate row
+    raises :class:`ChartDegenerateError`."""
+    absP = np.abs(P)
+    degenerate = absP[:, chart] < CHART_DEGENERACY_RATIO * absP.max(axis=1)
+    if degenerate.any():
+        row = int(np.argmax(degenerate))
+        raise ChartDegenerateError(chart, int(np.argmax(absP[row])))
+    return P[:, _chart_indices(P.shape[1], chart)] / -P[:, chart, None]
 
 
 def sample_phase_points(m: int, n_samples: int, seed: int) -> list:
@@ -280,18 +292,23 @@ def homogenize(Khat: ScalarFn, chart: int) -> ScalarFn:
     n = (Khat.dim - 1) // 2
     if not 0 <= chart <= n:
         raise ValueError(f"chart index {chart} out of range for n={n}")
-    others = _chart_indices(n + 1, chart)
+    return _cone(Khat, 2 * (n + 1), range(n + 1), n + 1 + chart,
+                 [n + 1 + j for j in _chart_indices(n + 1, chart)],
+                 f"hom[{chart}]({Khat.name})")
+
+
+def _cone(F: ScalarFn, dim: int, passive, chart: int, projective,
+          name: str) -> ScalarFn:
+    """The degree-1 function ``-x_c * F(x_passive, x_projective / (-x_c))``
+    of a ``dim``-vector x, c = ``chart``, its arguments in the order of the
+    index lists; evaluation at x_c = 0 raises."""
 
     def fn(x):
-        q = x[:n + 1]
-        p = x[n + 1:]
-        pc = p[chart]
-        neg_pc = -pc
-        args = list(q) + [p[j] / neg_pc for j in others]
-        return neg_pc * Khat(args)
+        neg_pc = -x[chart]
+        return neg_pc * F([x[i] for i in passive]
+                          + [x[j] / neg_pc for j in projective])
 
-    return ScalarFn(fn, dim=2 * (n + 1), name=f"hom[{chart}]({Khat.name})",
-                    dual_safe=Khat.dual_safe)
+    return ScalarFn(fn, dim=dim, name=name, dual_safe=F.dual_safe)
 
 
 def dehomogenize(K: ScalarFn, chart: int) -> ScalarFn:

@@ -41,7 +41,7 @@ from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
                       exp, grad)
 from .dynamics import (_degree_residual, _phase_samples, contact_rhs,
                        integrate, phase_rhs)
-from .geometry import PhasePoint, _euler_rows, dehomogenize
+from .geometry import PhasePoint, _chart_rows, _euler_rows, dehomogenize
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, lift_generating_function,
                           liouville_point, membership_norm)
@@ -145,7 +145,7 @@ class PortSignal:
 
     Each call returns a fresh array.  A built-in signal reads its values
     straight into a list of floats; ``PortSignal(fn, n_ports)`` reads
-    ``fn(t)`` and checks its size.
+    ``fn(t)`` and checks that it is flat and of size ``n_ports``.
     """
 
     def __init__(self, fn, n_ports: int):
@@ -162,6 +162,9 @@ class PortSignal:
 
     def _sized(self, u) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
+        if u.ndim > 1:
+            raise ValueError(f"signal produced shape {u.shape} for "
+                             f"{self.n_ports} ports")
         if u.size != self.n_ports:
             raise ValueError(f"signal produced {u.size} values for "
                              f"{self.n_ports} ports")
@@ -555,8 +558,7 @@ def _chart_form_residuals(sys: PortSystem, X: np.ndarray, chart: int,
     rep = X[usable].copy()               # representatives with p_chart = -1
     rep[:, m:] *= (-1.0 / pc[usable])[:, None]
     full = phase_rhs(sys.Ka)(0.0, rep)[:, :m]
-    others = [j for j in range(m) if j != chart]
-    gamma = rep[:, m:][:, others] / -rep[:, m + chart, None]
+    gamma = _chart_rows(rep[:, m:], chart)
     if not np.isfinite(gamma).all():
         raise ValueError("gamma must be finite")
     chart_rates = contact_rhs(Khat, chart)(0.0, np.hstack([rep[:, :m], gamma]))
@@ -675,7 +677,6 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
     I = tuple(sorted(gf1.I + tuple(m1 + i for i in gf2.I)))
     J = tuple(sorted(gf1.J + (m1 + gf2.chart,) + tuple(m1 + j for j in gf2.J)))
     chart = gf1.chart
-    F1 = lift_generating_function(gf1)
     F2 = lift_generating_function(gf2)
 
     def Fhat_fn(args):
@@ -685,13 +686,13 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
         gam = list(args[nI1 + nI2:])
         gvals = dict(zip(J, gam))
         # With the composite chart costate frozen at -1, every other costate
-        # equals its chart ratio.
-        a1 = qI1 + [-1.0] + [gvals[j] for j in gf1.J]
+        # equals its chart ratio, and system 1's lift there is its Fhat.
+        a1 = qI1 + [gvals[j] for j in gf1.J]
         a2 = qI2 + [gvals[m1 + gf2.chart]] + [gvals[m1 + j] for j in gf2.J]
-        return F1(a1) + F2(a2)
+        return gf1.Fhat(a1) + F2(a2)
     Fhat = ScalarFn(Fhat_fn, dim=n,
                     name=f"product({gf1.name or 'L1'}, {gf2.name or 'L2'})",
-                    dual_safe=F1.dual_safe and F2.dual_safe)
+                    dual_safe=gf1.Fhat.dual_safe and F2.dual_safe)
     gf = GeneratingFunction(
         n=n, Fhat=Fhat, I=I, J=J, chart=chart,
         q_homogeneous=gf1.q_homogeneous and gf2.q_homogeneous, name=name)

@@ -33,10 +33,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .diffkit import ScalarFn, _reject, _sample_rows, grad
-from .geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
-                       ContactPoint, EulerFieldKind, PhasePoint,
-                       TangentVector, _relative_euler_rows, beta,
-                       project)
+from .geometry import (ContactPoint, EulerFieldKind, PhasePoint,
+                       TangentVector, _chart_indices, _chart_rows, _cone,
+                       _relative_euler_rows, beta, project)
 
 __all__ = [
     "GeneratingFunction",
@@ -155,16 +154,8 @@ def lift_generating_function(gf: GeneratingFunction) -> ScalarFn:
     values (ascending index).  Evaluation at p_chart = 0 raises.
     """
     nI = len(gf.I)
-
-    def fn(x):
-        qI = list(x[:nI])
-        pc = x[nI]
-        pJ = x[nI + 1:]
-        neg_pc = -pc
-        return neg_pc * gf.Fhat(qI + [pj / neg_pc for pj in pJ])
-
-    return ScalarFn(fn, dim=gf.n + 1, name=f"lift({gf.name or gf.Fhat.name})",
-                    dual_safe=gf.Fhat.dual_safe)
+    return _cone(gf.Fhat, gf.n + 1, range(nI), nI, range(nI + 1, gf.n + 1),
+                 f"lift({gf.name or gf.Fhat.name})")
 
 
 def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
@@ -174,16 +165,9 @@ def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
     genuine degree-1 function on the whole bundle, convenient for Euler
     residual sweeps with :func:`ltk.geometry.euler_residual`.
     """
-    F = lift_generating_function(gf)
     m = gf.n + 1
-
-    def fn(x):
-        q = x[:m]
-        p = x[m:]
-        args = [q[i] for i in gf.I] + [p[gf.chart]] + [p[j] for j in gf.J]
-        return F(args)
-
-    return ScalarFn(fn, dim=2 * m, name=F.name, dual_safe=F.dual_safe)
+    return _cone(gf.Fhat, 2 * m, gf.I, m + gf.chart, [m + j for j in gf.J],
+                 f"lift({gf.name or gf.Fhat.name})")
 
 
 def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
@@ -244,15 +228,10 @@ def _membership_components(gf: GeneratingFunction, X) -> np.ndarray:
         raise ValueError(f"expected {2 * m} phase coordinates (n={gf.n}), "
                          f"got {X.shape[1]}")
     Q, P = X[:, :m], X[:, m:]
-    p_max = np.max(np.abs(P), axis=1)
-    _reject(p_max == 0.0, ValueError, "zero costate: points live on the "
-            "cotangent bundle without its zero section")
-    pc = P[:, gf.chart]
-    degenerate = np.abs(pc) < CHART_DEGENERACY_RATIO * p_max
-    if degenerate.any():
-        row = int(np.argmax(degenerate))
-        raise ChartDegenerateError(gf.chart, int(np.argmax(np.abs(P[row]))))
-    params = np.column_stack([Q[:, list(gf.I)], pc, P[:, list(gf.J)]])
+    _reject(np.max(np.abs(P), axis=1) == 0.0, ValueError, "zero costate: "
+            "points live on the cotangent bundle without its zero section")
+    _chart_rows(P, gf.chart)     # the degeneracy rule; the lift reads raw p_c
+    params = X[:, list(gf.I) + [m + gf.chart] + [m + j for j in gf.J]]
     G = _liouville_rows(gf, params)
     return np.column_stack([Q[:, gf.chart] - G[:, gf.chart],
                             Q[:, list(gf.J)] - G[:, list(gf.J)],
@@ -379,6 +358,16 @@ def specific_form(gf: GeneratingFunction) -> ScalarFn:
                     dual_safe=gf.Fhat.dual_safe)
 
 
+def _specific_ratios(v, base: int) -> np.ndarray:
+    """The specific coordinates ``v_l / v_base``, l != base ascending; v_base
+    is q_1 and must reach ``1e-12 * max(1, max_l |v_l|)``."""
+    v = np.asarray(v, dtype=float)
+    if abs(v[base]) < 1e-12 * max(1.0, float(np.max(np.abs(v)))):
+        raise ValueError("q_1 is below the reduction threshold; specific "
+                         "coordinates divide by q_1")
+    return v[_chart_indices(len(v), base)] / v[base]
+
+
 def reduced_point(gf: GeneratingFunction, params) -> np.ndarray:
     """The reduced-surface point generated by q_I = (q_1, ..., q_n).
 
@@ -393,11 +382,7 @@ def reduced_point(gf: GeneratingFunction, params) -> np.ndarray:
     params = [float(v) for v in params]
     if len(params) != gf.n:
         raise ValueError(f"expected {gf.n} parameters (q_1..q_n), got {len(params)}")
-    q1 = params[0]
-    if abs(q1) < 1e-12 * max(1.0, max(abs(v) for v in params)):
-        raise ValueError("q_1 is below the reduction threshold; specific "
-                         "coordinates divide by q_1")
-    eps = [v / q1 for v in params[1:]]
+    eps = _specific_ratios(params, 0).tolist()
     Fbar = specific_form(gf)
     val = float(Fbar(eps))
     g = grad(Fbar, eps) if eps else np.zeros(0)

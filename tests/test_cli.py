@@ -291,6 +291,13 @@ def test_bracket_needs_operands(capsys):
     assert code == 2 and "at least one port" in err
 
 
+def test_bracket_operand_with_a_non_ascii_digit_is_a_config_error(capsys):
+    code, out, err = run_cli(capsys, "bracket", "--k1", "²*p0",
+                             "--k2", "q0*p1", "--dimensions", "2")
+    assert code == 2 and out == ""
+    assert "unexpected character '²'" in err
+
+
 # -- reduce -------------------------------------------------------------------------
 
 

@@ -67,7 +67,8 @@ def test_free_names():
 
 
 @pytest.mark.parametrize("source", ["2+*3", "2*(1+", "sin()", "1..2", "2 @ 3",
-                                    "pow(1)", "unknownfn(1)", ""])
+                                    "pow(1)", "unknownfn(1)", "", "²",
+                                    "٣+1"])
 def test_syntax_errors_carry_an_offset(source):
     with pytest.raises(ExprSyntaxError) as err:
         parse(source)

@@ -90,6 +90,17 @@ def test_signal_port_count_enforced():
         simulate(gp, 0.1, 0.1, u=PortSignal.zero(3))
 
 
+def test_signal_shape_enforced():
+    # a (1, 1) reading has the right size but would reach the field as a list
+    # of lists
+    bad = PortSignal(lambda t: [[0.3]], n_ports=1)
+    for read in (bad, bad._floats):
+        with pytest.raises(ValueError, match=r"shape \(1, 1\) for 1 ports"):
+            read(0.0)
+    with pytest.raises(ValueError, match=r"shape \(1, 1\) for 1 ports"):
+        simulate(heat_compartment(), 0.1, 0.01, u=bad)
+
+
 # -- construction and lookup ---------------------------------------------------------
 
 

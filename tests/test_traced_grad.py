@@ -9,6 +9,9 @@ cannot record to the scalar loop's results and errors.
 import ast
 import logging
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from test_diffkit import SYSTEMS, _hex
 from test_simulate_blocks import (_assert_matches_reference,
                                   _assert_same_error, _reference)
 
+import ltk
 from ltk import tracegrad
 from ltk.diffkit import ScalarFn, exp, fd_grad, grad, ln, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
@@ -527,3 +531,13 @@ def test_unread_values_that_may_raise_are_kept(monkeypatch):
     source = _kernel_source(monkeypatch, system)
     assert "_exp(v0)" in source
     assert "v1 * v2" not in source
+
+
+def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
+    # simulate imports tracegrad on its first call, so a command that never
+    # simulates does not compile it
+    code = "import sys, ltk, ltk.cli; print('ltk.tracegrad' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(ltk.__file__).resolve().parent.parent)
+    assert out.stdout == "False\n"
