@@ -17,8 +17,8 @@ Modules:
 * :mod:`ltk.dynamics`   — canonical/contact/reduced fields and integration
 * :mod:`ltk.brackets`   — Poisson and chart brackets with structure checks
 * :mod:`ltk.portsys`    — port-thermodynamic systems and interconnection
-* :mod:`ltk.tracegrad`  — generator gradients traced once and replayed as
-  straight-line code, ``simulate``'s field kernel (imported on first use)
+* :mod:`ltk.tracegrad`  — functions traced once and replayed as straight-line
+  code: ``simulate``'s field kernel and expression inputs (imported on use)
 * :mod:`ltk.cli`        — the ``ltk`` command-line interface
 """
 

@@ -120,10 +120,11 @@ class RunConfig:
             except TypeError as err:
                 raise ConfigError(f"malformed numeric config value for "
                                   f"{name!r}: {err}") from None
-        if self.t_end <= 0:
-            raise ConfigError("t_end must be positive")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be positive and finite, got "
+                                  f"{value!r}")
         if self.samples <= 0:
             raise ConfigError("samples must be positive")
         if self.dimensions < 1:
@@ -139,15 +140,12 @@ class RunConfig:
             raise ConfigError(f"unknown monitors {bad}; available: "
                               f"{', '.join(MONITOR_NAMES)}")
         for name in ("initial", "at"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if isinstance(value, str):
-                value = [s for s in value.split(",") if s.strip()]
-            try:
-                setattr(self, name, tuple(float(v) for v in value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name} must be a list of numbers") from None
+            value, convert = getattr(self, name), _json_float
+            if isinstance(value, str):      # comma text of --initial, --at
+                value = [v for v in value.split(",") if v.strip()]
+                convert = float
+            if value is not None:
+                setattr(self, name, _listed(value, name, convert, "numbers"))
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +304,21 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
         if values is None:
             raise ConfigError("constant input needs 'values'")
         try:
-            signal = PortSignal.constant(values)
-        except (TypeError, ValueError):
+            signal = PortSignal.constant(
+                [_json_float(v) for v in values]
+                if isinstance(values, (list, tuple)) else _json_float(values))
+        except TypeError:
             raise ConfigError(f"constant input values must be numbers, got "
                               f"{values!r}") from None
     elif kind == "sinusoid":
         if "amplitude" not in spec:
             raise ConfigError("sinusoid input needs an 'amplitude'")
         try:
-            signal = PortSignal.sinusoid(spec["amplitude"],
-                                         spec.get("frequency", 1.0),
-                                         spec.get("phase", 0.0))
-        except (TypeError, ValueError):
+            signal = PortSignal.sinusoid(
+                _json_float(spec["amplitude"]),
+                _json_float(spec.get("frequency", 1.0)),
+                _json_float(spec.get("phase", 0.0)))
+        except TypeError:
             raise ConfigError("sinusoid amplitude, frequency and phase must "
                               "be numbers") from None
     elif kind == "expr":

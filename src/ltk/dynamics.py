@@ -332,7 +332,8 @@ class _NonFiniteState(RuntimeError):
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
-    ``t_end`` must be an integer multiple of ``dt`` (the grid is t_i = i*dt).
+    ``t_end`` and ``dt`` must be finite, and ``t_end`` an integer multiple
+    of ``dt`` (the grid is t_i = i*dt).
     ``x0`` is one state vector, or a (B, dim) batch of states stepped
     together; every step is entrywise arithmetic, so a row follows the
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
@@ -352,6 +353,9 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     non-finite state aborts with the offending time, and for a batch the
     offending row, in the message.
     """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     steps = round(t_end / dt)

@@ -18,20 +18,20 @@ optional exponent.  ``^`` with a non-integer exponent requires a positive
 base at evaluation time.
 
 Variable names are free identifiers; they are resolved against a declared
-name list when an expression is compiled to a :class:`~ltk.diffkit.ScalarFn`
-(unresolved names are a bind error, never a silent zero).
+name list when :func:`compile_fn` binds an expression to a
+:class:`~ltk.diffkit.ScalarFn` (unresolved names are a bind error, never a
+silent zero).
 
-:func:`compile_fn` compiles an expression once, at bind time, to a tree of
-closures: each variable becomes a position in the input vector, each
-parameter a constant, and each operator and function call one closure.
-Calls never walk the syntax tree.
-:func:`evaluate` is the reference interpreter; the tests check the compiled
-route against it bit for bit, including the text of domain errors.
+:func:`evaluate` is the one evaluator.  :func:`compile_fn` parses an
+expression and resolves its names once, at bind time; each call of the
+result evaluates the tree with :func:`evaluate`.  Where an expression is read
+many times, its code is traced once from that evaluation and replayed as
+straight-line Python (:mod:`ltk.tracegrad`): ``simulate``'s generators and
+the expression inputs of ``PortSignal.from_exprs``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from . import diffkit
@@ -385,85 +385,20 @@ def evaluate(e: Expr, env: dict):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _names_read(e: Expr) -> list:
-    """Variable names in the order evaluation reads them, with repeats."""
-    if isinstance(e, Var):
-        return [e.name]
-    if isinstance(e, Unary):
-        return _names_read(e.operand)
-    if isinstance(e, Bin):
-        return _names_read(e.left) + _names_read(e.right)
-    if isinstance(e, Call):
-        return [name for a in e.args for name in _names_read(a)]
-    return []
-
-
 def free_names(e: Expr) -> set:
     """All variable names referenced by ``e``."""
-    return set(_names_read(e))
-
-
-# -- compilation to closures --------------------------------------------------
-
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
-
-
-def _constant(value):
-    return lambda x: value
-
-
-def _binary(op, f, g, node):
-    """Closure applying ``op`` to the operand closures ``f`` and ``g``."""
-    def run(x):
-        a, b = f(x), g(x)
-        try:
-            return op(a, b)
-        except _DOMAIN_ERRORS as err:
-            raise ExprEvalError(f"{err} in {to_source(node)!r}") from err
-    return run
-
-
-def _apply(func, f, node):
-    """Closure applying the one-argument function ``func`` to ``f``."""
-    def run(x):
-        a = f(x)
-        try:
-            return func(a)
-        except _DOMAIN_ERRORS as err:
-            raise ExprEvalError(f"{err} in {to_source(node)!r}") from err
-    return run
-
-
-def _compile(e: Expr, slots: dict, params: dict):
-    """Compile ``e`` to a closure ``run(x)`` that computes ``e`` from the
-    coordinate vector ``x`` with the same operations, in the same order, as
-    :func:`evaluate`."""
-    if isinstance(e, Num):
-        return _constant(e.value)
     if isinstance(e, Var):
-        if e.name in slots:
-            return operator.itemgetter(slots[e.name])
-        return _constant(params[e.name])
+        return {e.name}
     if isinstance(e, Unary):
-        f = _compile(e.operand, slots, params)
-        return lambda x: -f(x)
+        return free_names(e.operand)
     if isinstance(e, Bin):
-        operands = [_compile(e.left, slots, params),
-                    _compile(e.right, slots, params)]
-        kind = "pow" if e.op == "^" else e.op
-    elif isinstance(e, Call):
-        operands = [_compile(arg, slots, params) for arg in e.args]
-        kind = e.func
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if kind == "pow":
-        f, g = operands
-        return lambda x: _pow(f(x), g(x), e)
-    if kind in _ARITH:
-        return _binary(_ARITH[kind], *operands, e)
-    return _apply(abs if kind == "abs" else getattr(diffkit, kind),
-                  *operands, e)
+        return free_names(e.left) | free_names(e.right)
+    if isinstance(e, Call):
+        return set().union(*(free_names(a) for a in e.args))
+    return set()
+
+
+# -- binding to a coordinate layout ------------------------------------------
 
 
 def compile_fn(source, var_names, params=None, name: str = "") -> ScalarFn:
@@ -471,9 +406,10 @@ def compile_fn(source, var_names, params=None, name: str = "") -> ScalarFn:
 
     ``var_names[i]`` is the name bound to coordinate ``i`` of the input
     vector; ``params`` supplies fixed named constants.  Names that resolve to
-    neither are a bind error.  The expression is compiled here, once, to a
-    tree of closures (see :func:`_compile`); calls of the result never walk
-    the syntax tree, and return what :func:`evaluate` returns, bit for bit.
+    neither are a bind error.  The source is parsed and its names resolved
+    here, once; a call evaluates the tree with :func:`evaluate` in an
+    environment of the parameters and the coordinates, so a coordinate the
+    input vector lacks reads as an unbound variable.
     """
     expr = parse(source) if isinstance(source, str) else source
     var_names = list(var_names)
@@ -488,17 +424,10 @@ def compile_fn(source, var_names, params=None, name: str = "") -> ScalarFn:
             f"unresolved names {sorted(unresolved)}; "
             f"declared variables: {var_names}, parameters: {sorted(params)}")
 
-    slots = {v: i for i, v in enumerate(var_names)}
-    run = _compile(expr, slots, params)
-
     def fn(x):
-        try:
-            return run(x)
-        except IndexError:
-            # x is shorter than var_names: name the first unbound read
-            missing = next(v for v in _names_read(expr)
-                           if slots.get(v, -1) >= len(x))
-            raise ExprEvalError(f"unbound variable {missing!r}") from None
+        env = dict(params)
+        env.update(zip(var_names, x))
+        return evaluate(expr, env)
 
     return ScalarFn(fn, dim=len(var_names),
                     name=name or (source if isinstance(source, str) else to_source(expr)))

@@ -196,9 +196,15 @@ class PortSignal:
 
     @classmethod
     def from_exprs(cls, sources) -> "PortSignal":
+        """Expressions in ``t``, one per port.  Reads run value code traced
+        at t = 0 (:func:`~ltk.tracegrad.value_kernel`), bit for bit
+        :func:`~ltk.exprlang.evaluate`, which reads any time at which a
+        domain check trips or the code raises."""
         from .exprlang import compile_fn
+        from .tracegrad import value_kernel
         fns = [compile_fn(src, ["t"]) for src in sources]
-        return cls._reading(lambda t: [f([t]) for f in fns], len(fns))
+        kernel = value_kernel(fns, [0.0])
+        return cls._reading(lambda t: kernel([t]), len(fns))
 
 
 @dataclass
@@ -762,10 +768,11 @@ def gas_piston_damper(mass: float = 1.0, damping: float = 0.5,
     external force to the piston; its conjugate power output is the piston
     velocity.
     """
-    if min(mass, U0, V0, c_v, R) <= 0:
-        raise ValueError("mass, U0, V0, R and c_v must be positive")
-    if damping < 0:
-        raise ValueError("damping must be nonnegative")
+    # NaN fails every comparison: each check states the values it accepts
+    if not all(0 < v < np.inf for v in (mass, U0, V0, c_v, R)):
+        raise ValueError("mass, U0, V0, R and c_v must be positive and finite")
+    if not (0 <= damping < np.inf and np.isfinite(S0)):
+        raise ValueError("damping must be nonnegative and finite, S0 finite")
 
     def U(S, V):
         return U0 * (V0 / V) ** (R / c_v) * exp((S - S0) / c_v)
@@ -815,8 +822,9 @@ def heat_compartment(C: float = 1.0, T_ref: float = 1.0,
     (all supplied power is heat) and the inverse temperature carrying the
     port entropy flow.
     """
-    if C <= 0 or T_ref <= 0:
-        raise ValueError("heat capacity and reference temperature must be positive")
+    if not (0 < C < np.inf and 0 < T_ref < np.inf):
+        raise ValueError("heat capacity and reference temperature must be "
+                         "positive and finite")
 
     def T_of(S):
         return T_ref * exp(S / C)
@@ -851,9 +859,9 @@ def heat_exchanger(C=(1.0, 1.0), T_ref=(1.0, 1.0), lam: float = 1.0
     the colder compartment; the composition conserves total energy exactly
     and produces entropy at rate ``lam (T1 - T2)^2 / (T1 T2) >= 0``.
     """
-    if lam < 0:
+    if not 0 <= lam < np.inf:
         raise ValueError("a negative conductance would pump heat from cold "
-                         "to hot; lam must be nonnegative")
+                         "to hot; lam must be nonnegative and finite")
     c1 = heat_compartment(C[0], T_ref[0], name="compartment_1")
     c2 = heat_compartment(C[1], T_ref[1], name="compartment_2")
 
@@ -874,8 +882,10 @@ def ideal_gas_SVN(c_v: float = 1.5, R: float = 1.0, T_ref: float = 1.0,
     surface, so all the homogeneity-based reductions apply.  The system is
     closed (no ports, zero drift); it exists to carry the surface.
     """
-    if min(c_v, R, T_ref, v0) <= 0:
-        raise ValueError("c_v, R, T_ref and v0 must be positive")
+    if not (all(0 < v < np.inf for v in (c_v, R, T_ref, v0))
+            and np.isfinite(s0)):
+        raise ValueError("c_v, R, T_ref and v0 must be positive and finite, "
+                         "s0 finite")
 
     def Fhat_fn(args):
         S, V, N = args

@@ -1,5 +1,6 @@
-"""Traced gradients: simulate's generators recorded once, emitted as one
-straight-line field kernel.
+"""Traced code: functions recorded once and emitted as straight-line
+Python, simulate's generators as one field kernel of their gradients and
+expression inputs as one kernel of their values.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -33,10 +34,13 @@ depends on the shape of the generators and not on their parameters, and
 its code object is compiled once and kept by its text (the latest
 8 sources).
 
+:func:`value_kernel` emits the value lines alone, with their checks, for
+the expression inputs of ``PortSignal.from_exprs``.
+
 ``simulate`` traces its generators into a field kernel once per run and
 keeps the kernel for that run only.  ``ltk`` does not import this module;
-``simulate`` does on its first call, so importing the package does not
-compile it.
+``simulate`` and ``PortSignal.from_exprs`` do when first called, so
+importing the package does not compile it.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ import re
 
 from .diffkit import ScalarFn, _Recorder, grad
 
-__all__ = ["field_kernel"]
+__all__ = ["field_kernel", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -125,9 +129,10 @@ class _Trace:
     """The operations of functions evaluated on :class:`_Traced`
     coordinates of one point, in order: per node its kind, its operands
     (node numbers, or the names of constants) and the coordinates it reads.
-    :meth:`record` traces one function and emits its code; node numbers and
-    constant names run on across the functions a trace records, so their
-    code can share one body.  While a function is recorded, ``lines`` holds
+    :meth:`record` traces one function and emits its gradient code,
+    :meth:`record_value` its value code; node numbers and constant names
+    run on across the functions a trace records, so their code can share
+    one body.  While a function is recorded, ``lines`` holds
     its value code with its domain checks and guards, and ``reason`` is why
     it cannot be traced, None while it can."""
 
@@ -140,17 +145,39 @@ class _Trace:
         """Trace ``f`` at the point: ``((lines, partials), None)``, the code
         that computes its gradient and the source of each partial, or
         ``(None, reason)`` when ``f`` cannot be traced."""
-        if not f.dual_safe:
-            return None, "it is not dual-safe"
+        y, first = self._call(f)
+        return self._emit(y, first), self.reason
+
+    def record_value(self, f: ScalarFn):
+        """Trace ``f`` at the point: ``(lines, value)``, the code that
+        computes its value, with the domain checks of its operations and
+        none of their derivatives, and the source of the value, or None
+        when ``f`` cannot be traced."""
+        y, first = self._call(f)
+        if self.reason is not None:
+            return None
+        value = _operand(self._ref(y))
+        droppable = {f"k{n}" for n in range(first, len(self.nodes))} | {
+            f"v{n}" for n in range(first, len(self.nodes))
+            if self.nodes[n][0] in _CANNOT_RAISE}
+        return _live(self.lines, [value], droppable), value
+
+    def _call(self, f: ScalarFn):
+        """``f`` on the traced coordinates: its result and the number of
+        its first node, with ``reason`` set where it cannot be traced."""
         self.lines, self._checks, self.reason = [], set(), None
-        first = len(self.nodes)
+        first, y = len(self.nodes), None
+        if not f.dual_safe:
+            self.fail("it is not dual-safe")
+            return y, first
         try:
             y = f(list(self.inputs))
         except Exception as err:   # noqa: BLE001 - the scalar loop raises it
             self.fail(f"it raises {type(err).__name__} at the traced point")
-            y = None
-        code = self._emit(y, first)
-        return code, self.reason
+        if not (isinstance(y, _Traced) and y._trace is self
+                or isinstance(y, (int, float))):
+            self.fail(f"it returns a {type(y).__name__}")
+        return y, first
 
     def fail(self, reason: str):
         """Mark the function untraceable; the first reason is kept."""
@@ -284,11 +311,9 @@ class _Trace:
         """The code of the gradient of the function recorded from node
         ``first`` on, with ``y`` as its result, or None when it cannot be
         traced."""
-        out = y._node if isinstance(y, _Traced) and y._trace is self else None
-        if out is None and not isinstance(y, (int, float)):
-            self.fail(f"it returns a {type(y).__name__}")
         if self.reason is not None:
             return None
+        out = y._node if isinstance(y, _Traced) else None
         # derivatives of the nodes the result reads, and of the operands of
         # every sqrt, whose check reads them
         needed = {out}
@@ -518,6 +543,29 @@ def field_kernel(Ka: ScalarFn, Kc, x, m: int):
     return namespace["kernel"], reasons, handed_back
 
 
+def value_kernel(fns, x):
+    """Trace each of ``fns`` once at the point ``x`` and emit
+    ``kernel(xs)``, which returns ``[f(xs) for f in fns]`` bit for bit from
+    their value code and its domain checks.  At a point where a check trips
+    or the code raises it calls the functions, which return or raise as
+    they always did, and it calls at every point a function the trace
+    cannot record."""
+    trace = _Trace(x)
+    body = [", ".join(f"v{i}" for i in range(len(x))) + ", = x"]
+    values = []
+    for k, f in enumerate(fns):
+        lines, value = trace.record_value(f) or ([], f"_fns[{k}](x)")
+        body += lines
+        values.append(value)
+    body.append(f"return [{', '.join(values)}]")
+    namespace = dict(_REPLAY_NAMES, **trace.consts, _fns=fns,
+                     _Back=_HandBack)
+    source = ["def kernel(x):", "    try:"] + _indented(_indented(body)) + [
+        "    except Exception:", "        return [f(x) for f in _fns]"]
+    exec(_code("\n".join(source)), namespace)
+    return namespace["kernel"]
+
+
 def _folded(k: int, partials) -> list:
     """The lines adding generator k's partials to the field sum: Ka's are
     the sum, port k's are added times its input ``u{k}``."""
@@ -534,7 +582,8 @@ def _indented(lines) -> list:
 # Code objects by source text.  A source names its constants and never
 # holds their values, so systems of one shape with other parameters, and
 # every run of one system, share one compile: one perfbench run builds 143
-# kernels from 3 sources on sim_expr and 59 from 2 on sim_builtin.
+# kernels from 3 sources on sim_expr and 59 from 2 on sim_builtin, and the
+# expression inputs of its four templates add one value kernel source each.
 _COMPILED = {}
 _COMPILED_MAX = 8
 

@@ -130,6 +130,13 @@ def test_simulate_rejects_bad_inputs(capsys):
                            "--u", "t; 2*t", "--t-end", "0.1", "--dt", "0.1")
     assert code == 2
     assert "1 port" in err
+    for flag, value in (("--dt", "inf"), ("--dt", "nan"), ("--t-end", "nan"),
+                        ("--t-end", "inf")):
+        code, _, err = run_cli(capsys, "simulate", "--system",
+                               "heat_compartment", "--t-end", "0.1", "--dt",
+                               "0.1", flag, value)
+        assert code == 2
+        assert f"must be positive and finite, got {value}" in err
 
 
 def test_simulate_aborted_run_exits_one(capsys):
@@ -402,6 +409,14 @@ def test_config_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", "--config", str(unknown))
     assert code == 2 and "unknown config keys" in err
 
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([{"command": "validate"}]))
+    assert run(str(listed)) == 2
+    assert "configuration root must be a JSON object" in \
+        capsys.readouterr().err
+    code, _, err = run_cli(capsys, "validate", "--config", str(listed))
+    assert code == 2 and "configuration root must be a JSON object" in err
+
 
 # A well-formed custom compartment that each malformed case alters in one entry.
 CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
@@ -500,6 +515,69 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
      "value for 'seed': not an integer: True"),
     ({"t_end": "0.01"}, "value for 't_end': not a number: '0.01'"),
     ({"dt": False}, "value for 'dt': not a number: False"),
+    ({"system": "gas_piston_damper", "initial": [True, 1.0, 0.0, -1.0]},
+     "initial must be a list of numbers, got [True, 1.0, 0.0, -1.0]"),
+    ({"command": "reduce", "system": "ideal_gas_SVN", "at": [True, 1.0, 1.0]},
+     "at must be a list of numbers, got [True, 1.0, 1.0]"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "sinusoid", "amplitude": True}},
+     "sinusoid amplitude, frequency and phase must be numbers"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "sinusoid", "amplitude": 0.1, "frequency": "2"}},
+     "sinusoid amplitude, frequency and phase must be numbers"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "constant", "values": [False]}},
+     "constant input values must be numbers, got [False]"),
+    ({"t_end": float("nan")}, "t_end must be positive and finite, got nan"),
+    ({"t_end": float("inf")}, "t_end must be positive and finite, got inf"),
+    ({"dt": float("nan")}, "dt must be positive and finite, got nan"),
+    ({"dt": float("inf")}, "dt must be positive and finite, got inf"),
+    ({"dt": 0}, "dt must be positive and finite, got 0.0"),
+    ({"system": {"name": "gas_piston_damper",
+                 "params": {"mass": float("nan")}}},
+     "cannot construct system 'gas_piston_damper': mass, U0, V0, R and c_v "
+     "must be positive and finite"),
+    ({"system": "gas_piston_damper", "input": 5},
+     "input must be an expression string or an object with a 'kind' entry"),
+    ({"system": "gas_piston_damper", "input": {"kind": "constant"}},
+     "constant input needs 'values'"),
+    ({"system": "gas_piston_damper", "input": {"kind": "sinusoid"}},
+     "sinusoid input needs an 'amplitude'"),
+    ({"system": "gas_piston_damper", "input": {"kind": "expr"}},
+     "expression input needs 'exprs'"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "expr", "exprs": ["2*"]}},
+     "bad input expression '2*'"),
+    ({"system": "gas_piston_damper", "input": {"kind": "square"}},
+     "unknown input kind 'square'"),
+    ({}, "no system specified"),
+    ({"system": 5}, "system must be a name or an object"),
+    ({"system": {"params": {}}},
+     "system object needs a 'name' or 'custom' entry"),
+    ({"system": {"name": "heat_compartment", "params": [1.0]}},
+     "system params must be an object of named values"),
+    ({"system": {"custom": 5}}, "custom system spec must be an object"),
+    ({"system": {"custom": {k: v for k, v in CUSTOM.items()
+                            if k != "partition"}}},
+     "custom system spec needs a 'partition' entry"),
+    ({"system": {"custom": dict(CUSTOM, dimensions=0)}},
+     "a system needs at least one coordinate"),
+    ({"system": {"custom": dict(CUSTOM, gf={"chart": 0})}},
+     "the gf entry must be an object with an 'expr'"),
+    ({"system": {"custom": dict(CUSTOM, partition=[0, 1])}},
+     "partition must be an object with 'energy' and 'entropy' index lists"),
+    ({"command": "validate", "system": "heat_compartment", "samples": 0},
+     "samples must be positive"),
+    ({"command": "bracket", "k1": "q0*p0", "k2": "q0*p0", "dimensions": 0},
+     "dimensions must be at least 1"),
+    ({"command": "reduce", "system": {"custom": {
+        "dimensions": 3, "gf": {"expr": "sqrt(q1*q2)", "q_homogeneous": True},
+        "partition": {"energy": [0], "entropy": [1]}}}},
+     "system 'custom' has no param_box to sample the surface from"),
+    ({"command": "flowcheck", "system": {"custom": {
+        k: v for k, v in CUSTOM.items()
+        if k not in ("initial", "param_box")}}},
+     "system 'custom' has neither default parameters nor a param_box"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
         "gf J", "energy", "entropy", "index string", "Ka number",
         "gf expr number", "Kc number item", "k1 number", "Kc string",
@@ -508,7 +586,16 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
         "gf chart bool", "gf I bool", "gf I float", "gf J bool",
         "energy bool", "entropy float", "custom initial bool",
         "param_box bool", "samples float", "seed bool", "t_end string",
-        "dt bool"])
+        "dt bool", "initial bool", "at bool", "sinusoid amplitude bool",
+        "sinusoid frequency string", "constant bool", "t_end NaN",
+        "t_end inf", "dt NaN", "dt inf", "dt zero", "factory NaN",
+        "input number", "constant without values",
+        "sinusoid without amplitude", "expr without exprs",
+        "input syntax", "input kind", "no system", "system number",
+        "system without name", "params list", "custom number",
+        "custom without partition", "dimensions zero", "gf without expr",
+        "partition list", "samples zero", "bracket dimensions zero",
+        "reduce without param_box", "flowcheck without param_box"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

@@ -153,6 +153,10 @@ def test_integrate_requires_commensurate_times():
         integrate(f, PT.packed(), 1.0005, 1e-2)
     with pytest.raises(ValueError, match="positive"):
         integrate(f, PT.packed(), 1.0, -1e-2)
+    for t_end, dt, name in ((np.nan, 1e-2, "t_end"), (np.inf, 1e-2, "t_end"),
+                            (1.0, np.nan, "dt"), (1.0, np.inf, "dt")):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            integrate(f, PT.packed(), t_end, dt)
 
 
 def test_integrate_aborts_on_non_finite_state():

@@ -300,13 +300,30 @@ def test_compiled_function_reports_a_missing_coordinate_as_unbound():
     assert str(err.value) == str(reference.value)
 
 
-def test_compiled_functions_never_walk_the_tree(monkeypatch):
-    def walked(*args):
-        raise AssertionError("evaluate called on the compiled path")
 
-    monkeypatch.setattr(exprlang, "evaluate", walked)
-    f = compile_fn("k*q0^2*p0/(1 + exp(q1)) - pow(q1, 0.5)",
-                   ["q0", "q1", "p0"], params={"k": 2.0})
-    y = f([Dual(1.5, 1.0), 0.25, -1.0])
-    assert y.val == pytest.approx(2.0 * 2.25 * -1.0 / (1 + math.exp(0.25)) - 0.5)
-    assert y.dot == pytest.approx(2.0 * 2 * 1.5 * -1.0 / (1 + math.exp(0.25)))
+# -- the benchmark's tracer ---------------------------------------------------
+
+TRACER = JOBS.with_name("tracer.py")
+
+
+def test_the_benchmark_tracer_binds_every_target(monkeypatch):
+    # perfbench/run.py --trace 1 rebinds each target by module and name, and
+    # wraps compile_fn's results with dataclasses.replace(fn=...): renaming
+    # or deleting one of them must fail here rather than there
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    for modname, attr, *_ in module.TARGETS:
+        target = getattr(importlib.import_module(modname), attr, None)
+        assert callable(target), f"{modname}.{attr}"
+    tracer = module.Tracer()
+    tracer.install()
+    try:
+        f = exprlang.compile_fn("k*t^2", ["t"], params={"k": 2.0})
+        assert f([3.0]) == 18.0 and f.dim == 1 and f.dual_safe
+    finally:
+        tracer.uninstall()
+    assert exprlang.compile_fn is compile_fn
+    assert tracer.count("exprlang.compile") == 1
+    assert tracer.count("exprlang.eval") == 1

@@ -12,13 +12,17 @@ Frozen oracles:
 """
 
 import dataclasses
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ltk import cli, diffkit, dynamics, geometry, submanifold, tracegrad
+from ltk import (cli, diffkit, dynamics, exprlang, geometry, submanifold,
+                 tracegrad)
 from ltk.diffkit import ScalarFn, grad
+from ltk.exprlang import ExprEvalError, evaluate, parse
 from ltk.geometry import PhasePoint, scale_costate
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, ValidationReport, builtin, energy_balance,
@@ -68,6 +72,59 @@ def test_signal_reads_as_floats_equal_its_arrays(kind):
         assert {"inf", "nan", "-0x0.0p+0"} <= seen
     if kind == "sinusoid":              # a * np.sin(w t + ph), as a float
         assert signal._floats(0.7) == [0.3 * np.sin(2.0 * 0.7 + 0.5)]
+
+
+EXPR_TEMPLATES = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "spec.json")
+    .read_text())["expr_templates"]
+
+
+@pytest.mark.parametrize("sources, traced", [
+    ([template.format(a="0.2", b="0.05", w="1.3", tau="2.5")
+      for template in EXPR_TEMPLATES], True),
+    ([template.format(a="-0.3", b="-0.1", w="3.0", tau="0.5")
+      for template in EXPR_TEMPLATES], True),
+    (["0.2*sin(3*t)", "1e308*10*t", "-(0*t)", "t^2"], True),
+    (["ln(0.5 - t)"], True),
+    (["1/(t - 0.5)", "(0.5 - t)^0.5"], True),
+    (["ln(t - 0.5)"], False),           # raises at t = 0, the traced time
+    (["0.1*t", "2^t"], False),          # a traced exponent: never recorded
+], ids=["templates", "templates negative", "inf nan -0", "ln hole",
+        "division and power holes", "raises when traced", "exponent in t"])
+def test_expression_reads_are_evaluate_bit_for_bit(monkeypatch, sources,
+                                                   traced):
+    # a read runs the expressions' value code, traced at t = 0, and calls
+    # evaluate only where a domain check trips or the code raises, or for an
+    # expression the trace cannot record
+    trees = [parse(src) for src in sources]
+    times = (np.linspace(0.0, 2.0, 401).tolist()
+             + [0.5, 50.0, 1e200, np.inf, -np.inf, np.nan])
+
+    def reference(t):
+        try:
+            return [evaluate(tree, {"t": t}).hex() for tree in trees]
+        except ExprEvalError as err:
+            return str(err)
+
+    expected = [reference(t) for t in times]
+    assert any(isinstance(e, str) for e in expected)
+    signal = PortSignal.from_exprs(sources)
+    walks = []
+    walk = exprlang.evaluate
+    monkeypatch.setattr(exprlang, "evaluate",
+                        lambda e, env: walks.append(e) or walk(e, env))
+    for i, t in enumerate(times):
+        walks.clear()
+        try:
+            floats = signal._floats(t)
+        except ExprEvalError as err:
+            got = str(err)
+        else:
+            assert all(type(v) is float for v in floats)
+            got = [v.hex() for v in floats]
+        assert got == expected[i], (sources, t)
+        if isinstance(got, list):
+            assert bool(walks) != traced, (sources, t)
 
 
 def test_a_signal_hands_out_a_fresh_array_each_call():
@@ -130,6 +187,25 @@ def test_physical_parameter_guards():
         heat_exchanger(lam=-1.0)
     with pytest.raises(ValueError, match="positive"):
         ideal_gas_SVN(c_v=-1.0)
+
+
+@pytest.mark.parametrize("factory, params", [
+    (gas_piston_damper, {"mass": np.nan}),
+    (gas_piston_damper, {"damping": np.nan}),
+    (gas_piston_damper, {"mass": np.inf}),
+    (gas_piston_damper, {"S0": -np.inf}),
+    (heat_compartment, {"C": np.nan}),
+    (heat_compartment, {"T_ref": np.inf}),
+    (heat_exchanger, {"lam": np.nan}),
+    (heat_exchanger, {"C": (1.0, np.nan)}),
+    (ideal_gas_SVN, {"c_v": np.nan}),
+    (ideal_gas_SVN, {"s0": np.inf}),
+])
+def test_factories_reject_non_finite_parameters(factory, params):
+    # NaN passes a check that asks for the values it rejects, as each
+    # comparison with it is False
+    with pytest.raises(ValueError, match="finite"):
+        factory(**params)
 
 
 def test_port_system_shape_validation():
