@@ -322,9 +322,13 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
             raise ConfigError("sinusoid amplitude, frequency and phase must "
                               "be numbers") from None
     elif kind == "expr":
-        sources = spec.get("exprs", ())
+        sources = spec.get("exprs", [])
         if isinstance(sources, str):
             sources = [sources]
+        if not (isinstance(sources, list)
+                and all(isinstance(src, str) for src in sources)):
+            raise ConfigError("input expressions must be a string or a list "
+                              "of strings")
         if not sources:
             raise ConfigError("expression input needs 'exprs'")
         for src in sources:

@@ -16,9 +16,9 @@ batch whose ``val`` has shape (B,) and whose ``dot`` has shape (k, B), one
 seed direction per coordinate for a gradient (k = dim) or one direction
 per row for a directional derivative (k = 1), and one pass returns all B
 results.  The contract is bit-identity: each row equals the single-point
-result (short of integer values of a point-dependent exponent, see
-:class:`Dual`), because a single dual and a batch run the same formula
-for each operation, the batch entrywise, and
+result, because a single dual and a batch run the same formula for each
+operation, the batch entrywise, a batch exponent sends the rows back to
+the scalar pass (see :class:`Dual`), and
 ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math``
 one entry at a time (numpy's SIMD kernels round differently on some
 inputs).  Division is correctly rounded, ``q = a / b``, in both forms, so
@@ -26,7 +26,7 @@ a pass's value is also the plain evaluation's.  Domain errors in a batch
 name the failing row.
 
 Every sampled check of the package runs its samples as such batches: the
-flowcheck trajectories, the degree, surface, law and chart-form samples of
+degree, surface, law and chart-form samples of
 ``validate``, the bracket degree and antisymmetry samples, the Gibbs-Duhem
 samples and their tangents, and the second-law scan of ``interconnect``;
 so does ``simulate``'s recording of its guard, outputs and monitors, a
@@ -42,11 +42,15 @@ checks' row helpers; a port flow of a ``dual_safe`` generator keeps its
 single dual pass, as a derived output read by a composed drift runs at
 every difference step of every RK4 stage.
 
-The one single-point route that runs many times over is ``simulate``'s
-field, one gradient per generator at each RK4 stage.  :mod:`ltk.tracegrad`
-traces the generators once per run into one straight-line field kernel
-that sums :func:`grad`'s partials bit for bit; every stage it hands back
-runs :func:`grad`, which stays the reference.
+The routes that run many times over are the fields that
+:func:`ltk.dynamics.integrate` steps: ``simulate``'s, one gradient per
+generator at each RK4 stage, and the batch of trajectories of the two
+integrated checks (``flow_transport_check``, ``scaling_commutation_check``),
+whose few rows a vector-mode pass would carry at numpy's per-call cost.
+:mod:`ltk.tracegrad` traces the generators once per run into one
+straight-line field kernel that sums :func:`grad`'s partials bit for bit,
+and the checks call it row by row; every point it hands back runs
+:func:`grad`, which stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
@@ -98,12 +102,12 @@ class Dual:
     plain ints/floats promote the plain operand to a constant (zero ``dot``);
     numpy arrays do not mix.  Each operation is one formula for both kinds,
     applied entrywise to a batch, so every row and seed direction of a batch
-    reproduces the single pass bit for bit, with one exception: a power
-    whose exponent depends on the point and takes an integer value there.
-    A single pass seeding a coordinate the exponent does not read takes the
-    integer-power rule, the batch the general one, and the two can differ
-    in the last bit.  Comparing, ``==`` or hashing a batch raises
-    ``TypeError``, as its rows may compare differently.
+    reproduces the single pass bit for bit.  Comparing, ``==`` or hashing a
+    batch raises ``TypeError``, as its rows may compare differently, and so
+    does raising to a batch exponent: a single pass seeding a coordinate the
+    exponent does not read takes the integer-power rule where the exponent
+    is an integer, which a batch cannot tell per seed, so its rows take the
+    scalar pass.
     """
 
     __slots__ = ("val", "dot")
@@ -202,6 +206,9 @@ class Dual:
                             * self.dot)
             other = Dual(other, 0.0)
         if isinstance(other, Dual):
+            if isinstance(other.val, np.ndarray):
+                raise TypeError("a batch of dual numbers cannot be an "
+                                "exponent; its rows take the scalar pass")
             _reject(self.val <= 0.0, ValueError,
                     "power with non-integer exponent requires a positive base")
             v = _each(pow, self.val, other.val)
@@ -402,11 +409,12 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     is the (B, dim) array of their gradients, from one vector-mode pass
     whose rows equal the single-point gradients bit for bit.  A domain
     error names the failing row.  A function that compares its arguments
-    (a domain check or a branch) falls back to one point at a time.  The
-    package's sampled checks, flowcheck's trajectories and ``simulate``'s
-    recording take this route.  ``simulate``'s field runs a kernel traced
-    from its generators (:func:`ltk.tracegrad.field_kernel`) and comes here
-    only for the stages the kernel hands back and for generators it cannot
+    (a domain check or a branch) or raises to a point-dependent power falls
+    back to one point at a time.  The package's sampled checks and
+    ``simulate``'s recording take this route.  ``simulate``'s field and the
+    trajectories of the two integrated checks run a kernel traced from
+    their generators (:func:`ltk.tracegrad.field_kernel`) and come here
+    only for the points the kernel hands back and for generators it cannot
     trace; this loop stays the reference that every replay reproduces.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:

@@ -24,7 +24,12 @@ is the package's one integration loop; port-system simulation
 (:func:`ltk.portsys.simulate`) runs on it, recording its guard, inputs,
 outputs and monitors through one monitor that takes a block of grid points
 at a time; a run that leaves the surface is detected at the end of its
-block.
+block.  The two integrated checks (:func:`flow_transport_check`,
+:func:`scaling_commutation_check`) step their trajectories as one batch,
+whose field replays code traced once from K
+(:func:`ltk.tracegrad.field_kernel`) row by row, bit for bit the vector
+pass of :func:`phase_rhs`, which stays the one-shot field and the route of
+a K the trace cannot record.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -37,6 +42,7 @@ Packing conventions (m = n + 1 coordinates):
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -64,6 +70,8 @@ __all__ = [
     "scaling_commutation_check",
     "project_reduced",
 ]
+
+log = logging.getLogger("ltk")
 
 # Step scale for finite-difference Jacobian-vector products on vector fields.
 FIELD_FD_STEP = 1e-5
@@ -457,6 +465,52 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
+def _integrate_rows(K: ScalarFn, X0: np.ndarray, t_end: float, dt: float,
+                    check: str) -> Trajectory:
+    """:func:`integrate` of the canonical field of K from the (B, 2m) batch
+    of start rows ``X0``, each row bit for bit the vector pass of
+    :func:`phase_rhs`, for the check named ``check``.
+
+    K is traced once, at the first row (:func:`ltk.tracegrad.field_kernel`),
+    and each stage replays that code row by row: a vector-mode pass over a
+    few rows costs more in numpy's per-call overhead than the replays.  A
+    row whose guard flips or whose check trips takes ``grad``; a stage at
+    which that raises runs the vector pass instead, which raises its own
+    error, naming the batch row.  A K the trace cannot record runs the
+    vector pass at every stage.  At level INFO the ``ltk`` logger says which
+    route K takes, and why, and at how many stages a traced K fell back.
+    """
+    vector = phase_rhs(K)
+    name = K.name or "K"
+    if X0.shape[1] == K.dim:
+        from .tracegrad import field_kernel
+        kernel, (reason,), handed_back = field_kernel(K, (), X0[0].tolist(),
+                                                      K.dim // 2)
+    else:                               # the vector pass raises
+        reason = f"its start rows have {X0.shape[1]} entries"
+    if reason is not None:
+        log.info("%s: %s runs on the vector pass: %s", check, name, reason)
+        return integrate(vector, X0, t_end, dt)
+    log.info("%s: %s runs on a traced replay", check, name)
+    stages = 0
+
+    def field(t, X):
+        nonlocal stages
+        before = handed_back[0]
+        try:
+            k = np.array([kernel(x, ()) for x in X.tolist()])
+        except Exception:   # noqa: BLE001 - the vector pass raises it
+            k = vector(t, X)
+        stages += handed_back[0] > before
+        return k
+
+    try:
+        return integrate(field, X0, t_end, dt)
+    finally:
+        log.info("%s: %s fell back from its trace to grad at %d stages",
+                 check, name, stages)
+
+
 def _perturbation_step(v: float) -> float:
     return 1e-5 * max(1.0, abs(v))
 
@@ -476,9 +530,11 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
 
     Every member and its 2 * n_params perturbations (parameter k moved by
     +h, then -h) are the rows of one batch for :func:`integrate`; each row
-    is the trajectory a separate run would give.  The membership residuals
-    of all recorded member states are one more batch; an error there names
-    the member and the time.
+    is the trajectory a separate run would give.  The batch's field replays
+    K's code, traced once at the first row, row by row, as the vector pass
+    of :func:`phase_rhs` would give it, with the vector pass's errors.  The
+    membership residuals of all recorded member states are one more batch;
+    an error there names the member and the time.
     """
     members = [[float(v) for v in params] for params in sample_grid]
     if not members:
@@ -493,7 +549,7 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     width = len(starts) // len(members)
     x0 = _liouville_rows(gf, starts)
     try:
-        traj = integrate(phase_rhs(K), x0, t_end, dt)
+        traj = _integrate_rows(K, x0, t_end, dt, "flowcheck")
     except _NonFiniteState as err:
         member, j = divmod(err.row, width)
         which = ("unperturbed" if j == 0 else
@@ -533,7 +589,8 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
     Costate scaling acts by (q, p) -> (q, lam*p).  For a fiber-degree-1 K the
     two final states agree; the returned sup-norm distance is a quantitative
     homogeneity check of the *dynamics* rather than of K's values.  The two
-    trajectories run as one batch.
+    trajectories run as one batch, on K's code traced once, as in
+    :func:`flow_transport_check`.
     """
     if lam == 0.0:
         raise ValueError("scaling factor must be nonzero")
@@ -541,7 +598,8 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
     x0 = pt.packed()
     scaled = x0.copy()
     scaled[m:] *= lam
-    final = integrate(phase_rhs(K), np.array([x0, scaled]), t_end, dt).final
+    final = _integrate_rows(K, np.array([x0, scaled]), t_end, dt,
+                            "scaling check").final
     a = final[0].copy()
     a[m:] *= lam                       # flow, then scale
     return float(np.max(np.abs(a - final[1])))   # against scale, then flow

@@ -322,8 +322,8 @@ def _pow(a, b, node):
     dual base, single or batched, checks its own value in ``**``.  A single
     dual exponent with a zero derivative and an integer value takes the
     integer rule, as a float does; a batch exponent, whose rows may differ,
-    always takes the general rule, and so does a traced one, which fails
-    its trace in ``**``.
+    raises ``TypeError`` in ``**``, which sends each row to the scalar pass,
+    and a traced one fails its trace there.
     """
     if isinstance(b, (Dual, _Recorder)):
         b_int = (int(b.val) if isinstance(b, Dual) and isinstance(b.val, float)

@@ -38,9 +38,12 @@ its code object is compiled once and kept by its text (the latest
 the expression inputs of ``PortSignal.from_exprs``.
 
 ``simulate`` traces its generators into a field kernel once per run and
-keeps the kernel for that run only.  ``ltk`` does not import this module;
-``simulate`` and ``PortSignal.from_exprs`` do when first called, so
-importing the package does not compile it.
+keeps the kernel for that run only; so do the two integrated checks of
+:mod:`ltk.dynamics`, ``flow_transport_check`` and
+``scaling_commutation_check``, for K over their batch of trajectories.
+``ltk`` does not import this module; ``simulate``, ``from_exprs`` and the
+two integrated checks import it when first called, so importing the
+package does not compile it.
 """
 from __future__ import annotations
 

@@ -1,6 +1,8 @@
 """Each sampled check runs its samples as one batch; these tests hold every
 batched check to a reference loop over the single-point API, bit for bit
-(``float.hex``), and check that a failing sample is named.
+(``float.hex``), and check that a failing sample is named.  The integrated
+checks' batch field, K's traced code replayed row by row, is held to the
+vector pass of ``phase_rhs``, with its errors, and to single-state runs.
 
 The reference loops are the checks as they ran one sample at a time.  The
 single-point helpers they call (``liouville_point``, ``membership_residual``,
@@ -12,22 +14,26 @@ scalar loop.
 """
 
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 from test_diffkit import SYSTEMS, _hex
 
-from ltk import cli
+from ltk import cli, dynamics, tracegrad
 from ltk.brackets import degree_check, poisson_fn
 from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
-from ltk.dynamics import contact_rhs, phase_rhs, validate_degree
+from ltk.dynamics import (_integrate_rows, contact_rhs, flow_transport_check,
+                          integrate, phase_rhs, scaling_commutation_check,
+                          validate_degree)
 from ltk.exprlang import compile_fn
-from ltk.geometry import (EulerFieldKind, beta, dehomogenize, euler_residual,
-                          project, sample_phase_points, scale_costate)
+from ltk.geometry import (EulerFieldKind, PhasePoint, beta, dehomogenize,
+                          euler_residual, project, sample_phase_points,
+                          scale_costate)
 from ltk.portsys import (_port_flow, _port_flows, _sample_surface_params,
-                         heat_compartment, ideal_gas_SVN, interconnect,
-                         validate)
+                         gas_piston_damper, heat_compartment, ideal_gas_SVN,
+                         interconnect, validate)
 from ltk.submanifold import (TANGENT_STEP, GeneratingFunction,
                              _liouville_rows, gibbs_duhem_check,
                              liouville_point, membership_norm, tangent_basis)
@@ -385,3 +391,206 @@ def test_expression_domain_holes_are_skipped_like_builtin_ones(capsys):
     worst, evaluated = _validate_degree_loop(K, 1, 40, 3)
     assert 40 // 2 <= evaluated < 40
     assert validate_degree(K, 1, n_samples=40, seed=3).hex() == worst.hex()
+
+
+# -- the integrated checks' traced field ------------------------------------------
+
+
+def _vector_route(monkeypatch):
+    """Let no trace record K, so the integrated checks take the vector pass
+    of ``phase_rhs`` at every stage."""
+    monkeypatch.setattr(tracegrad._Trace, "record",
+                        lambda trace, K: (None, "untraced"))
+
+
+def _batch_grads(monkeypatch) -> list:
+    """The number of rows of each vector-mode gradient pass that
+    ``phase_rhs`` makes from now on, in order."""
+    calls, original = [], dynamics.grad
+
+    def counted(K, x):
+        if np.ndim(x) == 2:
+            calls.append(len(x))
+        return original(K, x)
+
+    monkeypatch.setattr(dynamics, "grad", counted)
+    return calls
+
+
+def _flow_starts(system, n: int, seed: int) -> np.ndarray:
+    params = [system.default_params] if system.default_params else []
+    params += _sample_surface_params(system, n, seed)
+    return _liouville_rows(system.gf, params)
+
+
+def _log_lines(caplog, check: str) -> list:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(f"{check}: ")]
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
+                                                        caplog):
+    # built-in and expression drifts, and an expression port generator
+    system = SYSTEMS[name]()
+    X0 = _flow_starts(system, 5, 11)
+    calls = _batch_grads(monkeypatch)
+    fields = []
+    monkeypatch.setattr(dynamics, "integrate", lambda f, *args: (
+        fields.append(f), integrate(f, *args))[1])
+    for K in (system.Ka,) + system.Kc:
+        with caplog.at_level(logging.INFO, logger="ltk"):
+            traced = _integrate_rows(K, X0, 0.05, 1e-2, "test")
+        assert calls == []
+        assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 0.05,
+                                                  1e-2).x)
+        for X in (X0, traced.x[-1]):    # the field itself, at every bit
+            assert _hex(fields[-1](0.0, X)) == _hex(phase_rhs(K)(0.0, X))
+        calls.clear()
+        assert _log_lines(caplog, "test")[-2:] == [
+            f"test: {K.name} runs on a traced replay",
+            f"test: {K.name} fell back from its trace to grad at 0 stages"]
+
+
+@pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston"])
+def test_flowcheck_reports_are_the_vector_passes(name, monkeypatch):
+    system = SYSTEMS[name]()
+    grid = [system.default_params or (0.0, 1.0, 0.3, -1.0)]
+    grid += _sample_surface_params(system, 2, 5)
+    pt = liouville_point(system.gf, grid[0])
+    runs = []
+    for route in ("traced", "vector"):
+        if route == "vector":
+            _vector_route(monkeypatch)
+        report = flow_transport_check(system.gf, system.Ka, 0.05, grid)
+        runs.append([report.alpha_residual, report.membership_drift,
+                     scaling_commutation_check(system.Ka, pt, 1.7, 0.05)])
+    assert _hex(runs[0]) == _hex(runs[1])
+
+
+def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
+    # the drift doubles while the piston momentum exceeds 0.3, which it
+    # does from the start on rows 0 and 2 and from mid-run on row 1: a row
+    # takes grad at the stages on the other side of the guard traced at
+    # row 0
+    Ka = gas_piston_damper().Ka
+
+    def switching(x):
+        return Ka(x) * 2.0 if x[3] > 0.3 else Ka(x)
+
+    K = ScalarFn(switching, 8, name="switching drift")
+    system = gas_piston_damper()
+    X0 = _liouville_rows(system.gf, [(0.0, 1.0, 0.35, -1.0),
+                                     (0.0, 1.0, 0.2, -1.0),
+                                     (0.1, 1.2, 0.45, -0.8)])
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traced = _integrate_rows(K, X0, 1.0, 2e-2, "test")
+    momentum = traced.x[:, :, 3]
+    assert (momentum[:, [0, 2]] > 0.3).all()
+    assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
+    assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 1.0, 2e-2).x)
+    for i, x0 in enumerate(X0):         # each row as a state alone
+        alone = integrate(phase_rhs(K), x0, 1.0, 2e-2).x
+        assert _hex(traced.x[:, i]) == _hex(alone)
+    lines = _log_lines(caplog, "test")
+    assert lines[0] == "test: switching drift runs on a traced replay"
+    stages = int(lines[-1].split(" at ")[-1].split()[0])
+    assert 0 < stages <= 4 * 50
+
+
+def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
+    port = heat_compartment().Kc[0]
+    K = ScalarFn(lambda x: port(x) * (2.0 if x[0] == 0.25 else 1.0), 4,
+                 name="reads ==")
+    X0 = _flow_starts(heat_compartment(), 4, 2)
+    calls = _batch_grads(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traj = _integrate_rows(K, X0, 0.1, 1e-2, "test")
+    assert calls == [len(X0)] * 40      # one pass per stage, every stage
+    assert _log_lines(caplog, "test") == [
+        "test: reads == runs on the vector pass: it reads a traced value "
+        "with =="]
+    monkeypatch.undo()
+    assert _hex(traj.x) == _hex(integrate(phase_rhs(K), X0, 0.1, 1e-2).x)
+    # a K of another dimension than the rows is not traced; the vector pass
+    # raises
+    with pytest.raises(ValueError, match="expects dimension 4, got 6 in "
+                       "the step from t=0"):
+        _integrate_rows(K, np.ones((2, 6)), 0.1, 1e-2, "test")
+
+
+def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
+    # q1 does not move (K does not read p1), so the exponent stays an
+    # integer on two rows; the scalar pass takes the integer-power rule for
+    # the seeds the exponent does not read, and each batch row must too
+    K = compile_fn("p0 * q0 ^ q1 + p1 * 0", ["q0", "q1", "p0", "p1"])
+    X0 = np.array([[1.3, 2.0, -1.0, -0.5], [1.1, 3.0, -0.7, -1.0],
+                   [0.9, 2.5, -1.2, -1.0]])
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traj = _integrate_rows(K, X0, 0.2, 1e-3, "test")
+    assert "runs on the vector pass: it raises to a traced exponent" in \
+        caplog.text
+    for i, x0 in enumerate(X0):
+        assert _hex(traj.x[:, i]) == \
+            _hex(integrate(phase_rhs(K), x0, 0.2, 1e-3).x)
+
+
+@pytest.mark.parametrize("case", ["domain hole", "non-finite"])
+def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
+    # a row that hands back and raises sends its stage to the vector pass,
+    # whose error names the batch row; integrate adds the step, flowcheck
+    # names the member and perturbation of a non-finite row
+    if case == "domain hole":
+        system = heat_compartment()
+        gf = system.gf
+        K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(0.45 - q1))",
+                       ["q0", "q1", "p0", "p1"])
+        grid, t_end, dt = [(0.1, -1.0), (0.3, -1.0), (0.2, -1.2)], 1.0, 1e-2
+        pt = liouville_point(gf, (0.3, -1.0))
+    else:
+        gf = GeneratingFunction(
+            n=1, Fhat=ScalarFn(lambda x: 0.5 * x[0] ** 2, dim=1),
+            I=(1,), chart=0)
+        c = np.finfo(float).max / 12.0 / (1.0 + 5e-6)
+        K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
+        grid, t_end, dt = [(0.7, -0.5), (1.2, -1.0)], 0.01, 1e-3
+        pt = None
+    errors = []
+    for route in ("traced", "vector"):
+        if route == "vector":
+            _vector_route(monkeypatch)
+        with pytest.raises(Exception) as flow, np.errstate(over="ignore"):
+            flow_transport_check(gf, K, t_end, grid, dt=dt)
+        errors.append((type(flow.value), str(flow.value)))
+        if pt is not None:
+            with pytest.raises(Exception) as scaled:
+                scaling_commutation_check(K, pt, 1.5, t_end, dt=dt)
+            errors.append((type(scaled.value), str(scaled.value)))
+    half = len(errors) // 2
+    assert errors[:half] == errors[half:]
+    if case == "domain hole":
+        assert errors[0][1] == (
+            "ln requires a positive argument (batch row 5) in "
+            "'ln(0.45-q1)' in the step from t=0.21")
+        assert "in the step from t=" in errors[1][1]
+    else:
+        assert errors[0][0] is RuntimeError
+        assert "member [1.2, -1.0] (parameter 1 -h)" in errors[0][1]
+
+
+def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog):
+    argv = ["flowcheck", "--system", "heat_exchanger", "--t-end", "0.02",
+            "--dt", "1e-3", "--samples", "2"]
+    outputs = []
+    for level in (logging.WARNING, logging.INFO):
+        caplog.clear()
+        with caplog.at_level(level, logger="ltk"):
+            assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])["alpha_on_tangents"]["pass"]
+    assert _log_lines(caplog, "flowcheck") == [
+        "flowcheck: drift(heat_exchanger) runs on a traced replay",
+        "flowcheck: drift(heat_exchanger) fell back from its trace to grad "
+        "at 0 stages"]

@@ -548,6 +548,14 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
     ({"system": "gas_piston_damper",
       "input": {"kind": "expr", "exprs": ["2*"]}},
      "bad input expression '2*'"),
+    ({"system": "gas_piston_damper",
+      "input": {"kind": "expr", "exprs": [5]}},
+     "input expressions must be a string or a list of strings"),
+    ({"system": "heat_compartment",
+      "input": {"kind": "expr", "exprs": {"a": 1}}},
+     "input expressions must be a string or a list of strings"),
+    ({"system": "heat_compartment", "input": {"kind": "expr", "exprs": 5}},
+     "input expressions must be a string or a list of strings"),
     ({"system": "gas_piston_damper", "input": {"kind": "square"}},
      "unknown input kind 'square'"),
     ({}, "no system specified"),
@@ -591,7 +599,8 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
         "t_end inf", "dt NaN", "dt inf", "dt zero", "factory NaN",
         "input number", "constant without values",
         "sinusoid without amplitude", "expr without exprs",
-        "input syntax", "input kind", "no system", "system number",
+        "input syntax", "exprs number item", "exprs object",
+        "exprs number", "input kind", "no system", "system number",
         "system without name", "params list", "custom number",
         "custom without partition", "dimensions zero", "gf without expr",
         "partition list", "samples zero", "bracket dimensions zero",

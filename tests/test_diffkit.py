@@ -349,9 +349,24 @@ def test_batched_grad_covers_every_operation_bit_for_bit(source):
     assert _hex([kernel(x, []) for x in kink.tolist()]) == expected
 
 
+def test_a_batch_exponent_at_integer_values_is_the_scalar_pass():
+    # where a point-dependent exponent is an integer, a single pass takes
+    # the integer-power rule for the seeds the exponent does not read; the
+    # batch's rows take that pass, so every row is the point alone
+    f = compile_fn("q0 ^ q1 + 2 ^ q2 * q0", ["q0", "q1", "q2"])
+    X = np.random.default_rng(4).uniform(0.2, 3.0, (60, 3))
+    X[::3, 1:] = np.round(X[::3, 1:])
+    assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
+    D = np.random.default_rng(5).uniform(-1.0, 1.0, X.shape)
+    D[::2, 1:] = 0.0
+    vals, dots = _values_and_dirderivs(f, X, D)
+    assert _hex(np.column_stack([vals, dots])) == _hex(
+        [_value_and_dirderiv(f, x, d) for x, d in zip(X.tolist(), D.tolist())])
+
+
 def test_one_row_batches_of_a_point_dependent_exponent():
-    # a batch exponent takes the general power rule; read as a single dual
-    # exponent, a one-row batch would reach ndarray.is_integer and a
+    # a batch exponent sends each row to the scalar pass; read as a single
+    # dual exponent, a one-row batch would reach ndarray.is_integer and a
     # gradient batch the truth value of its array of dots
     f = compile_fn("q0 ^ (q1 + 0.5)", ["q0", "q1"])
     x = [1.7, 1.2]
