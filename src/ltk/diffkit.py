@@ -17,8 +17,8 @@ seed direction per coordinate for a gradient (k = dim) or one direction
 per row for a directional derivative (k = 1), and one pass returns all B
 results.  The contract is bit-identity: each row equals the single-point
 result, because a single dual and a batch run the same formula for each
-operation, the batch entrywise, a batch exponent sends the rows back to
-the scalar pass (see :class:`Dual`), and
+operation, the batch entrywise, a batch exponent with an integer value
+sends the rows back to the scalar pass (see :class:`Dual`), and
 ``exp``, ``ln``, ``sqrt``, ``sin``, ``cos`` and ``**`` go through ``math``
 one entry at a time (numpy's SIMD kernels round differently on some
 inputs).  Division is correctly rounded, ``q = a / b``, in both forms, so
@@ -104,10 +104,11 @@ class Dual:
     applied entrywise to a batch, so every row and seed direction of a batch
     reproduces the single pass bit for bit.  Comparing, ``==`` or hashing a
     batch raises ``TypeError``, as its rows may compare differently, and so
-    does raising to a batch exponent: a single pass seeding a coordinate the
-    exponent does not read takes the integer-power rule where the exponent
-    is an integer, which a batch cannot tell per seed, so its rows take the
-    scalar pass.
+    does raising to a batch exponent that is an integer on some row: a
+    single pass seeding a coordinate the exponent does not read takes the
+    integer-power rule there, which a batch cannot tell per seed, so its
+    rows take the scalar pass.  A batch exponent with no integer value takes
+    the general rule, as every single pass does.
     """
 
     __slots__ = ("val", "dot")
@@ -206,9 +207,10 @@ class Dual:
                             * self.dot)
             other = Dual(other, 0.0)
         if isinstance(other, Dual):
-            if isinstance(other.val, np.ndarray):
-                raise TypeError("a batch of dual numbers cannot be an "
-                                "exponent; its rows take the scalar pass")
+            if (isinstance(other.val, np.ndarray)
+                    and (other.val == np.trunc(other.val)).any()):
+                raise TypeError("a batch exponent with an integer value "
+                                "sends its rows to the scalar pass")
             _reject(self.val <= 0.0, ValueError,
                     "power with non-integer exponent requires a positive base")
             v = _each(pow, self.val, other.val)
@@ -409,9 +411,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     is the (B, dim) array of their gradients, from one vector-mode pass
     whose rows equal the single-point gradients bit for bit.  A domain
     error names the failing row.  A function that compares its arguments
-    (a domain check or a branch) or raises to a point-dependent power falls
-    back to one point at a time.  The package's sampled checks and
-    ``simulate``'s recording take this route.  ``simulate``'s field and the
+    (a domain check or a branch) or raises to a point-dependent power that
+    is an integer at some row falls back to one point at a time.  The
+    package's sampled checks and ``simulate``'s recording take this route.  ``simulate``'s field and the
     trajectories of the two integrated checks run a kernel traced from
     their generators (:func:`ltk.tracegrad.field_kernel`) and come here
     only for the points the kernel hands back and for generators it cannot

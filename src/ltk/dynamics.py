@@ -29,7 +29,8 @@ block.  The two integrated checks (:func:`flow_transport_check`,
 whose field replays code traced once from K
 (:func:`ltk.tracegrad.field_kernel`) row by row, bit for bit the vector
 pass of :func:`phase_rhs`, which stays the one-shot field and the route of
-a K the trace cannot record.
+a batch of more than :data:`REPLAY_MAX_ROWS` rows or of a K the trace
+cannot record.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -79,6 +80,13 @@ FIELD_FD_STEP = 1e-5
 # Grid points per call of an :func:`integrate` monitor: enough to spread a
 # vector-mode pass's overhead thin, few enough to keep its arrays small.
 MONITOR_BLOCK = 1024
+
+# Most rows of an integrated check's batch that replay K's traced code row
+# by row; a larger batch runs the vector pass.  On the built-in piston and
+# exchanger drifts a row's replay costs about 3 us a stage and a vector
+# pass 160-200 us plus 1 us a row, so the two meet near 70 rows (Xeon
+# VM, CPython 3.11).
+REPLAY_MAX_ROWS = 48
 
 
 @dataclass
@@ -471,18 +479,22 @@ def _integrate_rows(K: ScalarFn, X0: np.ndarray, t_end: float, dt: float,
     of start rows ``X0``, each row bit for bit the vector pass of
     :func:`phase_rhs`, for the check named ``check``.
 
-    K is traced once, at the first row (:func:`ltk.tracegrad.field_kernel`),
-    and each stage replays that code row by row: a vector-mode pass over a
-    few rows costs more in numpy's per-call overhead than the replays.  A
-    row whose guard flips or whose check trips takes ``grad``; a stage at
-    which that raises runs the vector pass instead, which raises its own
-    error, naming the batch row.  A K the trace cannot record runs the
-    vector pass at every stage.  At level INFO the ``ltk`` logger says which
-    route K takes, and why, and at how many stages a traced K fell back.
+    A batch of at most :data:`REPLAY_MAX_ROWS` rows traces K once, at the
+    first row (:func:`ltk.tracegrad.field_kernel`), and each stage replays
+    that code row by row: a vector-mode pass over a few rows costs more in
+    numpy's per-call overhead than the replays.  A row whose guard flips or
+    whose check trips takes ``grad``; a stage at which that raises runs the
+    vector pass instead, which raises its own error, naming the batch row.
+    A larger batch, or a K the trace cannot record, runs the vector pass at
+    every stage.  At level INFO the ``ltk`` logger says which route K takes,
+    and why, and at how many stages a traced K fell back.
     """
     vector = phase_rhs(K)
     name = K.name or "K"
-    if X0.shape[1] == K.dim:
+    if len(X0) > REPLAY_MAX_ROWS:
+        reason = (f"its {len(X0)} rows are more than the {REPLAY_MAX_ROWS} "
+                  f"a replay runs faster")
+    elif X0.shape[1] == K.dim:
         from .tracegrad import field_kernel
         kernel, (reason,), handed_back = field_kernel(K, (), X0[0].tolist(),
                                                       K.dim // 2)
@@ -530,9 +542,10 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
 
     Every member and its 2 * n_params perturbations (parameter k moved by
     +h, then -h) are the rows of one batch for :func:`integrate`; each row
-    is the trajectory a separate run would give.  The batch's field replays
-    K's code, traced once at the first row, row by row, as the vector pass
-    of :func:`phase_rhs` would give it, with the vector pass's errors.  The
+    is the trajectory a separate run would give.  Up to
+    :data:`REPLAY_MAX_ROWS` rows, the batch's field replays K's code, traced
+    once at the first row, row by row, as the vector pass of
+    :func:`phase_rhs` would give it, with the vector pass's errors.  The
     membership residuals of all recorded member states are one more batch;
     an error there names the member and the time.
     """

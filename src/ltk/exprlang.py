@@ -322,8 +322,9 @@ def _pow(a, b, node):
     dual base, single or batched, checks its own value in ``**``.  A single
     dual exponent with a zero derivative and an integer value takes the
     integer rule, as a float does; a batch exponent, whose rows may differ,
-    raises ``TypeError`` in ``**``, which sends each row to the scalar pass,
-    and a traced one fails its trace there.
+    takes the general rule, short of an integer value on some row, where it
+    raises ``TypeError`` in ``**``, which sends each row to the scalar pass;
+    a traced one fails its trace there.
     """
     if isinstance(b, (Dual, _Recorder)):
         b_int = (int(b.val) if isinstance(b, Dual) and isinstance(b.val, float)

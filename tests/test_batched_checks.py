@@ -519,6 +519,26 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
         _integrate_rows(K, np.ones((2, 6)), 0.1, 1e-2, "test")
 
 
+def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
+        monkeypatch, caplog):
+    # past REPLAY_MAX_ROWS rows one vector pass per stage is the cheaper
+    # route; up to it, K replays its trace
+    system = gas_piston_damper()
+    X0 = _flow_starts(system, dynamics.REPLAY_MAX_ROWS, 3)
+    assert len(X0) == dynamics.REPLAY_MAX_ROWS + 1
+    calls = _batch_grads(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        wide = _integrate_rows(system.Ka, X0, 0.02, 1e-2, "test")
+        narrow = _integrate_rows(system.Ka, X0[1:], 0.02, 1e-2, "test")
+    assert calls == [len(X0)] * 8
+    assert _log_lines(caplog, "test") == [
+        f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
+        f"are more than the {dynamics.REPLAY_MAX_ROWS} a replay runs faster",
+        f"test: {system.Ka.name} runs on a traced replay",
+        f"test: {system.Ka.name} fell back from its trace to grad at 0 stages"]
+    assert np.array_equal(wide.x[:, 1:], narrow.x)
+
+
 def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
     # q1 does not move (K does not read p1), so the exponent stays an
     # integer on two rows; the scalar pass takes the integer-power rule for

@@ -391,6 +391,7 @@ def test_batched_grad_of_one_row_and_dimension_check():
     ("q0 ^ -2 + q1", [0.0, 1.0], "negative power"),
     ("sqrt(q0) + q1", [-1.0, 1.0], "nonnegative argument"),
     ("exp(q0) * q1", [1000.0, 1.0], "math range error"),
+    ("q0 ^ (q1 + 0.5)", [-1.0, 1.0], "non-integer exponent"),
 ])
 def test_batched_grad_domain_errors_name_the_row(source, bad, message):
     f = compile_fn(source, ["q0", "q1"])
