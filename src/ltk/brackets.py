@@ -33,8 +33,8 @@ import numpy as np
 from .diffkit import (ScalarFn, _sample_rows, _values_and_fd_dirderivs,
                       grad)
 from .dynamics import lie_bracket_fd, phase_rhs
-from .geometry import (ContactPoint, PhasePoint, _relative_euler_rows,
-                       dehomogenize, homogenize, sample_phase_points)
+from .geometry import (ContactPoint, PhasePoint, _phase_rows,
+                       _relative_euler_rows, dehomogenize, homogenize)
 
 __all__ = [
     "BracketReport",
@@ -143,12 +143,17 @@ def degree_check(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
     residual takes one vector-mode pass per operand, the bracket's own Euler
     residual one more over the points and their two difference points.
     """
+    X = (_phase_rows(K1.dim // 2, n_samples, seed) if points is None
+         else np.array([pt.packed() for pt in points]))
+    return _degree_rows(degree1, degree2, K1, K2, X)
+
+
+def _degree_rows(degree1: int, degree2: int, K1: ScalarFn, K2: ScalarFn,
+                 X: np.ndarray) -> BracketReport:
+    """:func:`degree_check` on the packed phase points at the rows of X."""
     if {degree1, degree2} - {0, 1}:
         raise ValueError("degree_check handles fiber degrees 0 and 1")
     m = _check_pair(K1, K2)
-    if points is None:
-        points = sample_phase_points(m, n_samples, seed)
-    X = np.array([pt.packed() for pt in points])
 
     def residuals(rows):
         x = X[rows]

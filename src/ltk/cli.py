@@ -41,11 +41,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .brackets import _poisson_rows, degree_check
+from .brackets import _degree_rows, _poisson_rows
 from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs
 from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
-from .geometry import sample_phase_points
+from .geometry import _phase_rows
 from .portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal, PortSystem,
                       _sample_surface_params, builtin, simulate, validate)
 from .submanifold import (GeneratingFunction, gibbs_duhem_check,
@@ -457,13 +457,12 @@ def _bracket_operands(cfg: RunConfig):
 
 def _cmd_bracket(cfg: RunConfig) -> int:
     K1, K2, deg1, deg2 = _bracket_operands(cfg)
-    points = sample_phase_points(K1.dim // 2, cfg.samples, cfg.seed)
-    degree_report = degree_check(deg1, deg2, K1, K2, points=points)
+    X = _phase_rows(K1.dim // 2, cfg.samples, cfg.seed)
+    degree_report = _degree_rows(deg1, deg2, K1, K2, X)
     # {K1, K2} = -dK1(X_K2): the bracket against K1's derivative along the
     # canonical field of K2, a route that shares no dot product with it; the
     # points are one batch, and those where an operand is undefined or not
     # finite skipped
-    X = np.array([pt.packed() for pt in points])
 
     def antisymmetry(rows):
         x = X[rows]

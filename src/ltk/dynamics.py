@@ -25,12 +25,13 @@ is the package's one integration loop; port-system simulation
 outputs and monitors through one monitor that takes a block of grid points
 at a time; a run that leaves the surface is detected at the end of its
 block.  The two integrated checks (:func:`flow_transport_check`,
-:func:`scaling_commutation_check`) step their trajectories as one batch,
-whose field replays code traced once from K
-(:func:`ltk.tracegrad.field_kernel`) row by row, bit for bit the vector
-pass of :func:`phase_rhs`, which stays the one-shot field and the route of
-a batch of more than :data:`REPLAY_MAX_ROWS` rows or of a K the trace
-cannot record.
+:func:`scaling_commutation_check`) step their trajectories as one batch
+of up to :data:`REPLAY_MAX_ROWS` rows, each row a list of floats stepped
+by the list step through code traced once from K
+(:func:`ltk.tracegrad.field_kernel`), bit for bit the vector pass of
+:func:`phase_rhs`; that pass stays the one-shot field, reruns a step at
+which a row raises, and steps a larger batch or a K the trace cannot
+record.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -51,8 +52,8 @@ import numpy as np
 
 from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
                       grad)
-from .geometry import (EulerFieldKind, PhasePoint, _chart_rows,
-                       _relative_euler_rows, sample_phase_points)
+from .geometry import (EulerFieldKind, PhasePoint, _chart_rows, _phase_rows,
+                       _relative_euler_rows)
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, _specific_ratios)
 
@@ -81,12 +82,13 @@ FIELD_FD_STEP = 1e-5
 # vector-mode pass's overhead thin, few enough to keep its arrays small.
 MONITOR_BLOCK = 1024
 
-# Most rows of an integrated check's batch that replay K's traced code row
-# by row; a larger batch runs the vector pass.  On the built-in piston and
-# exchanger drifts a row's replay costs about 3 us a stage and a vector
-# pass 160-200 us plus 1 us a row, so the two meet near 70 rows (Xeon
-# VM, CPython 3.11).
-REPLAY_MAX_ROWS = 48
+# Most rows of an integrated check's batch that step through K's traced
+# code row by row; a larger batch runs the vector pass.  Timed on `ltk
+# flowcheck --t-end 1 --dt 1e-3` (process CPU, 2-CPU Xeon VM, CPython
+# 3.11), the replay is faster up to 54 rows on the built-in piston and
+# exchanger, the two routes meet at 63-72 rows on the piston and 81-99 on
+# the exchanger, and at 225 rows the vector pass takes half the time.
+REPLAY_MAX_ROWS = 60
 
 
 @dataclass
@@ -122,14 +124,8 @@ def validate_degree(K: ScalarFn, degree: int = 1, n_samples: int = 50,
     """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
-    return _degree_residual(K, _phase_samples(K.dim // 2, n_samples, seed),
+    return _degree_residual(K, _phase_rows(K.dim // 2, n_samples, seed),
                             degree, wrt)
-
-
-def _phase_samples(m: int, n_samples: int, seed: int) -> np.ndarray:
-    """The packed :func:`~ltk.geometry.sample_phase_points`, one per row."""
-    return np.array([pt.packed() for pt in sample_phase_points(m, n_samples,
-                                                               seed)])
 
 
 def _degree_residual(K: ScalarFn, X: np.ndarray, degree: int = 1,
@@ -264,8 +260,9 @@ def rk4_step(f, t: float, x, dt: float):
     each entry with the expressions an ndarray state steps with, so both
     give the same bits; the step returns a list.  ``f`` still receives each
     stage as a 1-D ndarray, and may return a list or an ndarray; a field
-    marked ``_list_stages`` (:func:`ltk.portsys.simulate`'s) receives the
-    list itself and returns a list.  An ndarray state (one vector, or a
+    marked ``_list_stages`` (:func:`ltk.portsys.simulate`'s, and the row
+    field of the integrated checks) receives the list itself and returns a
+    list.  An ndarray state (one vector, or a
     (B, dim) batch) steps in numpy and returns an ndarray.  A stage of
     another length or shape than the state raises ``ValueError``.
     """
@@ -356,7 +353,12 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     alike (as :func:`phase_rhs` does).  A single state is carried between
     steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
     each stage as a 1-D ndarray, or as that list where ``f`` is marked
-    ``_list_stages``, and may return a list or an ndarray.
+    ``_list_stages``, and may return a list or an ndarray.  A batch steps
+    in numpy, unless ``f`` is marked ``_list_stages``: then each row is a
+    list of floats stepped alone by the same list step, and ``f._batch``
+    is the batch form of ``f``, which reruns a step at which some row
+    raises, so the step raises the batch form's error (or, where it does
+    not raise, returns the same bits).  The route is chosen once per call.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` points at a time: ``fn(t_rows, x_rows)`` returns
@@ -367,7 +369,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     a monitor's error at an earlier point comes first.  An error from
     ``f`` keeps its type and gains the step's start time in its message; a
     non-finite state aborts with the offending time, and for a batch the
-    offending row, in the message.
+    first offending row, in the message, after every row has stepped.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
@@ -382,7 +384,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     ts = np.arange(steps + 1) * dt      # i * dt, bit for bit
     xs = np.empty((steps + 1,) + x.shape)
-    rows = []                           # single-state rows not yet in xs
+    rows = []                           # list states not yet in xs
     mon = {}
     done = 0                            # points whose monitors are recorded
 
@@ -401,22 +403,21 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     xs[0] = x
-    single = x.ndim == 1
-    if single:
-        x = x.tolist()
+    if x.ndim == 1:
+        x, step = x.tolist(), _state_step
+    elif getattr(f, "_list_stages", False):
+        x, step = x.tolist(), _rows_step
+    else:
+        step = _batch_step
+    listed = step is not _batch_step
     for i in range(1, steps + 1):
         if i - done == MONITOR_BLOCK:
             record_monitors(i)
         try:
-            x = rk4_step(f, (i - 1) * dt, x, dt)
-            if single:
-                if not all(map(math.isfinite, x)):
-                    raise _NonFiniteState(i * dt, i)
+            x = step(f, (i - 1) * dt, x, dt, i)
+            if listed:
                 rows.append(x)
             else:
-                finite = np.isfinite(x).all(axis=1)
-                if not finite.all():
-                    raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
                 xs[i] = x
         except Exception as err:
             if not isinstance(err, _NonFiniteState):
@@ -425,6 +426,37 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             raise
     record_monitors(steps + 1)
     return Trajectory(ts, xs, mon)
+
+
+def _state_step(f, t, x, dt, i):
+    """:func:`integrate`'s step i of a single list state."""
+    x = rk4_step(f, t, x, dt)
+    if not all(map(math.isfinite, x)):
+        raise _NonFiniteState(i * dt, i)
+    return x
+
+
+def _rows_step(f, t, X, dt, i):
+    """:func:`integrate`'s step i of a batch carried as list rows, each by
+    the list step; a step at which a row raises reruns as the batch."""
+    step = _LIST_STEPS.get(len(X[0])) or _list_step(len(X[0]))
+    try:
+        X = [step(f, t, x, dt) for x in X]
+    except Exception:   # noqa: BLE001 - the batch form raises it
+        X = rk4_step(f._batch, t, np.array(X), dt).tolist()
+    for row, x in enumerate(X):
+        if not all(map(math.isfinite, x)):
+            raise _NonFiniteState(i * dt, i, row)
+    return X
+
+
+def _batch_step(f, t, X, dt, i):
+    """:func:`integrate`'s step i of an ndarray batch."""
+    X = rk4_step(f, t, X, dt)
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
+    return X
 
 
 def lie_bracket_fd(X, Y, x) -> np.ndarray:
@@ -480,14 +512,14 @@ def _integrate_rows(K: ScalarFn, X0: np.ndarray, t_end: float, dt: float,
     :func:`phase_rhs`, for the check named ``check``.
 
     A batch of at most :data:`REPLAY_MAX_ROWS` rows traces K once, at the
-    first row (:func:`ltk.tracegrad.field_kernel`), and each stage replays
-    that code row by row: a vector-mode pass over a few rows costs more in
-    numpy's per-call overhead than the replays.  A row whose guard flips or
-    whose check trips takes ``grad``; a stage at which that raises runs the
-    vector pass instead, which raises its own error, naming the batch row.
-    A larger batch, or a K the trace cannot record, runs the vector pass at
-    every stage.  At level INFO the ``ltk`` logger says which route K takes,
-    and why, and at how many stages a traced K fell back.
+    first row (:func:`ltk.tracegrad.field_kernel`), and :func:`integrate`
+    steps each row as a list of floats through that code; the vector pass
+    is the field's batch form, which reruns a step at which a row raises.
+    A row whose guard flips or whose check trips takes ``grad`` for that
+    stage.  A larger batch, or a K the trace cannot record, runs the vector
+    pass at every stage.  At level INFO the ``ltk`` logger says which route
+    K takes, and why, and at how many row stages (one row's field at one
+    RK4 stage) a traced K fell back to ``grad``.
     """
     vector = phase_rhs(K)
     name = K.name or "K"
@@ -504,23 +536,16 @@ def _integrate_rows(K: ScalarFn, X0: np.ndarray, t_end: float, dt: float,
         log.info("%s: %s runs on the vector pass: %s", check, name, reason)
         return integrate(vector, X0, t_end, dt)
     log.info("%s: %s runs on a traced replay", check, name)
-    stages = 0
 
-    def field(t, X):
-        nonlocal stages
-        before = handed_back[0]
-        try:
-            k = np.array([kernel(x, ()) for x in X.tolist()])
-        except Exception:   # noqa: BLE001 - the vector pass raises it
-            k = vector(t, X)
-        stages += handed_back[0] > before
-        return k
+    def field(t, x):
+        return kernel(x, ())
 
+    field._list_stages, field._batch = True, vector
     try:
         return integrate(field, X0, t_end, dt)
     finally:
-        log.info("%s: %s fell back from its trace to grad at %d stages",
-                 check, name, stages)
+        log.info("%s: %s fell back from its trace to grad at %d row stages",
+                 check, name, handed_back[0])
 
 
 def _perturbation_step(v: float) -> float:
@@ -543,9 +568,9 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     Every member and its 2 * n_params perturbations (parameter k moved by
     +h, then -h) are the rows of one batch for :func:`integrate`; each row
     is the trajectory a separate run would give.  Up to
-    :data:`REPLAY_MAX_ROWS` rows, the batch's field replays K's code, traced
-    once at the first row, row by row, as the vector pass of
-    :func:`phase_rhs` would give it, with the vector pass's errors.  The
+    :data:`REPLAY_MAX_ROWS` rows, each row steps through K's code, traced
+    once at the first row, as the vector pass of :func:`phase_rhs` would
+    step it, with the vector pass's errors.  The
     membership residuals of all recorded member states are one more batch;
     an error there names the member and the time.
     """

@@ -242,15 +242,27 @@ def sample_phase_points(m: int, n_samples: int, seed: int) -> list:
 
     The ranges keep chart divisions well-conditioned; the costate signs are
     drawn independently.  The points come from one ``default_rng(seed)``
-    stream, so every check sampling with the same seed sees the same points.
+    stream, so every check sampling with the same seed sees the same points;
+    the checks inside ``ltk`` draw them packed, one per row of an array,
+    from the same stream.
     """
+    return [PhasePoint(x[:m], x[m:]) for x in _phase_rows(m, n_samples, seed)]
+
+
+_SIGNS = np.array([-1.0, 1.0])
+
+
+def _phase_rows(m: int, n_samples: int, seed: int) -> np.ndarray:
+    """The packed points of :func:`sample_phase_points`, an (n_samples, 2m)
+    array: per point one draw of q and |p|, then one of the signs, which
+    takes the stream as ``rng.choice([-1.0, 1.0], m)`` would."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n_samples):
-        q = rng.uniform(0.6, 1.4, m)
-        p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
-        out.append(PhasePoint(q, p))
-    return out
+    lo, hi = np.repeat([0.6, 0.2], m), np.repeat([1.4, 1.0], m)
+    X = np.empty((n_samples, 2 * m))
+    for x in X:
+        x[:] = rng.uniform(lo, hi)
+        x[m:] *= _SIGNS[rng.integers(0, 2, m)]
+    return X
 
 
 def scale_costate(pt: PhasePoint, lam: float) -> PhasePoint:
@@ -350,14 +362,11 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
     points where K raises or is not finite are skipped rather than failing
     the check.  The points are one batch.
     """
-    rng = np.random.default_rng(7)
-    X = []
-    for _ in range(4):
-        q = rng.uniform(0.6, 1.4, n + 1)
-        p = rng.uniform(-0.8, 0.8, n + 1)
-        p[chart] = -1.0
-        X.append(np.concatenate([q, 1.3 * p]))
-    X = np.array(X)
+    m = n + 1
+    X = np.random.default_rng(7).uniform(np.repeat([0.6, -0.8], m),
+                                         np.repeat([1.4, 0.8], m), (4, 2 * m))
+    X[:, m + chart] = -1.0
+    X[:, m:] *= 1.3
     _, residuals = _sample_rows(
         lambda rows: _relative_euler_rows(K, X[rows], 1)[0], len(X))
     worst = np.max(residuals, initial=0.0)

@@ -39,9 +39,9 @@ import numpy as np
 
 from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
                       exp, grad)
-from .dynamics import (_degree_residual, _phase_samples, contact_rhs,
-                       integrate, phase_rhs)
-from .geometry import PhasePoint, _chart_rows, _euler_rows, dehomogenize
+from .dynamics import _degree_residual, contact_rhs, integrate, phase_rhs
+from .geometry import (PhasePoint, _chart_rows, _euler_rows, _phase_rows,
+                       dehomogenize)
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, lift_generating_function,
                           liouville_point, membership_norm)
@@ -544,10 +544,9 @@ def entropy_balance(sys: PortSystem, result: SimulationResult) -> dict:
 def _sample_surface_params(sys: PortSystem, n_samples: int, seed: int):
     if sys.param_box is None:
         raise ValueError(f"system {sys.name!r} has no param_box to sample from")
-    rng = np.random.default_rng(seed)
-    lo = np.array([a for a, _ in sys.param_box])
-    hi = np.array([b for _, b in sys.param_box])
-    return [rng.uniform(lo, hi) for _ in range(n_samples)]
+    lo, hi = np.array(sys.param_box, dtype=float).reshape(-1, 2).T
+    return list(np.random.default_rng(seed).uniform(lo, hi,
+                                                     (n_samples, len(lo))))
 
 
 def _chart_form_residuals(sys: PortSystem, X: np.ndarray, chart: int,
@@ -587,7 +586,7 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
     """
     m = sys.n_coords
     generators = (sys.Ka,) + sys.Kc
-    degree_points = _phase_samples(m, 30, seed)
+    degree_points = _phase_rows(m, 30, seed)
     degree_res = float(np.max([_degree_residual(K, degree_points)
                                for K in generators]))
 

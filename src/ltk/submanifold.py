@@ -103,17 +103,11 @@ class GeneratingFunction:
         Fhat's degree-1 residual in q_I.  The points are one batch.
         """
         F = lift_phase_fn(self)
-        rng = np.random.default_rng(11)
-        nI = len(self.I)
-        samples, X = [], []
-        for _ in range(6):
-            x = rng.uniform(0.5, 1.5, self.n)
-            q = np.ones(self.n + 1)
-            p = -np.ones(self.n + 1)
-            q[list(self.I)], p[list(self.J)] = x[:nI], x[nI:]
-            samples.append(x)
-            X.append(np.concatenate([q, p]))
-        X = np.array(X)
+        samples = np.random.default_rng(11).uniform(0.5, 1.5, (6, self.n))
+        nI, m = len(self.I), self.n + 1
+        X = np.hstack([np.ones((6, m)), -np.ones((6, m))])
+        X[:, list(self.I)] = samples[:, :nI]
+        X[:, [m + j for j in self.J]] = samples[:, nI:]
         kept, R = _sample_rows(
             lambda rows: _relative_euler_rows(F, X[rows], 1,
                                               EulerFieldKind.W)[0], len(X))

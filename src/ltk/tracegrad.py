@@ -13,7 +13,14 @@ does not read a seed is a plain float in that seed's scalar pass of
 is grad's bit for bit, zero partials as +0.0.  A factor 1.0 is left out of
 a product, which changes no bit, and so is the value line of a sum,
 difference, product or negation that no later line reads, as it cannot
-raise.  :func:`field_kernel` writes a port
+raise.  Each value is recorded once: within one function an operation of
+the same kind on the same operands is the node already made, constants
+equal in type and repr share one name (so 0.0 and -0.0, or 1 and 1.0,
+stay apart), and a derivative that reads only constants is computed at
+trace time by the same operator and becomes one more constant.  Nodes are
+never shared between functions, as a port's code must not read a value
+of a drift whose code handed back before making it.  :func:`field_kernel`
+writes a port
 system's drift and port generators into one body that returns the
 canonical field of ``Ka + sum_k u_k Kc_k``, its names numbered on across
 the generators.
@@ -30,9 +37,9 @@ other read of it (``==``, ``!=``, ``bool``, ``float``, ``int``, ``hash``,
 an attribute, numpy, a traced exponent) makes the function untraceable at
 once, and the kernel calls ``grad`` for it.  No user text enters the
 generated source: constants go in through its namespace, so a source
-depends on the shape of the generators and not on their parameters, and
-its code object is compiled once and kept by its text (the latest
-8 sources).
+depends on the shape of the generators and on which of their constants
+are equal, not on their values, and its code object is compiled once and
+kept by its text (the latest 8 sources).
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
@@ -69,8 +76,11 @@ _UNARY = {
     "sin": (math.sin, "_sin({a})", "_cos({a})", None),
     "cos": (math.cos, "_cos({a})", "-_sin({a})", None),
 }
-_BINARY = {"add": (operator.add, "+"), "sub": (operator.sub, "-"),
-           "mul": (operator.mul, "*"), "div": (operator.truediv, "/")}
+# A two-operand node: its value at the traced point and its value line.
+_BINARY = {"add": (operator.add, "v{n} = {a} + {b}"),
+           "sub": (operator.sub, "v{n} = {a} - {b}"),
+           "mul": (operator.mul, "v{n} = {a} * {b}"),
+           "div": (operator.truediv, "v{n} = {a} / {b}")}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge}
 _REPLAY_NAMES = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
@@ -78,12 +88,12 @@ _REPLAY_NAMES = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
                  "_copysign": math.copysign}
 
 
-def _derivative_source(kind: str, n: int, a, b, da, db) -> str:
+def _derivative_source(kind: str, n: int, va: str, vb: str, da, db) -> str:
     """Source of node n's derivative along one seed: the scalar
-    ``Dual`` formula, ``da``/``db`` naming the operands'
-    derivatives along it, None where that operand is a plain float in
-    that seed's pass."""
-    v, va, vb = f"v{n}", _operand(a), _operand(b)
+    ``Dual`` formula, ``va``/``vb`` naming its operands, ``da``/``db``
+    their derivatives along it, None where that operand is a plain float
+    in that seed's pass."""
+    v = f"v{n}"
     if kind == "add":
         return da if db is None else db if da is None else f"{da} + {db}"
     if kind == "sub":
@@ -142,7 +152,7 @@ class _Trace:
     def __init__(self, x):
         self.nodes = [("x", None, None, frozenset([i])) for i in range(len(x))]
         self.inputs = [_Traced(self, i, float(v)) for i, v in enumerate(x)]
-        self.consts = {}
+        self.consts, self._names = {}, {}
 
     def record(self, f: ScalarFn):
         """Trace ``f`` at the point: ``((lines, partials), None)``, the code
@@ -169,6 +179,7 @@ class _Trace:
         """``f`` on the traced coordinates: its result and the number of
         its first node, with ``reason`` set where it cannot be traced."""
         self.lines, self._checks, self.reason = [], set(), None
+        self._numbers = {}              # (kind, a, b) -> node, this function's
         first, y = len(self.nodes), None
         if not f.dual_safe:
             self.fail("it is not dual-safe")
@@ -193,8 +204,13 @@ class _Trace:
         raise TypeError(f"a traced value cannot be read with {how}")
 
     def _const(self, value) -> str:
-        name = f"c{len(self.consts)}"
-        self.consts[name] = value
+        """The name of a constant; equal constants of one type and repr
+        share one, so 0.0 and -0.0, and 1 and 1.0, stay apart."""
+        key = (type(value), repr(value))
+        name = self._names.get(key)
+        if name is None:
+            name = self._names[key] = f"c{len(self.consts)}"
+            self.consts[name] = value
         return name
 
     def _ref(self, value):
@@ -216,12 +232,18 @@ class _Trace:
         return False
 
     def _add(self, kind, a, b, value, lines) -> "_Traced":
-        reads = frozenset().union(*(self.nodes[r][3] for r in (a, b)
-                                    if isinstance(r, int)))
-        n = len(self.nodes)
-        self.nodes.append((kind, a, b, reads))
-        for line in lines:
-            self._line(line.format(n=n, a=_operand(a), b=_operand(b)))
+        """A node of ``kind`` on operands ``a`` and ``b``, with its value
+        code ``lines``; the function's node of the same operation, if it
+        has one, instead."""
+        n = self._numbers.get((kind, a, b))
+        if n is None:
+            n = self._numbers[kind, a, b] = len(self.nodes)
+            reads = [self.nodes[r][3] for r in (a, b) if isinstance(r, int)]
+            reads = reads[0] | reads[1] if len(reads) == 2 else reads[0]
+            self.nodes.append((kind, a, b, reads))
+            a, b = _operand(a), _operand(b)
+            for line in lines:
+                self._line(line.format(n=n, a=a, b=b))
         return _Traced(self, n, value)
 
     def _line(self, line: str):
@@ -245,9 +267,9 @@ class _Trace:
         if self._mixes((a, b)):
             return NotImplemented
         a, b = _as_python(a), _as_python(b)
-        fn, symbol = _BINARY[kind]
+        fn, line = _BINARY[kind]
         value = self._value(fn, _value_of_traced(a), _value_of_traced(b))
-        lines = ["v{n} = {a} %s {b}" % symbol]
+        lines = [line]
         if kind == "div" and isinstance(b, _Traced):
             lines.insert(0, "if {b} == 0.0: raise _Back")
         return self._add(kind, self._ref(a), self._ref(b), value, lines)
@@ -310,6 +332,30 @@ class _Trace:
                    f"{op} {_operand(self._ref(b))}): raise _Back")
         return outcome
 
+    def _fold(self, kind, va, vb, da, db):
+        """The value of a derivative source that reads constants only, as
+        the source computes it, or None: a sum, difference or negation of
+        constant derivatives, or a constant derivative times or over a
+        constant operand."""
+        if kind == "neg" or kind == "sub" and da is None:
+            fn, args = operator.neg, (db if da is None else da,)
+        elif kind in ("add", "sub"):
+            fn, args = _BINARY[kind][0], (da, db)
+        elif kind == "mul":
+            fn, args = operator.mul, (da, vb) if db is None else (db, va)
+        elif kind == "div" and db is None:
+            fn, args = operator.truediv, (da, vb)
+        else:
+            return None
+        values = [float(s) if s in ("0.0", "1.0") else self.consts.get(s)
+                  for s in args]
+        if None in values:
+            return None
+        try:
+            return fn(*values)
+        except ArithmeticError:         # left to raise where it runs
+            return None
+
     def _emit(self, y, first: int):
         """The code of the gradient of the function recorded from node
         ``first`` on, with ``y`` as its result, or None when it cannot be
@@ -323,7 +369,9 @@ class _Trace:
         for n in range(len(self.nodes) - 1, first - 1, -1):
             kind, a, b, _ = self.nodes[n]
             if n in needed or kind == "sqrt":
-                needed.update(r for r in (a, b) if isinstance(r, int))
+                needed.add(a)
+                if isinstance(b, int):
+                    needed.add(b)
         dim = len(self.inputs)
         dots = {(i, i): "1.0" for i in range(dim)}
         lines = self.lines
@@ -335,12 +383,20 @@ class _Trace:
                 lines.append(f"if v{a} == 0.0 and ({moving}): raise _Back")
             if n not in needed:
                 continue
+            va, vb = _operand(a), _operand(b)
             for i in sorted(reads):
-                source = _derivative_source(kind, n, a, b, dots.get((a, i)),
-                                            dots.get((b, i)))
+                da, db = dots.get((a, i)), dots.get((b, i))
+                source = _derivative_source(kind, n, va, vb, da, db)
                 if not (source.isidentifier() or source in ("0.0", "1.0")):
-                    lines.append(f"d{n}_{i} = {source}")
-                    source = f"d{n}_{i}"
+                    # a constant derivative is a literal or a constant name
+                    value = (self._fold(kind, va, vb, da, db)
+                             if kind in _FOLDABLE and (da or "c")[0] in "c01"
+                             and (db or "c")[0] in "c01" else None)
+                    if value is None:
+                        lines.append(f"d{n}_{i} = {source}")
+                        source = f"d{n}_{i}"
+                    else:
+                        source = self._const(value)
                 dots[n, i] = source
         # 0.0 + returns a zero partial as +0.0, as grad does
         partials = [dots.get((out, i), "0.0") for i in range(dim)]
@@ -354,6 +410,8 @@ class _Trace:
 # Nodes whose value line cannot raise, so dropping it where nothing reads
 # it changes no result and no error.
 _CANNOT_RAISE = {"add", "sub", "mul", "neg", "one"}
+# Nodes whose derivative may read constants only.
+_FOLDABLE = {"add", "sub", "mul", "div", "neg"}
 _NAME = re.compile(r"\b[vkd]\d+(?:_\d+)?\b")
 
 
@@ -527,6 +585,8 @@ def field_kernel(Ka: ScalarFn, Kc, x, m: int):
         reasons.append(reason)
         if code is None:
             section = [f"h = _grad({k}, x)"] + _folded(k, from_grad)
+        elif not code[0]:               # no check, no guard: nothing raises
+            section = _folded(k, code[1])
         else:
             lines, partials = code
             section = (["try:"] + _indented(lines + ["handed = False"])
@@ -583,10 +643,11 @@ def _indented(lines) -> list:
 
 
 # Code objects by source text.  A source names its constants and never
-# holds their values, so systems of one shape with other parameters, and
-# every run of one system, share one compile: one perfbench run builds 143
-# kernels from 3 sources on sim_expr and 59 from 2 on sim_builtin, and the
-# expression inputs of its four templates add one value kernel source each.
+# holds their values, so systems of one shape whose parameters differ only
+# in value, and every run of one system, share one compile: one perfbench
+# run builds 143 kernels from 3 sources on sim_expr and 59 from 2 on
+# sim_builtin, and the expression inputs of its four templates add one
+# value kernel source each.
 _COMPILED = {}
 _COMPILED_MAX = 8
 

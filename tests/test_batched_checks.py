@@ -444,12 +444,15 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
         assert calls == []
         assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 0.05,
                                                   1e-2).x)
-        for X in (X0, traced.x[-1]):    # the field itself, at every bit
-            assert _hex(fields[-1](0.0, X)) == _hex(phase_rhs(K)(0.0, X))
+        for X in (X0, traced.x[-1]):    # the row field, at every bit
+            vector = phase_rhs(K)(0.0, X)
+            for x, row in zip(X.tolist(), vector):
+                assert _hex(fields[-1](0.0, x)) == _hex(row)
         calls.clear()
         assert _log_lines(caplog, "test")[-2:] == [
             f"test: {K.name} runs on a traced replay",
-            f"test: {K.name} fell back from its trace to grad at 0 stages"]
+            f"test: {K.name} fell back from its trace to grad at 0 row "
+            f"stages"]
 
 
 @pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston"])
@@ -494,6 +497,8 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
         assert _hex(traced.x[:, i]) == _hex(alone)
     lines = _log_lines(caplog, "test")
     assert lines[0] == "test: switching drift runs on a traced replay"
+    # row 1's stages below the guard, at most its 4 stages a step
+    assert lines[-1].endswith(" row stages")
     stages = int(lines[-1].split(" at ")[-1].split()[0])
     assert 0 < stages <= 4 * 50
 
@@ -535,7 +540,8 @@ def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
         f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
         f"are more than the {dynamics.REPLAY_MAX_ROWS} a replay runs faster",
         f"test: {system.Ka.name} runs on a traced replay",
-        f"test: {system.Ka.name} fell back from its trace to grad at 0 stages"]
+        f"test: {system.Ka.name} fell back from its trace to grad at 0 row "
+        f"stages"]
     assert np.array_equal(wide.x[:, 1:], narrow.x)
 
 
@@ -598,19 +604,59 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
         assert "member [1.2, -1.0] (parameter 1 -h)" in errors[0][1]
 
 
-def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog):
+def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> list:
+    """The route log lines of an exchanger flowcheck of ``samples`` members
+    at WARNING and at INFO, after checking that its stdout and report
+    bytes are the same at both levels."""
     argv = ["flowcheck", "--system", "heat_exchanger", "--t-end", "0.02",
-            "--dt", "1e-3", "--samples", "2"]
+            "--dt", "1e-3", "--samples", str(samples)]
     outputs = []
     for level in (logging.WARNING, logging.INFO):
         caplog.clear()
+        report = tmp_path / f"report{level}.json"
         with caplog.at_level(level, logger="ltk"):
             assert cli.main(argv) == 0
-        captured = capsys.readouterr()
-        outputs.append(captured.out)
+            assert cli.main(argv + ["--report", str(report)]) == 0
+        outputs.append((capsys.readouterr().out, report.read_bytes()))
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[1])["alpha_on_tangents"]["pass"]
-    assert _log_lines(caplog, "flowcheck") == [
+    assert outputs[0][0].encode() == outputs[0][1]
+    assert json.loads(outputs[1][0])["alpha_on_tangents"]["pass"]
+    return _log_lines(caplog, "flowcheck")
+
+
+def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog,
+                                                             tmp_path):
+    # 2 members of 9 rows each are replayed
+    assert _flowcheck_log(2, capsys, caplog, tmp_path) == [
         "flowcheck: drift(heat_exchanger) runs on a traced replay",
         "flowcheck: drift(heat_exchanger) fell back from its trace to grad "
-        "at 0 stages"]
+        "at 0 row stages"] * 2
+
+
+def test_flowcheck_past_the_row_limit_logs_the_vector_pass(capsys, caplog,
+                                                           tmp_path):
+    samples = dynamics.REPLAY_MAX_ROWS // 9 + 1
+    assert _flowcheck_log(samples, capsys, caplog, tmp_path) == [
+        f"flowcheck: drift(heat_exchanger) runs on the vector pass: its "
+        f"{9 * samples} rows are more than the {dynamics.REPLAY_MAX_ROWS} "
+        f"a replay runs faster"] * 2
+
+
+def test_the_scaling_check_logs_its_route_and_fallbacks(caplog):
+    # a drift that switches on the energy costate p0, which the piston's
+    # flow keeps: the row scaled by 0.5 is on the other side of the guard
+    # traced at the first row, so it takes grad at each of its 4 stages a
+    # step
+    Ka = gas_piston_damper().Ka
+
+    def switching(x):
+        return Ka(x) * 2.0 if x[4] < -0.8 else Ka(x)
+
+    K = ScalarFn(switching, 8, name="switching drift")
+    pt = liouville_point(gas_piston_damper().gf, (0.0, 1.0, 0.4, -1.0))
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        scaling_commutation_check(K, pt, 0.5, 0.05, dt=1e-2)
+    assert _log_lines(caplog, "scaling check") == [
+        "scaling check: switching drift runs on a traced replay",
+        "scaling check: switching drift fell back from its trace to grad at "
+        "20 row stages"]

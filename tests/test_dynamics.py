@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from test_diffkit import _hex
 
-from ltk import dynamics
+from ltk import dynamics, geometry
 from ltk.diffkit import ScalarFn, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
@@ -83,7 +83,7 @@ def test_validate_degree_skips_samples_that_are_not_finite():
 ], ids=["not finite", "domain hole"])
 def test_too_few_degree_samples_name_the_first_skipped_one(source, skipped,
                                                            why):
-    X = dynamics._phase_samples(1, 50, 3)
+    X = geometry._phase_rows(1, 50, 3)
     with pytest.raises(ValueError) as err:
         validate_degree(compile_fn(source, ["q0", "p0"]))
     message = str(err.value)

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltk import geometry, submanifold
 from ltk.diffkit import ScalarFn
 from ltk.geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                           ContactPoint, EulerFieldKind, PhasePoint,
-                          TangentVector, alpha, best_chart, beta,
+                          TangentVector, _phase_rows, alpha, best_chart, beta,
                           dehomogenize, euler_residual, homogenize,
-                          normalize_costate, project, scale_costate)
+                          normalize_costate, project, sample_phase_points,
+                          scale_costate)
+from ltk.portsys import BUILTIN_SYSTEMS, _sample_surface_params
+from ltk.submanifold import GeneratingFunction
 
 PT = PhasePoint(q=[1.0, 2.0], p=[3.0, 4.0])
 V = TangentVector(vq=[5.0, 6.0], vp=[7.0, 8.0])
@@ -197,3 +201,90 @@ def test_chart_round_trip_through_phase_space():
     cpt = project(pt, 0)
     rebuilt = PhasePoint(cpt.q, np.concatenate([[-1.0], cpt.gamma]))
     assert np.allclose(project(rebuilt, 0).gamma, cpt.gamma, rtol=1e-15)
+
+
+# -- samplers: whole-row draws, the per-point loops they replace as oracles -----
+
+
+def _bytes(rows) -> list:
+    return [np.asarray(r, dtype=float).tobytes() for r in rows]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_phase_rows_are_the_per_point_draws(m):
+    for seed in range(25):
+        for n in (0, 1, 2, 7, 30):
+            rng = np.random.default_rng(seed)
+            loop = []
+            for _ in range(n):
+                q = rng.uniform(0.6, 1.4, m)
+                p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
+                loop.append(np.concatenate([q, p]))
+            X = _phase_rows(m, n, seed)
+            assert X.shape == (n, 2 * m)
+            assert _bytes(X) == _bytes(loop)
+            assert _bytes(pt.packed() for pt in
+                          sample_phase_points(m, n, seed)) == _bytes(loop)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
+def test_surface_parameters_are_the_per_sample_draws(name):
+    system = BUILTIN_SYSTEMS[name]()
+    lo = np.array([a for a, _ in system.param_box])
+    hi = np.array([b for _, b in system.param_box])
+    for seed in range(25):
+        for n in (0, 1, 2, 25, 30):
+            rng = np.random.default_rng(seed)
+            loop = [rng.uniform(lo, hi) for _ in range(n)]
+            drawn = _sample_surface_params(system, n, seed)
+            assert isinstance(drawn, list) and len(drawn) == n
+            assert _bytes(drawn) == _bytes(loop)
+
+
+def _checked_rows(monkeypatch, module) -> list:
+    """The sample rows of each Euler-residual batch ``module`` checks."""
+    batches, original = [], module._relative_euler_rows
+
+    def kept(K, X, *args):
+        batches.append(np.array(X))
+        return original(K, X, *args)
+
+    monkeypatch.setattr(module, "_relative_euler_rows", kept)
+    return batches
+
+
+@pytest.mark.parametrize("n, chart", [(1, 0), (1, 1), (2, 0), (2, 2), (3, 1)])
+def test_the_degree_one_spot_check_points_are_the_per_point_draws(
+        monkeypatch, n, chart):
+    batches = _checked_rows(monkeypatch, geometry)
+    K = ScalarFn(lambda x: sum(x[i] * x[n + 1 + i] for i in range(n + 1)),
+                 dim=2 * (n + 1), name="q.p")
+    dehomogenize(K, chart)
+    rng = np.random.default_rng(7)
+    loop = []
+    for _ in range(4):
+        q = rng.uniform(0.6, 1.4, n + 1)
+        p = rng.uniform(-0.8, 0.8, n + 1)
+        p[chart] = -1.0
+        loop.append(np.concatenate([q, 1.3 * p]))
+    assert _bytes(batches[0]) == _bytes(loop)
+
+
+@pytest.mark.parametrize("I, J", [((1,), ()), ((1, 2), ()), ((2,), (1,)),
+                                  ((1, 3), (2,))])
+def test_the_q_homogeneity_check_points_are_the_per_point_draws(
+        monkeypatch, I, J):
+    batches = _checked_rows(monkeypatch, submanifold)
+    n, nI = len(I) + len(J), len(I)
+    Fhat = ScalarFn(lambda x: sum(x[:nI]) * (1.0 + sum(v * v for v in x[nI:])),
+                    dim=n)
+    GeneratingFunction(n=n, Fhat=Fhat, I=I, J=J, q_homogeneous=True)
+    rng = np.random.default_rng(11)
+    loop = []
+    for _ in range(6):
+        x = rng.uniform(0.5, 1.5, n)
+        q = np.ones(n + 1)
+        p = -np.ones(n + 1)
+        q[list(I)], p[list(J)] = x[:nI], x[nI:]
+        loop.append(np.concatenate([q, p]))
+    assert _bytes(batches[0]) == _bytes(loop)

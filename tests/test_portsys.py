@@ -404,7 +404,7 @@ def test_validate_draws_its_degree_samples_once(monkeypatch):
     # every generator is degree-checked on the same 30 points, the ones
     # validate_degree draws for the seed, so they are drawn once per call
     gp = gas_piston_damper()
-    draws = _count_calls(monkeypatch, geometry.sample_phase_points)
+    draws = _count_calls(monkeypatch, geometry._phase_rows)
     report = validate(gp, seed=4)
     assert [args[1:] for args in draws] == [(30, 4)]
     assert report.degree_residual == max(

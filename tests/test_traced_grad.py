@@ -9,6 +9,7 @@ cannot record to the scalar loop's results and errors.
 import ast
 import logging
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,7 +29,8 @@ from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, _sample_surface_params,
-                         gas_piston_damper, heat_compartment, simulate)
+                         gas_piston_damper, heat_compartment, heat_exchanger,
+                         simulate)
 from ltk.submanifold import liouville_point
 from ltk.tracegrad import field_kernel
 
@@ -541,3 +543,92 @@ def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
                          text=True, check=True,
                          cwd=Path(ltk.__file__).resolve().parent.parent)
     assert out.stdout == "False\n"
+
+
+# -- value numbering ------------------------------------------------------------
+
+
+def _drift_source(monkeypatch, K, x) -> str:
+    """The source of K's field kernel traced at x."""
+    sources = []
+    original = tracegrad._code
+    monkeypatch.setattr(tracegrad, "_code", lambda source: (
+        sources.append(source), original(source))[1])
+    field_kernel(K, (), list(x), len(x) // 2)
+    return sources[-1]
+
+
+def test_a_repeated_operation_is_computed_once(monkeypatch):
+    # the expression piston's drift reads its energy U = (1/q2)^(1/cv) *
+    # exp(q1/cv) twice; its code computes the exponential once
+    system = SYSTEMS["expression piston"]()
+    surface = [liouville_point(system.gf, p).packed()
+               for p in _sample_surface_params(system, 40, 5)]
+    source = _drift_source(monkeypatch, system.Ka, surface[0])
+    assert source.count("_exp(") == 1
+    replay = _replay(system.Ka, surface[0])
+    assert _assert_replays_the_scalar_loop(system.Ka, replay, surface) == \
+        len(surface)
+
+
+def test_equal_constants_and_signed_zeros_stay_bit_for_bit():
+    # with C1 == C2 the exchanger's two capacities are one constant of its
+    # code; 0.0 and -0.0 stay two
+    equal = heat_exchanger(C=(1.3, 1.3), T_ref=(0.8, 0.8))
+    zeros = ScalarFn(lambda x: x[4] * (x[0] * -0.0 + 1.0) + x[5] * x[1] * 0.0
+                     + x[6] * x[2] / (2.0 + x[3] * 0.0) - x[7] * -0.0, 8,
+                     name="signed zeros")
+    for K in (equal.Ka, zeros):
+        surface = [liouville_point(equal.gf, p).packed()
+                   for p in _sample_surface_params(equal, 40, 3)]
+        replay = _replay(K, surface[0])
+        assert _assert_replays_the_scalar_loop(K, replay, surface) == \
+            len(surface), K.name
+        generic = [pt.packed() for pt in sample_phase_points(4, 20, 4)]
+        _assert_replays_the_scalar_loop(K, replay, generic)
+
+
+def test_a_value_kernel_keeps_each_constant_as_the_function_returns_it():
+    # 0.0 and -0.0, 1 and 1.0 are equal but not the same constant
+    fns = [ScalarFn(f, 1) for f in (
+        lambda x: x[0] * 0.0, lambda x: x[0] * -0.0, lambda x: 1.0 * x[0],
+        lambda x: 1, lambda x: -0.0, lambda x: x[0] + 0.0 - 0.0)]
+    kernel = tracegrad.value_kernel(fns, [1.5])
+    for x in ([1.5], [-2.0], [0.0], [-0.0]):
+        assert repr(kernel(x)) == repr([f(x) for f in fns])
+
+
+def test_constant_derivatives_are_folded_at_trace_time(monkeypatch):
+    # d(q0 / 3.0) = 1.0 / 3.0 and d(-(q0 * 2.0) - q0) = -2.0 - 1.0 are
+    # constants of the code, not lines of it
+    K = ScalarFn(lambda x: x[2] * (x[0] / 3.0) + x[3] * (-(x[0] * 2.0) - x[0])
+                 + x[2] * x[1] * x[1], 4, name="constant slopes")
+    x = [0.7, 1.1, -1.0, 0.4]
+    source = _drift_source(monkeypatch, K, x)
+    constant = re.compile(r"^\s*d\d+_\d+ = [-(]*(c\d+|\d\.\d)\)?"
+                          r"( [-+*/] (c\d+|\d\.\d))?$")
+    assert not [line for line in source.splitlines() if constant.match(line)]
+    points = [pt.packed() for pt in sample_phase_points(2, 30, 6)]
+    assert _assert_replays_the_scalar_loop(K, _replay(K, x), points) == 30
+
+
+@pytest.mark.parametrize("drift", ["untraceable", "flipped guard"])
+def test_a_port_never_reads_a_value_of_the_drift_section(drift):
+    # the port computes q0 * p0 as the drift does; where the drift's section
+    # is grad's, or hands back before it computes it, the port's own code
+    # still runs
+    if drift == "untraceable":
+        Ka = ScalarFn(lambda x: x[0] * x[2] * (2.0 if x[0] == 0.25 else 1.0),
+                      4, name="reads ==")
+    else:
+        Ka = ScalarFn(lambda x: x[0] * x[2] if x[1] > 0.5 else x[3] * x[1],
+                      4, name="switch")
+    Kc = ScalarFn(lambda x: x[0] * x[2] + x[3], 4, name="port")
+    kernel, reasons, handed_back = field_kernel(Ka, (Kc,), [0.3, 0.8, -1.0,
+                                                            0.5], 2)
+    assert reasons[1] is None
+    for x in ([0.3, 0.8, -1.0, 0.5], [0.4, 0.2, -0.9, 0.6]):
+        expected = (grad(Ka, x) + 0.7 * grad(Kc, x)).tolist()
+        got = kernel(x, [0.7])
+        assert _hex(got) == _hex(expected[2:] + [-g for g in expected[:2]])
+    assert handed_back[1] == 0
