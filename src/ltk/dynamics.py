@@ -78,8 +78,9 @@ log = logging.getLogger("ltk")
 # Step scale for finite-difference Jacobian-vector products on vector fields.
 FIELD_FD_STEP = 1e-5
 
-# Grid points per call of an :func:`integrate` monitor: enough to spread a
-# vector-mode pass's overhead thin, few enough to keep its arrays small.
+# States per call of an :func:`integrate` monitor (a batch's rows count
+# one each): enough to spread a vector-mode pass's overhead thin, few
+# enough to keep its arrays, and the list states waiting for them, small.
 MONITOR_BLOCK = 1024
 
 # Most rows of an integrated check's batch that step through K's traced
@@ -361,8 +362,9 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     not raise, returns the same bits).  The route is chosen once per call.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
-    :data:`MONITOR_BLOCK` points at a time: ``fn(t_rows, x_rows)`` returns
-    one value, or one row of values, per point.  A monitor that raises
+    :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
+    its rows): ``fn(t_rows, x_rows)`` returns one value, or one row of
+    values, per point.  A monitor that raises
     aborts the run at the end of its block; :func:`ltk.portsys.simulate`
     guards surface membership so.  A failing step (a non-finite state, or
     an error from ``f``) first records the points since the last block, so
@@ -403,6 +405,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     xs[0] = x
+    block = max(1, MONITOR_BLOCK // len(x)) if x.ndim == 2 else MONITOR_BLOCK
     if x.ndim == 1:
         x, step = x.tolist(), _state_step
     elif getattr(f, "_list_stages", False):
@@ -411,7 +414,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         step = _batch_step
     listed = step is not _batch_step
     for i in range(1, steps + 1):
-        if i - done == MONITOR_BLOCK:
+        if i - done == block:
             record_monitors(i)
         try:
             x = step(f, (i - 1) * dt, x, dt, i)

@@ -189,6 +189,33 @@ def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
     assert sum(blocks, []) == traj.t.tolist()
 
 
+def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
+    # a block holds MONITOR_BLOCK states, so a batch of 4 rows is recorded 8
+    # points at a time, in numpy and as list rows, which wait for no longer
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
+
+    def f(t, X):
+        return -X
+
+    def rows(t, x):
+        return [-v for v in x]
+
+    rows._list_stages, rows._batch = True, f
+    X0 = np.arange(8.0).reshape(4, 2)
+    runs = []
+    for field in (f, rows):
+        blocks = []
+
+        def first(t, X):
+            blocks.append(len(t))
+            return X[:, :, 0]
+
+        runs.append(integrate(field, X0, 0.2, 1e-2, [("first", first)]))
+        assert blocks == [8, 8, 5]
+    assert _hex(runs[0].x) == _hex(runs[1].x)
+    assert _hex(runs[0].monitors["first"]) == _hex(runs[1].monitors["first"])
+
+
 @pytest.mark.parametrize("block", [5, 32])
 def test_integrate_records_the_monitors_before_a_failing_step_raises(
         block, monkeypatch):
