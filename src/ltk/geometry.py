@@ -254,14 +254,13 @@ _SIGNS = np.array([-1.0, 1.0])
 
 def _phase_rows(m: int, n_samples: int, seed: int) -> np.ndarray:
     """The packed points of :func:`sample_phase_points`, an (n_samples, 2m)
-    array: per point one draw of q and |p|, then one of the signs, which
-    takes the stream as ``rng.choice([-1.0, 1.0], m)`` would."""
+    array; the signs take the stream as ``rng.choice([-1.0, 1.0], m)``
+    would."""
     rng = np.random.default_rng(seed)
-    lo, hi = np.repeat([0.6, 0.2], m), np.repeat([1.4, 1.0], m)
     X = np.empty((n_samples, 2 * m))
     for x in X:
-        x[:] = rng.uniform(lo, hi)
-        x[m:] *= _SIGNS[rng.integers(0, 2, m)]
+        x[:m] = rng.uniform(0.6, 1.4, m)
+        x[m:] = rng.uniform(0.2, 1.0, m) * _SIGNS[rng.integers(0, 2, m)]
     return X
 
 
