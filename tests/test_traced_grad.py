@@ -489,8 +489,8 @@ def test_numpy_constants_raise_as_a_dual_raises():
     assert field_kernel(divided, (), [1.0, 1.0], 0)[1][0] is not None
 
 
-def _kernel_source(monkeypatch, system) -> str:
-    """The source of ``system``'s field kernel at a surface point."""
+def _source(monkeypatch, Ka, Kc, x, m: int) -> str:
+    """The source of the field kernel of ``Ka`` and ``Kc`` traced at x."""
     sources = []
     original = tracegrad._code
 
@@ -499,10 +499,15 @@ def _kernel_source(monkeypatch, system) -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
+    field_kernel(Ka, Kc, list(x), m)
+    return sources[-1]
+
+
+def _kernel_source(monkeypatch, system) -> str:
+    """The source of ``system``'s field kernel at a surface point."""
     params = _sample_surface_params(system, 1, 5)[0]
     x0 = liouville_point(system.gf, params).packed()
-    field_kernel(system.Ka, system.Kc, x0.tolist(), system.n_coords)
-    return sources[-1]
+    return _source(monkeypatch, system.Ka, system.Kc, x0, system.n_coords)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS))
@@ -548,23 +553,13 @@ def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
 # -- value numbering ------------------------------------------------------------
 
 
-def _drift_source(monkeypatch, K, x) -> str:
-    """The source of K's field kernel traced at x."""
-    sources = []
-    original = tracegrad._code
-    monkeypatch.setattr(tracegrad, "_code", lambda source: (
-        sources.append(source), original(source))[1])
-    field_kernel(K, (), list(x), len(x) // 2)
-    return sources[-1]
-
-
 def test_a_repeated_operation_is_computed_once(monkeypatch):
     # the expression piston's drift reads its energy U = (1/q2)^(1/cv) *
     # exp(q1/cv) twice; its code computes the exponential once
     system = SYSTEMS["expression piston"]()
     surface = [liouville_point(system.gf, p).packed()
                for p in _sample_surface_params(system, 40, 5)]
-    source = _drift_source(monkeypatch, system.Ka, surface[0])
+    source = _source(monkeypatch, system.Ka, (), surface[0], system.n_coords)
     assert source.count("_exp(") == 1
     replay = _replay(system.Ka, surface[0])
     assert _assert_replays_the_scalar_loop(system.Ka, replay, surface) == \
@@ -604,7 +599,7 @@ def test_constant_derivatives_are_folded_at_trace_time(monkeypatch):
     K = ScalarFn(lambda x: x[2] * (x[0] / 3.0) + x[3] * (-(x[0] * 2.0) - x[0])
                  + x[2] * x[1] * x[1], 4, name="constant slopes")
     x = [0.7, 1.1, -1.0, 0.4]
-    source = _drift_source(monkeypatch, K, x)
+    source = _source(monkeypatch, K, (), x, 2)
     constant = re.compile(r"^\s*d\d+_\d+ = [-(]*(c\d+|\d\.\d)\)?"
                           r"( [-+*/] (c\d+|\d\.\d))?$")
     assert not [line for line in source.splitlines() if constant.match(line)]
