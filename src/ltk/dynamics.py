@@ -20,18 +20,22 @@ given the same inputs the trajectory is bitwise reproducible.  A single
 state steps as a list of Python floats, by a generated straight-line step
 per state length, and a batch in numpy, with the same stage expressions,
 so a batch row and the state alone agree bit for bit.  :func:`integrate`
-is the package's one integration loop; port-system simulation
-(:func:`ltk.portsys.simulate`) runs on it, recording its guard, inputs,
-outputs and monitors through one monitor that takes a block of grid points
-at a time; a run that leaves the surface is detected at the end of its
-block.  The two integrated checks (:func:`flow_transport_check`,
-:func:`scaling_commutation_check`) step their trajectories as one batch
-of up to :data:`REPLAY_MAX_ROWS` rows, each row a list of floats stepped
-by the list step through code traced once from K
-(:func:`ltk.tracegrad.field_kernel`), bit for bit the vector pass of
-:func:`phase_rhs`; that pass stays the one-shot field, reruns a step at
-which a row raises, and steps a larger batch or a K the trace cannot
-record.
+is the package's one integration loop.  The fields it steps most, those
+of port-system simulation (:func:`ltk.portsys.simulate`) and of the two
+integrated checks (:func:`flow_transport_check`,
+:func:`scaling_commutation_check`), are traced once
+(:class:`ltk.tracegrad.FieldCode`) and stepped by one generated block
+runner per field: the RK4 loop over a block of steps, with the field's
+code inlined at each stage and the RK4 formula written by the list step's
+template, so its states are the list step's bit for bit.  ``simulate``
+records its guard, inputs, outputs and monitors through one monitor that
+takes a block of grid points at a time; a run that leaves the surface is
+detected at the end of its block.  The integrated checks step their
+trajectories as one batch of up to :data:`REPLAY_MAX_ROWS` rows, each row
+a list of floats run through the block by the runner in turn, bit for bit
+the vector pass of :func:`phase_rhs`; that pass stays the one-shot field,
+reruns a block in which a row raises or goes non-finite, and steps a
+larger batch or a K the trace cannot record.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -47,6 +51,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -86,10 +91,11 @@ MONITOR_BLOCK = 1024
 # Most rows of an integrated check's batch that step through K's traced
 # code row by row; a larger batch runs the vector pass.  Timed on `ltk
 # flowcheck --t-end 1 --dt 1e-3` (process CPU, 2-CPU Xeon VM, CPython
-# 3.11), the replay is faster up to 54 rows on the built-in piston and
-# exchanger, the two routes meet at 63-72 rows on the piston and 81-99 on
-# the exchanger, and at 225 rows the vector pass takes half the time.
-REPLAY_MAX_ROWS = 60
+# 3.11, 3 processes per size), the block runner is faster up to 81 rows
+# (9 members) on the built-in piston and exchanger, the two routes meet
+# at 90-99 rows on the piston and past 99 on the exchanger, and at 225
+# rows the vector pass takes two thirds of the time.
+REPLAY_MAX_ROWS = 81
 
 
 @dataclass
@@ -260,12 +266,10 @@ def rk4_step(f, t: float, x, dt: float):
     straight-line step per state length (made on first use) that writes
     each entry with the expressions an ndarray state steps with, so both
     give the same bits; the step returns a list.  ``f`` still receives each
-    stage as a 1-D ndarray, and may return a list or an ndarray; a field
-    marked ``_list_stages`` (:func:`ltk.portsys.simulate`'s, and the row
-    field of the integrated checks) receives the list itself and returns a
-    list.  An ndarray state (one vector, or a
-    (B, dim) batch) steps in numpy and returns an ndarray.  A stage of
-    another length or shape than the state raises ``ValueError``.
+    stage as a 1-D ndarray, and may return a list or an ndarray.  An
+    ndarray state (one vector, or a (B, dim) batch) steps in numpy and
+    returns an ndarray.  A stage of another length or shape than the state
+    raises ``ValueError``.
     """
     if isinstance(x, np.ndarray):
         k1 = _stage_array(f, t, x)
@@ -274,12 +278,9 @@ def rk4_step(f, t: float, x, dt: float):
         k4 = _stage_array(f, t + dt, x + dt * k3)
         return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if getattr(f, "_list_stages", False):
-        stage = f
-    else:
-        def stage(t, x):
-            k = f(t, np.array(x))
-            return k.tolist() if isinstance(k, np.ndarray) else k
+    def stage(t, x):
+        k = f(t, np.array(x))
+        return k.tolist() if isinstance(k, np.ndarray) else k
 
     step = _LIST_STEPS.get(len(x)) or _list_step(len(x))
     return step(stage, t, x, dt)
@@ -298,34 +299,45 @@ def _wrong_length(k, n: int) -> ValueError:
                       f"state of length {n}")
 
 
+def _rk4_lines(n: int, stage):
+    """``(lines, new)``: the source lines of one RK4 step of the list state
+    ``x0, x1, ...`` of length n from time ``t``, with ``h = dt / 2.0``,
+    and the sources of its n new entries, which read ``w = dt / 6.0``:
+    the ndarray step's expressions on the entries, in the same order.
+    ``stage(k, time, point)`` gives the lines that evaluate stage k
+    ("a" to "d") at the sources ``time`` and ``point`` (one per entry)
+    and the sources of its n entries."""
+    x = [f"x{i}" for i in range(n)]
+    lines, entries = [], {}
+    for k, time, scale, previous in (("a", "t", None, None),
+                                     ("b", "t + h", "h", "a"),
+                                     ("c", "t + h", "h", "b"),
+                                     ("d", "t + dt", "dt", "c")):
+        point = x if previous is None else [
+            f"{xi} + {scale} * {e}" for xi, e in zip(x, entries[previous])]
+        evaluated, entries[k] = stage(k, time, point)
+        lines += evaluated
+    new = [f"{xi} + w * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+           for xi, a, b, c, d in zip(x, *(entries[k] for k in "abcd"))]
+    return lines, new
+
+
 # The list steps made so far, by state length.
 _LIST_STEPS = {}
 
 
 def _list_step(n: int):
-    """The straight-line RK4 step of a list state of length n: the
-    ndarray step's expressions on the entries, in the same order."""
-    def names(prefix):
-        return [f"{prefix}{i}" for i in range(n)]
+    """The straight-line RK4 step ``step(f, t, x, dt)`` of a list state of
+    length n, each stage a call of ``f`` on a list."""
+    def stage(k, time, point):
+        names = [f"{k}{i}" for i in range(n)]
+        return [f"k = f({time}, [{', '.join(point)}])", "try:",
+                f"    [{', '.join(names)}] = k", "except ValueError:",
+                f"    raise _wrong_length(k, {n}) from None"], names
 
-    def unpacked(k, name):
-        return [f"k = {k}", "try:", f"    [{', '.join(names(name))}] = k",
-                "except ValueError:", f"    raise _wrong_length(k, {n}) "
-                "from None"]
-
-    def stage(a, scale):
-        return "[" + ", ".join(f"x{i} + {scale} * {a}{i}"
-                               for i in range(n)) + "]"
-
-    body = ([f"[{', '.join(names('x'))}] = x", "h = dt / 2.0"]
-            + unpacked("f(t, x)", "a")
-            + unpacked(f"f(t + h, {stage('a', 'h')})", "b")
-            + unpacked(f"f(t + h, {stage('b', 'h')})", "c")
-            + unpacked(f"f(t + dt, {stage('c', 'dt')})", "d")
-            + ["w = dt / 6.0",
-               "return [" + ", ".join(
-                   f"x{i} + w * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})"
-                   for i in range(n)) + "]"])
+    lines, new = _rk4_lines(n, stage)
+    body = ([f"[{', '.join(f'x{i}' for i in range(n))}] = x", "h = dt / 2.0"]
+            + lines + ["w = dt / 6.0", f"return [{', '.join(new)}]"])
     namespace = {"_wrong_length": _wrong_length}
     exec("def step(f, t, x, dt):\n    " + "\n    ".join(body), namespace)
     step = _LIST_STEPS[n] = namespace["step"]
@@ -343,6 +355,51 @@ class _NonFiniteState(RuntimeError):
         self.t, self.row = t, row
 
 
+def _block_runner(code, reads=None):
+    """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 of the
+    canonical field of ``code`` (a :class:`ltk.tracegrad.FieldCode`) from
+    the list state ``x`` at t = i0*dt, as one generated loop.  Each stage
+    evaluates the field's body inline on local floats, with the inputs
+    ``reads[t]`` where ``reads`` is given (k3 takes k2's read, at the same
+    time), and each new state, once its entries are all finite, is
+    appended to ``out`` as a list; a non-finite one raises
+    :class:`_NonFiniteState` with its step.  ``run`` returns the last
+    state."""
+    x = [f"x{i}" for i in range(code.dim)]
+
+    def stage(k, time, point):
+        lines = code.point(point)
+        if reads is not None and k != "c":
+            # a system without ports reads its inputs all the same
+            lines.append(f"u = _reads[{time}]" if code.ports
+                         else f"_reads[{time}]")
+        return lines + code.body(f"{k}g"), code.field(f"{k}g")
+
+    lines, new = _rk4_lines(code.dim, stage)
+    # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN
+    finite = " + ".join(f"{xi} * 0.0" for xi in x)
+    step = ((["t = (i - 1) * dt"] if reads is not None else []) + lines
+            + [f"{xi} = {e}" for xi, e in zip(x, new)]
+            + [f"if {finite} != 0.0:", "    raise _NonFinite(i * dt, i)",
+               f"out.append([{', '.join(x)}])"])
+    # the loop's body as one line of text, its lines indented once more
+    body = [", ".join(x) + ", = x", "h = dt / 2.0", "w = dt / 6.0",
+            "for i in range(i0 + 1, i1 + 1):",
+            "    " + "\n        ".join(step), "return out[-1]"]
+    return code.function("run", "x, i0, i1, dt, out", body, _reads=reads,
+                         _NonFinite=_NonFiniteState)
+
+
+@dataclass
+class _Runner:
+    """A traced field as :func:`integrate` steps it: ``run`` from
+    :func:`_block_runner`, and for a batch ``vector``, the field's batch
+    form, on which a block in which some row fails reruns."""
+
+    run: object
+    vector: object = None
+
+
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
@@ -353,13 +410,14 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
     alike (as :func:`phase_rhs` does).  A single state is carried between
     steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
-    each stage as a 1-D ndarray, or as that list where ``f`` is marked
-    ``_list_stages``, and may return a list or an ndarray.  A batch steps
-    in numpy, unless ``f`` is marked ``_list_stages``: then each row is a
-    list of floats stepped alone by the same list step, and ``f._batch``
-    is the batch form of ``f``, which reruns a step at which some row
-    raises, so the step raises the batch form's error (or, where it does
-    not raise, returns the same bits).  The route is chosen once per call.
+    each stage as a 1-D ndarray, and may return a list or an ndarray.  A
+    batch steps in numpy.  The traced fields of :func:`ltk.portsys.simulate`
+    and of the two integrated checks are not called stage by stage: their
+    block runner (see :func:`_integrate_traced`) steps the single state, or
+    each row of the batch in turn, through a monitor block at a time, and
+    a block in which a row raises or goes non-finite reruns from its start
+    on the vector pass, step by step, so the run raises that pass's error
+    (or, where it does not raise, returns the same bits).
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
@@ -386,15 +444,11 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     ts = np.arange(steps + 1) * dt      # i * dt, bit for bit
     xs = np.empty((steps + 1,) + x.shape)
-    rows = []                           # list states not yet in xs
     mon = {}
     done = 0                            # points whose monitors are recorded
 
     def record_monitors(end):
         nonlocal done
-        if rows:
-            xs[end - len(rows):end] = rows
-            rows.clear()
         if end == done:
             return
         for name, fn in monitors:
@@ -406,60 +460,90 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     xs[0] = x
     block = max(1, MONITOR_BLOCK // len(x)) if x.ndim == 2 else MONITOR_BLOCK
-    if x.ndim == 1:
-        x, step = x.tolist(), _state_step
-    elif getattr(f, "_list_stages", False):
-        x, step = x.tolist(), _rows_step
+    if isinstance(f, _Runner):
+        advance = _row_blocks(f) if x.ndim == 2 else f.run
     else:
-        step = _batch_step
-    listed = step is not _batch_step
-    for i in range(1, steps + 1):
-        if i - done == block:
-            record_monitors(i)
+        advance = _batch_steps(f) if x.ndim == 2 else _state_steps(f)
+    if x.ndim == 1 or isinstance(f, _Runner):
+        x = x.tolist()
+    i = 0                               # the last point reached
+    while i < steps:
+        if i + 1 - done == block:
+            record_monitors(i + 1)
+        end = min(done + block - 1, steps)
+        out = []                        # the states of steps i+1, i+2, ...
         try:
-            x = step(f, (i - 1) * dt, x, dt, i)
-            if listed:
-                rows.append(x)
-            else:
-                xs[i] = x
+            x = advance(x, i, end, dt, out)
         except Exception as err:
+            _store(xs, i + 1, out)
+            i += len(out) + 1           # the failing step
             if not isinstance(err, _NonFiniteState):
                 err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)
             record_monitors(i)
             raise
+        _store(xs, i + 1, out)
+        i = end
     record_monitors(steps + 1)
     return Trajectory(ts, xs, mon)
 
 
-def _state_step(f, t, x, dt, i):
-    """:func:`integrate`'s step i of a single list state."""
-    x = rk4_step(f, t, x, dt)
-    if not all(map(math.isfinite, x)):
-        raise _NonFiniteState(i * dt, i)
-    return x
+def _store(xs: np.ndarray, start: int, out: list):
+    """Write the states ``out``, lists of floats or ndarrays, to the rows
+    of ``xs`` from ``start`` on."""
+    if out and isinstance(out[0], list):
+        flat = np.fromiter(chain.from_iterable(out), float,
+                           len(out) * len(out[0]))
+        xs[start:start + len(out)] = flat.reshape(len(out), -1)
+    elif out:
+        xs[start:start + len(out)] = out
 
 
-def _rows_step(f, t, X, dt, i):
-    """:func:`integrate`'s step i of a batch carried as list rows, each by
-    the list step; a step at which a row raises reruns as the batch."""
-    step = _LIST_STEPS.get(len(X[0])) or _list_step(len(X[0]))
-    try:
-        X = [step(f, t, x, dt) for x in X]
-    except Exception:   # noqa: BLE001 - the batch form raises it
-        X = rk4_step(f._batch, t, np.array(X), dt).tolist()
-    for row, x in enumerate(X):
-        if not all(map(math.isfinite, x)):
-            raise _NonFiniteState(i * dt, i, row)
-    return X
+def _state_steps(f):
+    """:func:`integrate`'s advance of a single list state by ``f``, one
+    :func:`rk4_step` at a time."""
+    def advance(x, i0, i1, dt, out):
+        for i in range(i0 + 1, i1 + 1):
+            x = rk4_step(f, (i - 1) * dt, x, dt)
+            if not all(map(math.isfinite, x)):
+                raise _NonFiniteState(i * dt, i)
+            out.append(x)
+        return x
+    return advance
 
 
-def _batch_step(f, t, X, dt, i):
-    """:func:`integrate`'s step i of an ndarray batch."""
-    X = rk4_step(f, t, X, dt)
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
-    return X
+def _batch_steps(f):
+    """:func:`integrate`'s advance of an ndarray batch by ``f``, one
+    :func:`rk4_step` at a time."""
+    def advance(X, i0, i1, dt, out):
+        for i in range(i0 + 1, i1 + 1):
+            X = rk4_step(f, (i - 1) * dt, X, dt)
+            finite = np.isfinite(X).all(axis=1)
+            if not finite.all():
+                raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
+            out.append(X)
+        return X
+    return advance
+
+
+def _row_blocks(field: _Runner):
+    """:func:`integrate`'s advance of a batch of list rows, each row
+    through the whole block by ``field.run`` in turn; a block in which a
+    row raises or goes non-finite reruns from its start on the vector
+    pass, step by step."""
+    rerun = _batch_steps(field.vector)
+
+    def advance(X, i0, i1, dt, out):
+        runs = [[] for _ in X]
+        try:
+            for x, states in zip(X, runs):
+                field.run(x, i0, i1, dt, states)
+        except Exception:   # noqa: BLE001 - the vector pass raises it
+            return rerun(np.array(X), i0, i1, dt, out).tolist()
+        flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
+                           float, len(X) * (i1 - i0) * len(X[0]))
+        out.extend(flat.reshape(len(X), i1 - i0, -1).transpose(1, 0, 2))
+        return [states[-1] for states in runs]
+    return advance
 
 
 def lie_bracket_fd(X, Y, x) -> np.ndarray:
@@ -508,47 +592,59 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
-def _integrate_rows(K: ScalarFn, X0: np.ndarray, t_end: float, dt: float,
-                    check: str) -> Trajectory:
-    """:func:`integrate` of the canonical field of K from the (B, 2m) batch
-    of start rows ``X0``, each row bit for bit the vector pass of
-    :func:`phase_rhs`, for the check named ``check``.
+def _integrate_traced(Ka: ScalarFn, Kc, x0, t_end: float, dt: float,
+                      where: str, monitors=(), reads=None) -> Trajectory:
+    """:func:`integrate` of the canonical field of ``Ka + sum_k u_k Kc_k``,
+    with the inputs ``u = reads[t]``, from the state ``x0``, or of Ka alone
+    from the (B, 2m) batch of start rows ``x0``, through a block runner
+    (:func:`_block_runner`) of the generators traced once, at the first
+    state (:class:`ltk.tracegrad.FieldCode`): bit for bit the scalar loop
+    of :func:`~ltk.diffkit.grad` over the generators, and each batch row
+    bit for bit the vector pass of :func:`phase_rhs`, with its errors.
 
-    A batch of at most :data:`REPLAY_MAX_ROWS` rows traces K once, at the
-    first row (:func:`ltk.tracegrad.field_kernel`), and :func:`integrate`
-    steps each row as a list of floats through that code; the vector pass
-    is the field's batch form, which reruns a step at which a row raises.
-    A row whose guard flips or whose check trips takes ``grad`` for that
-    stage.  A larger batch, or a K the trace cannot record, runs the vector
-    pass at every stage.  At level INFO the ``ltk`` logger says which route
-    K takes, and why, and at how many row stages (one row's field at one
-    RK4 stage) a traced K fell back to ``grad``.
+    A generator whose guard flips, whose check trips or whose code raises
+    at a stage takes ``grad`` there, while the others keep their traced
+    code; one the trace cannot record takes ``grad`` at every stage of a
+    single state.  A batch of more than :data:`REPLAY_MAX_ROWS` rows, or
+    whose K the trace cannot record, runs the vector pass at every stage.
+    At level INFO the ``ltk`` logger says, after ``where``, which route
+    each generator takes, and why, and at how many stages (for a batch,
+    row stages: one row's field at one RK4 stage) each traced generator
+    fell back to ``grad``.
     """
-    vector = phase_rhs(K)
-    name = K.name or "K"
-    if len(X0) > REPLAY_MAX_ROWS:
-        reason = (f"its {len(X0)} rows are more than the {REPLAY_MAX_ROWS} "
-                  f"a replay runs faster")
-    elif X0.shape[1] == K.dim:
-        from .tracegrad import field_kernel
-        kernel, (reason,), handed_back = field_kernel(K, (), X0[0].tolist(),
-                                                      K.dim // 2)
-    else:                               # the vector pass raises
-        reason = f"its start rows have {X0.shape[1]} entries"
+    x0 = np.asarray(x0, dtype=float)
+    generators = (Ka,) + tuple(Kc)
+    names = [K.name or "K" for K in generators]
+    vector = reason = None
+    if x0.ndim == 2:
+        vector = phase_rhs(Ka)
+        if len(x0) > REPLAY_MAX_ROWS:
+            reason = (f"its {len(x0)} rows are more than the "
+                      f"{REPLAY_MAX_ROWS} a replay runs faster")
+        elif x0.shape[1] != Ka.dim:     # the vector pass raises
+            reason = f"its start rows have {x0.shape[1]} entries"
+    if reason is None:
+        from .tracegrad import FieldCode
+        start = (x0 if vector is None else x0[0]).tolist()
+        code = FieldCode(Ka, Kc, start, len(start) // 2)
+        if vector is not None:
+            reason = code.reasons[0]
     if reason is not None:
-        log.info("%s: %s runs on the vector pass: %s", check, name, reason)
-        return integrate(vector, X0, t_end, dt)
-    log.info("%s: %s runs on a traced replay", check, name)
-
-    def field(t, x):
-        return kernel(x, ())
-
-    field._list_stages, field._batch = True, vector
+        log.info("%s: %s runs on the vector pass: %s", where, names[0],
+                 reason)
+        return integrate(vector, x0, t_end, dt, monitors)
+    for name, why in zip(names, code.reasons):
+        log.info("%s: %s runs %s", where, name, "on a traced replay"
+                 if why is None else f"on the scalar loop: {why}")
     try:
-        return integrate(field, X0, t_end, dt)
+        return integrate(_Runner(_block_runner(code, reads), vector), x0,
+                         t_end, dt, monitors)
     finally:
-        log.info("%s: %s fell back from its trace to grad at %d row stages",
-                 check, name, handed_back[0])
+        stages = "stages" if vector is None else "row stages"
+        for name, why, count in zip(names, code.reasons, code.handed_back):
+            if why is None:
+                log.info("%s: %s fell back from its trace to grad at %d %s",
+                         where, name, count, stages)
 
 
 def _perturbation_step(v: float) -> float:
@@ -590,7 +686,7 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     width = len(starts) // len(members)
     x0 = _liouville_rows(gf, starts)
     try:
-        traj = _integrate_rows(K, x0, t_end, dt, "flowcheck")
+        traj = _integrate_traced(K, (), x0, t_end, dt, "flowcheck")
     except _NonFiniteState as err:
         member, j = divmod(err.row, width)
         which = ("unperturbed" if j == 0 else
@@ -639,8 +735,8 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
     x0 = pt.packed()
     scaled = x0.copy()
     scaled[m:] *= lam
-    final = _integrate_rows(K, np.array([x0, scaled]), t_end, dt,
-                            "scaling check").final
+    final = _integrate_traced(K, (), np.array([x0, scaled]), t_end, dt,
+                              "scaling check").final
     a = final[0].copy()
     a[m:] *= lam                       # flow, then scale
     return float(np.max(np.abs(a - final[1])))   # against scale, then flow

@@ -24,9 +24,9 @@ the two laws: with designated energy and entropy coordinates,
 :func:`interconnect` composes two systems through a static feedback law
 between their outputs, rejecting compositions that break the second law.
 :func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, its field
-one straight-line kernel traced from the generators, recording the
-surface-membership guard, inputs, outputs and monitors at every grid point,
-a block of points at a time.
+traced once from the generators and stepped by a generated block runner,
+recording the surface-membership guard, inputs, outputs and monitors at
+every grid point, a block of points at a time.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ import numpy as np
 
 from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
                       exp, grad)
-from .dynamics import _degree_residual, contact_rhs, integrate, phase_rhs
+from .dynamics import (_degree_residual, _integrate_traced, contact_rhs,
+                       phase_rhs)
 from .geometry import (PhasePoint, _chart_rows, _euler_rows, _phase_rows,
                        dehomogenize)
 from .submanifold import (GeneratingFunction, _liouville_rows,
@@ -398,12 +399,15 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     the last stage time can differ in the last bit).  So a ``PortSignal``
     should be a pure function of ``t``.
 
-    The field is one straight-line kernel per run
-    (:func:`~ltk.tracegrad.field_kernel`): ``Ka`` and each ``Kc_k`` are
-    traced once, at the initial point, and every RK4 stage calls the kernel
-    on the state as the list of floats :func:`~ltk.dynamics.rk4_step`
-    holds, bit for bit the scalar loop of :func:`~ltk.diffkit.grad` over
-    the generators.  A generator whose guard flips, whose domain check
+    The field is traced once per run, at the initial point
+    (:class:`~ltk.tracegrad.FieldCode`), and stepped by one generated
+    block runner, the RK4 loop over a block of steps with the field's code
+    inlined at each stage on the state's entries as local floats and with
+    the inputs read as a list: bit for bit the list step of
+    :func:`~ltk.dynamics.rk4_step` over the scalar loop of
+    :func:`~ltk.diffkit.grad` over the generators.  A non-finite state
+    raises with the step at which it appears.  A generator whose guard
+    flips, whose domain check
     trips or whose code raises at a stage takes ``grad`` at that stage
     while the others keep their traced code, so results, errors and their
     times are the scalar loop's.  A generator the trace cannot record is
@@ -438,22 +442,8 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              + [f"{y}{k + 1}" for k in range(n_ports) for y in ("y_p", "y_e")]
              + extra)
 
-    from .tracegrad import field_kernel
     x0 = liouville_point(sys.gf, params).packed()
-    kernel, reasons, handed_back = field_kernel(sys.Ka, sys.Kc, x0.tolist(),
-                                                m)
-    generators = (sys.Ka,) + sys.Kc
-    for K, reason in zip(generators, reasons):
-        log.info("simulate %r: %s runs %s", sys.name, K.name,
-                 "on a traced replay" if reason is None
-                 else f"on the scalar loop: {reason}")
     reads = _InputReads(u)
-
-    def field(t, x):
-        # a port with zero input is skipped: an idle system pays for the drift
-        return kernel(x, reads[t])
-
-    field._list_stages = True           # rk4_step hands it its lists
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""
@@ -491,18 +481,15 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         return np.column_stack([res] + cols)
 
     try:
-        traj = integrate(field, x0, t_end, dt, [("channels", record)])
+        traj = _integrate_traced(sys.Ka, sys.Kc, x0, t_end, dt,
+                                 f"simulate {sys.name!r}",
+                                 [("channels", record)], reads)
     except Exception as err:
         where = f"simulation of {sys.name!r}: {err}"
         if isinstance(err, RuntimeError):
             raise RuntimeError(where) from err
         err.args = (where,)
         raise
-    finally:
-        for K, reason, count in zip(generators, reasons, handed_back):
-            if reason is None:
-                log.info("simulate %r: %s fell back from its trace to grad "
-                         "at %d stages", sys.name, K.name, count)
     rec = dict(zip(names, traj.monitors["channels"].T))
     return SimulationResult(
         sys.name, traj.t, traj.x, traj.monitors["channels"][:, 1:1 + n_ports],

@@ -1,6 +1,8 @@
 """Traced code: functions recorded once and emitted as straight-line
-Python, simulate's generators as one field kernel of their gradients and
-expression inputs as one kernel of their values.
+Python, the generators of a field as the lines of their gradients' sum
+(:class:`FieldCode`), which the block runner of :mod:`ltk.dynamics`
+inlines at each RK4 stage, and expression inputs as one kernel of their
+values.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -19,11 +21,11 @@ equal in type and repr share one name (so 0.0 and -0.0, or 1 and 1.0,
 stay apart), and a derivative that reads only constants is computed at
 trace time by the same operator and becomes one more constant.  Nodes are
 never shared between functions, as a port's code must not read a value
-of a drift whose code handed back before making it.  :func:`field_kernel`
-writes a port
-system's drift and port generators into one body that returns the
-canonical field of ``Ka + sum_k u_k Kc_k``, its names numbered on across
-the generators.
+of a drift whose code handed back before making it.  :class:`FieldCode`
+writes a port system's drift and port generators into one body that
+computes the gradient of ``Ka + sum_k u_k Kc_k``, its names numbered on
+across the generators; :func:`field_kernel` returns the canonical field
+from it as one call.
 
 A comparison becomes a guard, and each condition under which a scalar pass
 raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a fractional
@@ -35,18 +37,21 @@ point, which returns or raises as it always did.  A traced value is a
 ``sqrt``, ``sin`` and ``cos`` recognise before any ``math`` call.  Any
 other read of it (``==``, ``!=``, ``bool``, ``float``, ``int``, ``hash``,
 an attribute, numpy, a traced exponent) makes the function untraceable at
-once, and the kernel calls ``grad`` for it.  No user text enters the
+once, and its field code calls ``grad`` for it.  No user text enters the
 generated source: constants go in through its namespace, so a source
 depends on the shape of the generators and on which of their constants
 are equal, not on their values, and its code object is compiled once and
-kept by its text (the latest 8 sources).
+kept by its text (the latest 8 sources).  The block runner of a field
+inlines its body at each of the four stages, so it compiles in about 4
+times the one-stage kernel's time (2-4 ms against 0.4-1 ms for the
+benchmark's systems), once per field shape in a process.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
 
-``simulate`` traces its generators into a field kernel once per run and
-keeps the kernel for that run only; so do the two integrated checks of
-:mod:`ltk.dynamics`, ``flow_transport_check`` and
+``simulate`` traces its generators into field code once per run and
+keeps its block runner for that run only; so do the two integrated checks
+of :mod:`ltk.dynamics`, ``flow_transport_check`` and
 ``scaling_commutation_check``, for K over their batch of trajectories.
 ``ltk`` does not import this module; ``simulate``, ``from_exprs`` and the
 two integrated checks import it when first called, so importing the
@@ -60,7 +65,7 @@ import re
 
 from .diffkit import ScalarFn, _Recorder, grad
 
-__all__ = ["field_kernel", "value_kernel"]
+__all__ = ["FieldCode", "field_kernel", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -548,13 +553,117 @@ class _HandBack(Exception):
     """Raised by a kernel's guard or check: the point goes back to grad."""
 
 
+class FieldCode:
+    """The canonical field of ``Ka + sum_k u_k Kc_k`` traced once at a
+    point ``x`` of ``m`` coordinates and ``m`` costates, as lines of
+    straight-line code for callers to place: ``reasons`` holds one reason
+    per generator, None for each the trace records, ``handed_back`` one
+    count per generator of the evaluations that handed it back to
+    ``grad``, and ``ports`` the number of port generators.
+
+    :meth:`point` sets the coordinates ``v0, v1, ...`` that :meth:`body`
+    reads, :meth:`body` evaluates the gradient sum there, with the inputs
+    in the list ``u``, and :meth:`field` gives the sources of the field's
+    entries; :meth:`function` compiles a function around such lines, which
+    read the trace's constants.  :meth:`kernel` places them once, as one
+    call, and the block runner of :mod:`ltk.dynamics` at each RK4 stage.
+    """
+
+    def __init__(self, Ka: ScalarFn, Kc, x, m: int):
+        generators = (Ka,) + tuple(Kc)
+        self.handed_back = handed_back = [0] * len(generators)
+        self.dim, self.m, self.ports = len(x), m, len(generators) - 1
+
+        def scalar(k, xs):
+            return grad(generators[k], xs).tolist()
+
+        def back(k, xs):
+            handed_back[k] += 1
+            return scalar(k, xs)
+
+        trace = _Trace(x)
+        self._codes = [trace.record(K) for K in generators]
+        self.reasons = [reason for _, reason in self._codes]
+        self._namespace = dict(_REPLAY_NAMES, **trace.consts, _grad=scalar,
+                               _back=back, _Back=_HandBack)
+        self._kernel = self._read = self._body = None
+
+    def body(self, g: str) -> list:
+        """The lines that set ``{g}0, {g}1, ...`` to the gradient of
+        ``Ka + sum_k u_k Kc_k`` at ``v0, v1, ...``, bit for bit the scalar
+        loop: ``grad(Ka)``, then for each port in order whose input is not
+        0.0 the sum ``g + u_k * grad(Kc_k)``, entry by entry.  A generator
+        whose guard flips, whose check trips or whose code raises takes
+        ``grad`` there, as one the trace cannot record always does."""
+        if self._body is None:          # made once, with the prefix "$"
+            point = "[" + ", ".join(f"v{i}" for i in range(self.dim)) + "]"
+            from_grad = [f"back[{i}]" for i in range(self.dim)]
+            body = []
+            for k, (code, _) in enumerate(self._codes):
+                if code is None:
+                    section = [f"back = _grad({k}, {point})"] + \
+                        _folded(k, from_grad)
+                elif not code[0]:       # no check, no guard: nothing raises
+                    section = _folded(k, code[1])
+                else:
+                    lines, partials = code
+                    section = (
+                        ["try:"] + _indented(lines + ["handed = False"])
+                        + ["except Exception:", "    handed = True",
+                           "if handed:", f"    back = _back({k}, {point})"]
+                        + _indented(_folded(k, from_grad)) + ["else:"]
+                        + _indented(_folded(k, partials)))
+                if k:
+                    section = [f"if u[{k - 1}] != 0.0:",
+                               f"    u{k} = u[{k - 1}]"] + _indented(section)
+                body += section
+            self._body = "\n".join(body)
+        return self._body.replace("$", g).split("\n")
+
+    def point(self, sources) -> list:
+        """The lines that set ``v0, v1, ...`` to ``sources``, one per
+        coordinate, leaving out each coordinate :meth:`body` never reads."""
+        if self._read is None:
+            if all(code is not None and not code[0] for code, _ in self._codes):
+                # no lines, no hand-back: the partials read the coordinates
+                self._read = set(_NAME.findall(" ".join(
+                    d for code, _ in self._codes for d in code[1])))
+            else:                       # a hand-back reads every coordinate
+                self._read = {f"v{i}" for i in range(self.dim)}
+        return [f"v{i} = {s}" for i, s in enumerate(sources)
+                if f"v{i}" in self._read]
+
+    def field(self, g: str) -> list:
+        """The sources of the canonical field ``[dK/dp, -dK/dq]`` from the
+        gradient that :meth:`body` sets in ``{g}0, {g}1, ...``."""
+        return ([f"{g}{i}" for i in range(self.m, self.dim)]
+                + [f"-{g}{i}" for i in range(self.m)])
+
+    def function(self, name: str, params: str, lines, **names):
+        """The function ``name(params)`` whose body is ``lines``, which
+        read the trace's constants and ``names``; its code is compiled on
+        the first use of its source."""
+        namespace = dict(self._namespace, **names)
+        exec(_code(f"def {name}({params}):\n    " + "\n    ".join(lines)),
+             namespace)
+        return namespace[name]
+
+    def kernel(self):
+        """``kernel(xs, u)``: the field at the point and inputs ``xs`` and
+        ``u``, lists of floats, as a list; compiled on the first call."""
+        if self._kernel is None:
+            self._kernel = self.function(
+                "kernel", "x, u",
+                [", ".join(f"v{i}" for i in range(self.dim)) + ", = x"]
+                + self.body("g") + [f"return [{', '.join(self.field('g'))}]"])
+        return self._kernel
+
+
 def field_kernel(Ka: ScalarFn, Kc, x, m: int):
     """Trace ``Ka`` and each ``Kc_k`` once at the point ``x`` (of ``m``
     coordinates and ``m`` costates) and emit the canonical field of
     ``Ka + sum_k u_k Kc_k`` as one straight-line function:
-    ``(kernel, reasons, handed_back)``, with one reason per generator, None
-    for each the trace records, and one count per generator of the calls
-    that handed it back to ``grad``.
+    ``(kernel, reasons, handed_back)``, as :class:`FieldCode` gives them.
 
     ``kernel(xs, u)`` takes a point and the inputs as lists of floats and
     returns ``[dK/dp, -dK/dq]`` as a list, bit for bit the scalar loop:
@@ -566,44 +675,8 @@ def field_kernel(Ka: ScalarFn, Kc, x, m: int):
     differentiated by :func:`~ltk.diffkit.grad` at every call.  With no
     ports and ``m`` 0 the kernel returns ``grad(Ka)``.
     """
-    generators = (Ka,) + tuple(Kc)
-    handed_back = [0] * len(generators)
-
-    def scalar(k, xs):
-        return grad(generators[k], xs).tolist()
-
-    def back(k, xs):
-        handed_back[k] += 1
-        return scalar(k, xs)
-
-    trace, dim = _Trace(x), len(x)
-    body = [", ".join(f"v{i}" for i in range(dim)) + ", = x"]
-    reasons = []
-    from_grad = [f"h[{i}]" for i in range(dim)]
-    for k, K in enumerate(generators):
-        code, reason = trace.record(K)
-        reasons.append(reason)
-        if code is None:
-            section = [f"h = _grad({k}, x)"] + _folded(k, from_grad)
-        elif not code[0]:               # no check, no guard: nothing raises
-            section = _folded(k, code[1])
-        else:
-            lines, partials = code
-            section = (["try:"] + _indented(lines + ["handed = False"])
-                       + ["except Exception:", "    handed = True",
-                          "if handed:", f"    h = _back({k}, x)"]
-                       + _indented(_folded(k, from_grad)) + ["else:"]
-                       + _indented(_folded(k, partials)))
-        if k:
-            section = [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"] \
-                + _indented(section)
-        body += section
-    swapped = [f"g{i}" for i in range(m, dim)] + [f"-g{i}" for i in range(m)]
-    body.append(f"return [{', '.join(swapped)}]")
-    namespace = dict(_REPLAY_NAMES, **trace.consts, _grad=scalar, _back=back,
-                     _Back=_HandBack)
-    exec(_code("def kernel(x, u):\n    " + "\n    ".join(body)), namespace)
-    return namespace["kernel"], reasons, handed_back
+    code = FieldCode(Ka, Kc, x, m)
+    return code.kernel(), code.reasons, code.handed_back
 
 
 def value_kernel(fns, x):
@@ -630,11 +703,12 @@ def value_kernel(fns, x):
 
 
 def _folded(k: int, partials) -> list:
-    """The lines adding generator k's partials to the field sum: Ka's are
-    the sum, port k's are added times its input ``u{k}``."""
+    """The lines adding generator k's partials to the gradient sum
+    ``$0, $1, ...``: Ka's are the sum, port k's are added times its input
+    ``u{k}``."""
     if k == 0:
-        return [f"g{i} = {d}" for i, d in enumerate(partials)]
-    return [f"g{i} = g{i} + " + _times(f"u{k}", f"({d})" if " " in d else d)
+        return [f"${i} = {d}" for i, d in enumerate(partials)]
+    return [f"${i} = ${i} + " + _times(f"u{k}", f"({d})" if " " in d else d)
             for i, d in enumerate(partials)]
 
 
@@ -644,10 +718,12 @@ def _indented(lines) -> list:
 
 # Code objects by source text.  A source names its constants and never
 # holds their values, so systems of one shape whose parameters differ only
-# in value, and every run of one system, share one compile: one perfbench
-# run builds 143 kernels from 3 sources on sim_expr and 59 from 2 on
-# sim_builtin, and the expression inputs of its four templates add one
-# value kernel source each.
+# in value, and every run of one system, share one compile.  The first 60
+# jobs of each perfbench workload (seed 7) compile 2 block runners and 3
+# value kernels on sim_builtin, 3 block runners and the 4 templates' value
+# kernels on sim_expr, its built-in twins included, and 2 block runners on
+# audit; a field's one-stage kernel is compiled only where a caller asks
+# for it (FieldCode.kernel), which no workload does.
 _COMPILED = {}
 _COMPILED_MAX = 8
 

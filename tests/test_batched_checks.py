@@ -24,9 +24,9 @@ from test_diffkit import SYSTEMS, _hex
 from ltk import cli, dynamics, tracegrad
 from ltk.brackets import degree_check, poisson_fn
 from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
-from ltk.dynamics import (_integrate_rows, contact_rhs, flow_transport_check,
-                          integrate, phase_rhs, scaling_commutation_check,
-                          validate_degree)
+from ltk.dynamics import (_integrate_traced, contact_rhs,
+                          flow_transport_check, integrate, phase_rhs,
+                          scaling_commutation_check, validate_degree)
 from ltk.exprlang import compile_fn
 from ltk.geometry import (EulerFieldKind, PhasePoint, beta, dehomogenize,
                           euler_residual, project, sample_phase_points,
@@ -435,19 +435,18 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
     system = SYSTEMS[name]()
     X0 = _flow_starts(system, 5, 11)
     calls = _batch_grads(monkeypatch)
-    fields = []
-    monkeypatch.setattr(dynamics, "integrate", lambda f, *args: (
-        fields.append(f), integrate(f, *args))[1])
     for K in (system.Ka,) + system.Kc:
         with caplog.at_level(logging.INFO, logger="ltk"):
-            traced = _integrate_rows(K, X0, 0.05, 1e-2, "test")
+            traced = _integrate_traced(K, (), X0, 0.05, 1e-2, "test")
         assert calls == []
         assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 0.05,
                                                   1e-2).x)
-        for X in (X0, traced.x[-1]):    # the row field, at every bit
+        # the row field, at every bit, from the lines the runner inlines
+        kernel = tracegrad.field_kernel(K, (), X0[0].tolist(), K.dim // 2)[0]
+        for X in (X0, traced.x[-1]):
             vector = phase_rhs(K)(0.0, X)
             for x, row in zip(X.tolist(), vector):
-                assert _hex(fields[-1](0.0, x)) == _hex(row)
+                assert _hex(kernel(x, ())) == _hex(row)
         calls.clear()
         assert _log_lines(caplog, "test")[-2:] == [
             f"test: {K.name} runs on a traced replay",
@@ -487,7 +486,7 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
                                      (0.0, 1.0, 0.2, -1.0),
                                      (0.1, 1.2, 0.45, -0.8)])
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traced = _integrate_rows(K, X0, 1.0, 2e-2, "test")
+        traced = _integrate_traced(K, (), X0, 1.0, 2e-2, "test")
     momentum = traced.x[:, :, 3]
     assert (momentum[:, [0, 2]] > 0.3).all()
     assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
@@ -497,10 +496,17 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
         assert _hex(traced.x[:, i]) == _hex(alone)
     lines = _log_lines(caplog, "test")
     assert lines[0] == "test: switching drift runs on a traced replay"
-    # row 1's stages below the guard, at most its 4 stages a step
+    # row 1's stages below the guard, at most its 4 stages a step, as many
+    # as each row stepped alone by the list step through the kernel traced
+    # at row 0
     assert lines[-1].endswith(" row stages")
     stages = int(lines[-1].split(" at ")[-1].split()[0])
     assert 0 < stages <= 4 * 50
+    code = tracegrad.FieldCode(K, (), X0[0].tolist(), 4)
+    kernel = code.kernel()
+    for x0 in X0:
+        integrate(lambda t, x: kernel(x.tolist(), ()), x0, 1.0, 2e-2)
+    assert code.handed_back == [stages]
 
 
 def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
@@ -510,7 +516,7 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
     X0 = _flow_starts(heat_compartment(), 4, 2)
     calls = _batch_grads(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = _integrate_rows(K, X0, 0.1, 1e-2, "test")
+        traj = _integrate_traced(K, (), X0, 0.1, 1e-2, "test")
     assert calls == [len(X0)] * 40      # one pass per stage, every stage
     assert _log_lines(caplog, "test") == [
         "test: reads == runs on the vector pass: it reads a traced value "
@@ -521,7 +527,7 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
     # raises
     with pytest.raises(ValueError, match="expects dimension 4, got 6 in "
                        "the step from t=0"):
-        _integrate_rows(K, np.ones((2, 6)), 0.1, 1e-2, "test")
+        _integrate_traced(K, (), np.ones((2, 6)), 0.1, 1e-2, "test")
 
 
 def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
@@ -533,8 +539,9 @@ def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
     assert len(X0) == dynamics.REPLAY_MAX_ROWS + 1
     calls = _batch_grads(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        wide = _integrate_rows(system.Ka, X0, 0.02, 1e-2, "test")
-        narrow = _integrate_rows(system.Ka, X0[1:], 0.02, 1e-2, "test")
+        wide = _integrate_traced(system.Ka, (), X0, 0.02, 1e-2, "test")
+        narrow = _integrate_traced(system.Ka, (), X0[1:], 0.02, 1e-2,
+                                   "test")
     assert calls == [len(X0)] * 8
     assert _log_lines(caplog, "test") == [
         f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
@@ -553,7 +560,7 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
     X0 = np.array([[1.3, 2.0, -1.0, -0.5], [1.1, 3.0, -0.7, -1.0],
                    [0.9, 2.5, -1.2, -1.0]])
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = _integrate_rows(K, X0, 0.2, 1e-3, "test")
+        traj = _integrate_traced(K, (), X0, 0.2, 1e-3, "test")
     assert "runs on the vector pass: it raises to a traced exponent" in \
         caplog.text
     for i, x0 in enumerate(X0):
@@ -602,6 +609,59 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
     else:
         assert errors[0][0] is RuntimeError
         assert "member [1.2, -1.0] (parameter 1 -h)" in errors[0][1]
+
+
+def _blowing_up() -> ScalarFn:
+    """p0^2, times 1e308 where q0 < 0: q0 falls at the rate -2 p0, and a
+    stage past 0 has an infinite rate."""
+    return ScalarFn(lambda x: x[2] * x[2] * (1e308 if x[0] < 0.0 else 1.0),
+                    4, name="blowing up")
+
+
+@pytest.mark.parametrize("case", ["domain hole", "non-finite"])
+def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
+    # a block of 4 points; each row runs through the block in turn, and the
+    # block in which a later row raises or goes non-finite reruns on the
+    # vector pass from its start: the error, its step and row, and the
+    # points recorded before it are the vector pass's
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 12)
+    if case == "domain hole":
+        K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(0.45 - q1))",
+                       ["q0", "q1", "p0", "p1"])
+        X0 = _liouville_rows(heat_compartment().gf,
+                             [(0.1, -1.0), (0.3, -1.0), (0.2, -1.2)])
+    else:
+        K = _blowing_up()
+        X0 = np.array([[0.3, 1.0, -1.0, 0.5], [0.11, 1.0, -1.0, 0.5],
+                       [0.5, 1.0, -1.0, 0.5]])
+    errors, seen = [], []
+
+    def monitor(t, X):
+        seen[-1].append((t.tolist(), X.tolist()))
+        return X[:, :, 0]
+
+    for route in ("traced", "vector"):
+        if route == "vector":
+            _vector_route(monkeypatch)
+        seen.append([])
+        with pytest.raises(Exception) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            _integrate_traced(K, (), X0, 1.0, 1e-2, "test",
+                              [("x", monitor)])
+        errors.append((type(err.value), str(err.value),
+                       getattr(err.value, "row", None)))
+    assert errors[0] == errors[1]
+    assert seen[0] == seen[1]
+    points = len(sum((t for t, _ in seen[0]), []))
+    if case == "domain hole":
+        assert errors[0][1] == (
+            "ln requires a positive argument (batch row 1) in "
+            "'ln(0.45-q1)' in the step from t=0.21")
+        assert points == 22             # step 22 of the block of steps 21-23
+    else:
+        assert errors[0][1:] == ("integration produced a non-finite state "
+                                 "at t=0.06 (step 6) in row 1", 1)
+        assert points == 6              # step 6 of the block of steps 5-7
 
 
 def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> list:

@@ -191,26 +191,22 @@ def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
 
 def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
     # a block holds MONITOR_BLOCK states, so a batch of 4 rows is recorded 8
-    # points at a time, in numpy and as list rows, which wait for no longer
+    # points at a time, in numpy and as list rows stepped by a block
+    # runner, which wait for no longer
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
-
-    def f(t, X):
-        return -X
-
-    def rows(t, x):
-        return [-v for v in x]
-
-    rows._list_stages, rows._batch = True, f
-    X0 = np.arange(8.0).reshape(4, 2)
+    X0 = np.arange(1.0, 17.0).reshape(4, 4)
     runs = []
-    for field in (f, rows):
+    for traced in (False, True):
         blocks = []
 
         def first(t, X):
             blocks.append(len(t))
             return X[:, :, 0]
 
-        runs.append(integrate(field, X0, 0.2, 1e-2, [("first", first)]))
+        monitors = [("first", first)]
+        runs.append(dynamics._integrate_traced(Q1P0, (), X0, 0.2, 1e-2,
+                                               "test", monitors) if traced
+                    else integrate(phase_rhs(Q1P0), X0, 0.2, 1e-2, monitors))
         assert blocks == [8, 8, 5]
     assert _hex(runs[0].x) == _hex(runs[1].x)
     assert _hex(runs[0].monitors["first"]) == _hex(runs[1].monitors["first"])
@@ -433,17 +429,11 @@ def _ring(n):
 
 
 def _forms(f):
-    """``f``, the same field returning lists, and the same field marked
-    ``_list_stages``, which receives and returns lists."""
+    """``f`` and the same field returning lists."""
     def listed(t, x):
         return f(t, x).tolist()
 
-    def marked(t, x):
-        assert isinstance(x, list)
-        return f(t, np.array(x)).tolist()
-
-    marked._list_stages = True
-    return f, listed, marked
+    return f, listed
 
 
 @pytest.mark.parametrize("n", range(1, 13))

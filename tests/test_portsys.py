@@ -382,21 +382,27 @@ def _count_calls(monkeypatch, original):
 
 
 def _count_kernels(monkeypatch):
-    """The generators traced into field kernels, and one entry per call of
-    a kernel."""
+    """The generators traced into field code, and one entry per evaluation
+    of the field that its block runners inline, 4 per RK4 step."""
     traces, calls = [], []
-    original = tracegrad.field_kernel
+    trace, build = tracegrad.FieldCode.__init__, dynamics._block_runner
 
-    def traced(Ka, Kc, x, m):
+    def traced(code, Ka, Kc, x, m):
         traces.append([K.name for K in (Ka,) + tuple(Kc)])
-        kernel, reasons, handed_back = original(Ka, Kc, x, m)
+        trace(code, Ka, Kc, x, m)
 
-        def counted(xs, u):
-            calls.append(len(xs))
-            return kernel(xs, u)
-        return counted, reasons, handed_back
+    def built(*args):
+        run = build(*args)
 
-    _rebind(monkeypatch, original, traced)
+        def counted(x, i0, i1, dt, out):
+            try:
+                return run(x, i0, i1, dt, out)
+            finally:
+                calls.extend([len(x)] * (4 * len(out)))
+        return counted
+
+    monkeypatch.setattr(tracegrad.FieldCode, "__init__", traced)
+    monkeypatch.setattr(dynamics, "_block_runner", built)
     return traces, calls
 
 

@@ -1,7 +1,10 @@
 """simulate records its channels a block of grid points at a time; these
 tests hold it to a reference loop that records one point at a time, right
 after reaching it, bit for bit (``float.hex``), including which error an
-aborted run raises and at what time.
+aborted run raises and at what time.  Its block runner, which steps the
+state a block at a time with the field inlined at each stage, is held to
+the generated list step calling the field's one-stage kernel, with the
+same hand-backs, errors and recorded points.
 
 The reference loop is simulate as it ran point by point: the membership
 guard, then each port's u, y_p and y_e, then the monitors in the order
@@ -9,17 +12,22 @@ asked for, each from the single-point API.
 """
 
 import contextlib
+import json
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
-from test_diffkit import SYSTEMS, _hex
+from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
-from ltk import dynamics
+from ltk import dynamics, tracegrad
 from ltk.diffkit import ScalarFn, grad, ln, sqrt
-from ltk.dynamics import MONITOR_BLOCK, rk4_step
+from ltk.dynamics import MONITOR_BLOCK, integrate, rk4_step
+from ltk.exprlang import compile_fn
 from ltk.geometry import PhasePoint, euler_residual
-from ltk.portsys import (MEMBERSHIP_ABORT, MONITOR_NAMES, PortSignal,
-                         PortSystem, heat_compartment, simulate)
+from ltk.portsys import (BUILTIN_SYSTEMS, MEMBERSHIP_ABORT, MONITOR_NAMES,
+                         PortSignal, PortSystem, _InputReads,
+                         gas_piston_damper, heat_compartment, simulate)
 from ltk.submanifold import liouville_point, membership_norm
 
 SMALL_BLOCK = 8
@@ -210,19 +218,35 @@ def _closed(name, Ka):
                         default_params=hc.default_params)
 
     def steps_to_abort(*args, **kwargs):
-        steps = []
-
-        def counted(*step):
-            steps.append(None)
-            return rk4_step(*step)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dynamics, "rk4_step", counted)
-            with pytest.raises(RuntimeError):
-                simulate(system, *args, **kwargs)
+        with _runner_steps() as steps, pytest.raises(RuntimeError):
+            simulate(system, *args, **kwargs)
         return len(steps)
 
     return system, steps_to_abort
+
+
+@contextlib.contextmanager
+def _runner_steps():
+    """One entry per RK4 step that the block runners built inside take,
+    a step that raises included."""
+    steps, original = [], dynamics._block_runner
+
+    def built(*args):
+        run = original(*args)
+
+        def counted(x, i0, i1, dt, out):
+            try:
+                return run(x, i0, i1, dt, out)
+            except Exception:
+                steps.append(None)
+                raise
+            finally:
+                steps.extend([None] * len(out))
+        return counted
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_block_runner", built)
+        yield steps
 
 
 @pytest.mark.parametrize("tol, block_rows", [(MEMBERSHIP_ABORT, range(0, 8)),
@@ -304,3 +328,165 @@ def test_channel_domain_errors_come_in_point_order(y_p_limit, message,
     err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal.constant([1.0]))
     assert isinstance(err, ValueError)
     assert str(err) == f"simulation of 'fragile outputs': {message} at t=0.35"
+
+
+# -- the block runner --------------------------------------------------------------
+
+SPEC = Path(__file__).resolve().parents[1] / "perfbench" / "spec.json"
+TEMPLATES = json.loads(SPEC.read_text())["expr_templates"]
+# the input kinds of the benchmark, one port each
+INPUTS = dict({
+    "zero": lambda: PortSignal.zero(1),
+    "constant": lambda: PortSignal.constant([0.3]),
+    "sinusoid": lambda: PortSignal.sinusoid(0.1, 1.0)}, **{
+    f"expr {i}": lambda template=template: PortSignal.from_exprs(
+        [template.format(a="0.2", w="3.0", tau="2.0", b="0.1")])
+    for i, template in enumerate(TEMPLATES)})
+RUNNER_SYSTEMS = dict(BUILTIN_SYSTEMS, **{
+    name: SYSTEMS[name] for name in ("expression piston",
+                                     "expression compartment")})
+RUNNER_CASES = [(name, kind) for name in sorted(RUNNER_SYSTEMS)
+                for kind in INPUTS
+                if RUNNER_SYSTEMS[name]().n_ports or kind == "zero"]
+
+
+def _runner_case(name, kind):
+    system = RUNNER_SYSTEMS[name]()
+    params = TWIN_DEFAULTS.get(name, system.default_params)
+    u = INPUTS[kind]() if system.n_ports else PortSignal.zero(0)
+    return system, params, u
+
+
+def _list_route(system, params, u, t_end, dt, monitors=()):
+    """``integrate`` of simulate's field through the generated list step,
+    each stage a call of the field's one-stage kernel, with the inputs
+    read once per time as simulate reads them; also the counts of the
+    stages each generator was handed back to grad."""
+    x0 = liouville_point(system.gf, params).packed()
+    code = tracegrad.FieldCode(system.Ka, system.Kc, x0.tolist(),
+                               system.n_coords)
+    kernel, reads = code.kernel(), _InputReads(u)
+
+    def field(t, x):
+        return kernel(x.tolist(), reads[t])
+
+    return integrate(field, x0, t_end, dt, monitors), code.handed_back
+
+
+def _handed_back(caplog) -> list:
+    """The hand-back counts of the INFO lines of the last run."""
+    lines = [r.getMessage() for r in caplog.records
+             if " fell back from its trace to grad at " in r.getMessage()]
+    return [int(line.split(" at ")[-1].split()[0]) for line in lines]
+
+
+@pytest.mark.parametrize("name, kind", RUNNER_CASES)
+def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind, monkeypatch,
+                                                      caplog):
+    # runs that end within the first block, at its end, just after it and
+    # in the third block, and a run of full-size blocks
+    system, params, u = _runner_case(name, kind)
+    runs = [(steps, 1e-2, SMALL_BLOCK) for steps in (
+        SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1)]
+    for steps, dt, block in runs + [(2 * MONITOR_BLOCK + 1, 1e-3,
+                                     MONITOR_BLOCK)]:
+        monkeypatch.setattr(dynamics, "MONITOR_BLOCK", block)
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ltk"):
+            result = simulate(system, steps * dt, dt, u=u, params=params)
+        listed, handed_back = _list_route(system, params, u, steps * dt, dt)
+        assert np.array_equal(result.x, listed.x), steps
+        assert _handed_back(caplog) == handed_back == [0] * len(handed_back)
+
+
+def test_a_guard_that_flips_mid_block_hands_back_as_the_list_step(
+        monkeypatch, caplog):
+    # the drift doubles while the piston momentum exceeds 0.35; the runner
+    # hands the same stages back to grad as the list step, at the same
+    # points, counted alike
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
+    piston = gas_piston_damper()
+    Ka = piston.Ka
+    system = PortSystem(
+        name="switching piston", gf=piston.gf,
+        Ka=ScalarFn(lambda x: Ka(x) * 2.0 if x[3] > 0.35 else Ka(x), 8,
+                    name="switching drift"), Kc=piston.Kc,
+        energy_indices=(0,), entropy_indices=(1,))
+    params, u = (0.0, 1.0, 0.3, -1.0), PortSignal.sinusoid(0.2, 1.0)
+    points, original = [], tracegrad.grad
+    monkeypatch.setattr(tracegrad, "grad", lambda K, x: (
+        points.append((K.name, list(x))), original(K, x))[1])
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        result = simulate(system, 1.0, 1e-2, u=u, params=params)
+    runner_points = points[:]
+    del points[:]
+    listed, handed_back = _list_route(system, params, u, 1.0, 1e-2)
+    assert np.array_equal(result.x, listed.x)
+    assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
+    assert runner_points == points
+    assert _handed_back(caplog) == handed_back
+    assert 0 < handed_back[0] == len(points) and handed_back[1] == 0
+    assert caplog.records[-2].getMessage() == (
+        f"simulate 'switching piston': switching drift fell back from its "
+        f"trace to grad at {handed_back[0]} stages")
+
+
+def _raising_compartment():
+    """The heat compartment with a drift whose ln(0.3 - S) is undefined
+    from S = 0.3 on, which the input reaches in the step from t = 0.3."""
+    hc = heat_compartment()
+    return PortSystem(
+        name="compartment", gf=hc.gf,
+        Ka=compile_fn("0 * ln(0.3 - q1) * p1", ["q0", "q1", "p0", "p1"]),
+        Kc=hc.Kc, energy_indices=(0,), entropy_indices=(1,),
+        default_params=hc.default_params)
+
+
+def _inf_drift_compartment():
+    """The heat compartment with a drift whose rate is infinite from
+    S = 0.1 on."""
+    hc = heat_compartment()
+
+    def Ka(x):
+        return x[3] * float("inf") if x[1] >= 0.1 else x[3] * 0.0
+
+    return PortSystem(name="blow-up", gf=hc.gf, Ka=ScalarFn(Ka, 4), Kc=hc.Kc,
+                      energy_indices=(0,), entropy_indices=(1,),
+                      default_params=hc.default_params)
+
+
+@pytest.mark.parametrize("make, dt, message", [
+    (_raising_compartment, 2.5e-2, "ln requires a positive argument in "
+                                   "'ln(0.3-q1)' in the step from t=0.325"),
+    (_inf_drift_compartment, 1e-2, "integration produced a non-finite state "
+                                   "at t=0.11 (step 11)")])
+def test_a_step_that_fails_mid_block_fails_as_the_list_step(make, dt, message,
+                                                            monkeypatch):
+    # the failing step lies inside the second block: both routes raise the
+    # same error, naming the same step, after recording the same points,
+    # and simulate raises it as the point-by-point reference does
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
+    system, u = make(), PortSignal.constant([1.0])
+    x0 = liouville_point(system.gf, system.default_params).packed()
+    errors, seen = [], []
+
+    def monitor(t, X):
+        seen[-1].append((t.tolist(), X.tolist()))
+        return X[:, 0]
+
+    for route in ("runner", "list step"):
+        seen.append([])
+        with pytest.raises(Exception) as err:
+            if route == "runner":
+                dynamics._integrate_traced(system.Ka, system.Kc, x0, 2.0, dt,
+                                           "test", [("x", monitor)],
+                                           _InputReads(u))
+            else:
+                _list_route(system, system.default_params, u, 2.0, dt,
+                            [("x", monitor)])
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].endswith(message)
+    assert seen[0] == seen[1]
+    assert SMALL_BLOCK < len(sum((t for t, _ in seen[0]), [])) < 2 * SMALL_BLOCK
+    assert str(_assert_same_error(system, 2.0, dt, u=u)).endswith(message)

@@ -18,12 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_diffkit import SYSTEMS, _hex
-from test_simulate_blocks import (_assert_matches_reference,
+from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
+from test_simulate_blocks import (INPUTS, _assert_matches_reference,
                                   _assert_same_error, _reference)
 
 import ltk
-from ltk import tracegrad
+from ltk import dynamics, tracegrad
 from ltk.diffkit import ScalarFn, exp, fd_grad, grad, ln, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
@@ -489,8 +489,10 @@ def test_numpy_constants_raise_as_a_dual_raises():
     assert field_kernel(divided, (), [1.0, 1.0], 0)[1][0] is not None
 
 
-def _source(monkeypatch, Ka, Kc, x, m: int) -> str:
-    """The source of the field kernel of ``Ka`` and ``Kc`` traced at x."""
+def _source(monkeypatch, Ka, Kc, x, m: int, name: str = "kernel") -> str:
+    """The source of the function ``name`` made from the field code of
+    ``Ka`` and ``Kc`` traced at x: its one-stage kernel, or simulate's
+    block runner, ``run``."""
     sources = []
     original = tracegrad._code
 
@@ -499,21 +501,24 @@ def _source(monkeypatch, Ka, Kc, x, m: int) -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
-    field_kernel(Ka, Kc, list(x), m)
-    return sources[-1]
+    code = tracegrad.FieldCode(Ka, Kc, list(x), m)
+    code.kernel()
+    dynamics._block_runner(code, {})
+    named = [s for s in sources if s.startswith(f"def {name}(")]
+    assert len(named) == 1
+    return named[0]
 
 
-def _kernel_source(monkeypatch, system) -> str:
-    """The source of ``system``'s field kernel at a surface point."""
+def _kernel_source(monkeypatch, system, name: str = "kernel") -> str:
+    """The source of ``system``'s kernel or block runner at a surface
+    point."""
     params = _sample_surface_params(system, 1, 5)[0]
     x0 = liouville_point(system.gf, params).packed()
-    return _source(monkeypatch, system.Ka, system.Kc, x0, system.n_coords)
+    return _source(monkeypatch, system.Ka, system.Kc, x0, system.n_coords,
+                   name)
 
 
-@pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS))
-def test_the_kernel_assigns_no_value_it_never_reads(name, monkeypatch):
-    # a value line that nothing reads is dropped where its node cannot raise
-    source = _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name]())
+def _assert_reads_every_assignment(source: str):
     tree = ast.parse(source)
     loads = {}
     for node in ast.walk(tree):
@@ -527,6 +532,22 @@ def test_the_kernel_assigns_no_value_it_never_reads(name, monkeypatch):
                 f"{target} at line {node.lineno} is never read"
 
 
+@pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS))
+def test_the_kernel_assigns_no_value_it_never_reads(name, monkeypatch):
+    # a value line that nothing reads is dropped where its node cannot raise
+    _assert_reads_every_assignment(
+        _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name]()))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS))
+def test_the_runner_assigns_no_value_it_never_reads(name, monkeypatch):
+    # nor does the block runner, which also sets no coordinate of a stage
+    # that the field does not read; each step's state is read after the
+    # step, by the append
+    _assert_reads_every_assignment(
+        _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name](), "run"))
+
+
 def test_unread_values_that_may_raise_are_kept(monkeypatch):
     # an unread exp may overflow where grad overflows, so its line stays;
     # an unread product goes
@@ -538,6 +559,29 @@ def test_unread_values_that_may_raise_are_kept(monkeypatch):
     source = _kernel_source(monkeypatch, system)
     assert "_exp(v0)" in source
     assert "v1 * v2" not in source
+
+
+def test_each_source_compiles_once(monkeypatch):
+    # the benchmark's simulate runs, twice in one process: the piston under
+    # each input kind, the exchanger, and the expression piston and
+    # compartment; every distinct source (a block runner per field shape, a
+    # value kernel per expression template) compiles on its first use
+    # only, as they all fit the cache, and no one-stage kernel is compiled
+    compiled = []
+    monkeypatch.setattr(tracegrad, "_COMPILED", {})
+    monkeypatch.setattr(tracegrad, "compile", lambda source, *args: (
+        compiled.append(source), compile(source, *args))[1], raising=False)
+    runs = [("piston", INPUTS[kind]) for kind in INPUTS] + [
+        ("exchanger", lambda: None),
+        ("expression piston", INPUTS["sinusoid"]),
+        ("expression compartment", INPUTS["constant"])]
+    for _ in range(2):
+        for name, u in runs:
+            simulate(SYSTEMS[name](), 0.02, 1e-2, u=u(),
+                     params=TWIN_DEFAULTS.get(name))
+    assert len(compiled) == len(set(compiled)) <= tracegrad._COMPILED_MAX
+    assert sorted(source.split("(")[0] for source in compiled) == \
+        ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 4
 
 
 def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
