@@ -331,7 +331,8 @@ def _list_step(n: int):
     length n, each stage a call of ``f`` on a list."""
     def stage(k, time, point):
         names = [f"{k}{i}" for i in range(n)]
-        return [f"k = f({time}, [{', '.join(point)}])", "try:",
+        state = "x" if k == "a" else f"[{', '.join(point)}]"
+        return [f"k = f({time}, {state})", "try:",
                 f"    [{', '.join(names)}] = k", "except ValueError:",
                 f"    raise _wrong_length(k, {n}) from None"], names
 
@@ -390,14 +391,13 @@ def _block_runner(code, reads=None):
                          _NonFinite=_NonFiniteState)
 
 
-@dataclass
 class _Runner:
     """A traced field as :func:`integrate` steps it: ``run`` from
     :func:`_block_runner`, and for a batch ``vector``, the field's batch
     form, on which a block in which some row fails reruns."""
 
-    run: object
-    vector: object = None
+    def __init__(self, run, vector=None):
+        self.run, self.vector = run, vector
 
 
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
@@ -411,10 +411,8 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     alike (as :func:`phase_rhs` does).  A single state is carried between
     steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
     each stage as a 1-D ndarray, and may return a list or an ndarray.  A
-    batch steps in numpy.  The traced fields of :func:`ltk.portsys.simulate`
-    and of the two integrated checks are not called stage by stage: their
-    block runner (see :func:`_integrate_traced`) steps the single state, or
-    each row of the batch in turn, through a monitor block at a time, and
+    batch steps in numpy.  A traced field (:func:`_integrate_traced`) steps
+    the state, or each row of a batch in turn, a monitor block at a time;
     a block in which a row raises or goes non-finite reruns from its start
     on the vector pass, step by step, so the run raises that pass's error
     (or, where it does not raise, returns the same bits).
@@ -595,22 +593,20 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
 def _integrate_traced(Ka: ScalarFn, Kc, x0, t_end: float, dt: float,
                       where: str, monitors=(), reads=None) -> Trajectory:
     """:func:`integrate` of the canonical field of ``Ka + sum_k u_k Kc_k``,
-    with the inputs ``u = reads[t]``, from the state ``x0``, or of Ka alone
-    from the (B, 2m) batch of start rows ``x0``, through a block runner
-    (:func:`_block_runner`) of the generators traced once, at the first
-    state (:class:`ltk.tracegrad.FieldCode`): bit for bit the scalar loop
-    of :func:`~ltk.diffkit.grad` over the generators, and each batch row
-    bit for bit the vector pass of :func:`phase_rhs`, with its errors.
+    inputs ``u = reads[t]``, from the state ``x0``, or of Ka alone from the
+    (B, 2m) batch of start rows ``x0``, by the block runner of the
+    generators traced once at the first state: bit for bit the scalar loop
+    of :func:`~ltk.diffkit.grad`, and each batch row bit for bit the vector
+    pass of :func:`phase_rhs`, with its errors.
 
     A generator whose guard flips, whose check trips or whose code raises
-    at a stage takes ``grad`` there, while the others keep their traced
-    code; one the trace cannot record takes ``grad`` at every stage of a
-    single state.  A batch of more than :data:`REPLAY_MAX_ROWS` rows, or
-    whose K the trace cannot record, runs the vector pass at every stage.
-    At level INFO the ``ltk`` logger says, after ``where``, which route
-    each generator takes, and why, and at how many stages (for a batch,
-    row stages: one row's field at one RK4 stage) each traced generator
-    fell back to ``grad``.
+    at a stage takes ``grad`` there; one the trace cannot record takes
+    ``grad`` at every stage of a single state.  A batch of more than
+    :data:`REPLAY_MAX_ROWS` rows, or whose K the trace cannot record, runs
+    the vector pass.  At level INFO the ``ltk`` logger says, after
+    ``where``, which route each generator takes, and why, and at how many
+    stages (for a batch, row stages: one row's field at one RK4 stage)
+    each traced generator fell back to ``grad``.
     """
     x0 = np.asarray(x0, dtype=float)
     generators = (Ka,) + tuple(Kc)

@@ -31,7 +31,6 @@ every grid point, a block of points at a time.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from dataclasses import asdict, dataclass, field
 
@@ -66,8 +65,6 @@ __all__ = [
     "builtin",
     "MONITOR_NAMES",
 ]
-
-log = logging.getLogger("ltk")
 
 # A simulated state whose membership residual exceeds this aborts the run:
 # past it the trajectory no longer represents the modeled surface.

@@ -43,8 +43,8 @@ depends on the shape of the generators and on which of their constants
 are equal, not on their values, and its code object is compiled once and
 kept by its text (the latest 8 sources).  The block runner of a field
 inlines its body at each of the four stages, so it compiles in about 4
-times the one-stage kernel's time (2-4 ms against 0.4-1 ms for the
-benchmark's systems), once per field shape in a process.
+times the one-stage kernel's time (0.9-2.6 ms against 0.2-0.7 ms for the
+benchmark's systems on a 2-CPU VM), once per field shape in a process.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.

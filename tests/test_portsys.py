@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_simulate_blocks import _runner_steps
 
 from ltk import (cli, diffkit, dynamics, exprlang, geometry, submanifold,
                  tracegrad)
@@ -382,28 +383,16 @@ def _count_calls(monkeypatch, original):
 
 
 def _count_kernels(monkeypatch):
-    """The generators traced into field code, and one entry per evaluation
-    of the field that its block runners inline, 4 per RK4 step."""
-    traces, calls = [], []
-    trace, build = tracegrad.FieldCode.__init__, dynamics._block_runner
+    """The generators traced into field code, and one entry per RK4 step
+    of its block runners, each of which evaluates the field 4 times."""
+    traces, trace = [], tracegrad.FieldCode.__init__
 
     def traced(code, Ka, Kc, x, m):
         traces.append([K.name for K in (Ka,) + tuple(Kc)])
         trace(code, Ka, Kc, x, m)
 
-    def built(*args):
-        run = build(*args)
-
-        def counted(x, i0, i1, dt, out):
-            try:
-                return run(x, i0, i1, dt, out)
-            finally:
-                calls.extend([len(x)] * (4 * len(out)))
-        return counted
-
     monkeypatch.setattr(tracegrad.FieldCode, "__init__", traced)
-    monkeypatch.setattr(dynamics, "_block_runner", built)
-    return traces, calls
+    return traces, _runner_steps(monkeypatch)
 
 
 def test_validate_draws_its_degree_samples_once(monkeypatch):
@@ -439,11 +428,11 @@ def test_simulate_work_per_step(monkeypatch):
     membership = _count_calls(monkeypatch, submanifold.membership_residual)
     grads = _count_calls(monkeypatch, diffkit.grad)
     passes = _count_calls(monkeypatch, diffkit._batch_pass)
-    traces, kernels = _count_kernels(monkeypatch)
+    traces, steps = _count_kernels(monkeypatch)
 
     def pass_counts():
         point_grads = [args for args in grads if np.ndim(args[1]) == 1]
-        return ((len(traces), len(kernels), len(point_grads)),
+        return ((len(traces), 4 * len(steps), len(point_grads)),
                 [(args[0].name, len(args[1])) for args in passes])
 
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
@@ -451,8 +440,8 @@ def test_simulate_work_per_step(monkeypatch):
     assert len(result.t) == 6
     assert membership == [] and by_value == []
     assert np.max(result.monitors["membership"]) < 1e-10
-    # one kernel traced from both generators, then one call of it per
-    # stage, 4 per step, and no point takes the scalar loop: the initial
+    # one field traced from both generators, then evaluated at each stage,
+    # 4 per step, and no point takes the scalar loop: the initial
     # point is a one-row pass of the lift's gradient; per block, the
     # guard's pass of the lift's gradient (the guard doubles as the
     # membership monitor) and a value pass for each output
@@ -464,7 +453,7 @@ def test_simulate_work_per_step(monkeypatch):
                       (lift, 2), (y_p, 2), (y_e, 2)]
     # the README monitors add one pass per active generator along the fiber
     # Euler field, which carries the generator's value for K_res too
-    del grads[:], passes[:], traces[:], kernels[:]
+    del grads[:], passes[:], traces[:], steps[:]
     result = simulate(gp, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=("K_res", "alpha_res"))
     assert np.max(result.monitors["alpha_res"]) < 1e-12
@@ -481,7 +470,7 @@ def test_simulate_work_per_step(monkeypatch):
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": [0], "entropy": [1]},
         "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0]})
-    del grads[:], passes[:], traces[:], kernels[:]
+    del grads[:], passes[:], traces[:], steps[:]
     result = simulate(compartment, 0.05, 0.01, u=PortSignal.constant([0.3]),
                       monitors=())
     assert len(result.t) == 6

@@ -218,17 +218,18 @@ def _closed(name, Ka):
                         default_params=hc.default_params)
 
     def steps_to_abort(*args, **kwargs):
-        with _runner_steps() as steps, pytest.raises(RuntimeError):
-            simulate(system, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:
+            steps = _runner_steps(patch)
+            with pytest.raises(RuntimeError):
+                simulate(system, *args, **kwargs)
         return len(steps)
 
     return system, steps_to_abort
 
 
-@contextlib.contextmanager
-def _runner_steps():
-    """One entry per RK4 step that the block runners built inside take,
-    a step that raises included."""
+def _runner_steps(monkeypatch) -> list:
+    """One entry per RK4 step that the block runners built from now on
+    take, a step that raises included."""
     steps, original = [], dynamics._block_runner
 
     def built(*args):
@@ -244,9 +245,8 @@ def _runner_steps():
                 steps.extend([None] * len(out))
         return counted
 
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_block_runner", built)
-        yield steps
+    monkeypatch.setattr(dynamics, "_block_runner", built)
+    return steps
 
 
 @pytest.mark.parametrize("tol, block_rows", [(MEMBERSHIP_ABORT, range(0, 8)),
@@ -350,13 +350,6 @@ RUNNER_CASES = [(name, kind) for name in sorted(RUNNER_SYSTEMS)
                 if RUNNER_SYSTEMS[name]().n_ports or kind == "zero"]
 
 
-def _runner_case(name, kind):
-    system = RUNNER_SYSTEMS[name]()
-    params = TWIN_DEFAULTS.get(name, system.default_params)
-    u = INPUTS[kind]() if system.n_ports else PortSignal.zero(0)
-    return system, params, u
-
-
 def _list_route(system, params, u, t_end, dt, monitors=()):
     """``integrate`` of simulate's field through the generated list step,
     each stage a call of the field's one-stage kernel, with the inputs
@@ -385,7 +378,9 @@ def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind, monkeypatch,
                                                       caplog):
     # runs that end within the first block, at its end, just after it and
     # in the third block, and a run of full-size blocks
-    system, params, u = _runner_case(name, kind)
+    system = RUNNER_SYSTEMS[name]()
+    params = TWIN_DEFAULTS.get(name, system.default_params)
+    u = INPUTS[kind]() if system.n_ports else PortSignal.zero(0)
     runs = [(steps, 1e-2, SMALL_BLOCK) for steps in (
         SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 2 * SMALL_BLOCK + 1)]
     for steps, dt, block in runs + [(2 * MONITOR_BLOCK + 1, 1e-3,
