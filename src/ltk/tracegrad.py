@@ -582,11 +582,18 @@ class FieldCode:
             return scalar(k, xs)
 
         trace = _Trace(x)
-        self._codes = [trace.record(K) for K in generators]
-        self.reasons = [reason for _, reason in self._codes]
+        codes = [trace.record(K) for K in generators]
+        self.reasons = [reason for _, reason in codes]
         self._namespace = dict(_REPLAY_NAMES, **trace.consts, _grad=scalar,
                                _back=back, _Back=_HandBack)
-        self._kernel = self._read = self._body = None
+        self._body = "\n".join(_gradient_lines(codes, self.dim))
+        if all(code is not None and not code[0] for code, _ in codes):
+            # no lines, no hand-back: the partials read the coordinates
+            self._read = set(_NAME.findall(" ".join(
+                d for code, _ in codes for d in code[1])))
+        else:                           # a hand-back reads every coordinate
+            self._read = {f"v{i}" for i in range(self.dim)}
+        self._kernel = None
 
     def body(self, g: str) -> list:
         """The lines that set ``{g}0, {g}1, ...`` to the gradient of
@@ -595,41 +602,11 @@ class FieldCode:
         0.0 the sum ``g + u_k * grad(Kc_k)``, entry by entry.  A generator
         whose guard flips, whose check trips or whose code raises takes
         ``grad`` there, as one the trace cannot record always does."""
-        if self._body is None:          # made once, with the prefix "$"
-            point = "[" + ", ".join(f"v{i}" for i in range(self.dim)) + "]"
-            from_grad = [f"back[{i}]" for i in range(self.dim)]
-            body = []
-            for k, (code, _) in enumerate(self._codes):
-                if code is None:
-                    section = [f"back = _grad({k}, {point})"] + \
-                        _folded(k, from_grad)
-                elif not code[0]:       # no check, no guard: nothing raises
-                    section = _folded(k, code[1])
-                else:
-                    lines, partials = code
-                    section = (
-                        ["try:"] + _indented(lines + ["handed = False"])
-                        + ["except Exception:", "    handed = True",
-                           "if handed:", f"    back = _back({k}, {point})"]
-                        + _indented(_folded(k, from_grad)) + ["else:"]
-                        + _indented(_folded(k, partials)))
-                if k:
-                    section = [f"if u[{k - 1}] != 0.0:",
-                               f"    u{k} = u[{k - 1}]"] + _indented(section)
-                body += section
-            self._body = "\n".join(body)
         return self._body.replace("$", g).split("\n")
 
     def point(self, sources) -> list:
         """The lines that set ``v0, v1, ...`` to ``sources``, one per
         coordinate, leaving out each coordinate :meth:`body` never reads."""
-        if self._read is None:
-            if all(code is not None and not code[0] for code, _ in self._codes):
-                # no lines, no hand-back: the partials read the coordinates
-                self._read = set(_NAME.findall(" ".join(
-                    d for code, _ in self._codes for d in code[1])))
-            else:                       # a hand-back reads every coordinate
-                self._read = {f"v{i}" for i in range(self.dim)}
         return [f"v{i} = {s}" for i, s in enumerate(sources)
                 if f"v{i}" in self._read]
 
@@ -700,6 +677,32 @@ def value_kernel(fns, x):
         "    except Exception:", "        return [f(x) for f in _fns]"]
     exec(_code("\n".join(source)), namespace)
     return namespace["kernel"]
+
+
+def _gradient_lines(codes, dim: int) -> list:
+    """The lines of :meth:`FieldCode.body` from each generator's traced
+    code, or None where the trace cannot record it, with the prefix "$"
+    for the names of the gradient sum."""
+    point = "[" + ", ".join(f"v{i}" for i in range(dim)) + "]"
+    from_grad = [f"back[{i}]" for i in range(dim)]
+    body = []
+    for k, (code, _) in enumerate(codes):
+        if code is None:
+            section = [f"back = _grad({k}, {point})"] + _folded(k, from_grad)
+        elif not code[0]:               # no check, no guard: nothing raises
+            section = _folded(k, code[1])
+        else:
+            lines, partials = code
+            section = (["try:"] + _indented(lines + ["handed = False"])
+                       + ["except Exception:", "    handed = True",
+                          "if handed:", f"    back = _back({k}, {point})"]
+                       + _indented(_folded(k, from_grad)) + ["else:"]
+                       + _indented(_folded(k, partials)))
+        if k:
+            section = [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"] \
+                + _indented(section)
+        body += section
+    return body
 
 
 def _folded(k: int, partials) -> list:

@@ -483,5 +483,6 @@ def test_a_step_that_fails_mid_block_fails_as_the_list_step(make, dt, message,
     assert errors[0] == errors[1]
     assert errors[0][1].endswith(message)
     assert seen[0] == seen[1]
-    assert SMALL_BLOCK < len(sum((t for t, _ in seen[0]), [])) < 2 * SMALL_BLOCK
+    points = len(sum((t for t, _ in seen[0]), []))
+    assert SMALL_BLOCK < points < 2 * SMALL_BLOCK
     assert str(_assert_same_error(system, 2.0, dt, u=u)).endswith(message)
