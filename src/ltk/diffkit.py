@@ -413,11 +413,14 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     error names the failing row.  A function that compares its arguments
     (a domain check or a branch) or raises to a point-dependent power that
     is an integer at some row falls back to one point at a time.  The
-    package's sampled checks and ``simulate``'s recording take this route.  ``simulate``'s field and the
-    trajectories of the two integrated checks run a kernel traced from
-    their generators (:func:`ltk.tracegrad.field_kernel`) and come here
-    only for the points the kernel hands back and for generators it cannot
-    trace; this loop stays the reference that every replay reproduces.
+    package's sampled checks and ``simulate``'s recording take this route.
+    A phase field that :func:`ltk.dynamics.integrate` steps, such as
+    ``simulate``'s field or the trajectories of the two integrated checks,
+    runs code traced from its generators
+    (:class:`ltk.tracegrad.FieldCode`) inlined in a block runner, and comes
+    here only for the points that code hands back and for generators it
+    cannot trace; this loop stays the reference that every replay
+    reproduces.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)

@@ -16,26 +16,26 @@ Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
 :func:`integrate` or at a single point; the phase and contact forms also
 take a (B, dim) batch of states, one per row, differentiated in one
 vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
-given the same inputs the trajectory is bitwise reproducible.  A single
-state steps as a list of Python floats, by a generated straight-line step
-per state length, and a batch in numpy, with the same stage expressions,
-so a batch row and the state alone agree bit for bit.  :func:`integrate`
-is the package's one integration loop.  The fields it steps most, those
-of port-system simulation (:func:`ltk.portsys.simulate`) and of the two
-integrated checks (:func:`flow_transport_check`,
-:func:`scaling_commutation_check`), are traced once
-(:class:`ltk.tracegrad.FieldCode`) and stepped by one generated block
-runner per field: the RK4 loop over a block of steps, with the field's
-code inlined at each stage and the RK4 formula written by the list step's
-template, so its states are the list step's bit for bit.  ``simulate``
-records its guard, inputs, outputs and monitors through one monitor that
-takes a block of grid points at a time; a run that leaves the surface is
-detected at the end of its block.  The integrated checks step their
-trajectories as one batch of up to :data:`REPLAY_MAX_ROWS` rows, each row
-a list of floats run through the block by the runner in turn, bit for bit
-the vector pass of :func:`phase_rhs`; that pass stays the one-shot field,
-reruns a block in which a row raises or goes non-finite, and steps a
-larger batch or a K the trace cannot record.
+given the same inputs the trajectory is bitwise reproducible.
+:func:`integrate` is the package's one integration loop, and the one
+place that traces a field.  A phase field, :func:`phase_rhs`'s or the
+forced one of port-system simulation (:func:`ltk.portsys.simulate`), is
+traced once at its first state (:class:`ltk.tracegrad.FieldCode`) and
+stepped by one generated block runner: the RK4 loop over a block of
+steps, the state a list of floats, with the field's code inlined at each
+stage and the RK4 formula written with :func:`rk4_step`'s expressions,
+entry by entry, so its states are the numpy step's bit for bit.  A batch
+of up to :data:`REPLAY_MAX_ROWS` rows, such as the trajectories of the
+two integrated checks (:func:`flow_transport_check`,
+:func:`scaling_commutation_check`), runs each row through the block in
+turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
+the one-shot field, reruns a block in which a row raises or goes
+non-finite, and steps a larger batch or a K the trace cannot record.
+Every other field steps in numpy, one :func:`rk4_step` at a time, a
+single state as a batch row would.  ``simulate`` records its guard,
+inputs, outputs and monitors through one monitor that takes a block of
+grid points at a time; a run that leaves the surface is detected at the
+end of its block.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -85,7 +85,8 @@ FIELD_FD_STEP = 1e-5
 
 # States per call of an :func:`integrate` monitor (a batch's rows count
 # one each): enough to spread a vector-mode pass's overhead thin, few
-# enough to keep its arrays, and the list states waiting for them, small.
+# enough to keep its arrays, and the states a block runner lists for
+# them, small.
 MONITOR_BLOCK = 1024
 
 # Most rows of an integrated check's batch that step through K's traced
@@ -164,15 +165,40 @@ def _canonical(g: np.ndarray) -> np.ndarray:
     return np.concatenate([g[..., m:], -g[..., :m]], axis=-1)
 
 
+@dataclass
+class _PhaseField:
+    """The canonical field of ``Ka + sum_k u_k Kc_k``, inputs
+    ``u = reads[t]``, as ``f(t, x)``: :func:`grad` of Ka, then for each
+    port in order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.
+    :func:`integrate` traces it instead, and says at level INFO, after
+    ``label``, which route each generator takes."""
+
+    Ka: ScalarFn
+    Kc: tuple = ()
+    reads: object = None
+    label: str = "integrate"
+
+    def __call__(self, t, x):
+        g = grad(self.Ka, x)
+        for u, K in zip(self.reads[t] if self.Kc else (), self.Kc):
+            if u != 0.0:
+                g = g + u * grad(K, x)
+        return _canonical(g)
+
+    def names(self) -> list:
+        return [K.name or "K" for K in (self.Ka,) + tuple(self.Kc)]
+
+
 def phase_rhs(K: ScalarFn):
     """The canonical field of K as ``f(t, x)`` over packed phase vectors.
 
     ``x`` may also be a (B, 2m) batch of phase vectors, one per row; the
     batch's gradients come from one vector-mode pass of :func:`grad`.
+    :func:`integrate` steps the field on K's code, traced once.
     """
     if K.dim % 2:
         raise ValueError("phase-space functions need an even dimension")
-    return lambda t, x: _canonical(grad(K, x))
+    return _PhaseField(K)
 
 
 def contact_rhs(Khat: ScalarFn, chart: int):
@@ -260,50 +286,35 @@ def reduced_rhs(Kbar: ScalarFn):
 
 
 def rk4_step(f, t: float, x, dt: float):
-    """One classical Runge-Kutta step of size dt.
+    """One classical Runge-Kutta step of size dt, in numpy.
 
-    A single state given as a list steps in Python floats, by a generated
-    straight-line step per state length (made on first use) that writes
-    each entry with the expressions an ndarray state steps with, so both
-    give the same bits; the step returns a list.  ``f`` still receives each
-    stage as a 1-D ndarray, and may return a list or an ndarray.  An
-    ndarray state (one vector, or a (B, dim) batch) steps in numpy and
-    returns an ndarray.  A stage of another length or shape than the state
-    raises ``ValueError``.
+    ``x`` is one state vector or a (B, dim) batch of states; a list is
+    stepped as an ndarray, and the step returns an ndarray.  ``f`` receives
+    each stage as an ndarray of the state's shape, and may return a list
+    or an ndarray; a stage of another shape raises ``ValueError``.
     """
-    if isinstance(x, np.ndarray):
-        k1 = _stage_array(f, t, x)
-        k2 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k1)
-        k3 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k2)
-        k4 = _stage_array(f, t + dt, x + dt * k3)
-        return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def stage(t, x):
-        k = f(t, np.array(x))
-        return k.tolist() if isinstance(k, np.ndarray) else k
-
-    step = _LIST_STEPS.get(len(x)) or _list_step(len(x))
-    return step(stage, t, x, dt)
+    x = np.asarray(x, dtype=float)
+    k1 = _stage_array(f, t, x)
+    k2 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k1)
+    k3 = _stage_array(f, t + dt / 2.0, x + (dt / 2.0) * k2)
+    k4 = _stage_array(f, t + dt, x + dt * k3)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _stage_array(f, t, x):
-    k = f(t, x)
-    if np.shape(k) != x.shape:
+    k = np.asarray(f(t, x))
+    if k.shape != x.shape:
         raise ValueError(f"the field returned a stage of shape "
-                         f"{np.shape(k)} for a state of shape {x.shape}")
+                         f"{k.shape} for a state of shape {x.shape}")
     return k
-
-
-def _wrong_length(k, n: int) -> ValueError:
-    return ValueError(f"the field returned a stage of length {len(k)} for a "
-                      f"state of length {n}")
 
 
 def _rk4_lines(n: int, stage):
     """``(lines, new)``: the source lines of one RK4 step of the list state
     ``x0, x1, ...`` of length n from time ``t``, with ``h = dt / 2.0``,
     and the sources of its n new entries, which read ``w = dt / 6.0``:
-    the ndarray step's expressions on the entries, in the same order.
+    :func:`rk4_step`'s expressions on the entries, in the same order, so
+    the block runner's states are the numpy step's bit for bit.
     ``stage(k, time, point)`` gives the lines that evaluate stage k
     ("a" to "d") at the sources ``time`` and ``point`` (one per entry)
     and the sources of its n entries."""
@@ -322,29 +333,6 @@ def _rk4_lines(n: int, stage):
     return lines, new
 
 
-# The list steps made so far, by state length.
-_LIST_STEPS = {}
-
-
-def _list_step(n: int):
-    """The straight-line RK4 step ``step(f, t, x, dt)`` of a list state of
-    length n, each stage a call of ``f`` on a list."""
-    def stage(k, time, point):
-        names = [f"{k}{i}" for i in range(n)]
-        state = "x" if k == "a" else f"[{', '.join(point)}]"
-        return [f"k = f({time}, {state})", "try:",
-                f"    [{', '.join(names)}] = k", "except ValueError:",
-                f"    raise _wrong_length(k, {n}) from None"], names
-
-    lines, new = _rk4_lines(n, stage)
-    body = ([f"[{', '.join(f'x{i}' for i in range(n))}] = x", "h = dt / 2.0"]
-            + lines + ["w = dt / 6.0", f"return [{', '.join(new)}]"])
-    namespace = {"_wrong_length": _wrong_length}
-    exec("def step(f, t, x, dt):\n    " + "\n    ".join(body), namespace)
-    step = _LIST_STEPS[n] = namespace["step"]
-    return step
-
-
 class _NonFiniteState(RuntimeError):
     """:func:`integrate` reached a non-finite state; ``row`` is the batch row
     (None for a single state)."""
@@ -356,12 +344,12 @@ class _NonFiniteState(RuntimeError):
         self.t, self.row = t, row
 
 
-def _block_runner(code, reads=None):
+def _block_runner(code, reads):
     """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 of the
     canonical field of ``code`` (a :class:`ltk.tracegrad.FieldCode`) from
     the list state ``x`` at t = i0*dt, as one generated loop.  Each stage
     evaluates the field's body inline on local floats, with the inputs
-    ``reads[t]`` where ``reads`` is given (k3 takes k2's read, at the same
+    ``reads[t]`` where ``reads`` is not None (k3 takes k2's read, at the same
     time), and each new state, once its entries are all finite, is
     appended to ``out`` as a list; a non-finite one raises
     :class:`_NonFiniteState` with its step.  ``run`` returns the last
@@ -391,15 +379,6 @@ def _block_runner(code, reads=None):
                          _NonFinite=_NonFiniteState)
 
 
-class _Runner:
-    """A traced field as :func:`integrate` steps it: ``run`` from
-    :func:`_block_runner`, and for a batch ``vector``, the field's batch
-    form, on which a block in which some row fails reruns."""
-
-    def __init__(self, run, vector=None):
-        self.run, self.vector = run, vector
-
-
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
@@ -408,14 +387,24 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     ``x0`` is one state vector, or a (B, dim) batch of states stepped
     together; every step is entrywise arithmetic, so a row follows the
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
-    alike (as :func:`phase_rhs` does).  A single state is carried between
-    steps as a list of Python floats (see :func:`rk4_step`): ``f`` gets
-    each stage as a 1-D ndarray, and may return a list or an ndarray.  A
-    batch steps in numpy.  A traced field (:func:`_integrate_traced`) steps
-    the state, or each row of a batch in turn, a monitor block at a time;
-    a block in which a row raises or goes non-finite reruns from its start
+    alike (as :func:`phase_rhs` does).  ``f`` steps in numpy, one
+    :func:`rk4_step` at a time, unless it is a phase field
+    (:func:`phase_rhs`'s, or simulate's), whose generators are traced
+    once, at the state or at row 0 of the batch, into one block runner
+    that steps the state, or each row of the batch in turn, a monitor
+    block at a time, with the numpy step's bits.  A generator whose guard
+    flips, whose check trips or whose code raises at a stage takes
+    :func:`~ltk.diffkit.grad` there; one the trace cannot record takes it
+    at every stage of a single state.  A state or start rows of another
+    width than K's, and a batch of more than :data:`REPLAY_MAX_ROWS` rows
+    or whose K the trace cannot record, run the vector pass, and a batch
+    block in which a row raises or goes non-finite reruns from its start
     on the vector pass, step by step, so the run raises that pass's error
-    (or, where it does not raise, returns the same bits).
+    (or, where it does not raise, returns the same bits).  At level INFO
+    the ``ltk`` logger says, after the field's label, which route each
+    generator takes, and why, and at how many stages (for a batch, row
+    stages: one row's field at one RK4 stage) each traced generator fell
+    back to ``grad``.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
@@ -457,32 +446,71 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     xs[0] = x
-    block = max(1, MONITOR_BLOCK // len(x)) if x.ndim == 2 else MONITOR_BLOCK
-    if isinstance(f, _Runner):
-        advance = _row_blocks(f) if x.ndim == 2 else f.run
+    batch = x.ndim == 2
+    block = max(1, MONITOR_BLOCK // len(x)) if batch else MONITOR_BLOCK
+    code = _trace(f, x) if isinstance(f, _PhaseField) else None
+    if code is None:
+        advance = _steps(f)
     else:
-        advance = _batch_steps(f) if x.ndim == 2 else _state_steps(f)
-    if x.ndim == 1 or isinstance(f, _Runner):
+        run = _block_runner(code, f.reads)
+        advance = _row_blocks(run, f) if batch else run
         x = x.tolist()
     i = 0                               # the last point reached
-    while i < steps:
-        if i + 1 - done == block:
-            record_monitors(i + 1)
-        end = min(done + block - 1, steps)
-        out = []                        # the states of steps i+1, i+2, ...
-        try:
-            x = advance(x, i, end, dt, out)
-        except Exception as err:
+    try:
+        while i < steps:
+            if i + 1 - done == block:
+                record_monitors(i + 1)
+            end = min(done + block - 1, steps)
+            out = []                    # the states of steps i+1, i+2, ...
+            try:
+                x = advance(x, i, end, dt, out)
+            except Exception as err:
+                _store(xs, i + 1, out)
+                i += len(out) + 1       # the failing step
+                if not isinstance(err, _NonFiniteState):
+                    err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)
+                record_monitors(i)
+                raise
             _store(xs, i + 1, out)
-            i += len(out) + 1           # the failing step
-            if not isinstance(err, _NonFiniteState):
-                err.args = (f"{err} in the step from t={(i - 1) * dt:g}",)
-            record_monitors(i)
-            raise
-        _store(xs, i + 1, out)
-        i = end
-    record_monitors(steps + 1)
+            i = end
+        record_monitors(steps + 1)
+    finally:
+        if code is not None:
+            stages = "row stages" if batch else "stages"
+            for name, why, count in zip(f.names(), code.reasons,
+                                        code.handed_back):
+                if why is None:
+                    log.info("%s: %s fell back from its trace to grad at "
+                             "%d %s", f.label, name, count, stages)
     return Trajectory(ts, xs, mon)
+
+
+def _trace(f: _PhaseField, x: np.ndarray):
+    """The :class:`~ltk.tracegrad.FieldCode` of ``f`` traced at the state
+    ``x``, or at row 0 of the batch ``x``, for :func:`integrate`'s block
+    runner, or None where ``x`` runs the vector pass; logs the route of
+    each generator."""
+    names, reason = f.names(), None
+    if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
+        reason = (f"its {len(x)} rows are more than the "
+                  f"{REPLAY_MAX_ROWS} a replay runs faster")
+    elif x.shape[-1] != f.Ka.dim:       # the vector pass raises
+        reason = (f"its start {'rows have' if x.ndim == 2 else 'state has'} "
+                  f"{x.shape[-1]} entries")
+    if reason is None:
+        from .tracegrad import FieldCode
+        start = (x if x.ndim == 1 else x[0]).tolist()
+        code = FieldCode(f.Ka, f.Kc, start, len(start) // 2)
+        if x.ndim == 2:
+            reason = code.reasons[0]
+    if reason is not None:
+        log.info("%s: %s runs on the vector pass: %s", f.label, names[0],
+                 reason)
+        return None
+    for name, why in zip(names, code.reasons):
+        log.info("%s: %s runs %s", f.label, name, "on a traced replay"
+                 if why is None else f"on the scalar loop: {why}")
+    return code
 
 
 def _store(xs: np.ndarray, start: int, out: list):
@@ -496,45 +524,33 @@ def _store(xs: np.ndarray, start: int, out: list):
         xs[start:start + len(out)] = out
 
 
-def _state_steps(f):
-    """:func:`integrate`'s advance of a single list state by ``f``, one
-    :func:`rk4_step` at a time."""
-    def advance(x, i0, i1, dt, out):
-        for i in range(i0 + 1, i1 + 1):
-            x = rk4_step(f, (i - 1) * dt, x, dt)
-            if not all(map(math.isfinite, x)):
-                raise _NonFiniteState(i * dt, i)
-            out.append(x)
-        return x
-    return advance
-
-
-def _batch_steps(f):
-    """:func:`integrate`'s advance of an ndarray batch by ``f``, one
-    :func:`rk4_step` at a time."""
+def _steps(f):
+    """:func:`integrate`'s advance of an ndarray state, or batch, by ``f``,
+    one :func:`rk4_step` at a time."""
     def advance(X, i0, i1, dt, out):
         for i in range(i0 + 1, i1 + 1):
             X = rk4_step(f, (i - 1) * dt, X, dt)
-            finite = np.isfinite(X).all(axis=1)
+            finite = np.isfinite(X)
             if not finite.all():
-                raise _NonFiniteState(i * dt, i, int(np.argmin(finite)))
+                raise _NonFiniteState(i * dt, i, int(np.argmin(
+                    finite.all(axis=1))) if X.ndim == 2 else None)
             out.append(X)
         return X
     return advance
 
 
-def _row_blocks(field: _Runner):
+def _row_blocks(run, f: _PhaseField):
     """:func:`integrate`'s advance of a batch of list rows, each row
-    through the whole block by ``field.run`` in turn; a block in which a
-    row raises or goes non-finite reruns from its start on the vector
-    pass, step by step."""
-    rerun = _batch_steps(field.vector)
+    through the whole block by the block runner ``run`` in turn; a block
+    in which a row raises or goes non-finite reruns from its start on the
+    vector pass of ``f``, step by step."""
+    rerun = _steps(f)
 
     def advance(X, i0, i1, dt, out):
         runs = [[] for _ in X]
         try:
             for x, states in zip(X, runs):
-                field.run(x, i0, i1, dt, states)
+                run(x, i0, i1, dt, states)
         except Exception:   # noqa: BLE001 - the vector pass raises it
             return rerun(np.array(X), i0, i1, dt, out).tolist()
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
@@ -590,59 +606,6 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
-def _integrate_traced(Ka: ScalarFn, Kc, x0, t_end: float, dt: float,
-                      where: str, monitors=(), reads=None) -> Trajectory:
-    """:func:`integrate` of the canonical field of ``Ka + sum_k u_k Kc_k``,
-    inputs ``u = reads[t]``, from the state ``x0``, or of Ka alone from the
-    (B, 2m) batch of start rows ``x0``, by the block runner of the
-    generators traced once at the first state: bit for bit the scalar loop
-    of :func:`~ltk.diffkit.grad`, and each batch row bit for bit the vector
-    pass of :func:`phase_rhs`, with its errors.
-
-    A generator whose guard flips, whose check trips or whose code raises
-    at a stage takes ``grad`` there; one the trace cannot record takes
-    ``grad`` at every stage of a single state.  A batch of more than
-    :data:`REPLAY_MAX_ROWS` rows, or whose K the trace cannot record, runs
-    the vector pass.  At level INFO the ``ltk`` logger says, after
-    ``where``, which route each generator takes, and why, and at how many
-    stages (for a batch, row stages: one row's field at one RK4 stage)
-    each traced generator fell back to ``grad``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    generators = (Ka,) + tuple(Kc)
-    names = [K.name or "K" for K in generators]
-    vector = reason = None
-    if x0.ndim == 2:
-        vector = phase_rhs(Ka)
-        if len(x0) > REPLAY_MAX_ROWS:
-            reason = (f"its {len(x0)} rows are more than the "
-                      f"{REPLAY_MAX_ROWS} a replay runs faster")
-        elif x0.shape[1] != Ka.dim:     # the vector pass raises
-            reason = f"its start rows have {x0.shape[1]} entries"
-    if reason is None:
-        from .tracegrad import FieldCode
-        start = (x0 if vector is None else x0[0]).tolist()
-        code = FieldCode(Ka, Kc, start, len(start) // 2)
-        if vector is not None:
-            reason = code.reasons[0]
-    if reason is not None:
-        log.info("%s: %s runs on the vector pass: %s", where, names[0],
-                 reason)
-        return integrate(vector, x0, t_end, dt, monitors)
-    for name, why in zip(names, code.reasons):
-        log.info("%s: %s runs %s", where, name, "on a traced replay"
-                 if why is None else f"on the scalar loop: {why}")
-    try:
-        return integrate(_Runner(_block_runner(code, reads), vector), x0,
-                         t_end, dt, monitors)
-    finally:
-        stages = "stages" if vector is None else "row stages"
-        for name, why, count in zip(names, code.reasons, code.handed_back):
-            if why is None:
-                log.info("%s: %s fell back from its trace to grad at %d %s",
-                         where, name, count, stages)
-
-
 def _perturbation_step(v: float) -> float:
     return 1e-5 * max(1.0, abs(v))
 
@@ -682,7 +645,7 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     width = len(starts) // len(members)
     x0 = _liouville_rows(gf, starts)
     try:
-        traj = _integrate_traced(K, (), x0, t_end, dt, "flowcheck")
+        traj = integrate(_PhaseField(K, label="flowcheck"), x0, t_end, dt)
     except _NonFiniteState as err:
         member, j = divmod(err.row, width)
         which = ("unperturbed" if j == 0 else
@@ -731,8 +694,8 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
     x0 = pt.packed()
     scaled = x0.copy()
     scaled[m:] *= lam
-    final = _integrate_traced(K, (), np.array([x0, scaled]), t_end, dt,
-                              "scaling check").final
+    final = integrate(_PhaseField(K, label="scaling check"),
+                      np.array([x0, scaled]), t_end, dt).final
     a = final[0].copy()
     a[m:] *= lam                       # flow, then scale
     return float(np.max(np.abs(a - final[1])))   # against scale, then flow

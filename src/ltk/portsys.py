@@ -38,7 +38,7 @@ import numpy as np
 
 from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
                       exp, grad)
-from .dynamics import (_degree_residual, _integrate_traced, contact_rhs,
+from .dynamics import (_PhaseField, _degree_residual, contact_rhs, integrate,
                        phase_rhs)
 from .geometry import (PhasePoint, _chart_rows, _euler_rows, _phase_rows,
                        dehomogenize)
@@ -396,16 +396,16 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     the last stage time can differ in the last bit).  So a ``PortSignal``
     should be a pure function of ``t``.
 
-    The field is traced once per run, at the initial point
-    (:class:`~ltk.tracegrad.FieldCode`), and stepped by one generated
-    block runner, the RK4 loop over a block of steps with the field's code
-    inlined at each stage on the state's entries as local floats and with
-    the inputs read as a list: bit for bit the list step of
+    :func:`~ltk.dynamics.integrate` traces the field once per run, at the
+    initial point (:class:`~ltk.tracegrad.FieldCode`), and steps it by one
+    generated block runner, the RK4 loop over a block of steps with the
+    field's code inlined at each stage on the state's entries as local
+    floats and with the inputs read as a list: bit for bit
     :func:`~ltk.dynamics.rk4_step` over the scalar loop of
     :func:`~ltk.diffkit.grad` over the generators.  A non-finite state
     raises with the step at which it appears.  A generator whose guard
-    flips, whose domain check
-    trips or whose code raises at a stage takes ``grad`` at that stage
+    flips, whose domain check trips or whose code raises at a stage takes
+    ``grad`` at that stage
     while the others keep their traced code, so results, errors and their
     times are the scalar loop's.  A generator the trace cannot record is
     differentiated by ``grad`` at every stage.  At level INFO
@@ -478,9 +478,9 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         return np.column_stack([res] + cols)
 
     try:
-        traj = _integrate_traced(sys.Ka, sys.Kc, x0, t_end, dt,
-                                 f"simulate {sys.name!r}",
-                                 [("channels", record)], reads)
+        traj = integrate(_PhaseField(sys.Ka, sys.Kc, reads,
+                                     f"simulate {sys.name!r}"),
+                         x0, t_end, dt, [("channels", record)])
     except Exception as err:
         where = f"simulation of {sys.name!r}: {err}"
         if isinstance(err, RuntimeError):

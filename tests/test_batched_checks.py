@@ -20,13 +20,14 @@ import math
 import numpy as np
 import pytest
 from test_diffkit import SYSTEMS, _hex
+from test_dynamics import _vector_pass
 
 from ltk import cli, dynamics, tracegrad
 from ltk.brackets import degree_check, poisson_fn
 from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
-from ltk.dynamics import (_integrate_traced, contact_rhs,
-                          flow_transport_check, integrate, phase_rhs,
-                          scaling_commutation_check, validate_degree)
+from ltk.dynamics import (_PhaseField, contact_rhs, flow_transport_check,
+                          integrate, phase_rhs, scaling_commutation_check,
+                          validate_degree)
 from ltk.exprlang import compile_fn
 from ltk.geometry import (EulerFieldKind, PhasePoint, beta, dehomogenize,
                           euler_residual, project, sample_phase_points,
@@ -396,6 +397,12 @@ def test_expression_domain_holes_are_skipped_like_builtin_ones(capsys):
 # -- the integrated checks' traced field ------------------------------------------
 
 
+def _traced(K) -> _PhaseField:
+    """The canonical field of K as the integrated checks build it, its
+    route logged after "test"."""
+    return _PhaseField(K, label="test")
+
+
 def _vector_route(monkeypatch):
     """Let no trace record K, so the integrated checks take the vector pass
     of ``phase_rhs`` at every stage."""
@@ -437,9 +444,9 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
     calls = _batch_grads(monkeypatch)
     for K in (system.Ka,) + system.Kc:
         with caplog.at_level(logging.INFO, logger="ltk"):
-            traced = _integrate_traced(K, (), X0, 0.05, 1e-2, "test")
+            traced = integrate(_traced(K), X0, 0.05, 1e-2)
         assert calls == []
-        assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 0.05,
+        assert np.array_equal(traced.x, integrate(_vector_pass(K), X0, 0.05,
                                                   1e-2).x)
         # the row field, at every bit, from the lines the runner inlines
         kernel = tracegrad.field_kernel(K, (), X0[0].tolist(), K.dim // 2)[0]
@@ -486,19 +493,19 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
                                      (0.0, 1.0, 0.2, -1.0),
                                      (0.1, 1.2, 0.45, -0.8)])
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traced = _integrate_traced(K, (), X0, 1.0, 2e-2, "test")
+        traced = integrate(_traced(K), X0, 1.0, 2e-2)
     momentum = traced.x[:, :, 3]
     assert (momentum[:, [0, 2]] > 0.3).all()
     assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
-    assert np.array_equal(traced.x, integrate(phase_rhs(K), X0, 1.0, 2e-2).x)
+    assert np.array_equal(traced.x,
+                          integrate(_vector_pass(K), X0, 1.0, 2e-2).x)
     for i, x0 in enumerate(X0):         # each row as a state alone
-        alone = integrate(phase_rhs(K), x0, 1.0, 2e-2).x
+        alone = integrate(_vector_pass(K), x0, 1.0, 2e-2).x
         assert _hex(traced.x[:, i]) == _hex(alone)
     lines = _log_lines(caplog, "test")
     assert lines[0] == "test: switching drift runs on a traced replay"
     # row 1's stages below the guard, at most its 4 stages a step, as many
-    # as each row stepped alone by the list step through the kernel traced
-    # at row 0
+    # as each row stepped alone in numpy through the kernel traced at row 0
     assert lines[-1].endswith(" row stages")
     stages = int(lines[-1].split(" at ")[-1].split()[0])
     assert 0 < stages <= 4 * 50
@@ -516,18 +523,18 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
     X0 = _flow_starts(heat_compartment(), 4, 2)
     calls = _batch_grads(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = _integrate_traced(K, (), X0, 0.1, 1e-2, "test")
+        traj = integrate(_traced(K), X0, 0.1, 1e-2)
     assert calls == [len(X0)] * 40      # one pass per stage, every stage
     assert _log_lines(caplog, "test") == [
         "test: reads == runs on the vector pass: it reads a traced value "
         "with =="]
     monkeypatch.undo()
-    assert _hex(traj.x) == _hex(integrate(phase_rhs(K), X0, 0.1, 1e-2).x)
+    assert _hex(traj.x) == _hex(integrate(_vector_pass(K), X0, 0.1, 1e-2).x)
     # a K of another dimension than the rows is not traced; the vector pass
     # raises
     with pytest.raises(ValueError, match="expects dimension 4, got 6 in "
                        "the step from t=0"):
-        _integrate_traced(K, (), np.ones((2, 6)), 0.1, 1e-2, "test")
+        integrate(_traced(K), np.ones((2, 6)), 0.1, 1e-2)
 
 
 def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
@@ -539,9 +546,8 @@ def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
     assert len(X0) == dynamics.REPLAY_MAX_ROWS + 1
     calls = _batch_grads(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        wide = _integrate_traced(system.Ka, (), X0, 0.02, 1e-2, "test")
-        narrow = _integrate_traced(system.Ka, (), X0[1:], 0.02, 1e-2,
-                                   "test")
+        wide = integrate(_traced(system.Ka), X0, 0.02, 1e-2)
+        narrow = integrate(_traced(system.Ka), X0[1:], 0.02, 1e-2)
     assert calls == [len(X0)] * 8
     assert _log_lines(caplog, "test") == [
         f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
@@ -560,12 +566,12 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
     X0 = np.array([[1.3, 2.0, -1.0, -0.5], [1.1, 3.0, -0.7, -1.0],
                    [0.9, 2.5, -1.2, -1.0]])
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = _integrate_traced(K, (), X0, 0.2, 1e-3, "test")
+        traj = integrate(_traced(K), X0, 0.2, 1e-3)
     assert "runs on the vector pass: it raises to a traced exponent" in \
         caplog.text
     for i, x0 in enumerate(X0):
         assert _hex(traj.x[:, i]) == \
-            _hex(integrate(phase_rhs(K), x0, 0.2, 1e-3).x)
+            _hex(integrate(_vector_pass(K), x0, 0.2, 1e-3).x)
 
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
@@ -646,8 +652,7 @@ def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
         seen.append([])
         with pytest.raises(Exception) as err, \
                 np.errstate(over="ignore", invalid="ignore"):
-            _integrate_traced(K, (), X0, 1.0, 1e-2, "test",
-                              [("x", monitor)])
+            integrate(_traced(K), X0, 1.0, 1e-2, [("x", monitor)])
         errors.append((type(err.value), str(err.value),
                        getattr(err.value, "row", None)))
     assert errors[0] == errors[1]

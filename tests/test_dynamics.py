@@ -10,11 +10,13 @@ Hand-derived oracle values used below:
   the normalization slots: deps_0 = -c, dgamma_1 = -c, all other rates zero.
 """
 
+import logging
+
 import numpy as np
 import pytest
-from test_diffkit import _hex
+from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
-from ltk import dynamics, geometry
+from ltk import dynamics, geometry, tracegrad
 from ltk.diffkit import ScalarFn, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
@@ -24,7 +26,8 @@ from ltk.exprlang import compile_fn
 from ltk.geometry import (ChartDegenerateError, ContactPoint, EulerFieldKind,
                           PhasePoint, TangentVector, alpha, homogenize,
                           project)
-from ltk.portsys import _sample_surface_params, gas_piston_damper
+from ltk.portsys import (BUILTIN_SYSTEMS, _sample_surface_params,
+                         gas_piston_damper, heat_compartment)
 from ltk.submanifold import GeneratingFunction, liouville_point
 
 # Khat(q0, q1, gamma1) = gamma1^2 + q0 gamma1 and its degree-1 phase lift.
@@ -34,6 +37,14 @@ P0SQ = ScalarFn(lambda x: x[2] ** 2, dim=4, name="p0^2")
 Q1P0 = ScalarFn(lambda x: x[1] * x[2], dim=4, name="q1 p0")
 
 PT = PhasePoint(q=[1.0, 2.0], p=[3.0, 4.0])
+
+
+def _vector_pass(K):
+    """The vector pass of ``phase_rhs(K)`` as a plain callable, which
+    :func:`integrate` steps in numpy, untraced: the independent route for
+    K's traced flow."""
+    field = phase_rhs(K)
+    return lambda t, x: field(t, x)
 
 
 # -- degree validation --------------------------------------------------------
@@ -196,17 +207,14 @@ def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
     X0 = np.arange(1.0, 17.0).reshape(4, 4)
     runs = []
-    for traced in (False, True):
+    for f in (_vector_pass(Q1P0), phase_rhs(Q1P0)):
         blocks = []
 
         def first(t, X):
             blocks.append(len(t))
             return X[:, :, 0]
 
-        monitors = [("first", first)]
-        runs.append(dynamics._integrate_traced(Q1P0, (), X0, 0.2, 1e-2,
-                                               "test", monitors) if traced
-                    else integrate(phase_rhs(Q1P0), X0, 0.2, 1e-2, monitors))
+        runs.append(integrate(f, X0, 0.2, 1e-2, [("first", first)]))
         assert blocks == [8, 8, 5]
     assert _hex(runs[0].x) == _hex(runs[1].x)
     assert _hex(runs[0].monitors["first"]) == _hex(runs[1].monitors["first"])
@@ -242,6 +250,130 @@ def test_integrate_records_the_monitors_before_a_failing_step_raises(
     assert [] not in blocks
     with pytest.raises(RuntimeError, match=r"guard tripped at t=0\.4"):
         integrate(f, [0.0], 1.0, 0.1, monitors=[("x", guard)])
+
+
+# -- the traced single state -----------------------------------------------------
+
+TRACED_SYSTEMS = dict(BUILTIN_SYSTEMS,
+                      **{"expression piston": SYSTEMS["expression piston"]})
+
+
+def _route_lines(caplog) -> list:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("integrate: ")]
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_SYSTEMS))
+def test_a_traced_state_flows_as_the_numpy_step_bit_for_bit(name, monkeypatch,
+                                                           caplog):
+    # each generator's field of one state steps on its block runner, 8
+    # points a block, with the bits of the untraced numpy step
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 8)
+    system = TRACED_SYSTEMS[name]()
+    x0 = liouville_point(system.gf, TWIN_DEFAULTS.get(
+        name, system.default_params)).packed()
+    for K in (system.Ka,) + system.Kc:
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="ltk"):
+            traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
+        assert np.array_equal(traced.x,
+                              integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
+        assert _route_lines(caplog) == [
+            f"integrate: {K.name} runs on a traced replay",
+            f"integrate: {K.name} fell back from its trace to grad at 0 "
+            f"stages"]
+
+
+def test_a_guard_that_flips_mid_run_hands_back_as_the_numpy_step(
+        monkeypatch, caplog):
+    # the drift doubles while the piston momentum exceeds 0.35, which it
+    # passes within the run: the traced state hands the same stages back to
+    # grad, at the same points, as the numpy step through the one-stage
+    # kernel traced at the start, and logs their count
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 8)
+    piston = gas_piston_damper()
+    K = ScalarFn(lambda x: piston.Ka(x) * 2.0 if x[3] > 0.35
+                 else piston.Ka(x), 8, name="switching drift")
+    x0 = liouville_point(piston.gf, (0.0, 1.0, 0.3, -1.0)).packed()
+    points, original = [], tracegrad.grad
+    monkeypatch.setattr(tracegrad, "grad", lambda K, x: (
+        points.append(list(x)), original(K, x))[1])
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
+    runner_points = points[:]
+    del points[:]
+    code = tracegrad.FieldCode(K, (), x0.tolist(), 4)
+    kernel = code.kernel()
+    stepped = integrate(lambda t, x: kernel(x.tolist(), ()), x0, 0.5, 1e-2)
+    assert np.array_equal(traced.x, stepped.x)
+    assert np.array_equal(traced.x,
+                          integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
+    assert (traced.x[:, 3] <= 0.35).any() and (traced.x[:, 3] > 0.35).any()
+    assert runner_points == points
+    assert 0 < len(points) == code.handed_back[0]
+    assert _route_lines(caplog) == [
+        "integrate: switching drift runs on a traced replay",
+        f"integrate: switching drift fell back from its trace to grad at "
+        f"{len(points)} stages"]
+
+
+def test_an_untraceable_generator_flows_on_grad(caplog):
+    port = heat_compartment().Kc[0]
+    K = ScalarFn(lambda x: port(x) * (2.0 if x[0] == 0.25 else 1.0), 4,
+                 name="reads ==")
+    x0 = liouville_point(heat_compartment().gf, (0.0, -1.0)).packed()
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
+    assert _hex(traced.x) == _hex(integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
+    assert _route_lines(caplog) == [
+        "integrate: reads == runs on the scalar loop: it reads a traced value "
+        "with =="]
+
+
+@pytest.mark.parametrize("case", ["domain hole", "non-finite"])
+def test_a_traced_state_failing_in_its_second_block_fails_as_the_numpy_step(
+        case, monkeypatch):
+    # the error, its time and step, and the points recorded before it are
+    # the untraced numpy step's
+    if case == "domain hole":           # S grows from 0.3 past 0.45
+        K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(0.45 - q1))",
+                       ["q0", "q1", "p0", "p1"])
+        x0 = liouville_point(heat_compartment().gf, (0.3, -1.0)).packed()
+        block, message = 16, ("ln requires a positive argument in "
+                              "'ln(0.45-q1)' in the step from t=0.21")
+    else:                               # q0 falls past 0
+        K = ScalarFn(lambda x: x[2] * x[2] * (1e308 if x[0] < 0.0 else 1.0),
+                     4, name="blowing up")
+        x0 = np.array([0.11, 1.0, -1.0, 0.5])
+        block, message = 4, ("integration produced a non-finite state at "
+                             "t=0.06 (step 6)")
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", block)
+    errors, seen = [], []
+
+    def monitor(t, X):
+        seen[-1].append((t.tolist(), X.tolist()))
+        return X[:, 0]
+
+    for f in (phase_rhs(K), _vector_pass(K)):
+        seen.append([])
+        with pytest.raises(Exception) as err, \
+                np.errstate(over="ignore", invalid="ignore"):
+            integrate(f, x0, 1.0, 1e-2, [("x", monitor)])
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1] == message
+    assert seen[0] == seen[1]
+    assert block < len(sum((t for t, _ in seen[0]), [])) < 2 * block
+
+
+def test_a_state_of_the_wrong_length_raises_the_dimension_error(caplog):
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(ValueError, match=r"^q1 p0 expects dimension 4, "
+                          r"got 6 in the step from t=0$"):
+        integrate(phase_rhs(Q1P0), np.ones(6), 0.1, 1e-2)
+    assert _route_lines(caplog) == [
+        "integrate: q1 p0 runs on the vector pass: its start state has 6 "
+        "entries"]
 
 
 # -- chart (contact) dynamics ----------------------------------------------------
@@ -360,14 +492,18 @@ def test_flow_transport_separates_the_two_residuals():
 
 
 def test_batched_integration_rows_are_separate_runs_bit_for_bit():
+    # traced and in numpy, a batch row follows the state alone
     x0 = np.array([[1.0, 0.5, -1.0, 0.8], [0.3, 2.0, -2.0, 0.1],
                    [1.0, 0.5, -1.0, 0.8]])
-    batch = integrate(phase_rhs(K1), x0, 0.2, 1e-2)
-    assert batch.x.shape == (21, 3, 4)
-    for row, start in enumerate(x0):
-        alone = integrate(phase_rhs(K1), start, 0.2, 1e-2)
-        assert [v.hex() for v in batch.x[:, row].ravel().tolist()] == \
-            [v.hex() for v in alone.x.ravel().tolist()]
+    batches = []
+    for f in (phase_rhs(K1), _vector_pass(K1)):
+        batch = integrate(f, x0, 0.2, 1e-2)
+        assert batch.x.shape == (21, 3, 4)
+        for row, start in enumerate(x0):
+            alone = integrate(f, start, 0.2, 1e-2)
+            assert _hex(batch.x[:, row]) == _hex(alone.x)
+        batches.append(_hex(batch.x))
+    assert batches[0] == batches[1]
 
 
 def _wavy(t, x):
@@ -382,28 +518,28 @@ def _stepping_case(name):
     if name == "wavy":
         return _wavy, np.random.default_rng(15).uniform(-1.0, 1.0, (50, 3))
     piston = gas_piston_damper()
-    return phase_rhs(piston.Ka), np.array(
+    return _vector_pass(piston.Ka), np.array(
         [liouville_point(piston.gf, p).packed()
          for p in _sample_surface_params(piston, 50, 15)])
 
 
 @pytest.mark.parametrize("name", ["wavy", "piston Ka"])
 def test_a_list_state_steps_as_the_array_state_bit_for_bit(name):
-    # a single state steps in Python floats with the ndarray expressions,
-    # entry by entry; each keeps its own type
+    # a single state given as a list steps as the ndarray it holds, and
+    # the step returns an ndarray
     f, states = _stepping_case(name)
     for i, x in enumerate(states):
         t, dt = 0.1 * i, 1e-2 * (1 + i % 3)
         stepped = rk4_step(f, t, x, dt)
         listed = rk4_step(f, t, x.tolist(), dt)
-        assert isinstance(stepped, np.ndarray) and isinstance(listed, list)
+        assert isinstance(listed, np.ndarray) and listed.shape == x.shape
         assert _hex(listed) == _hex(stepped)
 
 
 @pytest.mark.parametrize("name", ["wavy", "piston Ka"])
 def test_a_field_may_return_a_list_or_an_array(name):
-    # integrate steps a single state as a list, handing the field ndarrays;
-    # its trajectory is the one ndarray steps give, whichever type the field
+    # integrate steps a single state in numpy, handing the field ndarrays;
+    # its trajectory is the one rk4_step gives, whichever type the field
     # returns
     f, states = _stepping_case(name)
 
@@ -436,10 +572,35 @@ def _forms(f):
     return f, listed
 
 
+def _generated_list_step(n):
+    """The straight-line RK4 step ``step(f, t, x, dt)`` of a list state of
+    length n written by :func:`dynamics._rk4_lines`, the block runner's
+    template, each stage a call of ``f`` on an ndarray unpacked into
+    Python floats."""
+    def stage(k, time, point):
+        names = [f"{k}{i}" for i in range(n)]
+        return [f"{', '.join(names)}, = _stage(f, {time}, "
+                f"[{', '.join(point)}])"], names
+
+    lines, new = dynamics._rk4_lines(n, stage)
+    body = ([f"{', '.join(f'x{i}' for i in range(n))}, = x", "h = dt / 2.0"]
+            + lines + ["w = dt / 6.0", f"return [{', '.join(new)}]"])
+    def stage_call(f, t, x):
+        return np.asarray(f(t, np.array(x))).tolist()
+
+    namespace = {"_stage": stage_call}
+    exec("def step(f, t, x, dt):\n    " + "\n    ".join(body), namespace)
+    return namespace["step"]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_the_generated_list_step_is_the_array_step_bit_for_bit(n):
+    # the runner's RK4 template, written out for a list state of each
+    # length, gives rk4_step's bits, for states and stages holding inf and
+    # NaN too
     rng = np.random.default_rng(n)
     huge = _ring(n)
+    step = _generated_list_step(n)
 
     def overflowing(t, x):
         # stages that reach inf, and NaN from inf - inf
@@ -455,7 +616,7 @@ def test_the_generated_list_step_is_the_array_step_bit_for_bit(n):
             with np.errstate(all="ignore"):
                 stepped = rk4_step(f, t, x, dt)
                 for form in _forms(f):
-                    listed = rk4_step(form, t, x.tolist(), dt)
+                    listed = step(form, t, x.tolist(), dt)
                     assert isinstance(listed, list)
                     assert [v.hex() for v in listed] == _hex(stepped)
             reached += listed
@@ -474,6 +635,7 @@ def test_a_field_raising_at_stage_3_raises_alike_from_both_steps():
             return -x
         return f
 
+    # a list state and an ndarray state raise it alike
     errors = []
     for x in ([1.0, 2.0], np.array([1.0, 2.0])):
         with pytest.raises(ArithmeticError) as err:
@@ -491,15 +653,12 @@ def test_a_field_of_the_wrong_length_raises(got):
     def f(t, x):
         return np.ones(got)
 
-    lengths = rf"length {got} for a state of length 2\b"
-    with pytest.raises(ValueError, match=lengths + " in the step from t=0$"):
+    shape = rf"shape \({got},\) for a state of shape \(2,\)"
+    with pytest.raises(ValueError, match=shape + " in the step from t=0$"):
         integrate(f, np.array([1.0, 2.0]), 0.3, 0.1)
-    for form in _forms(f)[1:]:
-        with pytest.raises(ValueError, match=lengths):
+    for form in _forms(f):              # a list state steps as an ndarray
+        with pytest.raises(ValueError, match=shape):
             rk4_step(form, 0.0, [1.0, 2.0], 0.1)
-    with pytest.raises(ValueError, match=rf"shape \({got},\) for a state of "
-                       r"shape \(2,\)"):
-        rk4_step(f, 0.0, np.array([1.0, 2.0]), 0.1)
 
     def batch(t, x):
         return np.ones((len(x), got))

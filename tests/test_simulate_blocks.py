@@ -3,8 +3,9 @@ tests hold it to a reference loop that records one point at a time, right
 after reaching it, bit for bit (``float.hex``), including which error an
 aborted run raises and at what time.  Its block runner, which steps the
 state a block at a time with the field inlined at each stage, is held to
-the generated list step calling the field's one-stage kernel, with the
-same hand-backs, errors and recorded points.
+the reference loop and to the list step: the numpy step with each stage
+a call of the field's one-stage kernel on the state as a list of floats,
+with the same hand-backs, errors and recorded points.
 
 The reference loop is simulate as it ran point by point: the membership
 guard, then each port's u, y_p and y_e, then the monitors in the order
@@ -27,7 +28,8 @@ from ltk.exprlang import compile_fn
 from ltk.geometry import PhasePoint, euler_residual
 from ltk.portsys import (BUILTIN_SYSTEMS, MEMBERSHIP_ABORT, MONITOR_NAMES,
                          PortSignal, PortSystem, _InputReads,
-                         gas_piston_damper, heat_compartment, simulate)
+                         _sample_surface_params, gas_piston_damper,
+                         heat_compartment, simulate)
 from ltk.submanifold import liouville_point, membership_norm
 
 SMALL_BLOCK = 8
@@ -351,10 +353,10 @@ RUNNER_CASES = [(name, kind) for name in sorted(RUNNER_SYSTEMS)
 
 
 def _list_route(system, params, u, t_end, dt, monitors=()):
-    """``integrate`` of simulate's field through the generated list step,
-    each stage a call of the field's one-stage kernel, with the inputs
-    read once per time as simulate reads them; also the counts of the
-    stages each generator was handed back to grad."""
+    """``integrate`` of simulate's field through the list step, in numpy,
+    each stage a call of the field's one-stage kernel on the state as a
+    list, with the inputs read once per time as simulate reads them; also
+    the counts of the stages each generator was handed back to grad."""
     x0 = liouville_point(system.gf, params).packed()
     code = tracegrad.FieldCode(system.Ka, system.Kc, x0.tolist(),
                                system.n_coords)
@@ -374,10 +376,11 @@ def _handed_back(caplog) -> list:
 
 
 @pytest.mark.parametrize("name, kind", RUNNER_CASES)
-def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind, monkeypatch,
-                                                      caplog):
+def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind,
+                                                      monkeypatch, caplog):
     # runs that end within the first block, at its end, just after it and
-    # in the third block, and a run of full-size blocks
+    # in the third block, each also against the reference loop, and a run
+    # of full-size blocks
     system = RUNNER_SYSTEMS[name]()
     params = TWIN_DEFAULTS.get(name, system.default_params)
     u = INPUTS[kind]() if system.n_ports else PortSignal.zero(0)
@@ -389,9 +392,32 @@ def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind, monkeypatch,
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ltk"):
             result = simulate(system, steps * dt, dt, u=u, params=params)
-        listed, handed_back = _list_route(system, params, u, steps * dt, dt)
-        assert np.array_equal(result.x, listed.x), steps
+        stepped, handed_back = _list_route(system, params, u, steps * dt,
+                                           dt)
+        assert np.array_equal(result.x, stepped.x), steps
         assert _handed_back(caplog) == handed_back == [0] * len(handed_back)
+        if block == SMALL_BLOCK:
+            x = _reference(system, steps * dt, dt, u=u, params=params)[1]
+            assert np.array_equal(result.x, x), steps
+
+
+@pytest.mark.parametrize("name", ["gas_piston_damper", "heat_compartment"])
+def test_simulates_field_called_is_its_traced_kernel_bit_for_bit(name):
+    # called, the forced field is grad(Ka) plus u_k * grad(Kc_k) for each
+    # input that is not 0.0 (the sinusoid's at t = 0), as its trace adds
+    # them, for a state and for a batch
+    system = BUILTIN_SYSTEMS[name]()
+    X = np.array([liouville_point(system.gf, p).packed()
+                  for p in _sample_surface_params(system, 4, 4)])
+    code = tracegrad.FieldCode(system.Ka, system.Kc, X[0].tolist(),
+                               system.n_coords)
+    kernel, reads = code.kernel(), _InputReads(INPUTS["sinusoid"]())
+    field = dynamics._PhaseField(system.Ka, system.Kc, reads)
+    for t in (0.0, 0.7):
+        expected = [kernel(x, reads[t]) for x in X.tolist()]
+        assert _hex([field(t, x) for x in X]) == _hex(expected)
+        assert _hex(field(t, X)) == _hex(expected)
+    assert code.handed_back == [0, 0]
 
 
 def test_a_guard_that_flips_mid_block_hands_back_as_the_list_step(
@@ -415,8 +441,8 @@ def test_a_guard_that_flips_mid_block_hands_back_as_the_list_step(
         result = simulate(system, 1.0, 1e-2, u=u, params=params)
     runner_points = points[:]
     del points[:]
-    listed, handed_back = _list_route(system, params, u, 1.0, 1e-2)
-    assert np.array_equal(result.x, listed.x)
+    stepped, handed_back = _list_route(system, params, u, 1.0, 1e-2)
+    assert np.array_equal(result.x, stepped.x)
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
     assert runner_points == points
     assert _handed_back(caplog) == handed_back
@@ -473,9 +499,9 @@ def test_a_step_that_fails_mid_block_fails_as_the_list_step(make, dt, message,
         seen.append([])
         with pytest.raises(Exception) as err:
             if route == "runner":
-                dynamics._integrate_traced(system.Ka, system.Kc, x0, 2.0, dt,
-                                           "test", [("x", monitor)],
-                                           _InputReads(u))
+                field = dynamics._PhaseField(system.Ka, system.Kc,
+                                             _InputReads(u), "test")
+                integrate(field, x0, 2.0, dt, [("x", monitor)])
             else:
                 _list_route(system, system.default_params, u, 2.0, dt,
                             [("x", monitor)])

@@ -585,13 +585,23 @@ def test_each_source_compiles_once(monkeypatch):
 
 
 def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
-    # simulate imports tracegrad on its first call, so a command that never
-    # simulates does not compile it
-    code = "import sys, ltk, ltk.cli; print('ltk.tracegrad' in sys.modules)"
+    # integrate imports tracegrad when it first steps a phase field, so a
+    # command that never does, or a contact flow, does not compile it
+    code = "\n".join([
+        "import sys, ltk, ltk.cli",
+        "from ltk.diffkit import ScalarFn",
+        "from ltk.dynamics import contact_rhs, integrate, phase_rhs",
+        "loaded = ['ltk.tracegrad' in sys.modules]",
+        "Khat = ScalarFn(lambda x: x[2] ** 2 + x[0] * x[2], 3)",
+        "integrate(contact_rhs(Khat, 0), [1.0, 2.0, 0.5], 0.1, 1e-2)",
+        "loaded.append('ltk.tracegrad' in sys.modules)",
+        "K = ScalarFn(lambda x: x[1] * x[2], 4)",
+        "integrate(phase_rhs(K), [1.0, 2.0, 3.0, 4.0], 0.1, 1e-2)",
+        "print(loaded + ['ltk.tracegrad' in sys.modules])"])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          cwd=Path(ltk.__file__).resolve().parent.parent)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[False, False, True]\n"
 
 
 # -- value numbering ------------------------------------------------------------
