@@ -18,7 +18,8 @@ Modules:
 * :mod:`ltk.brackets`   — Poisson and chart brackets with structure checks
 * :mod:`ltk.portsys`    — port-thermodynamic systems and interconnection
 * :mod:`ltk.tracegrad`  — functions traced once and replayed as straight-line
-  code: ``simulate``'s field kernel and expression inputs (imported on use)
+  code: the gradients of the phase fields ``integrate`` steps, and
+  expression inputs (imported on use)
 * :mod:`ltk.cli`        — the ``ltk`` command-line interface
 """
 

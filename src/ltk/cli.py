@@ -46,8 +46,9 @@ from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs
 from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
 from .geometry import _phase_rows
-from .portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal, PortSystem,
-                      _sample_surface_params, builtin, simulate, validate)
+from .portsys import (_PARAM_ALIASES, BUILTIN_SYSTEMS, MONITOR_NAMES,
+                      PortSignal, PortSystem, _sample_surface_params, builtin,
+                      simulate, validate)
 from .submanifold import (GeneratingFunction, gibbs_duhem_check,
                           reduced_point, specific_form)
 
@@ -707,7 +708,10 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             spec = {"name": spec}
         if not isinstance(spec, dict) or "name" not in spec:
             raise ConfigError("--param overrides need a named built-in system")
-        merged = dict(spec.get("params", {}))
+        # a flag overrides the config's value under either spelling
+        full = {_PARAM_ALIASES.get(k, k) for k in params}
+        merged = {k: v for k, v in dict(spec.get("params", {})).items()
+                  if _PARAM_ALIASES.get(k, k) not in full}
         merged.update(params)
         spec = dict(spec)
         spec["params"] = merged

@@ -47,10 +47,11 @@ The routes that run many times over are the fields that
 generator at each RK4 stage, and the batch of trajectories of the two
 integrated checks (``flow_transport_check``, ``scaling_commutation_check``),
 whose few rows a vector-mode pass would carry at numpy's per-call cost.
-:mod:`ltk.tracegrad` traces the generators once per run into one
-straight-line field kernel that sums :func:`grad`'s partials bit for bit,
-and the checks call it row by row; every point it hands back runs
-:func:`grad`, which stays the reference.
+:mod:`ltk.tracegrad` traces the generators once per run into
+straight-line code that sums :func:`grad`'s partials bit for bit, which
+one generated block runner inlines at each RK4 stage, for the checks row
+by row; every point it hands back runs :func:`grad`, which stays the
+reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.

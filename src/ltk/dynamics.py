@@ -22,11 +22,11 @@ place that traces a field.  A phase field, :func:`phase_rhs`'s or the
 forced one of port-system simulation (:func:`ltk.portsys.simulate`), is
 traced once at its first state (:class:`ltk.tracegrad.FieldCode`) and
 stepped by one generated block runner: the RK4 loop over a block of
-steps, the state a list of floats, with the field's code inlined at each
-stage and the RK4 formula written with :func:`rk4_step`'s expressions,
-entry by entry, so its states are the numpy step's bit for bit.  A batch
-of up to :data:`REPLAY_MAX_ROWS` rows, such as the trajectories of the
-two integrated checks (:func:`flow_transport_check`,
+steps, the state a list of floats, with the traced gradient inlined at
+each stage and the RK4 formula written with :func:`rk4_step`'s
+expressions, entry by entry, so its states are the numpy step's bit for
+bit.  A batch of up to :data:`REPLAY_MAX_ROWS` rows, such as the
+trajectories of the two integrated checks (:func:`flow_transport_check`,
 :func:`scaling_commutation_check`), runs each row through the block in
 turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
 the one-shot field, reruns a block in which a row raises or goes
@@ -348,33 +348,36 @@ def _block_runner(code, reads):
     """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 of the
     canonical field of ``code`` (a :class:`ltk.tracegrad.FieldCode`) from
     the list state ``x`` at t = i0*dt, as one generated loop.  Each stage
-    evaluates the field's body inline on local floats, with the inputs
-    ``reads[t]`` where ``reads`` is not None (k3 takes k2's read, at the same
+    evaluates the gradient inline on local floats, with the inputs
+    ``reads[t]`` for a field with ports (k3 takes k2's read, at the same
     time), and each new state, once its entries are all finite, is
     appended to ``out`` as a list; a non-finite one raises
     :class:`_NonFiniteState` with its step.  ``run`` returns the last
     state."""
-    x = [f"x{i}" for i in range(code.dim)]
+    x, m = [f"x{i}" for i in range(code.dim)], code.dim // 2
+    ported = reads is not None
 
     def stage(k, time, point):
-        lines = code.point(point)
-        if reads is not None and k != "c":
-            # a system without ports reads its inputs all the same
-            lines.append(f"u = _reads[{time}]" if code.ports
-                         else f"_reads[{time}]")
-        return lines + code.body(f"{k}g"), code.field(f"{k}g")
+        """Stage k's lines and, as :func:`_canonical`, its field entries."""
+        g = f"{k}g"
+        read = [f"u = _reads[{time}]"] if ported and k != "c" else []
+        return read + code.stage(g, point), (
+            [f"{g}{i}" for i in range(m, code.dim)]
+            + [f"-{g}{i}" for i in range(m)])
 
     lines, new = _rk4_lines(code.dim, stage)
     # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN
     finite = " + ".join(f"{xi} * 0.0" for xi in x)
-    step = ((["t = (i - 1) * dt"] if reads is not None else []) + lines
+    step = ((["t = (i - 1) * dt"] if ported else []) + lines
             + [f"{xi} = {e}" for xi, e in zip(x, new)]
             + [f"if {finite} != 0.0:", "    raise _NonFinite(i * dt, i)",
                f"out.append([{', '.join(x)}])"])
-    # the loop's body as one line of text, its lines indented once more
-    body = [", ".join(x) + ", = x", "h = dt / 2.0", "w = dt / 6.0",
-            "for i in range(i0 + 1, i1 + 1):",
-            "    " + "\n        ".join(step), "return out[-1]"]
+    # h where a stage reads it, in its time or its point; the loop's body
+    # as one line of text, its lines indented once more
+    half = ["h = dt / 2.0"] if ported or " h * " in "\n".join(lines) else []
+    body = ([", ".join(x) + ", = x"] + half
+            + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
+               "    " + "\n        ".join(step), "return out[-1]"])
     return code.function("run", "x, i0, i1, dt, out", body, _reads=reads,
                          _NonFinite=_NonFiniteState)
 
@@ -382,8 +385,8 @@ def _block_runner(code, reads):
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
-    ``t_end`` and ``dt`` must be finite, and ``t_end`` an integer multiple
-    of ``dt`` (the grid is t_i = i*dt).
+    ``t_end`` and ``dt`` must be finite, and ``t_end`` a nonnegative
+    integer multiple of ``dt`` (the grid is t_i = i*dt).
     ``x0`` is one state vector, or a (B, dim) batch of states stepped
     together; every step is entrywise arithmetic, so a row follows the
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
@@ -395,11 +398,12 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     block at a time, with the numpy step's bits.  A generator whose guard
     flips, whose check trips or whose code raises at a stage takes
     :func:`~ltk.diffkit.grad` there; one the trace cannot record takes it
-    at every stage of a single state.  A state or start rows of another
-    width than K's, and a batch of more than :data:`REPLAY_MAX_ROWS` rows
-    or whose K the trace cannot record, run the vector pass, and a batch
-    block in which a row raises or goes non-finite reruns from its start
-    on the vector pass, step by step, so the run raises that pass's error
+    at every stage of a single state.  A scalar state, a state or start
+    rows of another width than K's, and a batch with no rows, more than
+    :data:`REPLAY_MAX_ROWS` rows or a K the trace cannot record run the
+    vector pass, and a batch block in which a row raises or goes
+    non-finite reruns from its start on the vector pass, so the run
+    raises that pass's error
     (or, where it does not raise, returns the same bits).  At level INFO
     the ``ltk`` logger says, after the field's label, which route each
     generator takes, and why, and at how many stages (for a batch, row
@@ -409,24 +413,28 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
     its rows): ``fn(t_rows, x_rows)`` returns one value, or one row of
-    values, per point.  A monitor that raises
-    aborts the run at the end of its block; :func:`ltk.portsys.simulate`
-    guards surface membership so.  A failing step (a non-finite state, or
-    an error from ``f``) first records the points since the last block, so
-    a monitor's error at an earlier point comes first.  An error from
-    ``f`` keeps its type and gains the step's start time in its message; a
-    non-finite state aborts with the offending time, and for a batch the
-    first offending row, in the message, after every row has stepped.
+    values, per point.  A monitor that raises aborts the run at the end
+    of its block; :func:`ltk.portsys.simulate` guards surface membership
+    so.  A failing step (a non-finite state, or an error from ``f``) first
+    records the points since the last block, so a monitor's error at an
+    earlier point comes first.  An error from ``f`` keeps its type and
+    gains the step's start time in its message; a non-finite state aborts
+    with the offending time, and for a batch the first offending row, in
+    the message, after every row has stepped, and a start that is not
+    finite as step 0, before any monitor.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
     steps = round(t_end / dt)
-    if steps < 0 or abs(steps * dt - t_end) > 1e-9 * max(1.0, abs(t_end)):
+    if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
     x = np.asarray(x0, dtype=float).copy()
+    _check_finite(x, 0.0, 0)
     monitors = list(monitors or [])
 
     ts = np.arange(steps + 1) * dt      # i * dt, bit for bit
@@ -447,12 +455,13 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     xs[0] = x
     batch = x.ndim == 2
-    block = max(1, MONITOR_BLOCK // len(x)) if batch else MONITOR_BLOCK
+    block = max(1, MONITOR_BLOCK // max(1, len(x))) if batch \
+        else MONITOR_BLOCK
     code = _trace(f, x) if isinstance(f, _PhaseField) else None
     if code is None:
         advance = _steps(f)
     else:
-        run = _block_runner(code, f.reads)
+        run = _block_runner(code, f.reads if f.Kc else None)
         advance = _row_blocks(run, f) if batch else run
         x = x.tolist()
     i = 0                               # the last point reached
@@ -494,13 +503,17 @@ def _trace(f: _PhaseField, x: np.ndarray):
     if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
         reason = (f"its {len(x)} rows are more than the "
                   f"{REPLAY_MAX_ROWS} a replay runs faster")
+    elif x.ndim == 2 and not len(x):
+        reason = "it has no rows"
+    elif x.ndim == 0:                   # the vector pass raises
+        reason = "its start state is a scalar"
     elif x.shape[-1] != f.Ka.dim:       # the vector pass raises
         reason = (f"its start {'rows have' if x.ndim == 2 else 'state has'} "
                   f"{x.shape[-1]} entries")
     if reason is None:
         from .tracegrad import FieldCode
         start = (x if x.ndim == 1 else x[0]).tolist()
-        code = FieldCode(f.Ka, f.Kc, start, len(start) // 2)
+        code = FieldCode(f.Ka, f.Kc, start)
         if x.ndim == 2:
             reason = code.reasons[0]
     if reason is not None:
@@ -530,13 +543,19 @@ def _steps(f):
     def advance(X, i0, i1, dt, out):
         for i in range(i0 + 1, i1 + 1):
             X = rk4_step(f, (i - 1) * dt, X, dt)
-            finite = np.isfinite(X)
-            if not finite.all():
-                raise _NonFiniteState(i * dt, i, int(np.argmin(
-                    finite.all(axis=1))) if X.ndim == 2 else None)
+            _check_finite(X, i * dt, i)
             out.append(X)
         return X
     return advance
+
+
+def _check_finite(X: np.ndarray, t: float, step: int):
+    """Raise :class:`_NonFiniteState` at ``step`` where the state, or a row
+    of the batch, ``X`` has an entry that is not finite."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        raise _NonFiniteState(t, step, int(np.argmin(finite.all(axis=1)))
+                              if X.ndim == 2 else None)
 
 
 def _row_blocks(run, f: _PhaseField):

@@ -26,8 +26,9 @@ silent zero).
 expression and resolves its names once, at bind time; each call of the
 result evaluates the tree with :func:`evaluate`.  Where an expression is read
 many times, its code is traced once from that evaluation and replayed as
-straight-line Python (:mod:`ltk.tracegrad`): ``simulate``'s generators and
-the expression inputs of ``PortSignal.from_exprs``.
+straight-line Python (:mod:`ltk.tracegrad`): the generators of a phase
+field that :func:`~ltk.dynamics.integrate` steps, ``simulate``'s among
+them, and the expression inputs of ``PortSignal.from_exprs``.
 """
 
 from __future__ import annotations

@@ -126,7 +126,7 @@ class PortSystem:
     def _derived_output(self, k: int, indices, label: str) -> ScalarFn:
         K = self.Kc[k]
         m = self.gf.n + 1
-        return ScalarFn(_PortFlow(K, m, indices), dim=2 * m,
+        return ScalarFn(_PortFlow(K, indices), dim=2 * m,
                         name=f"{label}{k + 1}({self.name})", dual_safe=False)
 
     @property
@@ -273,11 +273,11 @@ class ValidationReport:
 class _PortFlow:
     """:func:`_port_flow` of K along ``indices``: a derived port output."""
 
-    def __init__(self, K: ScalarFn, m: int, indices):
-        self.K, self.m, self.indices = K, m, indices
+    def __init__(self, K: ScalarFn, indices):
+        self.K, self.indices = K, indices
 
     def __call__(self, x):
-        return _port_flow(self.K, x, self.m, self.indices)
+        return _port_flow(self.K, x, self.K.dim // 2, self.indices)
 
 
 def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
@@ -382,37 +382,37 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     ``Ka + sum_k u_k(t) Kc_k`` over the packed phase vector of the lifted
     surface, recording the inputs, the outputs and the requested monitors
     at every grid point.  The recording guards the surface: a membership
-    residual beyond ``membership_tol`` aborts, as a trajectory off the
-    surface no longer means anything thermodynamically; its values double
-    as the ``membership`` monitor.  Aborts, including a non-finite state,
-    raise ``RuntimeError`` naming the system and the time; any other error
-    keeps its type and gains the system's name and the time of its step or
-    recorded point.  ``K_res`` is
-    ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|`` of
-    the total generator K.  ``u`` is read once per distinct time, as a list
-    of floats: an RK4 step's two half-step stages share one read, and the
-    recording reuses the read of each step's first stage, at its grid time,
-    reading only the grid points no stage read (such as ``t_end``, where
-    the last stage time can differ in the last bit).  So a ``PortSignal``
-    should be a pure function of ``t``.
+    residual that is not at most ``membership_tol`` (NaN included) aborts,
+    as a trajectory off the surface no longer means anything
+    thermodynamically; its values double as the ``membership`` monitor.
+    Aborts, including a non-finite state, raise ``RuntimeError`` naming
+    the system and the time; any other error keeps its type and gains the
+    system's name and the time of its step or recorded point.  ``K_res``
+    is ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|``
+    of the total generator K.  ``u`` is read once per distinct time, as a
+    list of floats: the recording reads it at the grid points, and a
+    system with ports at its stages too, an RK4 step's two half-step
+    stages sharing one read and the recording reusing each step's first,
+    at its grid time, so that it reads only the grid points no stage read
+    (such as ``t_end``, where the last stage time can differ in the last
+    bit).  So a ``PortSignal`` should be a pure function of ``t``.
 
     :func:`~ltk.dynamics.integrate` traces the field once per run, at the
     initial point (:class:`~ltk.tracegrad.FieldCode`), and steps it by one
     generated block runner, the RK4 loop over a block of steps with the
-    field's code inlined at each stage on the state's entries as local
-    floats and with the inputs read as a list: bit for bit
-    :func:`~ltk.dynamics.rk4_step` over the scalar loop of
+    traced gradient inlined at each stage on the state's entries as local
+    floats and, for a system with ports, the inputs read as a list: bit
+    for bit :func:`~ltk.dynamics.rk4_step` over the scalar loop of
     :func:`~ltk.diffkit.grad` over the generators.  A non-finite state
     raises with the step at which it appears.  A generator whose guard
     flips, whose domain check trips or whose code raises at a stage takes
-    ``grad`` at that stage
-    while the others keep their traced code, so results, errors and their
-    times are the scalar loop's.  A generator the trace cannot record is
-    differentiated by ``grad`` at every stage.  At level INFO
-    (``LTK_LOG=info`` on the command line) the ``ltk`` logger says which
-    generators run traced, why the others do not, and at how many stages
-    each traced generator fell back to ``grad``.  The recording takes a
-    block of grid points at a time
+    ``grad`` at that stage while the others keep their traced code, so
+    results, errors and their times are the scalar loop's.  A generator
+    the trace cannot record is differentiated by ``grad`` at every stage.
+    At level INFO (``LTK_LOG=info`` on the command line) the ``ltk``
+    logger says which generators run traced, why the others do not, and
+    at how many stages each traced generator fell back to ``grad``.  The
+    recording takes a block of grid points at a time
     (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
     each row bit for bit the point alone.  A block whose passes raise
     reruns its points one at a time in the order guard, each port's ``u``,
@@ -461,7 +461,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         """The rows of ``names`` at a block of points."""
         try:
             res = _membership_rows(sys.gf, X)
-            off = np.flatnonzero(res > membership_tol)
+            off = np.flatnonzero(~(res <= membership_tol))   # NaN fails
             n = int(off[0]) if off.size else len(t)
             cols = channels(t[:n], X[:n]) if n else []
         except Exception as err:   # noqa: BLE001 - each point reruns and raises
@@ -910,7 +910,8 @@ def builtin(name: str, **params) -> PortSystem:
 
     Names are matched case-insensitively with hyphens treated as
     underscores, so ``"heat-exchanger"`` and ``"heat_exchanger"`` construct
-    the same system.
+    the same system.  A parameter may be spelled by its short symbol
+    (``m`` for ``mass``), but not given under both spellings.
     """
     key = name.replace("-", "_")
     if key not in BUILTIN_SYSTEMS:
@@ -919,5 +920,9 @@ def builtin(name: str, **params) -> PortSystem:
             raise ValueError(f"unknown system {name!r}; available: "
                              f"{', '.join(sorted(BUILTIN_SYSTEMS))}")
         key = folded[key.lower()]
+    for short, full in _PARAM_ALIASES.items():
+        if short in params and full in params:
+            raise ValueError(f"parameter {full!r} is given twice, as "
+                             f"{short!r} and {full!r}")
     kwargs = {_PARAM_ALIASES.get(k, k): v for k, v in params.items()}
     return BUILTIN_SYSTEMS[key](**kwargs)

@@ -24,8 +24,8 @@ never shared between functions, as a port's code must not read a value
 of a drift whose code handed back before making it.  :class:`FieldCode`
 writes a port system's drift and port generators into one body that
 computes the gradient of ``Ka + sum_k u_k Kc_k``, its names numbered on
-across the generators; :func:`field_kernel` returns the canonical field
-from it as one call.
+across the generators; the block runner of :mod:`ltk.dynamics` reads the
+canonical field off it.
 
 A comparison becomes a guard, and each condition under which a scalar pass
 raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a fractional
@@ -49,13 +49,12 @@ benchmark's systems on a 2-CPU VM), once per field shape in a process.
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
 
-``simulate`` traces its generators into field code once per run and
-keeps its block runner for that run only; so do the two integrated checks
-of :mod:`ltk.dynamics`, ``flow_transport_check`` and
-``scaling_commutation_check``, for K over their batch of trajectories.
-``ltk`` does not import this module; ``simulate``, ``from_exprs`` and the
-two integrated checks import it when first called, so importing the
-package does not compile it.
+:func:`~ltk.dynamics.integrate` traces a phase field's generators into
+field code once per run, for ``simulate``, ``phase_rhs`` and the two
+integrated checks alike, and keeps its block runner for that run only.
+``ltk`` does not import this module; ``integrate`` imports it when it
+first steps a phase field, and ``from_exprs`` when first called, so
+importing the package does not compile it.
 """
 from __future__ import annotations
 
@@ -65,7 +64,7 @@ import re
 
 from .diffkit import ScalarFn, _Recorder, grad
 
-__all__ = ["FieldCode", "field_kernel", "value_kernel"]
+__all__ = ["FieldCode", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -448,7 +447,7 @@ def _as_python(v):
 
 class _Traced(_Recorder):
     """A coordinate, or a value computed from coordinates, of a function
-    being traced by :func:`field_kernel`.
+    being traced by :class:`FieldCode` or :func:`value_kernel`.
 
     Every operation ``Dual`` implements adds a node to the trace, and
     so do diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos``, which
@@ -554,25 +553,23 @@ class _HandBack(Exception):
 
 
 class FieldCode:
-    """The canonical field of ``Ka + sum_k u_k Kc_k`` traced once at a
-    point ``x`` of ``m`` coordinates and ``m`` costates, as lines of
-    straight-line code for callers to place: ``reasons`` holds one reason
-    per generator, None for each the trace records, ``handed_back`` one
-    count per generator of the evaluations that handed it back to
-    ``grad``, and ``ports`` the number of port generators.
+    """The gradient of ``Ka + sum_k u_k Kc_k`` traced once at a point
+    ``x``, as lines of straight-line code for callers to place:
+    ``reasons`` holds one reason per generator, None for each the trace
+    records, and ``handed_back`` one count per generator of the
+    evaluations that handed it back to ``grad``.
 
-    :meth:`point` sets the coordinates ``v0, v1, ...`` that :meth:`body`
-    reads, :meth:`body` evaluates the gradient sum there, with the inputs
-    in the list ``u``, and :meth:`field` gives the sources of the field's
-    entries; :meth:`function` compiles a function around such lines, which
-    read the trace's constants.  :meth:`kernel` places them once, as one
-    call, and the block runner of :mod:`ltk.dynamics` at each RK4 stage.
+    :meth:`stage` gives the lines that evaluate the gradient sum at a
+    point, with the inputs in the list ``u``, and :meth:`function`
+    compiles a function around such lines, which read the trace's
+    constants.  :meth:`kernel` places them once, as one call, and the
+    block runner of :mod:`ltk.dynamics` at each RK4 stage.
     """
 
-    def __init__(self, Ka: ScalarFn, Kc, x, m: int):
+    def __init__(self, Ka: ScalarFn, Kc, x):
         generators = (Ka,) + tuple(Kc)
         self.handed_back = handed_back = [0] * len(generators)
-        self.dim, self.m, self.ports = len(x), m, len(generators) - 1
+        self.dim = len(x)
 
         def scalar(k, xs):
             return grad(generators[k], xs).tolist()
@@ -593,67 +590,32 @@ class FieldCode:
                 d for code, _ in codes for d in code[1])))
         else:                           # a hand-back reads every coordinate
             self._read = {f"v{i}" for i in range(self.dim)}
-        self._kernel = None
 
-    def body(self, g: str) -> list:
+    def stage(self, g: str, sources) -> list:
         """The lines that set ``{g}0, {g}1, ...`` to the gradient of
-        ``Ka + sum_k u_k Kc_k`` at ``v0, v1, ...``, bit for bit the scalar
-        loop: ``grad(Ka)``, then for each port in order whose input is not
-        0.0 the sum ``g + u_k * grad(Kc_k)``, entry by entry.  A generator
-        whose guard flips, whose check trips or whose code raises takes
-        ``grad`` there, as one the trace cannot record always does."""
-        return self._body.replace("$", g).split("\n")
-
-    def point(self, sources) -> list:
-        """The lines that set ``v0, v1, ...`` to ``sources``, one per
-        coordinate, leaving out each coordinate :meth:`body` never reads."""
-        return [f"v{i} = {s}" for i, s in enumerate(sources)
-                if f"v{i}" in self._read]
-
-    def field(self, g: str) -> list:
-        """The sources of the canonical field ``[dK/dp, -dK/dq]`` from the
-        gradient that :meth:`body` sets in ``{g}0, {g}1, ...``."""
-        return ([f"{g}{i}" for i in range(self.m, self.dim)]
-                + [f"-{g}{i}" for i in range(self.m)])
+        ``Ka + sum_k u_k Kc_k`` at the point ``sources`` (one source per
+        coordinate, each set as ``v0, v1, ...`` where the code reads it),
+        bit for bit the scalar loop: ``grad(Ka)``, then for each port in
+        order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``,
+        entry by entry.  A generator whose guard flips, whose check trips
+        or whose code raises takes ``grad`` there, as one the trace cannot
+        record always does."""
+        return ([f"v{i} = {s}" for i, s in enumerate(sources)
+                 if f"v{i}" in self._read]
+                + self._body.replace("$", g).split("\n"))
 
     def function(self, name: str, params: str, lines, **names):
-        """The function ``name(params)`` whose body is ``lines``, which
-        read the trace's constants and ``names``; its code is compiled on
-        the first use of its source."""
-        namespace = dict(self._namespace, **names)
-        exec(_code(f"def {name}({params}):\n    " + "\n    ".join(lines)),
-             namespace)
-        return namespace[name]
+        """:func:`_function` of lines that read the trace's constants and
+        ``names``."""
+        return _function(name, params, lines, dict(self._namespace, **names))
 
     def kernel(self):
-        """``kernel(xs, u)``: the field at the point and inputs ``xs`` and
-        ``u``, lists of floats, as a list; compiled on the first call."""
-        if self._kernel is None:
-            self._kernel = self.function(
-                "kernel", "x, u",
-                [", ".join(f"v{i}" for i in range(self.dim)) + ", = x"]
-                + self.body("g") + [f"return [{', '.join(self.field('g'))}]"])
-        return self._kernel
-
-
-def field_kernel(Ka: ScalarFn, Kc, x, m: int):
-    """Trace ``Ka`` and each ``Kc_k`` once at the point ``x`` (of ``m``
-    coordinates and ``m`` costates) and emit the canonical field of
-    ``Ka + sum_k u_k Kc_k`` as one straight-line function:
-    ``(kernel, reasons, handed_back)``, as :class:`FieldCode` gives them.
-
-    ``kernel(xs, u)`` takes a point and the inputs as lists of floats and
-    returns ``[dK/dp, -dK/dq]`` as a list, bit for bit the scalar loop:
-    ``grad(Ka)``, then for each port in order whose input is not 0.0 the
-    sum ``g + u_k * grad(Kc_k)``, entry by entry.  A generator whose guard
-    flips, whose check trips or whose code raises takes ``grad`` for that
-    call, which returns or raises as the scalar loop does; the others keep
-    their traced code.  A generator the trace cannot record is
-    differentiated by :func:`~ltk.diffkit.grad` at every call.  With no
-    ports and ``m`` 0 the kernel returns ``grad(Ka)``.
-    """
-    code = FieldCode(Ka, Kc, x, m)
-    return code.kernel(), code.reasons, code.handed_back
+        """``kernel(xs, u)``: the gradient sum at the point and inputs
+        ``xs`` and ``u``, lists of floats, as a list."""
+        return self.function(
+            "kernel", "x, u",
+            self.stage("g", [f"x[{i}]" for i in range(self.dim)])
+            + [f"return [{', '.join(f'g{i}' for i in range(self.dim))}]"])
 
 
 def value_kernel(fns, x):
@@ -671,16 +633,21 @@ def value_kernel(fns, x):
         body += lines
         values.append(value)
     body.append(f"return [{', '.join(values)}]")
-    namespace = dict(_REPLAY_NAMES, **trace.consts, _fns=fns,
-                     _Back=_HandBack)
-    source = ["def kernel(x):", "    try:"] + _indented(_indented(body)) + [
-        "    except Exception:", "        return [f(x) for f in _fns]"]
-    exec(_code("\n".join(source)), namespace)
-    return namespace["kernel"]
+    return _function("kernel", "x", ["try:"] + _indented(body) + [
+        "except Exception:", "    return [f(x) for f in _fns]"],
+        dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_HandBack))
+
+
+def _function(name: str, params: str, lines, namespace: dict):
+    """The function ``name(params)`` whose body is ``lines``, run in
+    ``namespace``; its code is compiled on the first use of its source."""
+    exec(_code(f"def {name}({params}):\n    " + "\n    ".join(lines)),
+         namespace)
+    return namespace[name]
 
 
 def _gradient_lines(codes, dim: int) -> list:
-    """The lines of :meth:`FieldCode.body` from each generator's traced
+    """The lines of :meth:`FieldCode.stage` from each generator's traced
     code, or None where the trace cannot record it, with the prefix "$"
     for the names of the gradient sum."""
     point = "[" + ", ".join(f"v{i}" for i in range(dim)) + "]"

@@ -12,10 +12,12 @@ equivariance of flows, and byte-determinism of the CLI.
 
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltk
 from ltk.brackets import (correspondence_residual, degree_check,
                           jacobi_identity_residual, leibniz_defect, poisson)
 from ltk.diffkit import ScalarFn
@@ -417,7 +419,9 @@ def test_criterion_11_deterministic_csv(tmp_path):
                "--system", "gas_piston_damper", "--u", "0.1*sin(t)",
                "--t-end", "2", "--dt", "1e-3", "--seed", "0",
                "--output", str(path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # run from the package's parent, so `-m ltk` finds it uninstalled
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              cwd=Path(ltk.__file__).resolve().parent.parent)
         assert proc.returncode == 0, proc.stderr
         outputs.append(path.read_bytes())
     header = outputs[0].split(b"\n", 1)[0].decode()

@@ -16,6 +16,7 @@ scalar loop.
 import json
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -370,6 +371,26 @@ def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
     assert "on the flow of surface member [0.0, -1.0] at t=1" in err
 
 
+def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
+    # a lifted start row that is not finite fails the flow at t=0, before
+    # any step, named by its member and its perturbation
+    system = heat_compartment()
+    grid = _sample_surface_params(system, 2, 5)
+    original = dynamics._liouville_rows
+
+    def lifted(gf, starts):
+        X = original(gf, starts)
+        X[len(X) // 2 + 1, 0] = np.nan    # member 1, parameter 0 +h
+        return X
+
+    monkeypatch.setattr(dynamics, "_liouville_rows", lifted)
+    member = [float(v) for v in grid[1]]
+    with pytest.raises(RuntimeError, match=re.escape(
+            f"flow of surface member {member} (parameter 0 +h) produced a "
+            f"non-finite state at t=0") + "$"):
+        flow_transport_check(system.gf, system.Ka, 0.05, grid)
+
+
 def test_expression_domain_holes_are_skipped_like_builtin_ones(capsys):
     # an expression undefined at some samples raises ExprEvalError there,
     # which the sampled checks skip as they skip a built-in's ValueError
@@ -449,11 +470,12 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
         assert np.array_equal(traced.x, integrate(_vector_pass(K), X0, 0.05,
                                                   1e-2).x)
         # the row field, at every bit, from the lines the runner inlines
-        kernel = tracegrad.field_kernel(K, (), X0[0].tolist(), K.dim // 2)[0]
+        kernel = tracegrad.FieldCode(K, (), X0[0].tolist()).kernel()
         for X in (X0, traced.x[-1]):
             vector = phase_rhs(K)(0.0, X)
             for x, row in zip(X.tolist(), vector):
-                assert _hex(kernel(x, ())) == _hex(row)
+                assert _hex(dynamics._canonical(np.array(kernel(x, ())))) \
+                    == _hex(row)
         calls.clear()
         assert _log_lines(caplog, "test")[-2:] == [
             f"test: {K.name} runs on a traced replay",
@@ -509,10 +531,11 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
     assert lines[-1].endswith(" row stages")
     stages = int(lines[-1].split(" at ")[-1].split()[0])
     assert 0 < stages <= 4 * 50
-    code = tracegrad.FieldCode(K, (), X0[0].tolist(), 4)
+    code = tracegrad.FieldCode(K, (), X0[0].tolist())
     kernel = code.kernel()
     for x0 in X0:
-        integrate(lambda t, x: kernel(x.tolist(), ()), x0, 1.0, 2e-2)
+        integrate(lambda t, x: dynamics._canonical(
+            np.array(kernel(x.tolist(), ()))), x0, 1.0, 2e-2)
     assert code.handed_back == [stages]
 
 

@@ -387,6 +387,26 @@ def test_param_merges_into_config_named_system(tmp_path, capsys):
     assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(6.0)
 
 
+def test_a_param_under_both_spellings_is_a_config_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--system",
+                             "gas_piston_damper", "--param", "m=2",
+                             "--param", "mass=3", "--t-end", "0.1",
+                             "--dt", "0.1")
+    assert code == 2 and out == ""
+    assert err == ("ltk: config error: cannot construct system "
+                   "'gas_piston_damper': parameter 'mass' is given twice, "
+                   "as 'm' and 'mass'\n")
+    # a flag overrides the config's value under the other spelling
+    config = tmp_path / "piston.json"
+    config.write_text(json.dumps({"system": {
+        "name": "gas_piston_damper", "params": {"mass": 3.0}}}))
+    runs = [run_cli(capsys, "simulate", *flags, "--t-end", "0.1", "--dt",
+                    "0.1") for flags in (
+        ["--config", str(config), "--param", "m=2"],
+        ["--system", "gas_piston_damper", "--param", "mass=2"])]
+    assert runs[0] == runs[1] and runs[0][0] == 0
+
+
 def test_bare_param_without_named_system(capsys):
     code, _, err = run_cli(capsys, "simulate", "--param", "C=2.0",
                            "--t-end", "0.1", "--dt", "0.1")

@@ -23,7 +23,7 @@ from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.portsys import (_sample_surface_params, gas_piston_damper,
                          heat_compartment, heat_exchanger)
 from ltk.submanifold import lift_generating_function, liouville_point
-from ltk.tracegrad import field_kernel
+from ltk.tracegrad import FieldCode
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=64)
 nonzero = finite.filter(lambda v: abs(v) > 1e-3)
@@ -345,7 +345,7 @@ def test_batched_grad_covers_every_operation_bit_for_bit(source):
     kink = X[:30, [0, 0, 2]]
     expected = _hex([grad(f, x) for x in kink])
     assert _hex(grad(f, kink)) == expected
-    kernel, _, _ = field_kernel(f, (), kink[0].tolist(), 0)
+    kernel = FieldCode(f, (), kink[0].tolist()).kernel()
     assert _hex([kernel(x, []) for x in kink.tolist()]) == expected
 
 

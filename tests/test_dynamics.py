@@ -11,13 +11,14 @@ Hand-derived oracle values used below:
 """
 
 import logging
+import re
 
 import numpy as np
 import pytest
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, geometry, tracegrad
-from ltk.diffkit import ScalarFn, sqrt
+from ltk.diffkit import ScalarFn, grad, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
                           phase_rhs, project_reduced, reduced_rhs, rk4_step,
@@ -179,6 +180,57 @@ def test_integrate_aborts_on_non_finite_state():
         integrate(f, [5.0], 10.0, 0.1)
 
 
+def test_integrate_requires_a_nonnegative_t_end():
+    with pytest.raises(ValueError, match=r"^t_end must be nonnegative, "
+                                         r"got -0.1$"):
+        integrate(lambda t, x: -x, [1.0], -0.1, 1e-2)
+
+
+@pytest.mark.parametrize("route", ["callable", "phase field", "batch row"])
+def test_a_non_finite_start_raises_as_step_0(route):
+    # before any step or monitor: for a batch, naming the row
+    f = phase_rhs(ScalarFn(lambda x: x[0] * x[1], 2))
+    x0, where = [np.nan, 0.0], ""
+    if route == "callable":
+        def f(t, x):
+            return -x
+    elif route == "batch row":
+        x0, where = [[1.0, 0.0], x0, [np.inf, 1.0]], " in row 1"
+    monitored = []
+
+    def first(t, X):
+        monitored.append(t)
+        return X[..., 0]
+
+    with pytest.raises(RuntimeError, match=r"^integration produced a "
+                       rf"non-finite state at t=0 \(step 0\){where}$"):
+        integrate(f, x0, 0.1, 1e-2, [("first", first)])
+    assert monitored == []
+
+
+@pytest.mark.parametrize("route", ["callable", "phase field"])
+def test_an_empty_batch_integrates_to_an_empty_trajectory(route, caplog):
+    f = _vector_pass(Q1P0) if route == "callable" else phase_rhs(Q1P0)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        traj = integrate(f, np.empty((0, 4)), 0.1, 1e-2)
+    assert traj.x.shape == (11, 0, 4)
+    if route == "phase field":
+        assert _route_lines(caplog) == [
+            "integrate: q1 p0 runs on the vector pass: it has no rows"]
+
+
+def test_a_scalar_state_of_a_phase_field_raises_grads_error(caplog):
+    with pytest.raises(TypeError) as expected:
+        grad(Q1P0, np.asarray(1.0))
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}"
+                          r" in the step from t=0$"):
+        integrate(phase_rhs(Q1P0), 1.0, 0.1, 1e-2)
+    assert _route_lines(caplog) == [
+        "integrate: q1 p0 runs on the vector pass: its start state is a "
+        "scalar"]
+
+
 def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
     # a monitor takes a block of grid points at a time: their times and
     # states, one row each
@@ -302,9 +354,10 @@ def test_a_guard_that_flips_mid_run_hands_back_as_the_numpy_step(
         traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
     runner_points = points[:]
     del points[:]
-    code = tracegrad.FieldCode(K, (), x0.tolist(), 4)
+    code = tracegrad.FieldCode(K, (), x0.tolist())
     kernel = code.kernel()
-    stepped = integrate(lambda t, x: kernel(x.tolist(), ()), x0, 0.5, 1e-2)
+    stepped = integrate(lambda t, x: dynamics._canonical(
+        np.array(kernel(x.tolist(), ()))), x0, 0.5, 1e-2)
     assert np.array_equal(traced.x, stepped.x)
     assert np.array_equal(traced.x,
                           integrate(_vector_pass(K), x0, 0.5, 1e-2).x)

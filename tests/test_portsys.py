@@ -179,6 +179,14 @@ def test_builtin_parameter_aliases():
     assert y_e[0] == 0.0
 
 
+def test_a_parameter_given_under_both_spellings_is_rejected():
+    for params, full in (({"m": 2.0, "mass": 3.0}, "mass"),
+                         ({"damping": 0.1, "d": 0.2}, "damping")):
+        with pytest.raises(ValueError, match=rf"^parameter '{full}' is given "
+                           rf"twice, as '{full[0]}' and '{full}'$"):
+            builtin("gas_piston_damper", **params)
+
+
 def test_physical_parameter_guards():
     with pytest.raises(ValueError, match="damping"):
         gas_piston_damper(damping=-0.1)
@@ -387,9 +395,9 @@ def _count_kernels(monkeypatch):
     of its block runners, each of which evaluates the field 4 times."""
     traces, trace = [], tracegrad.FieldCode.__init__
 
-    def traced(code, Ka, Kc, x, m):
+    def traced(code, Ka, Kc, x):
         traces.append([K.name for K in (Ka,) + tuple(Kc)])
-        trace(code, Ka, Kc, x, m)
+        trace(code, Ka, Kc, x)
 
     monkeypatch.setattr(tracegrad.FieldCode, "__init__", traced)
     return traces, _runner_steps(monkeypatch)

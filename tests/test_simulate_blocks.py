@@ -4,8 +4,9 @@ after reaching it, bit for bit (``float.hex``), including which error an
 aborted run raises and at what time.  Its block runner, which steps the
 state a block at a time with the field inlined at each stage, is held to
 the reference loop and to the list step: the numpy step with each stage
-a call of the field's one-stage kernel on the state as a list of floats,
-with the same hand-backs, errors and recorded points.
+the canonical field of a call of the one-stage kernel, the traced
+gradient sum, on the state as a list of floats, with the same
+hand-backs, errors and recorded points.
 
 The reference loop is simulate as it ran point by point: the membership
 guard, then each port's u, y_p and y_e, then the monitors in the order
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
-from ltk import dynamics, tracegrad
+from ltk import dynamics, portsys, tracegrad
 from ltk.diffkit import ScalarFn, grad, ln, sqrt
 from ltk.dynamics import MONITOR_BLOCK, integrate, rk4_step
 from ltk.exprlang import compile_fn
@@ -29,7 +30,7 @@ from ltk.geometry import PhasePoint, euler_residual
 from ltk.portsys import (BUILTIN_SYSTEMS, MEMBERSHIP_ABORT, MONITOR_NAMES,
                          PortSignal, PortSystem, _InputReads,
                          _sample_surface_params, gas_piston_damper,
-                         heat_compartment, simulate)
+                         heat_compartment, heat_exchanger, simulate)
 from ltk.submanifold import liouville_point, membership_norm
 
 SMALL_BLOCK = 8
@@ -200,6 +201,52 @@ def test_the_field_reads_the_input_once_per_distinct_stage_time():
     assert calls[-1] == steps * dt
 
 
+@pytest.mark.parametrize("name", ["heat_exchanger", "closed piston"])
+def test_a_system_without_ports_reads_its_input_once_per_grid_time(
+        name, monkeypatch):
+    # its stages read no input, so the recording's one read per grid point
+    # is all; a signal that raises raises from the recording at t=0
+    piston = gas_piston_damper()
+    system = heat_exchanger() if name == "heat_exchanger" else PortSystem(
+        name=name, gf=piston.gf, Ka=piston.Ka, energy_indices=(0,),
+        entropy_indices=(1,), default_params=piston.default_params)
+    calls = []
+
+    def logged(t):
+        calls.append(t)
+        return []
+
+    sources, original = [], tracegrad._code
+    monkeypatch.setattr(tracegrad, "_code", lambda source: (
+        sources.append(source), original(source))[1])
+    result = simulate(system, 3.0, 1e-3, u=PortSignal(logged, 0))
+    assert len(calls) == 3001
+    assert calls == result.t.tolist()
+    # the runner neither reads the inputs nor computes a step's time
+    runner, = [s for s in sources if s.startswith("def run(")]
+    assert "_reads" not in runner
+    assert not [line for line in runner.splitlines()
+                if line.strip().startswith("t =")]
+
+    def broken(t):
+        raise ValueError("no signal")
+
+    with pytest.raises(ValueError, match=rf"^simulation of '{name}': no "
+                                         r"signal at t=0$"):
+        simulate(system, 0.1, 1e-2, u=PortSignal(broken, 0))
+
+
+def test_a_nan_membership_residual_leaves_the_surface_at_t0(monkeypatch):
+    # NaN is not at most the tolerance, so the guard stops at the first
+    # point
+    monkeypatch.setattr(portsys, "_membership_rows",
+                        lambda gf, X: np.full(len(X), np.nan))
+    with pytest.raises(RuntimeError, match=r"^simulation of "
+                       r"'heat_compartment': left the state surface at t=0: "
+                       r"membership residual nan exceeds 1e-05$"):
+        simulate(heat_compartment(), 0.05, 1e-2)
+
+
 def test_the_recording_reads_no_time_twice_across_blocks(monkeypatch):
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
     calls, stages, grid = _input_reads(21, 1e-2)
@@ -354,16 +401,17 @@ RUNNER_CASES = [(name, kind) for name in sorted(RUNNER_SYSTEMS)
 
 def _list_route(system, params, u, t_end, dt, monitors=()):
     """``integrate`` of simulate's field through the list step, in numpy,
-    each stage a call of the field's one-stage kernel on the state as a
-    list, with the inputs read once per time as simulate reads them; also
-    the counts of the stages each generator was handed back to grad."""
+    each stage the canonical field of a call of the one-stage kernel on
+    the state as a list, with the inputs of a system with ports read once
+    per time as simulate reads them; also the counts of the stages each
+    generator was handed back to grad."""
     x0 = liouville_point(system.gf, params).packed()
-    code = tracegrad.FieldCode(system.Ka, system.Kc, x0.tolist(),
-                               system.n_coords)
+    code = tracegrad.FieldCode(system.Ka, system.Kc, x0.tolist())
     kernel, reads = code.kernel(), _InputReads(u)
 
     def field(t, x):
-        return kernel(x.tolist(), reads[t])
+        inputs = reads[t] if system.n_ports else ()
+        return dynamics._canonical(np.array(kernel(x.tolist(), inputs)))
 
     return integrate(field, x0, t_end, dt, monitors), code.handed_back
 
@@ -409,12 +457,12 @@ def test_simulates_field_called_is_its_traced_kernel_bit_for_bit(name):
     system = BUILTIN_SYSTEMS[name]()
     X = np.array([liouville_point(system.gf, p).packed()
                   for p in _sample_surface_params(system, 4, 4)])
-    code = tracegrad.FieldCode(system.Ka, system.Kc, X[0].tolist(),
-                               system.n_coords)
+    code = tracegrad.FieldCode(system.Ka, system.Kc, X[0].tolist())
     kernel, reads = code.kernel(), _InputReads(INPUTS["sinusoid"]())
     field = dynamics._PhaseField(system.Ka, system.Kc, reads)
     for t in (0.0, 0.7):
-        expected = [kernel(x, reads[t]) for x in X.tolist()]
+        expected = [dynamics._canonical(np.array(kernel(x, reads[t])))
+                    for x in X.tolist()]
         assert _hex([field(t, x) for x in X]) == _hex(expected)
         assert _hex(field(t, X)) == _hex(expected)
     assert code.handed_back == [0, 0]

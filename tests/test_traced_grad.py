@@ -32,7 +32,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          gas_piston_damper, heat_compartment, heat_exchanger,
                          simulate)
 from ltk.submanifold import liouville_point
-from ltk.tracegrad import field_kernel
+from ltk.tracegrad import FieldCode
 
 GENERATOR_SYSTEMS = dict(
     {name: factory for name, factory in BUILTIN_SYSTEMS.items()},
@@ -41,11 +41,12 @@ GENERATOR_SYSTEMS = dict(
 
 
 def _replay(K: ScalarFn, x):
-    """K's gradient as a field kernel traced at x: with no ports and m = 0
-    its field is the gradient; also the count of calls handed to grad."""
-    kernel, reasons, handed_back = field_kernel(K, (), list(x), 0)
-    assert reasons == [None], reasons
-    return (lambda xs: kernel(list(xs), [])), handed_back
+    """K's gradient as field code traced at x, with no ports; also the
+    count of calls handed to grad."""
+    code = FieldCode(K, (), list(x))
+    assert code.reasons == [None], code.reasons
+    kernel = code.kernel()
+    return (lambda xs: kernel(list(xs), [])), code.handed_back
 
 
 def _scalar(K: ScalarFn, x):
@@ -177,9 +178,9 @@ def test_truth_of_a_traced_zero_is_not_taken():
     # bool(Dual(0.0, 1.0)) is True while bool(0.0) is False, so a scalar
     # pass branches per seed: the trace refuses, and grad takes every point
     K = ScalarFn(lambda x: x[0] * (2.0 if x[1] else 3.0), 2)
-    kernel, reasons, _ = field_kernel(K, (), [1.0, 0.0], 0)
-    assert "bool()" in reasons[0]
-    assert _hex(kernel([1.0, 0.0], [])) == _hex(grad(K, [1.0, 0.0]))
+    code = FieldCode(K, (), [1.0, 0.0])
+    assert "bool()" in code.reasons[0]
+    assert _hex(code.kernel()([1.0, 0.0], [])) == _hex(grad(K, [1.0, 0.0]))
 
 
 # -- points handed back: guards and domain checks --------------------------------
@@ -427,8 +428,7 @@ def _caught_float(v):
 def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     fn, reason = UNTRACEABLE[case]
     K = fn if isinstance(fn, ScalarFn) else ScalarFn(fn, 2, name=case)
-    _, why, _ = field_kernel(K, (), [1.5, 0.5], 0)
-    assert reason in why[0]
+    assert reason in FieldCode(K, (), [1.5, 0.5]).reasons[0]
     # a heat compartment whose drift is K times its port generator, which
     # vanishes on the surface, runs K's drift on grad and the port on a
     # replay, with the scalar loop's results or error
@@ -486,10 +486,10 @@ def test_numpy_constants_raise_as_a_dual_raises():
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
-    assert field_kernel(divided, (), [1.0, 1.0], 0)[1][0] is not None
+    assert FieldCode(divided, (), [1.0, 1.0]).reasons[0] is not None
 
 
-def _source(monkeypatch, Ka, Kc, x, m: int, name: str = "kernel") -> str:
+def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
     """The source of the function ``name`` made from the field code of
     ``Ka`` and ``Kc`` traced at x: its one-stage kernel, or simulate's
     block runner, ``run``."""
@@ -501,9 +501,9 @@ def _source(monkeypatch, Ka, Kc, x, m: int, name: str = "kernel") -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
-    code = tracegrad.FieldCode(Ka, Kc, list(x), m)
+    code = tracegrad.FieldCode(Ka, Kc, list(x))
     code.kernel()
-    dynamics._block_runner(code, {})
+    dynamics._block_runner(code, {} if Kc else None)
     named = [s for s in sources if s.startswith(f"def {name}(")]
     assert len(named) == 1
     return named[0]
@@ -514,8 +514,7 @@ def _kernel_source(monkeypatch, system, name: str = "kernel") -> str:
     point."""
     params = _sample_surface_params(system, 1, 5)[0]
     x0 = liouville_point(system.gf, params).packed()
-    return _source(monkeypatch, system.Ka, system.Kc, x0, system.n_coords,
-                   name)
+    return _source(monkeypatch, system.Ka, system.Kc, x0, name)
 
 
 def _assert_reads_every_assignment(source: str):
@@ -613,7 +612,7 @@ def test_a_repeated_operation_is_computed_once(monkeypatch):
     system = SYSTEMS["expression piston"]()
     surface = [liouville_point(system.gf, p).packed()
                for p in _sample_surface_params(system, 40, 5)]
-    source = _source(monkeypatch, system.Ka, (), surface[0], system.n_coords)
+    source = _source(monkeypatch, system.Ka, (), surface[0])
     assert source.count("_exp(") == 1
     replay = _replay(system.Ka, surface[0])
     assert _assert_replays_the_scalar_loop(system.Ka, replay, surface) == \
@@ -653,7 +652,7 @@ def test_constant_derivatives_are_folded_at_trace_time(monkeypatch):
     K = ScalarFn(lambda x: x[2] * (x[0] / 3.0) + x[3] * (-(x[0] * 2.0) - x[0])
                  + x[2] * x[1] * x[1], 4, name="constant slopes")
     x = [0.7, 1.1, -1.0, 0.4]
-    source = _source(monkeypatch, K, (), x, 2)
+    source = _source(monkeypatch, K, (), x)
     constant = re.compile(r"^\s*d\d+_\d+ = [-(]*(c\d+|\d\.\d)\)?"
                           r"( [-+*/] (c\d+|\d\.\d))?$")
     assert not [line for line in source.splitlines() if constant.match(line)]
@@ -673,11 +672,10 @@ def test_a_port_never_reads_a_value_of_the_drift_section(drift):
         Ka = ScalarFn(lambda x: x[0] * x[2] if x[1] > 0.5 else x[3] * x[1],
                       4, name="switch")
     Kc = ScalarFn(lambda x: x[0] * x[2] + x[3], 4, name="port")
-    kernel, reasons, handed_back = field_kernel(Ka, (Kc,), [0.3, 0.8, -1.0,
-                                                            0.5], 2)
-    assert reasons[1] is None
+    code = FieldCode(Ka, (Kc,), [0.3, 0.8, -1.0, 0.5])
+    kernel = code.kernel()
+    assert code.reasons[1] is None
     for x in ([0.3, 0.8, -1.0, 0.5], [0.4, 0.2, -0.9, 0.6]):
-        expected = (grad(Ka, x) + 0.7 * grad(Kc, x)).tolist()
-        got = kernel(x, [0.7])
-        assert _hex(got) == _hex(expected[2:] + [-g for g in expected[:2]])
-    assert handed_back[1] == 0
+        expected = grad(Ka, x) + 0.7 * grad(Kc, x)
+        assert _hex(kernel(x, [0.7])) == _hex(expected)
+    assert code.handed_back[1] == 0
