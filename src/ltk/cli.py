@@ -413,6 +413,9 @@ def _report_exit(path, checks: dict) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
+    if cfg.report is not None:
+        raise ConfigError("simulate writes no report; its CSV goes to "
+                          "'output'")
     system = _build_system(cfg.system)
     signal = _make_signal(cfg.input, system.n_ports)
     n_params = system.gf.n_params
@@ -633,17 +636,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and check port-thermodynamic systems.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def common(p):
+    def command(name: str, about: str, system=True, report=True):
+        # each subcommand takes only the options it reads
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--system", help="built-in system name")
-        p.add_argument("--param", action="append", type=_parse_param,
-                       default=None, metavar="NAME=VALUE",
-                       help="system parameter override (repeatable)")
-        p.add_argument("--seed", type=int, help="sampling seed")
-        p.add_argument("--report", help="JSON report path (default: stdout)")
+        if system:
+            p.add_argument("--system", help="built-in system name")
+            p.add_argument("--param", action="append", type=_parse_param,
+                           default=None, metavar="NAME=VALUE",
+                           help="system parameter override (repeatable)")
+        if report:
+            p.add_argument("--seed", type=int, help="sampling seed")
+            p.add_argument("--report",
+                           help="JSON report path (default: stdout)")
+        return p
 
-    p = sub.add_parser("simulate", help="integrate a system and write a CSV")
-    common(p)
+    p = command("simulate", "integrate a system and write a CSV",
+                report=False)
     p.add_argument("--u", help="input expression(s) in t, ';'-separated")
     p.add_argument("--t-end", type=float, help="integration end time")
     p.add_argument("--dt", type=float, help="integration step")
@@ -651,12 +660,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitors", help="monitor names, comma-separated")
     p.add_argument("--output", help="CSV path (default: stdout)")
 
-    p = sub.add_parser("validate", help="check structural invariants")
-    common(p)
+    p = command("validate", "check structural invariants")
     p.add_argument("--samples", type=int, help="number of surface samples")
 
-    p = sub.add_parser("bracket", help="bracket two generators and check degrees")
-    common(p)
+    p = command("bracket", "bracket two generators and check degrees")
     p.add_argument("--k1", help="first operand expression over q<i>, p<i>")
     p.add_argument("--k2", help="second operand expression over q<i>, p<i>")
     p.add_argument("--degree1", type=int, help="declared fiber degree of k1")
@@ -665,19 +672,16 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="number of extensive coordinates")
     p.add_argument("--samples", type=int, help="number of sample points")
 
-    p = sub.add_parser("reduce", help="check extensivity and reduce a surface")
-    common(p)
+    p = command("reduce", "check extensivity and reduce a surface")
     p.add_argument("--at", help="extensive values q1..qn, comma-separated")
     p.add_argument("--samples", type=int, help="number of surface samples")
 
-    p = sub.add_parser("flowcheck", help="transport the surface along the drift")
-    common(p)
+    p = command("flowcheck", "transport the surface along the drift")
     p.add_argument("--t-end", type=float, help="transport time")
     p.add_argument("--dt", type=float, help="integration step")
     p.add_argument("--samples", type=int, help="number of surface members")
 
-    p = sub.add_parser("list", help="list built-in systems")
-    common(p)
+    command("list", "list built-in systems", system=False, report=False)
     return parser
 
 

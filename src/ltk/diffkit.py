@@ -50,8 +50,8 @@ whose few rows a vector-mode pass would carry at numpy's per-call cost.
 :mod:`ltk.tracegrad` traces the generators once per run into
 straight-line code that sums :func:`grad`'s partials bit for bit, which
 one generated block runner inlines at each RK4 stage, for the checks row
-by row; every point it hands back runs :func:`grad`, which stays the
-reference.
+by row; a block in which that code raises reruns on :func:`grad`, which
+stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
@@ -419,15 +419,15 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     ``simulate``'s field or the trajectories of the two integrated checks,
     runs code traced from its generators
     (:class:`ltk.tracegrad.FieldCode`) inlined in a block runner, and comes
-    here only for the points that code hands back and for generators it
-    cannot trace; this loop stays the reference that every replay
-    reproduces.
+    here only in the blocks where that code raises, which rerun on the
+    vector pass, and for generators it cannot trace; this loop stays the
+    reference that every replay reproduces.  A point that is not a vector
+    of ``f.dim`` entries (a scalar or a 0-d array included) raises
+    "expects dimension", as in :func:`fd_grad` and :func:`dirderiv`.
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)
-    x = [float(v) for v in x]
-    if len(x) != f.dim:
-        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, got {len(x)}")
+    x = _point(f, x)
     if not f.dual_safe:
         return fd_grad(f, x)
     out = np.empty(f.dim)
@@ -582,10 +582,7 @@ def dirderiv(f: ScalarFn, x, d) -> float:
     ray, such as homogeneous contractions, the truncation term vanishes and
     only roundoff remains.
     """
-    x = [float(v) for v in x]
-    d = [float(v) for v in d]
-    if len(x) != f.dim or len(d) != f.dim:
-        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}")
+    x, d = _point(f, x), _point(f, d)
     if f.dual_safe:
         return _value_and_dirderiv(f, x, d)[1]
     scale = max(abs(v) for v in d)
@@ -595,6 +592,16 @@ def dirderiv(f: ScalarFn, x, d) -> float:
     xp = [xi + h * di for xi, di in zip(x, d)]
     xm = [xi - h * di for xi, di in zip(x, d)]
     return (f(xp) - f(xm)) / (2.0 * h)
+
+
+def _point(f: ScalarFn, x) -> list:
+    """``x`` as a list of ``f.dim`` floats; a vector of another length, a
+    scalar or a 0-d array raises "expects dimension"."""
+    scalar = isinstance(x, (int, float)) or getattr(x, "ndim", 1) == 0
+    if scalar or len(x := [float(v) for v in x]) != f.dim:
+        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, "
+                         f"got {'a scalar' if scalar else len(x)}")
+    return x
 
 
 def _value_and_dirderiv(f: ScalarFn, x, d):
@@ -616,9 +623,7 @@ def fd_grad(f: ScalarFn, x, h: float | None = None) -> np.ndarray:
     ``cbrt(eps) * max(1, |x_i|)``.  This is the independent oracle against
     which the dual-number gradients are validated.
     """
-    x = [float(v) for v in x]
-    if len(x) != f.dim:
-        raise ValueError(f"{f.name or 'function'} expects dimension {f.dim}, got {len(x)}")
+    x = _point(f, x)
     if h is not None and h <= 0.0:
         raise ValueError("finite-difference step must be positive")
     out = np.empty(f.dim)

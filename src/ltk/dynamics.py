@@ -29,8 +29,8 @@ bit.  A batch of up to :data:`REPLAY_MAX_ROWS` rows, such as the
 trajectories of the two integrated checks (:func:`flow_transport_check`,
 :func:`scaling_commutation_check`), runs each row through the block in
 turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
-the one-shot field, reruns a block in which a row raises or goes
-non-finite, and steps a larger batch or a K the trace cannot record.
+the one-shot field, reruns a block in which the runner raises, for a
+state or a row, and steps a larger batch or a K the trace cannot record.
 Every other field steps in numpy, one :func:`rk4_step` at a time, a
 single state as a batch row would.  ``simulate`` records its guard,
 inputs, outputs and monitors through one monitor that takes a block of
@@ -352,8 +352,8 @@ def _block_runner(code, reads):
     ``reads[t]`` for a field with ports (k3 takes k2's read, at the same
     time), and each new state, once its entries are all finite, is
     appended to ``out`` as a list; a non-finite one raises
-    :class:`_NonFiniteState` with its step.  ``run`` returns the last
-    state."""
+    :class:`_NonFiniteState` with its step, and a stage raises where the
+    traced code does.  ``run`` returns the last state."""
     x, m = [f"x{i}" for i in range(code.dim)], code.dim // 2
     ported = reads is not None
 
@@ -395,20 +395,18 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     (:func:`phase_rhs`'s, or simulate's), whose generators are traced
     once, at the state or at row 0 of the batch, into one block runner
     that steps the state, or each row of the batch in turn, a monitor
-    block at a time, with the numpy step's bits.  A generator whose guard
-    flips, whose check trips or whose code raises at a stage takes
-    :func:`~ltk.diffkit.grad` there; one the trace cannot record takes it
-    at every stage of a single state.  A scalar state, a state or start
-    rows of another width than K's, and a batch with no rows, more than
-    :data:`REPLAY_MAX_ROWS` rows or a K the trace cannot record run the
-    vector pass, and a batch block in which a row raises or goes
-    non-finite reruns from its start on the vector pass, so the run
-    raises that pass's error
-    (or, where it does not raise, returns the same bits).  At level INFO
-    the ``ltk`` logger says, after the field's label, which route each
-    generator takes, and why, and at how many stages (for a batch, row
-    stages: one row's field at one RK4 stage) each traced generator fell
-    back to ``grad``.
+    block at a time, with the numpy step's bits.  A block in which the
+    runner raises, for any reason (a guard that flips, a check that trips,
+    an error, a non-finite state), reruns from its start on the vector
+    pass, which returns the same bits or raises the same error at the
+    same step.  A generator the trace cannot record takes
+    :func:`~ltk.diffkit.grad` at every stage of a single state.  A scalar
+    state, a state or start rows of another width than K's, and a batch
+    with no rows, more than :data:`REPLAY_MAX_ROWS` rows or a K the trace
+    cannot record run the vector pass throughout.  At level INFO the
+    ``ltk`` logger says, after the field's label, which route each
+    generator takes, and why, and how many blocks reran on the vector
+    pass, with the start time of the first.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
@@ -458,11 +456,12 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     block = max(1, MONITOR_BLOCK // max(1, len(x))) if batch \
         else MONITOR_BLOCK
     code = _trace(f, x) if isinstance(f, _PhaseField) else None
+    reran = []                          # the start of each block rerun
     if code is None:
         advance = _steps(f)
     else:
-        run = _block_runner(code, f.reads if f.Kc else None)
-        advance = _row_blocks(run, f) if batch else run
+        advance = _runner_blocks(
+            _block_runner(code, f.reads if f.Kc else None), f, batch, reran)
         x = x.tolist()
     i = 0                               # the last point reached
     try:
@@ -485,12 +484,9 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         record_monitors(steps + 1)
     finally:
         if code is not None:
-            stages = "row stages" if batch else "stages"
-            for name, why, count in zip(f.names(), code.reasons,
-                                        code.handed_back):
-                if why is None:
-                    log.info("%s: %s fell back from its trace to grad at "
-                             "%d %s", f.label, name, count, stages)
+            first = f", the first from t={reran[0] * dt:g}" if reran else ""
+            log.info("%s: blocks rerun on the vector pass: %d%s", f.label,
+                     len(reran), first)
     return Trajectory(ts, xs, mon)
 
 
@@ -558,20 +554,28 @@ def _check_finite(X: np.ndarray, t: float, step: int):
                               if X.ndim == 2 else None)
 
 
-def _row_blocks(run, f: _PhaseField):
-    """:func:`integrate`'s advance of a batch of list rows, each row
-    through the whole block by the block runner ``run`` in turn; a block
-    in which a row raises or goes non-finite reruns from its start on the
-    vector pass of ``f``, step by step."""
+def _runner_blocks(run, f: _PhaseField, batch: bool, reran: list):
+    """:func:`integrate`'s advance of a list state, or of a batch of list
+    rows each through the whole block in turn, by the block runner
+    ``run``.  A block in which it raises, for any reason, reruns from its
+    start on the vector pass of ``f``, step by step, with the same bits
+    or error; ``reran`` gets the first point of each such block."""
     rerun = _steps(f)
 
     def advance(X, i0, i1, dt, out):
-        runs = [[] for _ in X]
+        rows = X if batch else [X]
+        runs = [[] for _ in rows]
         try:
-            for x, states in zip(X, runs):
+            for x, states in zip(rows, runs):
                 run(x, i0, i1, dt, states)
         except Exception:   # noqa: BLE001 - the vector pass raises it
-            return rerun(np.array(X), i0, i1, dt, out).tolist()
+            reran.append(i0)
+            # overflow as the runner's float arithmetic does: silently
+            with np.errstate(over="ignore", invalid="ignore"):
+                return rerun(np.array(X), i0, i1, dt, out).tolist()
+        if not batch:
+            out.extend(runs[0])
+            return runs[0][-1]
         flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
                            float, len(X) * (i1 - i0) * len(X[0]))
         out.extend(flat.reshape(len(X), i1 - i0, -1).transpose(1, 0, 2))

@@ -404,14 +404,14 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     floats and, for a system with ports, the inputs read as a list: bit
     for bit :func:`~ltk.dynamics.rk4_step` over the scalar loop of
     :func:`~ltk.diffkit.grad` over the generators.  A non-finite state
-    raises with the step at which it appears.  A generator whose guard
-    flips, whose domain check trips or whose code raises at a stage takes
-    ``grad`` at that stage while the others keep their traced code, so
-    results, errors and their times are the scalar loop's.  A generator
+    raises with the step at which it appears.  A block in which a guard
+    flips, a domain check trips or the code raises reruns from its start
+    on that numpy step, so results, errors and their times are the scalar
+    loop's; an input read that raised is made again there.  A generator
     the trace cannot record is differentiated by ``grad`` at every stage.
     At level INFO (``LTK_LOG=info`` on the command line) the ``ltk``
     logger says which generators run traced, why the others do not, and
-    at how many stages each traced generator fell back to ``grad``.  The
+    how many blocks reran.  The
     recording takes a block of grid points at a time
     (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
     each row bit for bit the point alone.  A block whose passes raise

@@ -20,31 +20,33 @@ the same kind on the same operands is the node already made, constants
 equal in type and repr share one name (so 0.0 and -0.0, or 1 and 1.0,
 stay apart), and a derivative that reads only constants is computed at
 trace time by the same operator and becomes one more constant.  Nodes are
-never shared between functions, as a port's code must not read a value
-of a drift whose code handed back before making it.  :class:`FieldCode`
-writes a port system's drift and port generators into one body that
-computes the gradient of ``Ka + sum_k u_k Kc_k``, its names numbered on
-across the generators; the block runner of :mod:`ltk.dynamics` reads the
-canonical field off it.
+never shared between functions: each generator's code stands alone.
+:class:`FieldCode` writes a port system's drift and port generators into
+one body that computes the gradient of ``Ka + sum_k u_k Kc_k``, its names
+numbered on across the generators; the block runner of
+:mod:`ltk.dynamics` reads the canonical field off it.
 
-A comparison becomes a guard, and each condition under which a scalar pass
-raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a fractional
-power outside its domain; ``sqrt`` at 0 along a moving seed; 0 to a
-negative power).  Where a guard comes out otherwise, a check trips or the
-code raises, that generator alone is handed back to ``grad`` at that
-point, which returns or raises as it always did.  A traced value is a
-:class:`~ltk.diffkit._Recorder`, which diffkit's ``exp``, ``ln``,
-``sqrt``, ``sin`` and ``cos`` recognise before any ``math`` call.  Any
-other read of it (``==``, ``!=``, ``bool``, ``float``, ``int``, ``hash``,
-an attribute, numpy, a traced exponent) makes the function untraceable at
-once, and its field code calls ``grad`` for it.  No user text enters the
-generated source: constants go in through its namespace, so a source
-depends on the shape of the generators and on which of their constants
-are equal, not on their values, and its code object is compiled once and
-kept by its text (the latest 8 sources).  The block runner of a field
-inlines its body at each of the four stages, so it compiles in about 4
-times the one-stage kernel's time (0.9-2.6 ms against 0.2-0.7 ms for the
-benchmark's systems on a 2-CPU VM), once per field shape in a process.
+A comparison becomes a guard, and each condition under which a scalar
+pass raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a
+fractional power outside its domain; ``sqrt`` at 0 along a moving seed; 0
+to a negative power).  The code raises where a guard comes out otherwise
+or a check trips, as it does where an operation raises, and its caller
+computes that point another way: a block of the block runner reruns on
+the vector pass of :mod:`ltk.dynamics`, which returns or raises as
+``grad`` always did.  A traced value is a :class:`~ltk.diffkit._Recorder`,
+which diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos`` recognise
+before any ``math`` call.  Any other read of it (``==``, ``!=``, ``bool``,
+``float``, ``int``, ``hash``, an attribute, numpy, a traced exponent)
+makes the function untraceable at once, and its field code calls ``grad``
+for it at every point.  No user text enters the generated source:
+constants go in through its namespace, so a source depends on the shape
+of the generators and on which of their constants are equal, not on their
+values, and its code object is compiled once and kept by its text (the
+latest 8 sources).  The block runner of a field inlines its body at each
+of the four stages, so it compiles in about 4 times the one-stage
+kernel's time (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
+exchanger, median process CPU on a shared 2-CPU VM), once per field shape
+in a process.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
@@ -68,8 +70,8 @@ __all__ = ["FieldCode", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
-# its own), and of the condition that sends a point back to the scalar
-# loop, which raises there.
+# its own), and of the condition under which the scalar loop raises, where
+# the code raises too.
 _UNARY = {
     "neg": (operator.neg, "-{a}", None, None),
     "abs": (abs, "abs({a})", "0.0 if {a} == 0.0 else _copysign(1.0, {a})",
@@ -319,8 +321,8 @@ class _Trace:
                           "k{n} = 0.0 * _log({a})"])
 
     def guard(self, op: str, a, b) -> bool:
-        """``a op b`` on values, as a ``Dual`` compares; a point where
-        it comes out otherwise goes back to the scalar loop."""
+        """``a op b`` on values, as a ``Dual`` compares; the code raises at
+        a point where it comes out otherwise."""
         if self._mixes((b,)):
             raise TypeError(f"a traced value cannot be compared with a "
                             f"{type(b).__name__}")
@@ -548,16 +550,20 @@ for _names, _how in (
         setattr(_Traced, _name, _unreadable(_how))
 
 
-class _HandBack(Exception):
-    """Raised by a kernel's guard or check: the point goes back to grad."""
+class _OffTrace(Exception):
+    """Raised by traced code where a guard comes out otherwise or a check
+    trips: the point is off the trace, and its caller computes it another
+    way."""
 
 
 class FieldCode:
     """The gradient of ``Ka + sum_k u_k Kc_k`` traced once at a point
     ``x``, as lines of straight-line code for callers to place:
     ``reasons`` holds one reason per generator, None for each the trace
-    records, and ``handed_back`` one count per generator of the
-    evaluations that handed it back to ``grad``.
+    records.  The code of a generator the trace records raises at a point
+    where its guard comes out otherwise, its check trips or its code
+    raises, and its caller computes that point another way; a generator
+    the trace cannot record calls ``grad`` at every point.
 
     :meth:`stage` gives the lines that evaluate the gradient sum at a
     point, with the inputs in the list ``u``, and :meth:`function`
@@ -568,28 +574,15 @@ class FieldCode:
 
     def __init__(self, Ka: ScalarFn, Kc, x):
         generators = (Ka,) + tuple(Kc)
-        self.handed_back = handed_back = [0] * len(generators)
         self.dim = len(x)
-
-        def scalar(k, xs):
-            return grad(generators[k], xs).tolist()
-
-        def back(k, xs):
-            handed_back[k] += 1
-            return scalar(k, xs)
-
         trace = _Trace(x)
         codes = [trace.record(K) for K in generators]
         self.reasons = [reason for _, reason in codes]
-        self._namespace = dict(_REPLAY_NAMES, **trace.consts, _grad=scalar,
-                               _back=back, _Back=_HandBack)
+        self._namespace = dict(
+            _REPLAY_NAMES, **trace.consts, _Back=_OffTrace,
+            _grad=lambda k, xs: grad(generators[k], xs).tolist())
         self._body = "\n".join(_gradient_lines(codes, self.dim))
-        if all(code is not None and not code[0] for code, _ in codes):
-            # no lines, no hand-back: the partials read the coordinates
-            self._read = set(_NAME.findall(" ".join(
-                d for code, _ in codes for d in code[1])))
-        else:                           # a hand-back reads every coordinate
-            self._read = {f"v{i}" for i in range(self.dim)}
+        self._read = set(_NAME.findall(self._body))
 
     def stage(self, g: str, sources) -> list:
         """The lines that set ``{g}0, {g}1, ...`` to the gradient of
@@ -597,9 +590,8 @@ class FieldCode:
         coordinate, each set as ``v0, v1, ...`` where the code reads it),
         bit for bit the scalar loop: ``grad(Ka)``, then for each port in
         order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``,
-        entry by entry.  A generator whose guard flips, whose check trips
-        or whose code raises takes ``grad`` there, as one the trace cannot
-        record always does."""
+        entry by entry, or raises where a traced generator's guard flips,
+        its check trips or its code raises."""
         return ([f"v{i} = {s}" for i, s in enumerate(sources)
                  if f"v{i}" in self._read]
                 + self._body.replace("$", g).split("\n"))
@@ -611,7 +603,8 @@ class FieldCode:
 
     def kernel(self):
         """``kernel(xs, u)``: the gradient sum at the point and inputs
-        ``xs`` and ``u``, lists of floats, as a list."""
+        ``xs`` and ``u``, lists of floats, as a list, or an error where
+        :meth:`stage` raises."""
         return self.function(
             "kernel", "x, u",
             self.stage("g", [f"x[{i}]" for i in range(self.dim)])
@@ -635,7 +628,7 @@ def value_kernel(fns, x):
     body.append(f"return [{', '.join(values)}]")
     return _function("kernel", "x", ["try:"] + _indented(body) + [
         "except Exception:", "    return [f(x) for f in _fns]"],
-        dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_HandBack))
+        dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_OffTrace))
 
 
 def _function(name: str, params: str, lines, namespace: dict):
@@ -651,20 +644,13 @@ def _gradient_lines(codes, dim: int) -> list:
     code, or None where the trace cannot record it, with the prefix "$"
     for the names of the gradient sum."""
     point = "[" + ", ".join(f"v{i}" for i in range(dim)) + "]"
-    from_grad = [f"back[{i}]" for i in range(dim)]
     body = []
     for k, (code, _) in enumerate(codes):
         if code is None:
-            section = [f"back = _grad({k}, {point})"] + _folded(k, from_grad)
-        elif not code[0]:               # no check, no guard: nothing raises
-            section = _folded(k, code[1])
+            section = [f"partials = _grad({k}, {point})"] + _folded(
+                k, [f"partials[{i}]" for i in range(dim)])
         else:
-            lines, partials = code
-            section = (["try:"] + _indented(lines + ["handed = False"])
-                       + ["except Exception:", "    handed = True",
-                          "if handed:", f"    back = _back({k}, {point})"]
-                       + _indented(_folded(k, from_grad)) + ["else:"]
-                       + _indented(_folded(k, partials)))
+            section = code[0] + _folded(k, code[1])
         if k:
             section = [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"] \
                 + _indented(section)

@@ -1,0 +1,65 @@
+"""Helpers shared by the test modules."""
+
+import numpy as np
+
+from ltk.diffkit import grad
+from ltk.dynamics import _canonical
+from ltk.tracegrad import FieldCode
+
+
+class TracedGradient:
+    """The gradient sum of ``Ka + sum_k u_k Kc_k``, called as
+    ``self(xs, u)`` on lists of floats, through the one-stage kernel of its
+    field code traced at ``x``, and where the kernel raises, through the
+    scalar loop of ``grad``: ``grad(Ka)``, then ``g + u_k * grad(Kc_k)``
+    for each input that is not 0.0, which returns or raises as the vector
+    pass that a block of ``integrate``'s runner reruns on.  ``handed``
+    counts the points the kernel raised at."""
+
+    def __init__(self, Ka, Kc, x):
+        self.Ka, self.Kc = Ka, tuple(Kc)
+        self.code = FieldCode(Ka, self.Kc, list(x))
+        self.kernel = self.code.kernel()
+        self.handed = 0
+        self.steps = []
+
+    def __call__(self, xs, u=()):
+        try:
+            return self.kernel(list(xs), u)
+        except Exception:   # noqa: BLE001 - grad returns or raises
+            self.handed += 1
+        g = grad(self.Ka, xs)
+        for uk, K in zip(u, self.Kc):
+            if uk != 0.0:
+                g = g + uk * grad(K, xs)
+        return g.tolist()
+
+    def field(self, reads=None):
+        """The list step's field ``f(t, X)`` for ``integrate``: the
+        canonical field of a call on the state, or on each row of the
+        batch, as a list of floats, with the inputs ``reads[t]`` where
+        ``reads`` is given.  ``steps`` gets the step (1 from t = 0, four
+        calls a step) of each call at which a point was handed to grad."""
+        calls = []
+
+        def f(t, X):
+            before, u = self.handed, () if reads is None else reads[t]
+            rows = [self(x, u) for x in np.atleast_2d(X).tolist()]
+            if self.handed > before:
+                self.steps.append(len(calls) // 4 + 1)
+            calls.append(t)
+            return _canonical(np.array(rows).reshape(np.shape(X)))
+        return f
+
+    def rerun_blocks(self, block: int) -> list:
+        """The first points of the blocks of ``block`` points a run rerun
+        on the vector pass, the first block holding point 0, for the
+        ``steps`` recorded."""
+        return sorted({max(0, s // block * block - 1) for s in self.steps})
+
+    def rerun_line(self, label: str, block: int, dt: float) -> str:
+        """``integrate``'s INFO line of the blocks that reran."""
+        starts = self.rerun_blocks(block)
+        first = f", the first from t={starts[0] * dt:g}" if starts else ""
+        return (f"{label}: blocks rerun on the vector pass: {len(starts)}"
+                f"{first}")

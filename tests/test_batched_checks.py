@@ -20,6 +20,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import TracedGradient
 from test_diffkit import SYSTEMS, _hex
 from test_dynamics import _vector_pass
 
@@ -470,17 +471,17 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
         assert np.array_equal(traced.x, integrate(_vector_pass(K), X0, 0.05,
                                                   1e-2).x)
         # the row field, at every bit, from the lines the runner inlines
-        kernel = tracegrad.FieldCode(K, (), X0[0].tolist()).kernel()
+        listed = TracedGradient(K, (), X0[0])
         for X in (X0, traced.x[-1]):
             vector = phase_rhs(K)(0.0, X)
             for x, row in zip(X.tolist(), vector):
-                assert _hex(dynamics._canonical(np.array(kernel(x, ())))) \
-                    == _hex(row)
+                assert _hex(dynamics._canonical(np.array(listed(x)))) == \
+                    _hex(row)
+        assert listed.handed == 0
         calls.clear()
         assert _log_lines(caplog, "test")[-2:] == [
             f"test: {K.name} runs on a traced replay",
-            f"test: {K.name} fell back from its trace to grad at 0 row "
-            f"stages"]
+            "test: blocks rerun on the vector pass: 0"]
 
 
 @pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston"])
@@ -501,9 +502,10 @@ def test_flowcheck_reports_are_the_vector_passes(name, monkeypatch):
 
 def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
     # the drift doubles while the piston momentum exceeds 0.3, which it
-    # does from the start on rows 0 and 2 and from mid-run on row 1: a row
-    # takes grad at the stages on the other side of the guard traced at
-    # row 0
+    # does from the start on rows 0 and 2 and from mid-run on row 1: each
+    # block of 8 points (24 states) in which a stage of row 1 lies on the
+    # other side of the guard traced at row 0 reruns on the vector pass
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 24)
     Ka = gas_piston_damper().Ka
 
     def switching(x):
@@ -521,22 +523,20 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
     assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
     assert np.array_equal(traced.x,
                           integrate(_vector_pass(K), X0, 1.0, 2e-2).x)
-    for i, x0 in enumerate(X0):         # each row as a state alone
+    # each row as a state alone, in numpy and through the kernel traced at
+    # row 0, which hands row 1's stages below the guard to grad
+    listed = TracedGradient(K, (), X0[0])
+    for i, x0 in enumerate(X0):
         alone = integrate(_vector_pass(K), x0, 1.0, 2e-2).x
         assert _hex(traced.x[:, i]) == _hex(alone)
-    lines = _log_lines(caplog, "test")
-    assert lines[0] == "test: switching drift runs on a traced replay"
-    # row 1's stages below the guard, at most its 4 stages a step, as many
-    # as each row stepped alone in numpy through the kernel traced at row 0
-    assert lines[-1].endswith(" row stages")
-    stages = int(lines[-1].split(" at ")[-1].split()[0])
-    assert 0 < stages <= 4 * 50
-    code = tracegrad.FieldCode(K, (), X0[0].tolist())
-    kernel = code.kernel()
-    for x0 in X0:
-        integrate(lambda t, x: dynamics._canonical(
-            np.array(kernel(x.tolist(), ()))), x0, 1.0, 2e-2)
-    assert code.handed_back == [stages]
+        assert _hex(integrate(listed.field(), x0, 1.0, 2e-2).x) == \
+            _hex(alone)
+    crossed = int(np.argmax(momentum[:, 1] > 0.3))
+    assert listed.rerun_blocks(8) == [
+        max(0, i - 1) for i in range(0, crossed + 1, 8)]
+    assert _log_lines(caplog, "test") == [
+        "test: switching drift runs on a traced replay",
+        listed.rerun_line("test", 8, 2e-2)]
 
 
 def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
@@ -576,8 +576,7 @@ def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
         f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
         f"are more than the {dynamics.REPLAY_MAX_ROWS} a replay runs faster",
         f"test: {system.Ka.name} runs on a traced replay",
-        f"test: {system.Ka.name} fell back from its trace to grad at 0 row "
-        f"stages"]
+        "test: blocks rerun on the vector pass: 0"]
     assert np.array_equal(wide.x[:, 1:], narrow.x)
 
 
@@ -599,8 +598,8 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
 def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
-    # a row that hands back and raises sends its stage to the vector pass,
-    # whose error names the batch row; integrate adds the step, flowcheck
+    # a block in which a row raises reruns on the vector pass, whose error
+    # names the batch row; integrate adds the step, flowcheck
     # names the member and perturbation of a non-finite row
     if case == "domain hole":
         system = heat_compartment()
@@ -717,8 +716,7 @@ def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog,
     # 2 members of 9 rows each are replayed
     assert _flowcheck_log(2, capsys, caplog, tmp_path) == [
         "flowcheck: drift(heat_exchanger) runs on a traced replay",
-        "flowcheck: drift(heat_exchanger) fell back from its trace to grad "
-        "at 0 row stages"] * 2
+        "flowcheck: blocks rerun on the vector pass: 0"] * 2
 
 
 def test_flowcheck_past_the_row_limit_logs_the_vector_pass(capsys, caplog,
@@ -733,8 +731,8 @@ def test_flowcheck_past_the_row_limit_logs_the_vector_pass(capsys, caplog,
 def test_the_scaling_check_logs_its_route_and_fallbacks(caplog):
     # a drift that switches on the energy costate p0, which the piston's
     # flow keeps: the row scaled by 0.5 is on the other side of the guard
-    # traced at the first row, so it takes grad at each of its 4 stages a
-    # step
+    # traced at the first row from its first stage on, so the run's one
+    # block reruns on the vector pass
     Ka = gas_piston_damper().Ka
 
     def switching(x):
@@ -746,5 +744,5 @@ def test_the_scaling_check_logs_its_route_and_fallbacks(caplog):
         scaling_commutation_check(K, pt, 0.5, 0.05, dt=1e-2)
     assert _log_lines(caplog, "scaling check") == [
         "scaling check: switching drift runs on a traced replay",
-        "scaling check: switching drift fell back from its trace to grad at "
-        "20 row stages"]
+        "scaling check: blocks rerun on the vector pass: 1, the first from "
+        "t=0"]

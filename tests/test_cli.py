@@ -649,6 +649,33 @@ def test_chart_is_not_a_config_key(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--report", "r.json"], ["simulate", "--seed", "5"],
+    ["list", "--report", "r.json"], ["list", "--seed", "5"],
+    ["list", "--system", "heat_compartment"], ["list", "--param", "C=2"]])
+def test_a_command_takes_only_the_flags_it_reads(argv, tmp_path, capsys):
+    # simulate reads no seed and writes no report; list reads no option
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_report_key_in_a_simulate_config_is_a_config_error(tmp_path,
+                                                             capsys):
+    path = tmp_path / "simulate.json"
+    path.write_text(json.dumps({"command": "simulate",
+                                "system": "heat_compartment",
+                                "report": str(tmp_path / "r.json")}))
+    assert run(str(path)) == 2
+    assert capsys.readouterr().err == (
+        "ltk: config error: simulate writes no report; its CSV goes to "
+        "'output'\n")
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_report_written_to_file(tmp_path, capsys):
     report_path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "validate", "--system", "heat_compartment",

@@ -7,11 +7,13 @@ values, then cross-check them on generated smooth functions.
 
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TracedGradient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +25,6 @@ from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.portsys import (_sample_surface_params, gas_piston_damper,
                          heat_compartment, heat_exchanger)
 from ltk.submanifold import lift_generating_function, liouville_point
-from ltk.tracegrad import FieldCode
 
 finite = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False, width=64)
 nonzero = finite.filter(lambda v: abs(v) > 1e-3)
@@ -188,6 +189,20 @@ def test_grad_dimension_mismatch():
         grad(POLY2, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("x, got", [
+    (1.5, "a scalar"), (np.asarray(1.5), "a scalar"), (np.int64(2), "a scalar"),
+    ([1.0, 2.0, 3.0], "3"), (np.ones(1), "1")])
+def test_every_single_point_route_checks_its_dimension(x, got):
+    # grad, fd_grad and dirderiv (point and direction) share one check,
+    # which a scalar or a 0-d array meets as a wrong width does
+    message = f"^{re.escape(POLY2.name)} expects dimension 2, got {got}$"
+    for route in (lambda: grad(POLY2, x), lambda: fd_grad(POLY2, x),
+                  lambda: dirderiv(POLY2, x, [1.0, 0.0]),
+                  lambda: dirderiv(POLY2, [1.0, 0.0], x)):
+        with pytest.raises(ValueError, match=message):
+            route()
+
+
 def test_fd_grad_matches_hand_value():
     g = fd_grad(POLY2, [1.5, 0.7])
     assert g[0] == pytest.approx(2.1, abs=1e-9)
@@ -345,8 +360,8 @@ def test_batched_grad_covers_every_operation_bit_for_bit(source):
     kink = X[:30, [0, 0, 2]]
     expected = _hex([grad(f, x) for x in kink])
     assert _hex(grad(f, kink)) == expected
-    kernel = FieldCode(f, (), kink[0].tolist()).kernel()
-    assert _hex([kernel(x, []) for x in kink.tolist()]) == expected
+    replay = TracedGradient(f, (), kink[0])
+    assert _hex([replay(x) for x in kink.tolist()]) == expected
 
 
 def test_a_batch_exponent_at_integer_values_is_the_scalar_pass():

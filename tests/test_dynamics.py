@@ -15,9 +15,10 @@ import re
 
 import numpy as np
 import pytest
+from conftest import TracedGradient
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
-from ltk import dynamics, geometry, tracegrad
+from ltk import dynamics, geometry
 from ltk.diffkit import ScalarFn, grad, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
@@ -220,10 +221,11 @@ def test_an_empty_batch_integrates_to_an_empty_trajectory(route, caplog):
 
 
 def test_a_scalar_state_of_a_phase_field_raises_grads_error(caplog):
-    with pytest.raises(TypeError) as expected:
+    with pytest.raises(ValueError) as expected:
         grad(Q1P0, np.asarray(1.0))
+    assert str(expected.value) == "q1 p0 expects dimension 4, got a scalar"
     with caplog.at_level(logging.INFO, logger="ltk"), \
-            pytest.raises(TypeError, match=f"^{re.escape(str(expected.value))}"
+            pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}"
                           r" in the step from t=0$"):
         integrate(phase_rhs(Q1P0), 1.0, 0.1, 1e-2)
     assert _route_lines(caplog) == [
@@ -332,42 +334,37 @@ def test_a_traced_state_flows_as_the_numpy_step_bit_for_bit(name, monkeypatch,
                               integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
         assert _route_lines(caplog) == [
             f"integrate: {K.name} runs on a traced replay",
-            f"integrate: {K.name} fell back from its trace to grad at 0 "
-            f"stages"]
+            "integrate: blocks rerun on the vector pass: 0"]
 
 
 def test_a_guard_that_flips_mid_run_hands_back_as_the_numpy_step(
         monkeypatch, caplog):
     # the drift doubles while the piston momentum exceeds 0.35, which it
-    # passes within the run: the traced state hands the same stages back to
-    # grad, at the same points, as the numpy step through the one-stage
-    # kernel traced at the start, and logs their count
+    # passes within the run: each block of 8 points in which a stage lies
+    # on the other side of the guard traced at the start reruns on the
+    # vector pass, with the bits of the numpy step through the one-stage
+    # kernel traced at the start, which hands those stages to grad
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 8)
     piston = gas_piston_damper()
     K = ScalarFn(lambda x: piston.Ka(x) * 2.0 if x[3] > 0.35
                  else piston.Ka(x), 8, name="switching drift")
     x0 = liouville_point(piston.gf, (0.0, 1.0, 0.3, -1.0)).packed()
-    points, original = [], tracegrad.grad
-    monkeypatch.setattr(tracegrad, "grad", lambda K, x: (
-        points.append(list(x)), original(K, x))[1])
     with caplog.at_level(logging.INFO, logger="ltk"):
         traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
-    runner_points = points[:]
-    del points[:]
-    code = tracegrad.FieldCode(K, (), x0.tolist())
-    kernel = code.kernel()
-    stepped = integrate(lambda t, x: dynamics._canonical(
-        np.array(kernel(x.tolist(), ()))), x0, 0.5, 1e-2)
+    listed = TracedGradient(K, (), x0)
+    stepped = integrate(listed.field(), x0, 0.5, 1e-2)
     assert np.array_equal(traced.x, stepped.x)
     assert np.array_equal(traced.x,
                           integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
     assert (traced.x[:, 3] <= 0.35).any() and (traced.x[:, 3] > 0.35).any()
-    assert runner_points == points
-    assert 0 < len(points) == code.handed_back[0]
+    assert listed.handed >= len(listed.steps) > 0
+    # the momentum passes 0.35 in step 11, in the second of the 7 blocks
+    # of the 50 steps (points 7 to 15), and stays above it
+    assert listed.rerun_blocks(8) == [7, 15, 23, 31, 39, 47]
     assert _route_lines(caplog) == [
         "integrate: switching drift runs on a traced replay",
-        f"integrate: switching drift fell back from its trace to grad at "
-        f"{len(points)} stages"]
+        "integrate: blocks rerun on the vector pass: 6, the first from "
+        "t=0.07"]
 
 
 def test_an_untraceable_generator_flows_on_grad(caplog):
@@ -380,7 +377,7 @@ def test_an_untraceable_generator_flows_on_grad(caplog):
     assert _hex(traced.x) == _hex(integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
     assert _route_lines(caplog) == [
         "integrate: reads == runs on the scalar loop: it reads a traced value "
-        "with =="]
+        "with ==", "integrate: blocks rerun on the vector pass: 0"]
 
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
@@ -417,6 +414,24 @@ def test_a_traced_state_failing_in_its_second_block_fails_as_the_numpy_step(
     assert errors[0][1] == message
     assert seen[0] == seen[1]
     assert block < len(sum((t for t, _ in seen[0]), [])) < 2 * block
+
+
+@pytest.mark.parametrize("rows", [None, 2])
+def test_a_block_rerun_overflows_without_a_warning(rows, caplog):
+    # the runner's float arithmetic overflows to inf silently and raises the
+    # non-finite state; its block reruns on the vector pass, which must
+    # raise that state too, not a numpy warning (an error in this suite)
+    c = np.finfo(float).max / 3.0
+    K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
+    x0 = np.array([0.7, 0.0, -0.5, 0.2])
+    where = "" if rows is None else " in row 0"
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(RuntimeError, match=r"^integration produced a "
+                          rf"non-finite state at t=1 \(step 1\){where}$"):
+        integrate(phase_rhs(K), x0 if rows is None else np.array([x0] * rows),
+                  10.0, 1.0)
+    assert _route_lines(caplog)[-1] == (
+        "integrate: blocks rerun on the vector pass: 1, the first from t=0")
 
 
 def test_a_state_of_the_wrong_length_raises_the_dimension_error(caplog):

@@ -5,8 +5,10 @@ aborted run raises and at what time.  Its block runner, which steps the
 state a block at a time with the field inlined at each stage, is held to
 the reference loop and to the list step: the numpy step with each stage
 the canonical field of a call of the one-stage kernel, the traced
-gradient sum, on the state as a list of floats, with the same
-hand-backs, errors and recorded points.
+gradient sum, on the state as a list of floats, and of grad's scalar loop
+at a stage where the kernel raises, with the same errors and recorded
+points; the blocks the runner reruns on the vector pass are the blocks
+of those stages.
 
 The reference loop is simulate as it ran point by point: the membership
 guard, then each port's u, y_p and y_e, then the monitors in the order
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TracedGradient
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, portsys, tracegrad
@@ -403,24 +406,18 @@ def _list_route(system, params, u, t_end, dt, monitors=()):
     """``integrate`` of simulate's field through the list step, in numpy,
     each stage the canonical field of a call of the one-stage kernel on
     the state as a list, with the inputs of a system with ports read once
-    per time as simulate reads them; also the counts of the stages each
-    generator was handed back to grad."""
+    per time as simulate reads them; also the
+    :class:`~conftest.TracedGradient` it calls."""
     x0 = liouville_point(system.gf, params).packed()
-    code = tracegrad.FieldCode(system.Ka, system.Kc, x0.tolist())
-    kernel, reads = code.kernel(), _InputReads(u)
-
-    def field(t, x):
-        inputs = reads[t] if system.n_ports else ()
-        return dynamics._canonical(np.array(kernel(x.tolist(), inputs)))
-
-    return integrate(field, x0, t_end, dt, monitors), code.handed_back
+    listed = TracedGradient(system.Ka, system.Kc, x0)
+    field = listed.field(_InputReads(u) if system.n_ports else None)
+    return integrate(field, x0, t_end, dt, monitors), listed
 
 
-def _handed_back(caplog) -> list:
-    """The hand-back counts of the INFO lines of the last run."""
-    lines = [r.getMessage() for r in caplog.records
-             if " fell back from its trace to grad at " in r.getMessage()]
-    return [int(line.split(" at ")[-1].split()[0]) for line in lines]
+def _rerun_line(caplog) -> str:
+    """The INFO line of the blocks the last run reran."""
+    return [r.getMessage() for r in caplog.records
+            if ": blocks rerun on the vector pass: " in r.getMessage()][-1]
 
 
 @pytest.mark.parametrize("name, kind", RUNNER_CASES)
@@ -440,10 +437,11 @@ def test_the_runner_steps_as_the_list_step_bit_for_bit(name, kind,
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="ltk"):
             result = simulate(system, steps * dt, dt, u=u, params=params)
-        stepped, handed_back = _list_route(system, params, u, steps * dt,
-                                           dt)
+        stepped, listed = _list_route(system, params, u, steps * dt, dt)
         assert np.array_equal(result.x, stepped.x), steps
-        assert _handed_back(caplog) == handed_back == [0] * len(handed_back)
+        assert listed.handed == 0
+        assert _rerun_line(caplog) == (f"simulate {system.name!r}: blocks "
+                                       f"rerun on the vector pass: 0")
         if block == SMALL_BLOCK:
             x = _reference(system, steps * dt, dt, u=u, params=params)[1]
             assert np.array_equal(result.x, x), steps
@@ -457,22 +455,22 @@ def test_simulates_field_called_is_its_traced_kernel_bit_for_bit(name):
     system = BUILTIN_SYSTEMS[name]()
     X = np.array([liouville_point(system.gf, p).packed()
                   for p in _sample_surface_params(system, 4, 4)])
-    code = tracegrad.FieldCode(system.Ka, system.Kc, X[0].tolist())
-    kernel, reads = code.kernel(), _InputReads(INPUTS["sinusoid"]())
+    listed = TracedGradient(system.Ka, system.Kc, X[0])
+    reads = _InputReads(INPUTS["sinusoid"]())
     field = dynamics._PhaseField(system.Ka, system.Kc, reads)
     for t in (0.0, 0.7):
-        expected = [dynamics._canonical(np.array(kernel(x, reads[t])))
+        expected = [dynamics._canonical(np.array(listed(x, reads[t])))
                     for x in X.tolist()]
         assert _hex([field(t, x) for x in X]) == _hex(expected)
         assert _hex(field(t, X)) == _hex(expected)
-    assert code.handed_back == [0, 0]
+    assert listed.handed == 0
 
 
 def test_a_guard_that_flips_mid_block_hands_back_as_the_list_step(
         monkeypatch, caplog):
     # the drift doubles while the piston momentum exceeds 0.35; the runner
-    # hands the same stages back to grad as the list step, at the same
-    # points, counted alike
+    # reruns on the vector pass each block in which the list step hands a
+    # stage to grad, with its bits
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
     piston = gas_piston_damper()
     Ka = piston.Ka
@@ -482,22 +480,14 @@ def test_a_guard_that_flips_mid_block_hands_back_as_the_list_step(
                     name="switching drift"), Kc=piston.Kc,
         energy_indices=(0,), entropy_indices=(1,))
     params, u = (0.0, 1.0, 0.3, -1.0), PortSignal.sinusoid(0.2, 1.0)
-    points, original = [], tracegrad.grad
-    monkeypatch.setattr(tracegrad, "grad", lambda K, x: (
-        points.append((K.name, list(x))), original(K, x))[1])
     with caplog.at_level(logging.INFO, logger="ltk"):
         result = simulate(system, 1.0, 1e-2, u=u, params=params)
-    runner_points = points[:]
-    del points[:]
-    stepped, handed_back = _list_route(system, params, u, 1.0, 1e-2)
+    stepped, listed = _list_route(system, params, u, 1.0, 1e-2)
     assert np.array_equal(result.x, stepped.x)
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
-    assert runner_points == points
-    assert _handed_back(caplog) == handed_back
-    assert 0 < handed_back[0] == len(points) and handed_back[1] == 0
-    assert caplog.records[-2].getMessage() == (
-        f"simulate 'switching piston': switching drift fell back from its "
-        f"trace to grad at {handed_back[0]} stages")
+    assert listed.handed > 0 and listed.rerun_blocks(SMALL_BLOCK)
+    assert _rerun_line(caplog) == listed.rerun_line(
+        "simulate 'switching piston'", SMALL_BLOCK, 1e-2)
 
 
 def _raising_compartment():

@@ -1,9 +1,10 @@
 """simulate's field is one kernel of straight-line code traced from the
 generators; these tests hold each generator's traced code to the scalar
 ``grad`` loop bit for bit (``float.hex``), to ``fd_grad`` as the
-independent oracle, and hold the points a generator hands back to
-``grad`` (a guard that flips, a domain error) and the generators the trace
-cannot record to the scalar loop's results and errors.
+independent oracle, and hold the points at which the code raises (a guard
+that flips, a domain error), which a run computes on the vector pass, and
+the generators the trace cannot record to the scalar loop's results and
+errors.
 """
 
 import ast
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import TracedGradient
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
@@ -40,13 +42,12 @@ GENERATOR_SYSTEMS = dict(
                                         "expression compartment")})
 
 
-def _replay(K: ScalarFn, x):
-    """K's gradient as field code traced at x, with no ports; also the
-    count of calls handed to grad."""
-    code = FieldCode(K, (), list(x))
-    assert code.reasons == [None], code.reasons
-    kernel = code.kernel()
-    return (lambda xs: kernel(list(xs), [])), code.handed_back
+def _replay(K: ScalarFn, x) -> TracedGradient:
+    """K's gradient as field code traced at x, with no ports, handing the
+    points its kernel raises at to grad, and counting them."""
+    replay = TracedGradient(K, (), x)
+    assert replay.code.reasons == [None], replay.code.reasons
+    return replay
 
 
 def _scalar(K: ScalarFn, x):
@@ -60,14 +61,13 @@ def _scalar(K: ScalarFn, x):
 def _assert_replays_the_scalar_loop(K, replay, points):
     """At each point the kernel returns grad's partials bit for bit or
     raises grad's error; returns the number of points its traced code
-    took, not handing them back to grad."""
-    kernel, handed_back = replay
+    took, not handing them to grad."""
     replayed = 0
     for x in points:
         expected = _scalar(K, x)
-        before = handed_back[0]
+        before = replay.handed
         try:
-            got = kernel(x)
+            got = replay(x)
         except Exception as err:   # noqa: BLE001 - compared below
             got = err
         if isinstance(expected, Exception):
@@ -75,7 +75,7 @@ def _assert_replays_the_scalar_loop(K, replay, points):
             assert str(got) == str(expected), x
         else:
             assert _hex(got) == _hex(expected), x
-        replayed += handed_back[0] == before
+        replayed += replay.handed == before
     return replayed
 
 
@@ -91,12 +91,12 @@ def test_replays_are_the_scalar_gradients_bit_for_bit(name):
                sample_phase_points(system.n_coords, 50, 8)]
     for K in (system.Ka,) + tuple(system.Kc):
         replay = _replay(K, surface[0])
-        # no surface point is handed back, and generic points agree too
+        # no surface point is handed to grad, and generic points agree too
         assert _assert_replays_the_scalar_loop(K, replay, surface) == \
             len(surface), K.name
         _assert_replays_the_scalar_loop(K, replay, generic)
         for x in surface[:40]:
-            np.testing.assert_allclose(replay[0](x), fd_grad(K, x),
+            np.testing.assert_allclose(replay(x), fd_grad(K, x),
                                        rtol=1e-6, atol=1e-6)
 
 
@@ -134,7 +134,7 @@ def test_replays_of_expression_generators_match_the_scalar_loop(drawn, seed):
     replay = _replay(K, points[0])
     assert _assert_replays_the_scalar_loop(K, replay, points) == len(points)
     _assert_replays_the_scalar_loop(K, replay, [zero_costates])
-    np.testing.assert_allclose(replay[0](points[1]),
+    np.testing.assert_allclose(replay(points[1]),
                                fd_grad(K, points[1]), rtol=1e-5, atol=1e-6)
 
 
@@ -162,13 +162,13 @@ def test_zero_valued_coordinates_keep_their_signed_zeros(fn, x):
     # pass of a batch; each route returns a zero partial as +0.0, so the
     # loop, the replay and the rows of a batch agree in raw bits
     K = ScalarFn(fn, 3)
-    replay, handed_back = _replay(K, x)
+    replay = _replay(K, x)
     other = [1.0, -2.0, 0.5]
     expected = _hex(grad(K, x))
     assert "-0x0.0p+0" not in expected
     assert _hex(replay(list(x))) == expected
     assert _hex(replay(other)) == _hex(grad(K, other))
-    assert handed_back == [0]
+    assert replay.handed == 0
     assert _hex(grad(K, np.array([x]))) == expected
     assert _hex(grad(K, np.array([x, other, x]))) == \
         _hex([grad(K, x), grad(K, other), grad(K, x)])
@@ -183,17 +183,19 @@ def test_truth_of_a_traced_zero_is_not_taken():
     assert _hex(code.kernel()([1.0, 0.0], [])) == _hex(grad(K, [1.0, 0.0]))
 
 
-# -- points handed back: guards and domain checks --------------------------------
+# -- points the code raises at: guards and domain checks -------------------------
 
 
 def test_a_flipped_guard_hands_the_point_back():
     K = ScalarFn(lambda x: x[0] * x[1] if x[0] > 0.5 else x[1] * x[1], 2)
-    replay, handed_back = _replay(K, [1.0, 2.0])
+    replay = _replay(K, [1.0, 2.0])
     assert _hex(replay([0.75, -3.0])) == _hex(grad(K, [0.75, -3.0]))
-    assert handed_back == [0]
+    assert replay.handed == 0
     for x in ([0.25, -3.0], [0.5, -3.0]):
+        with pytest.raises(tracegrad._OffTrace):
+            replay.kernel(x, [])
         assert _hex(replay(x)) == _hex(grad(K, x))
-    assert handed_back == [2]
+    assert replay.handed == 2
 
 
 @pytest.mark.parametrize("fn, x, message", [
@@ -206,11 +208,11 @@ def test_a_flipped_guard_hands_the_point_back():
 ])
 def test_domain_errors_hand_the_point_back(fn, x, message):
     K = ScalarFn(fn, 2)
-    replay, handed_back = _replay(K, [3.0, 2.0])
+    replay = _replay(K, [3.0, 2.0])
     for route in (lambda x: grad(K, x), replay):
         with pytest.raises((ValueError, ZeroDivisionError), match=message):
             route(x)
-    assert handed_back == [1]
+    assert replay.handed == 1
 
 
 def test_a_guard_that_flips_mid_run_matches_the_scalar_loop(caplog):
@@ -232,9 +234,8 @@ def test_a_guard_that_flips_mid_run_matches_the_scalar_loop(caplog):
             system, 200, 1e-2, u=PortSignal.sinusoid(0.2, 1.0),
             monitors=("K_res", "membership"))
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
-    # only the drift goes back to grad; the port keeps its traced code
-    assert _fallbacks(caplog, "switching drift") > 0
-    assert _fallbacks(caplog, piston.Kc[0].name) == 0
+    # the blocks in which the guard flips rerun on the vector pass
+    assert _reruns(caplog) > 0
     assert "switching drift runs on a traced replay" in caplog.text
 
 
@@ -248,7 +249,8 @@ def _compartment_with_drift(Ka) -> PortSystem:
 
 def test_a_domain_error_first_hit_in_a_replay_is_the_scalar_loops(monkeypatch):
     # S rises with the heat input; ln(0.3 - S) is undefined from S = 0.3 on,
-    # first at an RK4 stage, where the replay hands the point to grad
+    # first at an RK4 stage, where the replay raises and its block reruns
+    # on the vector pass
     system = _compartment_with_drift("0 * ln(0.3 - q1) * p1")
     stages = []
 
@@ -274,8 +276,8 @@ def test_a_domain_error_first_hit_in_a_replay_is_the_scalar_loops(monkeypatch):
 
 def test_an_error_raised_in_a_replay_is_the_scalar_loops():
     # (1 + S)^2000 overflows near S = 0.43: the replay raises a bare
-    # OverflowError, which sends the point to grad, where the expression
-    # wraps it, as at every point the scalar loop takes
+    # OverflowError, and its block reruns on the vector pass, where the
+    # expression wraps it, as at every point the scalar loop takes
     system = _compartment_with_drift(
         "(p1/exp(q1) + p0) * (1 + 1e-300*(q1 + 1)^2000)")
     err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal.constant([1.0]))
@@ -284,7 +286,7 @@ def test_an_error_raised_in_a_replay_is_the_scalar_loops():
 
 
 def _scalar_route(monkeypatch):
-    """simulate with no generator traced: the kernel takes grad of each
+    """simulate with no generator traced: the runner takes grad of each
     generator at every stage, the scalar loop."""
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
@@ -316,12 +318,11 @@ def _assert_matches_scalar_route(monkeypatch, system, t_end, dt, **kwargs):
     return got
 
 
-def _fallbacks(caplog, name: str) -> int:
-    """The stages at which the last run handed generator ``name`` back
-    from its trace to grad."""
+def _reruns(caplog) -> int:
+    """The blocks the last run reran on the vector pass."""
     counts = [r.getMessage() for r in caplog.records
-              if f": {name} fell back" in r.getMessage()]
-    return int(counts[-1].split(" at ")[-1].split()[0])
+              if ": blocks rerun on the vector pass: " in r.getMessage()]
+    return int(counts[-1].split(": ")[-1].split(",")[0])
 
 
 def _piston_with_port(port_fn, name: str) -> PortSystem:
@@ -337,7 +338,7 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
         monkeypatch, caplog):
     # the port doubles while the piston momentum exceeds 0.35; its guard
     # sits in the kernel's port section, skipped where the input is 0.0,
-    # and sends only the port to grad: the drift keeps its traced code
+    # and the blocks in which it flips rerun on the vector pass
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
         lambda x: port(x) * 2.0 if x[3] > 0.35 else port(x), "switching port")
@@ -345,8 +346,7 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
                   monitors=("K_res", "alpha_res", "membership"))
     with caplog.at_level(logging.INFO, logger="ltk"):
         result = _assert_matches_reference(system, 200, 1e-2, **kwargs)
-        assert _fallbacks(caplog, "switching port") > 0
-        assert _fallbacks(caplog, "piston drift") == 0
+        assert _reruns(caplog) > 0
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
     assert "switching port runs on a traced replay" in caplog.text
     _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
@@ -354,19 +354,18 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
 
 def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
         monkeypatch, caplog):
-    # the port compares a traced value with ==, so the kernel calls grad
-    # for it at every stage and replays the drift, which it never hands back
+    # the port compares a traced value with ==, so the runner calls grad
+    # for it at every stage and replays the drift, and no block reruns
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
         lambda x: port(x) if x[0] != 123.0 else 0.0, "opaque port")
     kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
     with caplog.at_level(logging.INFO, logger="ltk"):
         _assert_matches_reference(system, 50, 1e-2, **kwargs)
-        assert _fallbacks(caplog, "piston drift") == 0
-        assert "opaque port fell back" not in caplog.text
+        assert _reruns(caplog) == 0
     assert "opaque port runs on the scalar loop: it reads a traced value " \
         "with ==" in caplog.text
-    assert "runs on a traced replay" in caplog.text
+    assert "piston drift runs on a traced replay" in caplog.text
     _assert_matches_scalar_route(monkeypatch, system, 0.5, 1e-2, **kwargs)
 
 
@@ -476,13 +475,13 @@ def test_numpy_constants_raise_as_a_dual_raises():
     # division by zero raises, where numpy scalars give inf
     big, zero = np.float64(1e200), np.float64(0.0)
     K = ScalarFn(lambda x: (x[0] * big) ** 2 + x[1] / (x[0] + zero), 2)
-    replay, handed_back = _replay(K, [1e-200, 1.0])
+    replay = _replay(K, [1e-200, 1.0])
     assert _hex(replay([1e-200, 1.0])) == _hex(grad(K, [1e-200, 1.0]))
     with pytest.raises(OverflowError):
         grad(K, [1.0, 1.0])
     with pytest.raises(OverflowError):
         replay([1.0, 1.0])
-    assert handed_back == [1]
+    assert replay.handed == 1
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
@@ -545,6 +544,26 @@ def test_the_runner_assigns_no_value_it_never_reads(name, monkeypatch):
     # step, by the append
     _assert_reads_every_assignment(
         _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name](), "run"))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS) + ["switching"])
+def test_the_runner_catches_nothing(name, monkeypatch):
+    # where a guard flips, a check trips or an operation raises, the runner
+    # raises, and integrate reruns its block on the vector pass; an
+    # untraceable port calls grad inline, with no handler either
+    if name == "switching":
+        piston = gas_piston_damper()
+        Ka = ScalarFn(lambda x: piston.Ka(x) * 2.0 if x[3] > 0.35
+                      else piston.Ka(x), 8, name="switching drift")
+        Kc = ScalarFn(lambda x: x[0] if x[1] == 0.5 else x[2], 8)
+        x0 = liouville_point(piston.gf, (0.0, 1.0, 0.3, -1.0)).packed()
+        source = _source(monkeypatch, Ka, (Kc,), x0, "run")
+        assert "raise _Back" in source and "_grad(1, " in source
+    else:
+        source = _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name](), "run")
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.Try)]
+    assert not re.search(r"\btry\b|\bexcept\b", source)
 
 
 def test_unread_values_that_may_raise_are_kept(monkeypatch):
@@ -663,8 +682,8 @@ def test_constant_derivatives_are_folded_at_trace_time(monkeypatch):
 @pytest.mark.parametrize("drift", ["untraceable", "flipped guard"])
 def test_a_port_never_reads_a_value_of_the_drift_section(drift):
     # the port computes q0 * p0 as the drift does; where the drift's section
-    # is grad's, or hands back before it computes it, the port's own code
-    # still runs
+    # is grad's, the port's own code still runs, and where the drift's
+    # guard flips, the point is grad's
     if drift == "untraceable":
         Ka = ScalarFn(lambda x: x[0] * x[2] * (2.0 if x[0] == 0.25 else 1.0),
                       4, name="reads ==")
@@ -672,10 +691,9 @@ def test_a_port_never_reads_a_value_of_the_drift_section(drift):
         Ka = ScalarFn(lambda x: x[0] * x[2] if x[1] > 0.5 else x[3] * x[1],
                       4, name="switch")
     Kc = ScalarFn(lambda x: x[0] * x[2] + x[3], 4, name="port")
-    code = FieldCode(Ka, (Kc,), [0.3, 0.8, -1.0, 0.5])
-    kernel = code.kernel()
-    assert code.reasons[1] is None
+    traced = TracedGradient(Ka, (Kc,), [0.3, 0.8, -1.0, 0.5])
+    assert traced.code.reasons[1] is None
     for x in ([0.3, 0.8, -1.0, 0.5], [0.4, 0.2, -0.9, 0.6]):
         expected = grad(Ka, x) + 0.7 * grad(Kc, x)
-        assert _hex(kernel(x, [0.7])) == _hex(expected)
-    assert code.handed_back[1] == 0
+        assert _hex(traced(x, [0.7])) == _hex(expected)
+    assert traced.handed == (drift == "flipped guard")
