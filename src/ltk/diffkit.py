@@ -50,8 +50,8 @@ whose few rows a vector-mode pass would carry at numpy's per-call cost.
 :mod:`ltk.tracegrad` traces the generators once per run into
 straight-line code that sums :func:`grad`'s partials bit for bit, which
 one generated block runner inlines at each RK4 stage, for the checks row
-by row; a block in which that code raises reruns on :func:`grad`, which
-stays the reference.
+by row; a block in which that code raises, and a field it cannot trace,
+run on :func:`grad`, which stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
@@ -420,8 +420,9 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     runs code traced from its generators
     (:class:`ltk.tracegrad.FieldCode`) inlined in a block runner, and comes
     here only in the blocks where that code raises, which rerun on the
-    vector pass, and for generators it cannot trace; this loop stays the
-    reference that every replay reproduces.  A point that is not a vector
+    vector pass, and for fields it cannot trace, which run on it
+    throughout; this loop stays the reference that every replay
+    reproduces.  A point that is not a vector
     of ``f.dim`` entries (a scalar or a 0-d array included) raises
     "expects dimension", as in :func:`fd_grad` and :func:`dirderiv`.
     """

@@ -30,12 +30,12 @@ trajectories of the two integrated checks (:func:`flow_transport_check`,
 :func:`scaling_commutation_check`), runs each row through the block in
 turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
 the one-shot field, reruns a block in which the runner raises, for a
-state or a row, and steps a larger batch or a K the trace cannot record.
-Every other field steps in numpy, one :func:`rk4_step` at a time, a
-single state as a batch row would.  ``simulate`` records its guard,
-inputs, outputs and monitors through one monitor that takes a block of
-grid points at a time; a run that leaves the surface is detected at the
-end of its block.
+state or a row, and steps a larger batch, or any start of a field the
+trace cannot record, throughout.  Every other field steps in numpy, one
+:func:`rk4_step` at a time, a single state as a batch row would.
+``simulate`` records its guard, inputs, outputs and monitors through one
+monitor that takes a block of grid points at a time; a run that leaves
+the surface is detected at the end of its block.
 
 Packing conventions (m = n + 1 coordinates):
 
@@ -168,10 +168,10 @@ def _canonical(g: np.ndarray) -> np.ndarray:
 @dataclass
 class _PhaseField:
     """The canonical field of ``Ka + sum_k u_k Kc_k``, inputs
-    ``u = reads[t]``, as ``f(t, x)``: :func:`grad` of Ka, then for each
-    port in order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.
-    :func:`integrate` traces it instead, and says at level INFO, after
-    ``label``, which route each generator takes."""
+    ``u = reads[t]`` (read first, as the block runner reads them), as
+    ``f(t, x)``: :func:`grad` of Ka, then for each port in order whose
+    input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.  :func:`integrate`
+    traces it instead, and logs the run's route after ``label``."""
 
     Ka: ScalarFn
     Kc: tuple = ()
@@ -179,14 +179,12 @@ class _PhaseField:
     label: str = "integrate"
 
     def __call__(self, t, x):
+        inputs = self.reads[t] if self.Kc else ()
         g = grad(self.Ka, x)
-        for u, K in zip(self.reads[t] if self.Kc else (), self.Kc):
+        for u, K in zip(inputs, self.Kc):
             if u != 0.0:
                 g = g + u * grad(K, x)
         return _canonical(g)
-
-    def names(self) -> list:
-        return [K.name or "K" for K in (self.Ka,) + tuple(self.Kc)]
 
 
 def phase_rhs(K: ScalarFn):
@@ -399,14 +397,12 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     runner raises, for any reason (a guard that flips, a check that trips,
     an error, a non-finite state), reruns from its start on the vector
     pass, which returns the same bits or raises the same error at the
-    same step.  A generator the trace cannot record takes
-    :func:`~ltk.diffkit.grad` at every stage of a single state.  A scalar
-    state, a state or start rows of another width than K's, and a batch
-    with no rows, more than :data:`REPLAY_MAX_ROWS` rows or a K the trace
-    cannot record run the vector pass throughout.  At level INFO the
-    ``ltk`` logger says, after the field's label, which route each
-    generator takes, and why, and how many blocks reran on the vector
-    pass, with the start time of the first.
+    same step.  A scalar state, a state or start rows of another width
+    than K's, a batch with no rows or more than :data:`REPLAY_MAX_ROWS`
+    rows, and a field with a generator the trace cannot record run the
+    vector pass throughout.  At level INFO the ``ltk`` logger says, after
+    the field's label, which route the run takes, and why, and how many
+    blocks reran on the vector pass, with the start time of the first.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
@@ -493,9 +489,8 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 def _trace(f: _PhaseField, x: np.ndarray):
     """The :class:`~ltk.tracegrad.FieldCode` of ``f`` traced at the state
     ``x``, or at row 0 of the batch ``x``, for :func:`integrate`'s block
-    runner, or None where ``x`` runs the vector pass; logs the route of
-    each generator."""
-    names, reason = f.names(), None
+    runner, or None where ``x`` runs the vector pass; logs the route."""
+    reason = None
     if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
         reason = (f"its {len(x)} rows are more than the "
                   f"{REPLAY_MAX_ROWS} a replay runs faster")
@@ -506,19 +501,15 @@ def _trace(f: _PhaseField, x: np.ndarray):
     elif x.shape[-1] != f.Ka.dim:       # the vector pass raises
         reason = (f"its start {'rows have' if x.ndim == 2 else 'state has'} "
                   f"{x.shape[-1]} entries")
-    if reason is None:
+    else:
         from .tracegrad import FieldCode
-        start = (x if x.ndim == 1 else x[0]).tolist()
-        code = FieldCode(f.Ka, f.Kc, start)
-        if x.ndim == 2:
-            reason = code.reasons[0]
+        code = FieldCode(f.Ka, f.Kc, (x if x.ndim == 1 else x[0]).tolist())
+        reason = code.reason
+    name = f.Ka.name or "K"
     if reason is not None:
-        log.info("%s: %s runs on the vector pass: %s", f.label, names[0],
-                 reason)
+        log.info("%s: %s runs on the vector pass: %s", f.label, name, reason)
         return None
-    for name, why in zip(names, code.reasons):
-        log.info("%s: %s runs %s", f.label, name, "on a traced replay"
-                 if why is None else f"on the scalar loop: {why}")
+    log.info("%s: %s runs on a traced replay", f.label, name)
     return code
 
 
@@ -535,12 +526,15 @@ def _store(xs: np.ndarray, start: int, out: list):
 
 def _steps(f):
     """:func:`integrate`'s advance of an ndarray state, or batch, by ``f``,
-    one :func:`rk4_step` at a time."""
+    one :func:`rk4_step` at a time.  A state that overflows is a
+    non-finite state at its step, as in the block runner's float
+    arithmetic, not a numpy warning."""
     def advance(X, i0, i1, dt, out):
-        for i in range(i0 + 1, i1 + 1):
-            X = rk4_step(f, (i - 1) * dt, X, dt)
-            _check_finite(X, i * dt, i)
-            out.append(X)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(i0 + 1, i1 + 1):
+                X = rk4_step(f, (i - 1) * dt, X, dt)
+                _check_finite(X, i * dt, i)
+                out.append(X)
         return X
     return advance
 
@@ -570,9 +564,7 @@ def _runner_blocks(run, f: _PhaseField, batch: bool, reran: list):
                 run(x, i0, i1, dt, states)
         except Exception:   # noqa: BLE001 - the vector pass raises it
             reran.append(i0)
-            # overflow as the runner's float arithmetic does: silently
-            with np.errstate(over="ignore", invalid="ignore"):
-                return rerun(np.array(X), i0, i1, dt, out).tolist()
+            return rerun(np.array(X), i0, i1, dt, out).tolist()
         if not batch:
             out.extend(runs[0])
             return runs[0][-1]

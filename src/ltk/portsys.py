@@ -407,12 +407,11 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     raises with the step at which it appears.  A block in which a guard
     flips, a domain check trips or the code raises reruns from its start
     on that numpy step, so results, errors and their times are the scalar
-    loop's; an input read that raised is made again there.  A generator
-    the trace cannot record is differentiated by ``grad`` at every stage.
-    At level INFO (``LTK_LOG=info`` on the command line) the ``ltk``
-    logger says which generators run traced, why the others do not, and
-    how many blocks reran.  The
-    recording takes a block of grid points at a time
+    loop's; an input read that raised is made again there.  A field with
+    a generator the trace cannot record runs on that numpy step from its
+    start.  At level INFO (``LTK_LOG=info`` on the command line) the
+    ``ltk`` logger says which route the run takes, and why, and how many
+    blocks reran.  The recording takes a block of grid points at a time
     (``ltk.dynamics.MONITOR_BLOCK``), one vector-mode pass per channel,
     each row bit for bit the point alone.  A block whose passes raise
     reruns its points one at a time in the order guard, each port's ``u``,

@@ -33,17 +33,20 @@ to a negative power).  The code raises where a guard comes out otherwise
 or a check trips, as it does where an operation raises, and its caller
 computes that point another way: a block of the block runner reruns on
 the vector pass of :mod:`ltk.dynamics`, which returns or raises as
-``grad`` always did.  A traced value is a :class:`~ltk.diffkit._Recorder`,
-which diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos`` recognise
-before any ``math`` call.  Any other read of it (``==``, ``!=``, ``bool``,
-``float``, ``int``, ``hash``, an attribute, numpy, a traced exponent)
-makes the function untraceable at once, and its field code calls ``grad``
-for it at every point.  No user text enters the generated source:
+``grad`` always did.  As a ``Dual`` compares derivatives too, ``==``
+and ``!=`` are guards only of values that differ at the traced point,
+and the code raises where they are equal.  A traced value is a
+:class:`~ltk.diffkit._Recorder`, which diffkit's ``exp``, ``ln``,
+``sqrt``, ``sin`` and ``cos`` recognise before any ``math`` call.  Any
+other read of it (``==`` of equal values, ``bool``, ``float``, ``int``,
+``hash``, an attribute, numpy, a traced exponent) makes the function
+untraceable at once, and its field runs on the vector pass throughout.
+No user text enters the generated source:
 constants go in through its namespace, so a source depends on the shape
 of the generators and on which of their constants are equal, not on their
 values, and its code object is compiled once and kept by its text (the
-latest 8 sources).  The block runner of a field inlines its body at each
-of the four stages, so it compiles in about 4 times the one-stage
+8 sources used last).  The block runner of a field inlines its body at
+each of the four stages, so it compiles in about 4 times the one-stage
 kernel's time (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
 exchanger, median process CPU on a shared 2-CPU VM), once per field shape
 in a process.
@@ -60,11 +63,12 @@ importing the package does not compile it.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 
-from .diffkit import ScalarFn, _Recorder, grad
+from .diffkit import ScalarFn, _Recorder
 
 __all__ = ["FieldCode", "value_kernel"]
 
@@ -88,7 +92,7 @@ _BINARY = {"add": (operator.add, "v{n} = {a} + {b}"),
            "mul": (operator.mul, "v{n} = {a} * {b}"),
            "div": (operator.truediv, "v{n} = {a} / {b}")}
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
-            ">=": operator.ge}
+            ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _REPLAY_NAMES = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
                  "_sin": math.sin, "_cos": math.cos,
                  "_copysign": math.copysign}
@@ -322,7 +326,9 @@ class _Trace:
 
     def guard(self, op: str, a, b) -> bool:
         """``a op b`` on values, as a ``Dual`` compares; the code raises at
-        a point where it comes out otherwise."""
+        a point where it comes out otherwise.  ``==`` and ``!=`` of equal
+        values, which a ``Dual`` decides by its derivatives, are
+        untraceable; of others, the code raises where they are equal."""
         if self._mixes((b,)):
             raise TypeError(f"a traced value cannot be compared with a "
                             f"{type(b).__name__}")
@@ -334,8 +340,13 @@ class _Trace:
                 raise TypeError("an integer beyond float precision")
             b = fb
         outcome = _COMPARE[op](a._value, _value_of_traced(b))
-        self._line(f"if {'not ' if outcome else ''}({_operand(a._node)} "
-                   f"{op} {_operand(self._ref(b))}): raise _Back")
+        if op in ("==", "!=") and a._value == _value_of_traced(b):
+            self.fail(f"it compares equal values with {op}")
+            raise TypeError(f"equal traced values compared with {op}")
+        # != holds, as == fails, until the values are equal
+        flip, test = ("", "==") if op == "!=" else ("not " * outcome, op)
+        self._line(f"if {flip}({_operand(a._node)} {test} "
+                   f"{_operand(self._ref(b))}): raise _Back")
         return outcome
 
     def _fold(self, kind, va, vb, da, db):
@@ -454,9 +465,10 @@ class _Traced(_Recorder):
     Every operation ``Dual`` implements adds a node to the trace, and
     so do diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos``, which
     call :meth:`_record_call` of a ``_Recorder``; a comparison adds a
-    guard.  Any other read of the value (``==``, ``!=``, ``bool``,
-    ``float``, ``int``, ``hash``, an attribute, numpy, a traced exponent)
-    marks the function untraceable and raises ``TypeError``.
+    guard (``==`` and ``!=`` only of values that differ).  Any other read
+    of the value (``==`` of equal values, ``bool``, ``float``, ``int``,
+    ``hash``, an attribute, numpy, a traced exponent) marks the function
+    untraceable and raises ``TypeError``.
     """
 
     __slots__ = ("_trace", "_node", "_value")
@@ -524,6 +536,12 @@ class _Traced(_Recorder):
     def __ge__(self, other):
         return self._trace.guard(">=", self, other)
 
+    def __eq__(self, other):
+        return self._trace.guard("==", self, other)
+
+    def __ne__(self, other):
+        return self._trace.guard("!=", self, other)
+
     def __getattr__(self, name):
         how = "numpy" if name.startswith("__array") else f"attribute {name!r}"
         try:
@@ -539,7 +557,7 @@ def _unreadable(how: str):
 
 
 for _names, _how in (
-        (("__eq__", "__ne__"), "=="), (("__bool__",), "bool()"),
+        (("__bool__",), "bool()"),
         (("__float__",), "float()"), (("__complex__",), "complex()"),
         (("__int__", "__index__", "__trunc__", "__floor__", "__ceil__",
           "__round__"), "int()"),
@@ -558,30 +576,33 @@ class _OffTrace(Exception):
 
 class FieldCode:
     """The gradient of ``Ka + sum_k u_k Kc_k`` traced once at a point
-    ``x``, as lines of straight-line code for callers to place:
-    ``reasons`` holds one reason per generator, None for each the trace
-    records.  The code of a generator the trace records raises at a point
-    where its guard comes out otherwise, its check trips or its code
-    raises, and its caller computes that point another way; a generator
-    the trace cannot record calls ``grad`` at every point.
+    ``x``, as lines of straight-line code for callers to place, or, where
+    the trace cannot record a generator, ``reason``, which names the first
+    such generator and says why; ``reason`` is None where every generator
+    is recorded.  The code raises at a point where a guard comes out
+    otherwise, a check trips or an operation raises, and its caller
+    computes that point another way.
 
     :meth:`stage` gives the lines that evaluate the gradient sum at a
     point, with the inputs in the list ``u``, and :meth:`function`
     compiles a function around such lines, which read the trace's
     constants.  :meth:`kernel` places them once, as one call, and the
-    block runner of :mod:`ltk.dynamics` at each RK4 stage.
+    block runner of :mod:`ltk.dynamics` at each RK4 stage; none of them
+    serves a field code with a ``reason``.
     """
 
     def __init__(self, Ka: ScalarFn, Kc, x):
-        generators = (Ka,) + tuple(Kc)
-        self.dim = len(x)
-        trace = _Trace(x)
-        codes = [trace.record(K) for K in generators]
-        self.reasons = [reason for _, reason in codes]
-        self._namespace = dict(
-            _REPLAY_NAMES, **trace.consts, _Back=_OffTrace,
-            _grad=lambda k, xs: grad(generators[k], xs).tolist())
-        self._body = "\n".join(_gradient_lines(codes, self.dim))
+        self.dim, self.reason = len(x), None
+        trace, codes = _Trace(x), []
+        for K in (Ka,) + tuple(Kc):
+            code, why = trace.record(K)
+            if why is not None:
+                self.reason = (f"the trace cannot record {K.name or 'K'}, "
+                               f"as {why}")
+                return
+            codes.append(code)
+        self._namespace = dict(_REPLAY_NAMES, **trace.consts, _Back=_OffTrace)
+        self._body = "\n".join(_gradient_lines(codes))
         self._read = set(_NAME.findall(self._body))
 
     def stage(self, g: str, sources) -> list:
@@ -639,18 +660,12 @@ def _function(name: str, params: str, lines, namespace: dict):
     return namespace[name]
 
 
-def _gradient_lines(codes, dim: int) -> list:
+def _gradient_lines(codes) -> list:
     """The lines of :meth:`FieldCode.stage` from each generator's traced
-    code, or None where the trace cannot record it, with the prefix "$"
-    for the names of the gradient sum."""
-    point = "[" + ", ".join(f"v{i}" for i in range(dim)) + "]"
+    code, with the prefix "$" for the names of the gradient sum."""
     body = []
-    for k, (code, _) in enumerate(codes):
-        if code is None:
-            section = [f"partials = _grad({k}, {point})"] + _folded(
-                k, [f"partials[{i}]" for i in range(dim)])
-        else:
-            section = code[0] + _folded(k, code[1])
+    for k, (lines, partials) in enumerate(codes):
+        section = lines + _folded(k, partials)
         if k:
             section = [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"] \
                 + _indented(section)
@@ -680,15 +695,7 @@ def _indented(lines) -> list:
 # kernels on sim_expr, its built-in twins included, and 2 block runners on
 # audit; a field's one-stage kernel is compiled only where a caller asks
 # for it (FieldCode.kernel), which no workload does.
-_COMPILED = {}
-_COMPILED_MAX = 8
-
-
+@functools.lru_cache(maxsize=8)
 def _code(source: str):
     """The code object of ``source``, compiled on its first use."""
-    code = _COMPILED.get(source)
-    if code is None:
-        if len(_COMPILED) >= _COMPILED_MAX:
-            del _COMPILED[next(iter(_COMPILED))]
-        code = _COMPILED[source] = compile(source, "<field kernel>", "exec")
-    return code
+    return compile(source, "<field kernel>", "exec")

@@ -10,24 +10,27 @@ from ltk.tracegrad import FieldCode
 class TracedGradient:
     """The gradient sum of ``Ka + sum_k u_k Kc_k``, called as
     ``self(xs, u)`` on lists of floats, through the one-stage kernel of its
-    field code traced at ``x``, and where the kernel raises, through the
-    scalar loop of ``grad``: ``grad(Ka)``, then ``g + u_k * grad(Kc_k)``
-    for each input that is not 0.0, which returns or raises as the vector
-    pass that a block of ``integrate``'s runner reruns on.  ``handed``
-    counts the points the kernel raised at."""
+    field code traced at ``x``, and where the kernel raises, or at every
+    point where the field code has a ``reason``, through the scalar loop
+    of ``grad``: ``grad(Ka)``, then ``g + u_k * grad(Kc_k)`` for each
+    input that is not 0.0, which returns or raises as the vector pass
+    that a block of ``integrate``'s runner reruns on, and that a field
+    the trace cannot record steps on.  ``handed`` counts the points the
+    kernel raised at."""
 
     def __init__(self, Ka, Kc, x):
         self.Ka, self.Kc = Ka, tuple(Kc)
         self.code = FieldCode(Ka, self.Kc, list(x))
-        self.kernel = self.code.kernel()
+        self.kernel = None if self.code.reason else self.code.kernel()
         self.handed = 0
         self.steps = []
 
     def __call__(self, xs, u=()):
-        try:
-            return self.kernel(list(xs), u)
-        except Exception:   # noqa: BLE001 - grad returns or raises
-            self.handed += 1
+        if self.kernel is not None:
+            try:
+                return self.kernel(list(xs), u)
+            except Exception:   # noqa: BLE001 - grad returns or raises
+                self.handed += 1
         g = grad(self.Ka, xs)
         for uk, K in zip(u, self.Kc):
             if uk != 0.0:

@@ -541,16 +541,16 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
 
 def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
     port = heat_compartment().Kc[0]
-    K = ScalarFn(lambda x: port(x) * (2.0 if x[0] == 0.25 else 1.0), 4,
-                 name="reads ==")
+    K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
+                 name="reads hash")
     X0 = _flow_starts(heat_compartment(), 4, 2)
     calls = _batch_grads(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
         traj = integrate(_traced(K), X0, 0.1, 1e-2)
     assert calls == [len(X0)] * 40      # one pass per stage, every stage
     assert _log_lines(caplog, "test") == [
-        "test: reads == runs on the vector pass: it reads a traced value "
-        "with =="]
+        "test: reads hash runs on the vector pass: the trace cannot record "
+        "reads hash, as it reads a traced value with hash()"]
     monkeypatch.undo()
     assert _hex(traj.x) == _hex(integrate(_vector_pass(K), X0, 0.1, 1e-2).x)
     # a K of another dimension than the rows is not traced; the vector pass
@@ -589,8 +589,9 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
                    [0.9, 2.5, -1.2, -1.0]])
     with caplog.at_level(logging.INFO, logger="ltk"):
         traj = integrate(_traced(K), X0, 0.2, 1e-3)
-    assert "runs on the vector pass: it raises to a traced exponent" in \
-        caplog.text
+    assert _log_lines(caplog, "test") == [
+        f"test: {K.name} runs on the vector pass: the trace cannot record "
+        f"{K.name}, as it raises to a traced exponent"]
     for i, x0 in enumerate(X0):
         assert _hex(traj.x[:, i]) == \
             _hex(integrate(_vector_pass(K), x0, 0.2, 1e-3).x)

@@ -368,16 +368,18 @@ def test_a_guard_that_flips_mid_run_hands_back_as_the_numpy_step(
 
 
 def test_an_untraceable_generator_flows_on_grad(caplog):
+    # a state of a field the trace cannot record steps on the vector pass,
+    # grad's scalar loop, from its start, as a batch does
     port = heat_compartment().Kc[0]
-    K = ScalarFn(lambda x: port(x) * (2.0 if x[0] == 0.25 else 1.0), 4,
-                 name="reads ==")
+    K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
+                 name="reads hash")
     x0 = liouville_point(heat_compartment().gf, (0.0, -1.0)).packed()
     with caplog.at_level(logging.INFO, logger="ltk"):
         traced = integrate(phase_rhs(K), x0, 0.5, 1e-2)
     assert _hex(traced.x) == _hex(integrate(_vector_pass(K), x0, 0.5, 1e-2).x)
     assert _route_lines(caplog) == [
-        "integrate: reads == runs on the scalar loop: it reads a traced value "
-        "with ==", "integrate: blocks rerun on the vector pass: 0"]
+        "integrate: reads hash runs on the vector pass: the trace cannot "
+        "record reads hash, as it reads a traced value with hash()"]
 
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
@@ -432,6 +434,30 @@ def test_a_block_rerun_overflows_without_a_warning(rows, caplog):
                   10.0, 1.0)
     assert _route_lines(caplog)[-1] == (
         "integrate: blocks rerun on the vector pass: 1, the first from t=0")
+
+
+@pytest.mark.parametrize("route", ["untraceable", "wide batch", "callable"])
+def test_a_numpy_advance_overflows_without_a_warning(route, caplog):
+    # every field that steps in numpy from its start, not only a block
+    # rerun, raises the non-finite state where a state overflows: a field
+    # the trace cannot record, a batch past the replay's rows, a callable
+    c = np.finfo(float).max / 3.0
+    x0, where = np.array([0.0, 0.0, 1.0, 1.0]), ""
+    if route == "untraceable":
+        K = ScalarFn(lambda x: c * x[2] * x[2]
+                     * (1.0 if hash(x[0]) != 7 else 2.0), 4, name="hashed")
+    else:
+        K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
+    f = _vector_pass(K) if route == "callable" else phase_rhs(K)
+    if route == "wide batch":
+        x0, where = np.array([x0] * (dynamics.REPLAY_MAX_ROWS + 1)), \
+            " in row 0"
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(RuntimeError, match=r"^integration produced a "
+                          rf"non-finite state at t=1 \(step 1\){where}$"):
+        integrate(f, x0, 10.0, 1.0)
+    assert [line.split(": ")[1] for line in _route_lines(caplog)] == (
+        [] if route == "callable" else [f"{K.name} runs on the vector pass"])
 
 
 def test_a_state_of_the_wrong_length_raises_the_dimension_error(caplog):

@@ -3,8 +3,8 @@ generators; these tests hold each generator's traced code to the scalar
 ``grad`` loop bit for bit (``float.hex``), to ``fd_grad`` as the
 independent oracle, and hold the points at which the code raises (a guard
 that flips, a domain error), which a run computes on the vector pass, and
-the generators the trace cannot record to the scalar loop's results and
-errors.
+the fields with a generator the trace cannot record, which run on the
+vector pass throughout, to the scalar loop's results and errors.
 """
 
 import ast
@@ -46,7 +46,7 @@ def _replay(K: ScalarFn, x) -> TracedGradient:
     """K's gradient as field code traced at x, with no ports, handing the
     points its kernel raises at to grad, and counting them."""
     replay = TracedGradient(K, (), x)
-    assert replay.code.reasons == [None], replay.code.reasons
+    assert replay.code.reason is None, replay.code.reason
     return replay
 
 
@@ -176,11 +176,16 @@ def test_zero_valued_coordinates_keep_their_signed_zeros(fn, x):
 
 def test_truth_of_a_traced_zero_is_not_taken():
     # bool(Dual(0.0, 1.0)) is True while bool(0.0) is False, so a scalar
-    # pass branches per seed: the trace refuses, and grad takes every point
+    # pass branches per seed: the trace refuses, and the field steps on the
+    # vector pass at every point
     K = ScalarFn(lambda x: x[0] * (2.0 if x[1] else 3.0), 2)
     code = FieldCode(K, (), [1.0, 0.0])
-    assert "bool()" in code.reasons[0]
-    assert _hex(code.kernel()([1.0, 0.0], [])) == _hex(grad(K, [1.0, 0.0]))
+    assert code.reason == ("the trace cannot record K, as it reads a traced "
+                           "value with bool()")
+    field = dynamics.phase_rhs(K)
+    traced = dynamics.integrate(field, [1.0, 0.0], 0.1, 1e-2)
+    assert _hex(traced.x) == _hex(dynamics.integrate(
+        lambda t, x: field(t, x), [1.0, 0.0], 0.1, 1e-2).x)
 
 
 # -- points the code raises at: guards and domain checks -------------------------
@@ -196,6 +201,48 @@ def test_a_flipped_guard_hands_the_point_back():
             replay.kernel(x, [])
         assert _hex(replay(x)) == _hex(grad(K, x))
     assert replay.handed == 2
+
+
+EQUALITIES = {
+    "==": lambda x: x[0] * x[1] if x[0] == 1.0 else x[1],
+    "!=": lambda x: x[1] if x[0] != 1.0 else x[0] * x[1],
+    "reflected ==": lambda x: x[0] * x[1] if 1.0 == x[0] else x[1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUALITIES))
+def test_equality_is_a_guard_only_where_the_values_differ(case):
+    # a Dual compares derivatives too: at x0 == 1.0 the seed of x0 sees
+    # x0 != 1.0 and every other seed x0 == 1.0, so grad mixes the branches,
+    # which no value guard reproduces; traced where the values are equal,
+    # K is untraceable, and traced where they differ, its code raises
+    # where they are equal
+    K = ScalarFn(EQUALITIES[case], 2)
+    assert _hex(grad(K, [1.0, 0.5])) == _hex([0.0, 1.0])
+    op = "!=" if case == "!=" else "=="
+    assert FieldCode(K, (), [1.0, 0.5]).reason == (
+        f"the trace cannot record K, as it compares equal values with {op}")
+    replay = _replay(K, [1.5, 0.5])
+    for x in ([1.5, 0.5], [2.0, 0.3]):
+        assert _hex(replay.kernel(x, [])) == _hex(grad(K, x))
+    with pytest.raises(tracegrad._OffTrace):
+        replay.kernel([1.0, 0.5], [])
+    assert _hex(replay([1.0, 0.5])) == _hex([0.0, 1.0])
+
+
+def test_a_port_reading_inequality_is_traced(caplog):
+    # the port compares a coordinate that never equals 123.0 with !=: the
+    # whole field replays, with the reference loop's bits and no rerun
+    port = gas_piston_damper().Kc[0]
+    system = _piston_with_port(
+        lambda x: port(x) if x[0] != 123.0 else 0.0, "!= port")
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        _assert_matches_reference(system, 50, 1e-2,
+                                  u=PortSignal.sinusoid(0.2, 1.0),
+                                  monitors=MONITOR_NAMES)
+    assert [r.getMessage() for r in caplog.records] == [
+        "simulate 'piston': piston drift runs on a traced replay",
+        "simulate 'piston': blocks rerun on the vector pass: 0"]
 
 
 @pytest.mark.parametrize("fn, x, message", [
@@ -286,8 +333,9 @@ def test_an_error_raised_in_a_replay_is_the_scalar_loops():
 
 
 def _scalar_route(monkeypatch):
-    """simulate with no generator traced: the runner takes grad of each
-    generator at every stage, the scalar loop."""
+    """simulate with no generator traced: the run steps on the vector pass
+    from its start, which for one state is grad's scalar loop over the
+    generators at every stage."""
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
             patch.setattr(tracegrad._Trace, "record",
@@ -348,24 +396,25 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
         result = _assert_matches_reference(system, 200, 1e-2, **kwargs)
         assert _reruns(caplog) > 0
     assert (result.q[:, 3] > 0.35).any() and (result.q[:, 3] <= 0.35).any()
-    assert "switching port runs on a traced replay" in caplog.text
+    assert "simulate 'piston': piston drift runs on a traced replay" in \
+        caplog.text
     _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
 
 
 def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
         monkeypatch, caplog):
-    # the port compares a traced value with ==, so the runner calls grad
-    # for it at every stage and replays the drift, and no block reruns
+    # the port reads a traced value with hash(), so the whole field, the
+    # traceable drift too, steps on the vector pass from its start, and no
+    # runner is built
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
-        lambda x: port(x) if x[0] != 123.0 else 0.0, "opaque port")
+        lambda x: port(x) if hash(x[0]) != 7 else 0.0, "opaque port")
     kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
     with caplog.at_level(logging.INFO, logger="ltk"):
         _assert_matches_reference(system, 50, 1e-2, **kwargs)
-        assert _reruns(caplog) == 0
-    assert "opaque port runs on the scalar loop: it reads a traced value " \
-        "with ==" in caplog.text
-    assert "piston drift runs on a traced replay" in caplog.text
+    assert [r.getMessage() for r in caplog.records] == [
+        "simulate 'piston': piston drift runs on the vector pass: the trace "
+        "cannot record opaque port, as it reads a traced value with hash()"]
     _assert_matches_scalar_route(monkeypatch, system, 0.5, 1e-2, **kwargs)
 
 
@@ -391,8 +440,6 @@ def test_a_domain_error_first_hit_in_a_port_is_the_scalar_loops(monkeypatch):
 
 
 UNTRACEABLE = {
-    "==": (lambda x: x[0] * x[1] if x[0] == 1.0 else x[1], "=="),
-    "!=": (lambda x: x[1] if x[0] != 2.0 else x[0], "=="),
     "bool": (lambda x: x[1] if x[0] else 2.0 * x[1], "bool()"),
     "float": (lambda x: float(x[0]) * x[1], "float()"),
     "int": (lambda x: int(x[0]) * x[1], "int()"),
@@ -427,10 +474,10 @@ def _caught_float(v):
 def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     fn, reason = UNTRACEABLE[case]
     K = fn if isinstance(fn, ScalarFn) else ScalarFn(fn, 2, name=case)
-    assert reason in FieldCode(K, (), [1.5, 0.5]).reasons[0]
+    assert reason in FieldCode(K, (), [1.5, 0.5]).reason
     # a heat compartment whose drift is K times its port generator, which
-    # vanishes on the surface, runs K's drift on grad and the port on a
-    # replay, with the scalar loop's results or error
+    # vanishes on the surface, runs on the vector pass throughout, with the
+    # scalar loop's results or error
     hc = heat_compartment()
     port = hc.Kc[0].fn
 
@@ -450,8 +497,9 @@ def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
             _assert_same_error(system, 0.12, 1e-2, **kwargs)
         else:
             _assert_matches_reference(system, 12, 1e-2, **kwargs)
-    assert f"{case} runs on the scalar loop: " in caplog.text
-    assert "heat port runs on a traced replay" in caplog.text
+    assert f"simulate 'untraceable': {case} runs on the vector pass: the " \
+        f"trace cannot record {case}, as " in caplog.text
+    assert "traced replay" not in caplog.text
 
 
 def test_replays_live_only_for_their_run(monkeypatch):
@@ -485,7 +533,7 @@ def test_numpy_constants_raise_as_a_dual_raises():
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
-    assert FieldCode(divided, (), [1.0, 1.0]).reasons[0] is not None
+    assert FieldCode(divided, (), [1.0, 1.0]).reason is not None
 
 
 def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
@@ -549,8 +597,9 @@ def test_the_runner_assigns_no_value_it_never_reads(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(GENERATOR_SYSTEMS) + ["switching"])
 def test_the_runner_catches_nothing(name, monkeypatch):
     # where a guard flips, a check trips or an operation raises, the runner
-    # raises, and integrate reruns its block on the vector pass; an
-    # untraceable port calls grad inline, with no handler either
+    # raises, and integrate reruns its block on the vector pass; an ==
+    # guard raises where its values are equal, and no generator's gradient
+    # is grad's
     if name == "switching":
         piston = gas_piston_damper()
         Ka = ScalarFn(lambda x: piston.Ka(x) * 2.0 if x[3] > 0.35
@@ -558,7 +607,8 @@ def test_the_runner_catches_nothing(name, monkeypatch):
         Kc = ScalarFn(lambda x: x[0] if x[1] == 0.5 else x[2], 8)
         x0 = liouville_point(piston.gf, (0.0, 1.0, 0.3, -1.0)).packed()
         source = _source(monkeypatch, Ka, (Kc,), x0, "run")
-        assert "raise _Back" in source and "_grad(1, " in source
+        assert "raise _Back" in source and "_grad" not in source
+        assert re.search(r"if \(v\d+ == c\d+\): raise _Back", source)
     else:
         source = _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name](), "run")
     assert not [node for node in ast.walk(ast.parse(source))
@@ -586,7 +636,7 @@ def test_each_source_compiles_once(monkeypatch):
     # value kernel per expression template) compiles on its first use
     # only, as they all fit the cache, and no one-stage kernel is compiled
     compiled = []
-    monkeypatch.setattr(tracegrad, "_COMPILED", {})
+    tracegrad._code.cache_clear()
     monkeypatch.setattr(tracegrad, "compile", lambda source, *args: (
         compiled.append(source), compile(source, *args))[1], raising=False)
     runs = [("piston", INPUTS[kind]) for kind in INPUTS] + [
@@ -597,7 +647,9 @@ def test_each_source_compiles_once(monkeypatch):
         for name, u in runs:
             simulate(SYSTEMS[name](), 0.02, 1e-2, u=u(),
                      params=TWIN_DEFAULTS.get(name))
-    assert len(compiled) == len(set(compiled)) <= tracegrad._COMPILED_MAX
+    cache = tracegrad._code.cache_info()
+    assert len(compiled) == len(set(compiled)) == cache.misses <= \
+        cache.maxsize
     assert sorted(source.split("(")[0] for source in compiled) == \
         ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 4
 
@@ -679,12 +731,12 @@ def test_constant_derivatives_are_folded_at_trace_time(monkeypatch):
     assert _assert_replays_the_scalar_loop(K, _replay(K, x), points) == 30
 
 
-@pytest.mark.parametrize("drift", ["untraceable", "flipped guard"])
+@pytest.mark.parametrize("drift", ["equality guard", "flipped guard"])
 def test_a_port_never_reads_a_value_of_the_drift_section(drift):
-    # the port computes q0 * p0 as the drift does; where the drift's section
-    # is grad's, the port's own code still runs, and where the drift's
-    # guard flips, the point is grad's
-    if drift == "untraceable":
+    # the port computes q0 * p0 as the drift does; its own code computes
+    # it, and at the second point, where the drift's guard flips (q0 ==
+    # 0.25, or q1 <= 0.5), the point is grad's
+    if drift == "equality guard":
         Ka = ScalarFn(lambda x: x[0] * x[2] * (2.0 if x[0] == 0.25 else 1.0),
                       4, name="reads ==")
     else:
@@ -692,8 +744,8 @@ def test_a_port_never_reads_a_value_of_the_drift_section(drift):
                       4, name="switch")
     Kc = ScalarFn(lambda x: x[0] * x[2] + x[3], 4, name="port")
     traced = TracedGradient(Ka, (Kc,), [0.3, 0.8, -1.0, 0.5])
-    assert traced.code.reasons[1] is None
-    for x in ([0.3, 0.8, -1.0, 0.5], [0.4, 0.2, -0.9, 0.6]):
+    assert traced.code.reason is None
+    for x in ([0.3, 0.8, -1.0, 0.5], [0.25, 0.2, -0.9, 0.6]):
         expected = grad(Ka, x) + 0.7 * grad(Kc, x)
         assert _hex(traced(x, [0.7])) == _hex(expected)
-    assert traced.handed == (drift == "flipped guard")
+    assert traced.handed == 1
