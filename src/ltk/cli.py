@@ -42,7 +42,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .brackets import _degree_rows, _poisson_rows
-from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs
+from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows,
+                      _values_and_dirderivs)
 from .dynamics import flow_transport_check, phase_rhs
 from .exprlang import ExprError, compile_fn, free_names, parse
 from .geometry import _phase_rows
@@ -505,7 +506,7 @@ def _cmd_reduce(cfg: RunConfig) -> int:
     if cfg.at is not None:
         try:
             point = reduced_point(gf, cfg.at)
-        except ValueError as err:
+        except _DOMAIN_ERRORS as err:
             raise ConfigError(f"cannot reduce at {list(cfg.at)}: {err}") from None
         checks["reduced_point"] = {"at": list(cfg.at),
                                    "point": [float(v) for v in point]}

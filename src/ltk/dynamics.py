@@ -17,15 +17,15 @@ Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
 take a (B, dim) batch of states, one per row, differentiated in one
 vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.
-:func:`integrate` is the package's one integration loop, and the one
-place that traces a field.  A phase field, :func:`phase_rhs`'s or the
-forced one of port-system simulation (:func:`ltk.portsys.simulate`), is
-traced once at its first state (:class:`ltk.tracegrad.FieldCode`) and
-stepped by one generated block runner: the RK4 loop over a block of
-steps, the state a list of floats, with the traced gradient inlined at
-each stage and the RK4 formula written with :func:`rk4_step`'s
-expressions, entry by entry, so its states are the numpy step's bit for
-bit.  A batch of up to :data:`REPLAY_MAX_ROWS` rows, such as the
+:func:`integrate` is the package's one integration loop.  A phase
+field, :func:`phase_rhs`'s or the forced one of port-system simulation
+(:func:`ltk.portsys.simulate`), builds its own block runner, traced once
+at its first state (:class:`ltk.tracegrad.FieldCode`): the RK4 loop over
+a block of steps, the state a list of floats, with the traced gradient
+inlined at each stage and the RK4 formula written with
+:func:`rk4_step`'s expressions, entry by entry, so its states are the
+numpy step's bit for bit, and one test that the block's last state is
+finite.  A batch of up to :data:`REPLAY_MAX_ROWS` rows, such as the
 trajectories of the two integrated checks (:func:`flow_transport_check`,
 :func:`scaling_commutation_check`), runs each row through the block in
 turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
@@ -168,10 +168,11 @@ def _canonical(g: np.ndarray) -> np.ndarray:
 @dataclass
 class _PhaseField:
     """The canonical field of ``Ka + sum_k u_k Kc_k``, inputs
-    ``u = reads[t]`` (read first, as the block runner reads them), as
+    ``u = reads[t]`` (read first, as its block runner reads them), as
     ``f(t, x)``: :func:`grad` of Ka, then for each port in order whose
     input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.  :func:`integrate`
-    traces it instead, and logs the run's route after ``label``."""
+    steps it on its :meth:`runner` instead, which logs the run's route
+    after ``label``."""
 
     Ka: ScalarFn
     Kc: tuple = ()
@@ -185,6 +186,68 @@ class _PhaseField:
             if u != 0.0:
                 g = g + u * grad(K, x)
         return _canonical(g)
+
+    def runner(self, x: np.ndarray):
+        """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 from the
+        list state ``x`` at t = i0*dt, as one loop generated from the
+        generators traced at the state ``x``, or at row 0 of the batch
+        ``x``; None where ``x`` runs the vector pass.  Logs the route.  Each
+        stage evaluates the gradient inline, with the inputs ``reads[t]``
+        for a field with ports (k3 takes k2's read), and each new state is
+        appended to ``out`` as a list.  ``run`` returns the last state, or
+        raises where a stage raises or that state is not finite."""
+        reason = None
+        if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
+            reason = (f"its {len(x)} rows are more than the "
+                      f"{REPLAY_MAX_ROWS} a replay runs faster")
+        elif x.ndim == 2 and not len(x):
+            reason = "it has no rows"
+        elif x.ndim == 0:                   # the vector pass raises
+            reason = "its start state is a scalar"
+        elif x.shape[-1] != self.Ka.dim:    # the vector pass raises
+            reason = (f"its start "
+                      f"{'rows have' if x.ndim == 2 else 'state has'} "
+                      f"{x.shape[-1]} entries")
+        else:
+            from .tracegrad import FieldCode
+            code = FieldCode(self.Ka, self.Kc,
+                             (x if x.ndim == 1 else x[0]).tolist())
+            reason = code.reason
+        name = self.Ka.name or "K"
+        if reason is not None:
+            log.info("%s: %s runs on the vector pass: %s", self.label, name,
+                     reason)
+            return None
+        log.info("%s: %s runs on a traced replay", self.label, name)
+        xs, m = [f"x{i}" for i in range(code.dim)], code.dim // 2
+        ported = bool(self.Kc)
+
+        def stage(k, time, point):
+            """Stage k's lines and, as :func:`_canonical`, its entries."""
+            g = f"{k}g"
+            read = [f"u = _reads[{time}]"] if ported and k != "c" else []
+            return read + code.stage(g, point), (
+                [f"{g}{i}" for i in range(m, code.dim)]
+                + [f"-{g}{i}" for i in range(m)])
+
+        lines, new = _rk4_lines(code.dim, stage)
+        step = ((["t = (i - 1) * dt"] if ported else []) + lines
+                + [f"{xi} = {e}" for xi, e in zip(xs, new)]
+                + [f"out.append([{', '.join(xs)}])"])
+        # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN; an entry
+        # that is not finite stays so under x + w * (...)
+        finite = " + ".join(f"{xi} * 0.0" for xi in xs)
+        # h where a stage reads it, in its time or its point; the loop's
+        # body as one line of text, its lines indented once more
+        half = ["h = dt / 2.0"] if ported or " h * " in "\n".join(lines) \
+            else []
+        body = ([", ".join(xs) + ", = x"] + half
+                + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
+                   "    " + "\n        ".join(step),
+                   f"if {finite} != 0.0:", "    raise _Back",
+                   "return out[-1]"])
+        return code.function("run", "x, i0, i1, dt, out", body,
+                             _reads=self.reads)
 
 
 def phase_rhs(K: ScalarFn):
@@ -342,44 +405,6 @@ class _NonFiniteState(RuntimeError):
         self.t, self.row = t, row
 
 
-def _block_runner(code, reads):
-    """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 of the
-    canonical field of ``code`` (a :class:`ltk.tracegrad.FieldCode`) from
-    the list state ``x`` at t = i0*dt, as one generated loop.  Each stage
-    evaluates the gradient inline on local floats, with the inputs
-    ``reads[t]`` for a field with ports (k3 takes k2's read, at the same
-    time), and each new state, once its entries are all finite, is
-    appended to ``out`` as a list; a non-finite one raises
-    :class:`_NonFiniteState` with its step, and a stage raises where the
-    traced code does.  ``run`` returns the last state."""
-    x, m = [f"x{i}" for i in range(code.dim)], code.dim // 2
-    ported = reads is not None
-
-    def stage(k, time, point):
-        """Stage k's lines and, as :func:`_canonical`, its field entries."""
-        g = f"{k}g"
-        read = [f"u = _reads[{time}]"] if ported and k != "c" else []
-        return read + code.stage(g, point), (
-            [f"{g}{i}" for i in range(m, code.dim)]
-            + [f"-{g}{i}" for i in range(m)])
-
-    lines, new = _rk4_lines(code.dim, stage)
-    # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN
-    finite = " + ".join(f"{xi} * 0.0" for xi in x)
-    step = ((["t = (i - 1) * dt"] if ported else []) + lines
-            + [f"{xi} = {e}" for xi, e in zip(x, new)]
-            + [f"if {finite} != 0.0:", "    raise _NonFinite(i * dt, i)",
-               f"out.append([{', '.join(x)}])"])
-    # h where a stage reads it, in its time or its point; the loop's body
-    # as one line of text, its lines indented once more
-    half = ["h = dt / 2.0"] if ported or " h * " in "\n".join(lines) else []
-    body = ([", ".join(x) + ", = x"] + half
-            + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
-               "    " + "\n        ".join(step), "return out[-1]"])
-    return code.function("run", "x, i0, i1, dt, out", body, _reads=reads,
-                         _NonFinite=_NonFiniteState)
-
-
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
@@ -390,14 +415,13 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     trajectory it would follow alone, bit for bit, when ``f`` treats rows
     alike (as :func:`phase_rhs` does).  ``f`` steps in numpy, one
     :func:`rk4_step` at a time, unless it is a phase field
-    (:func:`phase_rhs`'s, or simulate's), whose generators are traced
-    once, at the state or at row 0 of the batch, into one block runner
-    that steps the state, or each row of the batch in turn, a monitor
-    block at a time, with the numpy step's bits.  A block in which the
-    runner raises, for any reason (a guard that flips, a check that trips,
-    an error, a non-finite state), reruns from its start on the vector
-    pass, which returns the same bits or raises the same error at the
-    same step.  A scalar state, a state or start rows of another width
+    (:func:`phase_rhs`'s, or simulate's), whose block runner, traced
+    once at the state or at row 0 of the batch, steps the state, or each
+    row of the batch in turn, a monitor block at a time, with the numpy
+    step's bits.  A block in which the runner raises, for any reason (a
+    guard that flips, a check that trips, an error, a last state that is
+    not finite), reruns from its start on the vector pass, which returns
+    the same bits or raises the same error at the same step.  A scalar state, a state or start rows of another width
     than K's, a batch with no rows or more than :data:`REPLAY_MAX_ROWS`
     rows, and a field with a generator the trace cannot record run the
     vector pass throughout.  At level INFO the ``ltk`` logger says, after
@@ -451,13 +475,12 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     batch = x.ndim == 2
     block = max(1, MONITOR_BLOCK // max(1, len(x))) if batch \
         else MONITOR_BLOCK
-    code = _trace(f, x) if isinstance(f, _PhaseField) else None
+    run = f.runner(x) if isinstance(f, _PhaseField) else None
     reran = []                          # the start of each block rerun
-    if code is None:
+    if run is None:
         advance = _steps(f)
     else:
-        advance = _runner_blocks(
-            _block_runner(code, f.reads if f.Kc else None), f, batch, reran)
+        advance = _runner_blocks(run, f, batch, reran)
         x = x.tolist()
     i = 0                               # the last point reached
     try:
@@ -479,38 +502,11 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             i = end
         record_monitors(steps + 1)
     finally:
-        if code is not None:
+        if run is not None:
             first = f", the first from t={reran[0] * dt:g}" if reran else ""
             log.info("%s: blocks rerun on the vector pass: %d%s", f.label,
                      len(reran), first)
     return Trajectory(ts, xs, mon)
-
-
-def _trace(f: _PhaseField, x: np.ndarray):
-    """The :class:`~ltk.tracegrad.FieldCode` of ``f`` traced at the state
-    ``x``, or at row 0 of the batch ``x``, for :func:`integrate`'s block
-    runner, or None where ``x`` runs the vector pass; logs the route."""
-    reason = None
-    if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
-        reason = (f"its {len(x)} rows are more than the "
-                  f"{REPLAY_MAX_ROWS} a replay runs faster")
-    elif x.ndim == 2 and not len(x):
-        reason = "it has no rows"
-    elif x.ndim == 0:                   # the vector pass raises
-        reason = "its start state is a scalar"
-    elif x.shape[-1] != f.Ka.dim:       # the vector pass raises
-        reason = (f"its start {'rows have' if x.ndim == 2 else 'state has'} "
-                  f"{x.shape[-1]} entries")
-    else:
-        from .tracegrad import FieldCode
-        code = FieldCode(f.Ka, f.Kc, (x if x.ndim == 1 else x[0]).tolist())
-        reason = code.reason
-    name = f.Ka.name or "K"
-    if reason is not None:
-        log.info("%s: %s runs on the vector pass: %s", f.label, name, reason)
-        return None
-    log.info("%s: %s runs on a traced replay", f.label, name)
-    return code
 
 
 def _store(xs: np.ndarray, start: int, out: list):
@@ -553,7 +549,8 @@ def _runner_blocks(run, f: _PhaseField, batch: bool, reran: list):
     rows each through the whole block in turn, by the block runner
     ``run``.  A block in which it raises, for any reason, reruns from its
     start on the vector pass of ``f``, step by step, with the same bits
-    or error; ``reran`` gets the first point of each such block."""
+    or error, and the step of a state that is not finite; ``reran`` gets
+    the first point of each such block."""
     rerun = _steps(f)
 
     def advance(X, i0, i1, dt, out):

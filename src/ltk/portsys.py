@@ -347,14 +347,16 @@ def _output_rows(fn: ScalarFn, X: np.ndarray, m: int) -> np.ndarray:
 def _total_rows(sys: PortSystem, U: np.ndarray, X: np.ndarray):
     """``(|K|, |alpha(X_K) - K|)`` of the total generator K at each row of
     ``X``, inputs ``U``: one degree-1 Euler pass per generator, which carries
-    its value too, summed as the field sums, skipping ports with zero input."""
+    its value too, summed as the field sums, skipping ports with zero input;
+    an input that is not finite gives a total that is not, warning-free."""
     residual, value = _euler_rows(sys.Ka, X, 1)
     for k, K in enumerate(sys.Kc):
         on = U[:, k] != 0.0
         if on.any():
             r, v = _euler_rows(K, X[on], 1)
-            value[on] += U[on, k] * v
-            residual[on] += U[on, k] * r
+            with np.errstate(over="ignore", invalid="ignore"):
+                value[on] += U[on, k] * v
+                residual[on] += U[on, k] * r
     return np.abs(value), np.abs(residual)
 
 

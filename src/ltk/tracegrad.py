@@ -1,8 +1,8 @@
 """Traced code: functions recorded once and emitted as straight-line
 Python, the generators of a field as the lines of their gradients' sum
-(:class:`FieldCode`), which the block runner of :mod:`ltk.dynamics`
-inlines at each RK4 stage, and expression inputs as one kernel of their
-values.
+(:class:`FieldCode`), which a phase field of :mod:`ltk.dynamics` inlines
+at each RK4 stage of its block runner, and expression inputs as one
+kernel of their values.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -23,8 +23,8 @@ trace time by the same operator and becomes one more constant.  Nodes are
 never shared between functions: each generator's code stands alone.
 :class:`FieldCode` writes a port system's drift and port generators into
 one body that computes the gradient of ``Ka + sum_k u_k Kc_k``, its names
-numbered on across the generators; the block runner of
-:mod:`ltk.dynamics` reads the canonical field off it.
+numbered on across the generators; the phase field's block runner reads
+the canonical field off it.
 
 A comparison becomes a guard, and each condition under which a scalar
 pass raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a
@@ -54,12 +54,11 @@ in a process.
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
 
-:func:`~ltk.dynamics.integrate` traces a phase field's generators into
-field code once per run, for ``simulate``, ``phase_rhs`` and the two
-integrated checks alike, and keeps its block runner for that run only.
-``ltk`` does not import this module; ``integrate`` imports it when it
-first steps a phase field, and ``from_exprs`` when first called, so
-importing the package does not compile it.
+A phase field traces its generators into field code once per run of
+:func:`~ltk.dynamics.integrate`, for ``simulate``, ``phase_rhs`` and the
+two integrated checks alike, and builds a block runner for that run
+only.  ``ltk`` does not import this module; a phase field imports it
+when it first builds a runner, and ``from_exprs`` when first called.
 """
 from __future__ import annotations
 
@@ -586,9 +585,9 @@ class FieldCode:
     :meth:`stage` gives the lines that evaluate the gradient sum at a
     point, with the inputs in the list ``u``, and :meth:`function`
     compiles a function around such lines, which read the trace's
-    constants.  :meth:`kernel` places them once, as one call, and the
-    block runner of :mod:`ltk.dynamics` at each RK4 stage; none of them
-    serves a field code with a ``reason``.
+    constants.  :meth:`kernel` places them once, as one call, and a phase
+    field's block runner (:mod:`ltk.dynamics`) at each RK4 stage; none of
+    them serves a field code with a ``reason``.
     """
 
     def __init__(self, Ka: ScalarFn, Kc, x):

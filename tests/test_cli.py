@@ -335,6 +335,15 @@ def test_reduce_rejects_inhomogeneous_and_bad_points(capsys):
     assert "cannot reduce at" in err
 
 
+def test_reduce_outside_the_reduced_domain_is_a_config_error(capsys):
+    # at zero moles the specific ratios divide by zero
+    code, _, err = run_cli(capsys, "reduce", "--system", "ideal_gas_SVN",
+                           "--at", "1,2,0")
+    assert code == 2
+    assert err.strip() == ("ltk: config error: cannot reduce at "
+                           "[1.0, 2.0, 0.0]: float division by zero")
+
+
 # -- flowcheck ----------------------------------------------------------------------
 
 

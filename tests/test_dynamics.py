@@ -420,9 +420,10 @@ def test_a_traced_state_failing_in_its_second_block_fails_as_the_numpy_step(
 
 @pytest.mark.parametrize("rows", [None, 2])
 def test_a_block_rerun_overflows_without_a_warning(rows, caplog):
-    # the runner's float arithmetic overflows to inf silently and raises the
-    # non-finite state; its block reruns on the vector pass, which must
-    # raise that state too, not a numpy warning (an error in this suite)
+    # the runner's float arithmetic overflows to inf silently, and the
+    # runner raises at the end of the block; its block reruns on the vector
+    # pass, which must raise the non-finite state at its step, not a numpy
+    # warning (an error in this suite)
     c = np.finfo(float).max / 3.0
     K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
     x0 = np.array([0.7, 0.0, -0.5, 0.2])

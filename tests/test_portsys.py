@@ -369,6 +369,18 @@ def test_simulate_records_grid_inputs_outputs_and_monitors():
         simulate(gp, 0.1, 0.1, monitors=("bogus",))
 
 
+@pytest.mark.parametrize("monitors", [(), ("K_res",), ("alpha_res",)])
+def test_an_infinite_input_fails_its_step_without_a_warning(monitors):
+    # the failing step records the points before it, where the totals of
+    # K_res and alpha_res take the infinite input: no numpy warning (an
+    # error in this suite) comes before the step's own error
+    with pytest.raises(RuntimeError, match=r"^simulation of "
+                       r"'gas_piston_damper': integration produced a "
+                       r"non-finite state at t=0\.001 \(step 1\)$"):
+        simulate(gas_piston_damper(), 0.002, 1e-3,
+                 u=PortSignal.constant([np.inf]), monitors=monitors)
+
+
 def _rebind(monkeypatch, original, replacement):
     """Rebind every ltk module's name for ``original`` to ``replacement``."""
     for name, module in list(sys.modules.items()):

@@ -281,11 +281,14 @@ def _closed(name, Ka):
 
 def _runner_steps(monkeypatch) -> list:
     """One entry per RK4 step that the block runners built from now on
-    take, a step that raises included."""
-    steps, original = [], dynamics._block_runner
+    take, a step that raises included; a block whose last state is not
+    finite counts each of its steps and one more."""
+    steps, original = [], dynamics._PhaseField.runner
 
-    def built(*args):
-        run = original(*args)
+    def built(field, x):
+        run = original(field, x)
+        if run is None:
+            return None
 
         def counted(x, i0, i1, dt, out):
             try:
@@ -297,7 +300,7 @@ def _runner_steps(monkeypatch) -> list:
                 steps.extend([None] * len(out))
         return counted
 
-    monkeypatch.setattr(dynamics, "_block_runner", built)
+    monkeypatch.setattr(dynamics._PhaseField, "runner", built)
     return steps
 
 

@@ -548,9 +548,9 @@ def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
-    code = tracegrad.FieldCode(Ka, Kc, list(x))
-    code.kernel()
-    dynamics._block_runner(code, {} if Kc else None)
+    tracegrad.FieldCode(Ka, Kc, list(x)).kernel()
+    dynamics._PhaseField(Ka, tuple(Kc), {} if Kc else None).runner(
+        np.asarray(x, dtype=float))
     named = [s for s in sources if s.startswith(f"def {name}(")]
     assert len(named) == 1
     return named[0]
@@ -611,9 +611,18 @@ def test_the_runner_catches_nothing(name, monkeypatch):
         assert re.search(r"if \(v\d+ == c\d+\): raise _Back", source)
     else:
         source = _kernel_source(monkeypatch, GENERATOR_SYSTEMS[name](), "run")
-    assert not [node for node in ast.walk(ast.parse(source))
-                if isinstance(node, ast.Try)]
+    tree = ast.parse(source)
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
     assert not re.search(r"\btry\b|\bexcept\b", source)
+    # one finiteness test, of the block's last state after the loop: an
+    # entry that is not finite stays so to the block's end
+    assert "_NonFinite" not in source
+    finite = [node for node in ast.walk(tree) if isinstance(node, ast.If)
+              and re.fullmatch(r"(x\d+ \* 0\.0)( \+ x\d+ \* 0\.0)* != 0\.0",
+                               ast.unparse(node.test))]
+    body = tree.body[0].body
+    assert len(finite) == 1 and finite[0] in body
+    assert isinstance(body[body.index(finite[0]) - 1], ast.For)
 
 
 def test_unread_values_that_may_raise_are_kept(monkeypatch):
