@@ -147,7 +147,11 @@ class RunConfig:
                 value = [v for v in value.split(",") if v.strip()]
                 convert = float
             if value is not None:
-                setattr(self, name, _listed(value, name, convert, "numbers"))
+                value = _listed(value, name, convert, "numbers")
+                if not np.isfinite(value).all():
+                    raise ConfigError(f"{name} must be a list of finite "
+                                      f"numbers, got {list(value)!r}")
+                setattr(self, name, value)
 
 
 # ---------------------------------------------------------------------------

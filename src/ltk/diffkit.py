@@ -527,8 +527,8 @@ def _values_and_fd_dirderivs(values, X: np.ndarray, D: np.ndarray):
     return f[:B], (f[B:2 * B] - f[2 * B:]) / (2.0 * h)
 
 
-# The errors of a point where a sampled function is undefined: checks that
-# sample skip such points, and raise any other error.
+# The errors of a point where a function is undefined: checks that sample
+# skip such points, and raise any other error; expressions name them.
 _DOMAIN_ERRORS = (ArithmeticError, ValueError)
 
 

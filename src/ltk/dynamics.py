@@ -168,19 +168,19 @@ def _canonical(g: np.ndarray) -> np.ndarray:
 @dataclass
 class _PhaseField:
     """The canonical field of ``Ka + sum_k u_k Kc_k``, inputs
-    ``u = reads[t]`` (read first, as its block runner reads them), as
-    ``f(t, x)``: :func:`grad` of Ka, then for each port in order whose
-    input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.  :func:`integrate`
-    steps it on its :meth:`runner` instead, which logs the run's route
-    after ``label``."""
+    ``u = read(t)`` (read first, at each call, as its block runner reads
+    them), as ``f(t, x)``: :func:`grad` of Ka, then for each port in
+    order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.
+    :func:`integrate` steps it on its :meth:`runner` instead, which logs
+    the run's route after ``label``."""
 
     Ka: ScalarFn
     Kc: tuple = ()
-    reads: object = None
+    read: object = None
     label: str = "integrate"
 
     def __call__(self, t, x):
-        inputs = self.reads[t] if self.Kc else ()
+        inputs = self.read(t) if self.Kc else ()
         g = grad(self.Ka, x)
         for u, K in zip(inputs, self.Kc):
             if u != 0.0:
@@ -192,10 +192,11 @@ class _PhaseField:
         list state ``x`` at t = i0*dt, as one loop generated from the
         generators traced at the state ``x``, or at row 0 of the batch
         ``x``; None where ``x`` runs the vector pass.  Logs the route.  Each
-        stage evaluates the gradient inline, with the inputs ``reads[t]``
-        for a field with ports (k3 takes k2's read), and each new state is
-        appended to ``out`` as a list.  ``run`` returns the last state, or
-        raises where a stage raises or that state is not finite."""
+        stage evaluates the gradient inline, with the inputs ``read(t)``
+        for a field with ports, read at t, t + h and t + dt of each step
+        (k3 takes k2's read), and each new state is appended to ``out`` as
+        a list.  ``run`` returns the last state, or raises where a stage
+        raises or that state is not finite."""
         reason = None
         if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
             reason = (f"its {len(x)} rows are more than the "
@@ -225,7 +226,7 @@ class _PhaseField:
         def stage(k, time, point):
             """Stage k's lines and, as :func:`_canonical`, its entries."""
             g = f"{k}g"
-            read = [f"u = _reads[{time}]"] if ported and k != "c" else []
+            read = [f"u = _read({time})"] if ported and k != "c" else []
             return read + code.stage(g, point), (
                 [f"{g}{i}" for i in range(m, code.dim)]
                 + [f"-{g}{i}" for i in range(m)])
@@ -247,7 +248,7 @@ class _PhaseField:
                    f"if {finite} != 0.0:", "    raise _Back",
                    "return out[-1]"])
         return code.function("run", "x, i0, i1, dt, out", body,
-                             _reads=self.reads)
+                             _read=self.read)
 
 
 def phase_rhs(K: ScalarFn):
@@ -327,8 +328,8 @@ def reduced_rhs(Kbar: ScalarFn):
 
     def f(t, x):
         x = np.asarray(x, dtype=float)
-        g = grad(Kbar, x)
-        val = float(Kbar(x))
+        vals, G = _values_and_grads(Kbar, [x])
+        val, g = float(vals[0]), G[0]
         eps, gamma = x[:n], x[n:]
         g_eps, g_gamma = g[:n], g[n:]
         A = float(np.dot(gamma, g_gamma)) - val

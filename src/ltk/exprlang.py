@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import diffkit
-from .diffkit import Dual, ScalarFn, _Recorder
+from .diffkit import _DOMAIN_ERRORS, Dual, ScalarFn, _Recorder
 
 __all__ = [
     "Expr",
@@ -312,9 +312,6 @@ def to_source(e: Expr) -> str:
 
 
 # -- evaluation --------------------------------------------------------------
-
-_DOMAIN_ERRORS = (ZeroDivisionError, ValueError, OverflowError)
-
 
 def _pow(a, b, node):
     """Generic power with the domain rule: fractional exponents need base > 0.

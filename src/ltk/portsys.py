@@ -144,6 +144,8 @@ class PortSignal:
     Each call returns a fresh array.  A built-in signal reads its values
     straight into a list of floats; ``PortSignal(fn, n_ports)`` reads
     ``fn(t)`` and checks that it is flat and of size ``n_ports``.
+    :func:`simulate` reads a signal at every stage time and grid point,
+    so it must be a pure function of ``t``.
     """
 
     def __init__(self, fn, n_ports: int):
@@ -156,17 +158,14 @@ class PortSignal:
     def _floats(self, t: float) -> list:
         """``self(t)`` as a list of Python floats, which its reader must not
         change."""
-        return self._sized(self.fn(t)).tolist()
-
-    def _sized(self, u) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.atleast_1d(np.asarray(self.fn(t), dtype=float))
         if u.ndim > 1:
             raise ValueError(f"signal produced shape {u.shape} for "
                              f"{self.n_ports} ports")
         if u.size != self.n_ports:
             raise ValueError(f"signal produced {u.size} values for "
                              f"{self.n_ports} ports")
-        return u
+        return u.tolist()
 
     @classmethod
     def _reading(cls, floats, n_ports: int) -> "PortSignal":
@@ -360,21 +359,6 @@ def _total_rows(sys: PortSystem, U: np.ndarray, X: np.ndarray):
     return np.abs(value), np.abs(residual)
 
 
-class _InputReads(dict):
-    """``u(t)`` as a list of floats by ``t``, read at the first lookup of
-    ``t``: a step's stages share a read at one time (k2 and k3 always), and
-    the recording takes the read of each step's first stage, at its grid
-    time.  ``simulate`` drops the times it has recorded."""
-
-    def __init__(self, u: PortSignal):
-        super().__init__()
-        self.u = u
-
-    def __missing__(self, t):
-        uv = self[t] = self.u._floats(t)
-        return uv
-
-
 def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              params=None, monitors=(), membership_tol: float = MEMBERSHIP_ABORT
              ) -> SimulationResult:
@@ -391,13 +375,11 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     the system and the time; any other error keeps its type and gains the
     system's name and the time of its step or recorded point.  ``K_res``
     is ``|K|`` and ``alpha_res`` the Euler residual ``|alpha(X_K) - K|``
-    of the total generator K.  ``u`` is read once per distinct time, as a
-    list of floats: the recording reads it at the grid points, and a
-    system with ports at its stages too, an RK4 step's two half-step
-    stages sharing one read and the recording reusing each step's first,
-    at its grid time, so that it reads only the grid points no stage read
-    (such as ``t_end``, where the last stage time can differ in the last
-    bit).  So a ``PortSignal`` should be a pure function of ``t``.
+    of the total generator K.  ``u`` is read as a list of floats at each
+    stage time and each grid point: the recording reads it once per grid
+    point, and a system with ports at the stages of each step too, where
+    the block runner's k3 takes k2's read at the half-step time.  So a
+    ``PortSignal`` must be a pure function of ``t``.
 
     :func:`~ltk.dynamics.integrate` traces the field once per run, at the
     initial point (:class:`~ltk.tracegrad.FieldCode`), and steps it by one
@@ -441,14 +423,11 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
              + extra)
 
     x0 = liouville_point(sys.gf, params).packed()
-    reads = _InputReads(u)
 
     def channels(t, X):
         """The columns of ``names`` after the membership, at surface rows."""
-        times = t.tolist()
-        U = np.array([reads[ti] for ti in times]).reshape(len(t), n_ports)
-        for ti in [ti for ti in reads if ti < times[-1]]:
-            del reads[ti]
+        U = np.array([u._floats(ti) for ti in t.tolist()]).reshape(
+            len(t), n_ports)
         cols = list(U.T) + [_output_rows(y[k], X, m) for k in range(n_ports)
                             for y in (sys.y_p, sys.y_e)]
         totals = {nm: sum((X[:, i] for i in indices), np.zeros(len(X)))
@@ -479,7 +458,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         return np.column_stack([res] + cols)
 
     try:
-        traj = integrate(_PhaseField(sys.Ka, sys.Kc, reads,
+        traj = integrate(_PhaseField(sys.Ka, sys.Kc, u._floats,
                                      f"simulate {sys.name!r}"),
                          x0, t_end, dt, [("channels", record)])
     except Exception as err:

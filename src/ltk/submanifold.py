@@ -32,7 +32,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .diffkit import ScalarFn, _reject, _sample_rows, grad
+from .diffkit import (ScalarFn, _reject, _sample_rows, _values_and_grads,
+                      grad)
 from .geometry import (ContactPoint, EulerFieldKind, PhasePoint,
                        TangentVector, _chart_indices, _chart_rows, _cone,
                        _relative_euler_rows, beta, project)
@@ -377,9 +378,8 @@ def reduced_point(gf: GeneratingFunction, params) -> np.ndarray:
     if len(params) != gf.n:
         raise ValueError(f"expected {gf.n} parameters (q_1..q_n), got {len(params)}")
     eps = _specific_ratios(params, 0).tolist()
-    Fbar = specific_form(gf)
-    val = float(Fbar(eps))
-    g = grad(Fbar, eps) if eps else np.zeros(0)
+    vals, G = _values_and_grads(specific_form(gf), [eps])
+    val, g = float(vals[0]), G[0]
     gamma = np.empty(gf.n)
     gamma[0] = val - float(np.dot(eps, g))
     gamma[1:] = g

@@ -37,16 +37,16 @@ class TracedGradient:
                 g = g + uk * grad(K, xs)
         return g.tolist()
 
-    def field(self, reads=None):
+    def field(self, read=None):
         """The list step's field ``f(t, X)`` for ``integrate``: the
         canonical field of a call on the state, or on each row of the
-        batch, as a list of floats, with the inputs ``reads[t]`` where
-        ``reads`` is given.  ``steps`` gets the step (1 from t = 0, four
+        batch, as a list of floats, with the inputs ``read(t)`` where
+        ``read`` is given.  ``steps`` gets the step (1 from t = 0, four
         calls a step) of each call at which a point was handed to grad."""
         calls = []
 
         def f(t, X):
-            before, u = self.handed, () if reads is None else reads[t]
+            before, u = self.handed, () if read is None else read(t)
             rows = [self(x, u) for x in np.atleast_2d(X).tolist()]
             if self.handed > before:
                 self.steps.append(len(calls) // 4 + 1)

@@ -44,6 +44,10 @@ def test_runconfig_validates_numbers_and_monitors():
         RunConfig.from_mapping({"dt": "soon"})
     with pytest.raises(ConfigError, match="unknown monitors"):
         RunConfig.from_mapping({"monitors": "K_res,bogus"})
+    for key in ("initial", "at"):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a list of "
+                                              r"finite numbers"):
+            RunConfig.from_mapping({key: [1.0, float("nan")]})
     cfg = RunConfig.from_mapping({"monitors": " K_res , E_total ",
                                   "initial": "0,1,3,-1"})
     assert cfg.monitors == ("K_res", "E_total")
@@ -336,12 +340,35 @@ def test_reduce_rejects_inhomogeneous_and_bad_points(capsys):
 
 
 def test_reduce_outside_the_reduced_domain_is_a_config_error(capsys):
-    # at zero moles the specific ratios divide by zero
+    # at zero moles (N v0 / V)^(R / c_v) has no derivative, which the one
+    # dual pass of value and gradient meets before it divides by N
     code, _, err = run_cli(capsys, "reduce", "--system", "ideal_gas_SVN",
                            "--at", "1,2,0")
     assert code == 2
     assert err.strip() == ("ltk: config error: cannot reduce at "
-                           "[1.0, 2.0, 0.0]: float division by zero")
+                           "[1.0, 2.0, 0.0]: power with non-integer exponent "
+                           "requires a positive base")
+    # nor has it a real value at negative moles
+    code, out, err = run_cli(capsys, "reduce", "--system", "ideal_gas_SVN",
+                             "--at", "1,2,-1")
+    assert code == 2 and out == ""
+    assert err.strip() == ("ltk: config error: cannot reduce at "
+                           "[1.0, 2.0, -1.0]: power with non-integer "
+                           "exponent requires a positive base")
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("reduce", "at", "1,nan,1"), ("reduce", "at", "1,inf,1"),
+    ("reduce", "at", "1,1,-inf"),
+    ("simulate", "initial", "0,nan,0,-1"),
+    ("simulate", "initial", "0,inf,0,-1")])
+def test_a_non_finite_point_is_a_config_error(capsys, command, key, value):
+    system = "ideal_gas_SVN" if command == "reduce" else "gas_piston_damper"
+    code, out, err = run_cli(capsys, command, "--system", system,
+                             f"--{key}", value)
+    assert code == 2 and out == ""
+    assert err.startswith(f"ltk: config error: {key} must be a list of "
+                          f"finite numbers, got [")
 
 
 # -- flowcheck ----------------------------------------------------------------------

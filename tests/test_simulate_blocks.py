@@ -31,7 +31,7 @@ from ltk.dynamics import MONITOR_BLOCK, integrate, rk4_step
 from ltk.exprlang import compile_fn
 from ltk.geometry import PhasePoint, euler_residual
 from ltk.portsys import (BUILTIN_SYSTEMS, MEMBERSHIP_ABORT, MONITOR_NAMES,
-                         PortSignal, PortSystem, _InputReads,
+                         PortSignal, PortSystem,
                          _sample_surface_params, gas_piston_damper,
                          heat_compartment, heat_exchanger, simulate)
 from ltk.submanifold import liouville_point, membership_norm
@@ -176,8 +176,9 @@ def test_full_size_blocks_match_the_point_by_point_recording():
 
 
 def _input_reads(steps, dt):
-    """The times at which a run of ``steps`` steps reads its input, the
-    distinct stage times of its steps and its grid times."""
+    """The times at which a run of ``steps`` steps reads its input, in
+    order; the stage times t, t + h and t + dt of each step, in order; and
+    its grid times."""
     calls = []
 
     def logged(t):
@@ -186,22 +187,24 @@ def _input_reads(steps, dt):
 
     result = simulate(heat_compartment(), steps * dt, dt,
                       u=PortSignal(logged, 1))
-    stages = {i * dt + h for i in range(steps) for h in (0.0, dt / 2.0, dt)}
+    stages = [i * dt + h for i in range(steps) for h in (0.0, dt / 2.0, dt)]
     return calls, stages, result.t.tolist()
 
 
-def test_the_field_reads_the_input_once_per_distinct_stage_time():
-    # k2 and k3 share the half-step time, and k4 of one step and k1 of the
-    # next share theirs where the floats are equal; a step's first stage
-    # reads at its grid time, which the recording reuses, so the recording
-    # (one block, after the run) reads only the grid points no stage read
+def test_the_runner_reads_the_input_at_t_t_plus_h_and_t_plus_dt_in_order(
+        monkeypatch):
+    # k3 takes k2's read at the half-step time; the recording, one block
+    # after the run, reads each grid time once; the vector pass reads at
+    # the same times, the half-step time twice, for k2 and k3
     steps, dt = 21, 1e-2
     calls, stages, grid = _input_reads(steps, dt)
-    assert len(calls) == len(set(calls))
-    assert set(calls) == stages | set(grid)
-    unread = sorted(set(grid) - stages)
-    assert unread == [steps * dt]       # 20 * dt + dt != 21 * dt
-    assert calls[-1] == steps * dt
+    assert calls == stages + grid
+    monkeypatch.setattr(tracegrad._Trace, "record",
+                        lambda trace, K: (None, "untraced"))
+    vector, _, _ = _input_reads(steps, dt)
+    assert vector == [t for i in range(steps) for t in (
+        stages[3 * i], stages[3 * i + 1], stages[3 * i + 1],
+        stages[3 * i + 2])] + grid
 
 
 @pytest.mark.parametrize("name", ["heat_exchanger", "closed piston"])
@@ -227,7 +230,7 @@ def test_a_system_without_ports_reads_its_input_once_per_grid_time(
     assert calls == result.t.tolist()
     # the runner neither reads the inputs nor computes a step's time
     runner, = [s for s in sources if s.startswith("def run(")]
-    assert "_reads" not in runner
+    assert "_read" not in runner
     assert not [line for line in runner.splitlines()
                 if line.strip().startswith("t =")]
 
@@ -250,11 +253,23 @@ def test_a_nan_membership_residual_leaves_the_surface_at_t0(monkeypatch):
         simulate(heat_compartment(), 0.05, 1e-2)
 
 
-def test_the_recording_reads_no_time_twice_across_blocks(monkeypatch):
+def test_a_forced_runner_reads_its_input_three_times_a_step(monkeypatch):
+    sources, original = [], tracegrad._code
+    monkeypatch.setattr(tracegrad, "_code", lambda source: (
+        sources.append(source), original(source))[1])
+    simulate(gas_piston_damper(), 0.1, 1e-2, u=PortSignal.sinusoid(0.1, 1.0))
+    runner, = [s for s in sources if s.startswith("def run(")]
+    reads = [line.strip() for line in runner.splitlines() if "_read" in line]
+    assert reads == ["u = _read(t)", "u = _read(t + h)", "u = _read(t + dt)"]
+
+
+def test_the_recording_reads_each_grid_time_once_across_blocks(monkeypatch):
+    # the steps 1-7, 8-15 and 16-21 each read their stage times, then the
+    # recording reads the grid times of their block, each once
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", SMALL_BLOCK)
     calls, stages, grid = _input_reads(21, 1e-2)
-    assert len(calls) == len(set(calls))
-    assert set(calls) == stages | set(grid)
+    assert calls == (stages[:3 * 7] + grid[:8] + stages[3 * 7:3 * 15]
+                     + grid[8:16] + stages[3 * 15:] + grid[16:])
 
 
 # -- aborted runs ------------------------------------------------------------------
@@ -408,12 +423,12 @@ RUNNER_CASES = [(name, kind) for name in sorted(RUNNER_SYSTEMS)
 def _list_route(system, params, u, t_end, dt, monitors=()):
     """``integrate`` of simulate's field through the list step, in numpy,
     each stage the canonical field of a call of the one-stage kernel on
-    the state as a list, with the inputs of a system with ports read once
-    per time as simulate reads them; also the
+    the state as a list, with the inputs of a system with ports read at
+    each stage; also the
     :class:`~conftest.TracedGradient` it calls."""
     x0 = liouville_point(system.gf, params).packed()
     listed = TracedGradient(system.Ka, system.Kc, x0)
-    field = listed.field(_InputReads(u) if system.n_ports else None)
+    field = listed.field(u._floats if system.n_ports else None)
     return integrate(field, x0, t_end, dt, monitors), listed
 
 
@@ -459,10 +474,10 @@ def test_simulates_field_called_is_its_traced_kernel_bit_for_bit(name):
     X = np.array([liouville_point(system.gf, p).packed()
                   for p in _sample_surface_params(system, 4, 4)])
     listed = TracedGradient(system.Ka, system.Kc, X[0])
-    reads = _InputReads(INPUTS["sinusoid"]())
-    field = dynamics._PhaseField(system.Ka, system.Kc, reads)
+    read = INPUTS["sinusoid"]()._floats
+    field = dynamics._PhaseField(system.Ka, system.Kc, read)
     for t in (0.0, 0.7):
-        expected = [dynamics._canonical(np.array(listed(x, reads[t])))
+        expected = [dynamics._canonical(np.array(listed(x, read(t))))
                     for x in X.tolist()]
         assert _hex([field(t, x) for x in X]) == _hex(expected)
         assert _hex(field(t, X)) == _hex(expected)
@@ -541,7 +556,7 @@ def test_a_step_that_fails_mid_block_fails_as_the_list_step(make, dt, message,
         with pytest.raises(Exception) as err:
             if route == "runner":
                 field = dynamics._PhaseField(system.Ka, system.Kc,
-                                             _InputReads(u), "test")
+                                             u._floats, "test")
                 integrate(field, x0, 2.0, dt, [("x", monitor)])
             else:
                 _list_route(system, system.default_params, u, 2.0, dt,
