@@ -259,12 +259,15 @@ def _build_custom_system(spec: dict) -> PortSystem:
                                  "numbers"),
             "[low, high] pairs")
     try:
-        return PortSystem(
+        system = PortSystem(
             name=spec.get("name", "custom"), gf=gf, Ka=Ka, Kc=Kc,
             energy_indices=energy, entropy_indices=entropy,
-            default_params=initial, param_box=param_box)
+            param_box=param_box)
+        if initial is not None:     # its default_params, named by their key
+            system.default_params = system.check_params(initial, "'initial'")
     except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid custom system: {err}") from None
+    return system
 
 
 def _build_system(spec) -> PortSystem:
@@ -423,13 +426,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
                           "'output'")
     system = _build_system(cfg.system)
     signal = _make_signal(cfg.input, system.n_ports)
-    n_params = system.gf.n_params
-    if cfg.initial is not None and len(cfg.initial) != n_params:
-        raise ConfigError(f"initial needs {n_params} surface parameters "
-                          f"(q_I, p_chart, p_J) for system {system.name!r}, "
-                          f"got {len(cfg.initial)}")
+    initial = None
+    if cfg.initial is not None:
+        try:
+            initial = system.check_params(cfg.initial, "initial")
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
     result = simulate(system, cfg.t_end, cfg.dt, u=signal,
-                      params=cfg.initial, monitors=cfg.monitors)
+                      params=initial, monitors=cfg.monitors)
     m = system.n_coords
     header = (["t"] + [f"q{i}" for i in range(m)] + [f"p{i}" for i in range(m)]
               + list(result.outputs) + list(cfg.monitors))

@@ -48,6 +48,7 @@ Packing conventions (m = n + 1 coordinates):
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -220,35 +221,43 @@ class _PhaseField:
                      reason)
             return None
         log.info("%s: %s runs on a traced replay", self.label, name)
-        xs, m = [f"x{i}" for i in range(code.dim)], code.dim // 2
-        ported = bool(self.Kc)
+        return code.function(_runner_source(code.body, code.dim,
+                                            bool(self.Kc)), _read=self.read)
 
-        def stage(k, time, point):
-            """Stage k's lines and, as :func:`_canonical`, its entries."""
-            g = f"{k}g"
-            read = [f"u = _read({time})"] if ported and k != "c" else []
-            return read + code.stage(g, point), (
-                [f"{g}{i}" for i in range(m, code.dim)]
-                + [f"-{g}{i}" for i in range(m)])
 
-        lines, new = _rk4_lines(code.dim, stage)
-        step = ((["t = (i - 1) * dt"] if ported else []) + lines
-                + [f"{xi} = {e}" for xi, e in zip(xs, new)]
-                + [f"out.append([{', '.join(xs)}])"])
-        # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN; an entry
-        # that is not finite stays so under x + w * (...)
-        finite = " + ".join(f"{xi} * 0.0" for xi in xs)
-        # h where a stage reads it, in its time or its point; the loop's
-        # body as one line of text, its lines indented once more
-        half = ["h = dt / 2.0"] if ported or " h * " in "\n".join(lines) \
-            else []
-        body = ([", ".join(xs) + ", = x"] + half
-                + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
-                   "    " + "\n        ".join(step),
-                   f"if {finite} != 0.0:", "    raise _Back",
-                   "return out[-1]"])
-        return code.function("run", "x, i0, i1, dt, out", body,
-                             _read=self.read)
+@functools.lru_cache(maxsize=8)
+def _runner_source(body: str, dim: int, ported: bool) -> str:
+    """The source of the block runner ``run`` of :meth:`_PhaseField.runner`
+    for the field code ``body`` (:attr:`~ltk.tracegrad.FieldCode.body`) of
+    ``dim`` coordinates, which reads its inputs where ``ported``.  The
+    source names a run's constants and never holds them, so it is built
+    once per field shape."""
+    from .tracegrad import _source, _stage
+    xs, m = [f"x{i}" for i in range(dim)], dim // 2
+
+    def stage(k, time, point):
+        """Stage k's lines and, as :func:`_canonical`, its entries."""
+        g = f"{k}g"
+        read = [f"u = _read({time})"] if ported and k != "c" else []
+        return read + _stage(body, g, point), (
+            [f"{g}{i}" for i in range(m, dim)]
+            + [f"-{g}{i}" for i in range(m)])
+
+    lines, new = _rk4_lines(dim, stage)
+    step = ((["t = (i - 1) * dt"] if ported else []) + lines
+            + [f"{xi} = {e}" for xi, e in zip(xs, new)]
+            + [f"out.append([{', '.join(xs)}])"])
+    # x * 0.0 is 0.0 for a finite x, NaN for inf and NaN; an entry
+    # that is not finite stays so under x + w * (...)
+    finite = " + ".join(f"{xi} * 0.0" for xi in xs)
+    # h where a stage reads it, in its time or its point; the loop's
+    # body as one line of text, its lines indented once more
+    half = ["h = dt / 2.0"] if ported or " h * " in "\n".join(lines) else []
+    return _source("run", "x, i0, i1, dt, out", (
+        [", ".join(xs) + ", = x"] + half
+        + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
+           "    " + "\n        ".join(step),
+           f"if {finite} != 0.0:", "    raise _Back", "return out[-1]"]))
 
 
 def phase_rhs(K: ScalarFn):

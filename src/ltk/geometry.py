@@ -30,6 +30,7 @@ the cone formula, ``_chart_rows`` the projection and the degeneracy rule.
 from __future__ import annotations
 
 import enum
+import random
 import warnings
 from dataclasses import dataclass
 
@@ -241,7 +242,7 @@ def sample_phase_points(m: int, n_samples: int, seed: int) -> list:
     """Random phase points with q_i in (0.6, 1.4) and |p_i| in (0.2, 1.0).
 
     The ranges keep chart divisions well-conditioned; the costate signs are
-    drawn independently.  The points come from one ``default_rng(seed)``
+    drawn independently.  The points come from one ``random.Random(seed)``
     stream, so every check sampling with the same seed sees the same points;
     the checks inside ``ltk`` draw them packed, one per row of an array,
     from the same stream.
@@ -249,19 +250,27 @@ def sample_phase_points(m: int, n_samples: int, seed: int) -> list:
     return [PhasePoint(x[:m], x[m:]) for x in _phase_rows(m, n_samples, seed)]
 
 
-_SIGNS = np.array([-1.0, 1.0])
-
-
 def _phase_rows(m: int, n_samples: int, seed: int) -> np.ndarray:
     """The packed points of :func:`sample_phase_points`, an (n_samples, 2m)
-    array; the signs take the stream as ``rng.choice([-1.0, 1.0], m)``
-    would."""
-    rng = np.random.default_rng(seed)
-    X = np.empty((n_samples, 2 * m))
-    for x in X:
-        x[:m] = rng.uniform(0.6, 1.4, m)
-        x[m:] = rng.uniform(0.2, 1.0, m) * _SIGNS[rng.integers(0, 2, m)]
-    return X
+    array: per point, m draws of q, m of |p|, then m more, each of which
+    makes its p negative where it is below 0.5."""
+    X = _box_rows([(0.6, 1.4)] * m + [(0.2, 1.0)] * m + [(0.0, 1.0)] * m,
+                  n_samples, seed)
+    X[:, m:2 * m][X[:, 2 * m:] < 0.5] *= -1.0
+    return X[:, :2 * m]
+
+
+def _box_rows(box, n_samples: int, seed: int) -> np.ndarray:
+    """An (n_samples, len(box)) array of uniform draws from the box of
+    (low, high) pairs, row by row: entry j is ``low_j + (high_j - low_j) *
+    r()`` with ``r = random.Random(seed).random``, whose sequence Python
+    repeats for a seed across versions.  The seed must not be negative."""
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    r = random.Random(seed).random
+    spans = [(lo, hi - lo) for lo, hi in box]
+    return np.array([lo + w * r() for _ in range(n_samples)
+                     for lo, w in spans]).reshape(n_samples, len(spans))
 
 
 def scale_costate(pt: PhasePoint, lam: float) -> PhasePoint:
@@ -362,8 +371,7 @@ def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):
     the check.  The points are one batch.
     """
     m = n + 1
-    X = np.random.default_rng(7).uniform(np.repeat([0.6, -0.8], m),
-                                         np.repeat([1.4, 0.8], m), (4, 2 * m))
+    X = _box_rows([(0.6, 1.4)] * m + [(-0.8, 0.8)] * m, 4, 7)
     X[:, m + chart] = -1.0
     X[:, m:] *= 1.3
     _, residuals = _sample_rows(

@@ -40,8 +40,8 @@ from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
                       exp, grad)
 from .dynamics import (_PhaseField, _degree_residual, contact_rhs, integrate,
                        phase_rhs)
-from .geometry import (PhasePoint, _chart_rows, _euler_rows, _phase_rows,
-                       dehomogenize)
+from .geometry import (PhasePoint, _box_rows, _chart_rows, _euler_rows,
+                       _phase_rows, dehomogenize)
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, lift_generating_function,
                           liouville_point, membership_norm)
@@ -80,7 +80,9 @@ class PortSystem:
     falling back to finite differences inside nested gradients).
     ``default_params`` seeds simulations and ``param_box`` bounds the
     surface-sampling used by validation, both over the parameter layout
-    ``[q_I ascending, p_chart, p_J ascending]``.
+    ``[q_I ascending, p_chart, p_J ascending]``: ``default_params`` must be
+    ``n_params`` finite numbers with p_chart nonzero (:meth:`check_params`)
+    and ``param_box`` ``n_params`` finite pairs with low <= high.
     """
 
     name: str
@@ -117,11 +119,36 @@ class PortSystem:
                              for k in range(len(self.Kc)))
         if len(self.y_p) != len(self.Kc) or len(self.y_e) != len(self.Kc):
             raise ValueError("need one y_p and one y_e function per port")
+        if self.default_params is not None:
+            self.default_params = self.check_params(self.default_params,
+                                                    "default_params")
         if self.param_box is not None:
             self.param_box = tuple((float(a), float(b)) for a, b in self.param_box)
             if len(self.param_box) != self.gf.n_params:
                 raise ValueError(f"param_box must bound all {self.gf.n_params} "
                                  f"surface parameters")
+            if not (np.isfinite(self.param_box).all()
+                    and all(a <= b for a, b in self.param_box)):
+                raise ValueError(f"param_box must hold finite [low, high] "
+                                 f"pairs with low <= high, got "
+                                 f"{[list(pair) for pair in self.param_box]}")
+
+    def check_params(self, params, what: str) -> tuple:
+        """``params`` as a tuple of floats if they are surface parameters of
+        this system, ``n_params`` finite numbers whose p_chart is not 0;
+        otherwise a ValueError that names them ``what``."""
+        params, n = tuple(float(v) for v in params), self.gf.n_params
+        if len(params) != n:
+            raise ValueError(f"{what} needs {n} surface parameters "
+                             f"(q_I, p_chart, p_J) for system {self.name!r}, "
+                             f"got {len(params)}")
+        if not np.isfinite(params).all():
+            raise ValueError(f"{what} must be finite numbers, got "
+                             f"{list(params)}")
+        if params[len(self.gf.I)] == 0.0:
+            raise ValueError(f"{what} has p_chart 0 (entry "
+                             f"{len(self.gf.I)}); p_chart must be nonzero")
+        return params
 
     def _derived_output(self, k: int, indices, label: str) -> ScalarFn:
         K = self.Kc[k]
@@ -508,9 +535,7 @@ def entropy_balance(sys: PortSystem, result: SimulationResult) -> dict:
 def _sample_surface_params(sys: PortSystem, n_samples: int, seed: int):
     if sys.param_box is None:
         raise ValueError(f"system {sys.name!r} has no param_box to sample from")
-    lo, hi = np.array(sys.param_box, dtype=float).reshape(-1, 2).T
-    return list(np.random.default_rng(seed).uniform(lo, hi,
-                                                     (n_samples, len(lo))))
+    return list(_box_rows(sys.param_box, n_samples, seed))
 
 
 def _chart_form_residuals(sys: PortSystem, X: np.ndarray, chart: int,

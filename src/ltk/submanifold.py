@@ -35,8 +35,8 @@ import numpy as np
 from .diffkit import (ScalarFn, _reject, _sample_rows, _values_and_grads,
                       grad)
 from .geometry import (ContactPoint, EulerFieldKind, PhasePoint,
-                       TangentVector, _chart_indices, _chart_rows, _cone,
-                       _relative_euler_rows, beta, project)
+                       TangentVector, _box_rows, _chart_indices, _chart_rows,
+                       _cone, _relative_euler_rows, beta, project)
 
 __all__ = [
     "GeneratingFunction",
@@ -104,7 +104,7 @@ class GeneratingFunction:
         Fhat's degree-1 residual in q_I.  The points are one batch.
         """
         F = lift_phase_fn(self)
-        samples = np.random.default_rng(11).uniform(0.5, 1.5, (6, self.n))
+        samples = _box_rows([(0.5, 1.5)] * self.n, 6, 11)
         nI, m = len(self.I), self.n + 1
         X = np.hstack([np.ones((6, m)), -np.ones((6, m))])
         X[:, list(self.I)] = samples[:, :nI]

@@ -57,7 +57,8 @@ the expression inputs of ``PortSignal.from_exprs``.
 A phase field traces its generators into field code once per run of
 :func:`~ltk.dynamics.integrate`, for ``simulate``, ``phase_rhs`` and the
 two integrated checks alike, and builds a block runner for that run
-only.  ``ltk`` does not import this module; a phase field imports it
+only, from the runner source kept for the field's shape.  ``ltk`` does
+not import this module; a phase field imports it
 when it first builds a runner, and ``from_exprs`` when first called.
 """
 from __future__ import annotations
@@ -582,12 +583,14 @@ class FieldCode:
     otherwise, a check trips or an operation raises, and its caller
     computes that point another way.
 
-    :meth:`stage` gives the lines that evaluate the gradient sum at a
-    point, with the inputs in the list ``u``, and :meth:`function`
-    compiles a function around such lines, which read the trace's
-    constants.  :meth:`kernel` places them once, as one call, and a phase
-    field's block runner (:mod:`ltk.dynamics`) at each RK4 stage; none of
-    them serves a field code with a ``reason``.
+    :func:`_stage` gives the lines of its ``body`` that evaluate the
+    gradient sum at a point, with the inputs in the list ``u``, and
+    :meth:`function` runs the function a source made from such lines
+    defines, which reads the trace's constants.  :meth:`kernel` places them
+    once, as one call, and a phase field's block runner
+    (:mod:`ltk.dynamics`) at each RK4 stage; none of them serves a field
+    code with a ``reason``.  ``body`` and ``dim`` are the code's shape:
+    fields that differ only in their constants share them.
     """
 
     def __init__(self, Ka: ScalarFn, Kc, x):
@@ -601,34 +604,35 @@ class FieldCode:
                 return
             codes.append(code)
         self._namespace = dict(_REPLAY_NAMES, **trace.consts, _Back=_OffTrace)
-        self._body = "\n".join(_gradient_lines(codes))
-        self._read = set(_NAME.findall(self._body))
+        self.body = "\n".join(_gradient_lines(codes))
 
-    def stage(self, g: str, sources) -> list:
-        """The lines that set ``{g}0, {g}1, ...`` to the gradient of
-        ``Ka + sum_k u_k Kc_k`` at the point ``sources`` (one source per
-        coordinate, each set as ``v0, v1, ...`` where the code reads it),
-        bit for bit the scalar loop: ``grad(Ka)``, then for each port in
-        order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``,
-        entry by entry, or raises where a traced generator's guard flips,
-        its check trips or its code raises."""
-        return ([f"v{i} = {s}" for i, s in enumerate(sources)
-                 if f"v{i}" in self._read]
-                + self._body.replace("$", g).split("\n"))
-
-    def function(self, name: str, params: str, lines, **names):
-        """:func:`_function` of lines that read the trace's constants and
-        ``names``."""
-        return _function(name, params, lines, dict(self._namespace, **names))
+    def function(self, source: str, **names):
+        """:func:`_function` of a source that reads the trace's constants
+        and ``names``."""
+        return _function(source, dict(self._namespace, **names))
 
     def kernel(self):
         """``kernel(xs, u)``: the gradient sum at the point and inputs
         ``xs`` and ``u``, lists of floats, as a list, or an error where
-        :meth:`stage` raises."""
-        return self.function(
+        :func:`_stage` raises."""
+        return self.function(_source(
             "kernel", "x, u",
-            self.stage("g", [f"x[{i}]" for i in range(self.dim)])
-            + [f"return [{', '.join(f'g{i}' for i in range(self.dim))}]"])
+            _stage(self.body, "g", [f"x[{i}]" for i in range(self.dim)])
+            + [f"return [{', '.join(f'g{i}' for i in range(self.dim))}]"]))
+
+
+def _stage(body: str, g: str, sources) -> list:
+    """The lines of the field code ``body`` (:attr:`FieldCode.body`) that
+    set ``{g}0, {g}1, ...`` to the gradient of ``Ka + sum_k u_k Kc_k`` at
+    the point ``sources`` (one source per coordinate, each set as ``v0, v1,
+    ...`` where the code reads it), bit for bit the scalar loop:
+    ``grad(Ka)``, then for each port in order whose input is not 0.0 the
+    sum ``g + u_k * grad(Kc_k)``, entry by entry, or raises where a traced
+    generator's guard flips, its check trips or its code raises."""
+    read = set(_NAME.findall(body))
+    return ([f"v{i} = {s}" for i, s in enumerate(sources)
+             if f"v{i}" in read]
+            + body.replace("$", g).split("\n"))
 
 
 def value_kernel(fns, x):
@@ -646,21 +650,25 @@ def value_kernel(fns, x):
         body += lines
         values.append(value)
     body.append(f"return [{', '.join(values)}]")
-    return _function("kernel", "x", ["try:"] + _indented(body) + [
-        "except Exception:", "    return [f(x) for f in _fns]"],
+    return _function(_source("kernel", "x", ["try:"] + _indented(body) + [
+        "except Exception:", "    return [f(x) for f in _fns]"]),
         dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_OffTrace))
 
 
-def _function(name: str, params: str, lines, namespace: dict):
-    """The function ``name(params)`` whose body is ``lines``, run in
-    ``namespace``; its code is compiled on the first use of its source."""
-    exec(_code(f"def {name}({params}):\n    " + "\n    ".join(lines)),
-         namespace)
-    return namespace[name]
+def _source(name: str, params: str, lines) -> str:
+    """The text of the function ``name(params)`` whose body is ``lines``."""
+    return f"def {name}({params}):\n    " + "\n    ".join(lines)
+
+
+def _function(source: str, namespace: dict):
+    """The function that ``source`` (:func:`_source`) defines, run in
+    ``namespace``; its code is compiled on the first use of the source."""
+    exec(_code(source), namespace)
+    return namespace[source[len("def "):source.index("(")]]
 
 
 def _gradient_lines(codes) -> list:
-    """The lines of :meth:`FieldCode.stage` from each generator's traced
+    """The lines of :func:`_stage` from each generator's traced
     code, with the prefix "$" for the names of the gradient sum."""
     body = []
     for k, (lines, partials) in enumerate(codes):

@@ -7,10 +7,14 @@ configuration errors.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ltk
 from ltk import cli
 from ltk.cli import ConfigError, RunConfig, main, run
 
@@ -153,6 +157,28 @@ def test_simulate_aborted_run_exits_one(capsys):
                            "--t-end", "40", "--dt", "0.01")
     assert code == 1
     assert "RuntimeError" in err and "left the state surface" in err
+
+
+def test_no_command_imports_numpy_random():
+    # every check draws its samples from random.Random, which numpy imports
+    # anyway; numpy.random costs a fresh process milliseconds and megabytes
+    code = "\n".join([
+        "import os, sys",
+        "from ltk.cli import main",
+        "for argv in (",
+        "        ['validate', '--system', 'gas_piston_damper', '--samples', '2'],",
+        "        ['bracket', '--system', 'gas_piston_damper', '--samples', '2'],",
+        "        ['reduce', '--system', 'ideal_gas_SVN', '--samples', '2'],",
+        "        ['flowcheck', '--system', 'gas_piston_damper', '--samples',",
+        "         '1', '--t-end', '0.01', '--dt', '1e-3']):",
+        "    assert main(argv + ['--report', os.devnull]) == 0, argv",
+        "assert main(['simulate', '--system', 'heat_exchanger', '--t-end',",
+        "             '0.01', '--dt', '1e-3', '--output', os.devnull]) == 0",
+        "print('numpy.random' in sys.modules)"])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         cwd=Path(ltk.__file__).resolve().parent.parent)
+    assert out.stdout == "False\n"
 
 
 # -- validate -----------------------------------------------------------------------
@@ -642,6 +668,20 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
         k: v for k, v in CUSTOM.items()
         if k not in ("initial", "param_box")}}},
      "system 'custom' has neither default parameters nor a param_box"),
+    ({"system": {"custom": {**CUSTOM, "initial": [0.0, float("nan")]}}},
+     "invalid custom system: 'initial' must be finite numbers, got "
+     "[0.0, nan]"),
+    ({"system": {"custom": {**CUSTOM, "initial": [0.0, -1.0, 2.0]}}},
+     "invalid custom system: 'initial' needs 2 surface parameters"),
+    ({"system": "gas_piston_damper", "initial": [0.0, 1.0, 0.0, 0.0]},
+     "initial has p_chart 0 (entry 3); p_chart must be nonzero"),
+    ({"system": {"custom": {**CUSTOM, "param_box": [[0.0, float("nan")],
+                                                    [-1.5, -0.5]]}}},
+     "invalid custom system: param_box must hold finite [low, high] pairs"),
+    ({"system": {"custom": {**CUSTOM, "param_box": [[1.0, 0.0],
+                                                    [-1.5, -0.5]]}}},
+     "param_box must hold finite [low, high] pairs with low <= high, got "
+     "[[1.0, 0.0], [-1.5, -0.5]]"),
 ], ids=["constant", "sinusoid", "dimensions", "initial", "gf chart", "gf I",
         "gf J", "energy", "entropy", "index string", "Ka number",
         "gf expr number", "Kc number item", "k1 number", "Kc string",
@@ -660,7 +700,9 @@ CUSTOM = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
         "system without name", "params list", "custom number",
         "custom without partition", "dimensions zero", "gf without expr",
         "partition list", "samples zero", "bracket dimensions zero",
-        "reduce without param_box", "flowcheck without param_box"])
+        "reduce without param_box", "flowcheck without param_box",
+        "custom initial NaN", "custom initial length",
+        "initial p_chart zero", "param_box NaN", "param_box reversed"])
 def test_malformed_config_values_are_config_errors(tmp_path, capsys, config,
                                                    message):
     path = tmp_path / "malformed.json"

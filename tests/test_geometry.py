@@ -1,5 +1,7 @@
 """Phase points, the two canonical one-forms, homogeneity tests and charts."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,16 +212,21 @@ def _bytes(rows) -> list:
     return [np.asarray(r, dtype=float).tobytes() for r in rows]
 
 
+def _uniform(r, lo: float, hi: float) -> float:
+    """One draw from [lo, hi) off the stream ``r``, as the samplers take it."""
+    return lo + (hi - lo) * r()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_phase_rows_are_the_per_point_draws(m):
     for seed in range(25):
         for n in (0, 1, 2, 7, 30):
-            rng = np.random.default_rng(seed)
+            r = random.Random(seed).random
             loop = []
             for _ in range(n):
-                q = rng.uniform(0.6, 1.4, m)
-                p = rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
-                loop.append(np.concatenate([q, p]))
+                q = [_uniform(r, 0.6, 1.4) for _ in range(m)]
+                size = [_uniform(r, 0.2, 1.0) for _ in range(m)]
+                loop.append(q + [-a if r() < 0.5 else a for a in size])
             X = _phase_rows(m, n, seed)
             assert X.shape == (n, 2 * m)
             assert _bytes(X) == _bytes(loop)
@@ -227,15 +234,20 @@ def test_phase_rows_are_the_per_point_draws(m):
                           sample_phase_points(m, n, seed)) == _bytes(loop)
 
 
+def test_a_negative_seed_is_rejected():
+    # random.Random would take -s as s; every seed names one stream
+    with pytest.raises(ValueError, match="non-negative seed, got -3"):
+        _phase_rows(2, 1, -3)
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SYSTEMS))
 def test_surface_parameters_are_the_per_sample_draws(name):
     system = BUILTIN_SYSTEMS[name]()
-    lo = np.array([a for a, _ in system.param_box])
-    hi = np.array([b for _, b in system.param_box])
     for seed in range(25):
         for n in (0, 1, 2, 25, 30):
-            rng = np.random.default_rng(seed)
-            loop = [rng.uniform(lo, hi) for _ in range(n)]
+            r = random.Random(seed).random
+            loop = [[_uniform(r, lo, hi) for lo, hi in system.param_box]
+                    for _ in range(n)]
             drawn = _sample_surface_params(system, n, seed)
             assert isinstance(drawn, list) and len(drawn) == n
             assert _bytes(drawn) == _bytes(loop)
@@ -260,13 +272,13 @@ def test_the_degree_one_spot_check_points_are_the_per_point_draws(
     K = ScalarFn(lambda x: sum(x[i] * x[n + 1 + i] for i in range(n + 1)),
                  dim=2 * (n + 1), name="q.p")
     dehomogenize(K, chart)
-    rng = np.random.default_rng(7)
+    r = random.Random(7).random
     loop = []
     for _ in range(4):
-        q = rng.uniform(0.6, 1.4, n + 1)
-        p = rng.uniform(-0.8, 0.8, n + 1)
+        q = [_uniform(r, 0.6, 1.4) for _ in range(n + 1)]
+        p = [_uniform(r, -0.8, 0.8) for _ in range(n + 1)]
         p[chart] = -1.0
-        loop.append(np.concatenate([q, 1.3 * p]))
+        loop.append(q + [1.3 * v for v in p])
     assert _bytes(batches[0]) == _bytes(loop)
 
 
@@ -279,10 +291,10 @@ def test_the_q_homogeneity_check_points_are_the_per_point_draws(
     Fhat = ScalarFn(lambda x: sum(x[:nI]) * (1.0 + sum(v * v for v in x[nI:])),
                     dim=n)
     GeneratingFunction(n=n, Fhat=Fhat, I=I, J=J, q_homogeneous=True)
-    rng = np.random.default_rng(11)
+    r = random.Random(11).random
     loop = []
     for _ in range(6):
-        x = rng.uniform(0.5, 1.5, n)
+        x = [_uniform(r, 0.5, 1.5) for _ in range(n)]
         q = np.ones(n + 1)
         p = -np.ones(n + 1)
         q[list(I)], p[list(J)] = x[:nI], x[nI:]

@@ -263,6 +263,18 @@ def test_a_forced_runner_reads_its_input_three_times_a_step(monkeypatch):
     assert reads == ["u = _read(t)", "u = _read(t + h)", "u = _read(t + dt)"]
 
 
+def test_a_field_shape_assembles_its_runner_source_once():
+    # a runner's source names the run's constants, so two runs of the forced
+    # piston from different surface points share one assembly
+    dynamics._runner_source.cache_clear()
+    piston = gas_piston_damper()
+    for params in _sample_surface_params(piston, 2, 4):
+        simulate(piston, 0.05, 1e-2, u=PortSignal.sinusoid(0.1, 1.0),
+                 params=params)
+    info = dynamics._runner_source.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_the_recording_reads_each_grid_time_once_across_blocks(monkeypatch):
     # the steps 1-7, 8-15 and 16-21 each read their stage times, then the
     # recording reads the grid times of their block, each once
