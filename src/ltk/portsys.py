@@ -435,6 +435,7 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
     if params is None:
         raise ValueError(f"system {sys.name!r} has no default initial "
                          f"parameters; pass params explicitly")
+    params = sys.check_params(params, "params")
     if u is None:
         u = PortSignal.zero(sys.n_ports)
     if u.n_ports != sys.n_ports:
@@ -634,11 +635,13 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
     gf1, gf2 = sys1.gf, sys2.gf
     name = name or f"{sys1.name}+{sys2.name}"
 
+    # Each system's packed phase coordinates [q, p] in the product's.
+    place1 = list(range(m1)) + list(range(M, M + m1))
+    place2 = list(range(m1, M)) + list(range(M + m1, 2 * M))
+
     def split(x):
         xs = list(x)
-        x1 = xs[0:m1] + xs[M:M + m1]
-        x2 = xs[m1:M] + xs[M + m1:2 * M]
-        return x1, x2
+        return [xs[k] for k in place1], [xs[k] for k in place2]
 
     def inputs(x1, x2):
         yp1 = [fn(x1) for fn in sys1.y_p]
@@ -667,23 +670,23 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
                   dual_safe=dual_safe)
 
     # Product surface: chart of system 1 stays the chart; system 2's chart
-    # costate becomes one more intensive parameter.
-    I = tuple(sorted(gf1.I + tuple(m1 + i for i in gf2.I)))
-    J = tuple(sorted(gf1.J + (m1 + gf2.chart,) + tuple(m1 + j for j in gf2.J)))
+    # costate becomes one more intensive parameter.  ``coords`` holds the
+    # product coordinates of system 1's parameters, then of system 2's.
+    coords = ([place1[c] for c in gf1._param_coords]
+              + [place2[c] for c in gf2._param_coords])
     chart = gf1.chart
+    I = tuple(sorted(c for c in coords if c < M))
+    J = tuple(sorted(c - M for c in coords if c >= M and c != M + chart))
+    arg_coords = list(I) + [M + j for j in J]    # Fhat's (q_I, gamma_J)
+    nI1 = len(gf1.I)
+    picks1 = [arg_coords.index(c) for c in coords[:nI1] + coords[nI1 + 1:m1]]
+    picks2 = [arg_coords.index(c) for c in coords[m1:]]
     F2 = lift_generating_function(gf2)
 
-    def Fhat_fn(args):
-        nI1, nI2 = len(gf1.I), len(gf2.I)
-        qI1 = list(args[:nI1])
-        qI2 = list(args[nI1:nI1 + nI2])
-        gam = list(args[nI1 + nI2:])
-        gvals = dict(zip(J, gam))
+    def Fhat_fn(x):
         # With the composite chart costate frozen at -1, every other costate
         # equals its chart ratio, and system 1's lift there is its Fhat.
-        a1 = qI1 + [gvals[j] for j in gf1.J]
-        a2 = qI2 + [gvals[m1 + gf2.chart]] + [gvals[m1 + j] for j in gf2.J]
-        return gf1.Fhat(a1) + F2(a2)
+        return gf1.Fhat([x[k] for k in picks1]) + F2([x[k] for k in picks2])
     Fhat = ScalarFn(Fhat_fn, dim=n,
                     name=f"product({gf1.name or 'L1'}, {gf2.name or 'L2'})",
                     dual_safe=gf1.Fhat.dual_safe and F2.dual_safe)
@@ -691,24 +694,16 @@ def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
         n=n, Fhat=Fhat, I=I, J=J, chart=chart,
         q_homogeneous=gf1.q_homogeneous and gf2.q_homogeneous, name=name)
 
-    energy = tuple(sorted(sys1.energy_indices
-                          + tuple(m1 + i for i in sys2.energy_indices)))
-    entropy = tuple(sorted(sys1.entropy_indices
-                           + tuple(m1 + i for i in sys2.entropy_indices)))
+    energy = tuple(sorted([place1[i] for i in sys1.energy_indices]
+                          + [place2[i] for i in sys2.energy_indices]))
+    entropy = tuple(sorted([place1[i] for i in sys1.entropy_indices]
+                           + [place2[i] for i in sys2.entropy_indices]))
 
     def compose_params(v1, v2):
         if v1 is None or v2 is None:
             return None
-        q = {}
-        pv = {}
-        for vec, gfi, shift in ((v1, gf1, 0), (v2, gf2, m1)):
-            nI = len(gfi.I)
-            for k, i in enumerate(gfi.I):
-                q[shift + i] = vec[k]
-            pv[shift + gfi.chart] = vec[nI]
-            for k, j in enumerate(gfi.J):
-                pv[shift + j] = vec[nI + 1 + k]
-        return tuple([q[i] for i in I] + [pv[chart]] + [pv[j] for j in J])
+        at = dict(zip(coords, tuple(v1) + tuple(v2)))
+        return tuple(at[c] for c in gf._param_coords)
 
     default_params = compose_params(sys1.default_params, sys2.default_params)
     param_box = compose_params(sys1.param_box, sys2.param_box)

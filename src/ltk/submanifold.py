@@ -105,10 +105,9 @@ class GeneratingFunction:
         """
         F = lift_phase_fn(self)
         samples = _box_rows([(0.5, 1.5)] * self.n, 6, 11)
-        nI, m = len(self.I), self.n + 1
+        nI, m, coords = len(self.I), self.n + 1, self._param_coords
         X = np.hstack([np.ones((6, m)), -np.ones((6, m))])
-        X[:, list(self.I)] = samples[:, :nI]
-        X[:, [m + j for j in self.J]] = samples[:, nI:]
+        X[:, coords[:nI] + coords[nI + 1:]] = samples
         kept, R = _sample_rows(
             lambda rows: _relative_euler_rows(F, X[rows], 1,
                                               EulerFieldKind.W)[0], len(X))
@@ -126,6 +125,13 @@ class GeneratingFunction:
     def n_params(self) -> int:
         """Parameters of the lifted surface: q_I values, p_chart, p_J values."""
         return self.n + 1
+
+    @property
+    def _param_coords(self) -> list:
+        """The packed phase coordinate of each surface parameter (q_I,
+        p_chart, p_J); the relation of the one at c sets ``(c + m) % 2m``."""
+        m = self.n + 1
+        return list(self.I) + [m + self.chart] + [m + j for j in self.J]
 
 
 @dataclass
@@ -160,9 +166,9 @@ def lift_phase_fn(gf: GeneratingFunction) -> ScalarFn:
     genuine degree-1 function on the whole bundle, convenient for Euler
     residual sweeps with :func:`ltk.geometry.euler_residual`.
     """
-    m = gf.n + 1
-    return _cone(gf.Fhat, 2 * m, gf.I, m + gf.chart, [m + j for j in gf.J],
-                 f"lift({gf.name or gf.Fhat.name})")
+    nI, coords = len(gf.I), gf._param_coords
+    return _cone(gf.Fhat, 2 * (gf.n + 1), coords[:nI], coords[nI],
+                 coords[nI + 1:], f"lift({gf.name or gf.Fhat.name})")
 
 
 def liouville_point(gf: GeneratingFunction, params) -> PhasePoint:
@@ -204,13 +210,11 @@ def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:
     _reject(P[:, nI] == 0.0, ValueError,
             "p_chart must be nonzero to generate a lift point")
     g = grad(lift_generating_function(gf), P)
+    g[:, nI:] = -g[:, nI:]          # a p parameter's relation sets -dF/dp
+    coords = gf._param_coords
     X = np.empty((len(P), 2 * m))
-    X[:, list(gf.I)] = P[:, :nI]
-    X[:, [m + i for i in gf.I]] = g[:, :nI]             # p_I = dF/dq_I
-    X[:, gf.chart] = -g[:, nI]                           # q_c = -dF/dp_c
-    X[:, m + gf.chart] = P[:, nI]
-    X[:, list(gf.J)] = -g[:, nI + 1:]                    # q_J = -dF/dp_J
-    X[:, [m + j for j in gf.J]] = P[:, nI + 1:]
+    X[:, coords] = P
+    X[:, [(c + m) % (2 * m) for c in coords]] = g
     return X
 
 
@@ -222,15 +226,15 @@ def _membership_components(gf: GeneratingFunction, X) -> np.ndarray:
     if X.shape[1] != 2 * m:
         raise ValueError(f"expected {2 * m} phase coordinates (n={gf.n}), "
                          f"got {X.shape[1]}")
-    Q, P = X[:, :m], X[:, m:]
+    P = X[:, m:]
     _reject(np.max(np.abs(P), axis=1) == 0.0, ValueError, "zero costate: "
             "points live on the cotangent bundle without its zero section")
     _chart_rows(P, gf.chart)     # the degeneracy rule; the lift reads raw p_c
-    params = X[:, list(gf.I) + [m + gf.chart] + [m + j for j in gf.J]]
-    G = _liouville_rows(gf, params)
-    return np.column_stack([Q[:, gf.chart] - G[:, gf.chart],
-                            Q[:, list(gf.J)] - G[:, list(gf.J)],
-                            P[:, list(gf.I)] - G[:, [m + i for i in gf.I]]])
+    nI, coords = len(gf.I), gf._param_coords
+    G = _liouville_rows(gf, X[:, coords])
+    # membership_residual's order: the relations of p_chart, p_J, then q_I
+    conj = [(c + m) % (2 * m) for c in coords[nI:] + coords[:nI]]
+    return X[:, conj] - G[:, conj]
 
 
 def _membership_rows(gf: GeneratingFunction, X) -> np.ndarray:

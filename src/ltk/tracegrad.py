@@ -46,8 +46,8 @@ constants go in through its namespace, so a source depends on the shape
 of the generators and on which of their constants are equal, not on their
 values, and its code object is compiled once and kept by its text (the
 8 sources used last).  The block runner of a field inlines its body at
-each of the four stages, so it compiles in about 4 times the one-stage
-kernel's time (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
+each of the four stages, so it compiles in about 4 times the time of
+one stage alone (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
 exchanger, median process CPU on a shared 2-CPU VM), once per field shape
 in a process.
 
@@ -586,11 +586,11 @@ class FieldCode:
     :func:`_stage` gives the lines of its ``body`` that evaluate the
     gradient sum at a point, with the inputs in the list ``u``, and
     :meth:`function` runs the function a source made from such lines
-    defines, which reads the trace's constants.  :meth:`kernel` places them
-    once, as one call, and a phase field's block runner
-    (:mod:`ltk.dynamics`) at each RK4 stage; none of them serves a field
-    code with a ``reason``.  ``body`` and ``dim`` are the code's shape:
-    fields that differ only in their constants share them.
+    defines, which reads the trace's constants.  A phase field's block
+    runner (:mod:`ltk.dynamics`) places them at each RK4 stage; it does
+    not serve a field code with a ``reason``.  ``body`` and ``dim`` are
+    the code's shape: fields that differ only in their constants share
+    them.
     """
 
     def __init__(self, Ka: ScalarFn, Kc, x):
@@ -610,15 +610,6 @@ class FieldCode:
         """:func:`_function` of a source that reads the trace's constants
         and ``names``."""
         return _function(source, dict(self._namespace, **names))
-
-    def kernel(self):
-        """``kernel(xs, u)``: the gradient sum at the point and inputs
-        ``xs`` and ``u``, lists of floats, as a list, or an error where
-        :func:`_stage` raises."""
-        return self.function(_source(
-            "kernel", "x, u",
-            _stage(self.body, "g", [f"x[{i}]" for i in range(self.dim)])
-            + [f"return [{', '.join(f'g{i}' for i in range(self.dim))}]"]))
 
 
 def _stage(body: str, g: str, sources) -> list:
@@ -700,8 +691,7 @@ def _indented(lines) -> list:
 # jobs of each perfbench workload (seed 7) compile 2 block runners and 3
 # value kernels on sim_builtin, 3 block runners and the 4 templates' value
 # kernels on sim_expr, its built-in twins included, and 2 block runners on
-# audit; a field's one-stage kernel is compiled only where a caller asks
-# for it (FieldCode.kernel), which no workload does.
+# audit.
 @functools.lru_cache(maxsize=8)
 def _code(source: str):
     """The code object of ``source``, compiled on its first use."""

@@ -4,7 +4,18 @@ import numpy as np
 
 from ltk.diffkit import grad
 from ltk.dynamics import _canonical
-from ltk.tracegrad import FieldCode
+from ltk.tracegrad import FieldCode, _source, _stage
+
+
+def one_stage(code: FieldCode):
+    """``kernel(xs, u)``: the gradient sum of the field code ``code`` at
+    the point and inputs ``xs`` and ``u``, lists of floats, as a list, or
+    an error where :func:`ltk.tracegrad._stage` raises; one stage of the
+    block runner as one call."""
+    return code.function(_source(
+        "kernel", "x, u",
+        _stage(code.body, "g", [f"x[{i}]" for i in range(code.dim)])
+        + [f"return [{', '.join(f'g{i}' for i in range(code.dim))}]"]))
 
 
 class TracedGradient:
@@ -21,7 +32,7 @@ class TracedGradient:
     def __init__(self, Ka, Kc, x):
         self.Ka, self.Kc = Ka, tuple(Kc)
         self.code = FieldCode(Ka, self.Kc, list(x))
-        self.kernel = None if self.code.reason else self.code.kernel()
+        self.kernel = None if self.code.reason else one_stage(self.code)
         self.handed = 0
         self.steps = []
 

@@ -351,6 +351,17 @@ def test_simulate_requires_parameters_and_commensurate_grid():
         simulate(hc, 1.05, 0.1)
 
 
+@pytest.mark.parametrize("params, message", [
+    ([0.0, np.nan], "params must be finite numbers"),
+    ([0.0, -1.0, 0.5], "params needs 2 surface parameters"),
+    ([0.0, 0.0], r"params has p_chart 0 \(entry 1\)")],
+    ids=["NaN", "three entries", "p_chart 0"])
+def test_simulate_rejects_bad_params_as_bad_params(params, message):
+    # a bad start is a ValueError naming params, not a run failure
+    with pytest.raises(ValueError, match=message):
+        simulate(heat_compartment(), 0.1, 1e-2, params=params)
+
+
 def test_simulate_records_grid_inputs_outputs_and_monitors():
     gp = gas_piston_damper()
     u = PortSignal.sinusoid(0.1, 1.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TracedGradient
+from conftest import TracedGradient, one_stage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
@@ -551,7 +551,7 @@ def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
-    tracegrad.FieldCode(Ka, Kc, list(x)).kernel()
+    one_stage(tracegrad.FieldCode(Ka, Kc, list(x)))
     read = PortSignal.zero(len(Kc))._floats if Kc else None
     dynamics._PhaseField(Ka, tuple(Kc), read).runner(
         np.asarray(x, dtype=float))
