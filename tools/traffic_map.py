@@ -1,9 +1,9 @@
 """Which lines of ltk only the tests reach: a line traffic map.
 
-    python3 tools/traffic_map.py [--seed 7]
+    python3 tools/traffic_map.py
 
 Runs one pass through the job deck of each perfbench workload, through
-perfbench's own job stream and ``Runner`` (read-only: nothing under
+perfbench's own job stream and ``Runner`` at seed 7 (read-only: nothing under
 ``perfbench/`` is written), under a ``sys.settrace`` line tracer limited to
 ``src/ltk``.  Then runs the tier-1 tests under the same tracer, in a fresh
 interpreter, so that neither run sees the other's caches.  Prints the line
@@ -31,11 +31,13 @@ SRC = ROOT / "src"
 PACKAGE = str(SRC / "ltk") + "/"
 # The simulate jobs of at least this many steps: the README job.
 README_STEPS = 10000
+SEED = 7
 
 
 class LineTracer:
     """The (file, function, line) triples of ``src/ltk`` that run while
-    it is installed."""
+    it is installed.  A function is named by its name and the line it
+    starts on (``co_qualname`` needs Python 3.11)."""
 
     def __init__(self):
         self.reached = set()
@@ -49,7 +51,8 @@ class LineTracer:
         if event == "line":
             code = frame.f_code
             self.reached.add((code.co_filename[len(PACKAGE):],
-                              code.co_qualname, frame.f_lineno))
+                              f"{code.co_name}:{code.co_firstlineno}",
+                              frame.f_lineno))
         return self._local
 
     @contextlib.contextmanager
@@ -61,7 +64,7 @@ class LineTracer:
             sys.settrace(None)
 
 
-def trace_workloads(seed: int) -> set:
+def trace_workloads() -> set:
     """The lines one deck pass of each workload reaches, its jobs run and
     checked as ``perfbench/run.py`` runs them."""
     sys.path[:0] = [str(ROOT / "perfbench"), str(SRC)]
@@ -76,7 +79,7 @@ def trace_workloads(seed: int) -> set:
             with tracer.installed():     # the first imports ltk, as pytest
                 runner = Runner(workdir)
             failed = 0
-            deck = itertools.islice(jobs.jobs(workload, seed, workdir),
+            deck = itertools.islice(jobs.jobs(workload, SEED, workdir),
                                     jobs.cycle_length(workload))
             for job in deck:
                 if job.rk4_steps >= README_STEPS:
@@ -84,7 +87,7 @@ def trace_workloads(seed: int) -> set:
                 with tracer.installed():
                     _, code, stderr = runner.invoke(job)
                     failed += runner.check(job, code, stderr)[0]
-            print(f"{workload} seed {seed}: one deck, {failed} jobs failed",
+            print(f"{workload} seed {SEED}: one deck, {failed} jobs failed",
                   file=sys.stderr)
     return tracer.reached
 
@@ -115,7 +118,6 @@ def _ranges(lines) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--tests-to", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True
@@ -123,7 +125,7 @@ def main(argv=None) -> int:
         trace_tests(args.tests_to)
         return 0
 
-    workloads = trace_workloads(args.seed)
+    workloads = trace_workloads()
     with tempfile.TemporaryDirectory(prefix="traffic-") as tmp:
         out = Path(tmp) / "tier1.json"
         # the tests' own report goes to stderr, the map alone to stdout
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
         only.setdefault((path, function), []).append(line)
     print(f"tier-1 (pytest exit status {tier1['status']}) reaches "
           f"{len(tests)} lines of src/ltk, one deck of each workload at "
-          f"seed {args.seed} {len(workloads)}; {sum(map(len, only.values()))} "
+          f"seed {SEED} {len(workloads)}; {sum(map(len, only.values()))} "
           f"lines in {len(only)} functions only tier-1 reaches:")
     for (path, function), lines in sorted(only.items()):
         print(f"  {path} {function}: {_ranges(lines)}")
