@@ -220,8 +220,9 @@ def _build_custom_system(spec: dict) -> PortSystem:
     if not isinstance(gf_spec, dict) or "expr" not in gf_spec:
         raise ConfigError("the gf entry must be an object with an 'expr'")
     chart = _integer(gf_spec.get("chart", 0), "gf 'chart'")
-    I = tuple(sorted(_listed(gf_spec.get("I", range(1, m)), "gf 'I'")))
     J = tuple(sorted(_listed(gf_spec.get("J", ()), "gf 'J'")))
+    I = tuple(sorted(_listed(gf_spec.get("I", [
+        i for i in range(m) if i != chart and i not in J]), "gf 'I'")))
     q_homogeneous = gf_spec.get("q_homogeneous", False)
     if not isinstance(q_homogeneous, bool):
         raise ConfigError(f"gf 'q_homogeneous' must be true or false, got "
@@ -319,6 +320,8 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
         except TypeError:
             raise ConfigError(f"constant input values must be numbers, got "
                               f"{values!r}") from None
+        except ValueError as err:
+            raise ConfigError(f"constant input {err}") from None
     elif kind == "sinusoid":
         if "amplitude" not in spec:
             raise ConfigError("sinusoid input needs an 'amplitude'")
@@ -330,6 +333,8 @@ def _make_signal(spec, n_ports: int) -> PortSignal:
         except TypeError:
             raise ConfigError("sinusoid amplitude, frequency and phase must "
                               "be numbers") from None
+        except ValueError as err:
+            raise ConfigError(f"sinusoid input {err}") from None
     elif kind == "expr":
         sources = spec.get("exprs", [])
         if isinstance(sources, str):

@@ -21,14 +21,15 @@ given the same inputs the trajectory is bitwise reproducible.
 field, :func:`phase_rhs`'s or the forced one of port-system simulation
 (:func:`ltk.portsys.simulate`), builds its own block runner, traced once
 at its first state (:class:`ltk.tracegrad.FieldCode`): the RK4 loop over
-a block of steps, the state a list of floats, with the traced gradient
-inlined at each stage and the RK4 formula written with
-:func:`rk4_step`'s expressions, entry by entry, so its states are the
-numpy step's bit for bit, and one test that the block's last state is
-finite.  A batch of up to :data:`REPLAY_MAX_ROWS` rows, such as the
-trajectories of the two integrated checks (:func:`flow_transport_check`,
-:func:`scaling_commutation_check`), runs each row through the block in
-turn, bit for bit the vector pass of :func:`phase_rhs`; that pass stays
+a block of steps, the state a list of floats, with its generators'
+gradient sum (:func:`_gradient_lines`) inlined at each stage and the RK4
+formula written with :func:`rk4_step`'s expressions, entry by entry, so
+its states are the numpy step's bit for bit, and one test that the
+block's last state is finite.  A batch of up to :data:`REPLAY_MAX_ROWS`
+rows, such as the trajectories of the two integrated checks
+(:func:`flow_transport_check`, :func:`scaling_commutation_check`), runs
+each row through the block in turn, bit for bit the vector pass of
+:func:`phase_rhs`; that pass stays
 the one-shot field, reruns a block in which the runner raises, for a
 state or a row, and steps a larger batch, or any start of a field the
 trace cannot record, throughout.  Every other field steps in numpy, one
@@ -212,7 +213,7 @@ class _PhaseField:
                       f"{x.shape[-1]} entries")
         else:
             from .tracegrad import FieldCode
-            code = FieldCode(self.Ka, self.Kc,
+            code = FieldCode((self.Ka, *self.Kc),
                              (x if x.ndim == 1 else x[0]).tolist())
             reason = code.reason
         name = self.Ka.name or "K"
@@ -221,15 +222,34 @@ class _PhaseField:
                      reason)
             return None
         log.info("%s: %s runs on a traced replay", self.label, name)
-        return code.function(_runner_source(code.body, code.dim,
-                                            bool(self.Kc)), _read=self.read)
+        body = "\n".join(_gradient_lines(code.codes))
+        return code.function(_runner_source(body, code.dim, bool(self.Kc)),
+                             _read=self.read)
+
+
+def _gradient_lines(codes) -> list:
+    """The lines, for :func:`~ltk.tracegrad._stage`, that set ``$0, $1,
+    ...`` to the gradient sum as :meth:`_PhaseField.__call__` forms it,
+    from the traced codes of Ka and of each Kc_k
+    (:attr:`~ltk.tracegrad.FieldCode.codes`), with the inputs in the list
+    ``u``: Ka's partials, then for each port in order whose input is not
+    0.0, ``$i + u_k * dKc_k/dx_i``, entry by entry."""
+    from .tracegrad import _indented, _times
+    lines, partials = codes[0]
+    body = lines + [f"${i} = {d}" for i, d in enumerate(partials)]
+    for k, (lines, partials) in enumerate(codes[1:], 1):
+        body += [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"]
+        body += _indented(lines + [
+            f"${i} = ${i} + " + _times(f"u{k}", f"({d})" if " " in d else d)
+            for i, d in enumerate(partials)])
+    return body
 
 
 @functools.lru_cache(maxsize=8)
 def _runner_source(body: str, dim: int, ported: bool) -> str:
     """The source of the block runner ``run`` of :meth:`_PhaseField.runner`
-    for the field code ``body`` (:attr:`~ltk.tracegrad.FieldCode.body`) of
-    ``dim`` coordinates, which reads its inputs where ``ported``.  The
+    for the field code ``body`` (:func:`_gradient_lines`) of ``dim``
+    coordinates, which reads its inputs where ``ported``.  The
     source names a run's constants and never holds them, so it is built
     once per field shape."""
     from .tracegrad import _source, _stage

@@ -172,7 +172,8 @@ class PortSignal:
     straight into a list of floats; ``PortSignal(fn, n_ports)`` reads
     ``fn(t)`` and checks that it is flat and of size ``n_ports``.
     :func:`simulate` reads a signal at every stage time and grid point,
-    so it must be a pure function of ``t``.
+    so it must be a pure function of ``t``.  :meth:`constant` and
+    :meth:`sinusoid` take finite parameters only.
     """
 
     def __init__(self, fn, n_ports: int):
@@ -210,12 +211,17 @@ class PortSignal:
     def constant(cls, values) -> "PortSignal":
         vals = np.atleast_1d(np.asarray(values, dtype=float))
         floats = vals.tolist()
+        if not np.isfinite(vals).all():
+            raise ValueError(f"values must be finite numbers, got {floats}")
         return cls._reading(lambda t: floats, vals.size)
 
     @classmethod
     def sinusoid(cls, amplitude: float, frequency: float,
                  phase: float = 0.0) -> "PortSignal":
         a, w, ph = float(amplitude), float(frequency), float(phase)
+        for name, v in (("amplitude", a), ("frequency", w), ("phase", ph)):
+            if not np.isfinite(v):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         return cls._reading(lambda t: [a * float(np.sin(w * t + ph))], 1)
 
     @classmethod

@@ -1,8 +1,9 @@
 """Traced code: functions recorded once and emitted as straight-line
-Python, the generators of a field as the lines of their gradients' sum
-(:class:`FieldCode`), which a phase field of :mod:`ltk.dynamics` inlines
-at each RK4 stage of its block runner, and expression inputs as one
-kernel of their values.
+Python, a list of functions as the lines of each one's gradient
+(:class:`FieldCode`), from which a phase field of :mod:`ltk.dynamics`
+writes the gradient of its generators' sum and inlines it at each RK4
+stage of its block runner, and expression inputs as one kernel of their
+values.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -13,18 +14,17 @@ coordinate the node reads, the derivative by the scalar
 does not read a seed is a plain float in that seed's scalar pass of
 :func:`~ltk.diffkit.grad` and carries no derivative there, so every partial
 is grad's bit for bit, zero partials as +0.0.  A factor 1.0 is left out of
-a product, which changes no bit, and so is the value line of a sum,
-difference, product or negation that no later line reads, as it cannot
-raise.  Each value is recorded once: within one function an operation of
-the same kind on the same operands is the node already made, constants
-equal in type and repr share one name (so 0.0 and -0.0, or 1 and 1.0,
-stay apart), and a derivative that reads only constants is computed at
-trace time by the same operator and becomes one more constant.  Nodes are
-never shared between functions: each generator's code stands alone.
-:class:`FieldCode` writes a port system's drift and port generators into
-one body that computes the gradient of ``Ka + sum_k u_k Kc_k``, its names
-numbered on across the generators; the phase field's block runner reads
-the canonical field off it.
+a product, which changes no bit, and so is a line that no later line reads
+where it cannot raise: a derivative's (each division in it is guarded by
+a value line's check, and it calls no ``math`` function), or the value
+line of a sum, difference, product or negation.  Each value is recorded
+once: within one function an operation of the same kind on the same
+operands is the node already made, constants equal in type and repr share
+one name (so 0.0 and -0.0, or 1 and 1.0, stay apart), and a derivative
+that reads only constants is computed at trace time by the same operator
+and becomes one more constant.  Nodes are never shared between functions:
+:class:`FieldCode` keeps each function's gradient code apart, its names
+numbered on across them, so that a caller may place several in one body.
 
 A comparison becomes a guard, and each condition under which a scalar
 pass raises becomes a check (a zero divisor; ``ln``, ``sqrt`` or a
@@ -380,15 +380,6 @@ class _Trace:
         if self.reason is not None:
             return None
         out = y._node if isinstance(y, _Traced) else None
-        # derivatives of the nodes the result reads, and of the operands of
-        # every sqrt, whose check reads them
-        needed = {out}
-        for n in range(len(self.nodes) - 1, first - 1, -1):
-            kind, a, b, _ = self.nodes[n]
-            if n in needed or kind == "sqrt":
-                needed.add(a)
-                if isinstance(b, int):
-                    needed.add(b)
         dim = len(self.inputs)
         dots = {(i, i): "1.0" for i in range(dim)}
         lines = self.lines
@@ -398,8 +389,6 @@ class _Trace:
                 moving = " or ".join(f"{dots[a, i]} != 0.0"
                                      for i in sorted(self.nodes[a][3]))
                 lines.append(f"if v{a} == 0.0 and ({moving}): raise _Back")
-            if n not in needed:
-                continue
             va, vb = _operand(a), _operand(b)
             for i in sorted(reads):
                 da, db = dots.get((a, i)), dots.get((b, i))
@@ -433,15 +422,16 @@ _NAME = re.compile(r"\b[vkd]\d+(?:_\d+)?\b")
 
 
 def _live(lines, partials, droppable) -> list:
-    """``lines`` without the assignments to ``droppable`` names that no
-    later line and no partial reads (backward liveness)."""
+    """``lines`` without the assignments to derivatives ``d{n}_{i}``,
+    which cannot raise, and to ``droppable`` names that no later line and
+    no partial reads (backward liveness)."""
     read = set(_NAME.findall(" ".join(partials)))
     kept = []
     for line in reversed(lines):
         target, _, source = line.partition(" = ")
         if line.startswith("if "):
             source = line
-        elif target in droppable and target not in read:
+        elif (target in droppable or target[0] == "d") and target not in read:
             continue
         read.update(_NAME.findall(source))
         kept.append(line)
@@ -575,36 +565,37 @@ class _OffTrace(Exception):
 
 
 class FieldCode:
-    """The gradient of ``Ka + sum_k u_k Kc_k`` traced once at a point
-    ``x``, as lines of straight-line code for callers to place, or, where
-    the trace cannot record a generator, ``reason``, which names the first
-    such generator and says why; ``reason`` is None where every generator
-    is recorded.  The code raises at a point where a guard comes out
-    otherwise, a check trips or an operation raises, and its caller
+    """Functions ``fns`` traced in one trace at a point ``x``: ``codes[k]``
+    is the gradient code ``(lines, partials)`` of ``fns[k]``, the lines of
+    straight-line code that compute it and the source of each partial, for
+    callers to place; node and constant names run on across the functions,
+    so any of their codes can share one body.  Where the trace cannot
+    record a function, ``reason`` names the first such function and says
+    why, and ``codes`` stops before it; ``reason`` is None where every
+    function is recorded.  The code raises at a point where a guard comes
+    out otherwise, a check trips or an operation raises, and its caller
     computes that point another way.
 
-    :func:`_stage` gives the lines of its ``body`` that evaluate the
-    gradient sum at a point, with the inputs in the list ``u``, and
-    :meth:`function` runs the function a source made from such lines
+    :func:`_stage` places a body made from such code at a point, and
+    :meth:`function` runs the function a source made from those lines
     defines, which reads the trace's constants.  A phase field's block
-    runner (:mod:`ltk.dynamics`) places them at each RK4 stage; it does
-    not serve a field code with a ``reason``.  ``body`` and ``dim`` are
-    the code's shape: fields that differ only in their constants share
-    them.
+    runner (:mod:`ltk.dynamics`) writes its body from the codes and places
+    it at each RK4 stage; it does not serve a field code with a
+    ``reason``.  The codes and ``dim`` are the code's shape: functions that
+    differ only in their constants share them.
     """
 
-    def __init__(self, Ka: ScalarFn, Kc, x):
-        self.dim, self.reason = len(x), None
-        trace, codes = _Trace(x), []
-        for K in (Ka,) + tuple(Kc):
-            code, why = trace.record(K)
+    def __init__(self, fns, x):
+        self.dim, self.reason, self.codes = len(x), None, []
+        trace = _Trace(x)
+        for f in fns:
+            code, why = trace.record(f)
             if why is not None:
-                self.reason = (f"the trace cannot record {K.name or 'K'}, "
+                self.reason = (f"the trace cannot record {f.name or 'K'}, "
                                f"as {why}")
                 return
-            codes.append(code)
+            self.codes.append(code)
         self._namespace = dict(_REPLAY_NAMES, **trace.consts, _Back=_OffTrace)
-        self.body = "\n".join(_gradient_lines(codes))
 
     def function(self, source: str, **names):
         """:func:`_function` of a source that reads the trace's constants
@@ -613,13 +604,11 @@ class FieldCode:
 
 
 def _stage(body: str, g: str, sources) -> list:
-    """The lines of the field code ``body`` (:attr:`FieldCode.body`) that
-    set ``{g}0, {g}1, ...`` to the gradient of ``Ka + sum_k u_k Kc_k`` at
-    the point ``sources`` (one source per coordinate, each set as ``v0, v1,
-    ...`` where the code reads it), bit for bit the scalar loop:
-    ``grad(Ka)``, then for each port in order whose input is not 0.0 the
-    sum ``g + u_k * grad(Kc_k)``, entry by entry, or raises where a traced
-    generator's guard flips, its check trips or its code raises."""
+    """The lines of the field code ``body``, written from
+    :attr:`FieldCode.codes` to set ``$0, $1, ...``, that set ``{g}0, {g}1,
+    ...`` instead, at the point ``sources``: one source per coordinate,
+    each set as ``v0, v1, ...`` where the code reads it.  They raise where
+    a traced function's guard flips, its check trips or its code raises."""
     read = set(_NAME.findall(body))
     return ([f"v{i} = {s}" for i, s in enumerate(sources)
              if f"v{i}" in read]
@@ -656,29 +645,6 @@ def _function(source: str, namespace: dict):
     ``namespace``; its code is compiled on the first use of the source."""
     exec(_code(source), namespace)
     return namespace[source[len("def "):source.index("(")]]
-
-
-def _gradient_lines(codes) -> list:
-    """The lines of :func:`_stage` from each generator's traced
-    code, with the prefix "$" for the names of the gradient sum."""
-    body = []
-    for k, (lines, partials) in enumerate(codes):
-        section = lines + _folded(k, partials)
-        if k:
-            section = [f"if u[{k - 1}] != 0.0:", f"    u{k} = u[{k - 1}]"] \
-                + _indented(section)
-        body += section
-    return body
-
-
-def _folded(k: int, partials) -> list:
-    """The lines adding generator k's partials to the gradient sum
-    ``$0, $1, ...``: Ka's are the sum, port k's are added times its input
-    ``u{k}``."""
-    if k == 0:
-        return [f"${i} = {d}" for i, d in enumerate(partials)]
-    return [f"${i} = ${i} + " + _times(f"u{k}", f"({d})" if " " in d else d)
-            for i, d in enumerate(partials)]
 
 
 def _indented(lines) -> list:

@@ -3,18 +3,20 @@
 import numpy as np
 
 from ltk.diffkit import grad
-from ltk.dynamics import _canonical
+from ltk.dynamics import _canonical, _gradient_lines
 from ltk.tracegrad import FieldCode, _source, _stage
 
 
-def one_stage(code: FieldCode):
-    """``kernel(xs, u)``: the gradient sum of the field code ``code`` at
-    the point and inputs ``xs`` and ``u``, lists of floats, as a list, or
-    an error where :func:`ltk.tracegrad._stage` raises; one stage of the
-    block runner as one call."""
+def one_stage(code: FieldCode, codes=None):
+    """``kernel(xs, u)``: the gradient sum of the traced ``codes`` (by
+    default all of ``code.codes``: Ka's, then each port's) at the point and
+    inputs ``xs`` and ``u``, lists of floats, as a list, or an error where
+    :func:`ltk.tracegrad._stage` raises; one stage of the block runner as
+    one call."""
+    body = "\n".join(_gradient_lines(code.codes if codes is None else codes))
     return code.function(_source(
         "kernel", "x, u",
-        _stage(code.body, "g", [f"x[{i}]" for i in range(code.dim)])
+        _stage(body, "g", [f"x[{i}]" for i in range(code.dim)])
         + [f"return [{', '.join(f'g{i}' for i in range(code.dim))}]"]))
 
 
@@ -31,7 +33,7 @@ class TracedGradient:
 
     def __init__(self, Ka, Kc, x):
         self.Ka, self.Kc = Ka, tuple(Kc)
-        self.code = FieldCode(Ka, self.Kc, list(x))
+        self.code = FieldCode((Ka, *self.Kc), list(x))
         self.kernel = None if self.code.reason else one_stage(self.code)
         self.handed = 0
         self.steps = []

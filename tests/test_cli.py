@@ -9,6 +9,7 @@ configuration errors.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,77 @@ def test_validate_custom_system_end_to_end(tmp_path, capsys):
     assert run(str(path)) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(check["pass"] for check in report.values())
+
+
+COMPARTMENT = {"dimensions": 2, "partition": {"energy": [0], "entropy": [1]},
+               "Ka": "0", "Kc": ["p1 / exp(q1) + p0"]}
+# The README compartment in its energy representation E(S) = exp(S), chart
+# 0, and in its entropy representation S(E) = ln(E), chart 1, whose I
+# defaults to [0]; both start at E = 2, S = ln 2.
+REPRESENTATIONS = {
+    "energy": dict(COMPARTMENT, gf={"expr": "exp(q1)"},
+                   initial=[0.6931471805599453, -1.0],
+                   param_box=[[-0.5, 1.0], [-1.5, -0.5]]),
+    "entropy": dict(COMPARTMENT, gf={"expr": "ln(q0)", "chart": 1},
+                    initial=[2.0, -1.0],
+                    param_box=[[0.6, 2.7], [-1.5, -0.5]])}
+
+
+def _csv_columns(path) -> dict:
+    header, *rows = path.read_text().splitlines()
+    return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+
+
+@pytest.mark.parametrize("signal", [
+    {"kind": "constant", "values": [0.1]},
+    {"kind": "sinusoid", "amplitude": 0.2, "frequency": 1.3}])
+def test_both_representations_of_a_compartment_flow_alike(tmp_path, capsys,
+                                                         signal):
+    # one surface, generated from either representation: Kc is linear in p
+    # with coefficients in q, so the q columns and the outputs agree byte
+    # for byte, and only the costates, read in another chart, differ
+    columns = {}
+    for name, spec in REPRESENTATIONS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"system": {"custom": spec}}))
+        code, report, _ = run_json(capsys, "validate", "--config", str(path))
+        assert code == 0 and all(c["pass"] for c in report.values()), name
+        path.write_text(json.dumps({
+            "command": "simulate", "system": {"custom": spec},
+            "input": signal, "t_end": 1.0, "dt": 1e-2,
+            "output": str(tmp_path / f"{name}.csv")}))
+        assert run(str(path)) == 0
+        columns[name] = _csv_columns(tmp_path / f"{name}.csv")
+    energy, entropy = columns["energy"], columns["entropy"]
+    for key in ("t", "q0", "q1", "y_p1", "y_e1"):
+        assert entropy[key] == energy[key], key
+    assert len(energy["t"]) == 101
+    assert entropy["p0"] != energy["p0"] and entropy["p1"] != energy["p1"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                         ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("key", ["values", "amplitude", "frequency", "phase"])
+def test_a_non_finite_signal_parameter_is_a_config_error(tmp_path, capsys,
+                                                        key, value):
+    if key == "values":
+        system, signal = "heat_compartment", {"kind": "constant",
+                                              "values": [value]}
+    else:
+        system = "gas_piston_damper"
+        signal = {"kind": "sinusoid", "amplitude": 0.1, key: value}
+    path = tmp_path / "signal.json"
+    path.write_text(json.dumps({"command": "simulate", "system": system,
+                                "input": signal, "t_end": 0.01}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(str(path)) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ltk: config error: {signal['kind']} "
+                                   f"input {key} must be ")
+    assert f"finite number{'s' * (key == 'values')}, got " in captured.err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -20,8 +20,8 @@ import numpy as np
 import pytest
 from test_simulate_blocks import _runner_steps
 
-from ltk import (cli, diffkit, dynamics, exprlang, geometry, submanifold,
-                 tracegrad)
+from ltk import (cli, diffkit, dynamics, exprlang, geometry, portsys,
+                 submanifold, tracegrad)
 from ltk.diffkit import ScalarFn, grad
 from ltk.exprlang import ExprEvalError, evaluate, parse
 from ltk.geometry import PhasePoint, scale_costate
@@ -47,9 +47,20 @@ def test_signal_kinds():
     assert e.n_ports == 2
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_built_in_signals_take_finite_parameters_only(value):
+    with pytest.raises(ValueError, match=r"^values must be finite numbers"):
+        PortSignal.constant([0.1, value])
+    for k, name in enumerate(("amplitude", "frequency", "phase")):
+        args = [0.1, 1.0, 0.0]
+        args[k] = value
+        with pytest.raises(ValueError, match=f"^{name} must be a finite"):
+            PortSignal.sinusoid(*args)
+
+
 SIGNALS = {
     "zero": lambda: PortSignal.zero(3),
-    "constant": lambda: PortSignal.constant([0.1, -0.0, np.inf]),
+    "constant": lambda: PortSignal.constant([0.1, -0.0, -1e308]),
     "sinusoid": lambda: PortSignal.sinusoid(0.3, 2.0, 0.5),
     "expressions": lambda: PortSignal.from_exprs(
         ["0.2*sin(3*t)", "1e308*10*t", "-(0*t)", "t^2"]),
@@ -264,10 +275,31 @@ def test_derived_outputs_match_explicit_ones():
     ye = outputs(hc, pt)
     assert yd[0] == pytest.approx(ye[0], abs=1e-9)
     assert yd[1] == pytest.approx(ye[1], abs=1e-9)
-    # the derived (finite-difference) outputs are still projectively invariant
+    # the derived outputs, one dual pass along the costate indicator
+    # (_port_flow), are still projectively invariant
     ys = outputs(derived, scale_costate(pt, 7.0))
     assert yd[0] == pytest.approx(ys[0], abs=1e-10)
     assert yd[1] == pytest.approx(ys[1], abs=1e-10)
+
+
+@pytest.mark.parametrize("factory, params", [
+    (gas_piston_damper, {}),
+    (gas_piston_damper, {"mass": 1.7, "damping": 0.3, "c_v": 2.1}),
+    (heat_compartment, {}), (heat_compartment, {"C": 1.3, "T_ref": 0.8})],
+    ids=["piston", "piston 1.7 0.3 2.1", "compartment", "compartment 1.3 0.8"])
+def test_hand_written_outputs_are_their_port_flows_bit_for_bit(factory,
+                                                              params):
+    # a built-in's explicit y_p and y_e are the flows of its port
+    # generators along its energy and entropy coordinates
+    system = factory(**params)
+    m = system.n_coords
+    X = submanifold._liouville_rows(
+        system.gf, _sample_surface_params(system, 200, 5))
+    for y, indices in ((system.y_p, system.energy_indices),
+                       (system.y_e, system.entropy_indices)):
+        for k, K in enumerate(system.Kc):
+            assert portsys._output_rows(y[k], X, m).tobytes() == \
+                portsys._port_flows(K, X, m, indices).tobytes(), y[k].name
 
 
 def test_outputs_warn_off_the_surface():
@@ -389,7 +421,7 @@ def test_an_infinite_input_fails_its_step_without_a_warning(monitors):
                        r"'gas_piston_damper': integration produced a "
                        r"non-finite state at t=0\.001 \(step 1\)$"):
         simulate(gas_piston_damper(), 0.002, 1e-3,
-                 u=PortSignal.constant([np.inf]), monitors=monitors)
+                 u=PortSignal(lambda t: [np.inf], 1), monitors=monitors)
 
 
 def _rebind(monkeypatch, original, replacement):
@@ -418,9 +450,9 @@ def _count_kernels(monkeypatch):
     of its block runners, each of which evaluates the field 4 times."""
     traces, trace = [], tracegrad.FieldCode.__init__
 
-    def traced(code, Ka, Kc, x):
-        traces.append([K.name for K in (Ka,) + tuple(Kc)])
-        trace(code, Ka, Kc, x)
+    def traced(code, fns, x):
+        traces.append([K.name for K in fns])
+        trace(code, fns, x)
 
     monkeypatch.setattr(tracegrad.FieldCode, "__init__", traced)
     return traces, _runner_steps(monkeypatch)

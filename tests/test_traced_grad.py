@@ -33,7 +33,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, _sample_surface_params,
                          gas_piston_damper, heat_compartment, heat_exchanger,
                          simulate)
-from ltk.submanifold import liouville_point
+from ltk.submanifold import lift_phase_fn, liouville_point
 from ltk.tracegrad import FieldCode
 
 GENERATOR_SYSTEMS = dict(
@@ -179,7 +179,7 @@ def test_truth_of_a_traced_zero_is_not_taken():
     # pass branches per seed: the trace refuses, and the field steps on the
     # vector pass at every point
     K = ScalarFn(lambda x: x[0] * (2.0 if x[1] else 3.0), 2)
-    code = FieldCode(K, (), [1.0, 0.0])
+    code = FieldCode((K,), [1.0, 0.0])
     assert code.reason == ("the trace cannot record K, as it reads a traced "
                            "value with bool()")
     field = dynamics.phase_rhs(K)
@@ -220,7 +220,7 @@ def test_equality_is_a_guard_only_where_the_values_differ(case):
     K = ScalarFn(EQUALITIES[case], 2)
     assert _hex(grad(K, [1.0, 0.5])) == _hex([0.0, 1.0])
     op = "!=" if case == "!=" else "=="
-    assert FieldCode(K, (), [1.0, 0.5]).reason == (
+    assert FieldCode((K,), [1.0, 0.5]).reason == (
         f"the trace cannot record K, as it compares equal values with {op}")
     replay = _replay(K, [1.5, 0.5])
     for x in ([1.5, 0.5], [2.0, 0.3]):
@@ -477,7 +477,7 @@ def _caught_float(v):
 def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
     fn, reason = UNTRACEABLE[case]
     K = fn if isinstance(fn, ScalarFn) else ScalarFn(fn, 2, name=case)
-    assert reason in FieldCode(K, (), [1.5, 0.5]).reason
+    assert reason in FieldCode((K,), [1.5, 0.5]).reason
     # a heat compartment whose drift is K times its port generator, which
     # vanishes on the surface, runs on the vector pass throughout, with the
     # scalar loop's results or error
@@ -536,7 +536,7 @@ def test_numpy_constants_raise_as_a_dual_raises():
     divided = ScalarFn(lambda x: x[0] / zero, 2)
     with pytest.raises(ZeroDivisionError):
         grad(divided, [1.0, 1.0])
-    assert FieldCode(divided, (), [1.0, 1.0]).reason is not None
+    assert FieldCode((divided,), [1.0, 1.0]).reason is not None
 
 
 def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
@@ -551,7 +551,7 @@ def _source(monkeypatch, Ka, Kc, x, name: str = "kernel") -> str:
         return original(source)
 
     monkeypatch.setattr(tracegrad, "_code", kept)
-    one_stage(tracegrad.FieldCode(Ka, Kc, list(x)))
+    one_stage(tracegrad.FieldCode((Ka, *Kc), list(x)))
     read = PortSignal.zero(len(Kc))._floats if Kc else None
     dynamics._PhaseField(Ka, tuple(Kc), read).runner(
         np.asarray(x, dtype=float))
@@ -762,3 +762,33 @@ def test_a_port_never_reads_a_value_of_the_drift_section(drift):
         expected = grad(Ka, x) + 0.7 * grad(Kc, x)
         assert _hex(traced(x, [0.7])) == _hex(expected)
     assert traced.handed == 1
+
+
+def _assigned(lines) -> set:
+    """The names that traced code lines assign."""
+    return {line.partition(" = ")[0] for line in lines
+            if not line.startswith("if ")}
+
+
+@pytest.mark.parametrize("factory", [gas_piston_damper, heat_exchanger])
+def test_one_trace_keeps_each_functions_gradient_code_apart(factory):
+    # the generators and the lift, traced together as a per-step re-lift
+    # would trace them: each function's code alone is its gradient, the
+    # codes assign no name twice, and the generators' codes make the body
+    # they make without the lift
+    system = factory()
+    surface = [liouville_point(system.gf, p).packed()
+               for p in _sample_surface_params(system, 40, 5)]
+    fns = (system.Ka, *system.Kc, lift_phase_fn(system.gf))
+    code = FieldCode(fns, surface[0].tolist())
+    assert code.reason is None and len(code.codes) == len(fns)
+    for f, traced in zip(fns, code.codes):
+        kernel = one_stage(code, [traced])
+        for x in surface:
+            assert _hex(kernel(x.tolist(), [])) == _hex(grad(f, x)), f.name
+    names = [_assigned(lines) for lines, _ in code.codes]
+    assert sum(map(len, names)) == len(set().union(*names))
+    alone = FieldCode(fns[:-1], surface[0].tolist())
+    ports = code.codes[:1 + system.n_ports]
+    assert "\n".join(dynamics._gradient_lines(ports)) == \
+        "\n".join(dynamics._gradient_lines(alone.codes))
