@@ -32,7 +32,10 @@ each row through the block in turn, bit for bit the vector pass of
 :func:`phase_rhs`; that pass stays
 the one-shot field, reruns a block in which the runner raises, for a
 state or a row, and steps a larger batch, or any start of a field the
-trace cannot record, throughout.  Every other field steps in numpy, one
+trace cannot record, throughout.  The flow-transport check sweeps each
+member's steps back through a loop generated the same way
+(:func:`_adjoint_source`), from K's gradient and Hessian code traced
+with the runner's.  Every other field steps in numpy, one
 :func:`rk4_step` at a time, a single state as a batch row would.
 ``simulate`` records its guard, inputs, outputs and monitors through one
 monitor that takes a block of grid points at a time; a run that leaves
@@ -62,7 +65,7 @@ from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
 from .geometry import (EulerFieldKind, PhasePoint, _chart_rows, _phase_rows,
                        _relative_euler_rows)
 from .submanifold import (GeneratingFunction, _liouville_rows,
-                          _membership_rows, _specific_ratios)
+                          _membership_rows, _specific_ratios, _tangent_rows)
 
 __all__ = [
     "Trajectory",
@@ -93,11 +96,13 @@ MONITOR_BLOCK = 1024
 
 # Most rows of an integrated check's batch that step through K's traced
 # code row by row; a larger batch runs the vector pass.  Timed on `ltk
-# flowcheck --t-end 1 --dt 1e-3` (process CPU, 2-CPU Xeon VM, CPython
-# 3.11, 3 processes per size), the block runner is faster up to 81 rows
-# (9 members) on the built-in piston and exchanger, the two routes meet
-# at 90-99 rows on the piston and past 99 on the exchanger, and at 225
-# rows the vector pass takes two thirds of the time.
+# flowcheck --t-end 1 --dt 1e-3` when it flowed 9 rows per member
+# (process CPU, 2-CPU Xeon VM, CPython 3.11, 3 processes per size), the
+# block runner is faster up to 81 rows on the built-in piston and
+# exchanger, the two routes meet at 90-99 rows on the piston and past 99
+# on the exchanger, and at 225 rows the vector pass takes two thirds of
+# the time.  The flow-transport check flows one row per member, so up to
+# 81 members replay.
 REPLAY_MAX_ROWS = 81
 
 
@@ -174,12 +179,14 @@ class _PhaseField:
     them), as ``f(t, x)``: :func:`grad` of Ka, then for each port in
     order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.
     :func:`integrate` steps it on its :meth:`runner` instead, which logs
-    the run's route after ``label``."""
+    the run's route after ``label``, and which is built from ``code``
+    where the caller traced the generators at the run's start."""
 
     Ka: ScalarFn
     Kc: tuple = ()
     read: object = None
     label: str = "integrate"
+    code: object = None     # the generators' FieldCode at the start, if traced
 
     def __call__(self, t, x):
         inputs = self.read(t) if self.Kc else ()
@@ -213,8 +220,8 @@ class _PhaseField:
                       f"{x.shape[-1]} entries")
         else:
             from .tracegrad import FieldCode
-            code = FieldCode((self.Ka, *self.Kc),
-                             (x if x.ndim == 1 else x[0]).tolist())
+            code = self.code or FieldCode(
+                (self.Ka, *self.Kc), (x if x.ndim == 1 else x[0]).tolist())
             reason = code.reason
         name = self.Ka.name or "K"
         if reason is not None:
@@ -278,6 +285,57 @@ def _runner_source(body: str, dim: int, ported: bool) -> str:
         + ["w = dt / 6.0", "for i in range(i0 + 1, i1 + 1):",
            "    " + "\n        ".join(step),
            f"if {finite} != 0.0:", "    raise _Back", "return out[-1]"]))
+
+
+@functools.lru_cache(maxsize=8)
+def _adjoint_source(body: str, hessian: str, dim: int) -> str:
+    """The source of ``sweep(xs, lam, dt)``, which carries ``lam``, the
+    derivative of a linear function of the last state of the RK4 states
+    ``xs`` (lists), back to the first: the transpose of each step's
+    derivative, exact for the discrete map (Hager, Numer. Math. 87, 2000).
+    Per step, from the last, it recomputes the stage points x, s2, s3, s4
+    with the gradient code ``body`` (:func:`_gradient_lines`), each
+    stage's names prefixed by its letter, and, with ``J(s)^T mu = H(s)
+    (-mu_p, mu_q)`` from the Hessian code ``hessian``, which reads them,
+    takes a4 = J(s4)^T (w lam), a3 = J(s3)^T (2w lam + dt a4), a2 =
+    J(s2)^T (2w lam + h a3), a1 = J(x)^T (w lam + h a2) and lam + a1 + a2
+    + a3 + a4.  It raises where the code raises or the last lam is not
+    finite."""
+    from .tracegrad import _NAME, _source, _stage
+    xs, m = [f"x{i}" for i in range(dim)], dim // 2
+    points = {}
+
+    def prefixed(k, lines):
+        return [_NAME.sub(lambda name: k + name.group(), line)
+                for line in lines]
+
+    def stage(k, time, point):
+        points[k] = point
+        g = f"{k}g"
+        return prefixed(k, _stage(body, g, point)), (
+            [f"{g}{i}" for i in range(m, dim)]
+            + [f"-{g}{i}" for i in range(m)])
+
+    lines, _ = _rk4_lines(dim, stage)
+    ls = [f"l{i}" for i in range(dim)]
+    later = None
+    for k, weight, scale in (("d", "w", None), ("c", "w2", "dt"),
+                             ("b", "w2", "h"), ("a", "w", "h")):
+        mu = [f"{weight} * {li}" if later is None else
+              f"{weight} * {li} + {scale} * {later}{i}"
+              for i, li in enumerate(ls)]
+        lines += prefixed(k, _stage(hessian, f"{k}h", points[k],
+                                    [f"-({e})" for e in mu[m:]] + mu[:m]))
+        later = f"{k}h"
+    lines += [f"{li} = {li} + ah{i} + bh{i} + ch{i} + dh{i}"
+              for i, li in enumerate(ls)]
+    finite = " + ".join(f"{li} * 0.0" for li in ls)
+    return _source("sweep", "xs, lam, dt", (
+        [", ".join(ls) + ", = lam", "h = dt / 2.0", "w = dt / 6.0",
+         "w2 = 2.0 * w", "for i in range(len(xs) - 2, -1, -1):",
+         "    " + "\n        ".join([", ".join(xs) + ", = xs[i]"] + lines),
+         f"if {finite} != 0.0:", "    raise _Back",
+         f"return [{', '.join(ls)}]"]))
 
 
 def phase_rhs(K: ScalarFn):
@@ -659,24 +717,76 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     ``sample_grid`` is an iterable of parameter vectors.  The flow of a
     fiber-degree-1 K maps Liouville surfaces to Liouville surfaces, so the
     canonical one-form must stay zero on transported tangent vectors
-    (``alpha_residual``, estimated by flowing finite-difference parameter
-    perturbations of each grid member).  When K additionally vanishes on the
-    surface, the surface is invariant and the membership residual of the
-    original generating relations stays small along every trajectory
+    (``alpha_residual``).  When K additionally vanishes on the surface, the
+    surface is invariant and the membership residual of the original
+    generating relations stays small along every trajectory
     (``membership_drift``).  Both reported numbers are maxima over the grid.
 
-    Every member and its 2 * n_params perturbations (parameter k moved by
-    +h, then -h) are the rows of one batch for :func:`integrate`; each row
-    is the trajectory a separate run would give.  Up to
-    :data:`REPLAY_MAX_ROWS` rows, each row steps through K's code, traced
-    once at the first row, as the vector pass of :func:`phase_rhs` would
-    step it, with the vector pass's errors.  The
+    The members are the rows of one batch for :func:`integrate`, each the
+    trajectory a separate run would give; up to :data:`REPLAY_MAX_ROWS`
+    rows, each row steps through K's code, traced once at the first
+    member, as the vector pass of :func:`phase_rhs` would step it.  The
     membership residuals of all recorded member states are one more batch;
-    an error there names the member and the time.
+    an error there names the member and the time.  alpha on the tangents
+    takes the exact derivative of the discrete flow: with alpha =
+    p(T)·dq(T) linear in each transported tangent, one adjoint sweep of
+    the RK4 steps per member (:func:`_adjoint_source`, on Hessian code
+    traced with K's gradient) carries its derivative back to t = 0, where
+    it meets the member's tangent basis
+    (:func:`~ltk.submanifold.tangent_basis`, whose extrapolated
+    differences of the lift are good to about 1e-12).
+
+    Where K cannot be traced, or this route raises or its sweep is not
+    finite, the whole check reruns on the perturbation route, which gives
+    the report or the error: each member and its 2 * n_params
+    perturbations (parameter k moved by +h, then -h) are flowed as rows of
+    one batch, and alpha is read off central differences of their final
+    states, so it carries the difference's error; an error in a flow names
+    the member and its perturbation.
     """
     members = [[float(v) for v in params] for params in sample_grid]
     if not members:
         return TransportReport(t_end, 0.0, 0.0)
+    try:
+        found = _adjoint_transport(gf, K, members, t_end, dt)
+    except Exception as err:   # noqa: BLE001 - the perturbation route raises
+        log.info("flowcheck: alpha reruns on the perturbation route, as the "
+                 "adjoint route raised %r", err)
+        found = None
+    alphas, drift = found or _perturbed_transport(gf, K, members, t_end, dt)
+    return TransportReport(t_end, float(np.max(np.abs(alphas), initial=0.0)),
+                           drift)
+
+
+def _adjoint_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
+                       t_end: float, dt: float):
+    """``(alphas, drift)`` of :func:`flow_transport_check` by the adjoint
+    route: alpha on each member's tangents, a (members, n_params) array,
+    and the membership drift; None where the trace cannot record K."""
+    from .tracegrad import FieldCode
+    x0 = _liouville_rows(gf, members)
+    code = FieldCode((K,), x0[0].tolist(), hessians=True)
+    if code.reason is not None:
+        return None
+    traj = integrate(_PhaseField(K, label="flowcheck", code=code), x0,
+                     t_end, dt)
+    drift = _membership_drift(gf, traj, members, 1)
+    m = gf.n + 1
+    sweep = code.function(_adjoint_source(
+        "\n".join(_gradient_lines(code.codes)),
+        "\n".join(_gradient_lines(code.hessians)), 2 * m))
+    vq, vp = _tangent_rows(gf, members)
+    # lam(T) = (p(T), 0), the derivative of alpha = p(T).dq(T) in dx(T)
+    lams = [sweep(states, states[-1][m:] + [0.0] * m, dt)
+            for states in traj.x.transpose(1, 0, 2).tolist()]
+    tangents = np.concatenate([vq, vp], axis=2)     # dx(0), per member
+    return (tangents @ np.array(lams)[:, :, None])[..., 0], drift
+
+
+def _perturbed_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
+                         t_end: float, dt: float):
+    """``(alphas, drift)`` of :func:`flow_transport_check`, as
+    :func:`_adjoint_transport` gives them, by the perturbation route."""
     starts = []
     for params in members:
         starts.append(params)
@@ -695,11 +805,26 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
         raise RuntimeError(f"flow of surface member {members[member]} "
                            f"({which}) produced a non-finite state at "
                            f"t={err.t:g}") from err
+    drift = _membership_drift(gf, traj, members, width)
+    m = gf.n + 1
+    # each member's final state and its central-difference tangents
+    final = traj.x[-1].reshape(len(members), width, 2 * m)
+    steps = np.array([[_perturbation_step(v) for v in params]
+                      for params in members])
+    tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]
+    alphas = [np.dot(final[i, 0, m:], tangent[:m])
+              for i in range(len(members)) for tangent in tangents[i]]
+    return np.reshape(alphas, (len(members), -1)), drift
 
-    xs = traj.x
+
+def _membership_drift(gf: GeneratingFunction, traj: Trajectory,
+                      members: list, width: int) -> float:
+    """The largest membership residual of the member states of ``traj``,
+    every ``width``-th row of its batch; an error names the member and the
+    time."""
     m = gf.n + 1
     # member by member, each along its trajectory
-    states = xs[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
+    states = traj.x[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
 
     def where(k):
         member, step = divmod(k, len(traj.t))
@@ -708,16 +833,7 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
 
     _, residuals = _sample_rows(
         lambda rows: _membership_rows(gf, states[rows]), len(states), where)
-    drift = float(np.max(residuals, initial=0.0))
-    # each member's final state and its central-difference tangents
-    final = xs[-1].reshape(len(members), width, 2 * m)
-    steps = np.array([[_perturbation_step(v) for v in params]
-                      for params in members])
-    tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]
-    alphas = [np.dot(final[i, 0, m:], tangent[:m])
-              for i in range(len(members)) for tangent in tangents[i]]
-    return TransportReport(t_end, float(np.max(np.abs(alphas), initial=0.0)),
-                           drift)
+    return float(np.max(residuals, initial=0.0))
 
 
 def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,

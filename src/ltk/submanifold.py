@@ -210,7 +210,8 @@ def _liouville_rows(gf: GeneratingFunction, P) -> np.ndarray:
     _reject(P[:, nI] == 0.0, ValueError,
             "p_chart must be nonzero to generate a lift point")
     g = grad(lift_generating_function(gf), P)
-    g[:, nI:] = -g[:, nI:]          # a p parameter's relation sets -dF/dp
+    # a p parameter's relation sets -dF/dp; 0.0 - keeps a +0.0 as +0.0
+    g[:, nI:] = 0.0 - g[:, nI:]
     coords = gf._param_coords
     X = np.empty((len(P), 2 * m))
     X[:, coords] = P

@@ -2,8 +2,9 @@
 Python, a list of functions as the lines of each one's gradient
 (:class:`FieldCode`), from which a phase field of :mod:`ltk.dynamics`
 writes the gradient of its generators' sum and inlines it at each RK4
-stage of its block runner, and expression inputs as one kernel of their
-values.
+stage of its block runner, and, where asked, of each one's Hessian times
+a direction, which the flow-transport check's adjoint sweep inlines, and
+expression inputs as one kernel of their values.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -49,7 +50,8 @@ values, and its code object is compiled once and kept by its text (the
 each of the four stages, so it compiles in about 4 times the time of
 one stage alone (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
 exchanger, median process CPU on a shared 2-CPU VM), once per field shape
-in a process.
+in a process; the flow-transport check's adjoint sweep, four gradient
+and four Hessian stages, in about 4 ms.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``.
@@ -408,9 +410,114 @@ class _Trace:
         partials = [dots.get((out, i), "0.0") for i in range(dim)]
         partials = [d if d in ("0.0", "1.0") else f"0.0 + {d}"
                     for d in partials]
-        return _live(lines, partials, {
-            f"v{n}" for n in range(first, len(self.nodes))
-            if self.nodes[n][0] in _CANNOT_RAISE}), partials
+        code = _live(lines, partials, self._droppable(first)), partials
+        self._recorded = first, out, dots, code[0]
+        return code
+
+    def _droppable(self, first: int) -> set:
+        """The value names, from node ``first`` on, of nodes whose value
+        line cannot raise."""
+        return {f"v{n}" for n in range(first, len(self.nodes))
+                if self.nodes[n][0] in _CANNOT_RAISE}
+
+    def hessian(self):
+        """The code of ``H t`` for the function recorded last, before the
+        next is recorded: ``(lines, partials)`` as :meth:`record` gives its
+        gradient's, H its Hessian and t the direction ``t0, t1, ...``, the
+        lines to place after the gradient code's lines at the same point.
+        They differentiate the gradient code along t, line by line
+        (forward mode over the gradient code), each value's tangent
+        ``t{n}`` and each derivative's ``e{n}_{i}`` by the rule of
+        :func:`_second_source`, and hold no check: their divisors are the
+        values the gradient code's checks keep from zero."""
+        first, out, dots, placed = self._recorded
+        lines = list(self.lines)
+
+        def named(name, source):
+            """A non-zero source, assigned to ``name`` unless it is one."""
+            if source is None or source == "0.0":
+                return None
+            if not source.isidentifier():
+                lines.append(f"{name} = {source}")
+                source = name
+            return source
+
+        tangents = {i: f"t{i}" for i in range(len(self.inputs))}
+        seconds = {}
+        for n in range(first, len(self.nodes)):
+            kind, a, b, reads = self.nodes[n]
+            va, vb = _operand(a), _operand(b)
+            ta, tb = tangents.get(a), tangents.get(b)
+            tn = tangents[n] = named(
+                f"t{n}", _derivative_source(kind, n, va, vb, ta, tb))
+            ek = None                   # the tangent of the factor k{n}
+            if kind in ("sin", "cos"):  # k' = -v t_a for either
+                ek = named(f"e{n}", f"-v{n} * {ta}")
+            elif kind == "ipow" and self.consts[b] != 1:
+                c = int(self.consts[b])
+                ek = named(f"e{n}", f"{self._const(c * (c - 1))} * {va} ** "
+                                    f"{self._const(c - 2)} * {ta}")
+            for i in sorted(reads):
+                seconds[n, i] = named(f"e{n}_{i}", _second_source(
+                    kind, n, va, vb, ta, tb, tn, ek, dots.get((a, i)),
+                    dots.get((b, i)), dots[n, i], seconds.get((a, i)),
+                    seconds.get((b, i))))
+        partials = [seconds.get((out, i)) or "0.0"
+                    for i in range(len(self.inputs))]
+        placed = set(placed)
+        return [line for line in _live(lines, partials,
+                                       self._droppable(first))
+                if line not in placed], partials
+
+
+def _second_source(kind, n, va, vb, ta, tb, tn, ek, da, db, d, ea, eb):
+    """Source of the derivative along the direction t of node n's
+    derivative ``d`` along one seed: the derivative of the formula of
+    :func:`_derivative_source`, with ``ta``/``tb``/``tn`` the tangents
+    along t of its operands and its value, ``ek`` that of its factor
+    ``k{n}``, and ``ea``/``eb`` those of ``da``/``db``.  None stands for a
+    zero and is returned for one.  A sqrt at 0 has zero derivatives there,
+    where its gradient code does not raise."""
+    v = f"v{n}"
+    if kind == "add":
+        return _sum(ea, eb)
+    if kind == "sub":
+        return _sum(ea, _neg(eb))
+    if kind == "mul":
+        return _sum(_mul(ta, db), _mul(va, eb), _mul(ea, vb), _mul(da, tb))
+    if kind == "div":                   # d = (da - v db) / vb
+        top = _sum(ea, _neg(_mul(tn, db)), _neg(_mul(v, eb)),
+                   _neg(_mul(d, tb)))
+        return top and f"({top}) / {vb}"
+    if kind == "neg":
+        return _neg(ea)
+    if kind == "exp":
+        return _sum(_mul(tn, da), _mul(v, ea))
+    if kind == "ln":
+        return f"({_sum(ea, _neg(_mul(d, ta)))}) / {va}"
+    if kind == "sqrt":                  # d = 0.5 da / v
+        return (f"0.0 if {v} == 0.0 else "
+                f"({_sum(_mul('0.5', ea), _neg(_mul(d, tn)))}) / {v}")
+    if kind == "one":
+        return None
+    if kind == "fpow":                  # d = v (k + b da / a), k' = 0
+        return _sum(f"{tn} * (k{n} + {vb} * {da} / {va})", f"{v} * {vb} * "
+                    f"({_sum(ea, f'-({da} * {ta} / {va})')}) / {va}")
+    return _sum(_mul(f"k{n}", ea), _mul(ek, da))  # abs, sin, cos, powers
+
+
+def _sum(*terms):
+    """The source of the sum of the terms that are not None, or None."""
+    return " + ".join(t for t in terms if t is not None) or None
+
+
+def _mul(a, b):
+    """The source of ``a * b``, or None where a factor is None."""
+    return None if a is None or b is None else _times(a, b)
+
+
+def _neg(a):
+    return None if a is None else _negated(a)
 
 
 # Nodes whose value line cannot raise, so dropping it where nothing reads
@@ -418,20 +525,22 @@ class _Trace:
 _CANNOT_RAISE = {"add", "sub", "mul", "neg", "one"}
 # Nodes whose derivative may read constants only.
 _FOLDABLE = {"add", "sub", "mul", "div", "neg"}
-_NAME = re.compile(r"\b[vkd]\d+(?:_\d+)?\b")
+_NAME = re.compile(r"\b[vkdte]\d+(?:_\d+)?\b")
 
 
 def _live(lines, partials, droppable) -> list:
-    """``lines`` without the assignments to derivatives ``d{n}_{i}``,
-    which cannot raise, and to ``droppable`` names that no later line and
-    no partial reads (backward liveness)."""
+    """``lines`` without the assignments to derivatives ``d{n}_{i}``, to
+    the tangents ``t{n}``, ``e{n}`` and ``e{n}_{i}`` of
+    :meth:`_Trace.hessian` and to ``droppable`` names that no later line
+    and no partial reads (backward liveness)."""
     read = set(_NAME.findall(" ".join(partials)))
     kept = []
     for line in reversed(lines):
         target, _, source = line.partition(" = ")
         if line.startswith("if "):
             source = line
-        elif (target in droppable or target[0] == "d") and target not in read:
+        elif (target in droppable or target[0] in "dte") \
+                and target not in read:
             continue
         read.update(_NAME.findall(source))
         kept.append(line)
@@ -582,11 +691,14 @@ class FieldCode:
     runner (:mod:`ltk.dynamics`) writes its body from the codes and places
     it at each RK4 stage; it does not serve a field code with a
     ``reason``.  The codes and ``dim`` are the code's shape: functions that
-    differ only in their constants share them.
+    differ only in their constants share them.  Where ``hessians`` is set,
+    ``hessians[k]`` is the code of ``H t`` (:meth:`_Trace.hessian`), H the
+    Hessian of ``fns[k]`` and t the direction ``t0, t1, ...``, in the same
+    form, whose lines follow those of ``codes[k]`` at the same point.
     """
 
-    def __init__(self, fns, x):
-        self.dim, self.reason, self.codes = len(x), None, []
+    def __init__(self, fns, x, hessians=False):
+        self.dim, self.reason, self.codes, self.hessians = len(x), None, [], []
         trace = _Trace(x)
         for f in fns:
             code, why = trace.record(f)
@@ -595,6 +707,8 @@ class FieldCode:
                                f"as {why}")
                 return
             self.codes.append(code)
+            if hessians:
+                self.hessians.append(trace.hessian())
         self._namespace = dict(_REPLAY_NAMES, **trace.consts, _Back=_OffTrace)
 
     def function(self, source: str, **names):
@@ -603,15 +717,19 @@ class FieldCode:
         return _function(source, dict(self._namespace, **names))
 
 
-def _stage(body: str, g: str, sources) -> list:
+def _stage(body: str, g: str, sources, tangents=()) -> list:
     """The lines of the field code ``body``, written from
-    :attr:`FieldCode.codes` to set ``$0, $1, ...``, that set ``{g}0, {g}1,
-    ...`` instead, at the point ``sources``: one source per coordinate,
-    each set as ``v0, v1, ...`` where the code reads it.  They raise where
-    a traced function's guard flips, its check trips or its code raises."""
+    :attr:`FieldCode.codes` (or :attr:`FieldCode.hessians`) to set ``$0,
+    $1, ...``, that set ``{g}0, {g}1, ...`` instead, at the point
+    ``sources``, and along the direction ``tangents``: one source per
+    coordinate, each set as ``v0, v1, ...`` (``t0, t1, ...``) where the
+    code reads it.  They raise where a traced function's guard flips, its
+    check trips or its code raises."""
     read = set(_NAME.findall(body))
     return ([f"v{i} = {s}" for i, s in enumerate(sources)
              if f"v{i}" in read]
+            + [f"t{i} = {s}" for i, s in enumerate(tangents)
+               if f"t{i}" in read]
             + body.replace("$", g).split("\n"))
 
 
@@ -656,8 +774,8 @@ def _indented(lines) -> list:
 # in value, and every run of one system, share one compile.  The first 60
 # jobs of each perfbench workload (seed 7) compile 2 block runners and 3
 # value kernels on sim_builtin, 3 block runners and the 4 templates' value
-# kernels on sim_expr, its built-in twins included, and 2 block runners on
-# audit.
+# kernels on sim_expr, its built-in twins included, and 2 block runners
+# and their 2 adjoint sweeps on audit.
 @functools.lru_cache(maxsize=8)
 def _code(source: str):
     """The code object of ``source``, compiled on its first use."""

@@ -20,6 +20,21 @@ def one_stage(code: FieldCode, codes=None):
         + [f"return [{', '.join(f'g{i}' for i in range(code.dim))}]"]))
 
 
+def hessian_stage(code: FieldCode):
+    """``kernel(xs, ts)``: the Hessian of the first function traced into
+    ``code`` (with ``hessians``) at the point ``xs`` times the direction
+    ``ts``, lists of floats, as a list, or an error where its code
+    raises."""
+    (lines, _), (more, partials) = code.codes[0], code.hessians[0]
+    body = "\n".join(_gradient_lines([(lines + more, partials)]))
+    n = code.dim
+    return code.function(_source(
+        "kernel", "x, t",
+        _stage(body, "g", [f"x[{i}]" for i in range(n)],
+               [f"t[{i}]" for i in range(n)])
+        + [f"return [{', '.join(f'g{i}' for i in range(n))}]"]))
+
+
 class TracedGradient:
     """The gradient sum of ``Ka + sum_k u_k Kc_k``, called as
     ``self(xs, u)`` on lists of floats, through the one-stage kernel of its

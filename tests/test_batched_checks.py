@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from conftest import TracedGradient
 from test_diffkit import SYSTEMS, _hex
-from test_dynamics import _vector_pass
+from test_dynamics import _vector_pass, half_square_gf
 
 from ltk import cli, dynamics, tracegrad
 from ltk.brackets import degree_check, poisson_fn
@@ -484,20 +484,107 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
             "test: blocks rerun on the vector pass: 0"]
 
 
+def _flowcheck_grid(system) -> list:
+    grid = [system.default_params or (0.0, 1.0, 0.3, -1.0)]
+    return [[float(v) for v in params]
+            for params in grid + _sample_surface_params(system, 2, 5)]
+
+
 @pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston"])
 def test_flowcheck_reports_are_the_vector_passes(name, monkeypatch):
+    # the perturbation route's alphas and drift, and the scaling check,
+    # traced and untraced; flowcheck takes the adjoint route traced and the
+    # perturbation route untraced, with the same drift
     system = SYSTEMS[name]()
-    grid = [system.default_params or (0.0, 1.0, 0.3, -1.0)]
-    grid += _sample_surface_params(system, 2, 5)
+    grid = _flowcheck_grid(system)
     pt = liouville_point(system.gf, grid[0])
     runs = []
     for route in ("traced", "vector"):
         if route == "vector":
             _vector_route(monkeypatch)
+        alphas, drift = dynamics._perturbed_transport(system.gf, system.Ka,
+                                                      grid, 0.05, 1e-3)
         report = flow_transport_check(system.gf, system.Ka, 0.05, grid)
-        runs.append([report.alpha_residual, report.membership_drift,
+        runs.append([*alphas.ravel(), drift, report.membership_drift,
                      scaling_commutation_check(system.Ka, pt, 1.7, 0.05)])
     assert _hex(runs[0]) == _hex(runs[1])
+
+
+def _degree_two(K: ScalarFn) -> ScalarFn:
+    """K + p0^2, of fiber degree 2 where K is of degree 1."""
+    m = K.dim // 2
+    return ScalarFn(lambda x: K(x) + x[m] * x[m], K.dim, name="K + p0^2")
+
+
+@pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston",
+                                  "p1 + p0 q1", "degree 2"])
+def test_adjoint_alphas_are_the_perturbation_routes(name, caplog):
+    # alpha on each member's tangents within the differences' error of the
+    # perturbation route, and the drift of the same member rows bit for bit
+    t_end = 0.5 if name == "p1 + p0 q1" else 0.05
+    if name == "p1 + p0 q1":
+        gf, grid = half_square_gf(), [[0.7, -1.0], [1.2, -0.5]]
+        K = ScalarFn(lambda x: x[3] + x[2] * x[1], dim=4, name=name)
+    else:
+        system = SYSTEMS["piston" if name == "degree 2" else name]()
+        gf, grid, K = system.gf, _flowcheck_grid(system), system.Ka
+        if name == "degree 2":
+            K = _degree_two(K)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        exact, drift = dynamics._adjoint_transport(gf, K, grid, t_end, 1e-3)
+    assert _log_lines(caplog, "flowcheck") == [
+        f"flowcheck: {K.name} runs on a traced replay",
+        "flowcheck: blocks rerun on the vector pass: 0"]
+    differenced, want = dynamics._perturbed_transport(gf, K, grid, t_end,
+                                                      1e-3)
+    assert exact.shape == differenced.shape == (len(grid), gf.n_params)
+    assert np.max(np.abs(exact - differenced)) < 1e-9
+    assert drift.hex() == want.hex()
+    report = flow_transport_check(gf, K, t_end, grid)
+    assert report.alpha_residual == np.max(np.abs(exact))
+    if name == "degree 2":          # a K of degree 2 fails the check
+        assert report.alpha_residual > 1e-2
+    else:                           # the flow's error, not the differences'
+        assert report.alpha_residual < 1e-11
+
+
+def test_a_k_the_trace_cannot_record_keeps_the_perturbation_report(caplog):
+    # no adjoint route without the trace: flowcheck is the perturbation
+    # route, bit for bit, integrated once
+    port = heat_compartment().Kc[0]
+    K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
+                 name="reads hash")
+    gf, grid = heat_compartment().gf, [[0.1, -1.0], [0.3, -0.8]]
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        report = flow_transport_check(gf, K, 0.05, grid)
+    assert _log_lines(caplog, "flowcheck") == [
+        "flowcheck: reads hash runs on the vector pass: the trace cannot "
+        "record reads hash, as it reads a traced value with hash()"]
+    alphas, drift = dynamics._perturbed_transport(gf, K, grid, 0.05, 1e-3)
+    assert _hex([report.alpha_residual, report.membership_drift]) == \
+        _hex([np.max(np.abs(alphas)), drift])
+
+
+def test_a_sweep_off_its_trace_reruns_the_check_on_the_perturbation_route(
+        caplog):
+    # the drift doubles while the piston momentum exceeds 0.3, as it does
+    # from the start for the first member, traced, and from mid-run for the
+    # second: the forward run reruns blocks on the vector pass, and the
+    # adjoint sweep, which has no such pass, hands the check over whole
+    Ka = gas_piston_damper().Ka
+    K = ScalarFn(lambda x: Ka(x) * 2.0 if x[3] > 0.3 else Ka(x), 8,
+                 name="switching drift")
+    gf = gas_piston_damper().gf
+    grid = [[0.0, 1.0, 0.35, -1.0], [0.0, 1.0, 0.2, -1.0]]
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        report = flow_transport_check(gf, K, 1.0, grid, dt=2e-2)
+    lines = _log_lines(caplog, "flowcheck")
+    assert lines[2] == ("flowcheck: alpha reruns on the perturbation route, "
+                        "as the adjoint route raised _OffTrace()")
+    assert len(lines) == 5
+    alphas, drift = dynamics._perturbed_transport(gf, K, grid, 1.0, 2e-2)
+    assert _hex([report.alpha_residual, report.membership_drift]) == \
+        _hex([np.max(np.abs(alphas)), drift])
 
 
 def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
@@ -610,10 +697,12 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
         grid, t_end, dt = [(0.1, -1.0), (0.3, -1.0), (0.2, -1.2)], 1.0, 1e-2
         pt = liouville_point(gf, (0.3, -1.0))
     else:
+        # the RK4 sum 6 * 2c|p0| overflows at p0 = -1 itself, so the
+        # adjoint route raises and the perturbation route names the member
         gf = GeneratingFunction(
             n=1, Fhat=ScalarFn(lambda x: 0.5 * x[0] ** 2, dim=1),
             I=(1,), chart=0)
-        c = np.finfo(float).max / 12.0 / (1.0 + 5e-6)
+        c = np.finfo(float).max / 12.0 * (1.0 + 1e-6)
         K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
         grid, t_end, dt = [(0.7, -0.5), (1.2, -1.0)], 0.01, 1e-3
         pt = None
@@ -637,7 +726,7 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
         assert "in the step from t=" in errors[1][1]
     else:
         assert errors[0][0] is RuntimeError
-        assert "member [1.2, -1.0] (parameter 1 -h)" in errors[0][1]
+        assert "member [1.2, -1.0] (unperturbed)" in errors[0][1]
 
 
 def _blowing_up() -> ScalarFn:
@@ -714,7 +803,7 @@ def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> list:
 
 def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog,
                                                              tmp_path):
-    # 2 members of 9 rows each are replayed
+    # 2 members, one row each, are replayed
     assert _flowcheck_log(2, capsys, caplog, tmp_path) == [
         "flowcheck: drift(heat_exchanger) runs on a traced replay",
         "flowcheck: blocks rerun on the vector pass: 0"] * 2
@@ -722,10 +811,11 @@ def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog,
 
 def test_flowcheck_past_the_row_limit_logs_the_vector_pass(capsys, caplog,
                                                            tmp_path):
-    samples = dynamics.REPLAY_MAX_ROWS // 9 + 1
+    # one row per member; the adjoint sweep reads K's trace all the same
+    samples = dynamics.REPLAY_MAX_ROWS + 1
     assert _flowcheck_log(samples, capsys, caplog, tmp_path) == [
         f"flowcheck: drift(heat_exchanger) runs on the vector pass: its "
-        f"{9 * samples} rows are more than the {dynamics.REPLAY_MAX_ROWS} "
+        f"{samples} rows are more than the {dynamics.REPLAY_MAX_ROWS} "
         f"a replay runs faster"] * 2
 
 

@@ -247,14 +247,18 @@ COMPARTMENT = {"dimensions": 2, "partition": {"energy": [0], "entropy": [1]},
                "Ka": "0", "Kc": ["p1 / exp(q1) + p0"]}
 # The README compartment in its energy representation E(S) = exp(S), chart
 # 0, and in its entropy representation S(E) = ln(E), chart 1, whose I
-# defaults to [0]; both start at E = 2, S = ln 2.
+# defaults to [0], both from one start: E = 2, S = ln 2, and E = 1, S = 0,
+# where the entropy representation's lift sets S to minus a relation of
+# +0.0, which must read 0.0, as the energy representation's S does.
 REPRESENTATIONS = {
-    "energy": dict(COMPARTMENT, gf={"expr": "exp(q1)"},
-                   initial=[0.6931471805599453, -1.0],
-                   param_box=[[-0.5, 1.0], [-1.5, -0.5]]),
-    "entropy": dict(COMPARTMENT, gf={"expr": "ln(q0)", "chart": 1},
-                    initial=[2.0, -1.0],
-                    param_box=[[0.6, 2.7], [-1.5, -0.5]])}
+    f"E = {E:g}": {
+        "energy": dict(COMPARTMENT, gf={"expr": "exp(q1)"},
+                       initial=[S, -1.0],
+                       param_box=[[-0.5, 1.0], [-1.5, -0.5]]),
+        "entropy": dict(COMPARTMENT, gf={"expr": "ln(q0)", "chart": 1},
+                        initial=[E, -1.0],
+                        param_box=[[0.6, 2.7], [-1.5, -0.5]])}
+    for E, S in ((2.0, 0.6931471805599453), (1.0, 0.0))}
 
 
 def _csv_columns(path) -> dict:
@@ -262,16 +266,17 @@ def _csv_columns(path) -> dict:
     return dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
 
 
+@pytest.mark.parametrize("start", sorted(REPRESENTATIONS))
 @pytest.mark.parametrize("signal", [
     {"kind": "constant", "values": [0.1]},
     {"kind": "sinusoid", "amplitude": 0.2, "frequency": 1.3}])
 def test_both_representations_of_a_compartment_flow_alike(tmp_path, capsys,
-                                                         signal):
+                                                         signal, start):
     # one surface, generated from either representation: Kc is linear in p
     # with coefficients in q, so the q columns and the outputs agree byte
     # for byte, and only the costates, read in another chart, differ
     columns = {}
-    for name, spec in REPRESENTATIONS.items():
+    for name, spec in REPRESENTATIONS[start].items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({"system": {"custom": spec}}))
         code, report, _ = run_json(capsys, "validate", "--config", str(path))

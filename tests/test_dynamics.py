@@ -796,16 +796,33 @@ def test_monitors_see_the_stored_rows_and_grid_times(block, monkeypatch):
 def test_flow_transport_names_the_trajectory_that_went_non_finite():
     # K = c p0^2 moves q at the constant rate 2 c p0; c is set so that the
     # RK4 sum 6 * 2c|p0| stays finite at p0 = -1 but overflows for the
-    # perturbation p0 - h of that member alone
+    # perturbation p0 - h of that member alone, which the perturbation
+    # route flows
     c = np.finfo(float).max / 12.0 / (1.0 + 5e-6)
     K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
-    grid = [(0.7, -0.5), (1.2, -1.0)]
+    grid = [[0.7, -0.5], [1.2, -1.0]]
     with pytest.raises(RuntimeError, match=r"member \[1\.2, -1\.0\] "
                        r"\(parameter 1 -h\).* at t=0\.001\b"), \
             np.errstate(over="ignore"):
-        flow_transport_check(half_square_gf(), K, 0.01, grid, dt=1e-3)
+        dynamics._perturbed_transport(half_square_gf(), K, grid, 0.01, 1e-3)
     # without that member every trajectory stays finite
-    flow_transport_check(half_square_gf(), K, 0.01, grid[:1], dt=1e-3)
+    dynamics._perturbed_transport(half_square_gf(), K, grid[:1], 0.01, 1e-3)
+    # the adjoint route flows the members alone, which stay finite: alpha
+    # is finite and fails the check
+    report = flow_transport_check(half_square_gf(), K, 0.01, grid, dt=1e-3)
+    assert 1e300 < report.alpha_residual < np.inf
+
+
+def test_flow_transport_names_the_member_that_went_non_finite():
+    # at a c a little larger the member at p0 = -1 overflows itself: the
+    # adjoint route raises, and the perturbation route names the member
+    c = np.finfo(float).max / 12.0 * (1.0 + 1e-6)
+    K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
+    with pytest.raises(RuntimeError, match=re.escape(
+            "flow of surface member [1.2, -1.0] (unperturbed) produced a "
+            "non-finite state at t=0.001") + "$"), np.errstate(over="ignore"):
+        flow_transport_check(half_square_gf(), K, 0.01,
+                             [(0.7, -0.5), (1.2, -1.0)], dt=1e-3)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, -1.0])

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TracedGradient, one_stage
+from conftest import TracedGradient, hessian_stage, one_stage
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
@@ -26,7 +26,7 @@ from test_simulate_blocks import (INPUTS, _assert_matches_reference,
 
 import ltk
 from ltk import dynamics, tracegrad
-from ltk.diffkit import ScalarFn, exp, fd_grad, grad, ln, sqrt
+from ltk.diffkit import ScalarFn, cos, exp, fd_grad, grad, ln, sin, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -792,3 +792,60 @@ def test_one_trace_keeps_each_functions_gradient_code_apart(factory):
     ports = code.codes[:1 + system.n_ports]
     assert "\n".join(dynamics._gradient_lines(ports)) == \
         "\n".join(dynamics._gradient_lines(alone.codes))
+
+
+def _every_kind(x):
+    """A function of every node kind the trace records: abs, sqrt, sin,
+    cos, ln, exp, integer, zeroth and float powers, negation, a division
+    and an == guard."""
+    q0, q1, p0, p1 = x
+    guarded = q0 * p1 if q0 == 0.25 else -p1 / q0
+    return (abs(q1 - 2.0) * sqrt(q0) + sin(p0) * cos(q1)
+            + ln(q0) * exp(0.3 * q1) + p0 ** 3 + q1 ** 2.5 / q0 + q0 ** -2
+            + p1 ** 0 * q1 - guarded + p0 * p1 ** 2)
+
+
+def _hessian_cases():
+    for name in ("piston", "exchanger", "expression piston"):
+        system = SYSTEMS[name]()
+        yield name, system.Ka, [
+            liouville_point(system.gf, p).packed().tolist()
+            for p in _sample_surface_params(system, 5, 3)]
+    rng = np.random.default_rng(4)
+    yield "every kind", ScalarFn(_every_kind, 4, name="every kind"), [
+        (np.array([1.3, 0.7, -0.4, 0.9]) + 0.05 * rng.standard_normal(4))
+        .tolist() for _ in range(5)]
+
+
+@pytest.mark.parametrize("name, K, points", list(_hessian_cases()),
+                         ids=[case[0] for case in _hessian_cases()])
+def test_hessian_code_is_the_derivative_of_the_traced_gradient(name, K,
+                                                               points):
+    # H t from the trace against a central difference of the traced
+    # gradient along t, at points and directions away from the trace's
+    code = FieldCode((K,), points[0], hessians=True)
+    assert code.reason is None and len(code.hessians) == 1
+    gradient, hessian = one_stage(code), hessian_stage(code)
+    rng, h = np.random.default_rng(9), 1e-5
+    for x in np.array(points):
+        t = rng.standard_normal(len(x))
+        fd = (np.array(gradient((x + h * t).tolist(), ()))
+              - np.array(gradient((x - h * t).tolist(), ()))) / (2.0 * h)
+        got = np.array(hessian(x.tolist(), t.tolist()))
+        assert np.max(np.abs(got - fd)) <= 1e-8 * np.max(np.abs(fd)), name
+    # it follows the gradient code, whose checks and guards stay its only
+    # ones
+    assert any(line.startswith("if ") for line in code.codes[0][0])
+    assert not any(line.startswith("if ") for line in code.hessians[0][0])
+
+
+@pytest.mark.parametrize("where", [{0: 0.25}, {0: -1.0}, {1: -0.5}],
+                         ids=["guard", "sqrt and ln", "float power"])
+def test_hessian_code_raises_where_the_gradient_code_raises(where):
+    x = [1.3, 0.7, -0.4, 0.9]
+    code = FieldCode((ScalarFn(_every_kind, 4),), x, hessians=True)
+    point = [where.get(i, v) for i, v in enumerate(x)]
+    with pytest.raises(tracegrad._OffTrace):
+        one_stage(code)(point, ())
+    with pytest.raises(tracegrad._OffTrace):
+        hessian_stage(code)(point, [1.0, -0.5, 0.25, 2.0])
