@@ -44,14 +44,13 @@ every difference step of every RK4 stage.
 
 The routes that run many times over are the fields that
 :func:`ltk.dynamics.integrate` steps: ``simulate``'s, one gradient per
-generator at each RK4 stage, and the batch of trajectories of the two
-integrated checks (``flow_transport_check``, ``scaling_commutation_check``),
-whose few rows a vector-mode pass would carry at numpy's per-call cost.
-:mod:`ltk.tracegrad` traces the generators once per run into
-straight-line code that sums :func:`grad`'s partials bit for bit, which
-one generated block runner inlines at each RK4 stage, for the checks row
-by row; a block in which that code raises, and a field it cannot trace,
-run on :func:`grad`, which stays the reference.
+generator at each RK4 stage, and the trajectories of the two integrated
+checks (``flow_transport_check``, ``scaling_commutation_check``), each
+flowed alone.  :mod:`ltk.tracegrad` traces the generators once per run
+into straight-line code that sums :func:`grad`'s partials bit for bit,
+which one generated block runner inlines at each RK4 stage of one
+state; a block in which that code raises, a batch, and a field it cannot
+trace run on :func:`grad`, which stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.

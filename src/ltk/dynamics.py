@@ -19,24 +19,22 @@ vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
 given the same inputs the trajectory is bitwise reproducible.
 :func:`integrate` is the package's one integration loop.  A phase
 field, :func:`phase_rhs`'s or the forced one of port-system simulation
-(:func:`ltk.portsys.simulate`), builds its own block runner, traced once
-at its first state (:class:`ltk.tracegrad.FieldCode`): the RK4 loop over
-a block of steps, the state a list of floats, with its generators'
-gradient sum (:func:`_gradient_lines`) inlined at each stage and the RK4
-formula written with :func:`rk4_step`'s expressions, entry by entry, so
-its states are the numpy step's bit for bit, and one test that the
-block's last state is finite.  A batch of up to :data:`REPLAY_MAX_ROWS`
-rows, such as the trajectories of the two integrated checks
-(:func:`flow_transport_check`, :func:`scaling_commutation_check`), runs
-each row through the block in turn, bit for bit the vector pass of
-:func:`phase_rhs`; that pass stays
-the one-shot field, reruns a block in which the runner raises, for a
-state or a row, and steps a larger batch, or any start of a field the
-trace cannot record, throughout.  The flow-transport check sweeps each
-member's steps back through a loop generated the same way
-(:func:`_adjoint_source`), from K's gradient and Hessian code traced
-with the runner's.  Every other field steps in numpy, one
-:func:`rk4_step` at a time, a single state as a batch row would.
+(:func:`ltk.portsys.simulate`), builds its own block runner for one
+state, traced once at its start (:class:`ltk.tracegrad.FieldCode`): the
+RK4 loop over a block of steps, the state a list of floats, with its
+generators' gradient sum (:func:`_gradient_lines`) inlined at each stage
+and the RK4 formula written with :func:`rk4_step`'s expressions, entry
+by entry, so its states are the numpy step's bit for bit, and one test
+that the block's last state is finite.  The two integrated checks
+(:func:`flow_transport_check`, :func:`scaling_commutation_check`) flow
+each trajectory alone on it.  The vector pass of :func:`phase_rhs` stays
+the one-shot field, reruns a block in which the runner raises, and steps
+a batch, or a field the trace cannot record, throughout.  The
+flow-transport check sweeps each member's steps back through a loop
+generated the same way (:func:`_adjoint_source`), from K's gradient and
+Hessian code traced with the runner's.  Every other field steps in
+numpy, one :func:`rk4_step` at a time, a single state as a batch row
+would.
 ``simulate`` records its guard, inputs, outputs and monitors through one
 monitor that takes a block of grid points at a time; a run that leaves
 the surface is detected at the end of its block.
@@ -63,7 +61,7 @@ import numpy as np
 from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
                       grad)
 from .geometry import (EulerFieldKind, PhasePoint, _chart_rows, _phase_rows,
-                       _relative_euler_rows)
+                       _relative_euler_rows, scale_costate)
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, _specific_ratios, _tangent_rows)
 
@@ -90,20 +88,9 @@ FIELD_FD_STEP = 1e-5
 
 # States per call of an :func:`integrate` monitor (a batch's rows count
 # one each): enough to spread a vector-mode pass's overhead thin, few
-# enough to keep its arrays, and the states a block runner lists for
+# enough to keep its arrays, and the states the block runner lists for
 # them, small.
 MONITOR_BLOCK = 1024
-
-# Most rows of an integrated check's batch that step through K's traced
-# code row by row; a larger batch runs the vector pass.  Timed on `ltk
-# flowcheck --t-end 1 --dt 1e-3` when it flowed 9 rows per member
-# (process CPU, 2-CPU Xeon VM, CPython 3.11, 3 processes per size), the
-# block runner is faster up to 81 rows on the built-in piston and
-# exchanger, the two routes meet at 90-99 rows on the piston and past 99
-# on the exchanger, and at 225 rows the vector pass takes two thirds of
-# the time.  The flow-transport check flows one row per member, so up to
-# 81 members replay.
-REPLAY_MAX_ROWS = 81
 
 
 @dataclass
@@ -180,13 +167,13 @@ class _PhaseField:
     order whose input is not 0.0 the sum ``g + u_k * grad(Kc_k)``.
     :func:`integrate` steps it on its :meth:`runner` instead, which logs
     the run's route after ``label``, and which is built from ``code``
-    where the caller traced the generators at the run's start."""
+    where the caller traced the generators."""
 
     Ka: ScalarFn
     Kc: tuple = ()
     read: object = None
     label: str = "integrate"
-    code: object = None     # the generators' FieldCode at the start, if traced
+    code: object = None     # the generators' FieldCode, if traced
 
     def __call__(self, t, x):
         inputs = self.read(t) if self.Kc else ()
@@ -198,30 +185,21 @@ class _PhaseField:
 
     def runner(self, x: np.ndarray):
         """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 from the
-        list state ``x`` at t = i0*dt, as one loop generated from the
-        generators traced at the state ``x``, or at row 0 of the batch
-        ``x``; None where ``x`` runs the vector pass.  Logs the route.  Each
-        stage evaluates the gradient inline, with the inputs ``read(t)``
-        for a field with ports, read at t, t + h and t + dt of each step
-        (k3 takes k2's read), and each new state is appended to ``out`` as
-        a list.  ``run`` returns the last state, or raises where a stage
-        raises or that state is not finite."""
-        reason = None
-        if x.ndim == 2 and len(x) > REPLAY_MAX_ROWS:
-            reason = (f"its {len(x)} rows are more than the "
-                      f"{REPLAY_MAX_ROWS} a replay runs faster")
-        elif x.ndim == 2 and not len(x):
-            reason = "it has no rows"
-        elif x.ndim == 0:                   # the vector pass raises
-            reason = "its start state is a scalar"
-        elif x.shape[-1] != self.Ka.dim:    # the vector pass raises
-            reason = (f"its start "
-                      f"{'rows have' if x.ndim == 2 else 'state has'} "
-                      f"{x.shape[-1]} entries")
+        list state ``x`` at t = i0*dt, as one loop generated from ``code``
+        or the generators traced at ``x``; None where ``x`` is not one
+        state of K's width, which runs the vector pass.  Logs the route.
+        Each stage evaluates the gradient inline, with the inputs
+        ``read(t)`` for a field with ports, read at t, t + h and t + dt of
+        each step (k3 takes k2's read), and each new state is appended to
+        ``out`` as a list.  ``run`` returns the last state, or raises where
+        a stage raises or that state is not finite."""
+        if x.ndim != 1:                 # a batch steps; a scalar raises
+            reason = "its start is not one state"
+        elif len(x) != self.Ka.dim:     # the vector pass raises
+            reason = f"its start state has {len(x)} entries"
         else:
             from .tracegrad import FieldCode
-            code = self.code or FieldCode(
-                (self.Ka, *self.Kc), (x if x.ndim == 1 else x[0]).tolist())
+            code = self.code or FieldCode((self.Ka, *self.Kc), x.tolist())
             reason = code.reason
         name = self.Ka.name or "K"
         if reason is not None:
@@ -497,24 +475,22 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     """Fixed-step RK4 integration of ``f(t, x)`` from 0 to t_end.
 
     ``t_end`` and ``dt`` must be finite, and ``t_end`` a nonnegative
-    integer multiple of ``dt`` (the grid is t_i = i*dt).
-    ``x0`` is one state vector, or a (B, dim) batch of states stepped
-    together; every step is entrywise arithmetic, so a row follows the
-    trajectory it would follow alone, bit for bit, when ``f`` treats rows
-    alike (as :func:`phase_rhs` does).  ``f`` steps in numpy, one
-    :func:`rk4_step` at a time, unless it is a phase field
-    (:func:`phase_rhs`'s, or simulate's), whose block runner, traced
-    once at the state or at row 0 of the batch, steps the state, or each
-    row of the batch in turn, a monitor block at a time, with the numpy
-    step's bits.  A block in which the runner raises, for any reason (a
-    guard that flips, a check that trips, an error, a last state that is
-    not finite), reruns from its start on the vector pass, which returns
-    the same bits or raises the same error at the same step.  A scalar state, a state or start rows of another width
-    than K's, a batch with no rows or more than :data:`REPLAY_MAX_ROWS`
-    rows, and a field with a generator the trace cannot record run the
-    vector pass throughout.  At level INFO the ``ltk`` logger says, after
-    the field's label, which route the run takes, and why, and how many
-    blocks reran on the vector pass, with the start time of the first.
+    integer multiple of ``dt`` (the grid is t_i = i*dt).  ``x0`` is one
+    state vector, or a (B, dim) batch of states stepped together; every
+    step is entrywise arithmetic, so a row follows the trajectory it would
+    follow alone, bit for bit, when ``f`` treats rows alike (as
+    :func:`phase_rhs` does).  ``f`` steps in numpy, one :func:`rk4_step`
+    at a time, unless it is a phase field (:func:`phase_rhs`'s, or
+    simulate's) and ``x0`` one state of K's width, which its block runner
+    steps a monitor block at a time with the numpy step's bits.  A block
+    in which the runner raises, for any reason (a guard that flips, a
+    check that trips, an error, a last state that is not finite), reruns
+    from its start on the vector pass, which returns the same bits or
+    raises the same error at the same step; a field with a generator the
+    trace cannot record runs the vector pass throughout.  At level INFO
+    the ``ltk`` logger says, after the field's label, which route the run
+    takes, and why, and how many blocks reran on the vector pass, with the
+    start time of the first.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
     :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
@@ -529,16 +505,7 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
     the message, after every row has stepped, and a start that is not
     finite as step 0, before any monitor.
     """
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
-    steps = round(t_end / dt)
-    if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    steps = _grid_steps(t_end, dt)
     x = np.asarray(x0, dtype=float).copy()
     _check_finite(x, 0.0, 0)
     monitors = list(monitors or [])
@@ -560,15 +527,14 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     xs[0] = x
-    batch = x.ndim == 2
-    block = max(1, MONITOR_BLOCK // max(1, len(x))) if batch \
+    block = max(1, MONITOR_BLOCK // max(1, len(x))) if x.ndim == 2 \
         else MONITOR_BLOCK
     run = f.runner(x) if isinstance(f, _PhaseField) else None
     reran = []                          # the start of each block rerun
     if run is None:
         advance = _steps(f)
     else:
-        advance = _runner_blocks(run, f, batch, reran)
+        advance = _runner_blocks(run, f, reran)
         x = x.tolist()
     i = 0                               # the last point reached
     try:
@@ -595,6 +561,21 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
             log.info("%s: blocks rerun on the vector pass: %d%s", f.label,
                      len(reran), first)
     return Trajectory(ts, xs, mon)
+
+
+def _grid_steps(t_end: float, dt: float) -> int:
+    """The steps of :func:`integrate`'s grid from 0 to t_end by dt."""
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if t_end < 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
+    steps = round(t_end / dt)
+    if abs(steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end={t_end} is not an integer multiple of dt={dt}")
+    return steps
 
 
 def _store(xs: np.ndarray, start: int, out: list):
@@ -632,31 +613,18 @@ def _check_finite(X: np.ndarray, t: float, step: int):
                               if X.ndim == 2 else None)
 
 
-def _runner_blocks(run, f: _PhaseField, batch: bool, reran: list):
-    """:func:`integrate`'s advance of a list state, or of a batch of list
-    rows each through the whole block in turn, by the block runner
+def _runner_blocks(run, f: _PhaseField, reran: list):
+    """:func:`integrate`'s advance of a list state by the block runner
     ``run``.  A block in which it raises, for any reason, reruns from its
-    start on the vector pass of ``f``, step by step, with the same bits
-    or error, and the step of a state that is not finite; ``reran`` gets
-    the first point of each such block."""
-    rerun = _steps(f)
-
-    def advance(X, i0, i1, dt, out):
-        rows = X if batch else [X]
-        runs = [[] for _ in rows]
+    start on the vector pass of ``f`` (:func:`_steps`), with the same bits
+    or error; ``reran`` gets the first point of each such block."""
+    def advance(x, i0, i1, dt, out):
         try:
-            for x, states in zip(rows, runs):
-                run(x, i0, i1, dt, states)
+            return run(x, i0, i1, dt, out)
         except Exception:   # noqa: BLE001 - the vector pass raises it
+            out.clear()
             reran.append(i0)
-            return rerun(np.array(X), i0, i1, dt, out).tolist()
-        if not batch:
-            out.extend(runs[0])
-            return runs[0][-1]
-        flat = np.fromiter(chain.from_iterable(chain.from_iterable(runs)),
-                           float, len(X) * (i1 - i0) * len(X[0]))
-        out.extend(flat.reshape(len(X), i1 - i0, -1).transpose(1, 0, 2))
-        return [states[-1] for states in runs]
+            return _steps(f)(np.array(x), i0, i1, dt, out).tolist()
     return advance
 
 
@@ -722,19 +690,17 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     generating relations stays small along every trajectory
     (``membership_drift``).  Both reported numbers are maxima over the grid.
 
-    The members are the rows of one batch for :func:`integrate`, each the
-    trajectory a separate run would give; up to :data:`REPLAY_MAX_ROWS`
-    rows, each row steps through K's code, traced once at the first
-    member, as the vector pass of :func:`phase_rhs` would step it.  The
-    membership residuals of all recorded member states are one more batch;
-    an error there names the member and the time.  alpha on the tangents
-    takes the exact derivative of the discrete flow: with alpha =
-    p(T)·dq(T) linear in each transported tangent, one adjoint sweep of
-    the RK4 steps per member (:func:`_adjoint_source`, on Hessian code
-    traced with K's gradient) carries its derivative back to t = 0, where
-    it meets the member's tangent basis
-    (:func:`~ltk.submanifold.tangent_basis`, whose extrapolated
-    differences of the lift are good to about 1e-12).
+    The grid of ``t_end`` and ``dt`` is checked as :func:`integrate` checks
+    it, and the members lifted, before either route; an error in a lift
+    names the member.  Each member flows alone on K's code traced once, at
+    the first member.  The membership residuals of all recorded member
+    states are one batch; an error there names the member and the time.
+    alpha on the tangents takes the exact derivative of the discrete flow:
+    with alpha = p(T)·dq(T) linear in each transported tangent, one
+    adjoint sweep of the RK4 steps per member (:func:`_adjoint_source`, on
+    Hessian code traced with K's gradient) carries its derivative back to
+    t = 0, where it meets the member's tangent basis
+    (:func:`~ltk.submanifold.tangent_basis`, good to about 1e-12).
 
     Where K cannot be traced, or this route raises or its sweep is not
     finite, the whole check reruns on the perturbation route, which gives
@@ -744,11 +710,15 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     states, so it carries the difference's error; an error in a flow names
     the member and its perturbation.
     """
+    _grid_steps(t_end, dt)
     members = [[float(v) for v in params] for params in sample_grid]
     if not members:
         return TransportReport(t_end, 0.0, 0.0)
+    _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, members[rows]),
+                         len(members),
+                         lambda i: f"at surface member {members[i]}")
     try:
-        found = _adjoint_transport(gf, K, members, t_end, dt)
+        found = _adjoint_transport(gf, K, members, x0, t_end, dt)
     except Exception as err:   # noqa: BLE001 - the perturbation route raises
         log.info("flowcheck: alpha reruns on the perturbation route, as the "
                  "adjoint route raised %r", err)
@@ -759,26 +729,29 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
 
 
 def _adjoint_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
-                       t_end: float, dt: float):
+                       x0: np.ndarray, t_end: float, dt: float):
     """``(alphas, drift)`` of :func:`flow_transport_check` by the adjoint
-    route: alpha on each member's tangents, a (members, n_params) array,
-    and the membership drift; None where the trace cannot record K."""
+    route from the members' lifts ``x0``: alpha on each member's tangents,
+    a (members, n_params) array, and the membership drift; None, logged,
+    where the trace cannot record K."""
     from .tracegrad import FieldCode
-    x0 = _liouville_rows(gf, members)
     code = FieldCode((K,), x0[0].tolist(), hessians=True)
     if code.reason is not None:
+        log.info("flowcheck: %s runs on the perturbation route: %s",
+                 K.name or "K", code.reason)
         return None
-    traj = integrate(_PhaseField(K, label="flowcheck", code=code), x0,
-                     t_end, dt)
-    drift = _membership_drift(gf, traj, members, 1)
+    field = _PhaseField(K, label="flowcheck", code=code)
+    flows = [integrate(field, x, t_end, dt) for x in x0]
+    drift = _membership_drift(gf, flows[0].t,
+                              np.array([tr.x for tr in flows]), members)
     m = gf.n + 1
     sweep = code.function(_adjoint_source(
         "\n".join(_gradient_lines(code.codes)),
         "\n".join(_gradient_lines(code.hessians)), 2 * m))
     vq, vp = _tangent_rows(gf, members)
     # lam(T) = (p(T), 0), the derivative of alpha = p(T).dq(T) in dx(T)
-    lams = [sweep(states, states[-1][m:] + [0.0] * m, dt)
-            for states in traj.x.transpose(1, 0, 2).tolist()]
+    lams = [sweep(tr.x.tolist(), tr.x[-1, m:].tolist() + [0.0] * m, dt)
+            for tr in flows]
     tangents = np.concatenate([vq, vp], axis=2)     # dx(0), per member
     return (tangents @ np.array(lams)[:, :, None])[..., 0], drift
 
@@ -805,7 +778,8 @@ def _perturbed_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
         raise RuntimeError(f"flow of surface member {members[member]} "
                            f"({which}) produced a non-finite state at "
                            f"t={err.t:g}") from err
-    drift = _membership_drift(gf, traj, members, width)
+    drift = _membership_drift(gf, traj.t,
+                              traj.x[:, ::width].transpose(1, 0, 2), members)
     m = gf.n + 1
     # each member's final state and its central-difference tangents
     final = traj.x[-1].reshape(len(members), width, 2 * m)
@@ -817,22 +791,20 @@ def _perturbed_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
     return np.reshape(alphas, (len(members), -1)), drift
 
 
-def _membership_drift(gf: GeneratingFunction, traj: Trajectory,
-                      members: list, width: int) -> float:
-    """The largest membership residual of the member states of ``traj``,
-    every ``width``-th row of its batch; an error names the member and the
-    time."""
-    m = gf.n + 1
-    # member by member, each along its trajectory
-    states = traj.x[:, ::width].transpose(1, 0, 2).reshape(-1, 2 * m)
+def _membership_drift(gf: GeneratingFunction, t: np.ndarray,
+                      states: np.ndarray, members: list) -> float:
+    """The largest membership residual of ``states``, a (members, len(t),
+    2m) array of each member's states at the times ``t``; an error names
+    the member and the time."""
+    flat = states.reshape(-1, states.shape[-1])
 
     def where(k):
-        member, step = divmod(k, len(traj.t))
+        member, step = divmod(k, len(t))
         return (f"on the flow of surface member {members[member]} "
-                f"at t={traj.t[step]:g}")
+                f"at t={t[step]:g}")
 
     _, residuals = _sample_rows(
-        lambda rows: _membership_rows(gf, states[rows]), len(states), where)
+        lambda rows: _membership_rows(gf, flat[rows]), len(flat), where)
     return float(np.max(residuals, initial=0.0))
 
 
@@ -840,23 +812,18 @@ def scaling_commutation_check(K: ScalarFn, pt: PhasePoint, lam: float,
                               t_end: float, dt: float = 1e-3) -> float:
     """Distance between flow-then-scale and scale-then-flow at t_end.
 
-    Costate scaling acts by (q, p) -> (q, lam*p).  For a fiber-degree-1 K the
-    two final states agree; the returned sup-norm distance is a quantitative
-    homogeneity check of the *dynamics* rather than of K's values.  The two
-    trajectories run as one batch, on K's code traced once, as in
-    :func:`flow_transport_check`.
+    Costate scaling acts by (q, p) -> (q, lam*p)
+    (:func:`~ltk.geometry.scale_costate`, for a finite nonzero ``lam``).
+    For a fiber-degree-1 K the two final states agree; the returned
+    sup-norm distance is a quantitative homogeneity check of the
+    *dynamics* rather than of K's values.  The two trajectories flow alone
+    through :func:`integrate`, each on K's code traced at its start.
     """
-    if lam == 0.0:
-        raise ValueError("scaling factor must be nonzero")
-    m = K.dim // 2
-    x0 = pt.packed()
-    scaled = x0.copy()
-    scaled[m:] *= lam
-    final = integrate(_PhaseField(K, label="scaling check"),
-                      np.array([x0, scaled]), t_end, dt).final
-    a = final[0].copy()
-    a[m:] *= lam                       # flow, then scale
-    return float(np.max(np.abs(a - final[1])))   # against scale, then flow
+    field = _PhaseField(K, label="scaling check")
+    a, b = (integrate(field, x.packed(), t_end, dt).final
+            for x in (pt, scale_costate(pt, lam)))
+    a[K.dim // 2:] *= lam              # flow, then scale
+    return float(np.max(np.abs(a - b)))   # against scale, then flow
 
 
 def project_reduced(x: np.ndarray) -> np.ndarray:

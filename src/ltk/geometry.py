@@ -274,14 +274,15 @@ def _box_rows(box, n_samples: int, seed: int) -> np.ndarray:
 
 
 def scale_costate(pt: PhasePoint, lam: float) -> PhasePoint:
-    """The fiber scaling (q, p) -> (q, lam p); lam must be nonzero.
+    """The fiber scaling (q, p) -> (q, lam p); lam must be finite and nonzero.
 
     This is the time-lam flow of the Euler field Z (for lam = e^s), so all
     projective quantities — charts, intensive variables, degree-0 outputs —
     are unchanged.
     """
-    if lam == 0.0:
-        raise ValueError("costate scaling factor must be nonzero")
+    if not np.isfinite(lam) or lam == 0.0:
+        raise ValueError(f"costate scaling factor lam must be finite and "
+                         f"nonzero, got {lam!r}")
     return PhasePoint(pt.q.copy(), lam * pt.p)
 
 

@@ -1,8 +1,8 @@
 """Each sampled check runs its samples as one batch; these tests hold every
 batched check to a reference loop over the single-point API, bit for bit
 (``float.hex``), and check that a failing sample is named.  The integrated
-checks' batch field, K's traced code replayed row by row, is held to the
-vector pass of ``phase_rhs``, with its errors, and to single-state runs.
+checks flow each trajectory alone on K's traced code; each is held to its
+row of the batch vector pass of ``phase_rhs``, with its errors.
 
 The reference loops are the checks as they ran one sample at a time.  The
 single-point helpers they call (``liouville_point``, ``membership_residual``,
@@ -373,22 +373,31 @@ def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
 
 
 def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
-    # a lifted start row that is not finite fails the flow at t=0, before
-    # any step, named by its member and its perturbation
+    # a lifted start row of the perturbation route that is not finite
+    # fails the flow at t=0, before any step, named by its member and its
+    # perturbation; flowcheck lifts its members before either route, and
+    # names a member whose lift is not finite
     system = heat_compartment()
-    grid = _sample_surface_params(system, 2, 5)
+    grid = [[float(v) for v in params]
+            for params in _sample_surface_params(system, 2, 5)]
     original = dynamics._liouville_rows
+    poisoned = []
 
     def lifted(gf, starts):
         X = original(gf, starts)
-        X[len(X) // 2 + 1, 0] = np.nan    # member 1, parameter 0 +h
+        X[(np.asarray(starts) == poisoned).all(axis=1), 0] = np.nan
         return X
 
     monkeypatch.setattr(dynamics, "_liouville_rows", lifted)
-    member = [float(v) for v in grid[1]]
+    v = grid[1][0]
+    poisoned[:] = [v + dynamics._perturbation_step(v), grid[1][1]]
     with pytest.raises(RuntimeError, match=re.escape(
-            f"flow of surface member {member} (parameter 0 +h) produced a "
+            f"flow of surface member {grid[1]} (parameter 0 +h) produced a "
             f"non-finite state at t=0") + "$"):
+        dynamics._perturbed_transport(system.gf, system.Ka, grid, 0.05, 1e-3)
+    poisoned[:] = grid[1]
+    with pytest.raises(ValueError, match=re.escape(
+            f"at surface member {grid[1]}") + "$"):
         flow_transport_check(system.gf, system.Ka, 0.05, grid)
 
 
@@ -432,14 +441,13 @@ def _vector_route(monkeypatch):
                         lambda trace, K: (None, "untraced"))
 
 
-def _batch_grads(monkeypatch) -> list:
-    """The number of rows of each vector-mode gradient pass that
-    ``phase_rhs`` makes from now on, in order."""
+def _grad_passes(monkeypatch) -> list:
+    """The number of rows of each gradient pass of the vector pass of
+    ``phase_rhs`` from now on, in order, 1 for a single state."""
     calls, original = [], dynamics.grad
 
     def counted(K, x):
-        if np.ndim(x) == 2:
-            calls.append(len(x))
+        calls.append(len(x) if np.ndim(x) == 2 else 1)
         return original(K, x)
 
     monkeypatch.setattr(dynamics, "grad", counted)
@@ -460,28 +468,32 @@ def _log_lines(caplog, check: str) -> list:
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
                                                         caplog):
-    # built-in and expression drifts, and an expression port generator
+    # built-in and expression drifts, and an expression port generator:
+    # each start alone, on its block runner, is its row of the batch's
+    # vector pass
     system = SYSTEMS[name]()
     X0 = _flow_starts(system, 5, 11)
-    calls = _batch_grads(monkeypatch)
+    calls = _grad_passes(monkeypatch)
     for K in (system.Ka,) + system.Kc:
-        with caplog.at_level(logging.INFO, logger="ltk"):
-            traced = integrate(_traced(K), X0, 0.05, 1e-2)
-        assert calls == []
-        assert np.array_equal(traced.x, integrate(_vector_pass(K), X0, 0.05,
-                                                  1e-2).x)
+        vector = integrate(_vector_pass(K), X0, 0.05, 1e-2).x
+        calls.clear()
+        for i, x0 in enumerate(X0):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="ltk"):
+                traced = integrate(_traced(K), x0, 0.05, 1e-2)
+            assert calls == []
+            assert _hex(traced.x) == _hex(vector[:, i])
+            assert _log_lines(caplog, "test") == [
+                f"test: {K.name} runs on a traced replay",
+                "test: blocks rerun on the vector pass: 0"]
         # the row field, at every bit, from the lines the runner inlines
         listed = TracedGradient(K, (), X0[0])
-        for X in (X0, traced.x[-1]):
-            vector = phase_rhs(K)(0.0, X)
-            for x, row in zip(X.tolist(), vector):
+        for X in (X0, vector[-1]):
+            rows = phase_rhs(K)(0.0, X)
+            for x, row in zip(X.tolist(), rows):
                 assert _hex(dynamics._canonical(np.array(listed(x)))) == \
                     _hex(row)
         assert listed.handed == 0
-        calls.clear()
-        assert _log_lines(caplog, "test")[-2:] == [
-            f"test: {K.name} runs on a traced replay",
-            "test: blocks rerun on the vector pass: 0"]
 
 
 def _flowcheck_grid(system) -> list:
@@ -531,10 +543,11 @@ def test_adjoint_alphas_are_the_perturbation_routes(name, caplog):
         if name == "degree 2":
             K = _degree_two(K)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        exact, drift = dynamics._adjoint_transport(gf, K, grid, t_end, 1e-3)
+        exact, drift = dynamics._adjoint_transport(
+            gf, K, grid, _liouville_rows(gf, grid), t_end, 1e-3)
     assert _log_lines(caplog, "flowcheck") == [
         f"flowcheck: {K.name} runs on a traced replay",
-        "flowcheck: blocks rerun on the vector pass: 0"]
+        "flowcheck: blocks rerun on the vector pass: 0"] * len(grid)
     differenced, want = dynamics._perturbed_transport(gf, K, grid, t_end,
                                                       1e-3)
     assert exact.shape == differenced.shape == (len(grid), gf.n_params)
@@ -550,7 +563,7 @@ def test_adjoint_alphas_are_the_perturbation_routes(name, caplog):
 
 def test_a_k_the_trace_cannot_record_keeps_the_perturbation_report(caplog):
     # no adjoint route without the trace: flowcheck is the perturbation
-    # route, bit for bit, integrated once
+    # route, bit for bit, integrated once as a batch
     port = heat_compartment().Kc[0]
     K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
                  name="reads hash")
@@ -558,8 +571,10 @@ def test_a_k_the_trace_cannot_record_keeps_the_perturbation_report(caplog):
     with caplog.at_level(logging.INFO, logger="ltk"):
         report = flow_transport_check(gf, K, 0.05, grid)
     assert _log_lines(caplog, "flowcheck") == [
-        "flowcheck: reads hash runs on the vector pass: the trace cannot "
-        "record reads hash, as it reads a traced value with hash()"]
+        "flowcheck: reads hash runs on the perturbation route: the trace "
+        "cannot record reads hash, as it reads a traced value with hash()",
+        "flowcheck: reads hash runs on the vector pass: its start is not one "
+        "state"]
     alphas, drift = dynamics._perturbed_transport(gf, K, grid, 0.05, 1e-3)
     assert _hex([report.alpha_residual, report.membership_drift]) == \
         _hex([np.max(np.abs(alphas)), drift])
@@ -569,8 +584,9 @@ def test_a_sweep_off_its_trace_reruns_the_check_on_the_perturbation_route(
         caplog):
     # the drift doubles while the piston momentum exceeds 0.3, as it does
     # from the start for the first member, traced, and from mid-run for the
-    # second: the forward run reruns blocks on the vector pass, and the
-    # adjoint sweep, which has no such pass, hands the check over whole
+    # second: the second member's forward run reruns its block on the
+    # vector pass, and the adjoint sweep, which has no such pass, hands
+    # the check over whole
     Ka = gas_piston_damper().Ka
     K = ScalarFn(lambda x: Ka(x) * 2.0 if x[3] > 0.3 else Ka(x), 8,
                  name="switching drift")
@@ -578,10 +594,15 @@ def test_a_sweep_off_its_trace_reruns_the_check_on_the_perturbation_route(
     grid = [[0.0, 1.0, 0.35, -1.0], [0.0, 1.0, 0.2, -1.0]]
     with caplog.at_level(logging.INFO, logger="ltk"):
         report = flow_transport_check(gf, K, 1.0, grid, dt=2e-2)
-    lines = _log_lines(caplog, "flowcheck")
-    assert lines[2] == ("flowcheck: alpha reruns on the perturbation route, "
-                        "as the adjoint route raised _OffTrace()")
-    assert len(lines) == 5
+    assert _log_lines(caplog, "flowcheck") == [
+        "flowcheck: switching drift runs on a traced replay",
+        "flowcheck: blocks rerun on the vector pass: 0",
+        "flowcheck: switching drift runs on a traced replay",
+        "flowcheck: blocks rerun on the vector pass: 1, the first from t=0",
+        "flowcheck: alpha reruns on the perturbation route, as the adjoint "
+        "route raised _OffTrace()",
+        "flowcheck: switching drift runs on the vector pass: its start is "
+        "not one state"]
     alphas, drift = dynamics._perturbed_transport(gf, K, grid, 1.0, 2e-2)
     assert _hex([report.alpha_residual, report.membership_drift]) == \
         _hex([np.max(np.abs(alphas)), drift])
@@ -589,10 +610,11 @@ def test_a_sweep_off_its_trace_reruns_the_check_on_the_perturbation_route(
 
 def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
     # the drift doubles while the piston momentum exceeds 0.3, which it
-    # does from the start on rows 0 and 2 and from mid-run on row 1: each
-    # block of 8 points (24 states) in which a stage of row 1 lies on the
-    # other side of the guard traced at row 0 reruns on the vector pass
-    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 24)
+    # does from the start on rows 0 and 2 and from mid-run on row 1; each
+    # row flows alone on the code traced at row 0, as flowcheck's members
+    # do: each block of 8 points in which a stage of row 1 lies on the
+    # other side of the guard reruns on the vector pass
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 8)
     Ka = gas_piston_damper().Ka
 
     def switching(x):
@@ -603,19 +625,20 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
     X0 = _liouville_rows(system.gf, [(0.0, 1.0, 0.35, -1.0),
                                      (0.0, 1.0, 0.2, -1.0),
                                      (0.1, 1.2, 0.45, -0.8)])
+    field = _PhaseField(K, label="test",
+                        code=tracegrad.FieldCode((K,), X0[0].tolist()))
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traced = integrate(_traced(K), X0, 1.0, 2e-2)
-    momentum = traced.x[:, :, 3]
+        traced = [integrate(field, x0, 1.0, 2e-2).x for x0 in X0]
+    vector = integrate(_vector_pass(K), X0, 1.0, 2e-2).x
+    momentum = vector[:, :, 3]
     assert (momentum[:, [0, 2]] > 0.3).all()
     assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
-    assert np.array_equal(traced.x,
-                          integrate(_vector_pass(K), X0, 1.0, 2e-2).x)
     # each row as a state alone, in numpy and through the kernel traced at
     # row 0, which hands row 1's stages below the guard to grad
     listed = TracedGradient(K, (), X0[0])
     for i, x0 in enumerate(X0):
         alone = integrate(_vector_pass(K), x0, 1.0, 2e-2).x
-        assert _hex(traced.x[:, i]) == _hex(alone)
+        assert _hex(traced[i]) == _hex(vector[:, i]) == _hex(alone)
         assert _hex(integrate(listed.field(), x0, 1.0, 2e-2).x) == \
             _hex(alone)
     crossed = int(np.argmax(momentum[:, 1] > 0.3))
@@ -623,23 +646,31 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
         max(0, i - 1) for i in range(0, crossed + 1, 8)]
     assert _log_lines(caplog, "test") == [
         "test: switching drift runs on a traced replay",
-        listed.rerun_line("test", 8, 2e-2)]
+        "test: blocks rerun on the vector pass: 0",
+        "test: switching drift runs on a traced replay",
+        listed.rerun_line("test", 8, 2e-2),
+        "test: switching drift runs on a traced replay",
+        "test: blocks rerun on the vector pass: 0"]
 
 
 def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
+    # each start alone steps on the vector pass at every stage, and is its
+    # row of the batch
     port = heat_compartment().Kc[0]
     K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
                  name="reads hash")
     X0 = _flow_starts(heat_compartment(), 4, 2)
-    calls = _batch_grads(monkeypatch)
+    calls = _grad_passes(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = integrate(_traced(K), X0, 0.1, 1e-2)
-    assert calls == [len(X0)] * 40      # one pass per stage, every stage
+        runs = [integrate(_traced(K), x0, 0.1, 1e-2).x for x0 in X0]
+    assert calls == [1] * 40 * len(X0)  # one pass per stage, every stage
     assert _log_lines(caplog, "test") == [
         "test: reads hash runs on the vector pass: the trace cannot record "
-        "reads hash, as it reads a traced value with hash()"]
+        "reads hash, as it reads a traced value with hash()"] * len(X0)
     monkeypatch.undo()
-    assert _hex(traj.x) == _hex(integrate(_vector_pass(K), X0, 0.1, 1e-2).x)
+    batch = integrate(_vector_pass(K), X0, 0.1, 1e-2).x
+    for i, traj in enumerate(runs):
+        assert _hex(traj) == _hex(batch[:, i])
     # a K of another dimension than the rows is not traced; the vector pass
     # raises
     with pytest.raises(ValueError, match="expects dimension 4, got 6 in "
@@ -647,24 +678,23 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
         integrate(_traced(K), np.ones((2, 6)), 0.1, 1e-2)
 
 
-def test_a_batch_of_more_rows_than_a_replay_carries_runs_the_vector_pass(
-        monkeypatch, caplog):
-    # past REPLAY_MAX_ROWS rows one vector pass per stage is the cheaper
-    # route; up to it, K replays its trace
+def test_a_batch_runs_the_vector_pass_at_every_stage(monkeypatch, caplog):
+    # whatever its rows, one included, a batch's start is not one state:
+    # one vector pass per stage over all its rows, each row as it would
+    # step alone
     system = gas_piston_damper()
-    X0 = _flow_starts(system, dynamics.REPLAY_MAX_ROWS, 3)
-    assert len(X0) == dynamics.REPLAY_MAX_ROWS + 1
-    calls = _batch_grads(monkeypatch)
+    X0 = _flow_starts(system, 81, 3)
+    calls = _grad_passes(monkeypatch)
     with caplog.at_level(logging.INFO, logger="ltk"):
         wide = integrate(_traced(system.Ka), X0, 0.02, 1e-2)
         narrow = integrate(_traced(system.Ka), X0[1:], 0.02, 1e-2)
-    assert calls == [len(X0)] * 8
+        one = integrate(_traced(system.Ka), X0[1:2], 0.02, 1e-2)
+    assert calls == [len(X0)] * 8 + [len(X0) - 1] * 8 + [1] * 8
     assert _log_lines(caplog, "test") == [
-        f"test: {system.Ka.name} runs on the vector pass: its {len(X0)} rows "
-        f"are more than the {dynamics.REPLAY_MAX_ROWS} a replay runs faster",
-        f"test: {system.Ka.name} runs on a traced replay",
-        "test: blocks rerun on the vector pass: 0"]
+        f"test: {system.Ka.name} runs on the vector pass: its start is not "
+        f"one state"] * 3
     assert np.array_equal(wide.x[:, 1:], narrow.x)
+    assert np.array_equal(wide.x[:, 1:2], one.x)
 
 
 def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
@@ -676,19 +706,22 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
                    [0.9, 2.5, -1.2, -1.0]])
     with caplog.at_level(logging.INFO, logger="ltk"):
         traj = integrate(_traced(K), X0, 0.2, 1e-3)
+        alone = [integrate(_traced(K), x0, 0.2, 1e-3).x for x0 in X0]
     assert _log_lines(caplog, "test") == [
+        f"test: {K.name} runs on the vector pass: its start is not one "
+        f"state"] + [
         f"test: {K.name} runs on the vector pass: the trace cannot record "
-        f"{K.name}, as it raises to a traced exponent"]
+        f"{K.name}, as it raises to a traced exponent"] * len(X0)
     for i, x0 in enumerate(X0):
-        assert _hex(traj.x[:, i]) == \
-            _hex(integrate(_vector_pass(K), x0, 0.2, 1e-3).x)
+        assert _hex(traj.x[:, i]) == _hex(alone[i])
 
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
 def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
-    # a block in which a row raises reruns on the vector pass, whose error
-    # names the batch row; integrate adds the step, flowcheck
-    # names the member and perturbation of a non-finite row
+    # a block in which a member's flow raises reruns on the vector pass,
+    # and the check on the perturbation route, whose batch error names the
+    # batch row; integrate adds the step, flowcheck names the member and
+    # perturbation of a non-finite row
     if case == "domain hole":
         system = heat_compartment()
         gf = system.gf
@@ -738,11 +771,13 @@ def _blowing_up() -> ScalarFn:
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
 def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
-    # a block of 4 points; each row runs through the block in turn, and the
-    # block in which a later row raises or goes non-finite reruns on the
-    # vector pass from its start: the error, its step and row, and the
-    # points recorded before it are the vector pass's
-    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 12)
+    # a block of 4 points; row 1 flows alone on the code traced at row 0,
+    # as a later flowcheck member does, and the block in which it raises or
+    # goes non-finite reruns on the vector pass from its start: the error,
+    # its step, and the points recorded before it are the vector pass's of
+    # the state alone, and the batch's vector pass fails at the same step,
+    # naming the row
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 4)
     if case == "domain hole":
         K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(0.45 - q1))",
                        ["q0", "q1", "p0", "p1"])
@@ -756,37 +791,51 @@ def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
 
     def monitor(t, X):
         seen[-1].append((t.tolist(), X.tolist()))
-        return X[:, :, 0]
+        return X[..., 0]
 
-    for route in ("traced", "vector"):
-        if route == "vector":
-            _vector_route(monkeypatch)
+    traced = _PhaseField(K, label="test",
+                         code=tracegrad.FieldCode((K,), X0[0].tolist()))
+    for f, x0 in ((traced, X0[1]), (_vector_pass(K), X0[1]),
+                  (_vector_pass(K), X0)):
         seen.append([])
         with pytest.raises(Exception) as err, \
                 np.errstate(over="ignore", invalid="ignore"):
-            integrate(_traced(K), X0, 1.0, 1e-2, [("x", monitor)])
+            integrate(f, x0, 1.0, 1e-2, [("x", monitor)])
         errors.append((type(err.value), str(err.value),
                        getattr(err.value, "row", None)))
     assert errors[0] == errors[1]
+    assert errors[0][0] is errors[2][0]
     assert seen[0] == seen[1]
-    points = len(sum((t for t, _ in seen[0]), []))
+    # the batch records a point per block, row 1 the points of the state
+    ts, xs = ([sum((part[k] for part in run), []) for run in seen[1:]]
+              for k in (0, 1))
+    assert ts[0] == ts[1] and xs[0] == [rows[1] for rows in xs[1]]
+    points = len(ts[0])
     if case == "domain hole":
-        assert errors[0][1] == (
+        assert errors[0][1] == ("ln requires a positive argument in "
+                                "'ln(0.45-q1)' in the step from t=0.21")
+        assert errors[2][1] == (
             "ln requires a positive argument (batch row 1) in "
             "'ln(0.45-q1)' in the step from t=0.21")
         assert points == 22             # step 22 of the block of steps 21-23
     else:
         assert errors[0][1:] == ("integration produced a non-finite state "
+                                 "at t=0.06 (step 6)", None)
+        assert errors[2][1:] == ("integration produced a non-finite state "
                                  "at t=0.06 (step 6) in row 1", 1)
         assert points == 6              # step 6 of the block of steps 5-7
 
 
-def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> list:
-    """The route log lines of an exchanger flowcheck of ``samples`` members
-    at WARNING and at INFO, after checking that its stdout and report
-    bytes are the same at both levels."""
-    argv = ["flowcheck", "--system", "heat_exchanger", "--t-end", "0.02",
+def _flowcheck_argv(samples: int) -> list:
+    return ["flowcheck", "--system", "heat_exchanger", "--t-end", "0.02",
             "--dt", "1e-3", "--samples", str(samples)]
+
+
+def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> tuple:
+    """The route log lines of an exchanger flowcheck of ``samples`` members
+    at WARNING and at INFO, and its report, after checking that its stdout
+    and report bytes are the same at both levels."""
+    argv = _flowcheck_argv(samples)
     outputs = []
     for level in (logging.WARNING, logging.INFO):
         caplog.clear()
@@ -798,42 +847,67 @@ def _flowcheck_log(samples: int, capsys, caplog, tmp_path) -> list:
     assert outputs[0] == outputs[1]
     assert outputs[0][0].encode() == outputs[0][1]
     assert json.loads(outputs[1][0])["alpha_on_tangents"]["pass"]
-    return _log_lines(caplog, "flowcheck")
+    return _log_lines(caplog, "flowcheck"), outputs[0][0]
 
 
 def test_flowcheck_logs_its_route_and_keeps_its_report_bytes(capsys, caplog,
                                                              tmp_path):
-    # 2 members, one row each, are replayed
-    assert _flowcheck_log(2, capsys, caplog, tmp_path) == [
+    # each of the 2 members flows alone on a traced replay, in each of the
+    # two runs at INFO
+    lines, _ = _flowcheck_log(2, capsys, caplog, tmp_path)
+    assert lines == [
         "flowcheck: drift(heat_exchanger) runs on a traced replay",
-        "flowcheck: blocks rerun on the vector pass: 0"] * 2
+        "flowcheck: blocks rerun on the vector pass: 0"] * 2 * 2
 
 
-def test_flowcheck_past_the_row_limit_logs_the_vector_pass(capsys, caplog,
-                                                           tmp_path):
-    # one row per member; the adjoint sweep reads K's trace all the same
-    samples = dynamics.REPLAY_MAX_ROWS + 1
-    assert _flowcheck_log(samples, capsys, caplog, tmp_path) == [
-        f"flowcheck: drift(heat_exchanger) runs on the vector pass: its "
-        f"{samples} rows are more than the {dynamics.REPLAY_MAX_ROWS} "
-        f"a replay runs faster"] * 2
+def test_flowcheck_of_82_members_replays_each_member(capsys, caplog,
+                                                     tmp_path, monkeypatch):
+    # however many members, each flows alone on a traced replay, and the
+    # report is the vector pass's: with no block runner, every member
+    # steps on the vector pass and the adjoint sweep reads K's trace all
+    # the same; with no trace, the perturbation route flows the members as
+    # batch rows to the same membership drift
+    lines, report = _flowcheck_log(82, capsys, caplog, tmp_path)
+    assert lines == [
+        "flowcheck: drift(heat_exchanger) runs on a traced replay",
+        "flowcheck: blocks rerun on the vector pass: 0"] * 82 * 2
+    monkeypatch.setattr(_PhaseField, "runner", lambda field, x: None)
+    assert cli.main(_flowcheck_argv(82)) == 0
+    assert capsys.readouterr().out == report
+    monkeypatch.undo()
+    _vector_route(monkeypatch)
+    assert cli.main(_flowcheck_argv(82)) == 0
+    vector = json.loads(capsys.readouterr().out)
+    assert vector["membership_drift"] == \
+        json.loads(report)["membership_drift"]
 
 
-def test_the_scaling_check_logs_its_route_and_fallbacks(caplog):
-    # a drift that switches on the energy costate p0, which the piston's
-    # flow keeps: the row scaled by 0.5 is on the other side of the guard
-    # traced at the first row from its first stage on, so the run's one
-    # block reruns on the vector pass
+def test_the_scaling_check_logs_its_route_and_fallbacks(monkeypatch, caplog):
+    # the drift doubles while the piston momentum, which costate scaling
+    # leaves alone, exceeds 0.3, as it does from mid-run on: each of the
+    # two flows, traced at its start, reruns on the vector pass each block
+    # of 8 points in which a stage lies on the other side of the guard,
+    # and the distance is the vector pass's
+    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 8)
     Ka = gas_piston_damper().Ka
 
     def switching(x):
-        return Ka(x) * 2.0 if x[4] < -0.8 else Ka(x)
+        return Ka(x) * 2.0 if x[3] > 0.3 else Ka(x)
 
     K = ScalarFn(switching, 8, name="switching drift")
-    pt = liouville_point(gas_piston_damper().gf, (0.0, 1.0, 0.4, -1.0))
+    x0 = liouville_point(gas_piston_damper().gf, (0.0, 1.0, 0.2, -1.0))
     with caplog.at_level(logging.INFO, logger="ltk"):
-        scaling_commutation_check(K, pt, 0.5, 0.05, dt=1e-2)
-    assert _log_lines(caplog, "scaling check") == [
-        "scaling check: switching drift runs on a traced replay",
-        "scaling check: blocks rerun on the vector pass: 1, the first from "
-        "t=0"]
+        distance = scaling_commutation_check(K, x0, 0.5, 1.0, dt=2e-2)
+    scaled = scale_costate(x0, 0.5).packed()
+    lines = []
+    for start in (x0.packed(), scaled):
+        listed = TracedGradient(K, (), start)
+        integrate(listed.field(), start, 1.0, 2e-2)
+        assert listed.rerun_blocks(8)
+        lines += ["scaling check: switching drift runs on a traced replay",
+                  listed.rerun_line("scaling check", 8, 2e-2)]
+    assert _log_lines(caplog, "scaling check") == lines
+    a, b = (integrate(_vector_pass(K), x, 1.0, 2e-2).final
+            for x in (x0.packed(), scaled))
+    a[4:] *= 0.5
+    assert distance.hex() == float(np.max(np.abs(a - b))).hex()

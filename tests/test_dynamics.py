@@ -217,7 +217,8 @@ def test_an_empty_batch_integrates_to_an_empty_trajectory(route, caplog):
     assert traj.x.shape == (11, 0, 4)
     if route == "phase field":
         assert _route_lines(caplog) == [
-            "integrate: q1 p0 runs on the vector pass: it has no rows"]
+            "integrate: q1 p0 runs on the vector pass: its start is not one "
+            "state"]
 
 
 def test_a_scalar_state_of_a_phase_field_raises_grads_error(caplog):
@@ -229,8 +230,8 @@ def test_a_scalar_state_of_a_phase_field_raises_grads_error(caplog):
                           r" in the step from t=0$"):
         integrate(phase_rhs(Q1P0), 1.0, 0.1, 1e-2)
     assert _route_lines(caplog) == [
-        "integrate: q1 p0 runs on the vector pass: its start state is a "
-        "scalar"]
+        "integrate: q1 p0 runs on the vector pass: its start is not one "
+        "state"]
 
 
 def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
@@ -256,8 +257,9 @@ def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
 
 def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
     # a block holds MONITOR_BLOCK states, so a batch of 4 rows is recorded 8
-    # points at a time, in numpy and as list rows stepped by a block
-    # runner, which wait for no longer
+    # points at a time, a phase field's batch on its vector pass as a
+    # callable's; each row is the state alone on the block runner, which
+    # records 32 points at a time
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
     X0 = np.arange(1.0, 17.0).reshape(4, 4)
     runs = []
@@ -266,12 +268,19 @@ def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
 
         def first(t, X):
             blocks.append(len(t))
-            return X[:, :, 0]
+            return X[..., 0]
 
         runs.append(integrate(f, X0, 0.2, 1e-2, [("first", first)]))
         assert blocks == [8, 8, 5]
     assert _hex(runs[0].x) == _hex(runs[1].x)
     assert _hex(runs[0].monitors["first"]) == _hex(runs[1].monitors["first"])
+    for i, x0 in enumerate(X0):
+        blocks.clear()
+        alone = integrate(phase_rhs(Q1P0), x0, 0.2, 1e-2, [("first", first)])
+        assert blocks == [21]
+        assert _hex(alone.x) == _hex(runs[0].x[:, i])
+        assert _hex(alone.monitors["first"]) == \
+            _hex(runs[0].monitors["first"][:, i])
 
 
 @pytest.mark.parametrize("block", [5, 32])
@@ -418,8 +427,7 @@ def test_a_traced_state_failing_in_its_second_block_fails_as_the_numpy_step(
     assert block < len(sum((t for t, _ in seen[0]), [])) < 2 * block
 
 
-@pytest.mark.parametrize("rows", [None, 2])
-def test_a_block_rerun_overflows_without_a_warning(rows, caplog):
+def test_a_block_rerun_overflows_without_a_warning(caplog):
     # the runner's float arithmetic overflows to inf silently, and the
     # runner raises at the end of the block; its block reruns on the vector
     # pass, which must raise the non-finite state at its step, not a numpy
@@ -427,21 +435,19 @@ def test_a_block_rerun_overflows_without_a_warning(rows, caplog):
     c = np.finfo(float).max / 3.0
     K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
     x0 = np.array([0.7, 0.0, -0.5, 0.2])
-    where = "" if rows is None else " in row 0"
     with caplog.at_level(logging.INFO, logger="ltk"), \
             pytest.raises(RuntimeError, match=r"^integration produced a "
-                          rf"non-finite state at t=1 \(step 1\){where}$"):
-        integrate(phase_rhs(K), x0 if rows is None else np.array([x0] * rows),
-                  10.0, 1.0)
+                          r"non-finite state at t=1 \(step 1\)$"):
+        integrate(phase_rhs(K), x0, 10.0, 1.0)
     assert _route_lines(caplog)[-1] == (
         "integrate: blocks rerun on the vector pass: 1, the first from t=0")
 
 
-@pytest.mark.parametrize("route", ["untraceable", "wide batch", "callable"])
+@pytest.mark.parametrize("route", ["untraceable", "batch", "callable"])
 def test_a_numpy_advance_overflows_without_a_warning(route, caplog):
     # every field that steps in numpy from its start, not only a block
     # rerun, raises the non-finite state where a state overflows: a field
-    # the trace cannot record, a batch past the replay's rows, a callable
+    # the trace cannot record, a phase field's batch, a callable
     c = np.finfo(float).max / 3.0
     x0, where = np.array([0.0, 0.0, 1.0, 1.0]), ""
     if route == "untraceable":
@@ -450,9 +456,8 @@ def test_a_numpy_advance_overflows_without_a_warning(route, caplog):
     else:
         K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
     f = _vector_pass(K) if route == "callable" else phase_rhs(K)
-    if route == "wide batch":
-        x0, where = np.array([x0] * (dynamics.REPLAY_MAX_ROWS + 1)), \
-            " in row 0"
+    if route == "batch":
+        x0, where = np.array([x0] * 2), " in row 0"
     with caplog.at_level(logging.INFO, logger="ltk"), \
             pytest.raises(RuntimeError, match=r"^integration produced a "
                           rf"non-finite state at t=1 \(step 1\){where}$"):
@@ -587,7 +592,8 @@ def test_flow_transport_separates_the_two_residuals():
 
 
 def test_batched_integration_rows_are_separate_runs_bit_for_bit():
-    # traced and in numpy, a batch row follows the state alone
+    # a batch row follows the state alone, traced (a phase field's state
+    # on its block runner, its batch on the vector pass) and in numpy
     x0 = np.array([[1.0, 0.5, -1.0, 0.8], [0.3, 2.0, -2.0, 0.1],
                    [1.0, 0.5, -1.0, 0.8]])
     batches = []
@@ -813,6 +819,37 @@ def test_flow_transport_names_the_trajectory_that_went_non_finite():
     assert 1e300 < report.alpha_residual < np.inf
 
 
+@pytest.mark.parametrize("case", ["t_end off the grid", "dt not finite",
+                                  "p_chart 0", "lift not finite"])
+def test_flow_transport_input_errors_raise_once_before_either_route(case,
+                                                                    caplog):
+    # the grid is checked as integrate checks it, and each member lifted,
+    # before either route: the error names the input, or the member by its
+    # parameters, and the check never hands over to the perturbation route
+    gf, K = half_square_gf(), Q1P0
+    grid, t_end, dt = [(0.7, -1.0), (1.2, -0.5)], 0.5, 1e-2
+    if case == "t_end off the grid":
+        t_end, message = 0.505, "t_end=0.505 is not an integer multiple of " \
+            "dt=0.01"
+    elif case == "dt not finite":
+        dt, message = np.nan, "dt must be finite, got nan"
+    elif case == "p_chart 0":
+        grid[1] = (1.2, 0.0)
+        message = ("p_chart must be nonzero to generate a lift point at "
+                   "surface member [1.2, 0.0]")
+    else:                           # the lift's q0 = q1 q1 / 2 overflows
+        gf = GeneratingFunction(n=1, Fhat=ScalarFn(
+            lambda x: 0.5 * x[0] * x[0], dim=1), I=(1,), chart=0)
+        grid[1] = (1e200, -1.0)
+        message = "non-finite result [inf, 1e+200, -1.0, nan] at surface " \
+            "member [1e+200, -1.0]"
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(ValueError, match=re.escape(message) + "$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        flow_transport_check(gf, K, t_end, grid, dt=dt)
+    assert caplog.records == []
+
+
 def test_flow_transport_names_the_member_that_went_non_finite():
     # at a c a little larger the member at p0 = -1 overflows itself: the
     # adjoint route raises, and the perturbation route names the member
@@ -835,6 +872,16 @@ def test_scaling_commutation_negative_control():
     assert scaling_commutation_check(P0SQ, PT, 2.0, t_end=1.0) > 1e-3
     with pytest.raises(ValueError, match="nonzero"):
         scaling_commutation_check(K1, PT, 0.0, t_end=1.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, 0.0])
+def test_a_scaling_factor_must_be_finite_and_nonzero(lam):
+    # rejected before any flow, by name, without a numpy warning (an error
+    # in this suite)
+    with pytest.raises(ValueError, match=re.escape(
+            f"costate scaling factor lam must be finite and nonzero, got "
+            f"{lam!r}") + "$"):
+        scaling_commutation_check(K1, PT, lam, t_end=1.0)
 
 
 # -- packing helpers ------------------------------------------------------------

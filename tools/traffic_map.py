@@ -11,8 +11,9 @@ counts of both and, per function, the lines that only the tests reach:
 the candidates for code that no command runs.
 
 The deck's 10k-step README simulate job runs the same lines as its
-300-step jobs and is skipped.  Tier-1 under the tracer takes about two
-minutes on a 2-CPU VM.
+300-step jobs and is skipped.  Tier-1 under the tracer takes three to
+four minutes on a 2-CPU VM (200-222 s measured), the whole map a few
+seconds more.
 """
 
 from __future__ import annotations
