@@ -202,8 +202,8 @@ class Dual:
                 if k < 0:
                     _reject(self.val == 0.0, ZeroDivisionError,
                             "0 raised to a negative power")
-                v = _each(lambda a: a ** k, self.val)
-                return Dual(v, k * _each(lambda a: a ** (k - 1), self.val)
+                v = _each(lambda a: _power(a, k), self.val)
+                return Dual(v, k * _each(lambda a: _power(a, k - 1), self.val)
                             * self.dot)
             other = Dual(other, 0.0)
         if isinstance(other, Dual):
@@ -213,7 +213,7 @@ class Dual:
                                 "sends its rows to the scalar pass")
             _reject(self.val <= 0.0, ValueError,
                     "power with non-integer exponent requires a positive base")
-            v = _each(pow, self.val, other.val)
+            v = _each(_power, self.val, other.val)
             return Dual(v, v * (other.dot * _each(math.log, self.val)
                                 + other.val * self.dot / self.val))
         return NotImplemented
@@ -265,6 +265,14 @@ def _at_row(row: int, rows: int) -> str:
     """The row label of a batch error; a one-row batch raises the scalar
     message, as the point it runs is the caller's to name."""
     return f" (batch row {row})" if rows > 1 else ""
+
+
+def _power(a: float, b) -> float:
+    """``a ** b``; an overflow raises naming the base and the power."""
+    try:
+        return a ** b
+    except OverflowError:
+        raise OverflowError(f"{a!r} ** {b!r} is out of range") from None
 
 
 def _each(fn, *args):

@@ -768,16 +768,20 @@ def _perturbed_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
             starts.append(params[:k] + [v + h] + params[k + 1:])
             starts.append(params[:k] + [v - h] + params[k + 1:])
     width = len(starts) // len(members)
-    x0 = _liouville_rows(gf, starts)
+
+    def named(i):
+        member, j = divmod(i, width)
+        which = ("unperturbed" if j == 0 else
+                 f"parameter {(j - 1) // 2} {'+' if j % 2 else '-'}h")
+        return f"surface member {members[member]} ({which})"
+
+    _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, starts[rows]),
+                         len(starts), lambda i: f"at {named(i)}")
     try:
         traj = integrate(_PhaseField(K, label="flowcheck"), x0, t_end, dt)
     except _NonFiniteState as err:
-        member, j = divmod(err.row, width)
-        which = ("unperturbed" if j == 0 else
-                 f"parameter {(j - 1) // 2} {'+' if j % 2 else '-'}h")
-        raise RuntimeError(f"flow of surface member {members[member]} "
-                           f"({which}) produced a non-finite state at "
-                           f"t={err.t:g}") from err
+        raise RuntimeError(f"flow of {named(err.row)} produced a non-finite "
+                           f"state at t={err.t:g}") from err
     drift = _membership_drift(gf, traj.t,
                               traj.x[:, ::width].transpose(1, 0, 2), members)
     m = gf.n + 1

@@ -21,8 +21,8 @@ the two laws: with designated energy and entropy coordinates,
   ``y_e_k = sum_{i in entropy} dKc_k/dp_i``.
 
 :func:`validate` measures all of these on sampled surface points and
-:func:`interconnect` composes two systems through a static feedback law
-between their outputs, rejecting compositions that break the second law.
+:func:`interconnect` composes two or more systems through a static feedback
+law between their outputs, rejecting compositions that break the second law.
 :func:`simulate` runs a system on :func:`ltk.dynamics.integrate`, its field
 traced once from the generators and stepped by a generated block runner,
 recording the surface-membership guard, inputs, outputs and monitors at
@@ -617,107 +617,96 @@ def validate(sys: PortSystem, n_samples: int = 25, seed: int = 9
 # Interconnection
 
 
-def interconnect(sys1: PortSystem, sys2: PortSystem, feedback,
-                 name: str = None, n_check: int = 20, seed: int = 13
-                 ) -> PortSystem:
-    """Close two systems through a static output feedback law.
+def interconnect(systems, feedback, name: str = None, n_check: int = 20,
+                 seed: int = 13) -> PortSystem:
+    """Close a sequence of two or more systems through a static output
+    feedback law.
 
-    ``feedback(y_p1, y_e1, y_p2, y_e2) -> (u1, u2)`` receives the output
-    values of both systems (sequences, one entry per port) and returns the
-    inputs to apply to each; it must be a pure function built from arithmetic
-    so that it composes with both plain floats and derivative-carrying
-    numbers.  The result is a closed system (no remaining ports) on the
-    product surface, with the feedback substituted into the drift generator.
+    ``feedback(outputs)`` receives one ``(y_p, y_e)`` pair of output value
+    sequences (one entry per port) per system and returns one input sequence
+    per system; it must be a pure function built from arithmetic so that it
+    composes with both plain floats and derivative-carrying numbers.  The
+    result is a closed system (no remaining ports) on the product surface,
+    with the feedback substituted into the drift generator.
 
     The composition is rejected if the substituted drift produces negative
     total entropy at any sampled surface state: a feedback law is only a
     valid interconnection if it respects the second law.
     """
-    if sys1.n_ports == 0 and sys2.n_ports == 0:
+    if len(systems) < 2:
+        raise ValueError("interconnection needs at least two systems")
+    if not any(s.n_ports for s in systems):
         raise ValueError("interconnection needs at least one port to close")
-    m1, m2 = sys1.n_coords, sys2.n_coords
-    M = m1 + m2
-    n = M - 1
-    gf1, gf2 = sys1.gf, sys2.gf
-    name = name or f"{sys1.name}+{sys2.name}"
+    M = sum(s.n_coords for s in systems)
+    gf1 = systems[0].gf
+    name = name or "+".join(s.name for s in systems)
 
-    # Each system's packed phase coordinates [q, p] in the product's.
-    place1 = list(range(m1)) + list(range(M, M + m1))
-    place2 = list(range(m1, M)) + list(range(M + m1, 2 * M))
-
-    def split(x):
-        xs = list(x)
-        return [xs[k] for k in place1], [xs[k] for k in place2]
-
-    def inputs(x1, x2):
-        yp1 = [fn(x1) for fn in sys1.y_p]
-        ye1 = [fn(x1) for fn in sys1.y_e]
-        yp2 = [fn(x2) for fn in sys2.y_p]
-        ye2 = [fn(x2) for fn in sys2.y_e]
-        u1, u2 = feedback(yp1, ye1, yp2, ye2)
-        if len(u1) != sys1.n_ports or len(u2) != sys2.n_ports:
-            raise ValueError("feedback returned the wrong number of inputs")
-        return u1, u2
+    # Each system with its packed phase coordinates [q, p] in the product's.
+    owner = [k for k, s in enumerate(systems) for _ in range(s.n_coords)] * 2
+    placed = [(s, [c for c, o in enumerate(owner) if o == k])
+              for k, s in enumerate(systems)]
 
     def Ka_fn(x):
-        x1, x2 = split(x)
-        u1, u2 = inputs(x1, x2)
-        total = sys1.Ka(x1) + sys2.Ka(x2)
-        for k in range(sys1.n_ports):
-            total = total + u1[k] * sys1.Kc[k](x1)
-        for k in range(sys2.n_ports):
-            total = total + u2[k] * sys2.Kc[k](x2)
+        x = list(x)
+        xs = [[x[k] for k in place] for _, place in placed]
+        us = [tuple(u) for u in feedback(
+            [([fn(xk) for fn in s.y_p], [fn(xk) for fn in s.y_e])
+             for s, xk in zip(systems, xs)])]
+        if [len(u) for u in us] != [s.n_ports for s in systems]:
+            raise ValueError("feedback returned the wrong number of inputs")
+        total = systems[0].Ka(xs[0])
+        for s, xk in zip(systems[1:], xs[1:]):
+            total = total + s.Ka(xk)
+        for s, xk, u in zip(systems, xs, us):
+            for K, uk in zip(s.Kc, u):
+                total = total + uk * K(xk)
         return total
 
-    dual_safe = all(K.dual_safe for K in
-                    (sys1.Ka, sys2.Ka) + sys1.Kc + sys2.Kc
-                    + sys1.y_p + sys1.y_e + sys2.y_p + sys2.y_e)
-    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})",
-                  dual_safe=dual_safe)
+    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})", dual_safe=all(
+        K.dual_safe for s in systems for K in (s.Ka, *s.Kc, *s.y_p, *s.y_e)))
 
-    # Product surface: chart of system 1 stays the chart; system 2's chart
-    # costate becomes one more intensive parameter.  ``coords`` holds the
-    # product coordinates of system 1's parameters, then of system 2's.
-    coords = ([place1[c] for c in gf1._param_coords]
-              + [place2[c] for c in gf2._param_coords])
-    chart = gf1.chart
+    # Product surface: the first system's chart stays the chart; every
+    # other chart costate becomes one more intensive parameter.  ``coords``
+    # holds the product coordinates of each system's parameters in turn.
+    parts = [[place[c] for c in s.gf._param_coords] for s, place in placed]
+    coords = [c for part in parts for c in part]
     I = tuple(sorted(c for c in coords if c < M))
-    J = tuple(sorted(c - M for c in coords if c >= M and c != M + chart))
+    J = tuple(sorted(c - M for c in coords if c >= M and c != M + gf1.chart))
     arg_coords = list(I) + [M + j for j in J]    # Fhat's (q_I, gamma_J)
-    nI1 = len(gf1.I)
-    picks1 = [arg_coords.index(c) for c in coords[:nI1] + coords[nI1 + 1:m1]]
-    picks2 = [arg_coords.index(c) for c in coords[m1:]]
-    F2 = lift_generating_function(gf2)
+    del parts[0][len(gf1.I)]     # the chart costate is not an argument
+    picks = [[arg_coords.index(c) for c in part] for part in parts]
+    Fs = [gf1.Fhat] + [lift_generating_function(s.gf) for s in systems[1:]]
 
     def Fhat_fn(x):
         # With the composite chart costate frozen at -1, every other costate
-        # equals its chart ratio, and system 1's lift there is its Fhat.
-        return gf1.Fhat([x[k] for k in picks1]) + F2([x[k] for k in picks2])
-    Fhat = ScalarFn(Fhat_fn, dim=n,
-                    name=f"product({gf1.name or 'L1'}, {gf2.name or 'L2'})",
-                    dual_safe=gf1.Fhat.dual_safe and F2.dual_safe)
+        # equals its chart ratio; the first system's lift there is its Fhat.
+        total = Fs[0]([x[k] for k in picks[0]])
+        for F, pick in zip(Fs[1:], picks[1:]):
+            total = total + F([x[k] for k in pick])
+        return total
+    factors = ", ".join(s.gf.name or f"L{k + 1}" for k, s in enumerate(systems))
+    Fhat = ScalarFn(Fhat_fn, dim=M - 1, name=f"product({factors})",
+                    dual_safe=all(F.dual_safe for F in Fs))
     gf = GeneratingFunction(
-        n=n, Fhat=Fhat, I=I, J=J, chart=chart,
-        q_homogeneous=gf1.q_homogeneous and gf2.q_homogeneous, name=name)
+        n=M - 1, Fhat=Fhat, I=I, J=J, chart=gf1.chart,
+        q_homogeneous=all(s.gf.q_homogeneous for s in systems), name=name)
 
-    energy = tuple(sorted([place1[i] for i in sys1.energy_indices]
-                          + [place2[i] for i in sys2.energy_indices]))
-    entropy = tuple(sorted([place1[i] for i in sys1.entropy_indices]
-                           + [place2[i] for i in sys2.entropy_indices]))
+    energy = tuple(sorted(place[i] for s, place in placed
+                          for i in s.energy_indices))
+    entropy = tuple(sorted(place[i] for s, place in placed
+                           for i in s.entropy_indices))
 
-    def compose_params(v1, v2):
-        if v1 is None or v2 is None:
+    def compose_params(values):
+        if None in values:
             return None
-        at = dict(zip(coords, tuple(v1) + tuple(v2)))
+        at = dict(zip(coords, [v for vs in values for v in vs]))
         return tuple(at[c] for c in gf._param_coords)
-
-    default_params = compose_params(sys1.default_params, sys2.default_params)
-    param_box = compose_params(sys1.param_box, sys2.param_box)
 
     composed = PortSystem(
         name=name, gf=gf, Ka=Ka, Kc=(), energy_indices=energy,
         entropy_indices=entropy, y_p=(), y_e=(),
-        default_params=default_params, param_box=param_box)
+        default_params=compose_params([s.default_params for s in systems]),
+        param_box=compose_params([s.param_box for s in systems]))
 
     # Reject feedback laws that let the composed drift destroy entropy; the
     # samples are one batch.
@@ -851,14 +840,15 @@ def heat_exchanger(C=(1.0, 1.0), T_ref=(1.0, 1.0), lam: float = 1.0
     if not 0 <= lam < np.inf:
         raise ValueError("a negative conductance would pump heat from cold "
                          "to hot; lam must be nonnegative and finite")
-    c1 = heat_compartment(C[0], T_ref[0], name="compartment_1")
-    c2 = heat_compartment(C[1], T_ref[1], name="compartment_2")
+    parts = [heat_compartment(C[k], T_ref[k], name=f"compartment_{k + 1}")
+             for k in range(2)]
 
-    def fourier(yp1, ye1, yp2, ye2):
+    def fourier(outputs):
+        (_, ye1), (_, ye2) = outputs
         w = lam * (1.0 / ye1[0] - 1.0 / ye2[0])
         return (-w,), (w,)
 
-    return interconnect(c1, c2, fourier, name="heat_exchanger")
+    return interconnect(parts, fourier, name="heat_exchanger")
 
 
 def ideal_gas_SVN(c_v: float = 1.5, R: float = 1.0, T_ref: float = 1.0,

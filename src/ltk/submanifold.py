@@ -29,6 +29,7 @@ specific coordinates ``eps_l = q_l / q_1``.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import islice, product
 
 import numpy as np
 
@@ -101,17 +102,24 @@ class GeneratingFunction:
 
         At p_chart = -1 the lift is Fhat at (q_I, gamma_J = p_J) and ignores
         q_chart and q_J, so its residual along the base Euler field W is
-        Fhat's degree-1 residual in q_I.  The points are one batch.
+        Fhat's degree-1 residual in q_I.  Six draws go into the sign orthants
+        of gamma_J in turn, all + first (gamma_V = -P is negative), each one
+        batch whose domain errors skip, until one evaluates; at most 16
+        orthants are tried, however long J is.
         """
         F = lift_phase_fn(self)
-        samples = _box_rows([(0.5, 1.5)] * self.n, 6, 11)
         nI, m, coords = len(self.I), self.n + 1, self._param_coords
+        draws = _box_rows([(0.5, 1.5)] * self.n, 6, 11)
         X = np.hstack([np.ones((6, m)), -np.ones((6, m))])
-        X[:, coords[:nI] + coords[nI + 1:]] = samples
-        kept, R = _sample_rows(
-            lambda rows: _relative_euler_rows(F, X[rows], 1,
-                                              EulerFieldKind.W)[0], len(X))
-        if not len(kept):
+        for signs in islice(product((1.0, -1.0), repeat=len(self.J)), 16):
+            samples = draws * ((1.0,) * nI + signs)
+            X[:, coords[:nI] + coords[nI + 1:]] = samples
+            kept, R = _sample_rows(
+                lambda rows: _relative_euler_rows(F, X[rows], 1,
+                                                  EulerFieldKind.W)[0], 6)
+            if len(kept):
+                break
+        else:
             raise ValueError("could not evaluate the generating function at "
                              "any sample point to verify q-homogeneity")
         bad = np.flatnonzero(R > 1e-9)

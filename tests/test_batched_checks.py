@@ -254,7 +254,8 @@ def test_gibbs_duhem_report_and_tangents_match_the_loop(gf, seed):
 
 
 def _fourier(sign):
-    def law(yp1, ye1, yp2, ye2):
+    def law(outputs):
+        (_, ye1), (_, ye2) = outputs
         w = sign * (1.0 / ye1[0] - 1.0 / ye2[0])
         return (-w,), (w,)
     return law
@@ -270,9 +271,9 @@ def test_interconnect_scan_matches_the_per_sample_loop(custom):
             "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}) for name in "ab"]
     else:
         parts = [heat_compartment(C=1.3, name="a"), heat_compartment(name="b")]
-    assert interconnect(*parts, _fourier(1.0)).Ka.dual_safe is not custom
+    assert interconnect(parts, _fourier(1.0)).Ka.dual_safe is not custom
     for sign in (1.0, -1.0):
-        unchecked = interconnect(*parts, _fourier(sign), n_check=0)
+        unchecked = interconnect(parts, _fourier(sign), n_check=0)
         M = unchecked.n_coords
         samples = np.array(_sample_surface_params(unchecked, 20, 13))
         rates = _port_flows(unchecked.Ka, _liouville_rows(unchecked.gf, samples),
@@ -284,7 +285,7 @@ def test_interconnect_scan_matches_the_per_sample_loop(custom):
     rate, params = _second_law_scan_loop(unchecked)
     assert rate < 0.0
     with pytest.raises(ValueError) as err:
-        interconnect(*parts, _fourier(-1.0))
+        interconnect(parts, _fourier(-1.0))
     assert str(err.value) == (
         f"interconnection 'a+b' violates the second law: the composed drift "
         f"produces entropy at rate {rate:.3g} at surface parameters "
@@ -340,19 +341,20 @@ def test_reduce_names_the_failing_sample(tmp_path, capsys):
 def test_interconnect_names_the_failing_sample():
     parts = [heat_compartment(name="a"), heat_compartment(name="b")]
 
-    def law(yp1, ye1, yp2, ye2):      # Fourier, defined where T1 < 1 only
+    def law(outputs):      # Fourier, defined where T1 < 1 only
+        (_, ye1), (_, ye2) = outputs
         w = 1.0 / ye1[0] - 1.0 / ye2[0] + 0.0 * ln(ye1[0] - 1.0)
         return (-w,), (w,)
 
-    probe = interconnect(*parts, _fourier(1.0))
+    probe = interconnect(parts, _fourier(1.0))
 
     def at(params):       # y_e of each compartment is 1/T = exp(-S)
         q = liouville_point(probe.gf, params).q
-        law([1.0], [1.0 / math.exp(q[1])], [1.0], [1.0 / math.exp(q[3])])
+        law([([1.0], [1.0 / math.exp(q[1])]), ([1.0], [1.0 / math.exp(q[3])])])
 
     first = _first_failing(_sample_surface_params(probe, 20, 13), at)
     with pytest.raises(ValueError, match="ln requires a positive argument") as err:
-        interconnect(*parts, law)
+        interconnect(parts, law)
     assert f"at surface parameters {first}" in str(err.value)
 
 
@@ -374,7 +376,7 @@ def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
 
 def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
     # a lifted start row of the perturbation route that is not finite
-    # fails the flow at t=0, before any step, named by its member and its
+    # fails its lift, before any step, named by its member and its
     # perturbation; flowcheck lifts its members before either route, and
     # names a member whose lift is not finite
     system = heat_compartment()
@@ -391,9 +393,9 @@ def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
     monkeypatch.setattr(dynamics, "_liouville_rows", lifted)
     v = grid[1][0]
     poisoned[:] = [v + dynamics._perturbation_step(v), grid[1][1]]
-    with pytest.raises(RuntimeError, match=re.escape(
-            f"flow of surface member {grid[1]} (parameter 0 +h) produced a "
-            f"non-finite state at t=0") + "$"):
+    with pytest.raises(ValueError, match=r"^non-finite result \[nan, .*"
+                       + re.escape(f"] at surface member {grid[1]} "
+                                   f"(parameter 0 +h)") + "$"):
         dynamics._perturbed_transport(system.gf, system.Ka, grid, 0.05, 1e-3)
     poisoned[:] = grid[1]
     with pytest.raises(ValueError, match=re.escape(

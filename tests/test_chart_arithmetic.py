@@ -68,7 +68,7 @@ def _entropy_chart_compartment():
 def _custom_pair():
     sys1, sys2 = _entropy_chart_compartment(), heat_compartment(2.0, 0.5)
     return sys1, sys2, interconnect(
-        sys1, sys2, lambda yp1, ye1, yp2, ye2: ((0.0,), (0.0,)))
+        [sys1, sys2], lambda outputs: ((0.0,), (0.0,)))
 
 
 def _reversed_pair():
@@ -76,7 +76,7 @@ def _reversed_pair():
     costate and its p_J both become product J entries."""
     sys1, sys2 = heat_compartment(2.0, 0.5), _entropy_chart_compartment()
     return sys1, sys2, interconnect(
-        sys1, sys2, lambda yp1, ye1, yp2, ye2: ((0.0,), (0.0,)))
+        [sys1, sys2], lambda outputs: ((0.0,), (0.0,)))
 
 
 def _surfaces():

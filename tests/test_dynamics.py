@@ -819,15 +819,27 @@ def test_flow_transport_names_the_trajectory_that_went_non_finite():
     assert 1e300 < report.alpha_residual < np.inf
 
 
+def test_a_perturbed_start_that_cannot_be_lifted_is_named_by_member():
+    # the trace cannot record hash, so alpha runs on the perturbation route,
+    # where the second member moved by -h in p_chart has p_chart 0
+    K = ScalarFn(lambda x: x[3] + x[2] * x[1] + 0.0 * hash(x[3]), dim=4)
+    with pytest.raises(ValueError, match=re.escape(
+            "p_chart must be nonzero to generate a lift point at surface "
+            "member [0.7, 1e-05] (parameter 1 -h)") + "$"):
+        flow_transport_check(half_square_gf(), K, 0.01,
+                             [(0.7, -1.0), (0.7, 1e-5)], dt=1e-3)
+
+
 @pytest.mark.parametrize("case", ["t_end off the grid", "dt not finite",
-                                  "p_chart 0", "lift not finite"])
+                                  "p_chart 0", "lift not finite",
+                                  "power out of range"])
 def test_flow_transport_input_errors_raise_once_before_either_route(case,
                                                                     caplog):
     # the grid is checked as integrate checks it, and each member lifted,
     # before either route: the error names the input, or the member by its
     # parameters, and the check never hands over to the perturbation route
     gf, K = half_square_gf(), Q1P0
-    grid, t_end, dt = [(0.7, -1.0), (1.2, -0.5)], 0.5, 1e-2
+    grid, t_end, dt, error = [(0.7, -1.0), (1.2, -0.5)], 0.5, 1e-2, ValueError
     if case == "t_end off the grid":
         t_end, message = 0.505, "t_end=0.505 is not an integer multiple of " \
             "dt=0.01"
@@ -837,14 +849,18 @@ def test_flow_transport_input_errors_raise_once_before_either_route(case,
         grid[1] = (1.2, 0.0)
         message = ("p_chart must be nonzero to generate a lift point at "
                    "surface member [1.2, 0.0]")
-    else:                           # the lift's q0 = q1 q1 / 2 overflows
+    elif case == "lift not finite":  # the lift's q0 = q1 q1 / 2 overflows
         gf = GeneratingFunction(n=1, Fhat=ScalarFn(
             lambda x: 0.5 * x[0] * x[0], dim=1), I=(1,), chart=0)
         grid[1] = (1e200, -1.0)
         message = "non-finite result [inf, 1e+200, -1.0, nan] at surface " \
             "member [1e+200, -1.0]"
+    else:                           # the lift's q1 ** 2 raises
+        grid[1], error = (1e200, -1.0), OverflowError
+        message = "1e+200 ** 2 is out of range at surface " \
+            "member [1e+200, -1.0]"
     with caplog.at_level(logging.INFO, logger="ltk"), \
-            pytest.raises(ValueError, match=re.escape(message) + "$"), \
+            pytest.raises(error, match=re.escape(message) + "$"), \
             np.errstate(over="ignore", invalid="ignore"):
         flow_transport_check(gf, K, t_end, grid, dt=dt)
     assert caplog.records == []

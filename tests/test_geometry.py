@@ -1,5 +1,6 @@
 """Phase points, the two canonical one-forms, homogeneity tests and charts."""
 
+import itertools
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltk import geometry, submanifold
-from ltk.diffkit import ScalarFn
+from ltk.diffkit import ScalarFn, ln
 from ltk.geometry import (CHART_DEGENERACY_RATIO, ChartDegenerateError,
                           ContactPoint, EulerFieldKind, PhasePoint,
                           TangentVector, _phase_rows, alpha, best_chart, beta,
@@ -282,21 +283,51 @@ def test_the_degree_one_spot_check_points_are_the_per_point_draws(
     assert _bytes(batches[0]) == _bytes(loop)
 
 
-@pytest.mark.parametrize("I, J", [((1,), ()), ((1, 2), ()), ((2,), (1,)),
-                                  ((1, 3), (2,))])
+@pytest.mark.parametrize("I, J, negative", [
+    ((1,), (), ()), ((1, 2), (), ()), ((2,), (1,), ()), ((1, 3), (2,), ()),
+    ((1,), (2, 3), (1,)), ((1,), (2, 3), (0,)), ((3,), (1, 2), (0, 1))])
 def test_the_q_homogeneity_check_points_are_the_per_point_draws(
-        monkeypatch, I, J):
+        monkeypatch, I, J, negative):
+    # Fhat evaluates only where its gammas at the positions ``negative`` of
+    # J are negative; the check takes the six draws into each orthant of
+    # gamma_J in turn, all signs + first, and stops at the first that
+    # evaluates
     batches = _checked_rows(monkeypatch, submanifold)
     n, nI = len(I) + len(J), len(I)
-    Fhat = ScalarFn(lambda x: sum(x[:nI]) * (1.0 + sum(v * v for v in x[nI:])),
-                    dim=n)
+    Fhat = ScalarFn(lambda x: sum(x[:nI]) * (1.0 + sum(v * v for v in x[nI:]))
+                    + sum(0.0 * ln(-x[nI + j]) for j in negative), dim=n)
     GeneratingFunction(n=n, Fhat=Fhat, I=I, J=J, q_homogeneous=True)
     r = random.Random(11).random
+    draws = [[_uniform(r, 0.5, 1.5) for _ in range(n)] for _ in range(6)]
     loop = []
-    for _ in range(6):
-        x = [_uniform(r, 0.5, 1.5) for _ in range(n)]
-        q = np.ones(n + 1)
-        p = -np.ones(n + 1)
-        q[list(I)], p[list(J)] = x[:nI], x[nI:]
-        loop.append(np.concatenate([q, p]))
-    assert _bytes(batches[0]) == _bytes(loop)
+    for signs in itertools.product((1.0, -1.0), repeat=len(J)):
+        rows = []
+        for x in draws:
+            q = np.ones(n + 1)
+            p = -np.ones(n + 1)
+            q[list(I)] = x[:nI]
+            p[list(J)] = [s * v for s, v in zip(signs, x[nI:])]
+            rows.append(np.concatenate([q, p]))
+        loop.append(_bytes(rows))
+        if all(signs[j] < 0 for j in negative):
+            break
+    # an orthant that raises reruns its rows one at a time
+    assert [_bytes(X) for X in batches if len(X) == 6] == loop
+
+
+def test_the_q_homogeneity_check_tries_a_bounded_number_of_orthants(
+        monkeypatch):
+    # with |J| = 40 there are 2^40 orthants; a Fhat that evaluates nowhere
+    # is given up on after 16 of them, and one that evaluates at all
+    # signs + is checked on its six draws alone
+    batches = _checked_rows(monkeypatch, submanifold)
+    n, J = 41, tuple(range(2, 42))
+    nowhere = ScalarFn(lambda x: x[0] + 0.0 * ln(-x[0]), dim=n)
+    with pytest.raises(ValueError, match="could not evaluate"):
+        GeneratingFunction(n=n, Fhat=nowhere, I=(1,), J=J, q_homogeneous=True)
+    # each orthant is one batch of six, then its six rows alone
+    assert [len(X) for X in batches] == ([6] + [1] * 6) * 16
+    batches.clear()
+    GeneratingFunction(n=n, Fhat=ScalarFn(lambda x: x[0], dim=n), I=(1,), J=J,
+                       q_homogeneous=True)
+    assert [len(X) for X in batches] == [6]

@@ -664,6 +664,23 @@ def test_exchanger_relaxes_to_the_predicted_equilibrium():
     assert gain == pytest.approx(2 * np.log(1.5) - np.log(2.0), abs=1e-5)
 
 
+def test_exchanger_meets_its_closed_form_at_order_four():
+    # from temperatures (2, 1) with lam = 1, E1 = 1.5 + 0.5 exp(-2t); RK4
+    # through simulate converges at order 4.  At dt 4e-2 the costates' own
+    # RK4 error takes the membership residual to 1.01e-5 at t = 2, just
+    # past the default guard (it reads 6.3e-7 and 3.9e-8 at the finer
+    # steps), so the guard here is 1e-4
+    hx = heat_exchanger()
+    errors = []
+    for dt in (4e-2, 2e-2, 1e-2):
+        result = simulate(hx, 2.0, dt, params=(np.log(2.0), 0.0, -1.0, -1.0),
+                          membership_tol=1e-4)
+        exact = 1.5 + 0.5 * np.exp(-2.0 * result.t)
+        errors.append(np.max(np.abs(result.q[:, 0] - exact)))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((3.8 <= orders) & (orders <= 4.2)), (errors, orders)
+
+
 def test_exchanger_costate_drift_aborts_long_unguarded_runs():
     # the costate directions transverse to the surface are exponentially
     # unstable under this drift, so the default membership guard eventually
@@ -677,12 +694,13 @@ def test_interconnect_rejects_second_law_violations():
     c1 = heat_compartment(name="a")
     c2 = heat_compartment(name="b")
 
-    def anti_fourier(yp1, ye1, yp2, ye2):
+    def anti_fourier(outputs):
+        (_, ye1), (_, ye2) = outputs
         w = 1.0 / ye1[0] - 1.0 / ye2[0]      # pumps heat from cold to hot
         return (w,), (-w,)
 
     with pytest.raises(ValueError, match="second law"):
-        interconnect(c1, c2, anti_fourier)
+        interconnect([c1, c2], anti_fourier)
 
 
 def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
@@ -696,18 +714,19 @@ def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
     c1 = cli._build_custom_system({**spec, "name": "a"})
     c2 = cli._build_custom_system({**spec, "name": "b"})
 
-    def fourier(yp1, ye1, yp2, ye2):
+    def fourier(outputs):
+        (_, ye1), (_, ye2) = outputs
         w = 1.0 / ye1[0] - 1.0 / ye2[0]
         return (-w,), (w,)
 
-    def anti_fourier(yp1, ye1, yp2, ye2):
-        w = 1.0 / ye1[0] - 1.0 / ye2[0]
-        return (w,), (-w,)
+    def anti_fourier(outputs):
+        u1, u2 = fourier(outputs)
+        return u2, u1
 
-    hx = interconnect(c1, c2, fourier)
+    hx = interconnect([c1, c2], fourier)
     assert not hx.Ka.dual_safe
     with pytest.raises(ValueError, match="second law"):
-        interconnect(c1, c2, anti_fourier)
+        interconnect([c1, c2], anti_fourier)
 
     M = hx.n_coords
     first_law, second_min = 0.0, np.inf
@@ -740,11 +759,93 @@ def test_one_pass_port_flow_equals_the_gradient_sum():
 def test_interconnect_needs_a_port():
     gas = ideal_gas_SVN()
     with pytest.raises(ValueError, match="port"):
-        interconnect(gas, gas, lambda *a: ((), ()))
+        interconnect([gas, gas], lambda outputs: ((), ()))
+    with pytest.raises(ValueError, match="at least two systems"):
+        interconnect([heat_compartment()], lambda outputs: ((0.0,),))
 
 
 def test_interconnect_checks_feedback_arity():
     c1 = heat_compartment(name="a")
     c2 = heat_compartment(name="b")
     with pytest.raises(ValueError, match="wrong number"):
-        interconnect(c1, c2, lambda yp1, ye1, yp2, ye2: ((0.0, 0.0), (0.0,)))
+        interconnect([c1, c2], lambda outputs: ((0.0, 0.0), (0.0,)))
+    with pytest.raises(ValueError, match="wrong number"):   # 2 for 3 systems
+        interconnect([c1, c2, heat_compartment(name="c")],
+                     lambda outputs: ((0.0,), (0.0,)))
+    with pytest.raises(ValueError, match="wrong number"):   # a generator
+        interconnect([c1, c2, heat_compartment(name="c")],
+                     lambda outputs: ((0.0,) for _ in range(2)))
+
+
+@pytest.mark.parametrize("inner", [tuple, iter])
+def test_a_feedback_may_return_generators(inner):
+    # the inputs are read once, so a generator of input sequences (tuples
+    # or iterators) gives the drift of the lists it yields
+    def fourier(outputs):
+        (_, ye1), (_, ye2) = outputs
+        w = 1.0 / ye1[0] - 1.0 / ye2[0]
+        return (inner([s * w]) for s in (-1.0, 1.0))
+
+    hx = heat_exchanger()
+    lazy = interconnect([heat_compartment(name=f"compartment_{k}")
+                         for k in (1, 2)], fourier)
+    for params in _sample_surface_params(hx, 5, 3):
+        x = liouville_point(hx.gf, params).packed()
+        assert np.array_equal(grad(lazy.Ka, x), grad(hx.Ka, x))
+        assert np.any(grad(hx.Ka, x) != 0.0)
+
+
+def test_a_product_of_many_q_homogeneous_systems_checks_six_points(
+        monkeypatch):
+    # every system after the first adds its chart costate to J, so the
+    # product of 20 gases has |J| = 19; its q-homogeneity is checked on the
+    # six draws at gamma_J > 0, where every lift evaluates
+    gases = [dataclasses.replace(ideal_gas_SVN(), name=f"g{k}", y_p=None,
+                                 y_e=None, Kc=(ScalarFn(lambda x: x[6], 8),))
+             for k in range(20)]
+    rows, checked = [], submanifold._relative_euler_rows
+
+    def counted(K, X, *args):
+        rows.append(len(X))
+        return checked(K, X, *args)
+
+    monkeypatch.setattr(submanifold, "_relative_euler_rows", counted)
+    closed = interconnect(gases, lambda outputs: [(0.0,)] * len(outputs),
+                          n_check=0)
+    assert closed.gf.q_homogeneous and len(closed.gf.J) == 19
+    assert rows == [6]
+
+
+def _heat_chain(N, lam):
+    """N unit compartments in a row, each exchanging Fourier heat with its
+    neighbours, the ends insulated: u_k = lam (T_{k-1} - T_k) - lam (T_k -
+    T_{k+1}) with T = 1/y_e."""
+    def fourier(outputs):
+        T = [1.0 / ye[0] for _, ye in outputs]
+        flow = [0.0] + [lam * (T[k] - T[k + 1]) for k in range(N - 1)] + [0.0]
+        return [(flow[k] - flow[k + 1],) for k in range(N)]
+
+    return interconnect([heat_compartment(name=f"c{k}") for k in range(N)],
+                        fourier, name=f"chain{N}")
+
+
+@pytest.mark.parametrize("N", [2, 8, 32])
+def test_heat_chain_meets_its_modal_closed_form(N):
+    # with C = T_ref = 1, T = E and dE/dt = -lam L E for the path-graph
+    # Laplacian L, so E(t) = V exp(-lam Lambda t) V^T E(0)
+    lam = 1.0
+    chain = _heat_chain(N, lam)
+    assert chain.n_coords == 2 * N and chain.energy_indices == tuple(
+        range(0, 2 * N, 2))
+    E0 = np.linspace(2.0, 1.0, N)
+    result = simulate(chain, 1.0, 1e-2,
+                      params=list(np.log(E0)) + [-1.0] * N)
+    E, S = result.q[:, 0::2], result.q[:, 1::2]
+    L = np.diag(np.r_[1.0, 2.0 * np.ones(N - 2), 1.0]) \
+        - np.eye(N, k=1) - np.eye(N, k=-1)
+    Lam, V = np.linalg.eigh(L)
+    exact = np.array([V @ (np.exp(-lam * Lam * t) * (V.T @ E0))
+                      for t in result.t])
+    assert np.max(np.abs(E - exact)) < 1e-8
+    assert np.max(np.abs(E.sum(axis=1) - E0.sum())) < 1e-13
+    assert np.min(np.diff(S.sum(axis=1))) >= 0.0

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltk.diffkit import ScalarFn, grad, sqrt
+from ltk.diffkit import ScalarFn, grad, ln, sqrt
 from ltk.geometry import ChartDegenerateError, PhasePoint, alpha, beta
 from ltk.submanifold import (GeneratingFunction, gibbs_duhem_check,
                              legendre_point, lift_generating_function,
@@ -81,6 +81,25 @@ def test_homogeneity_needs_some_base_arguments():
     with pytest.raises(ValueError, match="nonempty I"):
         GeneratingFunction(n=1, Fhat=ScalarFn(lambda x: x[0], dim=1),
                            I=(), J=(1,), chart=0, q_homogeneous=True)
+
+
+def _ideal_gas_gibbs(excess=lambda N: 0.0) -> GeneratingFunction:
+    """The ideal gas's Gibbs function G(N, T, gamma_V) at c_v = 1.5 and
+    R = T_ref = v0 = 1, s0 = 0, plus ``excess(N)``, over (E, S, V, N) with
+    I = {N} and J = {S, V}: gamma_S = T > 0, gamma_V = -P < 0."""
+    def G(a):
+        N, T, P = a[0], a[1], -a[2]
+        return (N * 1.5 * T - T * N * (1.5 * ln(T) + ln(T / P)) + N * T
+                + excess(N))
+    return GeneratingFunction(n=3, Fhat=ScalarFn(G, dim=3), I=(3,), J=(1, 2),
+                              chart=0, q_homogeneous=True)
+
+
+def test_a_potential_with_a_negative_intensive_argument_checks_homogeneity():
+    # only the orthant gamma_S > 0 > gamma_V of the draws is in G's domain
+    assert _ideal_gas_gibbs().q_homogeneous
+    with pytest.raises(ValueError, match="declared q_homogeneous"):
+        _ideal_gas_gibbs(lambda N: N * ln(N))
 
 
 def test_parameter_count_is_checked():
