@@ -37,10 +37,11 @@ time, so each sample is skipped or reported exactly as it would be alone,
 and a sample that is undefined or not finite never passes.  A single
 point keeps the scalar loop, where numpy's per-operation overhead on
 dim-by-1 arrays would cost more than the loop it replaces.  The
-single-point surface and Euler helpers are one-row batches of their
-checks' row helpers; a port flow of a ``dual_safe`` generator keeps its
-single dual pass, as a derived output read by a composed drift runs at
-every difference step of every RK4 stage.
+single-point surface and Euler helpers, and ``outputs``' port flows, are
+one-row batches of their checks' row helpers.  A composed drift reads
+its systems' port flows from code traced from their port generators
+(:class:`ltk.tracegrad.PortFlowKernel`), which runs on single and batch
+duals alike, so its gradient is one pass as any other generator's.
 
 The routes that run many times over are the fields that
 :func:`ltk.dynamics.integrate` steps: ``simulate``'s, one gradient per

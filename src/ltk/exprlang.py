@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import diffkit
-from .diffkit import _DOMAIN_ERRORS, Dual, ScalarFn, _Recorder
+from .diffkit import _DOMAIN_ERRORS, Dual, ScalarFn, _Recorder, _power
 
 __all__ = [
     "Expr",
@@ -316,8 +316,10 @@ def to_source(e: Expr) -> str:
 def _pow(a, b, node):
     """Generic power with the domain rule: fractional exponents need base > 0.
 
-    A float base is checked here, where ``**`` would silently go complex; a
-    dual base, single or batched, checks its own value in ``**``.  A single
+    A float base is checked here, where ``**`` would silently go complex,
+    and a power of plain numbers that overflows names its base and power,
+    as a dual's does; a dual base, single or batched, checks its own value
+    in ``**``.  A single
     dual exponent with a zero derivative and an integer value takes the
     integer rule, as a float does; a batch exponent, whose rows may differ,
     takes the general rule, short of an integer value on some row, where it
@@ -329,13 +331,15 @@ def _pow(a, b, node):
                  and b.dot == 0.0 and b.val.is_integer() else None)
     else:
         b_int = int(b) if float(b).is_integer() else None
+    plain = isinstance(a, (float, int))
     try:
         if b_int is not None:
-            return a ** b_int
-        if isinstance(a, (float, int)) and a <= 0.0:
+            return _power(a, b_int) if plain else a ** b_int
+        if plain and a <= 0.0:
             raise ValueError(
                 "power with non-integer exponent requires a positive base")
-        return a ** b
+        return _power(a, b) if plain and isinstance(b, (float, int)) \
+            else a ** b
     except _DOMAIN_ERRORS as err:
         raise ExprEvalError(f"{err} in {to_source(node)!r}") from err
 

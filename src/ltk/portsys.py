@@ -36,8 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diffkit import (ScalarFn, _sample_rows, _values_and_dirderivs, dirderiv,
-                      exp, grad)
+from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs, exp, grad
 from .dynamics import (_PhaseField, _degree_residual, contact_rhs, integrate,
                        phase_rhs)
 from .geometry import (PhasePoint, _box_rows, _chart_rows, _euler_rows,
@@ -75,9 +74,10 @@ MEMBERSHIP_ABORT = 1e-5
 class PortSystem:
     """A state surface with internal and port generators.
 
-    ``y_p`` / ``y_e`` are the port outputs as explicit phase functions; when
-    omitted they are derived from ``Kc`` by differentiation (at the cost of
-    falling back to finite differences inside nested gradients).
+    The outputs of port k are the port flows of ``Kc[k]``: ``y_p_k`` is
+    the sum of its partials along the energy costates, ``y_e_k`` along the
+    entropy costates.
+
     ``default_params`` seeds simulations and ``param_box`` bounds the
     surface-sampling used by validation, both over the parameter layout
     ``[q_I ascending, p_chart, p_J ascending]``: ``default_params`` must be
@@ -91,8 +91,6 @@ class PortSystem:
     Kc: tuple = ()
     energy_indices: tuple = ()
     entropy_indices: tuple = ()
-    y_p: tuple = None
-    y_e: tuple = None
     default_params: tuple = None
     param_box: tuple = None
 
@@ -111,14 +109,6 @@ class PortSystem:
                 raise ValueError(f"coordinate index {i} out of range")
         if set(self.energy_indices) & set(self.entropy_indices):
             raise ValueError("a coordinate cannot carry both energy and entropy")
-        if self.y_p is None:
-            self.y_p = tuple(self._derived_output(k, self.energy_indices, "y_p")
-                             for k in range(len(self.Kc)))
-        if self.y_e is None:
-            self.y_e = tuple(self._derived_output(k, self.entropy_indices, "y_e")
-                             for k in range(len(self.Kc)))
-        if len(self.y_p) != len(self.Kc) or len(self.y_e) != len(self.Kc):
-            raise ValueError("need one y_p and one y_e function per port")
         if self.default_params is not None:
             self.default_params = self.check_params(self.default_params,
                                                     "default_params")
@@ -149,12 +139,6 @@ class PortSystem:
             raise ValueError(f"{what} has p_chart 0 (entry "
                              f"{len(self.gf.I)}); p_chart must be nonzero")
         return params
-
-    def _derived_output(self, k: int, indices, label: str) -> ScalarFn:
-        K = self.Kc[k]
-        m = self.gf.n + 1
-        return ScalarFn(_PortFlow(K, indices), dim=2 * m,
-                        name=f"{label}{k + 1}({self.name})", dual_safe=False)
 
     @property
     def n_ports(self) -> int:
@@ -302,40 +286,14 @@ class ValidationReport:
         return {**asdict(self), "passed": self.passed}
 
 
-class _PortFlow:
-    """:func:`_port_flow` of K along ``indices``: a derived port output."""
-
-    def __init__(self, K: ScalarFn, indices):
-        self.K, self.indices = K, indices
-
-    def __call__(self, x):
-        return _port_flow(self.K, x, self.K.dim // 2, self.indices)
-
-
-def _port_flow(K: ScalarFn, x, m: int, indices) -> float:
-    """``sum_{i in indices} dK/dp_i`` at ``x``.
-
-    A derived output read by a composed drift's feedback runs at every
-    difference step of every RK4 stage, so a ``dual_safe`` K keeps one
-    scalar dual pass along the indicator of those costates, the same
-    directional pass as a row of :func:`_port_flows`.  Any other K is a
-    one-row :func:`_port_flows`.
-    """
-    if not indices or not K.dual_safe:
-        return float(_port_flows(K, np.asarray([x], dtype=float), m, indices)[0])
-    d = [0.0] * (2 * m)
-    for i in indices:
-        d[m + i] = 1.0
-    return 0.0 + dirderiv(K, x, d)
-
-
 def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
     """``sum_{i in indices} dK/dp_i`` at each row of ``X``: one vector-mode
-    pass along the indicator of the costates in ``indices``.
+    pass along the indicator of the costates in ``indices``; the port
+    outputs of a port generator K and the drift's energy and entropy
+    production of a drift K.
 
-    A ``K`` that is not ``dual_safe`` (a composed drift whose feedback reads
-    derived outputs) keeps the sum of per-coordinate differences of
-    :func:`grad`, whose steps the second-law tolerance was set against.
+    A ``K`` that is not ``dual_safe`` (a user's generator declared so)
+    keeps the sum of per-coordinate differences of :func:`grad`.
     """
     if not indices:
         return np.zeros(len(X))
@@ -348,7 +306,8 @@ def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
 
 
 def outputs(sys: PortSystem, pt: PhasePoint):
-    """Evaluate all port outputs at a phase point; returns ``(y_p, y_e)``.
+    """Evaluate all port outputs at a phase point; returns ``(y_p, y_e)``,
+    the port flows of each ``Kc`` along the energy and the entropy costates.
 
     Both arrays have one entry per port.  The outputs only carry their
     thermodynamic meaning on the state surface, so a membership residual
@@ -361,19 +320,12 @@ def outputs(sys: PortSystem, pt: PhasePoint):
         warnings.warn(f"outputs of {sys.name!r} requested at a state with "
                       f"membership residual {res:.3g}; the point is not on "
                       f"the modeled surface", stacklevel=2)
-    y_p = np.array([float(fn(x)) for fn in sys.y_p])
-    y_e = np.array([float(fn(x)) for fn in sys.y_e])
-    return y_p, y_e
+    X, m = np.asarray([x], dtype=float), sys.n_coords
+    return tuple(np.array([_port_flows(K, X, m, indices)[0] for K in sys.Kc])
+                 for indices in (sys.energy_indices, sys.entropy_indices))
 
 
 MONITOR_NAMES = ("K_res", "alpha_res", "E_total", "S_total", "membership")
-
-
-def _output_rows(fn: ScalarFn, X: np.ndarray, m: int) -> np.ndarray:
-    """The port output ``fn`` at each row of ``X``: one vector-mode pass."""
-    if isinstance(fn.fn, _PortFlow):
-        return _port_flows(fn.fn.K, X, m, fn.fn.indices)
-    return _values_and_dirderivs(fn, X, np.zeros_like(X))[0]
 
 
 def _total_rows(sys: PortSystem, U: np.ndarray, X: np.ndarray):
@@ -462,8 +414,9 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         """The columns of ``names`` after the membership, at surface rows."""
         U = np.array([u._floats(ti) for ti in t.tolist()]).reshape(
             len(t), n_ports)
-        cols = list(U.T) + [_output_rows(y[k], X, m) for k in range(n_ports)
-                            for y in (sys.y_p, sys.y_e)]
+        cols = list(U.T) + [_port_flows(K, X, m, indices) for K in sys.Kc
+                            for indices in (sys.energy_indices,
+                                            sys.entropy_indices)]
         totals = {nm: sum((X[:, i] for i in indices), np.zeros(len(X)))
                   for nm, indices in (("E_total", sys.energy_indices),
                                       ("S_total", sys.entropy_indices))}
@@ -629,10 +582,17 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
     result is a closed system (no remaining ports) on the product surface,
     with the feedback substituted into the drift generator.
 
-    The composition is rejected if the substituted drift produces negative
+    The drift reads each system's outputs, the port flows of its ``Kc``,
+    from code traced from ``Kc`` at its default (or first sampled) surface
+    point (:class:`~ltk.tracegrad.PortFlowKernel`), so the drift is
+    dual-safe where the systems' drifts are, and traces where their
+    generators trace; a ``Kc`` that cannot be traced is rejected by a
+    ``ValueError`` naming the system, the generator and the reason.  The
+    composition is rejected if the substituted drift produces negative
     total entropy at any sampled surface state: a feedback law is only a
     valid interconnection if it respects the second law.
     """
+    from .tracegrad import PortFlowKernel
     if len(systems) < 2:
         raise ValueError("interconnection needs at least two systems")
     if not any(s.n_ports for s in systems):
@@ -640,6 +600,19 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
     M = sum(s.n_coords for s in systems)
     gf1 = systems[0].gf
     name = name or "+".join(s.name for s in systems)
+
+    flows = []
+    for s in systems:
+        params = s.default_params or _sample_surface_params(s, 1, seed)[0]
+        m = s.n_coords
+        kernel = PortFlowKernel(
+            s.Kc, liouville_point(s.gf, params).packed().tolist(),
+            [[m + i for i in indices]
+             for indices in (s.energy_indices, s.entropy_indices)])
+        if kernel.reason is not None:
+            raise ValueError(f"interconnection {name!r} cannot trace the "
+                             f"outputs of system {s.name!r}: {kernel.reason}")
+        flows.append(kernel)
 
     # Each system with its packed phase coordinates [q, p] in the product's.
     owner = [k for k, s in enumerate(systems) for _ in range(s.n_coords)] * 2
@@ -649,9 +622,8 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
     def Ka_fn(x):
         x = list(x)
         xs = [[x[k] for k in place] for _, place in placed]
-        us = [tuple(u) for u in feedback(
-            [([fn(xk) for fn in s.y_p], [fn(xk) for fn in s.y_e])
-             for s, xk in zip(systems, xs)])]
+        ys = [flow(xk) for flow, xk in zip(flows, xs)]
+        us = [tuple(u) for u in feedback([(y[0::2], y[1::2]) for y in ys])]
         if [len(u) for u in us] != [s.n_ports for s in systems]:
             raise ValueError("feedback returned the wrong number of inputs")
         total = systems[0].Ka(xs[0])
@@ -662,8 +634,8 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
                 total = total + uk * K(xk)
         return total
 
-    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})", dual_safe=all(
-        K.dual_safe for s in systems for K in (s.Ka, *s.Kc, *s.y_p, *s.y_e)))
+    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})",
+                  dual_safe=all(s.Ka.dual_safe for s in systems))
 
     # Product surface: the first system's chart stays the chart; every
     # other chart costate becomes one more intensive parameter.  ``coords``
@@ -704,7 +676,7 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
 
     composed = PortSystem(
         name=name, gf=gf, Ka=Ka, Kc=(), energy_indices=energy,
-        entropy_indices=entropy, y_p=(), y_e=(),
+        entropy_indices=entropy,
         default_params=compose_params([s.default_params for s in systems]),
         param_box=compose_params([s.param_box for s in systems]))
 
@@ -782,8 +754,6 @@ def gas_piston_damper(mass: float = 1.0, damping: float = 0.5,
         Kc=(ScalarFn(Kc_fn, 8, name="piston force port"),),
         energy_indices=(0,),
         entropy_indices=(1,),
-        y_p=(ScalarFn(lambda x: x[3] / mass, 8, name="piston velocity"),),
-        y_e=(_zero_fn(8),),
         default_params=(0.0, 1.0, 0.0, -1.0),
         param_box=((-0.3, 0.8), (0.5, 1.8), (-1.2, 1.2), (-1.6, -0.4)),
     )
@@ -804,16 +774,13 @@ def heat_compartment(C: float = 1.0, T_ref: float = 1.0,
         raise ValueError("heat capacity and reference temperature must be "
                          "positive and finite")
 
-    def T_of(S):
-        return T_ref * exp(S / C)
-
     gf = GeneratingFunction(
         n=1, Fhat=ScalarFn(lambda a: C * T_ref * exp(a[0] / C), 1,
                            name="stored heat"),
         I=(1,), J=(), chart=0, name=name)
 
-    def Kc_fn(x):
-        return x[3] / T_of(x[1]) + x[2]
+    def Kc_fn(x):           # p_S / T + p_E, with T = T_ref exp(S/C)
+        return x[3] / (T_ref * exp(x[1] / C)) + x[2]
 
     return PortSystem(
         name=name,
@@ -822,8 +789,6 @@ def heat_compartment(C: float = 1.0, T_ref: float = 1.0,
         Kc=(ScalarFn(Kc_fn, 4, name="heat port"),),
         energy_indices=(0,),
         entropy_indices=(1,),
-        y_p=(ScalarFn(lambda x: 1.0, 4, name="unit power"),),
-        y_e=(ScalarFn(lambda x: 1.0 / T_of(x[1]), 4, name="inverse temperature"),),
         default_params=(0.0, -1.0),
         param_box=((-0.5, 1.0), (-1.5, -0.5)),
     )
@@ -882,8 +847,6 @@ def ideal_gas_SVN(c_v: float = 1.5, R: float = 1.0, T_ref: float = 1.0,
         Kc=(),
         energy_indices=(0,),
         entropy_indices=(1,),
-        y_p=(),
-        y_e=(),
         default_params=(0.0, 1.0, 1.0, -1.0),
         param_box=((-0.4, 0.8), (0.6, 1.5), (0.7, 1.3), (-1.5, -0.5)),
     )

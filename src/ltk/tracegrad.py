@@ -3,8 +3,9 @@ Python, a list of functions as the lines of each one's gradient
 (:class:`FieldCode`), from which a phase field of :mod:`ltk.dynamics`
 writes the gradient of its generators' sum and inlines it at each RK4
 stage of its block runner, and, where asked, of each one's Hessian times
-a direction, which the flow-transport check's adjoint sweep inlines, and
-expression inputs as one kernel of their values.
+a direction, which the flow-transport check's adjoint sweep inlines,
+expression inputs as one kernel of their values, and a system's port
+outputs as one kernel of their port flows.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -54,14 +55,17 @@ in a process; the flow-transport check's adjoint sweep, four gradient
 and four Hessian stages, in about 4 ms.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
-the expression inputs of ``PortSignal.from_exprs``.
+the expression inputs of ``PortSignal.from_exprs``, and
+:class:`PortFlowKernel` the gradient lines a system's port outputs read,
+for the drift of ``interconnect``.
 
 A phase field traces its generators into field code once per run of
 :func:`~ltk.dynamics.integrate`, for ``simulate``, ``phase_rhs`` and the
 two integrated checks alike, and builds a block runner for that run
 only, from the runner source kept for the field's shape.  ``ltk`` does
 not import this module; a phase field imports it
-when it first builds a runner, and ``from_exprs`` when first called.
+when it first builds a runner, ``from_exprs`` and ``interconnect`` when
+first called.
 """
 from __future__ import annotations
 
@@ -70,9 +74,9 @@ import math
 import operator
 import re
 
-from .diffkit import ScalarFn, _Recorder
+from .diffkit import Dual, ScalarFn, _Recorder, cos, exp, ln, sin, sqrt
 
-__all__ = ["FieldCode", "value_kernel"]
+__all__ = ["FieldCode", "PortFlowKernel", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -165,6 +169,7 @@ class _Trace:
         self.nodes = [("x", None, None, frozenset([i])) for i in range(len(x))]
         self.inputs = [_Traced(self, i, float(v)) for i, v in enumerate(x)]
         self.consts, self._names = {}, {}
+        self.guards = set()             # the guard lines, of every function
 
     def record(self, f: ScalarFn):
         """Trace ``f`` at the point: ``((lines, partials), None)``, the code
@@ -347,8 +352,10 @@ class _Trace:
             raise TypeError(f"equal traced values compared with {op}")
         # != holds, as == fails, until the values are equal
         flip, test = ("", "==") if op == "!=" else ("not " * outcome, op)
-        self._line(f"if {flip}({_operand(a._node)} {test} "
-                   f"{_operand(self._ref(b))}): raise _Back")
+        line = (f"if {flip}({_operand(a._node)} {test} "
+                f"{_operand(self._ref(b))}): raise _Back")
+        self.guards.add(line)
+        self._line(line)
         return outcome
 
     def _fold(self, kind, va, vb, da, db):
@@ -695,11 +702,14 @@ class FieldCode:
     ``hessians[k]`` is the code of ``H t`` (:meth:`_Trace.hessian`), H the
     Hessian of ``fns[k]`` and t the direction ``t0, t1, ...``, in the same
     form, whose lines follow those of ``codes[k]`` at the same point.
+    ``guards`` holds the lines of the codes that are guards; their other
+    ``if`` lines are checks.
     """
 
     def __init__(self, fns, x, hessians=False):
         self.dim, self.reason, self.codes, self.hessians = len(x), None, [], []
         trace = _Trace(x)
+        self.guards = trace.guards
         for f in fns:
             code, why = trace.record(f)
             if why is not None:
@@ -753,6 +763,70 @@ def value_kernel(fns, x):
         dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_OffTrace))
 
 
+class PortFlowKernel:
+    """``kernel(x)``: for each generator K of ``fns`` and each group of
+    coordinates in ``groups``, ``sum_{i in group} dK/dx_i``, from the
+    lines of their :class:`FieldCode` gradient at ``x`` that those sums
+    read, without grad's ``0.0 +`` (a zero may read -0.0), and its guards:
+    where one comes out otherwise it traces them again there, and raises
+    ``ValueError`` if they cannot be.  With diffkit's ``exp``, ``ln``,
+    ``sqrt``, ``sin`` and ``cos`` it runs on Duals, single or batch, and
+    on traced values; a plain number is read as a Dual, so each operation
+    checks its domain as a Dual does, in place of the code's checks.
+    ``reason`` is why ``fns`` cannot be traced at ``x``, or None.
+    """
+
+    def __init__(self, fns, x, groups):
+        self.fns, self.groups = fns, groups
+        self.reason = self._trace(x)
+
+    def _trace(self, x):
+        """Trace the generators at ``x``; the reason they cannot be, or
+        None."""
+        code = FieldCode(self.fns, x)
+        if code.reason is None:
+            lines = [line for lines, _ in code.codes for line in lines
+                     if not line.startswith("if ") or line in code.guards]
+            flows = [" + ".join(partials[i].removeprefix("0.0 + ")
+                                for i in group if partials[i] != "0.0")
+                     or "0.0" for _, partials in code.codes
+                     for group in self.groups]
+            lines = _live(lines, flows, {line.partition(" = ")[0]
+                                         for line in lines})
+            self._flows = code.function(_source("flows", "x", [
+                ", ".join(f"v{i}" for i in range(len(x))) + ", = x"] + lines
+                + [f"return [{', '.join(flows)}]"]), **_GENERIC_NAMES)
+        return code.reason
+
+    def __call__(self, x):
+        plain = not any(isinstance(v, (Dual, _Recorder)) for v in x)
+        xs = [v if isinstance(v, (Dual, _Recorder)) else Dual(v) for v in x]
+        try:
+            flows = self._flows(xs)
+        except _OffTrace:               # a guard came out otherwise
+            at = [v._value if isinstance(v, _Traced) else v.val for v in xs]
+            reason = self._trace(at)
+            if reason is not None:
+                raise ValueError(f"the port flows cannot be traced at "
+                                 f"{at}: {reason}") from None
+            flows = self._flows(xs)
+        return [y.val if plain and isinstance(y, Dual) else y for y in flows]
+
+
+def _sign_factor(s: float, a):
+    """``copysign(s, a)`` in a port flow kernel, ``a`` not 0: for a single
+    Dual the sign of its value, 0.0 at a value 0, as ``Dual.__abs__``
+    takes it; for a traced value, by a guard on its sign."""
+    if isinstance(a, Dual):
+        return 0.0 if a.val == 0.0 else math.copysign(s, a.val)
+    return s if a > 0.0 else -s
+
+
+# The replay names of a port flow kernel, which takes numbers of any kind.
+_GENERIC_NAMES = {"_exp": exp, "_log": ln, "_sqrt": sqrt, "_sin": sin,
+                  "_cos": cos, "_copysign": _sign_factor}
+
+
 def _source(name: str, params: str, lines) -> str:
     """The text of the function ``name(params)`` whose body is ``lines``."""
     return f"def {name}({params}):\n    " + "\n    ".join(lines)
@@ -772,10 +846,11 @@ def _indented(lines) -> list:
 # Code objects by source text.  A source names its constants and never
 # holds their values, so systems of one shape whose parameters differ only
 # in value, and every run of one system, share one compile.  The first 60
-# jobs of each perfbench workload (seed 7) compile 2 block runners and 3
-# value kernels on sim_builtin, 3 block runners and the 4 templates' value
-# kernels on sim_expr, its built-in twins included, and 2 block runners
-# and their 2 adjoint sweeps on audit.
+# jobs of each perfbench workload (seed 7) compile each source once: 2
+# block runners, 3 value kernels and the exchanger's port flow kernel on
+# sim_builtin (6), 2 block runners and the 4 templates' value kernels on
+# sim_expr, its built-in twins included (6), and 2 block runners, their 2
+# adjoint sweeps and the exchanger's port flow kernel on audit (5).
 @functools.lru_cache(maxsize=8)
 def _code(source: str):
     """The code object of ``source``, compiled on its first use."""

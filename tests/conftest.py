@@ -2,9 +2,23 @@
 
 import numpy as np
 
-from ltk.diffkit import grad
+from ltk.diffkit import dirderiv, grad
 from ltk.dynamics import _canonical, _gradient_lines
 from ltk.tracegrad import FieldCode, _source, _stage
+
+
+def port_flow(K, x, m: int, indices) -> float:
+    """``sum_{i in indices} dK/dp_i`` at the one point ``x``, the scalar
+    reference of a row of ``ltk.portsys._port_flows``: a single dual pass
+    along the indicator of those costates, or the sum of ``grad``'s
+    partials for a K that is not dual-safe."""
+    if not K.dual_safe:
+        g = grad(K, x)
+        return float(sum((g[m + i] for i in indices), 0.0))
+    d = [0.0] * (2 * m)
+    for i in indices:
+        d[m + i] = 1.0
+    return 0.0 + dirderiv(K, x, d)
 
 
 def one_stage(code: FieldCode, codes=None):

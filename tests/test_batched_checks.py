@@ -6,7 +6,8 @@ row of the batch vector pass of ``phase_rhs``, with its errors.
 
 The reference loops are the checks as they ran one sample at a time.  The
 single-point helpers they call (``liouville_point``, ``membership_residual``,
-``_port_flow``, ``euler_residual``) are one-row passes of the row helpers,
+``euler_residual``) are one-row passes of the row helpers, and the port
+flows a single dual pass (``conftest.port_flow``),
 so the loops check that every row comes out as it would alone, whatever
 the batch around it.  The scalar reference sits at ``grad``:
 ``test_diffkit`` holds batch rows of the generators and of the lift to its
@@ -20,11 +21,11 @@ import re
 
 import numpy as np
 import pytest
-from conftest import TracedGradient
+from conftest import TracedGradient, port_flow
 from test_diffkit import SYSTEMS, _hex
 from test_dynamics import _vector_pass, half_square_gf
 
-from ltk import cli, dynamics, tracegrad
+from ltk import cli, dynamics, portsys, tracegrad
 from ltk.brackets import degree_check, poisson_fn
 from ltk.diffkit import ScalarFn, dirderiv, ln, sqrt
 from ltk.dynamics import (_PhaseField, contact_rhs, flow_transport_check,
@@ -34,9 +35,9 @@ from ltk.exprlang import compile_fn
 from ltk.geometry import (EulerFieldKind, PhasePoint, beta, dehomogenize,
                           euler_residual, project, sample_phase_points,
                           scale_costate)
-from ltk.portsys import (_port_flow, _port_flows, _sample_surface_params,
-                         gas_piston_damper, heat_compartment, ideal_gas_SVN,
-                         interconnect, validate)
+from ltk.portsys import (_port_flows, _sample_surface_params,
+                         gas_piston_damper, heat_compartment, heat_exchanger,
+                         ideal_gas_SVN, interconnect, validate)
 from ltk.submanifold import (TANGENT_STEP, GeneratingFunction,
                              _liouville_rows, gibbs_duhem_check,
                              liouville_point, membership_norm, tangent_basis)
@@ -90,9 +91,9 @@ def _validate_loop(system, n_samples, seed):
         for K in generators:
             on_surface = max(on_surface, abs(float(K(x))))
         first_law = max(first_law, abs(
-            _port_flow(system.Ka, x, m, system.energy_indices)))
+            port_flow(system.Ka, x, m, system.energy_indices)))
         second_min = min(second_min,
-                         _port_flow(system.Ka, x, m, system.entropy_indices))
+                         port_flow(system.Ka, x, m, system.entropy_indices))
         for c in charts:
             chart_form = max(chart_form,
                              _chart_form_loop(system, pt, c, khats[c]))
@@ -170,7 +171,7 @@ def _second_law_scan_loop(system, n_check=20, seed=13):
     M = system.n_coords
     for params in _sample_surface_params(system, n_check, seed):
         x = liouville_point(system.gf, params).packed()
-        rate = _port_flow(system.Ka, x, M, system.entropy_indices)
+        rate = port_flow(system.Ka, x, M, system.entropy_indices)
         if rate < worst_rate:
             worst_rate, worst_params = rate, params
     return worst_rate, worst_params
@@ -271,7 +272,7 @@ def test_interconnect_scan_matches_the_per_sample_loop(custom):
             "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}) for name in "ab"]
     else:
         parts = [heat_compartment(C=1.3, name="a"), heat_compartment(name="b")]
-    assert interconnect(parts, _fourier(1.0)).Ka.dual_safe is not custom
+    assert interconnect(parts, _fourier(1.0)).Ka.dual_safe
     for sign in (1.0, -1.0):
         unchecked = interconnect(parts, _fourier(sign), n_check=0)
         M = unchecked.n_coords
@@ -279,7 +280,7 @@ def test_interconnect_scan_matches_the_per_sample_loop(custom):
         rates = _port_flows(unchecked.Ka, _liouville_rows(unchecked.gf, samples),
                             M, unchecked.entropy_indices)
         assert _hex(rates) == _hex([
-            _port_flow(unchecked.Ka, liouville_point(unchecked.gf, p).packed(),
+            port_flow(unchecked.Ka, liouville_point(unchecked.gf, p).packed(),
                        M, unchecked.entropy_indices) for p in samples])
     # the reversed law is rejected at the loop's worst rate and sample
     rate, params = _second_law_scan_loop(unchecked)
@@ -877,6 +878,10 @@ def test_flowcheck_of_82_members_replays_each_member(capsys, caplog,
     assert cli.main(_flowcheck_argv(82)) == 0
     assert capsys.readouterr().out == report
     monkeypatch.undo()
+    # the exchanger traces its outputs as it is built, so it is built first
+    exchanger = heat_exchanger()
+    monkeypatch.setitem(portsys.BUILTIN_SYSTEMS, "heat_exchanger",
+                        lambda: exchanger)
     _vector_route(monkeypatch)
     assert cli.main(_flowcheck_argv(82)) == 0
     vector = json.loads(capsys.readouterr().out)

@@ -61,7 +61,7 @@ def _entropy_chart_compartment():
     zero = ScalarFn(lambda x: 0.0, 6, name="0")
     return PortSystem(
         name="entropy chart compartment", gf=gf, Ka=zero, Kc=(zero,),
-        energy_indices=(0,), entropy_indices=(1,), y_p=(zero,), y_e=(zero,),
+        energy_indices=(0,), entropy_indices=(1,),
         param_box=((0.5, 2.0), (-1.5, -0.5), (-1.0, 1.0)))
 
 

@@ -319,6 +319,19 @@ def test_a_non_finite_signal_parameter_is_a_config_error(tmp_path, capsys,
     assert f"finite number{'s' * (key == 'values')}, got " in captured.err
 
 
+def test_an_input_power_out_of_range_names_its_base_and_power(capsys):
+    # a power of plain numbers that overflows reads as a dual's does,
+    # with the subexpression and the step it happened in
+    argv = ["simulate", "--system", "gas_piston_damper", "--u",
+            "(1e200*t)^2", "--t-end", "0.01", "--dt", "1e-3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "ExprEvalError: simulation of 'gas_piston_damper': 5e+196 ** 2 is "
+        "out of range in '(1e+200*t)^2.0' in the step from t=0\n")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_validate_fails_a_drift_that_is_nan_everywhere(tmp_path, capsys):
     # inf - inf at every point: a nan residual must fail, not pass as 0.0

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from ltk import cli
 from ltk.diffkit import (FD_STEP, Dual, ScalarFn, _sample_rows,
-                         _value_and_dirderiv, _values_and_dirderivs, cos,
-                         dirderiv, exp, fd_grad, grad, ln, sin, sqrt)
+                         _value_and_dirderiv, _values_and_dirderivs,
+                         _values_and_grads, cos, dirderiv, exp, fd_grad, grad,
+                         ln, sin, sqrt)
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.portsys import (_sample_surface_params, gas_piston_damper,
                          heat_compartment, heat_exchanger)
@@ -426,6 +427,9 @@ def test_batched_grad_of_a_comparing_function_takes_one_row_at_a_time():
     f = ScalarFn(branchy, dim=2)
     X = np.array([[1.0, 2.0], [0.5, 0.3], [2.0, 1.5]])
     assert _hex(grad(f, X)) == _hex([grad(f, x) for x in X])
+    values, grads = _values_and_grads(f, X)     # with the values too
+    assert _hex(values) == _hex([f(x) for x in X.tolist()])
+    assert _hex(grads) == _hex(grad(f, X))
     with pytest.raises(ValueError, match="positive"):
         grad(f, np.array([[1.0, 2.0], [-1.0, 2.0]]))
 
@@ -435,6 +439,9 @@ def test_batched_grad_of_a_non_dual_safe_function_is_fd_grad_row_by_row():
                  dim=2, dual_safe=False)
     X = np.array([[0.1, 0.2], [-1.0, 2.5], [3.0, -0.7]])
     assert _hex(grad(f, X)) == _hex([fd_grad(f, x) for x in X])
+    values, grads = _values_and_grads(f, X)     # with the values too
+    assert _hex(values) == _hex([f(x) for x in X.tolist()])
+    assert _hex(grads) == _hex(grad(f, X))
 
 
 # -- the sampled-check driver -------------------------------------------------

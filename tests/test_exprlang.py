@@ -94,6 +94,18 @@ def test_integer_power_of_negative_base_allowed():
     assert ev("(0-2)^3") == -8.0
 
 
+@pytest.mark.parametrize("source, message", [
+    ("(1e200*x)^2", "1e+200 ** 2 is out of range in '(1e+200*x)^2.0'"),
+    ("(1e200*x)^2.5", "1e+200 ** 2.5 is out of range in '(1e+200*x)^2.5'"),
+    ("pow(1e200*x, 2)", "1e+200 ** 2 is out of range in 'pow(1e+200*x, 2.0)'")])
+def test_a_power_out_of_range_names_its_base_and_power(source, message):
+    # as a dual's power does; the error stays an OverflowError's
+    with pytest.raises(ExprEvalError) as err:
+        exprlang.evaluate(exprlang.parse(source), {"x": 1.0})
+    assert str(err.value) == message
+    assert isinstance(err.value.__cause__, OverflowError)
+
+
 def test_all_errors_share_a_base_class():
     for exc in (ExprSyntaxError, ExprBindError, ExprEvalError):
         assert issubclass(exc, ExprError)

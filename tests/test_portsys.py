@@ -13,11 +13,14 @@ Frozen oracles:
 
 import dataclasses
 import json
+import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import port_flow
 from test_simulate_blocks import _runner_steps
 
 from ltk import (cli, diffkit, dynamics, exprlang, geometry, portsys,
@@ -30,7 +33,7 @@ from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          entropy_balance, gas_piston_damper, heat_compartment,
                          heat_exchanger, ideal_gas_SVN, interconnect, outputs,
                          simulate, validate)
-from ltk.portsys import _port_flow, _sample_surface_params
+from ltk.portsys import _sample_surface_params
 from ltk.submanifold import liouville_point
 
 
@@ -263,20 +266,19 @@ def test_outputs_are_invariant_under_costate_scaling():
     assert np.array_equal(base[1], scaled[1])
 
 
-def test_derived_outputs_match_explicit_ones():
+def test_outputs_of_an_expression_compartment_are_the_builtins():
+    # the outputs of a system built from expressions are the port flows
+    # of its Kc, one dual pass along the costate indicator, as a built-in's
     hc = heat_compartment()
-    derived = PortSystem(
-        name="derived", gf=hc.gf, Ka=hc.Ka, Kc=hc.Kc,
-        energy_indices=(0,), entropy_indices=(1,),
-        default_params=hc.default_params, param_box=hc.param_box)
-    assert not derived.y_p[0].dual_safe     # differentiates Kc internally
+    derived = cli._build_custom_system({
+        "dimensions": 2, "gf": {"expr": "exp(q1)"},
+        "partition": {"energy": [0], "entropy": [1]},
+        "Ka": "0", "Kc": ["p1 / exp(q1) + p0"]})
     pt = liouville_point(hc.gf, (0.4, -0.9))
     yd = outputs(derived, pt)
     ye = outputs(hc, pt)
-    assert yd[0] == pytest.approx(ye[0], abs=1e-9)
-    assert yd[1] == pytest.approx(ye[1], abs=1e-9)
-    # the derived outputs, one dual pass along the costate indicator
-    # (_port_flow), are still projectively invariant
+    assert np.array_equal(yd[0], ye[0]) and np.array_equal(yd[1], ye[1])
+    # and are projectively invariant
     ys = outputs(derived, scale_costate(pt, 7.0))
     assert yd[0] == pytest.approx(ys[0], abs=1e-10)
     assert yd[1] == pytest.approx(ys[1], abs=1e-10)
@@ -287,19 +289,39 @@ def test_derived_outputs_match_explicit_ones():
     (gas_piston_damper, {"mass": 1.7, "damping": 0.3, "c_v": 2.1}),
     (heat_compartment, {}), (heat_compartment, {"C": 1.3, "T_ref": 0.8})],
     ids=["piston", "piston 1.7 0.3 2.1", "compartment", "compartment 1.3 0.8"])
-def test_hand_written_outputs_are_their_port_flows_bit_for_bit(factory,
-                                                              params):
-    # a built-in's explicit y_p and y_e are the flows of its port
-    # generators along its energy and entropy coordinates
+def test_the_port_flow_kernel_is_the_port_flows_bit_for_bit(factory, params):
+    # the kernel a composed drift reads a built-in's outputs from gives the
+    # rows of _port_flows, the outputs simulate records: on a batch of
+    # duals in one vector pass, which no comparison sends to per-row
+    # passes, on floats, and on single duals, whose derivatives are the
+    # batch's
     system = factory(**params)
     m = system.n_coords
     X = submanifold._liouville_rows(
         system.gf, _sample_surface_params(system, 200, 5))
-    for y, indices in ((system.y_p, system.energy_indices),
-                       (system.y_e, system.entropy_indices)):
-        for k, K in enumerate(system.Kc):
-            assert portsys._output_rows(y[k], X, m).tobytes() == \
-                portsys._port_flows(K, X, m, indices).tobytes(), y[k].name
+    D = np.cos(np.arange(X.size)).reshape(X.shape)
+    kernel = tracegrad.PortFlowKernel(system.Kc, X[0].tolist(), [
+        [m + i for i in indices]
+        for indices in (system.energy_indices, system.entropy_indices)])
+    flows = [portsys._port_flows(K, X, m, indices) for K in system.Kc
+             for indices in (system.energy_indices, system.entropy_indices)]
+
+    def rows(y):       # values and derivatives by row; a constant's are 0
+        if not isinstance(y, diffkit.Dual):
+            y = diffkit.Dual(np.full(len(X), y), np.zeros((1, len(X))))
+        return np.column_stack([y.val, y.dot[0]])
+
+    batch = [rows(y) for y in kernel(
+        [diffkit.Dual(X[:, i].copy(), D[None, :, i]) for i in range(2 * m)])]
+    assert np.array([y[:, 0] for y in batch]).tobytes() == \
+        np.array(flows).tobytes()
+    for j, (x, d) in enumerate(zip(X.tolist(), D.tolist())):
+        single = kernel([diffkit.Dual(*v) for v in zip(x, d)])
+        assert np.array([float(v) for y in single for v in (
+            (y.val, y.dot) if isinstance(y, diffkit.Dual) else (y, 0.0))
+        ]).tobytes() == np.array([y[j] for y in batch]).tobytes()
+    assert np.array([kernel(x) for x in X.tolist()]).T.tobytes() == \
+        np.array(flows).tobytes()
 
 
 def test_outputs_warn_off_the_surface():
@@ -358,7 +380,6 @@ def test_sign_flipped_damping_fails_the_second_law():
     broken = PortSystem(
         name="piston_antidamper", gf=damped.gf, Ka=anti, Kc=damped.Kc,
         energy_indices=(0,), entropy_indices=(1,),
-        y_p=damped.y_p, y_e=damped.y_e,
         default_params=damped.default_params, param_box=damped.param_box)
     report = validate(broken, n_samples=15, seed=2)
     assert report.second_law_min < -1e-6
@@ -375,8 +396,7 @@ def test_sign_flipped_damping_fails_the_second_law():
 def test_simulate_requires_parameters_and_commensurate_grid():
     hc = heat_compartment()
     bare = PortSystem(name="bare", gf=hc.gf, Ka=hc.Ka, Kc=hc.Kc,
-                      energy_indices=(0,), entropy_indices=(1,),
-                      y_p=hc.y_p, y_e=hc.y_e)
+                      energy_indices=(0,), entropy_indices=(1,))
     with pytest.raises(ValueError, match="initial"):
         simulate(bare, 1.0, 0.1)
     with pytest.raises(ValueError, match="integer multiple"):
@@ -507,13 +527,13 @@ def test_simulate_work_per_step(monkeypatch):
     # 4 per step, and no point takes the scalar loop: the initial
     # point is a one-row pass of the lift's gradient; per block, the
     # guard's pass of the lift's gradient (the guard doubles as the
-    # membership monitor) and a value pass for each output
-    lift, y_p, y_e = "lift(gas_piston_damper)", "piston velocity", "0"
+    # membership monitor) and a pass of the port generator for each output
+    lift, Kc = "lift(gas_piston_damper)", "piston force port"
     work, blocks = pass_counts()
     assert work == (1, 4 * 5, 0)
     assert traces == [["piston drift", "piston force port"]]
-    assert blocks == [(lift, 1), (lift, 4), (y_p, 4), (y_e, 4),
-                      (lift, 2), (y_p, 2), (y_e, 2)]
+    assert blocks == [(lift, 1), (lift, 4), (Kc, 4), (Kc, 4),
+                      (lift, 2), (Kc, 2), (Kc, 2)]
     # the README monitors add one pass per active generator along the fiber
     # Euler field, which carries the generator's value for K_res too
     del grads[:], passes[:], traces[:], steps[:]
@@ -523,12 +543,12 @@ def test_simulate_work_per_step(monkeypatch):
     assert by_value == []
     work, blocks = pass_counts()
     assert work == (1, 4 * 5, 0)
-    Ka, Kc = gp.Ka.name, gp.Kc[0].name
+    Ka = gp.Ka.name
     assert blocks == [(lift, 1),
-                      (lift, 4), (y_p, 4), (y_e, 4), (Ka, 4), (Kc, 4),
-                      (lift, 2), (y_p, 2), (y_e, 2), (Ka, 2), (Kc, 2)]
-    # a custom system's derived y_p / y_e are one pass each per block along
-    # the indicator of the energy / entropy costates, no gradient
+                      (lift, 4), (Kc, 4), (Kc, 4), (Ka, 4), (Kc, 4),
+                      (lift, 2), (Kc, 2), (Kc, 2), (Ka, 2), (Kc, 2)]
+    # a custom system's y_p / y_e are one pass each per block along the
+    # indicator of the energy / entropy costates, no gradient
     compartment = cli._build_custom_system({
         "dimensions": 2, "gf": {"expr": "exp(q1)"},
         "partition": {"energy": [0], "entropy": [1]},
@@ -681,6 +701,37 @@ def test_exchanger_meets_its_closed_form_at_order_four():
     assert np.all((3.8 <= orders) & (orders <= 4.2)), (errors, orders)
 
 
+def test_compartment_meets_its_closed_forms_at_order_four(tmp_path):
+    # from (S, p_E) = (0, -1) with C = T_ref = 1, T = E; the port's outputs
+    # are y_p = 1 and y_e = 1/T, so under u = a sin(w t) E = 1 + (a/w)(1 -
+    # cos w t) and S = ln E.  RK4 through simulate, which reads the input
+    # at every stage time, converges at order 4 (errors 7.8e-10 to 1.9e-13)
+    hc = heat_compartment()
+    a, w = 0.2, 1.3
+    errors, runs = [], {}
+    for dt in (4e-2, 2e-2, 1e-2, 5e-3):
+        result = runs[dt] = simulate(hc, 4.0, dt, u=PortSignal.sinusoid(a, w))
+        E = 1.0 + a / w * (1.0 - np.cos(w * result.t))
+        errors.append(max(np.max(np.abs(result.q[:, 0] - E)),
+                          np.max(np.abs(result.q[:, 1] - np.log(E)))))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all((3.8 <= orders) & (orders <= 4.2)), (errors, orders)
+    # the CLI's CSV holds the same trajectory
+    config = tmp_path / "compartment.json"
+    config.write_text(json.dumps({
+        "command": "simulate", "system": "heat_compartment",
+        "input": {"kind": "sinusoid", "amplitude": a, "frequency": w},
+        "t_end": 4.0, "dt": 1e-2, "output": str(tmp_path / "run.csv")}))
+    assert cli.run(str(config)) == 0
+    table = np.loadtxt(tmp_path / "run.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(table[:, :5], np.column_stack([runs[1e-2].t,
+                                                          runs[1e-2].x]))
+    # under a constant input E = 1 + u t is linear, which RK4 integrates
+    # exactly (1.3e-15 off)
+    result = simulate(hc, 4.0, 4e-2, u=PortSignal.constant([0.3]))
+    assert np.max(np.abs(result.q[:, 0] - (1.0 + 0.3 * result.t))) < 1e-13
+
+
 def test_exchanger_costate_drift_aborts_long_unguarded_runs():
     # the costate directions transverse to the surface are exponentially
     # unstable under this drift, so the default membership guard eventually
@@ -703,43 +754,68 @@ def test_interconnect_rejects_second_law_violations():
         interconnect([c1, c2], anti_fourier)
 
 
-def test_interconnect_of_custom_systems_keeps_the_gradient_port_flows():
-    # a custom system's y_p / y_e are derived from its port generator and are
-    # not dual_safe, so neither is a drift whose feedback reads them; its
-    # port flows stay sums of grad's per-coordinate differences
-    spec = {"dimensions": 2, "gf": {"expr": "exp(q1)"},
-            "partition": {"energy": [0], "entropy": [1]},
-            "Ka": "0", "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0],
-            "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}
-    c1 = cli._build_custom_system({**spec, "name": "a"})
-    c2 = cli._build_custom_system({**spec, "name": "b"})
+COMPARTMENT_SPEC = {
+    "dimensions": 2, "gf": {"expr": "exp(q1)"},
+    "partition": {"energy": [0], "entropy": [1]}, "Ka": "0",
+    "Kc": ["p1 / exp(q1) + p0"], "initial": [0.0, -1.0],
+    "param_box": [[-0.5, 1.0], [-1.5, -0.5]]}
 
-    def fourier(outputs):
-        (_, ye1), (_, ye2) = outputs
-        w = 1.0 / ye1[0] - 1.0 / ye2[0]
-        return (-w,), (w,)
 
-    def anti_fourier(outputs):
-        u1, u2 = fourier(outputs)
-        return u2, u1
+def _fourier(outputs):
+    (_, ye1), (_, ye2) = outputs
+    w = 1.0 / ye1[0] - 1.0 / ye2[0]
+    return (-w,), (w,)
 
-    hx = interconnect([c1, c2], fourier)
-    assert not hx.Ka.dual_safe
+
+def test_an_exchanger_of_expression_compartments_is_the_builtin(caplog):
+    # an expression system's outputs are read from code traced from its
+    # port generator, so the drift of two README compartments closed by
+    # Fourier's law is dual-safe and traces, and it validates and steps as
+    # the built-in exchanger does, bit for bit, 1000 steps from T = (2, 1)
+    c1, c2 = (cli._build_custom_system({**COMPARTMENT_SPEC, "name": name})
+              for name in "ab")
+    start = time.process_time()
+    hx = interconnect([c1, c2], _fourier)
+    build = time.process_time() - start
+    assert hx.Ka.dual_safe
     with pytest.raises(ValueError, match="second law"):
-        interconnect([c1, c2], anti_fourier)
+        interconnect([c1, c2], lambda outputs: _fourier(outputs)[::-1])
+    assert {**validate(hx).as_dict(), "system": "heat_exchanger"} == \
+        validate(heat_exchanger()).as_dict()
+    # a batch of its states is one vector pass, as for the built-in
+    X = submanifold._liouville_rows(hx.gf, _sample_surface_params(hx, 5, 3))
+    for system in (hx, heat_exchanger()):
+        assert diffkit._batch_pass(system.Ka, X,
+                                   diffkit._seeds(*X.shape)) is not None
 
-    M = hx.n_coords
-    first_law, second_min = 0.0, np.inf
-    for params in _sample_surface_params(hx, 25, 9):
-        g = grad(hx.Ka, liouville_point(hx.gf, params).packed())
-        first_law = max(first_law, abs(float(
-            sum(g[M + i] for i in hx.energy_indices))))
-        second_min = min(second_min, float(
-            sum(g[M + i] for i in hx.entropy_indices)))
-    report = validate(hx)
-    assert report.first_law_residual == first_law
-    assert report.second_law_min == second_min
-    assert report.passed
+    params = (np.log(2.0), 0.0, -1.0, -1.0)
+    with caplog.at_level(logging.INFO, logger="ltk"):
+        start = time.process_time()
+        custom = simulate(hx, 1.0, 1e-3, params=params)
+        step = (time.process_time() - start) / 1000
+    assert "simulate 'a+b': drift(a+b) runs on a traced replay" in \
+        caplog.messages
+    assert np.array_equal(custom.x, simulate(heat_exchanger(), 1.0, 1e-3,
+                                             params=params).x)
+    print(f"expression exchanger: built in {build * 1e3:.2f} ms, "
+          f"{step * 1e3:.4f} ms a step (process CPU)")
+
+
+@pytest.mark.parametrize("port, reason", [
+    (ScalarFn(lambda x: float(x[3]) + x[2], 4, name="opaque port"),
+     "it reads a traced value with float()"),
+    (ScalarFn(lambda x: x[3] + x[2], 4, name="opaque port", dual_safe=False),
+     "it is not dual-safe")], ids=["float", "not dual-safe"])
+def test_interconnect_rejects_a_port_generator_it_cannot_trace(port, reason):
+    # the outputs are the port flows traced from Kc, and nothing else: a
+    # port generator the trace cannot record is rejected by its reason
+    hc = heat_compartment(name="a")
+    opaque = dataclasses.replace(hc, name="opaque", Kc=(port,))
+    with pytest.raises(ValueError) as err:
+        interconnect([hc, opaque], _fourier)
+    assert str(err.value) == (
+        f"interconnection 'a+opaque' cannot trace the outputs of system "
+        f"'opaque': the trace cannot record opaque port, as {reason}")
 
 
 def test_one_pass_port_flow_equals_the_gradient_sum():
@@ -751,7 +827,7 @@ def test_one_pass_port_flow_equals_the_gradient_sum():
     for params in _sample_surface_params(gp, 1000, 17):
         x = liouville_point(gp.gf, params).packed()
         g = grad(gp.Ka, x)
-        rate = _port_flow(gp.Ka, x, m, gp.entropy_indices)
+        rate = port_flow(gp.Ka, x, m, gp.entropy_indices)
         differ += rate != float(sum(g[m + i] for i in gp.entropy_indices))
     assert differ == 0
 
@@ -800,8 +876,8 @@ def test_a_product_of_many_q_homogeneous_systems_checks_six_points(
     # every system after the first adds its chart costate to J, so the
     # product of 20 gases has |J| = 19; its q-homogeneity is checked on the
     # six draws at gamma_J > 0, where every lift evaluates
-    gases = [dataclasses.replace(ideal_gas_SVN(), name=f"g{k}", y_p=None,
-                                 y_e=None, Kc=(ScalarFn(lambda x: x[6], 8),))
+    gases = [dataclasses.replace(ideal_gas_SVN(), name=f"g{k}",
+                                 Kc=(ScalarFn(lambda x: x[6], 8),))
              for k in range(20)]
     rows, checked = [], submanifold._relative_euler_rows
 

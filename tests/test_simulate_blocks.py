@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TracedGradient
+from conftest import TracedGradient, port_flow
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, portsys, tracegrad
@@ -65,10 +65,10 @@ def _reference(system, t_end, dt, u=None, params=None, monitors=(),
                                f"residual {res:.3g} exceeds {membership_tol:g}")
         row = {"membership": res}
         with _where(f"at t={t:g}"):
-            for k in range(system.n_ports):
+            for k, K in enumerate(system.Kc):
                 row[f"u{k + 1}"] = u(t)[k]
-                row[f"y_p{k + 1}"] = float(system.y_p[k](x))
-                row[f"y_e{k + 1}"] = float(system.y_e[k](x))
+                row[f"y_p{k + 1}"] = port_flow(K, x, m, system.energy_indices)
+                row[f"y_e{k + 1}"] = port_flow(K, x, m, system.entropy_indices)
             pt = PhasePoint(x[:m], x[m:])
             for name in monitors:
                 if name == "K_res":
@@ -390,24 +390,27 @@ def test_an_input_of_the_wrong_size_fails_its_stage(array):
                         "values for 1 ports in the step from t=0")
 
 
-@pytest.mark.parametrize("y_p_limit, message", [
+@pytest.mark.parametrize("limit, message", [
     (0.5, "sqrt requires a nonnegative argument"),
     (0.3, "ln requires a positive argument")])
-def test_channel_domain_errors_come_in_point_order(y_p_limit, message,
+def test_channel_domain_errors_come_in_point_order(limit, message,
                                                    monkeypatch):
-    # y_e is undefined past S = 0.3, and y_p past S = 0.5 or, like y_e, past
-    # S = 0.3: point by point, the first point past 0.3 raises y_e's error,
-    # or y_p's where both fail there, as y_p comes first at every point;
-    # with S = ln(1 + t) every failure falls within the first block
+    # port 1 heats; ports 2 and 3 take no input, so no step evaluates them.
+    # Port 3's outputs are undefined past S = 0.3, and port 2's past S =
+    # 0.5 or, like port 3's, past S = 0.3: point by point, the first point
+    # past 0.3 raises port 3's error, or port 2's where both fail there, as
+    # port 2's outputs come first at every point; with S = ln(1 + t) every
+    # failure falls within the first block
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
     hc = heat_compartment()
     system = PortSystem(
-        name="fragile outputs", gf=hc.gf, Ka=hc.Ka, Kc=hc.Kc,
+        name="fragile outputs", gf=hc.gf, Ka=hc.Ka,
+        Kc=(hc.Kc[0], ScalarFn(lambda x: x[2] * ln(limit - x[1]), 4),
+            ScalarFn(lambda x: x[3] * sqrt(0.3 - x[1]), 4)),
         energy_indices=(0,), entropy_indices=(1,),
-        y_p=(ScalarFn(lambda x: ln(y_p_limit - x[1]), 4),),
-        y_e=(ScalarFn(lambda x: sqrt(0.3 - x[1]), 4),),
         default_params=hc.default_params)
-    err = _assert_same_error(system, 2.0, 5e-2, u=PortSignal.constant([1.0]))
+    err = _assert_same_error(system, 2.0, 5e-2,
+                             u=PortSignal.constant([1.0, 0.0, 0.0]))
     assert isinstance(err, ValueError)
     assert str(err) == f"simulation of 'fragile outputs': {message} at t=0.35"
 

@@ -26,7 +26,7 @@ from test_simulate_blocks import (INPUTS, _assert_matches_reference,
 
 import ltk
 from ltk import dynamics, tracegrad
-from ltk.diffkit import ScalarFn, cos, exp, fd_grad, grad, ln, sin, sqrt
+from ltk.diffkit import Dual, ScalarFn, cos, exp, fd_grad, grad, ln, sin, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
@@ -376,11 +376,11 @@ def _reruns(caplog) -> int:
     return int(counts[-1].split(": ")[-1].split(",")[0])
 
 
-def _piston_with_port(port_fn, name: str) -> PortSystem:
+def _piston_with_port(port_fn, name: str, dual_safe=True) -> PortSystem:
     piston = gas_piston_damper()
     return PortSystem(
         name="piston", gf=piston.gf, Ka=piston.Ka,
-        Kc=(ScalarFn(port_fn, 8, name=name),),
+        Kc=(ScalarFn(port_fn, 8, name=name, dual_safe=dual_safe),),
         energy_indices=(0,), entropy_indices=(1,),
         default_params=(0.0, 1.0, 0.3, -1.0))
 
@@ -404,20 +404,25 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
     _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
 
 
+@pytest.mark.parametrize("dual_safe, reason", [
+    (True, "it reads a traced value with hash()"),
+    (False, "it is not dual-safe")], ids=["hash", "not dual-safe"])
 def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
-        monkeypatch, caplog):
-    # the port reads a traced value with hash(), so the whole field, the
-    # traceable drift too, steps on the vector pass from its start, and no
-    # runner is built
+        dual_safe, reason, monkeypatch, caplog):
+    # the port reads a traced value with hash(), or is declared not
+    # dual-safe, when its outputs sum grad's difference partials; so the
+    # whole field, the traceable drift too, steps on the vector pass from
+    # its start, and no runner is built
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
-        lambda x: port(x) if hash(x[0]) != 7 else 0.0, "opaque port")
+        lambda x: port(x) if hash(x[0]) != 7 else 0.0, "opaque port",
+        dual_safe)
     kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
     with caplog.at_level(logging.INFO, logger="ltk"):
         _assert_matches_reference(system, 50, 1e-2, **kwargs)
     assert [r.getMessage() for r in caplog.records] == [
         "simulate 'piston': piston drift runs on the vector pass: the trace "
-        "cannot record opaque port, as it reads a traced value with hash()"]
+        f"cannot record opaque port, as {reason}"]
     _assert_matches_scalar_route(monkeypatch, system, 0.5, 1e-2, **kwargs)
 
 
@@ -642,20 +647,25 @@ def test_unread_values_that_may_raise_are_kept(monkeypatch):
     assert "v1 * v2" not in source
 
 
-def test_each_source_compiles_once(monkeypatch):
-    # the benchmark's simulate runs, twice in one process: the piston under
-    # each input kind, the exchanger, and the expression piston and
-    # compartment; every distinct source (a block runner per field shape, a
-    # value kernel per expression template) compiles on its first use
-    # only, as they all fit the cache, and no one-stage kernel is compiled
+@pytest.mark.parametrize("runs, kinds", [
+    ([("piston", INPUTS[kind]) for kind in INPUTS]
+     + [("exchanger", lambda: None)],
+     ["def flows"] + ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 2),
+    ([("expression piston", INPUTS["sinusoid"]),
+      ("expression compartment", INPUTS["constant"])], ["def run"] * 2)],
+    ids=["built-in systems", "expression systems"])
+def test_each_source_compiles_once(runs, kinds, monkeypatch):
+    # the benchmark's simulate runs of each workload, twice in one process:
+    # the piston under each input kind and the exchanger, or the expression
+    # piston and compartment; every distinct source (a block runner per
+    # field shape, a value kernel per expression template, the port flow
+    # kernel of the exchanger's two compartments) compiles on its first
+    # use only, as they all fit the cache, and no one-stage kernel is
+    # compiled
     compiled = []
     tracegrad._code.cache_clear()
     monkeypatch.setattr(tracegrad, "compile", lambda source, *args: (
         compiled.append(source), compile(source, *args))[1], raising=False)
-    runs = [("piston", INPUTS[kind]) for kind in INPUTS] + [
-        ("exchanger", lambda: None),
-        ("expression piston", INPUTS["sinusoid"]),
-        ("expression compartment", INPUTS["constant"])]
     for _ in range(2):
         for name, u in runs:
             simulate(SYSTEMS[name](), 0.02, 1e-2, u=u(),
@@ -663,8 +673,7 @@ def test_each_source_compiles_once(monkeypatch):
     cache = tracegrad._code.cache_info()
     assert len(compiled) == len(set(compiled)) == cache.misses <= \
         cache.maxsize
-    assert sorted(source.split("(")[0] for source in compiled) == \
-        ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 4
+    assert sorted(source.split("(")[0] for source in compiled) == kinds
 
 
 def test_importing_ltk_and_its_cli_leaves_tracegrad_unimported():
@@ -849,3 +858,84 @@ def test_hessian_code_raises_where_the_gradient_code_raises(where):
         one_stage(code)(point, ())
     with pytest.raises(tracegrad._OffTrace):
         hessian_stage(code)(point, [1.0, -0.5, 0.25, 2.0])
+
+
+# -- port flow kernels -------------------------------------------------------------
+
+
+def _port_of_every_kind(x):
+    """_every_kind with terms whose partials along the costates read abs,
+    sqrt, ln and a fractional power."""
+    q0, q1, p0, p1 = x
+    return (_every_kind(x) + abs(p0 - q0) * q1 + sqrt(p1 * p1 + q0)
+            + (p1 + 2.0) ** 1.5 * ln(q0))
+
+
+def test_a_port_flow_kernel_is_the_partials_and_traces_in_turn():
+    # on floats the flows are grad's partials and their sums (grad adds
+    # 0.0); a function that reads them traces, and its replay is its
+    # scalar loop, in which the kernel runs on duals, bit for bit
+    K = ScalarFn(_port_of_every_kind, 4, name="every kind")
+    points = list(_hessian_cases())[-1][2]
+    kernel = tracegrad.PortFlowKernel([K], points[0], [[2], [3], [2, 3]])
+    assert kernel.reason is None
+    for x in points:
+        g = grad(K, x)
+        assert _hex(0.0 + np.array(kernel(x))) == _hex([g[2], g[3],
+                                                        g[2] + g[3]])
+    # at p0 = q0 abs's sign factor is 0.0, as in a dual's abs, also on
+    # duals that move there
+    x = [1.3, 0.7, 1.3, 0.9]
+    moving = [Dual(v, float(i)) for i, v in enumerate(x)]
+    assert kernel(moving)[0].val == grad(K, x)[2]
+    reads = ScalarFn(lambda x: x[1] * kernel(x)[0] - x[0] * kernel(x)[2], 4,
+                     name="reads the flows")
+    replay = _replay(reads, points[0])
+    assert _assert_replays_the_scalar_loop(reads, replay, points) == \
+        len(points)
+    np.testing.assert_allclose(replay(points[1]), fd_grad(reads, points[1]),
+                               rtol=1e-6, atol=1e-6)
+
+
+def test_a_port_flow_kernel_traces_again_where_a_guard_flips():
+    # traced at q1 = 0.2, the kernel takes the other branch past q1 = 0.5,
+    # and raises where the generators cannot be traced, at an equal == test
+    K = ScalarFn(lambda x: x[2] * (x[1] * x[1] if x[1] < 0.5 else exp(x[1]))
+                 + x[3] * x[0] * (2.0 if x[0] == 1.0 else 3.0), 4,
+                 name="branching port")
+    kernel = tracegrad.PortFlowKernel([K], [0.3, 0.2, -1.0, 1.0], [[2], [3]])
+    for x in ([0.3, 0.9, -1.0, 1.0], [0.3, 0.2, -1.0, 1.0],
+              [0.4, 0.7, -1.0, 1.0]):
+        assert kernel(x) == grad(K, x)[2:].tolist()
+    with pytest.raises(ValueError, match="compares equal values with =="):
+        kernel([1.0, 0.7, -1.0, 1.0])
+
+
+def test_a_zero_port_flow_keeps_its_sign():
+    # grad's 0.0 + is left out, so a composed drift reads each flow as the
+    # dual formulas give it: the piston's velocity pi/mass at pi = -0.0
+    gp = gas_piston_damper()
+    kernel = tracegrad.PortFlowKernel(gp.Kc, [1.0, 0.0, 1.0, 0.5, -1.0,
+                                              1.0, 1.0, 0.0], [[4], [5]])
+    y_p, y_e = kernel([1.0, 0.0, 1.0, -0.0, -1.0, 1.0, 1.0, 0.0])
+    assert (math.copysign(1.0, y_p), y_p, y_e) == (-1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("at, error, message", [
+    ([-1.0, 2.0], ValueError, "requires a positive base"),
+    ([1.0, 0.0], ZeroDivisionError, "division by a dual number with zero")],
+    ids=["fractional power", "division"])
+def test_a_port_flow_kernel_raises_where_a_dual_raises(at, error, message):
+    # no check of the traced code is kept, and a float power of a negative
+    # base would go complex: every number is a dual, which raises, on
+    # floats, single duals and a batch, where the row is named
+    K = ScalarFn(lambda x: x[2] * x[0] ** 1.5 + x[3] / x[1], 4, name="K")
+    kernel = tracegrad.PortFlowKernel([K], [1.0, 2.0, -1.0, 1.0], [[2], [3]])
+    x = at + [-1.0, 1.0]
+    with pytest.raises(error, match=message):
+        kernel(x)
+    with pytest.raises(error, match=message):
+        kernel([Dual(v, 1.0) for v in x])
+    with pytest.raises(error, match=re.escape(" (batch row 1)")):
+        kernel([Dual(np.array([1.0, v]), np.ones((1, 2))) for v in x])
+
