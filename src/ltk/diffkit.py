@@ -38,10 +38,7 @@ and a sample that is undefined or not finite never passes.  A single
 point keeps the scalar loop, where numpy's per-operation overhead on
 dim-by-1 arrays would cost more than the loop it replaces.  The
 single-point surface and Euler helpers, and ``outputs``' port flows, are
-one-row batches of their checks' row helpers.  A composed drift reads
-its systems' port flows from code traced from their port generators
-(:class:`ltk.tracegrad.PortFlowKernel`), which runs on single and batch
-duals alike, so its gradient is one pass as any other generator's.
+one-row batches of their checks' row helpers.
 
 The routes that run many times over are the fields that
 :func:`ltk.dynamics.integrate` steps: ``simulate``'s, one gradient per
@@ -56,9 +53,12 @@ A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
 
-Nothing here computes second derivatives.  Quantities that would need them
-(Lie brackets of vector fields, flow sensitivities, nested Poisson brackets)
-are obtained downstream by finite differences of first-order results.
+Nothing here computes second derivatives.  A composed drift and a Poisson
+bracket read their generators' partials from code traced from them
+(:class:`ltk.tracegrad.PartialSumKernel`), which runs on single and batch
+duals alike, so their gradients are exact passes as any other function's;
+Lie brackets of vector fields are obtained downstream by finite differences
+of first-order results.
 """
 
 from __future__ import annotations
@@ -390,60 +390,61 @@ def cos(x):
 class ScalarFn:
     """A deterministic scalar function of a fixed-dimension real vector.
 
-    ``fn`` receives a sequence of scalars (floats, or :class:`Dual` values
-    when ``dual_safe``) and must return a single scalar computed with generic
-    arithmetic only.  Functions that are not safe to evaluate over dual
-    numbers (e.g. they internally call a gradient themselves) set
-    ``dual_safe=False``, which makes :func:`grad` fall back to the
-    finite-difference oracle.
+    ``fn`` receives a sequence of scalars, floats or :class:`Dual` values,
+    and must return a single scalar computed with generic arithmetic only,
+    diffkit's ``exp``, ``ln``, ``sqrt``, ``sin`` and ``cos`` included.  A
+    function that cannot take duals (it calls ``float`` on its argument,
+    say) raises ``TypeError`` naming itself at its first gradient.
     """
 
     fn: Callable
     dim: int
     name: str = ""
-    dual_safe: bool = True
+
+    # Every ScalarFn takes duals; this constant, not a field, is read by
+    # benchmark code written when a function could decline them.
+    dual_safe = True
 
     def __call__(self, x):
         return self.fn(x)
 
 
+def _on_duals(f: ScalarFn, xs):
+    """``f(xs)`` of dual numbers; a ``TypeError`` names ``f``."""
+    try:
+        return f(xs)
+    except TypeError as err:
+        raise TypeError(f"{f.name or 'function'} cannot take dual numbers: "
+                        f"{err}") from err
+
+
 def grad(f: ScalarFn, x) -> np.ndarray:
-    """Gradient of ``f`` at ``x``: one dual-number pass per coordinate.
+    """Gradient of ``f`` at ``x``: one dual-number pass per coordinate,
+    exact to roundoff.  Domain errors raised by ``f`` propagate; a
+    ``TypeError``, where ``f`` cannot take duals, names it.  A zero partial
+    is ``+0.0`` on every route: this loop carries the unseeded coordinates
+    as floats, a batch as duals with zero ``dot``.
 
-    Exact to floating-point roundoff for ``dual_safe`` functions; otherwise
-    delegates to :func:`fd_grad`.  Domain errors raised by ``f`` propagate.
-    A zero partial is ``+0.0`` on every route: this loop carries the
-    unseeded coordinates as floats, a batch as duals with zero ``dot``, so
-    the two would otherwise differ in the sign of a zero.
-
-    A 2-D array ``x`` of shape (B, dim) holds one point per row; the result
-    is the (B, dim) array of their gradients, from one vector-mode pass
-    whose rows equal the single-point gradients bit for bit.  A domain
-    error names the failing row.  A function that compares its arguments
-    (a domain check or a branch) or raises to a point-dependent power that
-    is an integer at some row falls back to one point at a time.  The
-    package's sampled checks and ``simulate``'s recording take this route.
-    A phase field that :func:`ltk.dynamics.integrate` steps, such as
-    ``simulate``'s field or the trajectories of the two integrated checks,
-    runs code traced from its generators
-    (:class:`ltk.tracegrad.FieldCode`) inlined in a block runner, and comes
-    here only in the blocks where that code raises, which rerun on the
-    vector pass, and for fields it cannot trace, which run on it
-    throughout; this loop stays the reference that every replay
-    reproduces.  A point that is not a vector
-    of ``f.dim`` entries (a scalar or a 0-d array included) raises
-    "expects dimension", as in :func:`fd_grad` and :func:`dirderiv`.
+    A (B, dim) array ``x`` holds one point per row: the result is the (B,
+    dim) array of their gradients from one vector-mode pass, each row the
+    single-point gradient bit for bit, and a domain error names the failing
+    row.  A function that compares its arguments, or raises to a
+    point-dependent power that is an integer at some row, runs one point at
+    a time.  A phase field that :func:`ltk.dynamics.integrate` steps runs
+    code traced from its generators (:class:`ltk.tracegrad.FieldCode`)
+    instead, and comes here only in blocks where that code raises and for
+    fields it cannot trace; this loop is the reference every replay
+    reproduces.  A point that is not a vector of ``f.dim`` entries (a scalar
+    or a 0-d array included) raises "expects dimension".
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
         return _grad_rows(f, x)
     x = _point(f, x)
-    if not f.dual_safe:
-        return fd_grad(f, x)
     out = np.empty(f.dim)
     for i in range(f.dim):
         xi = list(x)
         xi[i] = Dual(x[i], 1.0)
-        y = f(xi)
+        y = _on_duals(f, xi)
         out[i] = 0.0 + y.dot if isinstance(y, Dual) else 0.0
     return out
 
@@ -483,7 +484,7 @@ def _seeds(B: int, dim: int) -> np.ndarray:
 def _grad_rows(f: ScalarFn, X) -> np.ndarray:
     """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
     X = _as_rows(f, X)
-    y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
+    y = _batch_pass(f, X, _seeds(*X.shape))
     if y is not None:
         return y.dot.T + 0.0
     return np.array([grad(f, x) for x in X]).reshape(X.shape)
@@ -491,10 +492,10 @@ def _grad_rows(f: ScalarFn, X) -> np.ndarray:
 
 def _values_and_grads(f: ScalarFn, X):
     """``(f(x), grad(f, x))`` at each row x of ``X``: arrays of shape (B,)
-    and (B, dim) from one vector-mode pass, or row by row where ``f`` is
-    not ``dual_safe`` or compares its arguments."""
+    and (B, dim) from one vector-mode pass, or row by row where ``f``
+    compares its arguments."""
     X = _as_rows(f, X)
-    y = _batch_pass(f, X, _seeds(*X.shape)) if f.dual_safe else None
+    y = _batch_pass(f, X, _seeds(*X.shape))
     if y is not None:
         return y.val, y.dot.T + 0.0
     return (np.array([float(f(x)) for x in X.tolist()]),
@@ -504,27 +505,23 @@ def _values_and_grads(f: ScalarFn, X):
 def _values_and_dirderivs(f: ScalarFn, X, D):
     """``(f(x), dirderiv(f, x, d))`` at each row x of ``X`` along the
     matching row d of ``D``: two arrays of shape (B,) from one vector-mode
-    pass, or row by row where ``f`` is not ``dual_safe`` or compares its
-    arguments.  Each row equals :func:`_value_and_dirderiv` bit for bit."""
+    pass, or row by row where ``f`` compares its arguments.  Each row
+    equals :func:`_value_and_dirderiv` bit for bit."""
     X = _as_rows(f, X)
     D = np.asarray(D, dtype=float)
-    y = _batch_pass(f, X, D.T[:, None, :].copy()) if f.dual_safe else None
+    y = _batch_pass(f, X, D.T[:, None, :].copy())
     if y is not None:
         return y.val, y.dot[0]
-    if f.dual_safe:
-        pairs = [_value_and_dirderiv(f, x, d)
-                 for x, d in zip(X.tolist(), D.tolist())]
-    else:
-        pairs = [(float(f(x)), dirderiv(f, x, d))
-                 for x, d in zip(X.tolist(), D.tolist())]
+    pairs = [_value_and_dirderiv(f, x, d)
+             for x, d in zip(X.tolist(), D.tolist())]
     return (np.array([v for v, _ in pairs], dtype=float),
             np.array([dot for _, dot in pairs], dtype=float))
 
 
 def _values_and_fd_dirderivs(values, X: np.ndarray, D: np.ndarray):
     """``(f(x), dirderiv(f, x, d))`` at each row x of ``X`` along the
-    matching nonzero row d of ``D``, by :func:`dirderiv`'s central
-    difference, for an f that is not ``dual_safe``.
+    matching nonzero row d of ``D``, by a central difference with step
+    ``cbrt(eps) * (1 + |x|) / |d|`` (sup norms): the dual route's oracle.
 
     ``values`` maps an (N, dim) array of points to their N values of f; it
     is called once, on the rows, their forward and their backward points.
@@ -582,25 +579,10 @@ def _sample_rows(fn, n: int, where=None):
 
 
 def dirderiv(f: ScalarFn, x, d) -> float:
-    """Directional derivative of ``f`` at ``x`` along the vector ``d``.
-
-    For ``dual_safe`` functions this is a single dual pass with the
-    components of ``d`` as seeds, exact to roundoff.  Otherwise it is one
-    central difference along ``d`` with step ``cbrt(eps) * (1 + |x|) / |d|``
-    (sup norms) — for functions that are polynomial of degree <= 2 along the
-    ray, such as homogeneous contractions, the truncation term vanishes and
-    only roundoff remains.
-    """
-    x, d = _point(f, x), _point(f, d)
-    if f.dual_safe:
-        return _value_and_dirderiv(f, x, d)[1]
-    scale = max(abs(v) for v in d)
-    if scale == 0.0:
-        return 0.0
-    h = FD_STEP * (1.0 + max(abs(v) for v in x)) / scale
-    xp = [xi + h * di for xi, di in zip(x, d)]
-    xm = [xi - h * di for xi, di in zip(x, d)]
-    return (f(xp) - f(xm)) / (2.0 * h)
+    """Directional derivative of ``f`` at ``x`` along the vector ``d``: a
+    single dual pass with the components of ``d`` as seeds, exact to
+    roundoff."""
+    return _value_and_dirderiv(f, _point(f, x), _point(f, d))[1]
 
 
 def _point(f: ScalarFn, x) -> list:
@@ -614,12 +596,12 @@ def _point(f: ScalarFn, x) -> list:
 
 
 def _value_and_dirderiv(f: ScalarFn, x, d):
-    """``(f(x), dirderiv(f, x, d))`` from one dual pass of a ``dual_safe`` f.
+    """``(f(x), dirderiv(f, x, d))`` from one dual pass.
 
     Dual arithmetic computes each value as the plain evaluation does, so the
     first entry equals ``f(x)`` bit for bit.
     """
-    y = f([Dual(xi, di) for xi, di in zip(x, d)])
+    y = _on_duals(f, [Dual(xi, di) for xi, di in zip(x, d)])
     if isinstance(y, Dual):
         return y.val, y.dot
     return float(y), 0.0

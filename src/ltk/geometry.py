@@ -181,11 +181,7 @@ def euler_residual(K: ScalarFn, pt: PhasePoint, r: int,
     respective variables.  ``K`` must take the (q, p) concatenation.
 
     The contraction is evaluated as a single directional derivative along
-    the Euler field itself, which keeps the residual at roundoff level even
-    when K only supports finite differences: along the scaling ray a
-    homogeneous function is a pure power, so the central difference carries
-    no truncation error for degrees 0 and 1.  The value of K comes from the
-    same pass when K is ``dual_safe``.
+    the Euler field itself, one dual pass that also gives the value of K.
     """
     return float(_euler_rows(K, [pt.packed()], r, wrt)[0][0])
 
@@ -329,7 +325,7 @@ def _cone(F: ScalarFn, dim: int, passive, chart: int, projective,
         return neg_pc * F([x[i] for i in passive]
                           + [x[j] / neg_pc for j in projective])
 
-    return ScalarFn(fn, dim=dim, name=name, dual_safe=F.dual_safe)
+    return ScalarFn(fn, dim=dim, name=name)
 
 
 def dehomogenize(K: ScalarFn, chart: int) -> ScalarFn:
@@ -359,8 +355,7 @@ def dehomogenize(K: ScalarFn, chart: int) -> ScalarFn:
             p[j] = gamma[k]
         return K(q + p)
 
-    return ScalarFn(fn, dim=2 * n + 1, name=f"dehom[{chart}]({K.name})",
-                    dual_safe=K.dual_safe)
+    return ScalarFn(fn, dim=2 * n + 1, name=f"dehom[{chart}]({K.name})")
 
 
 def _warn_if_not_degree_one(K: ScalarFn, n: int, chart: int):

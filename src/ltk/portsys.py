@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs, exp, grad
+from .diffkit import ScalarFn, _sample_rows, _values_and_dirderivs, exp
 from .dynamics import (_PhaseField, _degree_residual, contact_rhs, integrate,
                        phase_rhs)
 from .geometry import (PhasePoint, _box_rows, _chart_rows, _euler_rows,
@@ -291,15 +291,9 @@ def _port_flows(K: ScalarFn, X: np.ndarray, m: int, indices) -> np.ndarray:
     pass along the indicator of the costates in ``indices``; the port
     outputs of a port generator K and the drift's energy and entropy
     production of a drift K.
-
-    A ``K`` that is not ``dual_safe`` (a user's generator declared so)
-    keeps the sum of per-coordinate differences of :func:`grad`.
     """
     if not indices:
         return np.zeros(len(X))
-    if not K.dual_safe:
-        G = grad(K, X)
-        return sum((G[:, m + i] for i in indices), np.zeros(len(X)))
     D = np.zeros_like(X)
     D[:, [m + i for i in indices]] = 1.0
     return 0.0 + _values_and_dirderivs(K, X, D)[1]
@@ -584,15 +578,15 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
 
     The drift reads each system's outputs, the port flows of its ``Kc``,
     from code traced from ``Kc`` at its default (or first sampled) surface
-    point (:class:`~ltk.tracegrad.PortFlowKernel`), so the drift is
-    dual-safe where the systems' drifts are, and traces where their
+    point (:class:`~ltk.tracegrad.PartialSumKernel`), so the drift takes
+    duals as every generator does, and traces where the systems'
     generators trace; a ``Kc`` that cannot be traced is rejected by a
     ``ValueError`` naming the system, the generator and the reason.  The
     composition is rejected if the substituted drift produces negative
     total entropy at any sampled surface state: a feedback law is only a
     valid interconnection if it respects the second law.
     """
-    from .tracegrad import PortFlowKernel
+    from .tracegrad import PartialSumKernel
     if len(systems) < 2:
         raise ValueError("interconnection needs at least two systems")
     if not any(s.n_ports for s in systems):
@@ -605,7 +599,7 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
     for s in systems:
         params = s.default_params or _sample_surface_params(s, 1, seed)[0]
         m = s.n_coords
-        kernel = PortFlowKernel(
+        kernel = PartialSumKernel(
             s.Kc, liouville_point(s.gf, params).packed().tolist(),
             [[m + i for i in indices]
              for indices in (s.energy_indices, s.entropy_indices)])
@@ -634,8 +628,7 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
                 total = total + uk * K(xk)
         return total
 
-    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})",
-                  dual_safe=all(s.Ka.dual_safe for s in systems))
+    Ka = ScalarFn(Ka_fn, dim=2 * M, name=f"drift({name})")
 
     # Product surface: the first system's chart stays the chart; every
     # other chart costate becomes one more intensive parameter.  ``coords``
@@ -657,8 +650,7 @@ def interconnect(systems, feedback, name: str = None, n_check: int = 20,
             total = total + F([x[k] for k in pick])
         return total
     factors = ", ".join(s.gf.name or f"L{k + 1}" for k, s in enumerate(systems))
-    Fhat = ScalarFn(Fhat_fn, dim=M - 1, name=f"product({factors})",
-                    dual_safe=all(F.dual_safe for F in Fs))
+    Fhat = ScalarFn(Fhat_fn, dim=M - 1, name=f"product({factors})")
     gf = GeneratingFunction(
         n=M - 1, Fhat=Fhat, I=I, J=J, chart=gf1.chart,
         q_homogeneous=all(s.gf.q_homogeneous for s in systems), name=name)

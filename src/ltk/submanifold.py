@@ -362,8 +362,7 @@ def specific_form(gf: GeneratingFunction) -> ScalarFn:
     def fn(eps):
         return gf.Fhat([1.0] + list(eps))
 
-    return ScalarFn(fn, dim=gf.n - 1, name=f"specific({gf.name or gf.Fhat.name})",
-                    dual_safe=gf.Fhat.dual_safe)
+    return ScalarFn(fn, dim=gf.n - 1, name=f"specific({gf.name or gf.Fhat.name})")
 
 
 def _specific_ratios(v, base: int) -> np.ndarray:

@@ -4,8 +4,8 @@ Python, a list of functions as the lines of each one's gradient
 writes the gradient of its generators' sum and inlines it at each RK4
 stage of its block runner, and, where asked, of each one's Hessian times
 a direction, which the flow-transport check's adjoint sweep inlines,
-expression inputs as one kernel of their values, and a system's port
-outputs as one kernel of their port flows.
+expression inputs as one kernel of their values, and sums of partials
+(port outputs, a bracket's operands) as one kernel that runs on duals.
 
 A function runs once on :class:`_Traced` coordinates, which record each
 operation as a node, and one body emitter writes the nodes as Python
@@ -56,8 +56,8 @@ and four Hessian stages, in about 4 ms.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``, and
-:class:`PortFlowKernel` the gradient lines a system's port outputs read,
-for the drift of ``interconnect``.
+:class:`PartialSumKernel` the gradient lines that sums of partials read,
+for the drift of ``interconnect`` and for ``poisson_fn``.
 
 A phase field traces its generators into field code once per run of
 :func:`~ltk.dynamics.integrate`, for ``simulate``, ``phase_rhs`` and the
@@ -65,7 +65,7 @@ two integrated checks alike, and builds a block runner for that run
 only, from the runner source kept for the field's shape.  ``ltk`` does
 not import this module; a phase field imports it
 when it first builds a runner, ``from_exprs`` and ``interconnect`` when
-first called.
+first called, and a bracket of ``poisson_fn`` when first evaluated.
 """
 from __future__ import annotations
 
@@ -74,9 +74,11 @@ import math
 import operator
 import re
 
+import numpy as np
+
 from .diffkit import Dual, ScalarFn, _Recorder, cos, exp, ln, sin, sqrt
 
-__all__ = ["FieldCode", "PortFlowKernel", "value_kernel"]
+__all__ = ["FieldCode", "PartialSumKernel", "value_kernel"]
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -198,9 +200,6 @@ class _Trace:
         self.lines, self._checks, self.reason = [], set(), None
         self._numbers = {}              # (kind, a, b) -> node, this function's
         first, y = len(self.nodes), None
-        if not f.dual_safe:
-            self.fail("it is not dual-safe")
-            return y, first
         try:
             y = f(list(self.inputs))
         except Exception as err:   # noqa: BLE001 - the scalar loop raises it
@@ -763,7 +762,7 @@ def value_kernel(fns, x):
         dict(_REPLAY_NAMES, **trace.consts, _fns=fns, _Back=_OffTrace))
 
 
-class PortFlowKernel:
+class PartialSumKernel:
     """``kernel(x)``: for each generator K of ``fns`` and each group of
     coordinates in ``groups``, ``sum_{i in group} dK/dx_i``, from the
     lines of their :class:`FieldCode` gradient at ``x`` that those sums
@@ -772,59 +771,86 @@ class PortFlowKernel:
     ``ValueError`` if they cannot be.  With diffkit's ``exp``, ``ln``,
     ``sqrt``, ``sin`` and ``cos`` it runs on Duals, single or batch, and
     on traced values; a plain number is read as a Dual, so each operation
-    checks its domain as a Dual does, in place of the code's checks.
-    ``reason`` is why ``fns`` cannot be traced at ``x``, or None.
+    checks its domain as a Dual does, in place of the code's checks; a
+    batch's rows are its single passes bit for bit.  ``x`` may be such
+    numbers too, a batch traced at row 0.  ``reason`` is why ``fns``
+    cannot be traced at ``x``, or None.
     """
 
     def __init__(self, fns, x, groups):
         self.fns, self.groups = fns, groups
-        self.reason = self._trace(x)
+        self.reason = self._trace(_point(x))
 
     def _trace(self, x):
         """Trace the generators at ``x``; the reason they cannot be, or
         None."""
         code = FieldCode(self.fns, x)
         if code.reason is None:
-            lines = [line for lines, _ in code.codes for line in lines
+            lines = [_SQRT_DOT.sub(r"_sqrt_dot(\1, \2)", line)
+                     for lines, _ in code.codes for line in lines
                      if not line.startswith("if ") or line in code.guards]
-            flows = [" + ".join(partials[i].removeprefix("0.0 + ")
-                                for i in group if partials[i] != "0.0")
-                     or "0.0" for _, partials in code.codes
-                     for group in self.groups]
-            lines = _live(lines, flows, {line.partition(" = ")[0]
-                                         for line in lines})
-            self._flows = code.function(_source("flows", "x", [
+            sums = [" + ".join(partials[i].removeprefix("0.0 + ")
+                               for i in group if partials[i] != "0.0")
+                    or "0.0" for _, partials in code.codes
+                    for group in self.groups]
+            lines = _live(lines, sums, {line.partition(" = ")[0]
+                                        for line in lines})
+            self._sums = code.function(_source("sums", "x", [
                 ", ".join(f"v{i}" for i in range(len(x))) + ", = x"] + lines
-                + [f"return [{', '.join(flows)}]"]), **_GENERIC_NAMES)
+                + [f"return [{', '.join(sums)}]"]), **_GENERIC_NAMES)
         return code.reason
 
     def __call__(self, x):
         plain = not any(isinstance(v, (Dual, _Recorder)) for v in x)
         xs = [v if isinstance(v, (Dual, _Recorder)) else Dual(v) for v in x]
         try:
-            flows = self._flows(xs)
+            sums = self._sums(xs)
         except _OffTrace:               # a guard came out otherwise
-            at = [v._value if isinstance(v, _Traced) else v.val for v in xs]
+            at = _point(xs)
             reason = self._trace(at)
             if reason is not None:
-                raise ValueError(f"the port flows cannot be traced at "
+                raise ValueError(f"the partial sums cannot be traced at "
                                  f"{at}: {reason}") from None
-            flows = self._flows(xs)
-        return [y.val if plain and isinstance(y, Dual) else y for y in flows]
+            sums = self._sums(xs)
+        return [y.val if plain and isinstance(y, Dual) else y for y in sums]
+
+
+# sqrt's derivative line, whose comparison a batch of Duals cannot make; a
+# partial-sum kernel calls _sqrt_dot(d, v) instead.
+_SQRT_DOT = re.compile(r"0\.0 if ([\w.]+) == 0\.0 else 0\.5 \* \1 / (v\d+)$")
+
+
+def _sqrt_dot(d, v):
+    """``0.0 if d == 0.0 else 0.5 * d / v`` in a partial-sum kernel: for a
+    Dual ``d``, a Dual 0 where it and its derivatives are 0, row by row in
+    a batch, whose other rows alone divide, so each row is its single pass
+    bit for bit."""
+    if not isinstance(d, Dual):
+        return 0.0 if d == 0.0 else 0.5 * d / v
+    zero = (d.val == 0.0) & np.equal(d.dot, 0.0).all(axis=0)
+    y = 0.5 * d / Dual(np.where(zero, 1.0, v.val), np.where(zero, 0.0, v.dot))
+    return Dual(np.where(zero, 0.0, y.val), np.where(zero, 0.0, y.dot))
+
+
+def _point(xs) -> list:
+    """The floats of numbers, Duals or traced values; of a batch, row 0."""
+    return [float(np.ravel(v._value if isinstance(v, _Traced)
+                           else getattr(v, "val", v))[0]) for v in xs]
 
 
 def _sign_factor(s: float, a):
-    """``copysign(s, a)`` in a port flow kernel, ``a`` not 0: for a single
-    Dual the sign of its value, 0.0 at a value 0, as ``Dual.__abs__``
-    takes it; for a traced value, by a guard on its sign."""
+    """``copysign(s, a)`` in a partial-sum kernel, ``a`` not 0: for a single
+    Dual its value's sign, 0.0 at a value 0, as ``Dual.__abs__`` takes it;
+    for a traced value, by a guard on its sign."""
     if isinstance(a, Dual):
         return 0.0 if a.val == 0.0 else math.copysign(s, a.val)
     return s if a > 0.0 else -s
 
 
-# The replay names of a port flow kernel, which takes numbers of any kind.
+# The replay names of a partial-sum kernel, which takes numbers of any kind.
 _GENERIC_NAMES = {"_exp": exp, "_log": ln, "_sqrt": sqrt, "_sin": sin,
-                  "_cos": cos, "_copysign": _sign_factor}
+                  "_cos": cos, "_copysign": _sign_factor,
+                  "_sqrt_dot": _sqrt_dot}
 
 
 def _source(name: str, params: str, lines) -> str:
@@ -847,10 +873,10 @@ def _indented(lines) -> list:
 # holds their values, so systems of one shape whose parameters differ only
 # in value, and every run of one system, share one compile.  The first 60
 # jobs of each perfbench workload (seed 7) compile each source once: 2
-# block runners, 3 value kernels and the exchanger's port flow kernel on
+# block runners, 3 value kernels and the exchanger's partial-sum kernel on
 # sim_builtin (6), 2 block runners and the 4 templates' value kernels on
 # sim_expr, its built-in twins included (6), and 2 block runners, their 2
-# adjoint sweeps and the exchanger's port flow kernel on audit (5).
+# adjoint sweeps and the exchanger's partial-sum kernel on audit (5).
 @functools.lru_cache(maxsize=8)
 def _code(source: str):
     """The code object of ``source``, compiled on its first use."""

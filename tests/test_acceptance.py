@@ -357,8 +357,7 @@ def test_criterion_09_extensivity_and_reduction():
 
         Fbar = specific_form(gf)
         Kbar = ScalarFn(lambda x, Fbar=Fbar, n=gf.n: Fbar(x[1:n]),
-                        dim=2 * gf.n, dual_safe=Fbar.dual_safe,
-                        name=f"reduced {label}")
+                        dim=2 * gf.n, name=f"reduced {label}")
         x0 = liouville_point(gf, start).packed()
         full = integrate(phase_rhs(lift_phase_fn(gf)), x0, 1.0, 1e-3)
         reduced = integrate(reduced_rhs(Kbar), project_reduced(x0), 1.0, 1e-3)

@@ -13,10 +13,12 @@ Frozen oracles (hand-computed from the convention
 import numpy as np
 import pytest
 
-from ltk.brackets import (BracketReport, correspondence_residual, degree_check,
-                          jacobi, jacobi_fn, jacobi_identity_residual,
-                          leibniz_defect, poisson, poisson_fn)
-from ltk.diffkit import ScalarFn
+from ltk.brackets import (BracketReport, _poisson_rows,
+                          correspondence_residual, degree_check, jacobi,
+                          jacobi_fn, jacobi_identity_residual, leibniz_defect,
+                          poisson, poisson_fn)
+from ltk.diffkit import (Dual, ScalarFn, _batch_pass, _seeds, exp, fd_grad,
+                         grad, ln, sqrt)
 from ltk.geometry import ContactPoint, PhasePoint, homogenize
 
 PT = PhasePoint(q=[1.0, 2.0], p=[3.0, 4.0])
@@ -53,10 +55,57 @@ def test_poisson_antisymmetry_is_exact():
     assert poisson(Q1P0, Q1P0, PT) == 0.0
 
 
-def test_poisson_fn_matches_pointwise_and_is_not_dual_safe():
+def test_poisson_fn_matches_pointwise():
     B = poisson_fn(Q1P0, Q0P1)
     assert B(PT.packed()) == pytest.approx(poisson(Q1P0, Q0P1, PT), rel=1e-15)
-    assert not B.dual_safe
+
+
+# operand pairs: polynomial, and transcendental with a sqrt and a ln
+EXP_P = ScalarFn(lambda x: exp(x[0]) * x[2] + x[1] * x[1] * x[3], dim=4,
+                 name="exp(q0) p0 + q1^2 p1")
+ROOT = ScalarFn(lambda x: sqrt(x[2] * x[2] + x[3] * x[3]) * ln(x[0] + 2.0),
+                dim=4, name="|p| ln(q0 + 2)")
+# four degrees of freedom, where np.dot sums a strided row in another order
+DENSE = (ScalarFn(lambda x: exp(x[0]) * x[4] + x[1] * x[5] * x[2] + x[3] * x[6]
+                  + x[0] * x[1] * x[7], dim=8, name="dense K1"),
+         ScalarFn(lambda x: x[1] * x[4] + exp(x[2]) * x[5] + x[3] * x[0] * x[6]
+                  + x[2] * x[7], dim=8, name="dense K2"))
+BRACKET_PAIRS = {"polynomial": (Q1P0, Q0P1), "transcendental": (EXP_P, ROOT),
+                 "four degrees of freedom": DENSE}
+BRACKET_POINTS = np.array([[0.3, 0.7, -1.2, 0.5], [1.1, -0.4, 0.8, 0.9],
+                           [0.6, 1.3, -0.3, -1.4]])
+
+
+@pytest.mark.parametrize("pair", sorted(BRACKET_PAIRS))
+def test_the_bracket_is_exact_and_its_rows_are_its_points(pair):
+    # the bracket reads its operands' partials from code traced from them,
+    # which runs on duals: its gradient is the difference oracle's within
+    # its error, a batch's rows are the single points bit for bit, and on
+    # floats it is _poisson_rows', the bracket ltk bracket checks, whose
+    # batch rows are its points
+    K1, K2 = BRACKET_PAIRS[pair]
+    B = poisson_fn(K1, K2)
+    X = (BRACKET_POINTS if K1.dim == 4 else
+         np.cos(np.arange(8 * 40)).reshape(40, 8) + 0.5)
+    for x in X:
+        np.testing.assert_allclose(grad(B, x), fd_grad(B, x), rtol=0.0,
+                                   atol=1e-8)
+    assert _batch_pass(B, X, _seeds(*X.shape)) is not None
+    assert grad(B, X).tobytes() == np.array([grad(B, x) for x in X]).tobytes()
+    values = [B(x) for x in X]
+    assert np.array(values).tobytes() == _poisson_rows(K1, K2, X).tobytes()
+    assert np.array(values).tobytes() == np.array(
+        [_poisson_rows(K1, K2, x[None])[0] for x in X]).tobytes()
+    # a dual pass's value is the plain evaluation's
+    assert [B([Dual(v, 1.0) for v in x]).val for x in X] == values
+
+
+def test_a_bracket_of_an_operand_it_cannot_trace_names_it():
+    floored = ScalarFn(lambda x: float(x[0]) * x[2], dim=4, name="floored")
+    with pytest.raises(ValueError, match=r"^the bracket \{floored, q0 p1\} "
+                       r"cannot trace its operands: the trace cannot record "
+                       r"floored, as it reads a traced value with float\(\)$"):
+        poisson(floored, Q0P1, PT)
 
 
 def test_bracket_dimension_checks():
@@ -113,9 +162,15 @@ def test_degree_check_accepts_explicit_points():
 # -- the Jacobi structural identity ---------------------------------------------------
 
 
-def test_jacobi_identity_on_polynomials():
-    K3 = ScalarFn(lambda x: x[0] * x[2] + x[1] * x[3], dim=4, name="q.p")
-    assert jacobi_identity_residual(Q1P0, Q0P1, K3, PT) < 1e-6
+@pytest.mark.parametrize("K3, pt", [
+    (ScalarFn(lambda x: x[0] * x[2] + x[1] * x[3], dim=4, name="q.p"), PT),
+    (EXP_P, PhasePoint(q=[0.3, 0.7], p=[-1.2, 0.5]))],
+    ids=["polynomials", "transcendental"])
+def test_jacobi_identity_holds_to_roundoff(K3, pt):
+    # each inner bracket is traced into its outer one, so the outer
+    # brackets differentiate it exactly (7.3e-11 and 1.96e-11 when they
+    # took differences)
+    assert jacobi_identity_residual(Q1P0, Q0P1, K3, pt) <= 1e-13
 
 
 def test_correspondence_of_fields_and_brackets():
@@ -132,6 +187,17 @@ def test_correspondence_of_fields_and_brackets():
 def test_chart_bracket_hand_values():
     assert jacobi(GAMMA1, Q1HAT, CPT) == pytest.approx(1.0, abs=1e-12)
     assert jacobi(Q0HAT, GAMMA1, CPT) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_a_chart_bracket_takes_a_batch_of_duals():
+    # the chart bracket of functions with a sqrt is one vector pass: the
+    # sqrt's derivative line of the traced partials runs on a batch
+    f = ScalarFn(lambda x: sqrt(x[0] * x[0] + x[2] * x[2]), dim=3,
+                 name="sqrt(q0^2 + gamma1^2)")
+    B = jacobi_fn(f, Q1HAT, 0)
+    X = np.array([[1.0, 0.7, 2.0], [0.5, 1.2, -0.3], [1.4, 0.2, 0.9]])
+    assert _batch_pass(B, X, _seeds(*X.shape)) is not None
+    assert grad(B, X).tobytes() == np.array([grad(B, x) for x in X]).tobytes()
 
 
 def test_chart_bracket_function_form_matches():

@@ -219,12 +219,25 @@ def test_fd_step_is_cbrt_eps():
     assert FD_STEP == pytest.approx(np.finfo(float).eps ** (1 / 3))
 
 
-def test_grad_falls_back_to_fd_when_not_dual_safe():
-    # A function that secretly floors its input cannot run on duals; the
-    # flag routes grad through the central-difference path instead.
-    f = ScalarFn(lambda x: float(x[0]) ** 2, dim=1, dual_safe=False)
-    g = grad(f, [3.0])
-    assert g[0] == pytest.approx(6.0, rel=1e-9)
+def test_scalar_fn_has_no_dual_safe_option():
+    # every ScalarFn takes duals; the class constant is all that is left
+    with pytest.raises(TypeError, match="dual_safe"):
+        ScalarFn(lambda x: x[0] ** 2, dim=1, dual_safe=False)
+    assert ScalarFn.dual_safe is True
+
+
+def test_a_function_that_cannot_take_duals_names_itself():
+    # a function that reads float() of its argument has no gradient: grad
+    # raises TypeError naming it, at one point and on a batch, whose rows
+    # rerun alone; dirderiv raises it too
+    f = ScalarFn(lambda x: float(x[0]) ** 2, dim=1, name="floored")
+    message = r"^floored cannot take dual numbers: "
+    with pytest.raises(TypeError, match=message):
+        grad(f, [3.0])
+    with pytest.raises(TypeError, match=message):
+        grad(f, np.array([[3.0], [1.0]]))
+    with pytest.raises(TypeError, match=message):
+        dirderiv(f, [3.0], [1.0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -243,19 +256,6 @@ def test_dirderiv_is_gradient_contraction(a, b, da, db):
     g = grad(POLY2, [a, b])
     d = dirderiv(POLY2, [a, b], [da, db])
     assert d == pytest.approx(g[0] * da + g[1] * db, rel=1e-12, abs=1e-12)
-
-
-def test_dirderiv_zero_direction_non_dual_safe():
-    f = ScalarFn(lambda x: x[0] ** 2, dim=1, dual_safe=False)
-    assert dirderiv(f, [2.0], [0.0]) == 0.0
-
-
-def test_dirderiv_fd_path_exact_on_quadratics():
-    # Along any ray a quadratic has no third derivative, so the central
-    # difference in the non-dual path carries only roundoff (about eps / h).
-    f = ScalarFn(lambda x: x[0] * x[1], dim=2, dual_safe=False)
-    d = dirderiv(f, [1.0, 2.0], [3.0, 4.0])
-    assert d == pytest.approx(1.0 * 4.0 + 2.0 * 3.0, rel=1e-9)
 
 
 def test_scalar_fn_is_callable_and_frozen():
@@ -432,16 +432,6 @@ def test_batched_grad_of_a_comparing_function_takes_one_row_at_a_time():
     assert _hex(grads) == _hex(grad(f, X))
     with pytest.raises(ValueError, match="positive"):
         grad(f, np.array([[1.0, 2.0], [-1.0, 2.0]]))
-
-
-def test_batched_grad_of_a_non_dual_safe_function_is_fd_grad_row_by_row():
-    f = ScalarFn(lambda x: math.exp(0.3 * float(x[0])) * math.cos(float(x[1])),
-                 dim=2, dual_safe=False)
-    X = np.array([[0.1, 0.2], [-1.0, 2.5], [3.0, -0.7]])
-    assert _hex(grad(f, X)) == _hex([fd_grad(f, x) for x in X])
-    values, grads = _values_and_grads(f, X)     # with the values too
-    assert _hex(values) == _hex([f(x) for x in X.tolist()])
-    assert _hex(grads) == _hex(grad(f, X))
 
 
 # -- the sampled-check driver -------------------------------------------------

@@ -163,7 +163,6 @@ def test_to_source_respects_precedence():
 def test_compile_fn_evaluates_positionally():
     f = compile_fn("q0^2 * p0", ["q0", "p0"])
     assert f.dim == 2
-    assert f.dual_safe
     assert f([2.0, 3.0]) == pytest.approx(12.0)
 
 
@@ -333,7 +332,7 @@ def test_the_benchmark_tracer_binds_every_target(monkeypatch):
     tracer.install()
     try:
         f = exprlang.compile_fn("k*t^2", ["t"], params={"k": 2.0})
-        assert f([3.0]) == 18.0 and f.dim == 1 and f.dual_safe
+        assert f([3.0]) == 18.0 and f.dim == 1
     finally:
         tracer.uninstall()
     assert exprlang.compile_fn is compile_fn

@@ -289,7 +289,7 @@ def test_outputs_of_an_expression_compartment_are_the_builtins():
     (gas_piston_damper, {"mass": 1.7, "damping": 0.3, "c_v": 2.1}),
     (heat_compartment, {}), (heat_compartment, {"C": 1.3, "T_ref": 0.8})],
     ids=["piston", "piston 1.7 0.3 2.1", "compartment", "compartment 1.3 0.8"])
-def test_the_port_flow_kernel_is_the_port_flows_bit_for_bit(factory, params):
+def test_a_partial_sum_kernel_is_the_port_flows_bit_for_bit(factory, params):
     # the kernel a composed drift reads a built-in's outputs from gives the
     # rows of _port_flows, the outputs simulate records: on a batch of
     # duals in one vector pass, which no comparison sends to per-row
@@ -300,7 +300,7 @@ def test_the_port_flow_kernel_is_the_port_flows_bit_for_bit(factory, params):
     X = submanifold._liouville_rows(
         system.gf, _sample_surface_params(system, 200, 5))
     D = np.cos(np.arange(X.size)).reshape(X.shape)
-    kernel = tracegrad.PortFlowKernel(system.Kc, X[0].tolist(), [
+    kernel = tracegrad.PartialSumKernel(system.Kc, X[0].tolist(), [
         [m + i for i in indices]
         for indices in (system.energy_indices, system.entropy_indices)])
     flows = [portsys._port_flows(K, X, m, indices) for K in system.Kc
@@ -375,8 +375,7 @@ def test_sign_flipped_damping_fails_the_second_law():
     undamped = gas_piston_damper(damping=0.0)
     anti = ScalarFn(
         lambda x: 2.0 * undamped.Ka(x) - damped.Ka(x),
-        dim=8, name="anti-damped drift",
-        dual_safe=damped.Ka.dual_safe and undamped.Ka.dual_safe)
+        dim=8, name="anti-damped drift")
     broken = PortSystem(
         name="piston_antidamper", gf=damped.gf, Ka=anti, Kc=damped.Kc,
         energy_indices=(0,), entropy_indices=(1,),
@@ -770,14 +769,13 @@ def _fourier(outputs):
 def test_an_exchanger_of_expression_compartments_is_the_builtin(caplog):
     # an expression system's outputs are read from code traced from its
     # port generator, so the drift of two README compartments closed by
-    # Fourier's law is dual-safe and traces, and it validates and steps as
+    # Fourier's law takes duals and traces, and it validates and steps as
     # the built-in exchanger does, bit for bit, 1000 steps from T = (2, 1)
     c1, c2 = (cli._build_custom_system({**COMPARTMENT_SPEC, "name": name})
               for name in "ab")
     start = time.process_time()
     hx = interconnect([c1, c2], _fourier)
     build = time.process_time() - start
-    assert hx.Ka.dual_safe
     with pytest.raises(ValueError, match="second law"):
         interconnect([c1, c2], lambda outputs: _fourier(outputs)[::-1])
     assert {**validate(hx).as_dict(), "system": "heat_exchanger"} == \
@@ -803,9 +801,7 @@ def test_an_exchanger_of_expression_compartments_is_the_builtin(caplog):
 
 @pytest.mark.parametrize("port, reason", [
     (ScalarFn(lambda x: float(x[3]) + x[2], 4, name="opaque port"),
-     "it reads a traced value with float()"),
-    (ScalarFn(lambda x: x[3] + x[2], 4, name="opaque port", dual_safe=False),
-     "it is not dual-safe")], ids=["float", "not dual-safe"])
+     "it reads a traced value with float()")], ids=["float"])
 def test_interconnect_rejects_a_port_generator_it_cannot_trace(port, reason):
     # the outputs are the port flows traced from Kc, and nothing else: a
     # port generator the trace cannot record is rejected by its reason

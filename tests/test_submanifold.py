@@ -335,3 +335,46 @@ def test_reduced_point_matches_projected_realization():
 def test_reduced_point_rejects_vanishing_divisor():
     with pytest.raises(ValueError, match="q_1"):
         reduced_point(sqrt_gf(), [0.0, 4.0])
+
+
+# -- every thermodynamic potential generates the one surface --------------------
+
+
+def _ideal_gas_potentials(c_v=1.5, R=1.0, T_ref=1.0, v0=1.0, s0=0.0):
+    """The ideal gas's Helmholtz F(V, N, T) = U - TS and Gibbs
+    G(N, T, gamma_V) = U - TS + PV, gamma_V = -P, as generating functions
+    of its energy surface in chart 0 (q = (E, S, V, N))."""
+
+    def helmholtz(x):
+        V, N, T = x
+        return N * c_v * T - T * N * (s0 + c_v * ln(T / T_ref)
+                                      + R * ln(V / (N * v0)))
+
+    def gibbs(x):
+        N, T, gamma_V = x
+        return (N * c_v * T - T * N * (s0 + c_v * ln(T / T_ref)
+                                       + R * ln(R * T / (-gamma_V * v0)))
+                + N * R * T)
+
+    return (GeneratingFunction(n=3, Fhat=ScalarFn(helmholtz, 3, name="F"),
+                               I=(2, 3), J=(1,), name="helmholtz"),
+            GeneratingFunction(n=3, Fhat=ScalarFn(gibbs, 3, name="G"),
+                               I=(3,), J=(1, 2), q_homogeneous=True,
+                               name="gibbs"))
+
+
+def test_the_free_energies_generate_the_energy_surface():
+    # a partial Legendre transform is a choice of J: 200 points of the
+    # energy surface lie on the surfaces of F and G, and lifting each
+    # potential's parameters read off them rebuilds them, at roundoff; F
+    # with c_v off by 1% is another surface
+    from ltk.portsys import _sample_surface_params, ideal_gas_SVN
+    from ltk.submanifold import _liouville_rows, _membership_rows
+    gas = ideal_gas_SVN()
+    X = _liouville_rows(gas.gf, _sample_surface_params(gas, 200, 9))
+    for gf in _ideal_gas_potentials():
+        assert np.max(_membership_rows(gf, X)) <= 1e-13
+        rebuilt = _liouville_rows(gf, X[:, gf._param_coords])
+        assert np.max(np.abs(rebuilt - X)) <= 1e-13
+    off, _ = _ideal_gas_potentials(c_v=1.5 * 1.01)
+    assert np.max(_membership_rows(off, X)) > 1e-3

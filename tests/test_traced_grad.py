@@ -25,7 +25,7 @@ from test_simulate_blocks import (INPUTS, _assert_matches_reference,
                                   _assert_same_error, _reference)
 
 import ltk
-from ltk import dynamics, tracegrad
+from ltk import diffkit, dynamics, tracegrad
 from ltk.diffkit import Dual, ScalarFn, cos, exp, fd_grad, grad, ln, sin, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
@@ -376,11 +376,11 @@ def _reruns(caplog) -> int:
     return int(counts[-1].split(": ")[-1].split(",")[0])
 
 
-def _piston_with_port(port_fn, name: str, dual_safe=True) -> PortSystem:
+def _piston_with_port(port_fn, name: str) -> PortSystem:
     piston = gas_piston_damper()
     return PortSystem(
         name="piston", gf=piston.gf, Ka=piston.Ka,
-        Kc=(ScalarFn(port_fn, 8, name=name, dual_safe=dual_safe),),
+        Kc=(ScalarFn(port_fn, 8, name=name),),
         energy_indices=(0,), entropy_indices=(1,),
         default_params=(0.0, 1.0, 0.3, -1.0))
 
@@ -404,19 +404,16 @@ def test_a_port_guard_that_flips_mid_run_matches_the_scalar_loop(
     _assert_matches_scalar_route(monkeypatch, system, 2.0, 1e-2, **kwargs)
 
 
-@pytest.mark.parametrize("dual_safe, reason", [
-    (True, "it reads a traced value with hash()"),
-    (False, "it is not dual-safe")], ids=["hash", "not dual-safe"])
+@pytest.mark.parametrize("reason", ["it reads a traced value with hash()"],
+                         ids=["hash"])
 def test_an_untraceable_port_beside_a_traced_drift_matches_the_scalar_loop(
-        dual_safe, reason, monkeypatch, caplog):
-    # the port reads a traced value with hash(), or is declared not
-    # dual-safe, when its outputs sum grad's difference partials; so the
-    # whole field, the traceable drift too, steps on the vector pass from
-    # its start, and no runner is built
+        reason, monkeypatch, caplog):
+    # the port reads a traced value with hash(); so the whole field, the
+    # traceable drift too, steps on the vector pass from its start, and no
+    # runner is built
     port = gas_piston_damper().Kc[0]
     system = _piston_with_port(
-        lambda x: port(x) if hash(x[0]) != 7 else 0.0, "opaque port",
-        dual_safe)
+        lambda x: port(x) if hash(x[0]) != 7 else 0.0, "opaque port")
     kwargs = dict(u=PortSignal.sinusoid(0.2, 1.0), monitors=MONITOR_NAMES)
     with caplog.at_level(logging.INFO, logger="ltk"):
         _assert_matches_reference(system, 50, 1e-2, **kwargs)
@@ -466,8 +463,6 @@ UNTRACEABLE = {
     "raises at the traced point": (lambda x: ln(x[0] - 2.0) * x[1],
                                    "raises ValueError"),
     "returns a list": (lambda x: [x[0] * x[1]], "returns a list"),
-    "not dual-safe": (ScalarFn(lambda x: x[0] * x[1], 2, dual_safe=False),
-                      "not dual-safe"),
 }
 
 
@@ -494,7 +489,7 @@ def test_untraceable_generators_keep_the_scalar_loop(case, caplog):
 
     system = PortSystem(
         name="untraceable", gf=hc.gf,
-        Ka=ScalarFn(drift, 4, name=case, dual_safe=K.dual_safe), Kc=hc.Kc,
+        Ka=ScalarFn(drift, 4, name=case), Kc=hc.Kc,
         energy_indices=(0,), entropy_indices=(1,),
         default_params=hc.default_params)
     kwargs = dict(u=PortSignal.constant([0.2]), monitors=("membership",))
@@ -650,7 +645,7 @@ def test_unread_values_that_may_raise_are_kept(monkeypatch):
 @pytest.mark.parametrize("runs, kinds", [
     ([("piston", INPUTS[kind]) for kind in INPUTS]
      + [("exchanger", lambda: None)],
-     ["def flows"] + ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 2),
+     ["def kernel"] * (len(INPUTS) - 3) + ["def run"] * 2 + ["def sums"]),
     ([("expression piston", INPUTS["sinusoid"]),
       ("expression compartment", INPUTS["constant"])], ["def run"] * 2)],
     ids=["built-in systems", "expression systems"])
@@ -658,7 +653,7 @@ def test_each_source_compiles_once(runs, kinds, monkeypatch):
     # the benchmark's simulate runs of each workload, twice in one process:
     # the piston under each input kind and the exchanger, or the expression
     # piston and compartment; every distinct source (a block runner per
-    # field shape, a value kernel per expression template, the port flow
+    # field shape, a value kernel per expression template, the partial-sum
     # kernel of the exchanger's two compartments) compiles on its first
     # use only, as they all fit the cache, and no one-stage kernel is
     # compiled
@@ -860,7 +855,7 @@ def test_hessian_code_raises_where_the_gradient_code_raises(where):
         hessian_stage(code)(point, [1.0, -0.5, 0.25, 2.0])
 
 
-# -- port flow kernels -------------------------------------------------------------
+# -- partial-sum kernels -------------------------------------------------------
 
 
 def _port_of_every_kind(x):
@@ -871,13 +866,13 @@ def _port_of_every_kind(x):
             + (p1 + 2.0) ** 1.5 * ln(q0))
 
 
-def test_a_port_flow_kernel_is_the_partials_and_traces_in_turn():
+def test_a_partial_sum_kernel_is_the_partials_and_traces_in_turn():
     # on floats the flows are grad's partials and their sums (grad adds
     # 0.0); a function that reads them traces, and its replay is its
     # scalar loop, in which the kernel runs on duals, bit for bit
     K = ScalarFn(_port_of_every_kind, 4, name="every kind")
     points = list(_hessian_cases())[-1][2]
-    kernel = tracegrad.PortFlowKernel([K], points[0], [[2], [3], [2, 3]])
+    kernel = tracegrad.PartialSumKernel([K], points[0], [[2], [3], [2, 3]])
     assert kernel.reason is None
     for x in points:
         g = grad(K, x)
@@ -897,13 +892,13 @@ def test_a_port_flow_kernel_is_the_partials_and_traces_in_turn():
                                rtol=1e-6, atol=1e-6)
 
 
-def test_a_port_flow_kernel_traces_again_where_a_guard_flips():
+def test_a_partial_sum_kernel_traces_again_where_a_guard_flips():
     # traced at q1 = 0.2, the kernel takes the other branch past q1 = 0.5,
     # and raises where the generators cannot be traced, at an equal == test
     K = ScalarFn(lambda x: x[2] * (x[1] * x[1] if x[1] < 0.5 else exp(x[1]))
                  + x[3] * x[0] * (2.0 if x[0] == 1.0 else 3.0), 4,
                  name="branching port")
-    kernel = tracegrad.PortFlowKernel([K], [0.3, 0.2, -1.0, 1.0], [[2], [3]])
+    kernel = tracegrad.PartialSumKernel([K], [0.3, 0.2, -1.0, 1.0], [[2], [3]])
     for x in ([0.3, 0.9, -1.0, 1.0], [0.3, 0.2, -1.0, 1.0],
               [0.4, 0.7, -1.0, 1.0]):
         assert kernel(x) == grad(K, x)[2:].tolist()
@@ -911,11 +906,37 @@ def test_a_port_flow_kernel_traces_again_where_a_guard_flips():
         kernel([1.0, 0.7, -1.0, 1.0])
 
 
+@pytest.mark.parametrize("fn", [
+    lambda x: sqrt(x[2] * x[2] + x[3] * x[3]) * exp(x[1]),
+    lambda x: sqrt(x[2] ** 4 + x[1] * x[1]) * x[3]],
+    ids=["sqrt of the costates", "sqrt of 0 in one row"])
+def test_a_partial_sum_kernel_runs_a_sqrt_on_a_batch(fn):
+    # sqrt's derivative line compares the derivative with 0.0, which a
+    # batch of duals cannot; the kernel takes each row's branch instead, so
+    # a batch is one pass whose rows are the single passes bit for bit,
+    # also at q1 = p0 = 0, where the sqrt is 0 and its argument's partial
+    # along p0 a dual 0 with zero derivatives, in one row only
+    K = ScalarFn(fn, 4, name="sqrt port")
+    X = np.array([[0.3, 0.7, -1.2, 0.5], [0.4, 0.0, 0.0, -0.3]])
+    kernel = tracegrad.PartialSumKernel([K], X[0].tolist(), [[2], [3]])
+    seeds = diffkit._seeds(*X.shape)
+    batch = kernel([Dual(X[:, i].copy(), seeds[i]) for i in range(4)])
+    for row, x in enumerate(X.tolist()):
+        for seed in range(4):
+            single = kernel([Dual(v, float(i == seed))
+                             for i, v in enumerate(x)])
+            assert [_hex([y.val[row], y.dot[seed, row]]) for y in batch] == \
+                [_hex([y.val, y.dot]) for y in single]
+    flows = ScalarFn(lambda x: kernel(x)[0] * x[0] + kernel(x)[1], 4)
+    assert diffkit._batch_pass(flows, X, seeds) is not None
+    assert _hex(grad(flows, X)) == _hex([grad(flows, x) for x in X])
+
+
 def test_a_zero_port_flow_keeps_its_sign():
     # grad's 0.0 + is left out, so a composed drift reads each flow as the
     # dual formulas give it: the piston's velocity pi/mass at pi = -0.0
     gp = gas_piston_damper()
-    kernel = tracegrad.PortFlowKernel(gp.Kc, [1.0, 0.0, 1.0, 0.5, -1.0,
+    kernel = tracegrad.PartialSumKernel(gp.Kc, [1.0, 0.0, 1.0, 0.5, -1.0,
                                               1.0, 1.0, 0.0], [[4], [5]])
     y_p, y_e = kernel([1.0, 0.0, 1.0, -0.0, -1.0, 1.0, 1.0, 0.0])
     assert (math.copysign(1.0, y_p), y_p, y_e) == (-1.0, 0.0, 0.0)
@@ -925,12 +946,12 @@ def test_a_zero_port_flow_keeps_its_sign():
     ([-1.0, 2.0], ValueError, "requires a positive base"),
     ([1.0, 0.0], ZeroDivisionError, "division by a dual number with zero")],
     ids=["fractional power", "division"])
-def test_a_port_flow_kernel_raises_where_a_dual_raises(at, error, message):
+def test_a_partial_sum_kernel_raises_where_a_dual_raises(at, error, message):
     # no check of the traced code is kept, and a float power of a negative
     # base would go complex: every number is a dual, which raises, on
     # floats, single duals and a batch, where the row is named
     K = ScalarFn(lambda x: x[2] * x[0] ** 1.5 + x[3] / x[1], 4, name="K")
-    kernel = tracegrad.PortFlowKernel([K], [1.0, 2.0, -1.0, 1.0], [[2], [3]])
+    kernel = tracegrad.PartialSumKernel([K], [1.0, 2.0, -1.0, 1.0], [[2], [3]])
     x = at + [-1.0, 1.0]
     with pytest.raises(error, match=message):
         kernel(x)
