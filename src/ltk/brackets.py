@@ -30,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffkit import (Dual, ScalarFn, _Recorder, _sample_rows,
-                      _values_and_fd_dirderivs, grad)
+from .diffkit import ScalarFn, _sample_rows, _values_and_fd_dirderivs, grad
 from .dynamics import lie_bracket_fd, phase_rhs
-from .geometry import (ContactPoint, PhasePoint, _phase_rows,
+from .geometry import (ContactPoint, PhasePoint, _pairing, _phase_rows,
                        _relative_euler_rows, dehomogenize, homogenize)
 
 __all__ = [
@@ -75,18 +74,17 @@ def poisson(K1: ScalarFn, K2: ScalarFn, pt: PhasePoint) -> float:
     return float(poisson_fn(K1, K2)(pt.packed()))
 
 
-def _bracket(g1: np.ndarray, g2: np.ndarray, m: int) -> float:
-    """{K1, K2} from the gradients of its operands at one point."""
-    return float(np.dot(g1[m:], g2[:m]) - np.dot(g1[:m], g2[m:]))
+def _bracket(g1, g2, m: int):
+    """{K1, K2} from the gradients of its operands, of any number kind, at
+    one point or as the columns of a batch (:func:`~ltk.geometry._pairing`)."""
+    return _pairing(g1[m:], g2[:m]) - _pairing(g1[:m], g2[m:])
 
 
 def _poisson_rows(K1: ScalarFn, K2: ScalarFn, X) -> np.ndarray:
     """{K1, K2} at each row of a (B, 2m) array of points: one vector-mode
-    pass per operand, whose rows are copied in C order, as np.dot sums a
-    strided row of 4 or more entries in another order than a point's."""
+    pass per operand, bracketed column by column."""
     m = _check_pair(K1, K2)
-    G1, G2 = (np.ascontiguousarray(grad(K, X)) for K in (K1, K2))
-    return np.array([_bracket(g1, g2, m) for g1, g2 in zip(G1, G2)])
+    return _bracket(list(grad(K1, X).T), list(grad(K2, X).T), m)
 
 
 def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
@@ -95,10 +93,11 @@ def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
     It reads its operands' partials from code traced from both at the
     first point it is evaluated at (:class:`~ltk.tracegrad.PartialSumKernel`,
     one group per coordinate), which runs on floats, duals and traced
-    values: so the bracket takes them too, and its gradient is exact,
-    forward mode over the recorded gradient code (Griewank & Walther,
-    *Evaluating Derivatives*, 2nd ed.).  An operand the trace cannot
-    record, or that raises at that point, raises ``ValueError`` naming it.
+    values: so the bracket takes them too, its value is
+    :func:`_poisson_rows`', and its gradient is exact, forward mode over the
+    recorded gradient code (Griewank & Walther, *Evaluating Derivatives*,
+    2nd ed.).  An operand that raises at that point raises its own error;
+    one the trace cannot record raises ``ValueError`` naming it.
     """
     m = _check_pair(K1, K2)
     name = f"{{{K1.name or 'K1'}, {K2.name or 'K2'}}}"
@@ -114,27 +113,9 @@ def poisson_fn(K1: ScalarFn, K2: ScalarFn) -> ScalarFn:
                                  f"operands: {traced.reason}")
             kernel = traced
         g = [0.0 + y for y in kernel(x)]    # a zero partial as grad's +0.0
-        return _bracket_of(g[:2 * m], g[2 * m:], m)
+        return _bracket(g[:2 * m], g[2 * m:], m)
 
     return ScalarFn(fn, dim=2 * m, name=name)
-
-
-def _bracket_of(g1, g2, m: int):
-    """{K1, K2} from its operands' partials, of any kind, at one point or a
-    batch: the value :func:`_bracket`'s of their values, a row at a time,
-    so a dual pass's value is the plain evaluation's, and the derivatives
-    those of the sum of products, which traced partials record."""
-    total = (sum(a * b for a, b in zip(g1[m:], g2[:m]))
-             - sum(a * b for a, b in zip(g1[:m], g2[m:])))
-    if isinstance(total, _Recorder):
-        return total
-    values = np.array(np.broadcast_arrays(
-        *[getattr(v, "val", v) for v in g1 + g2]))
-    value = [_bracket(row[:2 * m], row[2 * m:], m)
-             for row in np.ascontiguousarray(np.atleast_2d(values.T))]
-    if not isinstance(total, Dual):
-        return value[0]
-    return Dual(np.array(value) if values.ndim == 2 else value[0], total.dot)
 
 
 def jacobi_fn(K1hat: ScalarFn, K2hat: ScalarFn, chart: int) -> ScalarFn:

@@ -60,8 +60,8 @@ import numpy as np
 
 from .diffkit import (_DOMAIN_ERRORS, ScalarFn, _sample_rows, _values_and_grads,
                       grad)
-from .geometry import (EulerFieldKind, PhasePoint, _chart_rows, _phase_rows,
-                       _relative_euler_rows, scale_costate)
+from .geometry import (EulerFieldKind, PhasePoint, _chart_rows, _pairing,
+                       _phase_rows, _relative_euler_rows, scale_costate)
 from .submanifold import (GeneratingFunction, _liouville_rows,
                           _membership_rows, _specific_ratios, _tangent_rows)
 
@@ -341,7 +341,8 @@ def contact_rhs(Khat: ScalarFn, chart: int):
 
     ``x`` may also be a (B, 2n+1) batch of contact vectors, one per row;
     their values and gradients come from one vector-mode pass, and a
-    single vector runs as a one-row batch.
+    single vector runs as a one-row batch.  The pairing is summed left to
+    right (:func:`~ltk.geometry._pairing`), so each row is its state's.
     """
     if Khat.dim % 2 == 0 or Khat.dim < 3:
         raise ValueError("contact functions need an odd dimension >= 3")
@@ -358,8 +359,7 @@ def contact_rhs(Khat: ScalarFn, chart: int):
         gamma, g_q, g_gamma = x[:, m:], g[:, :m], g[:, m:]
         dq = np.empty(g_q.shape)
         dq[:, others] = g_gamma
-        pairing = np.array([np.dot(a, b) for a, b in zip(gamma, g_gamma)])
-        dq[:, chart] = pairing - val
+        dq[:, chart] = _pairing(list(gamma.T), list(g_gamma.T)) - val
         dgamma = -g_q[:, others] - gamma * g_q[:, chart, None]
         return np.concatenate([dq, dgamma], axis=1)
 

@@ -156,6 +156,16 @@ def _check_dims(pt: PhasePoint, v: TangentVector):
                          f"point dimension {len(pt.q)}")
 
 
+def _pairing(a, b):
+    """``sum_i a_i b_i`` summed left to right, of floats, Duals, traced
+    values or a batch's columns: the one order of a pairing two routes must
+    agree on, so a batch row is its point's (np.dot's order is not)."""
+    total = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        total = total + x * y
+    return total
+
+
 def alpha(pt: PhasePoint, v: TangentVector) -> float:
     """The canonical one-form: alpha(v) = sum_i p_i vq_i."""
     _check_dims(pt, v)

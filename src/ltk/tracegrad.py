@@ -69,6 +69,7 @@ first called, and a bracket of ``poisson_fn`` when first evaluated.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -76,7 +77,8 @@ import re
 
 import numpy as np
 
-from .diffkit import Dual, ScalarFn, _Recorder, cos, exp, ln, sin, sqrt
+from .diffkit import (Dual, ScalarFn, _each, _Recorder, _sign, cos, exp, ln,
+                      sin, sqrt)
 
 __all__ = ["FieldCode", "PartialSumKernel", "value_kernel"]
 
@@ -86,8 +88,7 @@ __all__ = ["FieldCode", "PartialSumKernel", "value_kernel"]
 # the code raises too.
 _UNARY = {
     "neg": (operator.neg, "-{a}", None, None),
-    "abs": (abs, "abs({a})", "0.0 if {a} == 0.0 else _copysign(1.0, {a})",
-            None),
+    "abs": (abs, "abs({a})", "_sign({a})", None),
     "exp": (math.exp, "_exp({a})", None, None),
     "ln": (math.log, "_log({a})", None, "{a} <= 0.0"),
     "sqrt": (math.sqrt, "_sqrt({a})", None, "{a} < 0.0"),
@@ -102,8 +103,7 @@ _BINARY = {"add": (operator.add, "v{n} = {a} + {b}"),
 _COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt,
             ">=": operator.ge, "==": operator.eq, "!=": operator.ne}
 _REPLAY_NAMES = {"_exp": math.exp, "_log": math.log, "_sqrt": math.sqrt,
-                 "_sin": math.sin, "_cos": math.cos,
-                 "_copysign": math.copysign}
+                 "_sin": math.sin, "_cos": math.cos, "_sign": _sign}
 
 
 def _derivative_source(kind: str, n: int, va: str, vb: str, da, db) -> str:
@@ -774,7 +774,8 @@ class PartialSumKernel:
     checks its domain as a Dual does, in place of the code's checks; a
     batch's rows are its single passes bit for bit.  ``x`` may be such
     numbers too, a batch traced at row 0.  ``reason`` is why ``fns``
-    cannot be traced at ``x``, or None.
+    cannot be traced at ``x``, or None; a generator that raises there on
+    Duals raises its own error instead.
     """
 
     def __init__(self, fns, x, groups):
@@ -783,7 +784,7 @@ class PartialSumKernel:
 
     def _trace(self, x):
         """Trace the generators at ``x``; the reason they cannot be, or
-        None."""
+        None, where none of them raises on duals at ``x``."""
         code = FieldCode(self.fns, x)
         if code.reason is None:
             lines = [_SQRT_DOT.sub(r"_sqrt_dot(\1, \2)", line)
@@ -798,6 +799,10 @@ class PartialSumKernel:
             self._sums = code.function(_source("sums", "x", [
                 ", ".join(f"v{i}" for i in range(len(x))) + ", = x"] + lines
                 + [f"return [{', '.join(sums)}]"]), **_GENERIC_NAMES)
+        else:
+            with contextlib.suppress(TypeError):    # the reason says why
+                for f in self.fns:
+                    f([Dual(v) for v in x])
         return code.reason
 
     def __call__(self, x):
@@ -838,18 +843,19 @@ def _point(xs) -> list:
                            else getattr(v, "val", v))[0]) for v in xs]
 
 
-def _sign_factor(s: float, a):
-    """``copysign(s, a)`` in a partial-sum kernel, ``a`` not 0: for a single
-    Dual its value's sign, 0.0 at a value 0, as ``Dual.__abs__`` takes it;
-    for a traced value, by a guard on its sign."""
+def _sign_factor(a):
+    """abs's derivative factor ``_sign(a)`` in a partial-sum kernel: of a
+    Dual, single or batch, a Dual of its value's signs (0.0 at 0, as
+    ``Dual.__abs__``) with zero derivatives, so each row is its single
+    pass; of a traced value, by guards on its sign."""
     if isinstance(a, Dual):
-        return 0.0 if a.val == 0.0 else math.copysign(s, a.val)
-    return s if a > 0.0 else -s
+        return Dual(_each(_sign, a.val), np.zeros_like(a.dot))
+    return 0.0 if a == 0.0 else 1.0 if a > 0.0 else -1.0
 
 
 # The replay names of a partial-sum kernel, which takes numbers of any kind.
 _GENERIC_NAMES = {"_exp": exp, "_log": ln, "_sqrt": sqrt, "_sin": sin,
-                  "_cos": cos, "_copysign": _sign_factor,
+                  "_cos": cos, "_sign": _sign_factor,
                   "_sqrt_dot": _sqrt_dot}
 
 

@@ -65,13 +65,21 @@ EXP_P = ScalarFn(lambda x: exp(x[0]) * x[2] + x[1] * x[1] * x[3], dim=4,
                  name="exp(q0) p0 + q1^2 p1")
 ROOT = ScalarFn(lambda x: sqrt(x[2] * x[2] + x[3] * x[3]) * ln(x[0] + 2.0),
                 dim=4, name="|p| ln(q0 + 2)")
-# four degrees of freedom, where np.dot sums a strided row in another order
+# four and five degrees of freedom: np.dot sums a strided row of 4 or more
+# entries in another order than a point's, the bracket's pairings left to
+# right on both
 DENSE = (ScalarFn(lambda x: exp(x[0]) * x[4] + x[1] * x[5] * x[2] + x[3] * x[6]
                   + x[0] * x[1] * x[7], dim=8, name="dense K1"),
          ScalarFn(lambda x: x[1] * x[4] + exp(x[2]) * x[5] + x[3] * x[0] * x[6]
                   + x[2] * x[7], dim=8, name="dense K2"))
+FIVE = (ScalarFn(lambda x: exp(x[0]) * x[5] + x[1] * x[6] * x[2] + x[3] * x[7]
+                 + x[4] * x[8] * x[0] - x[2] * x[9] * x[4], dim=10,
+                 name="five K1"),
+        ScalarFn(lambda x: x[4] * x[5] + exp(x[2]) * x[6] + x[3] * x[0] * x[7]
+                 + x[1] * x[8] * x[9] + x[2] * x[9], dim=10, name="five K2"))
 BRACKET_PAIRS = {"polynomial": (Q1P0, Q0P1), "transcendental": (EXP_P, ROOT),
-                 "four degrees of freedom": DENSE}
+                 "four degrees of freedom": DENSE,
+                 "five degrees of freedom": FIVE}
 BRACKET_POINTS = np.array([[0.3, 0.7, -1.2, 0.5], [1.1, -0.4, 0.8, 0.9],
                            [0.6, 1.3, -0.3, -1.4]])
 
@@ -86,7 +94,7 @@ def test_the_bracket_is_exact_and_its_rows_are_its_points(pair):
     K1, K2 = BRACKET_PAIRS[pair]
     B = poisson_fn(K1, K2)
     X = (BRACKET_POINTS if K1.dim == 4 else
-         np.cos(np.arange(8 * 40)).reshape(40, 8) + 0.5)
+         np.cos(np.arange(K1.dim * 40)).reshape(40, K1.dim) + 0.5)
     for x in X:
         np.testing.assert_allclose(grad(B, x), fd_grad(B, x), rtol=0.0,
                                    atol=1e-8)
@@ -106,6 +114,42 @@ def test_a_bracket_of_an_operand_it_cannot_trace_names_it():
                        r"cannot trace its operands: the trace cannot record "
                        r"floored, as it reads a traced value with float\(\)$"):
         poisson(floored, Q0P1, PT)
+
+
+@pytest.mark.parametrize("K, at, error, message", [
+    (ScalarFn(lambda x: ln(x[0]) * x[2], dim=4, name="ln(q0) p0"),
+     [-1.0, 2.0, 3.0, 4.0], ValueError, "ln requires a positive argument"),
+    (ScalarFn(lambda x: x[2] / (x[0] - 1.0), dim=4, name="p0/(q0 - 1)"),
+     [1.0, 2.0, 3.0, 4.0], ZeroDivisionError, "division by a dual number")],
+    ids=["ln", "division"])
+def test_a_bracket_at_a_point_where_an_operand_raises_raises_its_error(
+        K, at, error, message):
+    # the trace fails there, and the operand, run on duals as the bracket
+    # runs it, raises its own error with its own type
+    pt = PhasePoint(q=at[:2], p=at[2:])
+    with pytest.raises(error, match=f"^{message}"):
+        poisson(K, Q0P1, pt)
+    with pytest.raises(error, match=f"^{message}"):
+        poisson(Q0P1, K, pt)
+
+
+def test_a_bracket_of_an_operand_reading_abs_is_one_batch_pass():
+    # abs's derivative factor is a named helper that a batch of duals
+    # takes row by row, so the bracket's batch pass is its single passes
+    K1 = ScalarFn(lambda x: abs(x[2] - x[0]) * x[1], dim=4,
+                  name="|p0 - q0| q1")
+    B = poisson_fn(K1, Q0P1)
+    X = np.array([[0.3, 0.7, -1.2, 0.5], [1.1, -0.4, 1.1, 0.9],
+                  [0.6, 1.3, 0.9, -1.4]])
+    batch = _batch_pass(B, X, _seeds(*X.shape))
+    assert batch is not None
+    for row, x in enumerate(X.tolist()):
+        for seed in range(4):
+            single = B([Dual(v, float(i == seed)) for i, v in enumerate(x)])
+            assert (np.float64(single.val).tobytes(),
+                    np.float64(single.dot).tobytes()) == \
+                (batch.val[row].tobytes(), batch.dot[seed, row].tobytes())
+    assert grad(B, X).tobytes() == np.array([grad(B, x) for x in X]).tobytes()
 
 
 def test_bracket_dimension_checks():

@@ -19,7 +19,7 @@ from conftest import TracedGradient
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, geometry
-from ltk.diffkit import ScalarFn, grad, sqrt
+from ltk.diffkit import ScalarFn, exp, grad, sqrt
 from ltk.dynamics import (Trajectory, commutator_residual, contact_rhs,
                           flow_transport_check, integrate, lie_bracket_fd,
                           phase_rhs, project_reduced, reduced_rhs, rk4_step,
@@ -495,6 +495,20 @@ def test_contact_field_matches_rhs_builder():
     assert dx.shape == X.shape
     assert [v.hex() for v in dx.ravel().tolist()] == \
         [v.hex() for x in X for v in rhs(0.0, x).tolist()]
+
+
+def test_contact_rows_of_many_gammas_are_their_states():
+    # the pairing sum_j gamma_j dKhat/dgamma_j is summed left to right on a
+    # batch's columns as on one state, so with four gammas, where np.dot
+    # sums a strided row in another order, each row is its state's rates
+    Khat = ScalarFn(lambda x: exp(x[0]) * x[5] + x[1] * x[6] * x[2]
+                    + x[3] * x[7] + x[4] * x[8] * x[0] - x[2] * x[5] * x[6]
+                    + x[6] * x[7] * x[8], dim=9, name="nine")
+    rhs = contact_rhs(Khat, 0)
+    X = np.cos(np.arange(1800)).reshape(200, 9) + 0.5
+    dX = rhs(0.0, X)
+    assert [row.tobytes() for row in dX] == \
+        [rhs(0.0, x).tobytes() for x in X]
 
 
 def test_chart_flow_is_the_projected_phase_flow():
