@@ -32,7 +32,9 @@ the one-shot field, reruns a block in which the runner raises, and steps
 a batch, or a field the trace cannot record, throughout.  The
 flow-transport check sweeps each member's steps back through a loop
 generated the same way (:func:`_adjoint_source`), from K's gradient and
-Hessian code traced with the runner's.  Every other field steps in
+Hessian code traced with the runner's, so its alpha is always that
+sweep's exact derivative, and it raises for a K the trace cannot record
+or a member whose sweep leaves K's trace.  Every other field steps in
 numpy, one :func:`rk4_step` at a time, a single state as a batch row
 would.
 ``simulate`` records its guard, inputs, outputs and monitors through one
@@ -277,8 +279,8 @@ def _adjoint_source(body: str, hessian: str, dim: int) -> str:
     (-mu_p, mu_q)`` from the Hessian code ``hessian``, which reads them,
     takes a4 = J(s4)^T (w lam), a3 = J(s3)^T (2w lam + dt a4), a2 =
     J(s2)^T (2w lam + h a3), a1 = J(x)^T (w lam + h a2) and lam + a1 + a2
-    + a3 + a4.  It raises where the code raises or the last lam is not
-    finite."""
+    + a3 + a4.  It raises where the code raises, and ``_OffTrace`` where
+    a guard comes out otherwise: a point off K's trace."""
     from .tracegrad import _NAME, _source, _stage
     xs, m = [f"x{i}" for i in range(dim)], dim // 2
     points = {}
@@ -307,12 +309,10 @@ def _adjoint_source(body: str, hessian: str, dim: int) -> str:
         later = f"{k}h"
     lines += [f"{li} = {li} + ah{i} + bh{i} + ch{i} + dh{i}"
               for i, li in enumerate(ls)]
-    finite = " + ".join(f"{li} * 0.0" for li in ls)
     return _source("sweep", "xs, lam, dt", (
         [", ".join(ls) + ", = lam", "h = dt / 2.0", "w = dt / 6.0",
          "w2 = 2.0 * w", "for i in range(len(xs) - 2, -1, -1):",
          "    " + "\n        ".join([", ".join(xs) + ", = xs[i]"] + lines),
-         f"if {finite} != 0.0:", "    raise _Back",
          f"return [{', '.join(ls)}]"]))
 
 
@@ -674,10 +674,6 @@ def commutator_residual(K: ScalarFn, pt: PhasePoint,
     return lie_bracket_fd(X, E, pt.packed())
 
 
-def _perturbation_step(v: float) -> float:
-    return 1e-5 * max(1.0, abs(v))
-
-
 def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
                          sample_grid, dt: float = 1e-3) -> TransportReport:
     """Transport lifted surface members along the flow of K; measure defects.
@@ -691,24 +687,28 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     (``membership_drift``).  Both reported numbers are maxima over the grid.
 
     The grid of ``t_end`` and ``dt`` is checked as :func:`integrate` checks
-    it, and the members lifted, before either route; an error in a lift
-    names the member.  Each member flows alone on K's code traced once, at
-    the first member.  The membership residuals of all recorded member
+    it, and the members lifted, before any flow; an error in a lift names
+    the member.  Each member flows alone on K's code traced once, at the
+    first member, and the membership residuals of all recorded member
     states are one batch; an error there names the member and the time.
-    alpha on the tangents takes the exact derivative of the discrete flow:
+    alpha on the tangents is the exact derivative of the discrete flow:
     with alpha = p(T)·dq(T) linear in each transported tangent, one
     adjoint sweep of the RK4 steps per member (:func:`_adjoint_source`, on
     Hessian code traced with K's gradient) carries its derivative back to
     t = 0, where it meets the member's tangent basis
     (:func:`~ltk.submanifold.tangent_basis`, good to about 1e-12).
 
-    Where K cannot be traced, or this route raises or its sweep is not
-    finite, the whole check reruns on the perturbation route, which gives
-    the report or the error: each member and its 2 * n_params
-    perturbations (parameter k moved by +h, then -h) are flowed as rows of
-    one batch, and alpha is read off central differences of their final
-    states, so it carries the difference's error; an error in a flow names
-    the member and its perturbation.
+    K must be one the trace records: one that reads its arguments any
+    other way (``==`` of values equal at the first member, ``bool``,
+    ``float``, ``hash``, numpy, a point-dependent exponent) raises
+    ``ValueError`` with the trace's reason before any flow, and a K that
+    raises at the first member's start raises its own error there, naming
+    the member.  A member's flow that fails names the member: a state that
+    is not finite raises ``RuntimeError``, and any other error keeps its
+    type.  A member whose sweep leaves K's trace (a guard traced at the
+    first member comes out otherwise) raises ``ValueError``, and one whose
+    sweep ends on a derivative that is not finite ``RuntimeError``, each
+    naming the member.
     """
     _grid_steps(t_end, dt)
     members = [[float(v) for v in params] for params in sample_grid]
@@ -717,82 +717,63 @@ def flow_transport_check(gf: GeneratingFunction, K: ScalarFn, t_end: float,
     _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, members[rows]),
                          len(members),
                          lambda i: f"at surface member {members[i]}")
-    try:
-        found = _adjoint_transport(gf, K, members, x0, t_end, dt)
-    except Exception as err:   # noqa: BLE001 - the perturbation route raises
-        log.info("flowcheck: alpha reruns on the perturbation route, as the "
-                 "adjoint route raised %r", err)
-        found = None
-    alphas, drift = found or _perturbed_transport(gf, K, members, t_end, dt)
+    alphas, drift = _adjoint_transport(gf, K, members, x0, t_end, dt)
     return TransportReport(t_end, float(np.max(np.abs(alphas), initial=0.0)),
                            drift)
 
 
 def _adjoint_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
                        x0: np.ndarray, t_end: float, dt: float):
-    """``(alphas, drift)`` of :func:`flow_transport_check` by the adjoint
-    route from the members' lifts ``x0``: alpha on each member's tangents,
-    a (members, n_params) array, and the membership drift; None, logged,
-    where the trace cannot record K."""
-    from .tracegrad import FieldCode
+    """``(alphas, drift)`` of :func:`flow_transport_check` from the
+    members' lifts ``x0``: alpha on each member's tangents, a (members,
+    n_params) array, and the membership drift, or its errors."""
+    from .tracegrad import FieldCode, _OffTrace
     code = FieldCode((K,), x0[0].tolist(), hessians=True)
+    name = K.name or "K"
     if code.reason is not None:
-        log.info("flowcheck: %s runs on the perturbation route: %s",
-                 K.name or "K", code.reason)
-        return None
+        try:                            # K's own error, where it raises
+            grad(K, x0[0])
+        except TypeError:               # the reason says why
+            pass
+        except Exception as err:
+            err.args = (f"{err} at the start of surface member "
+                        f"{members[0]}",)
+            raise
+        raise ValueError(f"flowcheck cannot trace {name}: {code.reason}")
     field = _PhaseField(K, label="flowcheck", code=code)
-    flows = [integrate(field, x, t_end, dt) for x in x0]
+    flows = []
+    for member, x in zip(members, x0):
+        try:
+            flows.append(integrate(field, x, t_end, dt))
+        except _NonFiniteState as err:
+            raise RuntimeError(f"flow of surface member {member} produced a "
+                               f"non-finite state at t={err.t:g}") from err
+        except Exception as err:
+            err.args = (f"{err} on the flow of surface member {member}",)
+            raise
     drift = _membership_drift(gf, flows[0].t,
                               np.array([tr.x for tr in flows]), members)
     m = gf.n + 1
     sweep = code.function(_adjoint_source(
         "\n".join(_gradient_lines(code.codes)),
         "\n".join(_gradient_lines(code.hessians)), 2 * m))
+    lams = []
+    for member, tr in zip(members, flows):
+        # lam(T) = (p(T), 0), the derivative of alpha = p(T).dq(T) in dx(T)
+        try:
+            lam = sweep(tr.x.tolist(), tr.x[-1, m:].tolist() + [0.0] * m, dt)
+        except _OffTrace:
+            raise ValueError(
+                f"flowcheck cannot trace {name} on the adjoint sweep of "
+                f"surface member {member}: it leaves the trace made at "
+                f"surface member {members[0]}") from None
+        if not all(map(math.isfinite, lam)):
+            raise RuntimeError(f"adjoint sweep of surface member {member} "
+                               f"produced a non-finite derivative")
+        lams.append(lam)
     vq, vp = _tangent_rows(gf, members)
-    # lam(T) = (p(T), 0), the derivative of alpha = p(T).dq(T) in dx(T)
-    lams = [sweep(tr.x.tolist(), tr.x[-1, m:].tolist() + [0.0] * m, dt)
-            for tr in flows]
     tangents = np.concatenate([vq, vp], axis=2)     # dx(0), per member
     return (tangents @ np.array(lams)[:, :, None])[..., 0], drift
-
-
-def _perturbed_transport(gf: GeneratingFunction, K: ScalarFn, members: list,
-                         t_end: float, dt: float):
-    """``(alphas, drift)`` of :func:`flow_transport_check`, as
-    :func:`_adjoint_transport` gives them, by the perturbation route."""
-    starts = []
-    for params in members:
-        starts.append(params)
-        for k, v in enumerate(params):
-            h = _perturbation_step(v)
-            starts.append(params[:k] + [v + h] + params[k + 1:])
-            starts.append(params[:k] + [v - h] + params[k + 1:])
-    width = len(starts) // len(members)
-
-    def named(i):
-        member, j = divmod(i, width)
-        which = ("unperturbed" if j == 0 else
-                 f"parameter {(j - 1) // 2} {'+' if j % 2 else '-'}h")
-        return f"surface member {members[member]} ({which})"
-
-    _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, starts[rows]),
-                         len(starts), lambda i: f"at {named(i)}")
-    try:
-        traj = integrate(_PhaseField(K, label="flowcheck"), x0, t_end, dt)
-    except _NonFiniteState as err:
-        raise RuntimeError(f"flow of {named(err.row)} produced a non-finite "
-                           f"state at t={err.t:g}") from err
-    drift = _membership_drift(gf, traj.t,
-                              traj.x[:, ::width].transpose(1, 0, 2), members)
-    m = gf.n + 1
-    # each member's final state and its central-difference tangents
-    final = traj.x[-1].reshape(len(members), width, 2 * m)
-    steps = np.array([[_perturbation_step(v) for v in params]
-                      for params in members])
-    tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]
-    alphas = [np.dot(final[i, 0, m:], tangent[:m])
-              for i in range(len(members)) for tangent in tangents[i]]
-    return np.reshape(alphas, (len(members), -1)), drift
 
 
 def _membership_drift(gf: GeneratingFunction, t: np.ndarray,

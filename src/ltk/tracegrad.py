@@ -775,17 +775,21 @@ class PartialSumKernel:
     batch's rows are its single passes bit for bit.  ``x`` may be such
     numbers too, a batch traced at row 0.  ``reason`` is why ``fns``
     cannot be traced at ``x``, or None; a generator that raises there on
-    Duals raises its own error instead.
+    Duals raises its own error instead, naming a batch's row as ``grad``
+    does.
     """
 
     def __init__(self, fns, x, groups):
         self.fns, self.groups = fns, groups
-        self.reason = self._trace(_point(x))
+        self.reason = self._trace(x)
 
     def _trace(self, x):
-        """Trace the generators at ``x``; the reason they cannot be, or
-        None, where none of them raises on duals at ``x``."""
-        code = FieldCode(self.fns, x)
+        """Trace the generators at ``x`` (a batch at row 0); the reason
+        they cannot be, or None, where none of them raises on ``x``'s
+        Duals and Duals of its other numbers, so a batch's error names its
+        row as :func:`~ltk.diffkit.grad`'s does."""
+        at = _point(x)
+        code = FieldCode(self.fns, at)
         if code.reason is None:
             lines = [_SQRT_DOT.sub(r"_sqrt_dot(\1, \2)", line)
                      for lines, _ in code.codes for line in lines
@@ -800,9 +804,11 @@ class PartialSumKernel:
                 ", ".join(f"v{i}" for i in range(len(x))) + ", = x"] + lines
                 + [f"return [{', '.join(sums)}]"]), **_GENERIC_NAMES)
         else:
+            duals = [v if isinstance(v, Dual) else Dual(a)
+                     for v, a in zip(x, at)]
             with contextlib.suppress(TypeError):    # the reason says why
                 for f in self.fns:
-                    f([Dual(v) for v in x])
+                    f(duals)
         return code.reason
 
     def __call__(self, x):
@@ -811,11 +817,10 @@ class PartialSumKernel:
         try:
             sums = self._sums(xs)
         except _OffTrace:               # a guard came out otherwise
-            at = _point(xs)
-            reason = self._trace(at)
+            reason = self._trace(xs)
             if reason is not None:
                 raise ValueError(f"the partial sums cannot be traced at "
-                                 f"{at}: {reason}") from None
+                                 f"{_point(xs)}: {reason}") from None
             sums = self._sums(xs)
         return [y.val if plain and isinstance(y, Dual) else y for y in sums]
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 
-from ltk.diffkit import dirderiv, grad
-from ltk.dynamics import _canonical, _gradient_lines
+from ltk.diffkit import _sample_rows, dirderiv, grad
+from ltk.dynamics import (_canonical, _gradient_lines, _membership_drift,
+                          _NonFiniteState, _PhaseField, integrate)
+from ltk.submanifold import _liouville_rows
 from ltk.tracegrad import FieldCode, _source, _stage
 
 
@@ -104,3 +106,53 @@ class TracedGradient:
         first = f", the first from t={starts[0] * dt:g}" if starts else ""
         return (f"{label}: blocks rerun on the vector pass: {len(starts)}"
                 f"{first}")
+
+
+def perturbation_step(v: float) -> float:
+    """The step by which :func:`perturbed_transport` moves a parameter of
+    value ``v``."""
+    return 1e-5 * max(1.0, abs(v))
+
+
+def perturbed_transport(gf, K, members: list, t_end: float, dt: float):
+    """``(alphas, drift)`` of ``flow_transport_check`` by central
+    differences, the oracle its adjoint sweep is held to: each member and
+    its 2 * n_params perturbations (parameter k moved by +h, then -h) are
+    flowed as rows of one batch on the vector pass of ``phase_rhs``, and
+    alpha on each member's tangents, a (members, n_params) array, is read
+    off central differences of their final states, so it carries the
+    differences' error; the drift is that of the members' rows.  An error
+    in a lift or a flow names the member and its perturbation."""
+    starts = []
+    for params in members:
+        starts.append(params)
+        for k, v in enumerate(params):
+            h = perturbation_step(v)
+            starts.append(params[:k] + [v + h] + params[k + 1:])
+            starts.append(params[:k] + [v - h] + params[k + 1:])
+    width = len(starts) // len(members)
+
+    def named(i):
+        member, j = divmod(i, width)
+        which = ("unperturbed" if j == 0 else
+                 f"parameter {(j - 1) // 2} {'+' if j % 2 else '-'}h")
+        return f"surface member {members[member]} ({which})"
+
+    _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, starts[rows]),
+                         len(starts), lambda i: f"at {named(i)}")
+    try:
+        traj = integrate(_PhaseField(K, label="flowcheck"), x0, t_end, dt)
+    except _NonFiniteState as err:
+        raise RuntimeError(f"flow of {named(err.row)} produced a non-finite "
+                           f"state at t={err.t:g}") from err
+    drift = _membership_drift(gf, traj.t,
+                              traj.x[:, ::width].transpose(1, 0, 2), members)
+    m = gf.n + 1
+    # each member's final state and its central-difference tangents
+    final = traj.x[-1].reshape(len(members), width, 2 * m)
+    steps = np.array([[perturbation_step(v) for v in params]
+                      for params in members])
+    tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]
+    alphas = [np.dot(final[i, 0, m:], tangent[:m])
+              for i in range(len(members)) for tangent in tangents[i]]
+    return np.reshape(alphas, (len(members), -1)), drift

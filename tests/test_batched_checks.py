@@ -19,9 +19,11 @@ import logging
 import math
 import re
 
+import conftest
 import numpy as np
 import pytest
-from conftest import TracedGradient, port_flow
+from conftest import (TracedGradient, perturbation_step, perturbed_transport,
+                      port_flow)
 from test_diffkit import SYSTEMS, _hex
 from test_dynamics import _vector_pass, half_square_gf
 
@@ -391,10 +393,10 @@ def test_flowcheck_names_the_member_and_time_of_a_degenerate_chart(tmp_path,
 
 
 def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
-    # a lifted start row of the perturbation route that is not finite
-    # fails its lift, before any step, named by its member and its
-    # perturbation; flowcheck lifts its members before either route, and
-    # names a member whose lift is not finite
+    # a lifted start row of the oracle that is not finite fails its lift,
+    # before any step, named by its member and its perturbation; flowcheck
+    # lifts its members before any flow, and names a member whose lift is
+    # not finite
     system = heat_compartment()
     grid = [[float(v) for v in params]
             for params in _sample_surface_params(system, 2, 5)]
@@ -407,12 +409,13 @@ def test_flowcheck_names_the_member_of_a_non_finite_start(monkeypatch):
         return X
 
     monkeypatch.setattr(dynamics, "_liouville_rows", lifted)
+    monkeypatch.setattr(conftest, "_liouville_rows", lifted)
     v = grid[1][0]
-    poisoned[:] = [v + dynamics._perturbation_step(v), grid[1][1]]
+    poisoned[:] = [v + perturbation_step(v), grid[1][1]]
     with pytest.raises(ValueError, match=r"^non-finite result \[nan, .*"
                        + re.escape(f"] at surface member {grid[1]} "
                                    f"(parameter 0 +h)") + "$"):
-        dynamics._perturbed_transport(system.gf, system.Ka, grid, 0.05, 1e-3)
+        perturbed_transport(system.gf, system.Ka, grid, 0.05, 1e-3)
     poisoned[:] = grid[1]
     with pytest.raises(ValueError, match=re.escape(
             f"at surface member {grid[1]}") + "$"):
@@ -453,8 +456,8 @@ def _traced(K) -> _PhaseField:
 
 
 def _vector_route(monkeypatch):
-    """Let no trace record K, so the integrated checks take the vector pass
-    of ``phase_rhs`` at every stage."""
+    """Let no trace record K, so the integrated flows take the vector pass
+    of ``phase_rhs`` at every stage, and flowcheck raises the reason."""
     monkeypatch.setattr(tracegrad._Trace, "record",
                         lambda trace, K: (None, "untraced"))
 
@@ -520,22 +523,31 @@ def _flowcheck_grid(system) -> list:
             for params in grid + _sample_surface_params(system, 2, 5)]
 
 
+def _runner_off(monkeypatch):
+    """Build no block runner, so the integrated checks flow each state on
+    the vector pass of ``phase_rhs`` at every stage, while flowcheck's
+    adjoint sweep still reads K's trace."""
+    monkeypatch.setattr(_PhaseField, "runner", lambda field, x: None)
+
+
 @pytest.mark.parametrize("name", ["piston", "exchanger", "expression piston"])
 def test_flowcheck_reports_are_the_vector_passes(name, monkeypatch):
-    # the perturbation route's alphas and drift, and the scaling check,
-    # traced and untraced; flowcheck takes the adjoint route traced and the
-    # perturbation route untraced, with the same drift
+    # the oracle's alphas and drift, flowcheck's report, and the scaling
+    # check, with the block runner and without: flowcheck's adjoint sweep
+    # reads the same states either way, and the oracle's batch never takes
+    # the runner
     system = SYSTEMS[name]()
     grid = _flowcheck_grid(system)
     pt = liouville_point(system.gf, grid[0])
     runs = []
     for route in ("traced", "vector"):
         if route == "vector":
-            _vector_route(monkeypatch)
-        alphas, drift = dynamics._perturbed_transport(system.gf, system.Ka,
-                                                      grid, 0.05, 1e-3)
+            _runner_off(monkeypatch)
+        alphas, drift = perturbed_transport(system.gf, system.Ka, grid, 0.05,
+                                            1e-3)
         report = flow_transport_check(system.gf, system.Ka, 0.05, grid)
-        runs.append([*alphas.ravel(), drift, report.membership_drift,
+        runs.append([*alphas.ravel(), drift, report.alpha_residual,
+                     report.membership_drift,
                      scaling_commutation_check(system.Ka, pt, 1.7, 0.05)])
     assert _hex(runs[0]) == _hex(runs[1])
 
@@ -566,8 +578,7 @@ def test_adjoint_alphas_are_the_perturbation_routes(name, caplog):
     assert _log_lines(caplog, "flowcheck") == [
         f"flowcheck: {K.name} runs on a traced replay",
         "flowcheck: blocks rerun on the vector pass: 0"] * len(grid)
-    differenced, want = dynamics._perturbed_transport(gf, K, grid, t_end,
-                                                      1e-3)
+    differenced, want = perturbed_transport(gf, K, grid, t_end, 1e-3)
     assert exact.shape == differenced.shape == (len(grid), gf.n_params)
     assert np.max(np.abs(exact - differenced)) < 1e-9
     assert drift.hex() == want.hex()
@@ -579,51 +590,59 @@ def test_adjoint_alphas_are_the_perturbation_routes(name, caplog):
         assert report.alpha_residual < 1e-11
 
 
-def test_a_k_the_trace_cannot_record_keeps_the_perturbation_report(caplog):
-    # no adjoint route without the trace: flowcheck is the perturbation
-    # route, bit for bit, integrated once as a batch
+def test_a_k_the_trace_cannot_record_is_a_flowcheck_error(caplog):
+    # no adjoint sweep without the trace: flowcheck raises the trace's
+    # reason before any flow, where the oracle's vector pass has a report
     port = heat_compartment().Kc[0]
     K = ScalarFn(lambda x: port(x) * (2.0 if hash(x[0]) == 7 else 1.0), 4,
                  name="reads hash")
     gf, grid = heat_compartment().gf, [[0.1, -1.0], [0.3, -0.8]]
-    with caplog.at_level(logging.INFO, logger="ltk"):
-        report = flow_transport_check(gf, K, 0.05, grid)
-    assert _log_lines(caplog, "flowcheck") == [
-        "flowcheck: reads hash runs on the perturbation route: the trace "
-        "cannot record reads hash, as it reads a traced value with hash()",
-        "flowcheck: reads hash runs on the vector pass: its start is not one "
-        "state"]
-    alphas, drift = dynamics._perturbed_transport(gf, K, grid, 0.05, 1e-3)
-    assert _hex([report.alpha_residual, report.membership_drift]) == \
-        _hex([np.max(np.abs(alphas)), drift])
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(ValueError, match=re.escape(
+                "flowcheck cannot trace reads hash: the trace cannot record "
+                "reads hash, as it reads a traced value with hash()") + "$"):
+        flow_transport_check(gf, K, 0.05, grid)
+    assert _log_lines(caplog, "flowcheck") == []
+    alphas, drift = perturbed_transport(gf, K, grid, 0.05, 1e-3)
+    assert np.isfinite([*alphas.ravel(), drift]).all()
 
 
-def test_a_sweep_off_its_trace_reruns_the_check_on_the_perturbation_route(
-        caplog):
+def test_a_k_that_raises_at_the_first_start_raises_its_own_error(caplog):
+    # the trace cannot record a K that raises at the first member's start:
+    # flowcheck raises K's error there, naming the member, before any flow
+    K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(q1 - 0.2))",
+                   ["q0", "q1", "p0", "p1"])
+    gf, grid = heat_compartment().gf, [[0.1, -1.0], [0.3, -0.8]]
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(ValueError, match=re.escape(
+                "ln requires a positive argument in 'ln(q1-0.2)' at the "
+                "start of surface member [0.1, -1.0]") + "$"):
+        flow_transport_check(gf, K, 0.05, grid)
+    assert _log_lines(caplog, "flowcheck") == []
+
+
+def test_a_sweep_off_its_trace_is_an_error_naming_the_member(caplog):
     # the drift doubles while the piston momentum exceeds 0.3, as it does
     # from the start for the first member, traced, and from mid-run for the
     # second: the second member's forward run reruns its block on the
-    # vector pass, and the adjoint sweep, which has no such pass, hands
-    # the check over whole
+    # vector pass, and its adjoint sweep, which has no such pass, leaves
+    # the trace
     Ka = gas_piston_damper().Ka
     K = ScalarFn(lambda x: Ka(x) * 2.0 if x[3] > 0.3 else Ka(x), 8,
                  name="switching drift")
     gf = gas_piston_damper().gf
     grid = [[0.0, 1.0, 0.35, -1.0], [0.0, 1.0, 0.2, -1.0]]
-    with caplog.at_level(logging.INFO, logger="ltk"):
-        report = flow_transport_check(gf, K, 1.0, grid, dt=2e-2)
+    with caplog.at_level(logging.INFO, logger="ltk"), \
+            pytest.raises(ValueError, match=re.escape(
+                "flowcheck cannot trace switching drift on the adjoint sweep "
+                "of surface member [0.0, 1.0, 0.2, -1.0]: it leaves the "
+                "trace made at surface member [0.0, 1.0, 0.35, -1.0]") + "$"):
+        flow_transport_check(gf, K, 1.0, grid, dt=2e-2)
     assert _log_lines(caplog, "flowcheck") == [
         "flowcheck: switching drift runs on a traced replay",
         "flowcheck: blocks rerun on the vector pass: 0",
         "flowcheck: switching drift runs on a traced replay",
-        "flowcheck: blocks rerun on the vector pass: 1, the first from t=0",
-        "flowcheck: alpha reruns on the perturbation route, as the adjoint "
-        "route raised _OffTrace()",
-        "flowcheck: switching drift runs on the vector pass: its start is "
-        "not one state"]
-    alphas, drift = dynamics._perturbed_transport(gf, K, grid, 1.0, 2e-2)
-    assert _hex([report.alpha_residual, report.membership_drift]) == \
-        _hex([np.max(np.abs(alphas)), drift])
+        "flowcheck: blocks rerun on the vector pass: 1, the first from t=0"]
 
 
 def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
@@ -737,9 +756,8 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
 def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
     # a block in which a member's flow raises reruns on the vector pass,
-    # and the check on the perturbation route, whose batch error names the
-    # batch row; integrate adds the step, flowcheck names the member and
-    # perturbation of a non-finite row
+    # whose error is that of the flow without a runner; integrate adds the
+    # step, and flowcheck names the member
     if case == "domain hole":
         system = heat_compartment()
         gf = system.gf
@@ -748,8 +766,8 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
         grid, t_end, dt = [(0.1, -1.0), (0.3, -1.0), (0.2, -1.2)], 1.0, 1e-2
         pt = liouville_point(gf, (0.3, -1.0))
     else:
-        # the RK4 sum 6 * 2c|p0| overflows at p0 = -1 itself, so the
-        # adjoint route raises and the perturbation route names the member
+        # the RK4 sum 6 * 2c|p0| overflows at p0 = -1 itself, so that
+        # member's flow is not finite
         gf = GeneratingFunction(
             n=1, Fhat=ScalarFn(lambda x: 0.5 * x[0] ** 2, dim=1),
             I=(1,), chart=0)
@@ -760,7 +778,7 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
     errors = []
     for route in ("traced", "vector"):
         if route == "vector":
-            _vector_route(monkeypatch)
+            _runner_off(monkeypatch)
         with pytest.raises(Exception) as flow, np.errstate(over="ignore"):
             flow_transport_check(gf, K, t_end, grid, dt=dt)
         errors.append((type(flow.value), str(flow.value)))
@@ -772,12 +790,13 @@ def test_errors_of_the_traced_flow_are_the_vector_passes(case, monkeypatch):
     assert errors[:half] == errors[half:]
     if case == "domain hole":
         assert errors[0][1] == (
-            "ln requires a positive argument (batch row 5) in "
-            "'ln(0.45-q1)' in the step from t=0.21")
+            "ln requires a positive argument in 'ln(0.45-q1)' in the step "
+            "from t=0.46 on the flow of surface member [0.1, -1.0]")
         assert "in the step from t=" in errors[1][1]
     else:
-        assert errors[0][0] is RuntimeError
-        assert "member [1.2, -1.0] (unperturbed)" in errors[0][1]
+        assert errors[0] == (RuntimeError, "flow of surface member "
+                             "[1.2, -1.0] produced a non-finite state at "
+                             "t=0.001")
 
 
 def _blowing_up() -> ScalarFn:
@@ -883,13 +902,14 @@ def test_flowcheck_of_82_members_replays_each_member(capsys, caplog,
     # however many members, each flows alone on a traced replay, and the
     # report is the vector pass's: with no block runner, every member
     # steps on the vector pass and the adjoint sweep reads K's trace all
-    # the same; with no trace, the perturbation route flows the members as
-    # batch rows to the same membership drift
+    # the same; the oracle flows the same members as batch rows to the same
+    # membership drift; with no trace, flowcheck fails with the trace's
+    # reason
     lines, report = _flowcheck_log(82, capsys, caplog, tmp_path)
     assert lines == [
         "flowcheck: drift(heat_exchanger) runs on a traced replay",
         "flowcheck: blocks rerun on the vector pass: 0"] * 82 * 2
-    monkeypatch.setattr(_PhaseField, "runner", lambda field, x: None)
+    _runner_off(monkeypatch)
     assert cli.main(_flowcheck_argv(82)) == 0
     assert capsys.readouterr().out == report
     monkeypatch.undo()
@@ -897,11 +917,18 @@ def test_flowcheck_of_82_members_replays_each_member(capsys, caplog,
     exchanger = heat_exchanger()
     monkeypatch.setitem(portsys.BUILTIN_SYSTEMS, "heat_exchanger",
                         lambda: exchanger)
+    grid = [list(exchanger.default_params)] + [
+        [float(v) for v in params]
+        for params in _sample_surface_params(exchanger, 81, 0)]
+    _, drift = perturbed_transport(exchanger.gf, exchanger.Ka, grid, 0.02,
+                                   1e-3)
+    assert drift == json.loads(report)["membership_drift"]["max_residual"]
     _vector_route(monkeypatch)
-    assert cli.main(_flowcheck_argv(82)) == 0
-    vector = json.loads(capsys.readouterr().out)
-    assert vector["membership_drift"] == \
-        json.loads(report)["membership_drift"]
+    assert cli.main(_flowcheck_argv(82)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flowcheck cannot trace drift(heat_exchanger): the trace cannot " \
+        "record drift(heat_exchanger), as untraced" in captured.err
 
 
 def test_the_scaling_check_logs_its_route_and_fallbacks(monkeypatch, caplog):

@@ -133,6 +133,21 @@ def test_a_bracket_at_a_point_where_an_operand_raises_raises_its_error(
         poisson(Q0P1, K, pt)
 
 
+def test_a_bracket_whose_operand_raises_at_batch_row_0_names_the_row():
+    # the trace at row 0 fails, and the operand, run on the batch's duals,
+    # names the row as grad of the operand does; a single point's message
+    # has no row
+    K = ScalarFn(lambda x: ln(x[0]) * x[2], dim=4, name="ln(q0) p0")
+    X = np.array([[-1.0, 1.0, -1.0, 0.5], [1.0, 1.0, -1.0, 0.5]])
+    for B in (poisson_fn(K, Q0P1), K):
+        with pytest.raises(ValueError, match=r"^ln requires a positive "
+                                             r"argument \(batch row 0\)$"):
+            grad(B, X)
+    with pytest.raises(ValueError, match="^ln requires a positive "
+                                         "argument$"):
+        grad(poisson_fn(K, Q0P1), X[0])
+
+
 def test_a_bracket_of_an_operand_reading_abs_is_one_batch_pass():
     # abs's derivative factor is a named helper that a batch of duals
     # takes row by row, so the bracket's batch pass is its single passes

@@ -499,6 +499,25 @@ def test_flowcheck_piston_drift_preserves_the_surface(capsys):
     assert all(check["pass"] for check in report.values())
 
 
+def test_flowcheck_needs_a_drift_the_trace_records(tmp_path, capsys):
+    # a point-dependent exponent: the README compartment whose drift is
+    # 0*p0*q0^q1 validates and simulates on the vector pass, but flowcheck
+    # has no adjoint sweep without K's trace, and fails with its reason
+    spec = dict(COMPARTMENT, name="compartment", Ka="0*p0*q0^q1",
+                gf={"expr": "exp(q1)"}, initial=[0.0, -1.0],
+                param_box=[[-0.5, 1.0], [-1.5, -0.5]])
+    path = tmp_path / "compartment.json"
+    for command, code in (("validate", 0), ("simulate", 0),
+                          ("flowcheck", 1)):
+        path.write_text(json.dumps({"command": command, "t_end": 0.1,
+                                    "system": {"custom": spec}}))
+        assert run(str(path)) == code, command
+        captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flowcheck cannot trace" in captured.err
+    assert "raises to a traced exponent" in captured.err
+
+
 # -- config files and parameter overrides ----------------------------------------------
 
 

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import TracedGradient
+from conftest import TracedGradient, perturbed_transport
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, geometry
@@ -816,42 +816,48 @@ def test_monitors_see_the_stored_rows_and_grid_times(block, monkeypatch):
 def test_flow_transport_names_the_trajectory_that_went_non_finite():
     # K = c p0^2 moves q at the constant rate 2 c p0; c is set so that the
     # RK4 sum 6 * 2c|p0| stays finite at p0 = -1 but overflows for the
-    # perturbation p0 - h of that member alone, which the perturbation
-    # route flows
+    # perturbation p0 - h of that member alone, which the oracle flows
     c = np.finfo(float).max / 12.0 / (1.0 + 5e-6)
     K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
     grid = [[0.7, -0.5], [1.2, -1.0]]
     with pytest.raises(RuntimeError, match=r"member \[1\.2, -1\.0\] "
                        r"\(parameter 1 -h\).* at t=0\.001\b"), \
             np.errstate(over="ignore"):
-        dynamics._perturbed_transport(half_square_gf(), K, grid, 0.01, 1e-3)
+        perturbed_transport(half_square_gf(), K, grid, 0.01, 1e-3)
     # without that member every trajectory stays finite
-    dynamics._perturbed_transport(half_square_gf(), K, grid[:1], 0.01, 1e-3)
-    # the adjoint route flows the members alone, which stay finite: alpha
-    # is finite and fails the check
+    perturbed_transport(half_square_gf(), K, grid[:1], 0.01, 1e-3)
+    # flowcheck flows the members alone, which stay finite: alpha is
+    # finite and fails the check
     report = flow_transport_check(half_square_gf(), K, 0.01, grid, dt=1e-3)
     assert 1e300 < report.alpha_residual < np.inf
 
 
 def test_a_perturbed_start_that_cannot_be_lifted_is_named_by_member():
-    # the trace cannot record hash, so alpha runs on the perturbation route,
-    # where the second member moved by -h in p_chart has p_chart 0
-    K = ScalarFn(lambda x: x[3] + x[2] * x[1] + 0.0 * hash(x[3]), dim=4)
+    # the oracle lifts each member's perturbations, and the second member
+    # moved by -h in p_chart has p_chart 0; flowcheck lifts the members
+    # alone, and raises for a K the trace cannot record, before any flow
+    K = ScalarFn(lambda x: x[3] + x[2] * x[1] + 0.0 * hash(x[3]), dim=4,
+                 name="reads hash")
+    grid = [(0.7, -1.0), (0.7, 1e-5)]
     with pytest.raises(ValueError, match=re.escape(
             "p_chart must be nonzero to generate a lift point at surface "
             "member [0.7, 1e-05] (parameter 1 -h)") + "$"):
-        flow_transport_check(half_square_gf(), K, 0.01,
-                             [(0.7, -1.0), (0.7, 1e-5)], dt=1e-3)
+        perturbed_transport(half_square_gf(), K, [list(g) for g in grid],
+                            0.01, 1e-3)
+    with pytest.raises(ValueError, match=re.escape(
+            "flowcheck cannot trace reads hash: the trace cannot record "
+            "reads hash, as it reads a traced value with hash()") + "$"):
+        flow_transport_check(half_square_gf(), K, 0.01, grid, dt=1e-3)
 
 
 @pytest.mark.parametrize("case", ["t_end off the grid", "dt not finite",
                                   "p_chart 0", "lift not finite",
                                   "power out of range"])
-def test_flow_transport_input_errors_raise_once_before_either_route(case,
-                                                                    caplog):
+def test_flow_transport_input_errors_raise_once_before_any_flow(case,
+                                                                caplog):
     # the grid is checked as integrate checks it, and each member lifted,
-    # before either route: the error names the input, or the member by its
-    # parameters, and the check never hands over to the perturbation route
+    # before any flow: the error names the input, or the member by its
+    # parameters, and nothing is traced or logged
     gf, K = half_square_gf(), Q1P0
     grid, t_end, dt, error = [(0.7, -1.0), (1.2, -0.5)], 0.5, 1e-2, ValueError
     if case == "t_end off the grid":
@@ -881,15 +887,37 @@ def test_flow_transport_input_errors_raise_once_before_either_route(case,
 
 
 def test_flow_transport_names_the_member_that_went_non_finite():
-    # at a c a little larger the member at p0 = -1 overflows itself: the
-    # adjoint route raises, and the perturbation route names the member
+    # at a c a little larger the member at p0 = -1 overflows itself, and
+    # flowcheck names the member
     c = np.finfo(float).max / 12.0 * (1.0 + 1e-6)
     K = ScalarFn(lambda x: c * x[2] * x[2], dim=4, name="c p0^2")
     with pytest.raises(RuntimeError, match=re.escape(
-            "flow of surface member [1.2, -1.0] (unperturbed) produced a "
-            "non-finite state at t=0.001") + "$"), np.errstate(over="ignore"):
+            "flow of surface member [1.2, -1.0] produced a non-finite state "
+            "at t=0.001") + "$"), np.errstate(over="ignore"):
         flow_transport_check(half_square_gf(), K, 0.01,
                              [(0.7, -0.5), (1.2, -1.0)], dt=1e-3)
+
+
+def test_flow_transport_names_the_member_whose_sweep_is_not_finite(
+        monkeypatch):
+    # a sweep source wrapped so that its Hessian code overflows where
+    # q1 > 1, as it is for the second member alone: that member's
+    # derivative is not finite, and flowcheck names the member
+    original = dynamics._adjoint_source
+
+    def overflowing(body, hessian, dim):
+        return original(body, hessian.replace(
+            "$0 = ", "$0 = (1e300 * 1e300 if x1 > 1.0 else 1.0) * "), dim)
+
+    monkeypatch.setattr(dynamics, "_adjoint_source", overflowing)
+    grid = [(0.7, -1.0), (1.2, -0.5)]
+    with pytest.raises(RuntimeError, match=re.escape(
+            "adjoint sweep of surface member [1.2, -0.5] produced a "
+            "non-finite derivative") + "$"):
+        flow_transport_check(half_square_gf(), Q1P0, 0.5, grid, dt=1e-2)
+    monkeypatch.undo()
+    assert flow_transport_check(half_square_gf(), Q1P0, 0.5, grid,
+                                dt=1e-2).alpha_residual < 1e-11
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, -1.0])

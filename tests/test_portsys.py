@@ -921,3 +921,44 @@ def test_heat_chain_meets_its_modal_closed_form(N):
     assert np.max(np.abs(E - exact)) < 1e-8
     assert np.max(np.abs(E.sum(axis=1) - E0.sum())) < 1e-13
     assert np.min(np.diff(S.sum(axis=1))) >= 0.0
+
+
+def _fourier(outputs):
+    """heat_exchanger's law at lam = 1: a heat flow T_1 - T_2, T = 1/y_e."""
+    (_, ye1), (_, ye2) = outputs
+    w = 1.0 / ye1[0] - 1.0 / ye2[0]
+    return (-w,), (w,)
+
+
+@pytest.mark.parametrize("hot, cold, chart, I", [
+    ("energy", "energy", 0, (1, 3)), ("energy", "entropy", 0, (1, 2)),
+    ("entropy", "energy", 1, (0, 3)), ("entropy", "entropy", 1, (0, 2))],
+    ids=["EE", "ES", "SE", "SS"])
+def test_factors_in_either_representation_merge_to_the_exchanger(hot, cold,
+                                                                 chart, I):
+    # the README compartment at E = 2 and at E = 1, each in its energy
+    # (exp(q1), chart 0) or entropy (ln(q0), chart 1) representation,
+    # closed by Fourier's law: the product keeps the hot factor's chart,
+    # validates, and flows as heat_exchanger from (ln 2, 0, -1, -1)
+    from test_cli import REPRESENTATIONS
+    parts = [cli._build_custom_system(dict(REPRESENTATIONS[start][form],
+                                           name=name))
+             for start, form, name in (("E = 2", hot, "hot"),
+                                       ("E = 1", cold, "cold"))]
+    closed = interconnect(parts, _fourier)
+    assert (closed.gf.chart, closed.gf.I) == (chart, I)
+    report = validate(closed)
+    assert all(r <= tol for r, tol in report.checks().values())
+    q = simulate(closed, 1.0, 1e-3).q
+    want = simulate(heat_exchanger(), 1.0, 1e-3,
+                    params=(np.log(2.0), 0.0, -1.0, -1.0)).q
+    if (hot, cold) != ("entropy", "energy"):
+        assert np.array_equal(q, want)
+    else:
+        # the product's lift of the hot factor's start E = 2 rounds S one
+        # ulp above log(2), where the factor alone lifts it to log(2); the
+        # runs part by an ulp
+        assert q[0, 1] == np.nextafter(np.log(2.0), 1.0)
+        differ = np.abs(q - want).max(axis=1)
+        assert np.count_nonzero(differ) == 66
+        assert differ.max() <= 1.1102230246251565e-16
