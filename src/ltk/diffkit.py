@@ -47,8 +47,8 @@ checks (``flow_transport_check``, ``scaling_commutation_check``), each
 flowed alone.  :mod:`ltk.tracegrad` traces the generators once per run
 into straight-line code that sums :func:`grad`'s partials bit for bit,
 which one generated block runner inlines at each RK4 stage of one
-state; a block in which that code raises, a batch, and a field it cannot
-trace run on :func:`grad`, which stays the reference.
+state; a block in which that code raises and a field it cannot trace
+run on :func:`grad`, which stays the reference.
 A traced value is a :class:`_Recorder`: ``exp``, ``ln``, ``sqrt``, ``sin``
 and ``cos`` below test for it right after ``Dual``, before any ``math``
 call, and let it record the call.
@@ -438,7 +438,7 @@ def grad(f: ScalarFn, x) -> np.ndarray:
     or a 0-d array included) raises "expects dimension".
     """
     if isinstance(x, np.ndarray) and x.ndim == 2:
-        return _grad_rows(f, x)
+        return _values_and_grads(f, x)[1]
     x = _point(f, x)
     out = np.empty(f.dim)
     for i in range(f.dim):
@@ -479,15 +479,6 @@ def _seeds(B: int, dim: int) -> np.ndarray:
     seeds = np.zeros((dim, dim, B))
     seeds[np.arange(dim), np.arange(dim)] = 1.0
     return seeds
-
-
-def _grad_rows(f: ScalarFn, X) -> np.ndarray:
-    """The gradients of ``f`` at the rows of ``X``, one vector-mode pass."""
-    X = _as_rows(f, X)
-    y = _batch_pass(f, X, _seeds(*X.shape))
-    if y is not None:
-        return y.dot.T + 0.0
-    return np.array([grad(f, x) for x in X]).reshape(X.shape)
 
 
 def _values_and_grads(f: ScalarFn, X):

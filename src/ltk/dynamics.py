@@ -15,9 +15,11 @@ Each of the three fields is a right-hand-side builder (:func:`phase_rhs`,
 ``f(t, x) -> ndarray`` over packed state vectors, for use with
 :func:`integrate` or at a single point; the phase and contact forms also
 take a (B, dim) batch of states, one per row, differentiated in one
-vector-mode pass.  Integration is fixed-step RK4, chosen for determinism:
-given the same inputs the trajectory is bitwise reproducible.
-:func:`integrate` is the package's one integration loop.  A phase
+vector-mode pass, as a one-shot evaluation.  Integration is fixed-step
+RK4, chosen for determinism: given the same inputs the trajectory is
+bitwise reproducible.  :func:`integrate` is the package's one
+integration loop, and it steps one state, carried as a list of floats
+on every route.  A phase
 field, :func:`phase_rhs`'s or the forced one of port-system simulation
 (:func:`ltk.portsys.simulate`), builds its own block runner for one
 state, traced once at its start (:class:`ltk.tracegrad.FieldCode`): the
@@ -29,14 +31,13 @@ that the block's last state is finite.  The two integrated checks
 (:func:`flow_transport_check`, :func:`scaling_commutation_check`) flow
 each trajectory alone on it.  The vector pass of :func:`phase_rhs` stays
 the one-shot field, reruns a block in which the runner raises, and steps
-a batch, or a field the trace cannot record, throughout.  The
+a field the trace cannot record throughout.  The
 flow-transport check sweeps each member's steps back through a loop
 generated the same way (:func:`_adjoint_source`), from K's gradient and
 Hessian code traced with the runner's, so its alpha is always that
 sweep's exact derivative, and it raises for a K the trace cannot record
 or a member whose sweep leaves K's trace.  Every other field steps in
-numpy, one :func:`rk4_step` at a time, a single state as a batch row
-would.
+numpy, one :func:`rk4_step` at a time.
 ``simulate`` records its guard, inputs, outputs and monitors through one
 monitor that takes a block of grid points at a time; a run that leaves
 the surface is detected at the end of its block.
@@ -88,10 +89,9 @@ log = logging.getLogger("ltk")
 # Step scale for finite-difference Jacobian-vector products on vector fields.
 FIELD_FD_STEP = 1e-5
 
-# States per call of an :func:`integrate` monitor (a batch's rows count
-# one each): enough to spread a vector-mode pass's overhead thin, few
-# enough to keep its arrays, and the states the block runner lists for
-# them, small.
+# States per call of an :func:`integrate` monitor: enough to spread a
+# vector-mode pass's overhead thin, few enough to keep its arrays, and
+# the states the block runner lists for them, small.
 MONITOR_BLOCK = 1024
 
 
@@ -185,23 +185,21 @@ class _PhaseField:
                 g = g + u * grad(K, x)
         return _canonical(g)
 
-    def runner(self, x: np.ndarray):
+    def runner(self, x: list):
         """``run(x, i0, i1, dt, out)``: the RK4 steps i0+1 to i1 from the
         list state ``x`` at t = i0*dt, as one loop generated from ``code``
-        or the generators traced at ``x``; None where ``x`` is not one
-        state of K's width, which runs the vector pass.  Logs the route.
+        or the generators traced at ``x``; None where ``x`` is not of K's
+        width, which runs the vector pass.  Logs the route.
         Each stage evaluates the gradient inline, with the inputs
         ``read(t)`` for a field with ports, read at t, t + h and t + dt of
         each step (k3 takes k2's read), and each new state is appended to
         ``out`` as a list.  ``run`` returns the last state, or raises where
         a stage raises or that state is not finite."""
-        if x.ndim != 1:                 # a batch steps; a scalar raises
-            reason = "its start is not one state"
-        elif len(x) != self.Ka.dim:     # the vector pass raises
+        if len(x) != self.Ka.dim:       # the vector pass raises
             reason = f"its start state has {len(x)} entries"
         else:
             from .tracegrad import FieldCode
-            code = self.code or FieldCode((self.Ka, *self.Kc), x.tolist())
+            code = self.code or FieldCode((self.Ka, *self.Kc), x)
             reason = code.reason
         name = self.Ka.name or "K"
         if reason is not None:
@@ -461,14 +459,12 @@ def _rk4_lines(n: int, stage):
 
 
 class _NonFiniteState(RuntimeError):
-    """:func:`integrate` reached a non-finite state; ``row`` is the batch row
-    (None for a single state)."""
+    """:func:`integrate` reached a non-finite state."""
 
-    def __init__(self, t: float, step: int, row=None):
-        where = "" if row is None else f" in row {row}"
+    def __init__(self, t: float, step: int):
         super().__init__(f"integration produced a non-finite state at "
-                         f"t={t:g} (step {step}){where}")
-        self.t, self.row = t, row
+                         f"t={t:g} (step {step})")
+        self.t = t
 
 
 def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
@@ -476,42 +472,44 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
 
     ``t_end`` and ``dt`` must be finite, and ``t_end`` a nonnegative
     integer multiple of ``dt`` (the grid is t_i = i*dt).  ``x0`` is one
-    state vector, or a (B, dim) batch of states stepped together; every
-    step is entrywise arithmetic, so a row follows the trajectory it would
-    follow alone, bit for bit, when ``f`` treats rows alike (as
-    :func:`phase_rhs` does).  ``f`` steps in numpy, one :func:`rk4_step`
-    at a time, unless it is a phase field (:func:`phase_rhs`'s, or
-    simulate's) and ``x0`` one state of K's width, which its block runner
-    steps a monitor block at a time with the numpy step's bits.  A block
-    in which the runner raises, for any reason (a guard that flips, a
-    check that trips, an error, a last state that is not finite), reruns
-    from its start on the vector pass, which returns the same bits or
-    raises the same error at the same step; a field with a generator the
-    trace cannot record runs the vector pass throughout.  At level INFO
-    the ``ltk`` logger says, after the field's label, which route the run
-    takes, and why, and how many blocks reran on the vector pass, with the
-    start time of the first.
+    state vector; any other shape (a batch, an empty batch, a scalar)
+    raises ``ValueError`` naming it, before any step or monitor.  Every
+    route carries the state as a list of floats.  ``f`` steps in numpy,
+    one :func:`rk4_step` at a time, unless it is a phase field
+    (:func:`phase_rhs`'s, or simulate's) and ``x0`` of K's width, which
+    its block runner steps a monitor block at a time with the numpy
+    step's bits.  A block in which the runner raises, for any reason (a
+    guard that flips, a check that trips, an error, a last state that is
+    not finite), reruns from its start on the vector pass, which returns
+    the same bits or raises the same error at the same step; a field with
+    a generator the trace cannot record runs the vector pass throughout.
+    At level INFO the ``ltk`` logger says, after the field's label, which
+    route the run takes, and why, and how many blocks reran on the vector
+    pass, with the start time of the first.
     ``monitors`` is an iterable of (name, fn) pairs, recorded in order at
     every grid point including t = 0, a block of up to
-    :data:`MONITOR_BLOCK` states at a time (for a batch, its points times
-    its rows): ``fn(t_rows, x_rows)`` returns one value, or one row of
-    values, per point.  A monitor that raises aborts the run at the end
-    of its block; :func:`ltk.portsys.simulate` guards surface membership
-    so.  A failing step (a non-finite state, or an error from ``f``) first
+    :data:`MONITOR_BLOCK` states at a time: ``fn(t_rows, x_rows)``
+    returns one value, or one row of values, per point.  A monitor that
+    raises aborts the run at the end of its block;
+    :func:`ltk.portsys.simulate` guards surface membership so.  A
+    failing step (a non-finite state, or an error from ``f``) first
     records the points since the last block, so a monitor's error at an
     earlier point comes first.  An error from ``f`` keeps its type and
     gains the step's start time in its message; a non-finite state aborts
-    with the offending time, and for a batch the first offending row, in
-    the message, after every row has stepped, and a start that is not
+    with the offending time in the message, and a start that is not
     finite as step 0, before any monitor.
     """
     steps = _grid_steps(t_end, dt)
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"integrate steps one state, not an x0 of shape "
+                         f"{x.shape}")
     _check_finite(x, 0.0, 0)
+    x = x.tolist()
     monitors = list(monitors or [])
 
     ts = np.arange(steps + 1) * dt      # i * dt, bit for bit
-    xs = np.empty((steps + 1,) + x.shape)
+    xs = np.empty((steps + 1, len(x)))
     mon = {}
     done = 0                            # points whose monitors are recorded
 
@@ -527,21 +525,15 @@ def integrate(f, x0, t_end: float, dt: float, monitors=None) -> Trajectory:
         done = end
 
     xs[0] = x
-    block = max(1, MONITOR_BLOCK // max(1, len(x))) if x.ndim == 2 \
-        else MONITOR_BLOCK
     run = f.runner(x) if isinstance(f, _PhaseField) else None
     reran = []                          # the start of each block rerun
-    if run is None:
-        advance = _steps(f)
-    else:
-        advance = _runner_blocks(run, f, reran)
-        x = x.tolist()
+    advance = _steps(f) if run is None else _runner_blocks(run, f, reran)
     i = 0                               # the last point reached
     try:
         while i < steps:
-            if i + 1 - done == block:
+            if i + 1 - done == MONITOR_BLOCK:
                 record_monitors(i + 1)
-            end = min(done + block - 1, steps)
+            end = min(done + MONITOR_BLOCK - 1, steps)
             out = []                    # the states of steps i+1, i+2, ...
             try:
                 x = advance(x, i, end, dt, out)
@@ -579,38 +571,34 @@ def _grid_steps(t_end: float, dt: float) -> int:
 
 
 def _store(xs: np.ndarray, start: int, out: list):
-    """Write the states ``out``, lists of floats or ndarrays, to the rows
-    of ``xs`` from ``start`` on."""
-    if out and isinstance(out[0], list):
-        flat = np.fromiter(chain.from_iterable(out), float,
-                           len(out) * len(out[0]))
-        xs[start:start + len(out)] = flat.reshape(len(out), -1)
-    elif out:
-        xs[start:start + len(out)] = out
+    """Write the states ``out``, lists of floats, to the rows of ``xs``
+    from ``start`` on."""
+    n = len(out) * xs.shape[1]
+    xs[start:start + len(out)] = np.fromiter(
+        chain.from_iterable(out), float, n).reshape(len(out), xs.shape[1])
 
 
 def _steps(f):
-    """:func:`integrate`'s advance of an ndarray state, or batch, by ``f``,
-    one :func:`rk4_step` at a time.  A state that overflows is a
-    non-finite state at its step, as in the block runner's float
-    arithmetic, not a numpy warning."""
-    def advance(X, i0, i1, dt, out):
+    """:func:`integrate`'s advance of a list state by ``f``, one
+    :func:`rk4_step` at a time.  A state that overflows is a non-finite
+    state at its step, as in the block runner's float arithmetic, not a
+    numpy warning."""
+    def advance(x, i0, i1, dt, out):
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(i0 + 1, i1 + 1):
-                X = rk4_step(f, (i - 1) * dt, X, dt)
+                X = rk4_step(f, (i - 1) * dt, x, dt)
                 _check_finite(X, i * dt, i)
-                out.append(X)
-        return X
+                x = X.tolist()
+                out.append(x)
+        return x
     return advance
 
 
-def _check_finite(X: np.ndarray, t: float, step: int):
-    """Raise :class:`_NonFiniteState` at ``step`` where the state, or a row
-    of the batch, ``X`` has an entry that is not finite."""
-    finite = np.isfinite(X)
-    if not finite.all():
-        raise _NonFiniteState(t, step, int(np.argmin(finite.all(axis=1)))
-                              if X.ndim == 2 else None)
+def _check_finite(x: np.ndarray, t: float, step: int):
+    """Raise :class:`_NonFiniteState` at ``step`` where the state ``x``
+    has an entry that is not finite."""
+    if not np.isfinite(x).all():
+        raise _NonFiniteState(t, step)
 
 
 def _runner_blocks(run, f: _PhaseField, reran: list):
@@ -624,7 +612,7 @@ def _runner_blocks(run, f: _PhaseField, reran: list):
         except Exception:   # noqa: BLE001 - the vector pass raises it
             out.clear()
             reran.append(i0)
-            return _steps(f)(np.array(x), i0, i1, dt, out).tolist()
+            return _steps(f)(x, i0, i1, dt, out)
     return advance
 
 

@@ -776,7 +776,7 @@ class PartialSumKernel:
     numbers too, a batch traced at row 0.  ``reason`` is why ``fns``
     cannot be traced at ``x``, or None; a generator that raises there on
     Duals raises its own error instead, naming a batch's row as ``grad``
-    does.
+    does, as it does where the sums raise at a later row.
     """
 
     def __init__(self, fns, x, groups):
@@ -822,6 +822,10 @@ class PartialSumKernel:
                 raise ValueError(f"the partial sums cannot be traced at "
                                  f"{_point(xs)}: {reason}") from None
             sums = self._sums(xs)
+        except (ArithmeticError, ValueError):
+            for f in self.fns:          # a generator's own error, if any
+                f(xs)
+            raise
         return [y.val if plain and isinstance(y, Dual) else y for y in sums]
 
 

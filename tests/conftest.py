@@ -4,7 +4,7 @@ import numpy as np
 
 from ltk.diffkit import _sample_rows, dirderiv, grad
 from ltk.dynamics import (_canonical, _gradient_lines, _membership_drift,
-                          _NonFiniteState, _PhaseField, integrate)
+                          _NonFiniteState, phase_rhs, rk4_step)
 from ltk.submanifold import _liouville_rows
 from ltk.tracegrad import FieldCode, _source, _stage
 
@@ -78,20 +78,20 @@ class TracedGradient:
         return g.tolist()
 
     def field(self, read=None):
-        """The list step's field ``f(t, X)`` for ``integrate``: the
-        canonical field of a call on the state, or on each row of the
-        batch, as a list of floats, with the inputs ``read(t)`` where
-        ``read`` is given.  ``steps`` gets the step (1 from t = 0, four
-        calls a step) of each call at which a point was handed to grad."""
+        """The list step's field ``f(t, x)`` for ``integrate``: the
+        canonical field of a call on the state as a list of floats, with
+        the inputs ``read(t)`` where ``read`` is given.  ``steps`` gets
+        the step (1 from t = 0, four calls a step) of each call at which
+        a point was handed to grad."""
         calls = []
 
-        def f(t, X):
+        def f(t, x):
             before, u = self.handed, () if read is None else read(t)
-            rows = [self(x, u) for x in np.atleast_2d(X).tolist()]
+            g = self(x.tolist(), u)
             if self.handed > before:
                 self.steps.append(len(calls) // 4 + 1)
             calls.append(t)
-            return _canonical(np.array(rows).reshape(np.shape(X)))
+            return _canonical(np.array(g))
         return f
 
     def rerun_blocks(self, block: int) -> list:
@@ -108,6 +108,34 @@ class TracedGradient:
                 f"{first}")
 
 
+def vector_flow(K, X0, t_end: float, dt: float, reached=None):
+    """The rows of the batch ``X0`` flowed together on the vector pass of
+    ``phase_rhs(K)``, one ``rk4_step`` of the batch at a time, on
+    ``integrate``'s grid: a (steps + 1, B, dim) array, each row the flow
+    that ``integrate`` gives the state alone.  The batch's states are
+    appended to the list ``reached`` as they are reached.  An error from
+    the field gains the step's start time, and a state that is not finite
+    raises ``integrate``'s error, naming the first such row in its message
+    and its ``row``."""
+    f, reached = phase_rhs(K), [] if reached is None else reached
+    reached.append(np.asarray(X0, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(round(t_end / dt)):
+            try:
+                X = rk4_step(f, i * dt, reached[-1], dt)
+            except Exception as err:
+                err.args = (f"{err} in the step from t={i * dt:g}",)
+                raise
+            finite = np.isfinite(X).all(axis=1)
+            if not finite.all():
+                err = _NonFiniteState((i + 1) * dt, i + 1)
+                err.row = int(np.argmin(finite))
+                err.args = (f"{err} in row {err.row}",)
+                raise err
+            reached.append(X)
+    return np.array(reached)
+
+
 def perturbation_step(v: float) -> float:
     """The step by which :func:`perturbed_transport` moves a parameter of
     value ``v``."""
@@ -118,7 +146,7 @@ def perturbed_transport(gf, K, members: list, t_end: float, dt: float):
     """``(alphas, drift)`` of ``flow_transport_check`` by central
     differences, the oracle its adjoint sweep is held to: each member and
     its 2 * n_params perturbations (parameter k moved by +h, then -h) are
-    flowed as rows of one batch on the vector pass of ``phase_rhs``, and
+    flowed as rows of one batch on :func:`vector_flow`, and
     alpha on each member's tangents, a (members, n_params) array, is read
     off central differences of their final states, so it carries the
     differences' error; the drift is that of the members' rows.  An error
@@ -141,15 +169,15 @@ def perturbed_transport(gf, K, members: list, t_end: float, dt: float):
     _, x0 = _sample_rows(lambda rows: _liouville_rows(gf, starts[rows]),
                          len(starts), lambda i: f"at {named(i)}")
     try:
-        traj = integrate(_PhaseField(K, label="flowcheck"), x0, t_end, dt)
+        xs = vector_flow(K, x0, t_end, dt)
     except _NonFiniteState as err:
         raise RuntimeError(f"flow of {named(err.row)} produced a non-finite "
                            f"state at t={err.t:g}") from err
-    drift = _membership_drift(gf, traj.t,
-                              traj.x[:, ::width].transpose(1, 0, 2), members)
+    drift = _membership_drift(gf, np.arange(len(xs)) * dt,
+                              xs[:, ::width].transpose(1, 0, 2), members)
     m = gf.n + 1
     # each member's final state and its central-difference tangents
-    final = traj.x[-1].reshape(len(members), width, 2 * m)
+    final = xs[-1].reshape(len(members), width, 2 * m)
     steps = np.array([[perturbation_step(v) for v in params]
                       for params in members])
     tangents = (final[:, 1::2] - final[:, 2::2]) / (2.0 * steps)[:, :, None]

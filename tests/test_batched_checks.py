@@ -23,7 +23,7 @@ import conftest
 import numpy as np
 import pytest
 from conftest import (TracedGradient, perturbation_step, perturbed_transport,
-                      port_flow)
+                      port_flow, vector_flow)
 from test_diffkit import SYSTEMS, _hex
 from test_dynamics import _vector_pass, half_square_gf
 
@@ -496,7 +496,7 @@ def test_the_traced_flow_is_the_vector_pass_bit_for_bit(name, monkeypatch,
     X0 = _flow_starts(system, 5, 11)
     calls = _grad_passes(monkeypatch)
     for K in (system.Ka,) + system.Kc:
-        vector = integrate(_vector_pass(K), X0, 0.05, 1e-2).x
+        vector = vector_flow(K, X0, 0.05, 1e-2)
         calls.clear()
         for i, x0 in enumerate(X0):
             caplog.clear()
@@ -666,7 +666,7 @@ def test_a_guard_that_flips_mid_flow_hands_back_per_row(monkeypatch, caplog):
                         code=tracegrad.FieldCode((K,), X0[0].tolist()))
     with caplog.at_level(logging.INFO, logger="ltk"):
         traced = [integrate(field, x0, 1.0, 2e-2).x for x0 in X0]
-    vector = integrate(_vector_pass(K), X0, 1.0, 2e-2).x
+    vector = vector_flow(K, X0, 1.0, 2e-2)
     momentum = vector[:, :, 3]
     assert (momentum[:, [0, 2]] > 0.3).all()
     assert momentum[0, 1] <= 0.3 < momentum[-1, 1]
@@ -705,33 +705,32 @@ def test_an_untraceable_k_keeps_the_vector_pass(monkeypatch, caplog):
         "test: reads hash runs on the vector pass: the trace cannot record "
         "reads hash, as it reads a traced value with hash()"] * len(X0)
     monkeypatch.undo()
-    batch = integrate(_vector_pass(K), X0, 0.1, 1e-2).x
+    batch = vector_flow(K, X0, 0.1, 1e-2)
     for i, traj in enumerate(runs):
         assert _hex(traj) == _hex(batch[:, i])
-    # a K of another dimension than the rows is not traced; the vector pass
-    # raises
+    # a K of another dimension than the state is not traced; the vector
+    # pass raises
     with pytest.raises(ValueError, match="expects dimension 4, got 6 in "
                        "the step from t=0"):
-        integrate(_traced(K), np.ones((2, 6)), 0.1, 1e-2)
+        integrate(_traced(K), np.ones(6), 0.1, 1e-2)
 
 
-def test_a_batch_runs_the_vector_pass_at_every_stage(monkeypatch, caplog):
-    # whatever its rows, one included, a batch's start is not one state:
-    # one vector pass per stage over all its rows, each row as it would
-    # step alone
+def test_a_batch_runs_the_vector_pass_at_every_stage(monkeypatch):
+    # a phase field stepped on a batch by rk4_step, whatever its rows, one
+    # included, runs one vector pass per stage over all its rows, each row
+    # as it would step alone
     system = gas_piston_damper()
     X0 = _flow_starts(system, 81, 3)
     calls = _grad_passes(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="ltk"):
-        wide = integrate(_traced(system.Ka), X0, 0.02, 1e-2)
-        narrow = integrate(_traced(system.Ka), X0[1:], 0.02, 1e-2)
-        one = integrate(_traced(system.Ka), X0[1:2], 0.02, 1e-2)
+    wide = vector_flow(system.Ka, X0, 0.02, 1e-2)
+    narrow = vector_flow(system.Ka, X0[1:], 0.02, 1e-2)
+    one = vector_flow(system.Ka, X0[1:2], 0.02, 1e-2)
     assert calls == [len(X0)] * 8 + [len(X0) - 1] * 8 + [1] * 8
-    assert _log_lines(caplog, "test") == [
-        f"test: {system.Ka.name} runs on the vector pass: its start is not "
-        f"one state"] * 3
-    assert np.array_equal(wide.x[:, 1:], narrow.x)
-    assert np.array_equal(wide.x[:, 1:2], one.x)
+    assert np.array_equal(wide[:, 1:], narrow)
+    assert np.array_equal(wide[:, 1:2], one)
+    monkeypatch.undo()
+    alone = integrate(_traced(system.Ka), X0[1], 0.02, 1e-2).x
+    assert _hex(alone) == _hex(wide[:, 1])
 
 
 def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
@@ -741,16 +740,14 @@ def test_a_point_dependent_integer_exponent_flows_as_each_state_alone(caplog):
     K = compile_fn("p0 * q0 ^ q1 + p1 * 0", ["q0", "q1", "p0", "p1"])
     X0 = np.array([[1.3, 2.0, -1.0, -0.5], [1.1, 3.0, -0.7, -1.0],
                    [0.9, 2.5, -1.2, -1.0]])
+    traj = vector_flow(K, X0, 0.2, 1e-3)
     with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = integrate(_traced(K), X0, 0.2, 1e-3)
         alone = [integrate(_traced(K), x0, 0.2, 1e-3).x for x0 in X0]
     assert _log_lines(caplog, "test") == [
-        f"test: {K.name} runs on the vector pass: its start is not one "
-        f"state"] + [
         f"test: {K.name} runs on the vector pass: the trace cannot record "
         f"{K.name}, as it raises to a traced exponent"] * len(X0)
     for i, x0 in enumerate(X0):
-        assert _hex(traj.x[:, i]) == _hex(alone[i])
+        assert _hex(traj[:, i]) == _hex(alone[i])
 
 
 @pytest.mark.parametrize("case", ["domain hole", "non-finite"])
@@ -812,8 +809,8 @@ def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
     # as a later flowcheck member does, and the block in which it raises or
     # goes non-finite reruns on the vector pass from its start: the error,
     # its step, and the points recorded before it are the vector pass's of
-    # the state alone, and the batch's vector pass fails at the same step,
-    # naming the row
+    # the state alone, and the tests' batch flow fails at the same step,
+    # naming the row, with the same states of row 1 reached
     monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 4)
     if case == "domain hole":
         K = compile_fn("(p1/exp(q1) + p0) * (1 + 0 * ln(0.45 - q1))",
@@ -832,22 +829,25 @@ def test_a_row_failing_mid_block_fails_as_the_vector_pass(case, monkeypatch):
 
     traced = _PhaseField(K, label="test",
                          code=tracegrad.FieldCode((K,), X0[0].tolist()))
-    for f, x0 in ((traced, X0[1]), (_vector_pass(K), X0[1]),
-                  (_vector_pass(K), X0)):
+    reached = []
+    for f in (traced, _vector_pass(K), "batch"):
         seen.append([])
         with pytest.raises(Exception) as err, \
                 np.errstate(over="ignore", invalid="ignore"):
-            integrate(f, x0, 1.0, 1e-2, [("x", monitor)])
+            if f == "batch":
+                vector_flow(K, X0, 1.0, 1e-2, reached)
+            else:
+                integrate(f, X0[1], 1.0, 1e-2, [("x", monitor)])
         errors.append((type(err.value), str(err.value),
                        getattr(err.value, "row", None)))
     assert errors[0] == errors[1]
     assert errors[0][0] is errors[2][0]
     assert seen[0] == seen[1]
-    # the batch records a point per block, row 1 the points of the state
-    ts, xs = ([sum((part[k] for part in run), []) for run in seen[1:]]
-              for k in (0, 1))
-    assert ts[0] == ts[1] and xs[0] == [rows[1] for rows in xs[1]]
-    points = len(ts[0])
+    # the batch reaches the points of the state, row 1 its states
+    ts, xs = ([v for part in seen[1] for v in part[k]] for k in (0, 1))
+    assert ts == [i * 1e-2 for i in range(len(reached))]
+    assert xs == [X[1].tolist() for X in reached]
+    points = len(ts)
     if case == "domain hole":
         assert errors[0][1] == ("ln requires a positive argument in "
                                 "'ln(0.45-q1)' in the step from t=0.21")

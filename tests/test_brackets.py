@@ -19,6 +19,7 @@ from ltk.brackets import (BracketReport, _poisson_rows,
                           poisson, poisson_fn)
 from ltk.diffkit import (Dual, ScalarFn, _batch_pass, _seeds, exp, fd_grad,
                          grad, ln, sqrt)
+from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import ContactPoint, PhasePoint, homogenize
 
 PT = PhasePoint(q=[1.0, 2.0], p=[3.0, 4.0])
@@ -146,6 +147,26 @@ def test_a_bracket_whose_operand_raises_at_batch_row_0_names_the_row():
     with pytest.raises(ValueError, match="^ln requires a positive "
                                          "argument$"):
         grad(poisson_fn(K, Q0P1), X[0])
+
+
+def test_a_bracket_whose_operand_raises_at_a_later_batch_row_names_it():
+    # the trace at row 0 holds and the partial sums raise at row 1: the
+    # operand, run on the batch's duals, raises its own error, of its own
+    # type and with its expression, as where row 0 raises
+    names = ["q0", "q1", "p0", "p1"]
+    K = compile_fn("ln(q0)*p0", names)
+    B = poisson_fn(K, compile_fn("q0*p1", names))
+    X = np.array([[-1.0, 1.0, -1.0, 0.5], [1.0, 1.0, -1.0, 0.5]])
+    errors = []
+    for rows in (X, X[::-1]):
+        with pytest.raises(ExprEvalError) as err:
+            grad(B, rows)
+        errors.append(str(err.value))
+    assert errors == [
+        f"ln requires a positive argument (batch row {row}) in 'ln(q0)'"
+        for row in (0, 1)]
+    with pytest.raises(ExprEvalError, match=r"\(batch row 1\) in 'ln\(q0\)'$"):
+        grad(K, X[::-1])
 
 
 def test_a_bracket_of_an_operand_reading_abs_is_one_batch_pass():

@@ -15,7 +15,7 @@ import re
 
 import numpy as np
 import pytest
-from conftest import TracedGradient, perturbed_transport
+from conftest import TracedGradient, perturbed_transport, vector_flow
 from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
 
 from ltk import dynamics, geometry
@@ -187,16 +187,13 @@ def test_integrate_requires_a_nonnegative_t_end():
         integrate(lambda t, x: -x, [1.0], -0.1, 1e-2)
 
 
-@pytest.mark.parametrize("route", ["callable", "phase field", "batch row"])
+@pytest.mark.parametrize("route", ["callable", "phase field"])
 def test_a_non_finite_start_raises_as_step_0(route):
-    # before any step or monitor: for a batch, naming the row
+    # before any step or monitor
     f = phase_rhs(ScalarFn(lambda x: x[0] * x[1], 2))
-    x0, where = [np.nan, 0.0], ""
     if route == "callable":
         def f(t, x):
             return -x
-    elif route == "batch row":
-        x0, where = [[1.0, 0.0], x0, [np.inf, 1.0]], " in row 1"
     monitored = []
 
     def first(t, X):
@@ -204,34 +201,44 @@ def test_a_non_finite_start_raises_as_step_0(route):
         return X[..., 0]
 
     with pytest.raises(RuntimeError, match=r"^integration produced a "
-                       rf"non-finite state at t=0 \(step 0\){where}$"):
-        integrate(f, x0, 0.1, 1e-2, [("first", first)])
+                       r"non-finite state at t=0 \(step 0\)$"):
+        integrate(f, [np.nan, 0.0], 0.1, 1e-2, [("first", first)])
     assert monitored == []
 
 
 @pytest.mark.parametrize("route", ["callable", "phase field"])
-def test_an_empty_batch_integrates_to_an_empty_trajectory(route, caplog):
-    f = _vector_pass(Q1P0) if route == "callable" else phase_rhs(Q1P0)
-    with caplog.at_level(logging.INFO, logger="ltk"):
-        traj = integrate(f, np.empty((0, 4)), 0.1, 1e-2)
-    assert traj.x.shape == (11, 0, 4)
+def test_integrate_steps_one_state(route, caplog):
+    # a batch, an empty batch and a scalar each raise, naming the shape,
+    # before any step, route log or monitor call
+    calls = []
+
+    def f(t, x):
+        calls.append(t)
+        return -x
+
     if route == "phase field":
-        assert _route_lines(caplog) == [
-            "integrate: q1 p0 runs on the vector pass: its start is not one "
-            "state"]
+        f = phase_rhs(Q1P0)
+    for x0, shape in ((np.ones((3, 4)), "(3, 4)"),
+                      (np.empty((0, 4)), "(0, 4)"), (1.0, "()")):
+        with caplog.at_level(logging.INFO, logger="ltk"), \
+                pytest.raises(ValueError, match=re.escape(
+                    f"integrate steps one state, not an x0 of shape "
+                    f"{shape}") + "$"):
+            integrate(f, x0, 0.1, 1e-2,
+                      [("x", lambda t, X: calls.append(t))])
+    assert calls == []
+    assert _route_lines(caplog) == []
 
 
-def test_a_scalar_state_of_a_phase_field_raises_grads_error(caplog):
+def test_a_scalar_state_of_a_phase_field_raises_grads_error():
+    # integrate refuses a scalar x0 before any call; the field itself,
+    # called at one, raises grad's error
     with pytest.raises(ValueError) as expected:
         grad(Q1P0, np.asarray(1.0))
     assert str(expected.value) == "q1 p0 expects dimension 4, got a scalar"
-    with caplog.at_level(logging.INFO, logger="ltk"), \
-            pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}"
-                          r" in the step from t=0$"):
-        integrate(phase_rhs(Q1P0), 1.0, 0.1, 1e-2)
-    assert _route_lines(caplog) == [
-        "integrate: q1 p0 runs on the vector pass: its start is not one "
-        "state"]
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(expected.value))}$"):
+        phase_rhs(Q1P0)(0.0, 1.0)
 
 
 def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
@@ -253,34 +260,6 @@ def test_integrate_records_monitors_on_the_full_grid(monkeypatch):
     assert np.allclose(traj.monitors["energy"], 0.5, atol=1e-12)
     assert [len(b) for b in blocks] == [32, 32, 32, 5]
     assert sum(blocks, []) == traj.t.tolist()
-
-
-def test_a_batch_is_recorded_in_blocks_of_states(monkeypatch):
-    # a block holds MONITOR_BLOCK states, so a batch of 4 rows is recorded 8
-    # points at a time, a phase field's batch on its vector pass as a
-    # callable's; each row is the state alone on the block runner, which
-    # records 32 points at a time
-    monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 32)
-    X0 = np.arange(1.0, 17.0).reshape(4, 4)
-    runs = []
-    for f in (_vector_pass(Q1P0), phase_rhs(Q1P0)):
-        blocks = []
-
-        def first(t, X):
-            blocks.append(len(t))
-            return X[..., 0]
-
-        runs.append(integrate(f, X0, 0.2, 1e-2, [("first", first)]))
-        assert blocks == [8, 8, 5]
-    assert _hex(runs[0].x) == _hex(runs[1].x)
-    assert _hex(runs[0].monitors["first"]) == _hex(runs[1].monitors["first"])
-    for i, x0 in enumerate(X0):
-        blocks.clear()
-        alone = integrate(phase_rhs(Q1P0), x0, 0.2, 1e-2, [("first", first)])
-        assert blocks == [21]
-        assert _hex(alone.x) == _hex(runs[0].x[:, i])
-        assert _hex(alone.monitors["first"]) == \
-            _hex(runs[0].monitors["first"][:, i])
 
 
 @pytest.mark.parametrize("block", [5, 32])
@@ -443,24 +422,22 @@ def test_a_block_rerun_overflows_without_a_warning(caplog):
         "integrate: blocks rerun on the vector pass: 1, the first from t=0")
 
 
-@pytest.mark.parametrize("route", ["untraceable", "batch", "callable"])
+@pytest.mark.parametrize("route", ["untraceable", "callable"])
 def test_a_numpy_advance_overflows_without_a_warning(route, caplog):
     # every field that steps in numpy from its start, not only a block
     # rerun, raises the non-finite state where a state overflows: a field
-    # the trace cannot record, a phase field's batch, a callable
+    # the trace cannot record, a callable
     c = np.finfo(float).max / 3.0
-    x0, where = np.array([0.0, 0.0, 1.0, 1.0]), ""
+    x0 = np.array([0.0, 0.0, 1.0, 1.0])
     if route == "untraceable":
         K = ScalarFn(lambda x: c * x[2] * x[2]
                      * (1.0 if hash(x[0]) != 7 else 2.0), 4, name="hashed")
     else:
         K = ScalarFn(lambda x: c * x[2] * x[2], 4, name="c p0^2")
     f = _vector_pass(K) if route == "callable" else phase_rhs(K)
-    if route == "batch":
-        x0, where = np.array([x0] * 2), " in row 0"
     with caplog.at_level(logging.INFO, logger="ltk"), \
             pytest.raises(RuntimeError, match=r"^integration produced a "
-                          rf"non-finite state at t=1 \(step 1\){where}$"):
+                          r"non-finite state at t=1 \(step 1\)$"):
         integrate(f, x0, 10.0, 1.0)
     assert [line.split(": ")[1] for line in _route_lines(caplog)] == (
         [] if route == "callable" else [f"{K.name} runs on the vector pass"])
@@ -606,19 +583,16 @@ def test_flow_transport_separates_the_two_residuals():
 
 
 def test_batched_integration_rows_are_separate_runs_bit_for_bit():
-    # a batch row follows the state alone, traced (a phase field's state
-    # on its block runner, its batch on the vector pass) and in numpy
+    # a row of the tests' batch flow is the state alone, traced (a phase
+    # field's state on its block runner) and in numpy
     x0 = np.array([[1.0, 0.5, -1.0, 0.8], [0.3, 2.0, -2.0, 0.1],
                    [1.0, 0.5, -1.0, 0.8]])
-    batches = []
+    batch = vector_flow(K1, x0, 0.2, 1e-2)
+    assert batch.shape == (21, 3, 4)
     for f in (phase_rhs(K1), _vector_pass(K1)):
-        batch = integrate(f, x0, 0.2, 1e-2)
-        assert batch.x.shape == (21, 3, 4)
         for row, start in enumerate(x0):
             alone = integrate(f, start, 0.2, 1e-2)
-            assert _hex(batch.x[:, row]) == _hex(alone.x)
-        batches.append(_hex(batch.x))
-    assert batches[0] == batches[1]
+            assert _hex(batch[:, row]) == _hex(alone.x)
 
 
 def _wavy(t, x):
@@ -774,13 +748,6 @@ def test_a_field_of_the_wrong_length_raises(got):
     for form in _forms(f):              # a list state steps as an ndarray
         with pytest.raises(ValueError, match=shape):
             rk4_step(form, 0.0, [1.0, 2.0], 0.1)
-
-    def batch(t, x):
-        return np.ones((len(x), got))
-
-    with pytest.raises(ValueError, match=rf"shape \(3, {got}\) for a state of "
-                       r"shape \(3, 2\)"):
-        integrate(batch, np.ones((3, 2)), 0.3, 0.1)
 
 
 @pytest.mark.parametrize("block", [5, 32])

@@ -14,6 +14,7 @@ Frozen oracles:
 import dataclasses
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
@@ -888,23 +889,33 @@ def test_a_product_of_many_q_homogeneous_systems_checks_six_points(
     assert rows == [6]
 
 
-def _heat_chain(N, lam):
-    """N unit compartments in a row, each exchanging Fourier heat with its
-    neighbours, the ends insulated: u_k = lam (T_{k-1} - T_k) - lam (T_k -
-    T_{k+1}) with T = 1/y_e."""
+def _heat_chain(N, lam, parts=None):
+    """N unit compartments in a row (``parts``, by default built-in
+    compartments), each exchanging Fourier heat with its neighbours, the
+    ends insulated: u_k = lam (T_{k-1} - T_k) - lam (T_k - T_{k+1}) with T
+    = 1/y_e."""
     def fourier(outputs):
         T = [1.0 / ye[0] for _, ye in outputs]
         flow = [0.0] + [lam * (T[k] - T[k + 1]) for k in range(N - 1)] + [0.0]
         return [(flow[k] - flow[k + 1],) for k in range(N)]
 
-    return interconnect([heat_compartment(name=f"c{k}") for k in range(N)],
-                        fourier, name=f"chain{N}")
+    parts = parts or [heat_compartment(name=f"c{k}") for k in range(N)]
+    return interconnect(parts, fourier, name=f"chain{N}")
+
+
+def _chain_modes(N, lam, E0, t):
+    """The modal closed form of a heat chain with C = T_ref = 1: T = E and
+    dE/dt = -lam L E for the path-graph Laplacian L, so E(t) = V exp(-lam
+    Lambda t) V^T E(0), one row per time of ``t``."""
+    L = np.diag(np.r_[1.0, 2.0 * np.ones(N - 2), 1.0]) \
+        - np.eye(N, k=1) - np.eye(N, k=-1)
+    Lam, V = np.linalg.eigh(L)
+    return np.array([V @ (np.exp(-lam * Lam * s) * (V.T @ E0)) for s in t])
 
 
 @pytest.mark.parametrize("N", [2, 8, 32])
 def test_heat_chain_meets_its_modal_closed_form(N):
-    # with C = T_ref = 1, T = E and dE/dt = -lam L E for the path-graph
-    # Laplacian L, so E(t) = V exp(-lam Lambda t) V^T E(0)
+    # the modal closed form, E(t) = V exp(-lam Lambda t) V^T E(0)
     lam = 1.0
     chain = _heat_chain(N, lam)
     assert chain.n_coords == 2 * N and chain.energy_indices == tuple(
@@ -913,11 +924,7 @@ def test_heat_chain_meets_its_modal_closed_form(N):
     result = simulate(chain, 1.0, 1e-2,
                       params=list(np.log(E0)) + [-1.0] * N)
     E, S = result.q[:, 0::2], result.q[:, 1::2]
-    L = np.diag(np.r_[1.0, 2.0 * np.ones(N - 2), 1.0]) \
-        - np.eye(N, k=1) - np.eye(N, k=-1)
-    Lam, V = np.linalg.eigh(L)
-    exact = np.array([V @ (np.exp(-lam * Lam * t) * (V.T @ E0))
-                      for t in result.t])
+    exact = _chain_modes(N, lam, E0, result.t)
     assert np.max(np.abs(E - exact)) < 1e-8
     assert np.max(np.abs(E.sum(axis=1) - E0.sum())) < 1e-13
     assert np.min(np.diff(S.sum(axis=1))) >= 0.0
@@ -962,3 +969,33 @@ def test_factors_in_either_representation_merge_to_the_exchanger(hot, cold,
         differ = np.abs(q - want).max(axis=1)
         assert np.count_nonzero(differ) == 66
         assert differ.max() <= 1.1102230246251565e-16
+
+
+@pytest.mark.parametrize("first", ["energy", "entropy"])
+def test_a_chain_of_alternating_representations_meets_its_modes(first):
+    # 8 README compartments alternating between the energy (exp(q1), chart
+    # 0) and the entropy (ln(q0), chart 1) representation, the first in
+    # either, closed by Fourier's law: the product keeps the first
+    # factor's chart, validates, and from E linear from 2 to 1 (the
+    # factors' starts) meets the modal closed form as the built-in chain
+    from test_cli import REPRESENTATIONS
+    N, lam = 8, 1.0
+    E0 = np.linspace(2.0, 1.0, N)
+    forms = ["energy", "entropy"] if first == "energy" else \
+        ["entropy", "energy"]
+    parts = []
+    for k, E in enumerate(E0):
+        form = forms[k % 2]
+        start = math.log(E) if form == "energy" else E
+        parts.append(cli._build_custom_system(dict(
+            REPRESENTATIONS["E = 2"][form], initial=[start, -1.0],
+            name=f"c{k}")))
+    chain = _heat_chain(N, lam, parts)
+    assert chain.gf.chart == (0 if first == "energy" else 1)
+    report = validate(chain)
+    assert all(r <= tol for r, tol in report.checks().values())
+    result = simulate(chain, 1.0, 1e-2)
+    E, S = result.q[:, 0::2], result.q[:, 1::2]
+    assert np.max(np.abs(E - _chain_modes(N, lam, E0, result.t))) < 1e-8
+    assert np.max(np.abs(E.sum(axis=1) - E0.sum())) < 1e-13
+    assert np.min(np.diff(S.sum(axis=1))) > 0.0
