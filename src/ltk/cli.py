@@ -141,6 +141,10 @@ class RunConfig:
         if bad:
             raise ConfigError(f"unknown monitors {bad}; available: "
                               f"{', '.join(MONITOR_NAMES)}")
+        twice = [m for k, m in enumerate(self.monitors)
+                 if m in self.monitors[:k]]
+        if twice:
+            raise ConfigError(f"monitor {twice[0]!r} is listed twice")
         for name in ("initial", "at"):
             value, convert = getattr(self, name), _json_float
             if isinstance(value, str):      # comma text of --initial, --at

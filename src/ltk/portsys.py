@@ -392,10 +392,12 @@ def simulate(sys: PortSystem, t_end: float, dt: float, u: PortSignal = None,
         u = PortSignal.zero(sys.n_ports)
     if u.n_ports != sys.n_ports:
         raise ValueError(f"signal has {u.n_ports} ports, system {sys.n_ports}")
-    for name in monitors:
+    for k, name in enumerate(monitors):
         if name not in MONITOR_NAMES:
             raise ValueError(f"unknown monitor {name!r}; available: "
                              f"{', '.join(MONITOR_NAMES)}")
+        if name in monitors[:k]:
+            raise ValueError(f"monitor {name!r} is listed twice")
     m, n_ports = sys.n_coords, sys.n_ports
     extra = [nm for nm in monitors if nm != "membership"]
     names = (["membership"] + [f"u{k + 1}" for k in range(n_ports)]

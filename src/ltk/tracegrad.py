@@ -43,16 +43,25 @@ and the code raises where they are equal.  A traced value is a
 other read of it (``==`` of equal values, ``bool``, ``float``, ``int``,
 ``hash``, an attribute, numpy, a traced exponent) makes the function
 untraceable at once, and its field runs on the vector pass throughout.
-No user text enters the generated source:
-constants go in through its namespace, so a source depends on the shape
-of the generators and on which of their constants are equal, not on their
-values, and its code object is compiled once and kept by its text (the
-8 sources used last).  The block runner of a field inlines its body at
-each of the four stages, so it compiles in about 4 times the time of
-one stage alone (1.8-2.5 ms against 0.4-0.6 ms for the built-in piston and
-exchanger, median process CPU on a shared 2-CPU VM), once per field shape
-in a process; the flow-transport check's adjoint sweep, four gradient
-and four Hessian stages, in about 4 ms.
+No user text enters the generated source: constants go in through its
+namespace, so a source depends on the shape of the generators and on
+which of their constants are equal, not on their values.  So what
+emission writes is kept by shape, and a code object by text.  Every
+trace records its functions, so guards, checks and constants are always
+the traced point's; a function recorded as one of the 16 shapes kept
+(its nodes and value lines, after as many constants) takes that shape's
+gradient, Hessian and value lines where the steps at which emission reads
+constant values (folding a derivative of constants, an integer power's
+Hessian factor), taken again in order on its own constants, come out as
+they did there, and is emitted anew where one does not, so a reuse is
+byte for byte a fresh emission.  The source of a partial-sum kernel is
+kept by the field code it is written from.  A code object is compiled
+once and kept by its text (the 8 sources used last).  The block runner
+of a field inlines its body at each of the four stages, so it compiles
+in about 4 times the time of one stage alone (1.8-2.5 ms against 0.4-0.6
+ms for the built-in piston and exchanger, median process CPU on a shared
+2-CPU VM), once per field shape in a process; the flow-transport check's
+adjoint sweep, four gradient and four Hessian stages, in about 4 ms.
 
 :func:`value_kernel` emits the value lines alone, with their checks, for
 the expression inputs of ``PortSignal.from_exprs``, and
@@ -71,6 +80,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import logging
 import math
 import operator
 import re
@@ -81,6 +91,8 @@ from .diffkit import (Dual, ScalarFn, _each, _Recorder, _sign, cos, exp, ln,
                       sin, sqrt)
 
 __all__ = ["FieldCode", "PartialSumKernel", "value_kernel"]
+
+log = logging.getLogger("ltk")
 
 # A one-operand node: its value at the traced point, the source of its
 # value, of the factor its derivative is multiplied by (None: a formula of
@@ -184,15 +196,21 @@ class _Trace:
         """Trace ``f`` at the point: ``(lines, value)``, the code that
         computes its value, with the domain checks of its operations and
         none of their derivatives, and the source of the value, or None
-        when ``f`` cannot be traced."""
+        when ``f`` cannot be traced.  The lines are kept for the
+        function's shape and reused as they are."""
         y, first = self._call(f)
         if self.reason is not None:
             return None
         value = _operand(self._ref(y))
-        droppable = {f"k{n}" for n in range(first, len(self.nodes))} | {
-            f"v{n}" for n in range(first, len(self.nodes))
-            if self.nodes[n][0] in _CANNOT_RAISE}
-        return _live(self.lines, [value], droppable), value
+        key = ("value", first, value, tuple(self.nodes[first:]),
+               tuple(self.lines))
+        lines = _kept(key)
+        self.reused = lines is not None
+        if not self.reused:
+            droppable = self._droppable(first) | {
+                f"k{n}" for n in range(first, len(self.nodes))}
+            lines = _keep(key, _live(self.lines, [value], droppable))
+        return lines, value
 
     def _call(self, f: ScalarFn):
         """``f`` on the traced coordinates: its result and the number of
@@ -357,11 +375,27 @@ class _Trace:
         self._line(line)
         return outcome
 
+    def _decide(self, decide, *args):
+        """``decide(self, *args)``, a step of emission that reads constant
+        values, noted in order with its outcome for :meth:`_replays`."""
+        outcome = decide(self, *args)
+        self._decisions.append((decide, args, outcome))
+        return outcome
+
+    def _replays(self, decisions) -> bool:
+        """Whether each of an earlier emission's ``decisions``, taken again
+        in order on this trace's constants, comes out as it did there, so
+        that emitting here would give its code.  Until one differs, the
+        steps are those emission takes, so a replay that fails leaves the
+        constants as emission finds them."""
+        return all(decide(self, *args) == outcome
+                   for decide, args, outcome in decisions)
+
     def _fold(self, kind, va, vb, da, db):
-        """The value of a derivative source that reads constants only, as
-        the source computes it, or None: a sum, difference or negation of
-        constant derivatives, or a constant derivative times or over a
-        constant operand."""
+        """The name of the constant that a derivative source reading
+        constants only computes, by the operator of the source, or None: a
+        sum, difference or negation of constant derivatives, or a constant
+        derivative times or over a constant operand."""
         if kind == "neg" or kind == "sub" and da is None:
             fn, args = operator.neg, (db if da is None else da,)
         elif kind in ("add", "sub"):
@@ -377,17 +411,33 @@ class _Trace:
         if None in values:
             return None
         try:
-            return fn(*values)
+            value = fn(*values)
         except ArithmeticError:         # left to raise where it runs
             return None
+        return self._const(value)
 
     def _emit(self, y, first: int):
         """The code of the gradient of the function recorded from node
         ``first`` on, with ``y`` as its result, or None when it cannot be
-        traced."""
+        traced: the code kept for the function's shape (:func:`_kept`)
+        where its decisions replay on this trace's constants, else emitted
+        and kept."""
         if self.reason is not None:
             return None
         out = y._node if isinstance(y, _Traced) else None
+        key = ("gradient", len(self.inputs), first, out, len(self.consts),
+               tuple(self.nodes[first:]), tuple(self.lines))
+        kept = _kept(key)
+        self.reused = kept is not None and self._replays(kept.decisions)
+        if not self.reused:
+            self._decisions = []
+            kept = _keep(key, self._emitted(first, out))
+        self._last = kept
+        return kept.code
+
+    def _emitted(self, first: int, out):
+        """The gradient code, emitted, of the function recorded from node
+        ``first`` on, with node ``out`` (None: a constant) as its result."""
         dim = len(self.inputs)
         dots = {(i, i): "1.0" for i in range(dim)}
         lines = self.lines
@@ -403,22 +453,21 @@ class _Trace:
                 source = _derivative_source(kind, n, va, vb, da, db)
                 if not (source.isidentifier() or source in ("0.0", "1.0")):
                     # a constant derivative is a literal or a constant name
-                    value = (self._fold(kind, va, vb, da, db)
-                             if kind in _FOLDABLE and (da or "c")[0] in "c01"
-                             and (db or "c")[0] in "c01" else None)
-                    if value is None:
+                    folded = (self._decide(_Trace._fold, kind, va, vb, da, db)
+                              if kind in _FOLDABLE and (da or "c")[0] in "c01"
+                              and (db or "c")[0] in "c01" else None)
+                    if folded is None:
                         lines.append(f"d{n}_{i} = {source}")
                         source = f"d{n}_{i}"
                     else:
-                        source = self._const(value)
+                        source = folded
                 dots[n, i] = source
         # 0.0 + returns a zero partial as +0.0, as grad does
         partials = [dots.get((out, i), "0.0") for i in range(dim)]
         partials = [d if d in ("0.0", "1.0") else f"0.0 + {d}"
                     for d in partials]
         code = _live(lines, partials, self._droppable(first)), partials
-        self._recorded = first, out, dots, code[0]
-        return code
+        return _Emitted(code, first, out, lines, dots, self._decisions)
 
     def _droppable(self, first: int) -> set:
         """The value names, from node ``first`` on, of nodes whose value
@@ -435,9 +484,13 @@ class _Trace:
         (forward mode over the gradient code), each value's tangent
         ``t{n}`` and each derivative's ``e{n}_{i}`` by the rule of
         :func:`_second_source`, and hold no check: their divisors are the
-        values the gradient code's checks keep from zero."""
-        first, out, dots, placed = self._recorded
-        lines = list(self.lines)
+        values the gradient code's checks keep from zero.  The code is
+        kept with the gradient's, and reused where its decisions replay."""
+        kept = self._last
+        if kept.hessian is not None and self._replays(kept.hessian[1]):
+            return kept.hessian[0]
+        self.reused, self._decisions = False, []
+        first, dots, lines = kept.first, kept.dots, list(kept.lines)
 
         def named(name, source):
             """A non-zero source, assigned to ``name`` unless it is one."""
@@ -459,21 +512,32 @@ class _Trace:
             ek = None                   # the tangent of the factor k{n}
             if kind in ("sin", "cos"):  # k' = -v t_a for either
                 ek = named(f"e{n}", f"-v{n} * {ta}")
-            elif kind == "ipow" and self.consts[b] != 1:
-                c = int(self.consts[b])
-                ek = named(f"e{n}", f"{self._const(c * (c - 1))} * {va} ** "
-                                    f"{self._const(c - 2)} * {ta}")
+            elif kind == "ipow":
+                factor = self._decide(_Trace._power_factor, b)
+                if factor is not None:
+                    ek = named(f"e{n}", f"{factor[0]} * {va} ** "
+                                        f"{factor[1]} * {ta}")
             for i in sorted(reads):
                 seconds[n, i] = named(f"e{n}_{i}", _second_source(
                     kind, n, va, vb, ta, tb, tn, ek, dots.get((a, i)),
                     dots.get((b, i)), dots[n, i], seconds.get((a, i)),
                     seconds.get((b, i))))
-        partials = [seconds.get((out, i)) or "0.0"
+        partials = [seconds.get((kept.out, i)) or "0.0"
                     for i in range(len(self.inputs))]
-        placed = set(placed)
-        return [line for line in _live(lines, partials,
-                                       self._droppable(first))
+        placed = set(kept.code[0])
+        code = [line for line in _live(lines, partials, self._droppable(first))
                 if line not in placed], partials
+        kept.hessian = code, self._decisions
+        return code
+
+    def _power_factor(self, b: str):
+        """The names of the constants c (c - 1) and c - 2 in the tangent
+        of an integer power's factor ``k{n} = c * a ** (c - 1)``, c the
+        constant ``b``; None for c = 1, whose factor is constant."""
+        if self.consts[b] == 1:
+            return None
+        c = int(self.consts[b])
+        return self._const(c * (c - 1)), self._const(c - 2)
 
 
 def _second_source(kind, n, va, vb, ta, tb, tn, ek, da, db, d, ea, eb):
@@ -702,7 +766,9 @@ class FieldCode:
     Hessian of ``fns[k]`` and t the direction ``t0, t1, ...``, in the same
     form, whose lines follow those of ``codes[k]`` at the same point.
     ``guards`` holds the lines of the codes that are guards; their other
-    ``if`` lines are checks.
+    ``if`` lines are checks.  The codes are kept for later traces of
+    their shape, which share them: callers read them and never change
+    them.
     """
 
     def __init__(self, fns, x, hessians=False):
@@ -718,6 +784,7 @@ class FieldCode:
             self.codes.append(code)
             if hessians:
                 self.hessians.append(trace.hessian())
+            _log_code(f, trace)
         self._namespace = dict(_REPLAY_NAMES, **trace.consts, _Back=_OffTrace)
 
     def function(self, source: str, **names):
@@ -754,6 +821,8 @@ def value_kernel(fns, x):
     values = []
     for k, f in enumerate(fns):
         lines, value = trace.record_value(f) or ([], f"_fns[{k}](x)")
+        if trace.reason is None:
+            _log_code(f, trace)
         body += lines
         values.append(value)
     body.append(f"return [{', '.join(values)}]")
@@ -791,18 +860,12 @@ class PartialSumKernel:
         at = _point(x)
         code = FieldCode(self.fns, at)
         if code.reason is None:
-            lines = [_SQRT_DOT.sub(r"_sqrt_dot(\1, \2)", line)
-                     for lines, _ in code.codes for line in lines
-                     if not line.startswith("if ") or line in code.guards]
-            sums = [" + ".join(partials[i].removeprefix("0.0 + ")
-                               for i in group if partials[i] != "0.0")
-                    or "0.0" for _, partials in code.codes
-                    for group in self.groups]
-            lines = _live(lines, sums, {line.partition(" = ")[0]
-                                        for line in lines})
-            self._sums = code.function(_source("sums", "x", [
-                ", ".join(f"v{i}" for i in range(len(x))) + ", = x"] + lines
-                + [f"return [{', '.join(sums)}]"]), **_GENERIC_NAMES)
+            key = ("sums", len(x), tuple(map(tuple, self.groups)),
+                   frozenset(code.guards), tuple(
+                       (tuple(lines), tuple(partials))
+                       for lines, partials in code.codes))
+            source = _kept(key) or _keep(key, self._source(code, len(x)))
+            self._sums = code.function(source, **_GENERIC_NAMES)
         else:
             duals = [v if isinstance(v, Dual) else Dual(a)
                      for v, a in zip(x, at)]
@@ -810,6 +873,22 @@ class PartialSumKernel:
                 for f in self.fns:
                     f(duals)
         return code.reason
+
+    def _source(self, code: FieldCode, dim: int) -> str:
+        """The source of ``sums(x)``, from the field code of the
+        generators at a point of ``dim`` coordinates."""
+        lines = [_SQRT_DOT.sub(r"_sqrt_dot(\1, \2)", line)
+                 for lines, _ in code.codes for line in lines
+                 if not line.startswith("if ") or line in code.guards]
+        sums = [" + ".join(partials[i].removeprefix("0.0 + ")
+                           for i in group if partials[i] != "0.0")
+                or "0.0" for _, partials in code.codes
+                for group in self.groups]
+        lines = _live(lines, sums, {line.partition(" = ")[0]
+                                    for line in lines})
+        return _source("sums", "x", [
+            ", ".join(f"v{i}" for i in range(dim)) + ", = x"] + lines
+            + [f"return [{', '.join(sums)}]"])
 
     def __call__(self, x):
         plain = not any(isinstance(v, (Dual, _Recorder)) for v in x)
@@ -884,7 +963,60 @@ def _indented(lines) -> list:
     return ["    " + line for line in lines]
 
 
-# Code objects by source text.  A source names its constants and never
+class _Emitted:
+    """A function's gradient code as emitted, kept for its shape: ``code``
+    (``(lines, partials)``), the number of its first node and of its
+    result (None: a constant), its value lines with the derivative lines
+    after them, the source of each node's derivative along each seed, the
+    decisions emission took on constant values (:meth:`_Trace._decide`),
+    and, once emitted, its Hessian code with the decisions that took."""
+
+    __slots__ = ("code", "first", "out", "lines", "dots", "decisions",
+                 "hessian")
+
+    def __init__(self, code, first, out, lines, dots, decisions):
+        self.code, self.first, self.out = code, first, out
+        self.lines, self.dots, self.decisions = lines, dots, decisions
+        self.hessian = None
+
+
+# Emitted code by the shape of what was recorded, the 16 used last: a
+# function's gradient code (an _Emitted, keyed by the dimension, its first
+# and result nodes, the number of constants before it, its nodes and its
+# value lines with their guards and checks), its value lines (by its first
+# node, its value, nodes and lines) and a partial-sum kernel's source (by
+# its field code, guards and groups).  Emission reads constant values only
+# at the steps it notes as decisions, so a reuse whose decisions replay is
+# the code emission would give, byte for byte.  One pass of each perfbench
+# deck keeps at most 9 (seeds 7 and 3901).
+_EMITTED: dict = {}
+_EMITTED_MAX = 16
+
+
+def _kept(key):
+    """The code kept for ``key``, now the one used last, or None."""
+    kept = _EMITTED.pop(key, None)
+    if kept is not None:
+        _EMITTED[key] = kept
+    return kept
+
+
+def _keep(key, code):
+    """Keep ``code`` for ``key``, dropping the code used longest ago."""
+    _EMITTED[key] = code
+    if len(_EMITTED) > _EMITTED_MAX:
+        del _EMITTED[next(iter(_EMITTED))]
+    return code
+
+
+def _log_code(f: ScalarFn, trace: _Trace):
+    """Say at level DEBUG whether ``f``'s code was emitted or reused."""
+    log.debug("trace of %s: code %s", f.name or "K",
+              "reused" if trace.reused else "emitted")
+
+
+# Code objects by source text, where _EMITTED keeps the lines that sources
+# are written from by shape.  A source names its constants and never
 # holds their values, so systems of one shape whose parameters differ only
 # in value, and every run of one system, share one compile.  The first 60
 # jobs of each perfbench workload (seed 7) compile each source once: 2

@@ -148,6 +148,17 @@ def test_simulate_rejects_bad_inputs(capsys):
         assert f"must be positive and finite, got {value}" in err
 
 
+def test_a_monitor_listed_twice_is_a_config_error(tmp_path, capsys):
+    # each monitor is one CSV column, named once in the header
+    path = tmp_path / "run.csv"
+    code, out, err = run_cli(capsys, "simulate", "--system",
+                             "heat_compartment", "--monitors", "K_res,K_res",
+                             "--t-end", "0.1", "--dt", "0.1", "--output",
+                             str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert "config error" in err and "monitor 'K_res' is listed twice" in err
+
+
 def test_simulate_aborted_run_exits_one(capsys):
     # started off equilibrium, the exchanger costate eventually drifts off
     # the surface and trips the membership guard; the CLI maps that abort to

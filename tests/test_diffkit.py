@@ -269,13 +269,15 @@ def test_scalar_fn_is_callable_and_frozen():
 JOBS = Path(__file__).resolve().parents[1] / "perfbench" / "jobs.py"
 
 
-def _benchmark_system(kind: str):
-    """The benchmark's expression transcription of a built-in system."""
+def _benchmark_system(kind: str, **params):
+    """The benchmark's expression transcription of a built-in system, at
+    its parameters ``params`` where given."""
     spec = importlib.util.spec_from_file_location("benchmark_jobs", JOBS)
     jobs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = jobs    # for its dataclass
     spec.loader.exec_module(jobs)
-    params = {"mass": 1.3, "damping": 0.4, "c_v": 1.7, "C": 1.2, "T_ref": 0.9}
+    params = dict({"mass": 1.3, "damping": 0.4, "c_v": 1.7, "C": 1.2,
+                   "T_ref": 0.9}, **params)
     return cli._build_custom_system(getattr(jobs, kind)(params, None))
 
 

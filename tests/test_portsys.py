@@ -432,6 +432,13 @@ def test_simulate_records_grid_inputs_outputs_and_monitors():
         simulate(gp, 0.1, 0.1, monitors=("bogus",))
 
 
+def test_a_monitor_listed_twice_is_rejected():
+    with pytest.raises(ValueError, match="^monitor 'E_total' is listed "
+                                         "twice$"):
+        simulate(heat_compartment(), 0.1, 0.1,
+                 monitors=("E_total", "K_res", "E_total"))
+
+
 @pytest.mark.parametrize("monitors", [(), ("K_res",), ("alpha_res",)])
 def test_an_infinite_input_fails_its_step_without_a_warning(monitors):
     # the failing step records the points before it, where the totals of
@@ -928,6 +935,28 @@ def test_heat_chain_meets_its_modal_closed_form(N):
     assert np.max(np.abs(E - exact)) < 1e-8
     assert np.max(np.abs(E.sum(axis=1) - E0.sum())) < 1e-13
     assert np.min(np.diff(S.sum(axis=1))) >= 0.0
+
+
+def test_a_heat_chain_emits_its_port_kernel_once(monkeypatch, caplog):
+    # the 8 compartments' port generators record one shape: interconnect
+    # emits the first one's code and reuses it for the other 7; the drift's
+    # gradient is that of a chain built with nothing kept, bit for bit, and
+    # the chain meets its modal closed form
+    monkeypatch.setattr(tracegrad, "_EMITTED", {})
+    caplog.set_level(logging.DEBUG, logger="ltk")
+    chain = _heat_chain(8, 1.0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "trace of heat port: code emitted"] + [
+        "trace of heat port: code reused"] * 7
+    E0 = np.linspace(2.0, 1.0, 8)
+    params = list(np.log(E0)) + [-1.0] * 8
+    x = liouville_point(chain.gf, params).packed()
+    tracegrad._EMITTED.clear()
+    fresh = _heat_chain(8, 1.0)
+    assert grad(chain.Ka, x).tobytes() == grad(fresh.Ka, x).tobytes()
+    result = simulate(chain, 1.0, 1e-2, params=params)
+    assert np.max(np.abs(result.q[:, 0::2]
+                         - _chain_modes(8, 1.0, E0, result.t))) < 1e-8
 
 
 def _fourier(outputs):

@@ -20,21 +20,22 @@ import pytest
 from conftest import TracedGradient, hessian_stage, one_stage
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _hex
+from test_diffkit import SYSTEMS, TWIN_DEFAULTS, _benchmark_system, _hex
 from test_simulate_blocks import (INPUTS, _assert_matches_reference,
                                   _assert_same_error, _reference)
 
 import ltk
 from ltk import diffkit, dynamics, tracegrad
+from ltk.brackets import poisson_fn
 from ltk.diffkit import Dual, ScalarFn, cos, exp, fd_grad, grad, ln, sin, sqrt
 from ltk.exprlang import ExprEvalError, compile_fn
 from ltk.geometry import sample_phase_points
 from ltk.portsys import (BUILTIN_SYSTEMS, MONITOR_NAMES, PortSignal,
                          PortSystem, _sample_surface_params,
                          gas_piston_damper, heat_compartment, heat_exchanger,
-                         simulate)
+                         ideal_gas_SVN, simulate)
 from ltk.submanifold import lift_phase_fn, liouville_point
-from ltk.tracegrad import FieldCode
+from ltk.tracegrad import FieldCode, PartialSumKernel
 
 GENERATOR_SYSTEMS = dict(
     {name: factory for name, factory in BUILTIN_SYSTEMS.items()},
@@ -960,3 +961,127 @@ def test_a_partial_sum_kernel_raises_where_a_dual_raises(at, error, message):
     with pytest.raises(error, match=re.escape(" (batch row 1)")):
         kernel([Dual(np.array([1.0, v]), np.ones((1, 2))) for v in x])
 
+
+# -- code kept by shape ----------------------------------------------------------
+
+
+def _system_case(system):
+    """A system's generators, its default (or first sampled) surface point
+    and its groups of energy and entropy costates, as ``interconnect``
+    reads its port outputs."""
+    params = system.default_params or _sample_surface_params(system, 1, 3)[0]
+    m = system.n_coords
+    return ((system.Ka, *system.Kc),
+            liouville_point(system.gf, params).packed().tolist(),
+            [[m + i for i in indices] for indices in (system.energy_indices,
+                                                      system.entropy_indices)])
+
+
+def _bracket_case(a, b):
+    K1 = ScalarFn(lambda x: a * x[0] * x[2] + x[1] * x[3] ** 2, 4, name="K1")
+    K2 = ScalarFn(lambda x: x[1] * x[2] / (b + x[0]) + exp(x[0] / b) * x[3],
+                  4, name="K2")
+    return ((poisson_fn(K1, K2),), [0.7, 1.3, -0.4, 0.9], [[0, 1], [2, 3]])
+
+
+def _input_case(source):
+    fns = [compile_fn(source, ["t"])]
+    return fns, [0.0], [[0]]
+
+
+def _folding_case(a, b, c):
+    # d(x0 * a / b)/dx0 is folded to the constant a / b
+    return ((ScalarFn(lambda x: x[0] * a / b + x[1] * c, 2, name="folds"),),
+            [0.3, -0.8], [[0], [1]])
+
+
+def _power_case(c):
+    # x0 ** c records one shape for every integer c, but the tangent of its
+    # derivative's factor c * x0 ** (c - 1) is zero at c = 1 only
+    return ((ScalarFn(lambda x: x[0] ** c * x[1], 2, name="power"),),
+            [0.3, -0.8], [[0], [1]])
+
+
+# Each case at two sets of constants whose traces record one shape; in
+# those of EMITTED_ANEW an emission's decision comes out otherwise at the
+# second, so that code is emitted anew
+KEPT_CASES = {
+    "gas_piston_damper": lambda k: _system_case(gas_piston_damper(
+        *[(1.3, 0.4), (1.1, 0.6)][k], c_v=[1.7, 1.9][k])),
+    "heat_compartment": lambda k: _system_case(heat_compartment(
+        *[(1.2, 0.9), (0.7, 1.1)][k])),
+    "heat_exchanger": lambda k: _system_case(heat_exchanger(
+        *[((1.3, 0.8), (0.9, 1.1), 0.7), ((1.2, 0.7), (0.95, 1.05), 0.6)][k])),
+    "ideal_gas_SVN": lambda k: _system_case(ideal_gas_SVN(
+        *[(1.5, 1.2, 0.8), (1.7, 1.1, 0.9)][k])),
+    "expression piston": lambda k: _system_case(_benchmark_system(
+        "_custom_piston", **[{}, {"mass": 1.1, "damping": 0.6,
+                                  "c_v": 1.9}][k])),
+    "expression compartment": lambda k: _system_case(_benchmark_system(
+        "_custom_compartment", **[{}, {"C": 0.7, "T_ref": 1.1}][k])),
+    "poisson bracket": lambda k: _bracket_case(*[(1.3, 2.5), (0.6, 1.7)][k]),
+    "expression input": lambda k: _input_case(
+        ["0.2*sin(3.0*t) + t^2", "0.3*sin(1.5*t) + t^2"][k]),
+    # a / b is a new constant at the first, c itself at the second
+    "fold to an existing constant": lambda k: _folding_case(
+        *[(3.0, 2.0, 1.25), (3.0, 2.0, 1.5)][k]),
+    # the Hessian's factor: none at the first, c (c - 1) at the second
+    "integer power": lambda k: _power_case([1, 2][k]),
+}
+EMITTED_ANEW = {"fold to an existing constant", "integer power"}
+
+
+def _constants(namespace) -> dict:
+    return {name: (type(value), repr(value))
+            for name, value in namespace.items() if re.fullmatch(r"c\d+", name)}
+
+
+def _traced(fns, x, groups, sources, kept=True) -> list:
+    """The codes of ``fns`` at ``x``: their field code, the first one's
+    with its Hessian code, each with its guards and constants, and the
+    sources and constants of the port kernel (the partial sums over
+    ``groups`` of the generators after the first, a system's Kc, or of the
+    one generator) and of their value kernel, which ``sources`` receives;
+    each emitted with nothing kept before it unless ``kept``."""
+    def trace(build, *args, **kwargs):
+        if not kept:
+            tracegrad._EMITTED.clear()
+        return build(*args, **kwargs)
+
+    field = trace(FieldCode, fns, x)
+    hessian = trace(FieldCode, fns[:1], x, hessians=True)
+    del sources[:]
+    trace(PartialSumKernel, fns[1:] or fns, x, groups)
+    trace(tracegrad.value_kernel, fns, x)
+    return [field.codes, field.guards, _constants(field._namespace),
+            hessian.codes, hessian.hessians, hessian.guards,
+            _constants(hessian._namespace), list(sources)]
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_a_reused_code_is_the_code_emitted_anew(case, monkeypatch, caplog):
+    # a trace at the second constants reuses the code kept from the first
+    # where emission's decisions replay, and emits anew where one does
+    # not; what it gives is what an emission with nothing kept gives,
+    # constants included
+    sources, function = [], tracegrad._function
+    monkeypatch.setattr(tracegrad, "_function", lambda source, namespace: (
+        sources.append((source, _constants(namespace))),
+        function(source, namespace))[1])
+    monkeypatch.setattr(tracegrad, "_EMITTED", {})
+    first, second = KEPT_CASES[case](0), KEPT_CASES[case](1)
+    _traced(*first, sources)
+    caplog.set_level(logging.DEBUG, logger="ltk")
+    caplog.clear()
+    reused = _traced(*second, sources)
+    assert set(_said(caplog)) == ({"emitted", "reused"}
+                                  if case in EMITTED_ANEW else {"reused"})
+    caplog.clear()
+    assert _traced(*second, sources, kept=False) == reused
+    assert set(_said(caplog)) == {"emitted"}
+
+
+def _said(caplog) -> list:
+    """How each traced function's code came, as the log says it."""
+    return [r.getMessage().rpartition(": code ")[2] for r in caplog.records
+            if r.getMessage().startswith("trace of ")]
